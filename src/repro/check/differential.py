@@ -319,66 +319,59 @@ def _normalize_outcome(outcome, cas_map: dict[int, int]):
     return ["ok", _normalize(payload, cas_map)]
 
 
+def _token(cmd: Command, last_cas: dict[str, int]) -> int:
+    """Resolve a cas/setl command's symbolic token: 'last' names the
+    most recent gets (cas) or won lease (setl, under a composite key
+    beside the cas tokens) on the key, 'bogus' is never valid."""
+    if cmd.token_ref != "last":
+        return BOGUS_CAS
+    slot = cmd.key if cmd.op == "cas" else "lease:" + cmd.key
+    return last_cas.get(slot, BOGUS_CAS)
+
+
+def _ir_command(cmd: Command, last_cas: dict[str, int]) -> IRCommand:
+    """Build the transport-neutral IR command for one generated op (the
+    one generated-op -> IR mapping blocking and pipelined replay share)."""
+    op = cmd.op
+    if op in ("set", "add", "replace"):
+        return IRCommand(op=op, keys=[cmd.key], value=cmd.value,
+                         flags=cmd.flags, exptime=cmd.exptime)
+    if op == "cas":
+        return IRCommand(op="cas", keys=[cmd.key], value=cmd.value, flags=cmd.flags,
+                         exptime=cmd.exptime, cas=_token(cmd, last_cas))
+    if op == "setl":
+        return IRCommand(op="set", keys=[cmd.key], value=cmd.value, flags=cmd.flags,
+                         exptime=cmd.exptime, lease_token=_token(cmd, last_cas))
+    if op in ("append", "prepend"):
+        return IRCommand(op=op, keys=[cmd.key], value=cmd.value)
+    if op in ("incr", "decr"):
+        return IRCommand(op=op, keys=[cmd.key], delta=cmd.delta)
+    if op == "touch":
+        return IRCommand(op="touch", keys=[cmd.key], exptime=cmd.exptime)
+    if op == "getl":
+        return IRCommand(op="getl", keys=[cmd.key], stale_ok=cmd.stale_ok)
+    if op == "flush_all":
+        return IRCommand(op="flush_all", exptime=cmd.exptime)
+    if op in ("get", "gets", "delete"):
+        return IRCommand(op=op, keys=[cmd.key])
+    raise ValueError(f"unknown op {op!r}")
+
+
 def _run_client_op(client, cmd: Command, last_cas: dict[str, int]):
     """Process helper: execute *cmd*, return a normalized-ready outcome.
 
-    The raw gets() token is stashed in *last_cas* for later cas
-    commands; outcomes are ('ok', raw_result) or ('error', kind).
+    The raw gets() token and a won lease's token are stashed in
+    *last_cas* for later cas / setl commands (see :func:`_token`);
+    outcomes are ('ok', raw_result) or ('error', kind).
     """
-    op = cmd.op
     try:
-        if op in ("set", "add", "replace"):
-            method = getattr(client, op)
-            result = yield from method(cmd.key, cmd.value, cmd.flags, cmd.exptime)
-        elif op in ("append", "prepend"):
-            method = getattr(client, op)
-            result = yield from method(cmd.key, cmd.value)
-        elif op == "cas":
-            token = (
-                last_cas.get(cmd.key, BOGUS_CAS)
-                if cmd.token_ref == "last"
-                else BOGUS_CAS
-            )
-            result = yield from client.cas(
-                cmd.key, cmd.value, token, cmd.flags, cmd.exptime
-            )
-        elif op == "get":
-            result = yield from client.get(cmd.key)
-        elif op == "gets":
-            result = yield from client.gets(cmd.key)
-            if result is not None:
-                last_cas[cmd.key] = result[1]
-        elif op == "getl":
-            result = yield from client.get_lease(cmd.key, cmd.stale_ok)
-            if isinstance(result, tuple) and result[0] == "won":
-                # Composite key: lease tokens live beside cas tokens.
-                last_cas["lease:" + cmd.key] = result[2]
-        elif op == "setl":
-            token = (
-                last_cas.get("lease:" + cmd.key, BOGUS_CAS)
-                if cmd.token_ref == "last"
-                else BOGUS_CAS
-            )
-            result = yield from client.set_with_lease(
-                cmd.key, cmd.value, token, cmd.flags, cmd.exptime
-            )
-        elif op == "delete":
-            result = yield from client.delete(cmd.key)
-        elif op in ("incr", "decr"):
-            method = getattr(client, op)
-            result = yield from method(cmd.key, cmd.delta)
-        elif op == "touch":
-            result = yield from client.touch(cmd.key, cmd.exptime)
-        elif op == "flush_all":
-            result = yield from client.flush_all(cmd.exptime)
-        else:  # pragma: no cover - generator never emits unknown ops
-            raise ValueError(f"unknown op {op!r}")
-    except ClientError:
-        return ("error", "client")
-    except ServerError:
-        return ("error", "server")
-    except ProtocolError:
-        return ("error", "protocol")
+        result = yield from client.call(_ir_command(cmd, last_cas))
+    except (ClientError, ServerError, ProtocolError) as exc:
+        return _pipeline_outcome(exc)
+    if cmd.op == "gets" and result is not None:
+        last_cas[cmd.key] = result[1]
+    elif cmd.op == "getl" and isinstance(result, tuple) and result[0] == "won":
+        last_cas["lease:" + cmd.key] = result[2]
     return ("ok", result)
 
 
@@ -392,12 +385,9 @@ def _run_oracle_op(oracle: ModelMemcached, cmd: Command, last_cas: dict[str, int
         elif op in ("append", "prepend"):
             result = getattr(oracle, op)(cmd.key, cmd.value) == "stored"
         elif op == "cas":
-            token = (
-                last_cas.get(cmd.key, BOGUS_CAS)
-                if cmd.token_ref == "last"
-                else BOGUS_CAS
+            result = oracle.cas(
+                cmd.key, cmd.value, _token(cmd, last_cas), cmd.flags, cmd.exptime
             )
-            result = oracle.cas(cmd.key, cmd.value, token, cmd.flags, cmd.exptime)
         elif op == "get":
             hit = oracle.get(cmd.key)
             result = hit.value if hit is not None else None
@@ -417,13 +407,8 @@ def _run_oracle_op(oracle: ModelMemcached, cmd: Command, last_cas: dict[str, int
                     last_cas["lease:" + cmd.key] = token
                 result = (state, hit.value if hit is not None else None, token)
         elif op == "setl":
-            token = (
-                last_cas.get("lease:" + cmd.key, BOGUS_CAS)
-                if cmd.token_ref == "last"
-                else BOGUS_CAS
-            )
             result = oracle.set_with_lease(
-                cmd.key, cmd.value, token, cmd.flags, cmd.exptime
+                cmd.key, cmd.value, _token(cmd, last_cas), cmd.flags, cmd.exptime
             )
             result = result == "stored"
         elif op == "delete":
@@ -704,33 +689,9 @@ _BATCHABLE_OPS = frozenset(
 )
 
 
-def _ir_command(cmd: Command, last_cas: dict[str, int]) -> IRCommand:
-    """Build the transport-neutral IR command for one generated op."""
-    op = cmd.op
-    if op in ("set", "add", "replace"):
-        return IRCommand(op=op, keys=[cmd.key], value=cmd.value,
-                         flags=cmd.flags, exptime=cmd.exptime)
-    if op == "cas":
-        token = (
-            last_cas.get(cmd.key, BOGUS_CAS)
-            if cmd.token_ref == "last"
-            else BOGUS_CAS
-        )
-        return IRCommand(op="cas", keys=[cmd.key], value=cmd.value,
-                         flags=cmd.flags, exptime=cmd.exptime, cas=token)
-    if op in ("append", "prepend"):
-        return IRCommand(op=op, keys=[cmd.key], value=cmd.value)
-    if op in ("incr", "decr"):
-        return IRCommand(op=op, keys=[cmd.key], delta=cmd.delta)
-    if op == "touch":
-        return IRCommand(op="touch", keys=[cmd.key], exptime=cmd.exptime)
-    # get / gets / delete
-    return IRCommand(op=op, keys=[cmd.key])
-
-
 def _pipeline_outcome(raw):
-    """Fold one client.pipeline() entry into the ('ok'/'error', x) form
-    `_run_client_op` produces for the same op."""
+    """Fold one client.pipeline() entry (a value, or the exception that
+    felled the op) into the ('ok'/'error', x) outcome form."""
     if isinstance(raw, ClientError):
         return ("error", "client")
     if isinstance(raw, ServerError):

@@ -27,11 +27,7 @@ from repro.memcached.client import (
     UcrUdTransport,
 )
 from repro.memcached.items import reset_cas_ids
-from repro.memcached.onesided import (
-    OneSidedClient,
-    OneSidedShardedClient,
-    OneSidedTransport,
-)
+from repro.memcached.onesided import OneSidedTransport
 from repro.memcached.server import MemcachedCosts, MemcachedServer, UcrServerPort
 from repro.memcached.serving import GutterRouter, ProbabilisticHotCache
 from repro.memcached.store import StoreConfig
@@ -183,6 +179,17 @@ class Cluster:
         the spec's ``client_timeout_us``.  *pipeline_depth* sets the
         client's default in-flight window for batched operations.
         """
+        t = self._transport(transport, client_node, costs, timeout_us, binary)
+        return MemcachedClient(
+            t,
+            list(self.server_names),
+            distribution=distribution,
+            pipeline_depth=pipeline_depth,
+        )
+
+    def _transport(self, transport, client_node, costs, timeout_us, binary):
+        """The client-side transport object named *transport* on
+        ``client<client_node>``, wired to every server in the pool."""
         if not self.servers:
             raise RuntimeError("start_server() first")
         if timeout_us is None:
@@ -231,13 +238,7 @@ class Cluster:
                 f"unknown transport {transport!r}; cluster {self.spec.name} has "
                 f"{self.spec.transports}"
             )
-        cls = OneSidedClient if isinstance(t, OneSidedTransport) else MemcachedClient
-        return cls(
-            t,
-            list(self.server_names),
-            distribution=distribution,
-            pipeline_depth=pipeline_depth,
-        )
+        return t
 
     def sharded_client(
         self,
@@ -266,13 +267,7 @@ class Cluster:
         clamped to *gutter_ttl_s*.  *hot_cache* attaches a client-local
         :class:`~repro.memcached.serving.ProbabilisticHotCache`.
         """
-        base = self.client(
-            transport,
-            client_node=client_node,
-            costs=costs,
-            timeout_us=timeout_us,
-            binary=binary,
-        )
+        t = self._transport(transport, client_node, costs, timeout_us, binary)
         if gutter:
             if gutter >= len(self.server_names):
                 raise ValueError(
@@ -284,13 +279,8 @@ class Cluster:
             ring = GutterRouter(primary, spare, gutter_ttl_s=gutter_ttl_s)
         else:
             ring = HashRing(self.server_names, vnodes=vnodes)
-        cls = (
-            OneSidedShardedClient
-            if isinstance(base.transport, OneSidedTransport)
-            else ShardedClient
-        )
-        return cls(
-            base.transport,
+        return ShardedClient(
+            t,
             ring,
             policy=policy,
             pipeline_depth=pipeline_depth,

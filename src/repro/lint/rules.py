@@ -587,9 +587,8 @@ class HistoryGuardRule(Rule):
     checker.  Two obligations:
 
     - operation methods on ``*Client`` classes must thread through the
-      recorder: decorated ``@_recorded(...)``, or delegating to a
-      recorded base method (``_with_failover``) or to the recorder
-      directly;
+      recorder: delegating to the client's one recorded op path
+      (``call``), or touching the recorder directly;
     - outside ``check/`` itself, calls to the recorder's recording
       methods (``invoke``/``complete``/``fail``/``lost``) must be
       syntactically guarded on ``recorder.enabled`` -- same zero-cost
@@ -638,22 +637,16 @@ class HistoryGuardRule(Rule):
                     ctx,
                     stmt,
                     f"{node.name}.{stmt.name}() does not record history: "
-                    f"decorate with @_recorded(...) or delegate to a "
-                    f"recorded path (_with_failover / recorder)",
+                    f"delegate to call(cmd) or use the recorder directly",
                 )
 
-    @classmethod
-    def _records(cls, fn: ast.FunctionDef) -> bool:
-        """Decorated ``@_recorded(...)``, or body touches a recorded path."""
-        for deco in fn.decorator_list:
-            target = deco.func if isinstance(deco, ast.Call) else deco
-            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-            if name == "_recorded":
-                return True
+    @staticmethod
+    def _records(fn: ast.FunctionDef) -> bool:
+        """The body delegates to ``call`` or touches ``recorder``."""
         for node in ast.walk(fn):
-            if isinstance(node, ast.Attribute) and node.attr == "_with_failover":
+            if isinstance(node, ast.Attribute) and node.attr == "call":
                 return True
-            if isinstance(node, ast.Name) and node.id in ("recorder", "_with_failover"):
+            if isinstance(node, ast.Name) and node.id == "recorder":
                 return True
         return False
 

@@ -6,9 +6,12 @@ hashing, and exposes blocking operations.  All operations are process
 helpers (``yield from client.get(...)``).
 
 Every operation builds one transport-neutral
-:class:`~repro.memcached.command.Command` and hands it to the
-transport's ``execute``; wire formats live exclusively in the codec
-modules (text/binary: :mod:`repro.memcached.protocol` /
+:class:`~repro.memcached.command.Command` and runs it through
+:meth:`MemcachedClient.call` -- the single path that layers retry,
+history recording, the ``client.<op>`` span, the hot cache, ring/gutter
+routing and the one-sided ladder around the transport's ``execute``
+(stage diagram: docs/ARCHITECTURE.md).  Wire formats live exclusively
+in the codec modules (text/binary: :mod:`repro.memcached.protocol` /
 :mod:`repro.memcached.protocol_binary`, selected by the sockets
 transport; UCR struct: :mod:`repro.memcached.protocol_ucr`).
 
@@ -33,7 +36,7 @@ API on top.
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -110,53 +113,6 @@ def _ctx(span):
     return span.ctx if span is not None else None
 
 
-def _recorded(op: str):
-    """Wrap a blocking client operation with history recording.
-
-    Zero-cost when checking is off: the disabled path is one attribute
-    read (the same contract as the telemetry tracer; lint L007 enforces
-    the guard).  Each call records invocation and completion instants on
-    the sim clock plus a normalized outcome; ``ServerDownError`` marks
-    the operation *lost* (effect unknown), other memcached errors mark
-    it *failed* (the server answered).  Under ``ShardedClient`` failover
-    each retry attempt is its own record, against the shard it targeted.
-    """
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(self, *args, **kwargs):
-            """Record invoke/complete/fail/lost around *fn* when enabled."""
-            if not recorder.enabled:
-                return (yield from fn(self, *args, **kwargs))
-            key = args[0] if args and isinstance(args[0], str) else None
-            rec_args = tuple(args[1:]) if key is not None else tuple(args)
-            rec = recorder.invoke(self, op, key, rec_args, self.sim.now)
-            try:
-                result = yield from fn(self, *args, **kwargs)
-            except ServerDownError:
-                recorder.lost(rec, self.sim.now, self._last_server)
-                raise
-            except ClientError:
-                recorder.fail(rec, "client", self.sim.now, self._last_server)
-                raise
-            except ServerError:
-                recorder.fail(rec, "server", self.sim.now, self._last_server)
-                raise
-            except ProtocolError:
-                recorder.fail(rec, "protocol", self.sim.now, self._last_server)
-                raise
-            notes = getattr(self, "_op_annotations", ())
-            if notes:
-                self._op_annotations = ()
-            recorder.complete(rec, result, self.sim.now, self._last_server,
-                              annotations=notes)
-            return result
-
-        return wrapper
-
-    return decorate
-
-
 def _raise_reply_error(reply: Reply) -> None:
     """Surface an error reply with the text protocol's taxonomy (every
     wire format preserves the CLIENT_ERROR vs SERVER_ERROR distinction;
@@ -209,8 +165,8 @@ def _interpret(cmd: Command, reply: Reply):
 
 
 def _record_args(cmd: Command) -> tuple:
-    """The args tuple a direct method call would have recorded (the
-    history checker reads value/delta/exptime positionally)."""
+    """The history-record args of *cmd* (the checker reads
+    value/delta/exptime positionally)."""
     op = cmd.op
     if op in ("set", "add", "replace", "append", "prepend"):
         return (cmd.value,)
@@ -218,8 +174,20 @@ def _record_args(cmd: Command) -> tuple:
         return (cmd.value, cmd.cas)
     if op in ("incr", "decr"):
         return (cmd.delta,)
-    if op == "touch":
+    if op in ("touch", "flush_all"):
         return (cmd.exptime,)
+    return ()
+
+
+def _lease_notes(cmd: Command, result) -> tuple:
+    """Checker annotations for a lease-protocol outcome (docs/SERVING.md):
+    a ``getl`` miss verdict is lenient-but-ordered, a denied fill had no
+    effect."""
+    if cmd.op == "getl" and isinstance(result, tuple):
+        notes = ("lease-won",) if result[0] == "won" else ("lease-lost",)
+        return notes + ("stale",) if result[1] is not None else notes
+    if cmd.lease_token and result is False:
+        return ("lease-denied",)
     return ()
 
 
@@ -592,16 +560,6 @@ class UcrTransport:
         assert entry is not None, "counter fired before response landed"
         return entry
 
-    def fire(self, server: str, request: McRequest, data: bytes = b""):
-        """Send with noreply semantics."""
-        yield from self.node.cpu_run(self.node.host.cpu_time(self.costs.build_ucr_us))
-        ep = yield from self.endpoint(server)
-        request.noreply = True
-        header_bytes = MC_REQUEST_HEADER_BYTES + sum(len(k) for k in request.keys)
-        yield from ep.send_message(
-            MSG_MC_REQUEST, header=request, header_bytes=header_bytes, data=data
-        )
-
 
 class UcrUdTransport(UcrTransport):
     """Unreliable-datagram client transport (paper §VII future work).
@@ -723,9 +681,28 @@ def _client_response_handler(ep, header: McResponse, data: bytes):
 # The client proper
 # ---------------------------------------------------------------------------
 
+#: Reads the client-local hot cache may answer / admit.
+_HOT_LOOKUP_OPS = frozenset({"get", "getl"})
+
+#: Reads the one-sided ladder may serve when the transport offers it (a
+#: fresh ``getl`` hit needs no lease machinery).
+_ONESIDED_OPS = frozenset({"get", "gets", "getl"})
+
+#: Everything one command can die of; ``ServerDownError`` alone means
+#: *lost* (effect unknown), the rest mean the server answered.
+_OP_ERRORS = (ServerDownError, ClientError, ServerError, ProtocolError)
+
 
 class MemcachedClient:
-    """libmemcached-style blocking client over a server pool."""
+    """libmemcached-style blocking client over a server pool.
+
+    Every public op method builds one :class:`Command` and returns
+    :meth:`call` on it; ``get_multi`` / ``pipeline`` / ``flush_all`` are
+    multi-target and reuse the same route, record and fan-out helpers.
+    """
+
+    #: Retry/ejection policy; None = one attempt per op, no ejection.
+    policy: Optional["FailoverPolicy"] = None
 
     def __init__(
         self,
@@ -753,13 +730,19 @@ class MemcachedClient:
         #: Default in-flight window for :meth:`pipeline` (per connection).
         self.pipeline_depth = int(pipeline_depth)
         self.ops_issued = 0
-        #: The server the most recent operation targeted (history
-        #: recording attributes each attempt to its shard).
-        self._last_server: Optional[str] = None
+        #: Operations that needed at least one retry.
+        self.failovers = 0
+        #: Operations that exhausted the attempt budget on a dead server.
+        self.gave_up = 0
         #: Optional client-local probabilistic hot cache
         #: (:class:`repro.memcached.serving.ProbabilisticHotCache`);
         #: None keeps the op paths byte-identical to a cache-less client.
         self.hot_cache = hot_cache
+
+    # -- the stages every op shares ---------------------------------------------------
+
+    def _server_for(self, key: str) -> str:
+        return self.distribution.server_for(key)
 
     def _pick(self, key: str):
         """Process helper: hash the key to a server (charged CPU)."""
@@ -767,9 +750,68 @@ class MemcachedClient:
             self.node.host.cpu_time(self.transport.costs.key_hash_us)
         )
         self.ops_issued += 1
-        server = self.distribution.server_for(key)
-        self._last_server = server
-        return server
+        return self._server_for(key)
+
+    def _route(self, cmd: Command):
+        """Process helper: ``(server, command to send)`` for *cmd*.
+
+        Gutter-bound writes live briefly: their expiry is clamped so
+        redirected keys cannot outstay the outage -- on a *copy*, so the
+        caller's command (and a retry toward a primary) keeps its own.
+        """
+        server = yield from self._pick(cmd.key)
+        if cmd.op in _GUTTER_CLAMP_OPS:
+            gutter_ttl = getattr(self.distribution, "gutter_ttl_s", None)
+            if (
+                gutter_ttl is not None
+                and self.distribution.is_gutter(server)
+                and (cmd.exptime == 0 or cmd.exptime > gutter_ttl)
+            ):
+                cmd = dataclasses.replace(cmd, exptime=gutter_ttl)
+        return server, cmd
+
+    def _fan_out(self, groups: dict, work):
+        """Process helper: ``work(server, members)`` per server group,
+        **in parallel** when the transport allows it (libmemcached
+        issues all requests before collecting); single-flight
+        transports (UD with retransmission) go group by group."""
+        if getattr(self.transport, "supports_concurrency", False) and len(groups) > 1:
+            procs = [
+                self.sim.process(work(server, members))
+                for server, members in groups.items()
+            ]
+            for proc in procs:
+                yield proc
+        else:
+            for server, members in groups.items():
+                yield from work(server, members)
+
+    def _invoke(self, cmd: Command):
+        """Open *cmd*'s history record; None while recording is off.
+
+        Zero-cost when checking is off (one attribute read, the tracer's
+        contract; lint L007 enforces the guard).  Lease reads record as
+        the ``get`` they refine, annotated on completion.
+        """
+        if not recorder.enabled:
+            return None
+        op = "get" if cmd.op == "getl" else cmd.op
+        return recorder.invoke(self, op, cmd.key, _record_args(cmd), self.sim.now)
+
+    def _settle(self, rec, server: Optional[str], outcome, notes: tuple = ()) -> None:
+        """Close *rec* against *server*.  *outcome* is the op's result,
+        or the exception that felled it: ``ServerDownError`` marks the
+        operation *lost* (effect unknown), other memcached errors mark
+        it *failed* (the server answered)."""
+        if not recorder.enabled:
+            return
+        if isinstance(outcome, ServerDownError):
+            recorder.lost(rec, self.sim.now, server)
+        elif isinstance(outcome, Exception):
+            recorder.fail(rec, _ERROR_KIND.get(type(outcome), "server"),
+                          self.sim.now, server)
+        else:
+            recorder.complete(rec, outcome, self.sim.now, server, annotations=notes)
 
     # Health accounting hooks: the base client tracks nothing; the
     # sharded client overrides these to drive ejection/rejoin.
@@ -780,58 +822,118 @@ class MemcachedClient:
     def _note_success(self, server: Optional[str]) -> None:
         pass
 
-    def _call(self, cmd: Command, **span_attrs):
-        """Process helper: the one op path -- span, pick, execute, map."""
-        span = (
-            tracer.begin(f"client.{cmd.op}", "client", self.sim.now, **span_attrs)
-            if tracer.enabled
+    # -- the one op path ------------------------------------------------------------
+
+    def call(self, cmd: Command, **span_attrs):
+        """Process helper: run one keyed command; every blocking op is this.
+
+        Stages, outermost first: attempt loop (budget from
+        :attr:`policy`) -> history record -> hot-cache lookup ->
+        ``client.<op>`` span -> route -> one-sided ladder (when the
+        transport offers ``onesided_get``) -> ``transport.execute`` ->
+        :func:`_interpret` -> hot-cache invalidate/admit -> record
+        completion and shard-health accounting.  Each attempt is its own
+        record and span against the shard it re-routed to.  The target
+        and the checker annotations are locals, so processes sharing one
+        client never see each other's; *cmd* is never mutated.
+        """
+        op = cmd.op
+        if op == "flush_all":  # pool-wide: nothing to route or retry
+            return (yield from self.flush_all(cmd.exptime))
+        key = cmd.key
+        hc = self.hot_cache
+        cacheable = hc is not None and op in _HOT_LOOKUP_OPS
+        onesided = (
+            getattr(self.transport, "onesided_get", None)
+            if op in _ONESIDED_OPS
             else None
         )
-        try:
-            server = yield from self._pick(cmd.key)
-            if cmd.op in _GUTTER_CLAMP_OPS:
-                gutter_ttl = getattr(self.distribution, "gutter_ttl_s", None)
-                if gutter_ttl is not None and self.distribution.is_gutter(server):
-                    # Gutter-bound writes live briefly: clamp the expiry
-                    # so redirected keys cannot outstay the outage.
-                    if cmd.exptime == 0 or cmd.exptime > gutter_ttl:
-                        cmd.exptime = gutter_ttl
-            reply = yield from self.transport.execute(server, cmd, trace=_ctx(span))
-            return _interpret(cmd, reply)
-        finally:
-            if self.hot_cache is not None and cmd.op in _HOT_INVALIDATING_OPS:
-                # Write-through invalidation: even a failed or lost
-                # mutation may have executed server-side.
-                self.hot_cache.invalidate(cmd.key)
-            if tracer.enabled:
-                tracer.end(span, self.sim.now)
+        if onesided is not None:
+            span_attrs["onesided"] = True
+        policy = self.policy
+        retries = policy.max_retries if policy is not None else 0
+        for attempt in range(retries + 1):
+            server = None
+            rec = self._invoke(cmd)
+            if cacheable:
+                cached = hc.lookup(key, self.sim.now / 1e6)
+                if cached is not None:
+                    # Served client-locally: zero simulated time, no
+                    # wire, no span.
+                    if rec is not None:
+                        self._settle(rec, "hot-cache", cached[0], ("cached",))
+                    return cached[0]
+            try:
+                span = (
+                    tracer.begin(f"client.{op}", "client", self.sim.now,
+                                 key=key, **span_attrs)
+                    if tracer.enabled
+                    else None
+                )
+                try:
+                    server, routed = yield from self._route(cmd)
+                    reply = None
+                    if onesided is not None:
+                        # None = the index could not prove the answer:
+                        # fall down the ladder onto the RPC path.
+                        reply = yield from onesided(server, key)
+                    if reply is None:
+                        reply = yield from self.transport.execute(
+                            server, routed, trace=_ctx(span)
+                        )
+                    result = _interpret(routed, reply)
+                finally:
+                    if hc is not None and op in _HOT_INVALIDATING_OPS:
+                        # Write-through invalidation: even a failed or
+                        # lost mutation may have executed server-side.
+                        hc.invalidate(key)
+                    if tracer.enabled:
+                        tracer.end(span, self.sim.now)
+            except _OP_ERRORS as exc:
+                if rec is not None:
+                    self._settle(rec, server, exc)
+                if not isinstance(exc, ServerDownError):
+                    raise
+                self._note_failure(server)
+                if attempt >= retries:
+                    self.gave_up += 1
+                    raise
+                self.failovers += attempt == 0
+                yield self.sim.timeout(policy.backoff_us(attempt))
+                continue
+            if (
+                cacheable
+                and result is not None
+                and not isinstance(result, tuple)  # a lease verdict, not a value
+                and hc.admit(key)
+            ):
+                hc.store(key, result, 0, self.sim.now / 1e6)
+            if rec is not None:
+                self._settle(rec, server, result, _lease_notes(cmd, result))
+            self._note_success(server)
+            return result
 
     # -- storage ------------------------------------------------------------------
 
-    @_recorded("set")
     def set(self, key: str, value: bytes, flags: int = 0, exptime: float = 0):
         cmd = Command(op="set", keys=[key], value=value, flags=flags, exptime=exptime)
-        return (yield from self._call(cmd, key=key, nbytes=len(value)))
+        return self.call(cmd, nbytes=len(value))
 
-    @_recorded("add")
     def add(self, key: str, value: bytes, flags: int = 0, exptime: float = 0):
         cmd = Command(op="add", keys=[key], value=value, flags=flags, exptime=exptime)
-        return (yield from self._call(cmd, key=key, nbytes=len(value)))
+        return self.call(cmd, nbytes=len(value))
 
-    @_recorded("replace")
     def replace(self, key: str, value: bytes, flags: int = 0, exptime: float = 0):
         cmd = Command(op="replace", keys=[key], value=value, flags=flags,
                       exptime=exptime)
-        return (yield from self._call(cmd, key=key, nbytes=len(value)))
+        return self.call(cmd, nbytes=len(value))
 
-    @_recorded("cas")
     def cas(self, key: str, value: bytes, cas_token: int, flags: int = 0, exptime: float = 0):
         """Returns 'stored' | 'exists' | 'not_found'."""
         cmd = Command(op="cas", keys=[key], value=value, flags=flags,
                       exptime=exptime, cas=cas_token)
-        return (yield from self._call(cmd, key=key, nbytes=len(value)))
+        return self.call(cmd, nbytes=len(value))
 
-    @_recorded("set")
     def set_with_lease(self, key: str, value: bytes, lease_token: int,
                        flags: int = 0, exptime: float = 0):
         """Fill *key* under a lease won by :meth:`get_lease`.
@@ -839,99 +941,60 @@ class MemcachedClient:
         The server validates *lease_token*: the value is stored only if
         the lease is still live (the key was not mutated, deleted or
         flushed since the lease was won, and the lease TTL has not
-        elapsed).  Returns True iff stored; a denial records a
-        ``lease-denied`` annotation (the fill had no effect).
+        elapsed).  Returns True iff stored; recorded as a ``set``, a
+        denial carrying a ``lease-denied`` annotation (the fill had no
+        effect).
         """
         cmd = Command(op="set", keys=[key], value=value, flags=flags,
                       exptime=exptime, lease_token=lease_token)
-        result = yield from self._call(cmd, key=key, nbytes=len(value))
-        if recorder.enabled and result is False:
-            self._op_annotations = ("lease-denied",)
-        return result
+        return self.call(cmd, nbytes=len(value))
 
-    @_recorded("append")
     def append(self, key: str, value: bytes):
         """Append to an existing value; True if the key was present."""
-        cmd = Command(op="append", keys=[key], value=value)
-        return (yield from self._call(cmd, key=key, nbytes=len(value)))
+        return self.call(Command(op="append", keys=[key], value=value),
+                         nbytes=len(value))
 
-    @_recorded("prepend")
     def prepend(self, key: str, value: bytes):
         """Prepend to an existing value; True if the key was present."""
-        cmd = Command(op="prepend", keys=[key], value=value)
-        return (yield from self._call(cmd, key=key, nbytes=len(value)))
+        return self.call(Command(op="prepend", keys=[key], value=value),
+                         nbytes=len(value))
 
     # -- retrieval ------------------------------------------------------------------
 
-    @_recorded("get")
     def get(self, key: str):
         """Returns the value bytes, or None on miss."""
-        hc = self.hot_cache
-        if hc is not None:
-            cached = hc.lookup(key, self.sim.now / 1e6)
-            if cached is not None:
-                # Served client-locally: zero simulated time, no wire.
-                self._last_server = "hot-cache"
-                if recorder.enabled:
-                    self._op_annotations = ("cached",)
-                return cached[0]
-        cmd = Command(op="get", keys=[key])
-        value = yield from self._call(cmd, key=key)
-        if hc is not None and value is not None and hc.admit(key):
-            hc.store(key, value, 0, self.sim.now / 1e6)
-        return value
+        return self.call(Command(op="get", keys=[key]))
 
-    @_recorded("gets")
     def gets(self, key: str):
         """Returns (value, cas) or None."""
-        cmd = Command(op="gets", keys=[key])
-        return (yield from self._call(cmd, key=key))
+        return self.call(Command(op="gets", keys=[key]))
 
-    @_recorded("get")
     def get_lease(self, key: str, stale_ok: bool = True):
         """Anti-dogpile get: a fresh value, or a lease verdict on miss.
 
         Returns the value bytes on a fresh hit (exactly :meth:`get`'s
-        shape).  On miss returns ``(state, stale_value, token)``:
-        ``state`` is ``"won"`` (this caller holds the regeneration
-        lease -- fill via :meth:`set_with_lease` with *token*) or
-        ``"lost"`` (another caller is already filling); *stale_value*
-        is the expired-but-still-servable bytes when the server holds
-        one inside its stale window and *stale_ok* was passed, else
-        None.  Recorded as a ``get`` with lease/staleness annotations
-        so the history checker treats the miss leniently.
+        shape; on a one-sided transport the READ ladder serves it, no
+        lease machinery needed when the value is live).  On miss returns
+        ``(state, stale_value, token)``: ``state`` is ``"won"`` (this
+        caller holds the regeneration lease -- fill via
+        :meth:`set_with_lease` with *token*) or ``"lost"`` (another
+        caller is already filling); *stale_value* is the
+        expired-but-still-servable bytes when the server holds one
+        inside its stale window and *stale_ok* was passed, else None.
+        Recorded as a ``get`` with lease/staleness annotations so the
+        history checker treats the miss leniently.
         """
-        hc = self.hot_cache
-        if hc is not None:
-            cached = hc.lookup(key, self.sim.now / 1e6)
-            if cached is not None:
-                self._last_server = "hot-cache"
-                if recorder.enabled:
-                    self._op_annotations = ("cached",)
-                return cached[0]
-        cmd = Command(op="getl", keys=[key], stale_ok=stale_ok)
-        result = yield from self._call(cmd, key=key)
-        if isinstance(result, tuple):
-            if recorder.enabled:
-                notes = ("lease-won",) if result[0] == "won" else ("lease-lost",)
-                if result[1] is not None:
-                    notes += ("stale",)
-                self._op_annotations = notes
-            return result
-        if hc is not None and result is not None and hc.admit(key):
-            hc.store(key, result, 0, self.sim.now / 1e6)
-        return result
+        return self.call(Command(op="getl", keys=[key], stale_ok=stale_ok))
 
     def get_multi(self, keys: list[str]):
         """mget: {key: value} for hits, one batched request per server.
 
-        Server groups are fetched **in parallel** when the transport
-        allows it (libmemcached issues all requests before collecting);
-        single-flight transports (UD with retransmission) fall back to
-        sequential groups.  Each key is recorded as its own ``get`` in
-        the operation history (batch-level invoke/complete instants --
-        sound for the linearizability checker, which treats widened
-        intervals permissively).
+        Server groups are fetched through :meth:`_fan_out`.  Each key is
+        recorded as its own ``get`` in the operation history
+        (batch-level invoke/complete instants -- sound for the
+        linearizability checker, which treats widened intervals
+        permissively).  A partial mget is the documented memcached
+        contract, so there is no retry.
         """
         span = (
             tracer.begin("client.get_multi", "client", self.sim.now, nkeys=len(keys))
@@ -943,25 +1006,19 @@ class MemcachedClient:
             for key in keys:
                 server = yield from self._pick(key)
                 by_server.setdefault(server, []).append(key)
-            recs = None
-            if recorder.enabled:
-                recs = {
-                    key: recorder.invoke(self, "get", key, (), self.sim.now)
-                    for key in keys
-                }
+            recs = (
+                {key: recorder.invoke(self, "get", key, (), self.sim.now)
+                 for key in keys}
+                if recorder.enabled
+                else None
+            )
             out: dict[str, bytes] = {}
-            if getattr(self.transport, "supports_concurrency", False) and len(by_server) > 1:
-                fetches = [
-                    self.sim.process(
-                        self._fetch_group(server, group, out, recs, _ctx(span))
-                    )
-                    for server, group in by_server.items()
-                ]
-                for proc in fetches:
-                    yield proc
-            else:
-                for server, group in by_server.items():
-                    yield from self._fetch_group(server, group, out, recs, _ctx(span))
+            yield from self._fan_out(
+                by_server,
+                lambda server, group: self._fetch_group(
+                    server, group, out, recs, _ctx(span)
+                ),
+            )
             return out
         finally:
             if tracer.enabled:
@@ -979,22 +1036,16 @@ class MemcachedClient:
         try:
             reply = yield from self.transport.execute(server, cmd, trace=trace)
             _raise_reply_error(reply)
-        except ServerDownError:
-            if recorder.enabled and recs is not None:
+        except _OP_ERRORS as exc:
+            if recs is not None:
                 for key in group:
-                    recorder.lost(recs[key], self.sim.now, server)
-            raise
-        except (ClientError, ServerError, ProtocolError) as exc:
-            if recorder.enabled and recs is not None:
-                kind = _ERROR_KIND[type(exc)]
-                for key in group:
-                    recorder.fail(recs[key], kind, self.sim.now, server)
+                    self._settle(recs[key], server, exc)
             raise
         for key, _flags, data, _cas in reply.values:
             out[key] = data
-        if recorder.enabled and recs is not None:
+        if recs is not None:
             for key in group:
-                recorder.complete(recs[key], out.get(key), self.sim.now, server)
+                self._settle(recs[key], server, out.get(key))
 
     # -- pipelining -----------------------------------------------------------------
 
@@ -1005,10 +1056,11 @@ class MemcachedClient:
         Returns one entry per command, in order: the value the blocking
         method would have returned, or the exception that felled it
         (``ServerDownError`` marks a lost op -- its effect is unknown).
-        Commands are grouped by target server; groups run in parallel
-        when the transport allows it.  Every command is individually
-        recorded in the operation history with batch-granular
-        invoke/complete instants.
+        Commands are routed like blocking ones, grouped by target server
+        and fanned out; nothing is retried, but every outcome feeds the
+        shard-health accounting.  Every command is individually recorded
+        in the operation history with batch-granular invoke/complete
+        instants.  The caller's commands are not mutated.
         """
         if depth is None:
             depth = self.pipeline_depth
@@ -1022,107 +1074,74 @@ class MemcachedClient:
             else None
         )
         servers: list = []
+        routed: list = []
         replies: list = [_PENDING] * len(commands)
-        recs = None
         try:
             for cmd in commands:
-                server = yield from self._pick(cmd.key)
+                server, cmd = yield from self._route(cmd)
                 servers.append(server)
-            if recorder.enabled:
-                recs = [
-                    recorder.invoke(self, cmd.op, cmd.key, _record_args(cmd),
-                                    self.sim.now)
-                    for cmd in commands
-                ]
+                routed.append(cmd)
+            recs = [self._invoke(cmd) for cmd in commands]
             groups: dict[str, list[int]] = {}
             for idx, server in enumerate(servers):
                 groups.setdefault(server, []).append(idx)
 
             def fetch(server, idxs):
                 group = yield from self.transport.execute_many(
-                    server, [commands[i] for i in idxs], depth, trace=_ctx(span)
+                    server, [routed[i] for i in idxs], depth, trace=_ctx(span)
                 )
                 for i, rep in zip(idxs, group):
                     replies[i] = rep
 
-            if getattr(self.transport, "supports_concurrency", False) and len(groups) > 1:
-                procs = [
-                    self.sim.process(fetch(server, idxs))
-                    for server, idxs in groups.items()
-                ]
-                for proc in procs:
-                    yield proc
-            else:
-                for server, idxs in groups.items():
-                    yield from fetch(server, idxs)
+            yield from self._fan_out(groups, fetch)
         finally:
             if tracer.enabled:
                 tracer.end(span, self.sim.now)
-        if self.hot_cache is not None:
-            for cmd in commands:
-                if cmd.op in _HOT_INVALIDATING_OPS:
-                    self.hot_cache.invalidate(cmd.key)
         results: list = []
-        for idx, cmd in enumerate(commands):
-            server = servers[idx]
-            rep = replies[idx]
+        for cmd, rec, server, rep in zip(routed, recs, servers, replies):
+            if self.hot_cache is not None and cmd.op in _HOT_INVALIDATING_OPS:
+                self.hot_cache.invalidate(cmd.key)
             if rep is _PENDING:  # fetch process died before this slot
                 rep = ServerDownError(f"{server}: pipelined reply never arrived")
+            if not isinstance(rep, Exception):
+                try:
+                    rep = _interpret(cmd, rep)
+                except _OP_ERRORS as exc:
+                    rep = exc
             if isinstance(rep, ServerDownError):
-                if recorder.enabled:
-                    recorder.lost(recs[idx], self.sim.now, server)
                 self._note_failure(server)
-                results.append(rep)
-                continue
-            if isinstance(rep, Exception):
-                if recorder.enabled:
-                    recorder.fail(recs[idx], _ERROR_KIND.get(type(rep), "server"),
-                                  self.sim.now, server)
-                results.append(rep)
-                continue
-            try:
-                value = _interpret(cmd, rep)
-            except (ClientError, ServerError, ProtocolError) as exc:
-                if recorder.enabled:
-                    recorder.fail(recs[idx], _ERROR_KIND[type(exc)],
-                                  self.sim.now, server)
-                results.append(exc)
-                continue
-            if recorder.enabled:
-                recorder.complete(recs[idx], value, self.sim.now, server)
-            self._note_success(server)
-            results.append(value)
+            elif not isinstance(rep, Exception):
+                self._note_success(server)
+            if rec is not None:
+                self._settle(rec, server, rep, _lease_notes(cmd, rep))
+            results.append(rep)
         return results
 
     # -- mutation -------------------------------------------------------------------
 
-    @_recorded("delete")
     def delete(self, key: str):
         """Remove *key*; True if it existed."""
-        cmd = Command(op="delete", keys=[key])
-        return (yield from self._call(cmd, key=key))
+        return self.call(Command(op="delete", keys=[key]))
 
-    @_recorded("incr")
     def incr(self, key: str, delta: int = 1):
-        cmd = Command(op="incr", keys=[key], delta=delta)
-        return (yield from self._call(cmd, key=key))
+        return self.call(Command(op="incr", keys=[key], delta=delta))
 
-    @_recorded("decr")
     def decr(self, key: str, delta: int = 1):
-        cmd = Command(op="decr", keys=[key], delta=delta)
-        return (yield from self._call(cmd, key=key))
+        return self.call(Command(op="decr", keys=[key], delta=delta))
 
-    @_recorded("touch")
     def touch(self, key: str, exptime: float):
         """Update *key*'s expiry; True if it existed."""
-        cmd = Command(op="touch", keys=[key], exptime=exptime)
-        return (yield from self._call(cmd, key=key))
+        return self.call(Command(op="touch", keys=[key], exptime=exptime))
 
     # -- admin ----------------------------------------------------------------------
 
-    @_recorded("flush_all")
     def flush_all(self, delay: float = 0.0):
-        """Flush every server in the pool."""
+        """Flush every server in the pool, one after the other."""
+        rec = (
+            recorder.invoke(self, "flush_all", None, (delay,), self.sim.now)
+            if recorder.enabled
+            else None
+        )
         if self.hot_cache is not None:
             self.hot_cache.invalidate_all()
         span = (
@@ -1130,16 +1149,23 @@ class MemcachedClient:
             if tracer.enabled
             else None
         )
+        cmd = Command(op="flush_all", exptime=delay)
+        server = None
         try:
             for server in list(self.distribution.servers):
-                cmd = Command(op="flush_all", exptime=delay)
                 reply = yield from self.transport.execute(
                     server, cmd, trace=_ctx(span)
                 )
                 _interpret(cmd, reply)
+        except _OP_ERRORS as exc:
+            if rec is not None:
+                self._settle(rec, server, exc)
+            raise
         finally:
             if tracer.enabled:
                 tracer.end(span, self.sim.now)
+        if rec is not None:
+            self._settle(rec, None, None)
 
     def stats(self, server: Optional[str] = None):
         """Stats from one server (default: the first in the pool)."""
@@ -1207,14 +1233,17 @@ class ShardedClient(MemcachedClient):
     so a dead shard's keys spread across every survivor.
 
     Failure handling (the paper's §IV-A corrective-action model, scaled
-    to a pool): an operation that dies with :class:`ServerDownError`
-    counts one failure against the shard it targeted, sleeps an
-    exponentially growing backoff, and retries -- re-picking the target,
-    which skips the shard once it has accrued
-    ``policy.eject_threshold`` consecutive failures.  Ejected shards
-    rejoin routing after ``policy.rejoin_after_us`` (half-open: the next
-    operation routed there is the probe; one more failure re-ejects it,
-    one success clears the record).
+    to a pool): this class supplies the :class:`FailoverPolicy` and the
+    shard-health ledger; :meth:`MemcachedClient.call` runs the attempt
+    loop.  An operation that dies with :class:`ServerDownError` counts
+    one failure against the shard it targeted, sleeps an exponentially
+    growing backoff, and retries -- re-routing, which skips the shard
+    once it has accrued ``policy.eject_threshold`` consecutive failures.
+    Ejected shards rejoin routing after ``policy.rejoin_after_us``
+    (half-open: the next operation routed there is the probe; one more
+    failure re-ejects it, one success clears the record).  ``get_multi``
+    and ``pipeline`` report per-command outcomes instead of retrying but
+    feed the same ledger.
 
     The transport owns one endpoint per shard (lazily established), so
     failover never tears down healthy connections.
@@ -1235,10 +1264,6 @@ class ShardedClient(MemcachedClient):
         self._health: dict[str, _ShardHealth] = {
             name: _ShardHealth() for name in ring.servers
         }
-        #: Operations that needed at least one retry.
-        self.failovers = 0
-        #: Operations that exhausted the retry budget.
-        self.gave_up = 0
 
     # -- routing -----------------------------------------------------------
 
@@ -1256,14 +1281,8 @@ class ShardedClient(MemcachedClient):
                     out.add(name)
         return frozenset(out)
 
-    def _pick(self, key: str):
-        yield from self.node.cpu_run(
-            self.node.host.cpu_time(self.transport.costs.key_hash_us)
-        )
-        self.ops_issued += 1
-        server = self.ring.server_for(key, avoid=self.ejected_servers())
-        self._last_server = server
-        return server
+    def _server_for(self, key: str) -> str:
+        return self.ring.server_for(key, avoid=self.ejected_servers())
 
     # -- health accounting -------------------------------------------------
 
@@ -1291,78 +1310,3 @@ class ShardedClient(MemcachedClient):
         """(consecutive_failures, ejected_until, ejections) for tests/metrics."""
         h = self._health[server]
         return h.consecutive_failures, h.ejected_until, h.ejections
-
-    # -- failover wrapper --------------------------------------------------
-
-    def _with_failover(self, op, *args, **kwargs):
-        """Process helper: run one base-client op with bounded retry.
-
-        *op* is a base-client method name, or the unbound method itself
-        (subclasses pass e.g. ``OneSidedClient.get`` to route through
-        their own op implementations).
-        """
-        method = op if callable(op) else getattr(MemcachedClient, op)
-        for attempt in range(self.policy.max_retries + 1):
-            self._last_server = None
-            try:
-                result = yield from method(self, *args, **kwargs)
-            except ServerDownError:
-                self._note_failure(self._last_server)
-                if attempt >= self.policy.max_retries:
-                    self.gave_up += 1
-                    raise
-                self.failovers += attempt == 0
-                yield self.sim.timeout(self.policy.backoff_us(attempt))
-                continue
-            self._note_success(self._last_server)
-            return result
-
-    # Single-key operations gain failover; get_multi keeps the base
-    # fan-out (its per-server groups are already independent, and a
-    # partial mget is the documented memcached contract).  pipeline()
-    # likewise reports per-command outcomes instead of retrying -- it
-    # still feeds the shard health accounting via _note_failure/success.
-
-    def set(self, key: str, value: bytes, flags: int = 0, exptime: float = 0):
-        return self._with_failover("set", key, value, flags, exptime)
-
-    def add(self, key: str, value: bytes, flags: int = 0, exptime: float = 0):
-        return self._with_failover("add", key, value, flags, exptime)
-
-    def replace(self, key: str, value: bytes, flags: int = 0, exptime: float = 0):
-        return self._with_failover("replace", key, value, flags, exptime)
-
-    def append(self, key: str, value: bytes):
-        return self._with_failover("append", key, value)
-
-    def prepend(self, key: str, value: bytes):
-        return self._with_failover("prepend", key, value)
-
-    def cas(self, key: str, value: bytes, cas_token: int, flags: int = 0, exptime: float = 0):
-        return self._with_failover("cas", key, value, cas_token, flags, exptime)
-
-    def get(self, key: str):
-        return self._with_failover("get", key)
-
-    def gets(self, key: str):
-        return self._with_failover("gets", key)
-
-    def get_lease(self, key: str, stale_ok: bool = True):
-        return self._with_failover("get_lease", key, stale_ok)
-
-    def set_with_lease(self, key: str, value: bytes, lease_token: int,
-                       flags: int = 0, exptime: float = 0):
-        return self._with_failover("set_with_lease", key, value, lease_token,
-                                   flags, exptime)
-
-    def delete(self, key: str):
-        return self._with_failover("delete", key)
-
-    def incr(self, key: str, delta: int = 1):
-        return self._with_failover("incr", key, delta)
-
-    def decr(self, key: str, delta: int = 1):
-        return self._with_failover("decr", key, delta)
-
-    def touch(self, key: str, exptime: float):
-        return self._with_failover("touch", key, exptime)

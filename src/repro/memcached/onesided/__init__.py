@@ -3,15 +3,14 @@
 The server half (:mod:`~repro.memcached.onesided.index`) pins a
 fixed-layout bucket index kept coherent with the store's write path
 under a seqlock version discipline; the client half
-(:mod:`~repro.memcached.onesided.client`) serves GET/gets with RDMA
-READs against it, falling back to the active-message RPC path whenever
+(:mod:`~repro.memcached.onesided.client`) is a transport whose
+``onesided_get`` serves GET/gets with RDMA READs against it, the
+ordinary client falling back to the active-message RPC path whenever
 the index cannot prove the answer.  See ``docs/ONESIDED.md``.
 """
 
 from repro.memcached.onesided.client import (
     DEFAULT_MAX_ONESIDED_BYTES,
-    OneSidedClient,
-    OneSidedShardedClient,
     OneSidedTransport,
 )
 from repro.memcached.onesided.index import ExportedIndex, IndexDescriptor
@@ -40,8 +39,6 @@ __all__ = [
     "INDEX_MAGIC",
     "IndexDescriptor",
     "IndexEntry",
-    "OneSidedClient",
-    "OneSidedShardedClient",
     "OneSidedTransport",
     "entry_offset",
     "hash64",

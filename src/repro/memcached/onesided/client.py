@@ -1,4 +1,4 @@
-"""The one-sided GET client: RDMA READs against the exported index.
+"""The one-sided GET transport: RDMA READs against the exported index.
 
 :class:`OneSidedTransport` extends the active-message
 :class:`~repro.memcached.client.UcrTransport` with a zero-server-CPU
@@ -23,29 +23,25 @@ path, which is authoritative:
 4. **torn** -- the version kept moving for ``max_read_retries``
    attempts (a write-hot key); stop burning READs and ask the server.
 
-All non-GET operations use the inherited active-message path untouched,
-so linearizability semantics are preserved: a one-sided hit linearizes
-at the confirm READ, and every fallback is an ordinary recorded RPC.
+There is no one-sided client class: :meth:`MemcachedClient.call
+<repro.memcached.client.MemcachedClient.call>` tries ``onesided_get``
+for get/gets/getl on any transport that offers it and hands a hit -- an
+ordinary :class:`~repro.memcached.command.Reply` -- to the same
+interpreter as an RPC reply.  Every other operation (``get_multi`` and
+pipelined batches included) uses the inherited active-message path
+untouched, so linearizability semantics are preserved: a one-sided hit
+linearizes at the confirm READ, and every fallback is an ordinary
+recorded RPC.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.check.history import recorder
 from repro.core.endpoint import _SendCompletionCookie
 from repro.core.errors import EndpointClosed, UcrTimeout
-from repro.memcached.client import (
-    ClientCosts,
-    DEFAULT_TIMEOUT_US,
-    MemcachedClient,
-    ShardedClient,
-    UcrTransport,
-    _ctx,
-    _interpret,
-    _recorded,
-)
-from repro.memcached.command import Command
+from repro.memcached.client import ClientCosts, DEFAULT_TIMEOUT_US, UcrTransport
+from repro.memcached.command import Reply
 from repro.memcached.errors import ServerDownError
 from repro.memcached.onesided.index import IndexDescriptor
 from repro.memcached.onesided.layout import (
@@ -55,7 +51,6 @@ from repro.memcached.onesided.layout import (
     unpack_entry,
 )
 from repro.memcached.slabs import PAGE_BYTES
-from repro.telemetry import tracer
 from repro.verbs.enums import Opcode
 from repro.verbs.wr import SendWR, Sge
 
@@ -161,15 +156,16 @@ class OneSidedTransport(UcrTransport):
 
     # -- the one-sided GET protocol ----------------------------------------
 
-    def _fall(self, reason: str) -> tuple[str, str]:
+    def _fall(self, reason: str) -> None:
         self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
-        return ("fallback", reason)
 
     def onesided_get(self, server: str, key: str):
         """Process helper: probe/fetch/confirm for *key* on *server*.
 
-        Returns ``("hit", value, flags, cas)`` or ``("fallback", reason)``;
-        raises :class:`ServerDownError` if the endpoint dies mid-read.
+        Returns the hit as the :class:`Reply` a get/gets RPC would have
+        produced, or None after counting the fallback reason (the caller
+        asks the server); raises :class:`ServerDownError` if the
+        endpoint dies mid-read.
         """
         desc = self._descriptors.get(server)
         if desc is None:
@@ -212,116 +208,10 @@ class OneSidedTransport(UcrTransport):
                     self.torn_retries += 1  # torn window: retry from the top
                     continue
                 self.onesided_hits += 1
-                return ("hit", value, entry.flags, entry.cas)
+                return Reply(
+                    status="values",
+                    values=[(key, entry.flags, value, entry.cas)],
+                )
             return self._fall("torn")
         finally:
             self._checkin_landing(landing)
-
-
-class OneSidedClient(MemcachedClient):
-    """A memcached client whose GET/gets try the one-sided path first.
-
-    Every other operation (including ``get_multi`` and pipelined
-    batches, which ride ``execute_many``) uses the inherited
-    active-message path.
-    """
-
-    @_recorded("get")
-    def get(self, key: str):
-        """Returns the value bytes, or None on miss."""
-        hc = self.hot_cache
-        if hc is not None:
-            cached = hc.lookup(key, self.sim.now / 1e6)
-            if cached is not None:
-                self._last_server = "hot-cache"
-                if recorder.enabled:
-                    self._op_annotations = ("cached",)
-                return cached[0]
-        cmd = Command(op="get", keys=[key])
-        outcome = yield from self._onesided(cmd, key)
-        value = outcome[1]
-        if hc is not None and value is not None and hc.admit(key):
-            hc.store(key, value, 0, self.sim.now / 1e6)
-        return value
-
-    @_recorded("gets")
-    def gets(self, key: str):
-        """Returns (value, cas) or None."""
-        cmd = Command(op="gets", keys=[key])
-        outcome = yield from self._onesided(cmd, key)
-        if outcome[0] == "hit":
-            return (outcome[1], outcome[2])
-        return outcome[1]
-
-    @_recorded("get")
-    def get_lease(self, key: str, stale_ok: bool = True):
-        """One-sided-first anti-dogpile get (the ladder's top rung).
-
-        A fresh value proven by the probe/fetch/confirm READs is served
-        one-sided, annotation-free -- no lease machinery needed when the
-        value is live.  Anything the index cannot prove (absent,
-        expired, oversize, torn) falls back to the RPC ``getl``, which
-        returns :meth:`MemcachedClient.get_lease`'s miss verdict.
-        """
-        hc = self.hot_cache
-        if hc is not None:
-            cached = hc.lookup(key, self.sim.now / 1e6)
-            if cached is not None:
-                self._last_server = "hot-cache"
-                if recorder.enabled:
-                    self._op_annotations = ("cached",)
-                return cached[0]
-        cmd = Command(op="getl", keys=[key], stale_ok=stale_ok)
-        outcome = yield from self._onesided(cmd, key)
-        result = outcome[1]
-        if isinstance(result, tuple):
-            if recorder.enabled:
-                notes = ("lease-won",) if result[0] == "won" else ("lease-lost",)
-                if result[1] is not None:
-                    notes += ("stale",)
-                self._op_annotations = notes
-            return result
-        if hc is not None and result is not None and hc.admit(key):
-            hc.store(key, result, 0, self.sim.now / 1e6)
-        return result
-
-    def _onesided(self, cmd: Command, key: str):
-        """Process helper: try one-sided, fall back to the RPC path.
-
-        Returns ``("hit", value, cas)`` from the one-sided path or
-        ``("rpc", interpreted)`` from the fallback.
-        """
-        span = (
-            tracer.begin(f"client.{cmd.op}", "client", self.sim.now,
-                         key=key, onesided=True)
-            if tracer.enabled
-            else None
-        )
-        try:
-            server = yield from self._pick(key)
-            result = yield from self.transport.onesided_get(server, key)
-            if result[0] == "hit":
-                return ("hit", result[1], result[3])
-            reply = yield from self.transport.execute(server, cmd, trace=_ctx(span))
-            return ("rpc", _interpret(cmd, reply))
-        finally:
-            if tracer.enabled:
-                tracer.end(span, self.sim.now)
-
-
-class OneSidedShardedClient(ShardedClient):
-    """Ring-routed failover client with one-sided GET/gets."""
-
-    # _with_failover invokes the unbound op with this instance as self
-    # (ShardedClient duck-types the base client), so the one-sided
-    # helper must live here too.
-    _onesided = OneSidedClient._onesided
-
-    def get(self, key: str):
-        return self._with_failover(OneSidedClient.get, key)
-
-    def gets(self, key: str):
-        return self._with_failover(OneSidedClient.gets, key)
-
-    def get_lease(self, key: str, stale_ok: bool = True):
-        return self._with_failover(OneSidedClient.get_lease, key, stale_ok)

@@ -241,7 +241,7 @@ class MemcachedServer:
         #: alongside the RDMA-registered slab arena whenever the server
         #: has a protection domain, and kept coherent by the store's
         #: write path.  Pure-Python bookkeeping -- servers that never see
-        #: a OneSidedClient pay no simulated time for it.
+        #: a one-sided transport pay no simulated time for it.
         self.onesided_index = None
         if pd is not None:
             self.onesided_index = ExportedIndex(self.store, pd)

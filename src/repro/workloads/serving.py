@@ -38,6 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.builder import Cluster
 
 
+def _hot_hits(client) -> int:
+    """The client's own hot-cache hit counter (0 without a cache)."""
+    return client.hot_cache.hits if client.hot_cache is not None else 0
+
+
 @dataclass
 class ServingResult:
     """Everything one serving run produced."""
@@ -197,11 +202,11 @@ class ServingRunner:
 
         def serve_leased(client, key, stream):
             """One cache-aside read under the anti-dogpile protocol."""
+            hits = _hot_hits(client)
             got = yield from client.get_lease(key, self.stale_ok)
             if not isinstance(got, tuple):
                 if got is not None:
-                    if getattr(client, "_last_server", None) == "hot-cache":
-                        result.hot_cache_hits += 1
+                    result.hot_cache_hits += _hot_hits(client) - hits
                     return got
                 # stale_ok=False servers answer a plain miss as ("lost",
                 # None, 0) -- a bare None only happens on protocol-level
@@ -232,10 +237,10 @@ class ServingRunner:
 
         def serve_plain(client, key, stream):
             """One cache-aside read, dogpile-prone baseline."""
+            hits = _hot_hits(client)
             got = yield from client.get(key)
             if got is not None:
-                if getattr(client, "_last_server", None) == "hot-cache":
-                    result.hot_cache_hits += 1
+                result.hot_cache_hits += _hot_hits(client) - hits
                 return got
             return (yield from regenerate(client, key, 0))
 

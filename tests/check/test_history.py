@@ -75,6 +75,58 @@ def test_lost_and_fail_shapes():
     assert r2.status == "fail" and r2.outcome == ("error", "client")
 
 
+@pytest.mark.parametrize("sharded", [False, True])
+def test_record_args_follow_the_command_not_the_call_spelling(sharded):
+    """Records are built from the Command: keyword, positional and
+    pipelined spellings of one op record identical args (the checker
+    indexes them), on plain and sharded clients alike; lease variants
+    record as the op they refine."""
+    from repro.cluster import CLUSTER_A, Cluster
+    from repro.memcached.command import Command
+
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1)
+    cluster.start_server()
+    client = cluster.sharded_client() if sharded else cluster.client("UCR-IB")
+
+    def scenario():
+        yield from client.set("k", b"v")
+        yield from client.set("k", value=b"v", exptime=0)
+        yield from client.touch("k", 3)
+        yield from client.touch("k", exptime=3)
+        yield from client.cas("k", b"w", cas_token=7, flags=1)
+        yield from client.set("n", b"1")
+        yield from client.incr("n", delta=2)
+        yield from client.pipeline([
+            Command(op="set", keys=["k"], value=b"v"),
+            Command(op="touch", keys=["k"], exptime=3),
+        ])
+        lease = yield from client.get_lease("miss", stale_ok=False)
+        yield from client.set_with_lease("miss", value=b"f", lease_token=lease[2])
+        yield from client.set_with_lease("miss", b"g", 12345)
+
+    with recorder.recording():
+        cluster.sim.process(scenario())
+        cluster.sim.run()
+        got = [(r.op, r.key, r.args, r.annotations) for r in recorder.records]
+    assert got == [
+        ("set", "k", (b"v",), ()),
+        ("set", "k", (b"v",), ()),
+        ("touch", "k", (3,), ()),
+        ("touch", "k", (3,), ()),
+        ("cas", "k", (b"w", 7), ()),
+        ("set", "n", (b"1",), ()),
+        ("incr", "n", (2,), ()),
+        ("set", "k", (b"v",), ()),
+        ("touch", "k", (3,), ()),
+        ("get", "miss", (), ("lease-won",)),
+        ("set", "miss", (b"f",), ()),
+        ("set", "miss", (b"g",), ("lease-denied",)),
+    ]
+    assert check_history(
+        [r for r in recorder.records if r.op in CHECKABLE_OPS and r.key == "miss"]
+    ).ok
+
+
 def test_digest_canonicalizes_cas_tokens():
     """Histories identical up to raw cas token values digest identically."""
 

@@ -504,7 +504,37 @@ def test_l007_flags_unrecorded_client_op_method(tmp_path):
     assert "does not record history" in report.findings[0].message
 
 
-def test_l007_accepts_decorated_and_delegating_ops(tmp_path):
+def test_l007_accepts_ops_that_call_or_touch_the_recorder(tmp_path):
+    report = _lint(
+        tmp_path,
+        "src/repro/core/mod.py",
+        """
+        from repro.check.history import recorder
+
+        class FancyClient:
+            __slots__ = ()
+
+            def get(self, key):
+                return self.call(Command(op="get", keys=[key]))
+
+            def flush_all(self):
+                rec = (
+                    recorder.invoke(self, "flush_all", None, (), self.sim.now)
+                    if recorder.enabled
+                    else None
+                )
+                yield from self._round_trip(b"flush_all")
+
+            def helper(self, key):
+                return key  # not an op method: no obligation
+        """,
+    )
+    assert report.findings == []
+
+
+def test_l007_no_longer_trusts_wrapper_names(tmp_path):
+    """A decorator or helper merely *named* like the deleted wrappers
+    proves nothing: only the ``call`` chain or the recorder does."""
     report = _lint(
         tmp_path,
         "src/repro/core/mod.py",
@@ -523,12 +553,9 @@ def test_l007_accepts_decorated_and_delegating_ops(tmp_path):
 
             def delete(self, key):
                 return (yield from self._with_failover("delete", key))
-
-            def helper(self, key):
-                return key  # not an op method: no obligation
         """,
     )
-    assert report.findings == []
+    assert _rule_ids(report) == ["L007", "L007"]
 
 
 def test_l007_skips_the_check_package_itself(tmp_path):

@@ -24,8 +24,6 @@ from repro.memcached.onesided import (
     HEADER_BYTES,
     INDEX_MAGIC,
     IndexEntry,
-    OneSidedClient,
-    OneSidedShardedClient,
     entry_offset,
     hash64,
     pack_entry,
@@ -112,7 +110,6 @@ def run(cluster, gen):
 
 def test_hit_is_served_by_reads_without_rpc(cluster):
     client = cluster.client("UCR-1S")
-    assert isinstance(client, OneSidedClient)
     t = client.transport
 
     def scenario():
@@ -306,7 +303,6 @@ def test_write_hot_key_exhausts_retries_and_falls_back(cluster):
 
 def test_concurrent_onesided_history_is_linearizable(cluster):
     clients = [cluster.sharded_client("UCR-1S", client_node=i) for i in range(2)]
-    assert all(isinstance(c, OneSidedShardedClient) for c in clients)
 
     def worker(client, salt):
         for i in range(30):

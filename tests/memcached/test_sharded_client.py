@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.check.history import recorder
 from repro.cluster import CLUSTER_B, Cluster
 from repro.cluster.router import HashRing
 from repro.memcached.client import FailoverPolicy, ShardedClient
@@ -85,6 +86,50 @@ def test_failover_reroutes_to_surviving_shards():
     assert client.ejected_servers() == frozenset({victim})
     failures, ejected_until, ejections = client.shard_health(victim)
     assert ejections == 1 and ejected_until is not None
+
+
+def test_processes_sharing_a_client_keep_their_own_attribution():
+    """Two processes on one UCR client (re-entrant by design), each on
+    keys of a different shard: an op's target shard is a local of the
+    op, so records and health accounting never cross over."""
+    cluster = pool(n_servers=2)
+    client = cluster.sharded_client(
+        "UCR-IB",
+        timeout_us=2000.0,
+        policy=FailoverPolicy(eject_threshold=1, rejoin_after_us=1e9),
+    )
+    keys = {s: keys_owned_by(client, s)[:20] for s in cluster.server_names}
+    victim, bystander = cluster.server_names
+
+    def worker(server):
+        for k in keys[server]:
+            yield from client.set(k, b"v")
+            yield from client.get(k)
+
+    def storm():
+        workers = [cluster.sim.process(worker(s)) for s in keys]
+        for w in workers:
+            yield w
+        cluster.ucr_ports[victim].crash()
+        # The victim's op sits in its timeout while the bystander's
+        # shard keeps answering on the same client.
+        doomed = cluster.sim.process(client.get(keys[victim][0]))
+        for k in keys[bystander]:
+            yield from client.get(k)
+        yield doomed
+
+    with recorder.recording():
+        run(cluster, storm())
+        records = list(recorder.records)
+    owner = {k: s for s, ks in keys.items() for k in ks}
+    assert len(records) == 80 + 20 + 2  # the doomed get: lost, then rerouted
+    lost = [r for r in records if r.status == "lost"]
+    assert [(r.key, r.server) for r in lost] == [(keys[victim][0], victim)]
+    for r in records:
+        if r.status == "complete" and r is not records[-1]:
+            assert r.server == owner[r.key], r
+    assert client.shard_health(victim)[2] == 1
+    assert client.shard_health(bystander) == (0, None, 0)
 
 
 def test_eject_threshold_counts_consecutive_failures():

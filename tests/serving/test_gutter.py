@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import CLUSTER_B, Cluster
 from repro.cluster.router import HashRing
 from repro.memcached.client import FailoverPolicy
+from repro.memcached.command import Command
 from repro.memcached.serving import GutterRouter
 
 
@@ -72,7 +73,9 @@ def test_remove_server_dispatches_to_the_owning_ring():
 def test_gutter_bound_writes_are_ttl_clamped_end_to_end():
     """Crash a primary shard: the client ejects it, the set diverts to
     the gutter server, and the stored item carries the clamped expiry
-    even though the caller asked for an immortal key."""
+    even though the caller asked for an immortal key -- blocking and
+    pipelined writes alike (one route helper), on a copy of the command
+    so the caller's (and a retry toward a primary) keeps its exptime."""
     cluster = Cluster(CLUSTER_B, n_client_nodes=1, n_servers=4)
     cluster.start_server()
     client = cluster.sharded_client(
@@ -101,14 +104,22 @@ def test_gutter_bound_writes_are_ttl_clamped_end_to_end():
         # retries already divert, and every later op goes straight in.
         for k in vkeys[:3]:
             yield from client.set(k, b"v", exptime=0)
+        yield from client.call(own)
+        return (yield from client.pipeline(piped))
 
+    own = Command(op="add", keys=[vkeys[3]], value=b"v", exptime=0)
+    piped = [
+        Command(op="set", keys=[vkeys[4]], value=b"v", exptime=0),
+        Command(op="add", keys=[vkeys[5]], value=b"v", exptime=3600),
+    ]
     p = cluster.sim.process(scenario())
     cluster.sim.run()
-    assert p.processed
+    assert p.processed and p.value == [True, True]
+    assert [c.exptime for c in [own] + piped] == [0, 0, 3600]
     assert client.distribution.absorbed > 0
     store = cluster.servers[gutter_server].store
     now_s = cluster.sim.now / 1e6
-    for k in vkeys[:3]:
+    for k in vkeys[:6]:
         item = store.get(k)
         assert item is not None, f"{k} never reached the gutter"
         # exptime=0 would be immortal; the clamp makes it die within
