@@ -65,7 +65,7 @@ class UcrCounter:
 
     def reached(self, threshold: int) -> Event:
         """Event firing when the counter reaches *threshold* (maybe already)."""
-        ev = Event(self.sim, name=f"{self.name}>= {threshold}")
+        ev = Event(self.sim, ("%s>= %s", self.name, threshold))
         if self._value >= threshold:
             ev.succeed(self._value)
         else:

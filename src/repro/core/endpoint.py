@@ -305,7 +305,7 @@ class Endpoint:  # repro-lint: disable=L003
             self._check_alive()
             if tracer.enabled:
                 tracer.instant("am.credit_stall", "am", self.sim.now, ep=self.ep_id)
-            ev = self.sim.event(name=f"ep{self.ep_id}.credit")
+            ev = self.sim.event(("ep%s.credit", self.ep_id))
             self._credit_waiters.append(ev)
             yield ev
             self._check_alive()

@@ -19,10 +19,9 @@ request...).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.sim import Event, Resource
+from repro.sim import Event, Process, Resource, Timeout
 from repro.sim.trace import Counter
 from repro.telemetry import tracer
 
@@ -34,17 +33,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _frame_ids = itertools.count(1)
 
 
-@dataclass
 class Frame:
     """One unit of transmission on the wire."""
 
-    src: "Nic"
-    dst: "Nic"
-    nbytes: int
-    payload: Any
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
-    sent_at: float = 0.0
-    delivered_at: float = 0.0
+    __slots__ = ("src", "dst", "nbytes", "payload", "frame_id", "sent_at", "delivered_at")
+
+    def __init__(self, src: "Nic", dst: "Nic", nbytes: int, payload: Any) -> None:
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.payload = payload
+        self.frame_id = next(_frame_ids)
+        self.sent_at = 0.0
+        self.delivered_at = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -118,9 +119,10 @@ class Nic:
             raise ValueError(
                 f"cannot bridge networks: {self.params.name} -> {dst.params.name}"
             )
-        frame = Frame(src=self, dst=dst, nbytes=nbytes, payload=payload)
-        delivered = self.sim.event(name=f"delivered({frame.frame_id})")
-        self.sim.process(self._transfer(frame, delivered, None), label="xfer")
+        sim = self.sim
+        frame = Frame(self, dst, nbytes, payload)
+        delivered = Event(sim, ("delivered(%s)", frame.frame_id))
+        Process(sim, self._transfer(frame, delivered, None), "xfer")
         return delivered
 
     def send_frame_tx_done(self, dst: "Nic", nbytes: int, payload: Any) -> tuple[Event, Event]:
@@ -132,16 +134,19 @@ class Nic:
         """
         if nbytes < 0:
             raise ValueError(f"negative frame size: {nbytes}")
-        frame = Frame(src=self, dst=dst, nbytes=nbytes, payload=payload)
-        delivered = self.sim.event(name=f"delivered({frame.frame_id})")
-        tx_done = self.sim.event(name=f"txdone({frame.frame_id})")
-        self.sim.process(self._transfer(frame, delivered, tx_done), label="xfer")
+        sim = self.sim
+        frame = Frame(self, dst, nbytes, payload)
+        delivered = Event(sim, ("delivered(%s)", frame.frame_id))
+        tx_done = Event(sim, ("txdone(%s)", frame.frame_id))
+        Process(sim, self._transfer(frame, delivered, tx_done), "xfer")
         return tx_done, delivered
 
     # -- internals -----------------------------------------------------------
 
     def _transfer(self, frame: Frame, delivered: Event, tx_done: Optional[Event]):
         sim = self.sim
+        dst = frame.dst
+        nbytes = frame.nbytes
         frame.sent_at = sim.now
         span = None
         if tracer.enabled:
@@ -149,39 +154,41 @@ class Nic:
             if rider is not None:
                 span = tracer.begin(
                     "fabric.xfer", "fabric", sim.now, parent=rider,
-                    nbytes=frame.nbytes, src=self.name, dst=frame.dst.name,
+                    nbytes=nbytes, src=self.name, dst=dst.name,
                 )
 
         # Serialize on the local wire.
-        req = self.tx.request()
+        tx = self.tx
+        req = tx.request()
         try:
             yield req
-            yield sim.timeout(self.params.serialization_time(frame.nbytes) * self.slowdown)
+            yield Timeout(sim, self.params.serialization_time(nbytes) * self.slowdown)
         finally:
-            self.tx.release(req)
-        self.frames_sent.add()
-        self.bytes_sent.add(frame.nbytes)
+            tx.release(req)
+        self.frames_sent.value += 1
+        self.bytes_sent.value += nbytes
         if tx_done is not None:
             tx_done.succeed()
 
         # Fly through the switch.
-        yield sim.timeout(self.params.one_way_delay() * self.slowdown)
+        yield Timeout(sim, self.params.one_way_delay() * self.slowdown)
 
         # Receive-side per-frame processing (incast pressure point).
-        rreq = frame.dst.rx.request()
+        rx = dst.rx
+        rreq = rx.request()
         try:
             yield rreq
-            yield sim.timeout(frame.dst.params.rx_frame_process_us)
+            yield Timeout(sim, dst.params.rx_frame_process_us)
         finally:
-            frame.dst.rx.release(rreq)
+            rx.release(rreq)
 
         frame.delivered_at = sim.now
-        frame.dst.frames_received.add()
+        dst.frames_received.value += 1
         if tracer.enabled:
             tracer.end(span, sim.now)
-        handler = frame.dst.rx_handler
+        handler = dst.rx_handler
         if handler is None:
-            delivered.fail(RuntimeError(f"{frame.dst.name}: no rx handler installed"))
+            delivered.fail(RuntimeError(f"{dst.name}: no rx handler installed"))
             return
         handler(frame)
         delivered.succeed(frame)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from repro.fabric.link import Nic
 from repro.fabric.params import HostParams, LinkParams
-from repro.sim import Resource
+from repro.sim import Resource, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import Simulator
@@ -86,7 +86,7 @@ class Node:
     def networks(self) -> list[str]:
         return list(self._nics)
 
-    def cpu_run(self, work_us: float, priority_boost: bool = False):
+    def cpu_run(self, work_us: float):
         """Process helper: occupy one core for *work_us* of CPU time.
 
         Yields from inside a process::
@@ -95,14 +95,15 @@ class Node:
         """
         if work_us < 0:
             raise ValueError(f"negative CPU work: {work_us}")
-        req = self.cpu.request()
+        cpu = self.cpu
+        req = cpu.request()
         try:
             yield req
-            yield self.sim.timeout(work_us * self.cpu_scale)
+            yield Timeout(self.sim, work_us * self.cpu_scale)
         finally:
             # An interrupt raised at either yield must free the core (a
             # queued request is cancelled, a granted one released).
-            self.cpu.release(req)
+            cpu.release(req)
 
     def memcpy(self, nbytes: int):
         """Process helper: one single-core buffer copy of *nbytes*."""

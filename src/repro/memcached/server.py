@@ -105,7 +105,7 @@ class _Worker:
         self.epoll = Epoll(server.sim, server.node)
         self._conns: dict[Socket, _ConnState] = {}
         self.requests_handled = 0
-        server.sim.process(self._loop(), label=f"mc-worker{index}")
+        self.process = server.sim.process(self._loop(), label=f"mc-worker{index}")
 
     def assign(self, sock: Socket) -> None:
         """Take ownership of *sock*: register it with this worker's epoll."""
@@ -146,12 +146,27 @@ class _Worker:
         else:
             yield from self._service_binary(sock, state, data)
 
+    def _send(self, sock: Socket, data: bytes, trace=None):
+        """Write a reply on the worker's non-blocking socket.
+
+        A full send buffer (replies queued faster than the wire drains
+        them: deep pipelines of large GETs) parks the worker until the
+        connection has room, as waiting for EPOLLOUT would, and the write
+        is retried -- syscall and copy are paid again, like any EAGAIN.
+        """
+        while True:
+            try:
+                yield from sock.send(data, trace=trace)
+                return
+            except WouldBlock:
+                yield sock.conn.wait_sndbuf_space()
+
     def _service_text(self, sock: Socket, state: _ConnState, data: bytes):
         server = self.server
         try:
             requests = state.parser.feed(data)
         except ProtocolError:
-            yield from sock.send(protocol.encode_error())
+            yield from self._send(sock, protocol.encode_error())
             self._drop(sock)
             return
         for req in requests:
@@ -174,8 +189,8 @@ class _Worker:
                     req, trace=span.ctx if span is not None else None
                 )
                 if response is not None and not req.noreply:
-                    yield from sock.send(
-                        response, trace=span.ctx if span is not None else None
+                    yield from self._send(
+                        sock, response, trace=span.ctx if span is not None else None
                     )
             finally:
                 if tracer.enabled:
@@ -202,15 +217,15 @@ class _Worker:
                     server.node.host.cpu_time(server.costs.parse_binary_us)
                 )
                 if msg.opcode == binp.Opcode.QUIT:
-                    yield from sock.send(binp.respond(msg))
+                    yield from self._send(sock, binp.respond(msg))
                     self._drop(sock)
                     return
                 response = yield from server.execute_binary(
                     msg, trace=span.ctx if span is not None else None
                 )
                 if response:
-                    yield from sock.send(
-                        response, trace=span.ctx if span is not None else None
+                    yield from self._send(
+                        sock, response, trace=span.ctx if span is not None else None
                     )
             finally:
                 if tracer.enabled:

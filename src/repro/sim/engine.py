@@ -1,24 +1,24 @@
 """The simulation event loop and clock.
 
-The :class:`Simulator` owns a binary heap of ``(time, priority, seq, event)``
-entries.  ``seq`` is a monotonically increasing tiebreaker so same-time
-events run in scheduling (FIFO) order, which keeps every run bit-for-bit
-deterministic -- a property the test suite relies on heavily.
+The :class:`Simulator` owns a binary heap of ``(time, seq, event)`` entries.
+``seq`` is a monotonically increasing tiebreaker so same-time events run in
+scheduling (FIFO) order, which keeps every run bit-for-bit deterministic -- a
+property the test suite relies on heavily.  The hot constructors in
+:mod:`repro.sim.events`, :mod:`repro.sim.process` and
+:mod:`repro.sim.resources` push their entries themselves; the invariants
+they share with the loop are listed in ``docs/ARCHITECTURE.md`` ("Kernel
+invariants").
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import PROCESSED, AllOf, AnyOf, Event, EventName, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
-#: Priority for ordinary events.
-PRIORITY_NORMAL = 1
-#: Priority for engine-internal "urgent" events (process init/interrupt),
-#: which must run before ordinary events at the same timestamp.
-PRIORITY_URGENT = 0
+_INF = float("inf")
 
 
 class UnhandledFailure(RuntimeError):
@@ -48,11 +48,12 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         #: Hook invoked as ``hook(sim, event)`` just before each event is
-        #: processed; used by :mod:`repro.sim.trace`.
+        #: processed; used by :mod:`repro.sim.trace`.  Append and remove in
+        #: place (also mid-run); the loop holds on to this list object.
         self.pre_event_hooks: list[Callable[["Simulator", Event], None]] = []
         self._events_processed = 0
         for hook in Simulator.created_hooks:
@@ -77,13 +78,13 @@ class Simulator:
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``inf`` if idle."""
-        return self._heap[0][0] if self._heap else float("inf")
+        return self._heap[0][0] if self._heap else _INF
 
     # -- factories -----------------------------------------------------------
 
-    def event(self, name: str = "") -> Event:
+    def event(self, name: EventName = "") -> Event:
         """Create a fresh pending event bound to this simulator."""
-        return Event(self, name=name)
+        return Event(self, name)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires *delay* microseconds from now."""
@@ -103,28 +104,46 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float, priority: int = PRIORITY_NORMAL) -> None:
+    def _schedule(self, event: Event, delay: float) -> None:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
+        heappush(self._heap, (self._now + delay, self._seq, event))
 
     # -- execution -----------------------------------------------------------
+
+    def _dispatch(self, until: float, stop: Optional[Event]) -> None:
+        """The event loop: pop, advance the clock, run the callbacks.
+
+        Returns when the schedule drains, when the next event lies beyond
+        *until*, or when *stop* has been processed -- whichever is first.
+        Every way of running the simulator comes through here.
+        """
+        heap = self._heap
+        hooks = self.pre_event_hooks
+        while heap and heap[0][0] <= until:
+            if stop is not None and stop._state is PROCESSED:
+                return
+            self._now, _, event = heappop(heap)
+            self._events_processed += 1
+            if hooks:
+                for hook in hooks:
+                    hook(self, event)
+            callbacks = event.callbacks
+            event.callbacks = None
+            event._state = PROCESSED
+            for callback in callbacks:
+                callback(event)
+            if event._exception is not None and not event.defused:
+                raise UnhandledFailure(
+                    f"event {event!r} failed with no waiter: {event._exception!r}"
+                ) from event._exception
 
     def step(self) -> None:
         """Process exactly one event, advancing the clock to its timestamp."""
         if not self._heap:
             raise RuntimeError("step() on an empty schedule")
-        when, _prio, _seq, event = heapq.heappop(self._heap)
-        self._now = when
-        self._events_processed += 1
-        for hook in self.pre_event_hooks:
-            hook(self, event)
-        event._process()
-        if event._exception is not None and not event.defused:
-            raise UnhandledFailure(
-                f"event {event!r} failed with no waiter: {event._exception!r}"
-            ) from event._exception
+        self._dispatch(_INF, self._heap[0][2])
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or the clock would pass *until*.
@@ -132,15 +151,13 @@ class Simulator:
         When *until* is given the clock is advanced exactly to it on return,
         so back-to-back ``run(until=...)`` calls compose predictably.
         """
-        if until is not None:
-            if until < self._now:
-                raise ValueError(f"until={until} is in the past (now={self._now})")
-            while self._heap and self._heap[0][0] <= until:
-                self.step()
-            self._now = max(self._now, until)
+        if until is None:
+            self._dispatch(_INF, None)
             return
-        while self._heap:
-            self.step()
+        if until < self._now:
+            raise ValueError(f"until={until} is in the past (now={self._now})")
+        self._dispatch(until, None)
+        self._now = max(self._now, until)
 
     def run_until_event(self, event: Event, limit: Optional[float] = None) -> Any:
         """Run until *event* has been processed; returns its value.
@@ -148,10 +165,9 @@ class Simulator:
         Raises ``RuntimeError`` if the schedule drains (or *limit* passes)
         first -- that means a deadlock in the modeled system.
         """
-        while not event.processed:
+        self._dispatch(_INF if limit is None else limit, event)
+        if event._state is not PROCESSED:
             if not self._heap:
                 raise RuntimeError(f"deadlock: schedule drained while waiting for {event!r}")
-            if limit is not None and self._heap[0][0] > limit:
-                raise RuntimeError(f"time limit {limit} exceeded waiting for {event!r}")
-            self.step()
+            raise RuntimeError(f"time limit {limit} exceeded waiting for {event!r}")
         return event.value

@@ -20,7 +20,8 @@ progress loop, which converts it into an endpoint error).
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from heapq import heappush
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.engine import Simulator
@@ -34,6 +35,18 @@ class EventState(enum.Enum):
     PROCESSED = "processed"
 
 
+# The kernel compares states by identity on every event; module globals
+# spare it the enum attribute lookup.
+PENDING = EventState.PENDING
+TRIGGERED = EventState.TRIGGERED
+PROCESSED = EventState.PROCESSED
+
+#: An event name: a string, or ``(format, *args)`` rendered with ``%`` the
+#: first time somebody reads it.  Per-op call sites pass the tuple so that
+#: naming an event nobody looks at costs no string formatting.
+EventName = Union[str, tuple]
+
+
 class Event:
     """A one-shot occurrence that processes can wait on.
 
@@ -42,19 +55,21 @@ class Event:
     sim:
         Owning simulator.  Events are bound to exactly one engine.
     name:
-        Optional debugging label, shown in ``repr``.
+        Optional debugging label, shown in ``repr`` and by
+        :class:`repro.sim.trace.Tracer` (see :data:`EventName`).
     """
 
-    __slots__ = ("sim", "name", "_state", "_value", "_exception", "callbacks", "defused")
+    __slots__ = ("sim", "_name", "_state", "_value", "_exception", "callbacks", "defused")
 
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
+    def __init__(self, sim: "Simulator", name: EventName = "") -> None:
         self.sim = sim
-        self.name = name
-        self._state = EventState.PENDING
+        self._name = name
+        self._state = PENDING
         self._value: Any = None
         self._exception: Optional[BaseException] = None
-        #: Functions invoked with this event when it is processed.
-        self.callbacks: list[Callable[["Event"], None]] = []
+        #: Functions invoked with this event when it is processed; ``None``
+        #: from then on (a processed event has no callback list).
+        self.callbacks: Optional[list[Callable[["Event"], None]]] = []
         #: Set when a failure has been observed by at least one waiter, so
         #: the engine does not escalate it as an unhandled error.
         self.defused = False
@@ -62,26 +77,34 @@ class Event:
     # -- state inspection -------------------------------------------------
 
     @property
+    def name(self) -> str:
+        """Debugging label (rendered on demand; subclasses derive theirs)."""
+        name = self._name
+        if name.__class__ is tuple:
+            name = self._name = name[0] % name[1:]
+        return name
+
+    @property
     def triggered(self) -> bool:
         """True once :meth:`succeed`/:meth:`fail` has been called."""
-        return self._state is not EventState.PENDING
+        return self._state is not PENDING
 
     @property
     def processed(self) -> bool:
         """True once callbacks have run and waiters have been resumed."""
-        return self._state is EventState.PROCESSED
+        return self._state is PROCESSED
 
     @property
     def ok(self) -> bool:
         """True if the event was triggered by :meth:`succeed`."""
-        if self._state is EventState.PENDING:
+        if self._state is PENDING:
             raise RuntimeError(f"{self!r} has not been triggered yet")
         return self._exception is None
 
     @property
     def value(self) -> Any:
         """The success value (or raises the failure exception)."""
-        if self._state is EventState.PENDING:
+        if self._state is PENDING:
             raise RuntimeError(f"{self!r} has not been triggered yet")
         if self._exception is not None:
             raise self._exception
@@ -96,32 +119,27 @@ class Event:
 
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Trigger the event successfully, scheduling callbacks after *delay*."""
-        if self._state is not EventState.PENDING:
+        if self._state is not PENDING:
             raise RuntimeError(f"{self!r} already triggered")
-        self._state = EventState.TRIGGERED
+        self._state = TRIGGERED
         self._value = value
-        self.sim._schedule(self, delay)
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim._now + delay, seq, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
         """Trigger the event as failed; waiters will see *exception* raised."""
-        if self._state is not EventState.PENDING:
+        if self._state is not PENDING:
             raise RuntimeError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
-        self._state = EventState.TRIGGERED
+        self._state = TRIGGERED
         self._exception = exception
         self.sim._schedule(self, delay)
         return self
-
-    # -- engine internals ---------------------------------------------------
-
-    def _process(self) -> None:
-        """Run callbacks.  Called by the engine exactly once."""
-        self._state = EventState.PROCESSED
-        callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = f" {self.name!r}" if self.name else ""
@@ -141,11 +159,19 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=f"timeout({delay})")
+        self.sim = sim
         self.delay = delay
-        self._state = EventState.TRIGGERED
+        self._state = TRIGGERED
         self._value = value
-        sim._schedule(self, delay)
+        self._exception = None
+        self.callbacks = []
+        self.defused = False
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim._now + delay, seq, self))
+
+    @property
+    def name(self) -> str:
+        return f"timeout({self.delay})"
 
 
 class ConditionValue:
@@ -209,16 +235,16 @@ class Condition(Event):
             return
 
         for event in self._events:
-            if event.processed:
+            if event._state is PROCESSED:
                 self._on_sub_event(event)
             else:
                 event.callbacks.append(self._on_sub_event)
 
     def _collect_values(self) -> ConditionValue:
-        return ConditionValue([e for e in self._events if e.processed])
+        return ConditionValue([e for e in self._events if e._state is PROCESSED])
 
     def _on_sub_event(self, event: Event) -> None:
-        if self.triggered:
+        if self._state is not PENDING:
             return
         if event._exception is not None:
             event.defused = True

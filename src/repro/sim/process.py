@@ -11,9 +11,10 @@ progress engine to deliver a response.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.sim.events import Event, EventState
+from repro.sim.events import PENDING, PROCESSED, TRIGGERED, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -42,20 +43,27 @@ class Process(Event):
     def __init__(self, sim: "Simulator", generator: ProcessGenerator, label: str = "") -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"process requires a generator, got {type(generator).__name__}")
-        super().__init__(sim, name=label or getattr(generator, "__name__", "process"))
+        self.sim = sim
+        self._state = PENDING
+        self._value = None
+        self._exception = None
+        self.callbacks = []
+        self.defused = False
         self._generator = generator
         #: The event this process is currently waiting on (None when running).
         self._target: Optional[Event] = None
         self.label = label
         # Kick off at the current simulated time.
-        init = Event(sim, name="process-init")
-        init.callbacks.append(self._resume)
-        init.succeed()
+        self._resume_on(Event(sim, "process-init"))
+
+    @property
+    def name(self) -> str:
+        return self.label or getattr(self._generator, "__name__", "process")
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
-        return self._state is EventState.PENDING
+        return self._state is PENDING
 
     @property
     def target(self) -> Optional[Event]:
@@ -69,15 +77,14 @@ class Process(Event):
         that is waiting removes it from the waited event's callbacks so the
         event's eventual firing does not resume it twice.
         """
-        if not self.is_alive:
+        if self._state is not PENDING:
             raise RuntimeError(f"{self!r} has already terminated")
-        interrupt_ev = Event(self.sim, name="interrupt")
+        interrupt_ev = Event(self.sim, "interrupt")
         interrupt_ev.callbacks.append(self._deliver_interrupt)
-        interrupt_ev._value = cause
         interrupt_ev.succeed(cause)
 
     def _deliver_interrupt(self, event: Event) -> None:
-        if not self.is_alive:  # process ended before the interrupt landed
+        if self._state is not PENDING:  # process ended before the interrupt landed
             return
         if self._target is not None:
             try:
@@ -85,28 +92,36 @@ class Process(Event):
             except ValueError:  # already detached (event fired this step)
                 pass
             self._target = None
-        self._step(Interrupt(event._value), as_exception=True)
+        self._resume_slow(None, Interrupt(event._value))
 
     # -- engine driving ----------------------------------------------------
 
+    def _resume_on(self, event: Event) -> None:
+        """Schedule *event*, already carrying its outcome, to fire now and
+        resume this process (process start, and the bridge below)."""
+        event.callbacks.append(self._resume)
+        event._state = TRIGGERED
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim._now, seq, event))
+
     def _resume(self, event: Event) -> None:
-        """Callback attached to whatever event the process last yielded."""
+        """Callback attached to whatever event the process last yielded.
+
+        The success path is spelled out: send the value, and if what comes
+        back is a pending event of this simulator, wait on it.  Anything
+        else is :meth:`_resume_slow`'s.
+        """
         self._target = None
         if event._exception is not None:
             event.defused = True
-            self._step(event._exception, as_exception=True)
-        else:
-            self._step(event._value, as_exception=False)
-
-    def _step(self, payload: Any, as_exception: bool) -> None:
+            self._resume_slow(None, event._exception)
+            return
         sim = self.sim
         prev = sim._active_process
         sim._active_process = self
         try:
-            if as_exception:
-                target = self._generator.throw(payload)
-            else:
-                target = self._generator.send(payload)
+            target = self._generator.send(event._value)
         except StopIteration as stop:
             sim._active_process = prev
             self.succeed(stop.value)
@@ -116,34 +131,54 @@ class Process(Event):
             self.fail(exc)
             return
         sim._active_process = prev
+        if isinstance(target, Event) and target.sim is sim and target._state is not PROCESSED:
+            target.callbacks.append(self._resume)
+            self._target = target
+        else:
+            self._resume_slow(target, None)
 
-        if not isinstance(target, Event):
-            # Misuse: raise inside the generator so tracebacks point at it.
-            self._step(
-                TypeError(
+    def _resume_slow(self, target: Any, exc: Optional[BaseException]) -> None:
+        """Everything off the straight line.
+
+        Throws *exc* (a failed event's exception, an interrupt) into the
+        generator to learn what it yields next, or starts from the *target*
+        it already yielded; rejects misuse by raising inside the generator,
+        so tracebacks point at it; and bridges an already-processed target.
+        """
+        sim = self.sim
+        while True:
+            if exc is not None:
+                prev = sim._active_process
+                sim._active_process = self
+                try:
+                    target = self._generator.throw(exc)
+                except StopIteration as stop:
+                    sim._active_process = prev
+                    self.succeed(stop.value)
+                    return
+                except BaseException as raised:
+                    sim._active_process = prev
+                    self.fail(raised)
+                    return
+                sim._active_process = prev
+            if not isinstance(target, Event):
+                exc = TypeError(
                     f"process {self.name!r} yielded {target!r}; processes may "
                     "only yield Event instances"
-                ),
-                as_exception=True,
-            )
-            return
-        if target.sim is not sim:
-            self._step(
-                ValueError("yielded event belongs to a different simulator"),
-                as_exception=True,
-            )
-            return
-        if target.processed:
+                )
+            elif target.sim is not sim:
+                exc = ValueError("yielded event belongs to a different simulator")
+            else:
+                break
+        if target._state is PROCESSED:
             # Already done: resume immediately (same simulated instant) via
             # a zero-delay bridge so stack depth stays bounded.
             if target._exception is not None:
                 target.defused = True
-            bridge = Event(sim, name="bridge")
+            bridge = Event(sim, "bridge")
             bridge._value = target._value
             bridge._exception = target._exception
-            bridge.callbacks.append(self._resume)
-            bridge._state = EventState.TRIGGERED
-            sim._schedule(bridge, 0.0)
+            self._resume_on(bridge)
             self._target = bridge
         else:
             target.callbacks.append(self._resume)

@@ -12,9 +12,10 @@ wait on them with ordinary ``yield``.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Deque, Optional
 
-from repro.sim.events import Event
+from repro.sim.events import PENDING, TRIGGERED, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -26,8 +27,17 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, sim: "Simulator", resource: "Resource") -> None:
-        super().__init__(sim, name=f"request({resource.name})")
+        self.sim = sim
         self.resource = resource
+        self._state = PENDING
+        self._value = None
+        self._exception = None
+        self.callbacks = []
+        self.defused = False
+
+    @property
+    def name(self) -> str:
+        return f"request({self.resource.name})"
 
 
 class Resource:
@@ -62,10 +72,15 @@ class Resource:
 
     def request(self) -> Request:
         """Claim one unit of capacity; the returned event fires when granted."""
-        req = Request(self.sim, self)
+        sim = self.sim
+        req = Request(sim, self)
         if len(self._users) < self.capacity:
             self._users.add(req)
-            req.succeed(req)
+            # Granted on the spot: req.succeed(req), spelled out.
+            req._state = TRIGGERED
+            req._value = req
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim._now, seq, req))
         else:
             self._queue.append(req)
         return req
@@ -121,7 +136,7 @@ class Store:
 
     def put(self, item: Any) -> Event:
         """Deposit *item*; returns an event that fires once accepted."""
-        done = Event(self.sim, name=f"put({self.name})")
+        done = Event(self.sim, ("put(%s)", self.name))
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
             getter = self._getters.popleft()
@@ -136,7 +151,7 @@ class Store:
 
     def get(self) -> Event:
         """Take the oldest item; the returned event fires with the item."""
-        ev = Event(self.sim, name=f"get({self.name})")
+        ev = Event(self.sim, ("get(%s)", self.name))
         if self._items:
             ev.succeed(self._items.popleft())
             self._admit_putter()

@@ -100,14 +100,14 @@ class Connection:
         """Queue bytes for transmission; event fires once wired out."""
         if self.closed_locally:
             raise BrokenPipeError(f"connection {self.conn_id} is closed")
-        done = self.sim.event(name=f"conn{self.conn_id}.send-done")
+        done = self.sim.event(("conn%s.send-done", self.conn_id))
         self.bytes_unsent += len(data)
         self._tx_queue.put(_TxItem(data, zcopy, done, trace=trace))
         return done
 
     def enqueue_fin(self) -> None:
         """Queue a FIN behind any pending data (in-order close)."""
-        done = self.sim.event(name=f"conn{self.conn_id}.fin-done")
+        done = self.sim.event(("conn%s.fin-done", self.conn_id))
         done.defused = True  # nobody waits on FIN completion
         self._tx_queue.put(_TxItem(b"", False, done, fin=True))
 
@@ -117,7 +117,7 @@ class Connection:
 
     def wait_sndbuf_space(self) -> Event:
         """Event firing once the send buffer has room again."""
-        ev = self.sim.event(name=f"conn{self.conn_id}.sndbuf")
+        ev = self.sim.event(("conn%s.sndbuf", self.conn_id))
         if not self.sndbuf_full:
             ev.succeed()
         else:
@@ -243,7 +243,7 @@ class Connection:
 
     def wait_readable(self) -> Event:
         """Event firing when data (or EOF) is available to read."""
-        ev = self.sim.event(name=f"conn{self.conn_id}.readable")
+        ev = self.sim.event(("conn%s.readable", self.conn_id))
         if self.readable:
             ev.succeed()
         else:

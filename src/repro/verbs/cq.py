@@ -99,7 +99,7 @@ class CompletionQueue:
 
     def wait(self) -> Event:
         """Event firing with the next completion (immediate if available)."""
-        ev = Event(self.sim, name=f"cq-wait({self.name})")
+        ev = Event(self.sim, ("cq-wait(%s)", self.name))
         if self._cqes:
             ev.succeed(self._cqes.pop(0))
         else:

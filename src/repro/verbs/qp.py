@@ -236,7 +236,7 @@ class QueuePair:
             # The responder signals this once it has placed the data (or
             # decided on an error) so the completion carries the true
             # status even when SRQ RNR retries delayed the outcome.
-            wr._responder_event = sim.event(name=f"resp-done({wr.wr_id})")
+            wr._responder_event = sim.event(("resp-done(%s)", wr.wr_id))
         packet = IbPacket(
             kind="send" if wr.opcode is Opcode.SEND else "write",
             src_qpn=self.qp_num,

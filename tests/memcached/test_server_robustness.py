@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.cluster import CLUSTER_A, Cluster
+from repro.cluster import CLUSTER_A, CLUSTER_B, Cluster
+from repro.memcached.command import Command
+from repro.sim import RngStream
+from repro.sockets import stack
 
 
 @pytest.fixture()
@@ -171,3 +174,65 @@ def test_worker_round_robin_assignment(cluster):
     assert run(cluster, scenario())
     loads = [w.requests_handled for w in cluster.server.workers]
     assert all(load >= 1 for load in loads)  # every worker served someone
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+@pytest.mark.parametrize(
+    "transport, sndbuf", [("IPoIB", stack.DEFAULT_SNDBUF), ("SDP", 128 * 1024)]
+)
+def test_full_send_buffer_parks_the_worker_instead_of_killing_it(
+    transport, sndbuf, binary, monkeypatch
+):
+    """Depth-4 pipelined 128 KB GETs queue replies faster than the wire
+    drains them (benchmarks/perf/README.md, composition (b)): the worker's
+    non-blocking ``send`` hits a full send buffer.  That used to escape
+    the epoll loop as ``WouldBlock`` and surface as ``UnhandledFailure``.
+
+    Over IPoIB the default buffer fills dozens of times.  Over SDP it takes
+    one of the jitter model's rare slow segments, so the buffer is shrunk to
+    one reply to make it happen at every seed."""
+    monkeypatch.setattr(stack, "DEFAULT_SNDBUF", sndbuf)
+    cluster = Cluster(CLUSTER_B, n_client_nodes=2, seed=1)
+    server = cluster.start_server(n_workers=4)
+    clients = [
+        cluster.client(transport, i, pipeline_depth=4, binary=binary) for i in range(2)
+    ]
+    keys = [[f"big-{c}-{i}" for i in range(20)] for c in range(2)]  # 40 keys
+
+    def value(key):  # the 128 KB class, stretched by up to 20 %
+        size = 128 * 1024 + int(key.rsplit("-", 1)[1]) * 1300
+        return (key.encode() * (size // len(key) + 1))[:size]
+
+    waits = []
+    wait_sndbuf_space = stack.Connection.wait_sndbuf_space
+    monkeypatch.setattr(
+        stack.Connection, "wait_sndbuf_space",
+        lambda conn: waits.append(conn) or wait_sndbuf_space(conn),
+    )
+
+    def prepare():
+        for client, mine in zip(clients, keys):
+            for key in mine:
+                yield from client.set(key, value(key))
+
+    run(cluster, prepare())
+    wrong = []
+
+    def get_only(client, mine, rng):
+        for _ in range(25):
+            window = [mine[rng.zipf_index(len(mine), 0.99)] for _ in range(4)]
+            got = yield from client.pipeline(
+                [Command(op="get", keys=[key]) for key in window], 4
+            )
+            wrong.extend(k for k, data in zip(window, got) if data != value(k))
+        return True
+
+    loops = [
+        cluster.sim.process(get_only(client, mine, RngStream(1, f"c{c}")))
+        for c, (client, mine) in enumerate(zip(clients, keys))
+    ]
+    cluster.sim.run()
+    assert [loop.value for loop in loops] == [True, True]
+    assert wrong == []
+    assert all(worker.process.is_alive for worker in server.workers)
+    assert waits, "the scenario no longer fills a send buffer"

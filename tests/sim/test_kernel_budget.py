@@ -1,0 +1,96 @@
+"""A deterministic per-event budget for the kernel's hot paths.
+
+Wall-clock gates flake on shared runners; the number of Python-level calls
+the kernel makes per processed event does not -- ``sys.setprofile`` counts
+them and the count repeats exactly.  Each scenario below is pinned at the
+value measured when the fast path landed, plus one call per iteration of
+slack for interpreter differences.  A property read, an eager f-string name
+helper or a ``super().__init__`` chain creeping back into the kernel costs at
+least one call per event and fails here.
+
+Calls per iteration at the commit before the fast path, for the record:
+ping-pong 10, ``cpu_run`` 25, one frame 90 (now 4, 11 and 36).
+"""
+
+import sys
+
+import pytest
+
+from repro.fabric import HOST_WESTMERE, IB_QDR, Network, Node
+from repro.sim import Simulator
+
+ITERATIONS = 200
+
+
+def _python_calls(sim: Simulator) -> int:
+    """Run *sim* dry; return how many Python functions (and generator
+    resumptions) were entered meanwhile."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        sim.run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _timeout_ping_pong(sim: Simulator) -> None:
+    def proc():
+        for _ in range(ITERATIONS):
+            yield sim.timeout(1.0)
+
+    sim.process(proc())
+
+
+def _cpu_run_loop(sim: Simulator) -> None:
+    node = Node(sim, "n0", HOST_WESTMERE)
+
+    def proc():
+        for _ in range(ITERATIONS):
+            yield from node.cpu_run(1.0)
+
+    sim.process(proc())
+
+
+def _frames(sim: Simulator) -> None:
+    net = Network(sim, IB_QDR)
+    src = net.attach(Node(sim, "n0", HOST_WESTMERE))
+    dst = net.attach(Node(sim, "n1", HOST_WESTMERE))
+    dst.install_rx_handler(lambda frame: None)
+
+    def proc():
+        for _ in range(ITERATIONS):
+            yield src.send_frame(dst, 256, b"x")
+
+    sim.process(proc())
+
+
+@pytest.mark.parametrize(
+    "scenario, events_per_iteration, calls_per_iteration",
+    [
+        (_timeout_ping_pong, 1, 4 + 1),
+        (_cpu_run_loop, 2, 11 + 1),
+        (_frames, 8, 36 + 1),
+    ],
+    ids=["timeout-ping-pong", "cpu_run", "send_frame"],
+)
+def test_calls_per_event_stay_within_budget(
+    scenario, events_per_iteration, calls_per_iteration
+):
+    sim = Simulator()
+    scenario(sim)
+    # Detach whatever the suite's fixtures hooked on: the budget is the bare kernel's.
+    del sim.pre_event_hooks[:]
+    calls = _python_calls(sim)
+    # Process start and exit, and run() itself, are outside the loop.
+    assert sim.events_processed == ITERATIONS * events_per_iteration + 2
+    assert calls <= ITERATIONS * calls_per_iteration + 10, (
+        f"{calls / sim.events_processed:.2f} calls/event, "
+        f"{(calls - 10) / ITERATIONS:.2f} per iteration"
+    )

@@ -1,0 +1,228 @@
+"""The kernel's processed-event stream, pinned.
+
+One synthetic scenario walks the kernel paths the figures only reach by
+accident, and the digest of ``(now, type, name)`` per processed event plus
+``events_processed`` is pinned below.  The pins were recorded at the commit
+*before* the kernel fast path, so a kernel edit that moves the stream fails
+here in under a second instead of minutes into ``tests/golden``.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.sim import Interrupt, Resource, Simulator, Store, Tracer
+from repro.sim.engine import UnhandledFailure
+
+PINNED_EVENTS = 86
+PINNED_STREAM = "032d1a72ea6fd82fdc0e27c7e62e21c8"
+PINNED_LOG = "9edc0be28f013fe3888dc57dd2d29aac"
+
+
+def _scenario(sim: Simulator, log: list) -> None:
+    """Drive *sim* through the scenario; processes append to *log*."""
+
+    def note(tag, *detail):
+        log.append((sim.now, tag) + detail)
+
+    # -- same-timestamp ties: schedule order is run order --------------------
+    def tie(tag, delay):
+        yield sim.timeout(delay)
+        note("tie", tag)
+
+    for tag in range(4):
+        sim.process(tie(tag, 5), label=f"tie{tag}")  # int delay: "timeout(5)"
+    plain = [sim.event(name=f"plain{i}") for i in range(3)]
+    for i, ev in enumerate(plain):
+        ev.callbacks.append(lambda e: note("plain", e.name, e.value))
+        ev.succeed(i, delay=5.0)
+
+    # -- Resource: contention, cancel-while-queued, release-wakes-next ------
+    cpu = Resource(sim, capacity=1, name="cpu")
+
+    def worker(tag, work_us):
+        req = cpu.request()
+        try:
+            yield req
+            note("granted", tag)
+            yield sim.timeout(work_us)
+        except Interrupt as intr:
+            note("interrupted", tag, intr.cause)
+        finally:
+            cpu.release(req)
+        return tag
+
+    holder = sim.process(worker("holder", 20.0), label="holder")
+    queued = sim.process(worker("queued", 1.5), label="queued")
+    waker = sim.process(worker("next", 2.25))  # named after its generator
+
+    def canceller():
+        yield sim.timeout(3.0)
+        queued.interrupt("cancel-queued")  # waiting on a queued request
+        yield sim.timeout(4.0)
+        holder.interrupt("cancel-timeout")  # waiting on a timeout
+
+    sim.process(canceller())
+
+    # -- bounded Store back-pressure ----------------------------------------
+    ring = Store(sim, capacity=2, name="ring")
+
+    def producer():
+        for i in range(5):
+            yield ring.put(i)
+            note("put", i)
+
+    def consumer():
+        for _ in range(5):
+            yield sim.timeout(1.0)
+            item = yield ring.get()
+            note("got", item)
+
+    sim.process(producer())
+    sim.process(consumer())
+
+    # -- run(until=) landing between events, then step() --------------------
+    sim.run(until=4.5)
+    note("until")
+    sim.step()
+    note("stepped")
+
+    # -- a hook appended from inside a callback, mid-run() -------------------
+    late_hook_seen = []
+
+    def attach_late_hook(_event):
+        sim.pre_event_hooks.append(lambda s, e: late_hook_seen.append(s.now))
+
+    trigger = sim.event(name="attach-hook")
+    trigger.callbacks.append(attach_late_hook)
+    trigger.succeed(delay=1.0)
+    sim.run()
+    note("late-hook", len(late_hook_seen), late_hook_seen[0])
+    note("results", holder.value, queued.value, waker.value)
+
+    # -- conditions over processed, pending and failed sub-events -----------
+    done = sim.event(name="done")
+    done.succeed(b"payload")
+    failed = sim.event(name="failed")
+
+    def observer():
+        try:
+            yield failed
+        except KeyError as exc:
+            note("observed", exc.args[0])
+
+    sim.process(observer())
+    failed.fail(KeyError("sub-event"))
+    sim.run()
+
+    def conditions():
+        got = yield sim.any_of([done, sim.timeout(9.0)])
+        note("any", len(got), got[done])
+        t1, t2 = sim.timeout(1.0, value="a"), sim.timeout(2.0, value="b")
+        got = yield sim.all_of([done, t1, t2])
+        note("all", [got[e] for e in got.events])
+        got = yield sim.all_of([])
+        note("empty", len(got))
+        try:
+            yield sim.any_of([sim.timeout(3.0), failed])
+        except KeyError as exc:
+            note("any-failed", exc.args[0])
+        # Already-processed events resume through a bridge.
+        value = yield done
+        note("bridge", value)
+        try:
+            yield failed
+        except KeyError as exc:
+            note("bridge-failed", exc.args[0])
+        return "conditions-done"
+
+    cond = sim.process(conditions())
+    note("run_until_event", sim.run_until_event(cond))
+
+    # -- run_until_event(limit=) ---------------------------------------------
+    def slow():
+        yield sim.timeout(1000.0)
+        return "slow-done"
+
+    slow_proc = sim.process(slow())
+    with pytest.raises(RuntimeError, match="time limit"):
+        sim.run_until_event(slow_proc, limit=sim.now + 10.0)
+    note("limit")
+    assert sim.run_until_event(slow_proc, limit=sim.now + 2000.0) == "slow-done"
+
+    # -- misuse is raised inside the offending generator --------------------
+    foreign = Simulator().event()
+
+    def misuse():
+        try:
+            yield 42
+        except TypeError as exc:
+            note("non-event", str(exc))
+        try:
+            yield foreign
+        except ValueError as exc:
+            note("foreign", str(exc))
+
+    sim.process(misuse())
+
+    # -- an interrupt that lands after its victim has finished ---------------
+    def killer():
+        yield sim.timeout(2.0)
+        victim.interrupt("too late")
+
+    def short_lived():
+        yield sim.timeout(2.0)
+        sim.process(killer_late())
+        return "finished"
+
+    def killer_late():
+        yield sim.timeout(0.0)
+        with pytest.raises(RuntimeError, match="already terminated"):
+            victim.interrupt()
+
+    sim.process(killer())
+    victim = sim.process(short_lived(), label="victim")
+    sim.run()
+    note("victim", victim.value)
+
+    # -- a process that fails with nobody waiting ----------------------------
+    def doomed():
+        yield sim.timeout(1.0)
+        raise LookupError("nobody waits")
+
+    sim.process(doomed())
+    sim.timeout(2.0)  # still scheduled when the failure escalates
+    with pytest.raises(UnhandledFailure) as escalated:
+        sim.run()
+    note("escalated", str(escalated.value))
+    sim.run()
+    note("drained", sim.peek())
+
+
+def _digest(rows) -> str:
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(repr(row).encode())
+    return h.hexdigest()[:32]
+
+
+def test_event_stream_matches_the_pinned_digest():
+    sim = Simulator()
+    tracer = Tracer()
+    tracer.install(sim)
+    log: list = []
+    _scenario(sim, log)
+    stream = [(r.time, r.kind, r.name) for r in tracer.records]
+    assert len(stream) == sim.events_processed
+    assert (sim.events_processed, _digest(stream), _digest(log)) == (
+        PINNED_EVENTS, PINNED_STREAM, PINNED_LOG,
+    )
+
+
+def test_stream_is_the_same_with_no_hook_installed():
+    """The hook-free loop makes the same decisions: what the processes
+    observe, and how many events it took, do not depend on an observer."""
+    sim = Simulator()
+    log: list = []
+    _scenario(sim, log)
+    assert (sim.events_processed, _digest(log)) == (PINNED_EVENTS, PINNED_LOG)
