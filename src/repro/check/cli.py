@@ -155,20 +155,62 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.check.differential import (
-        PRESSURE_STORE_CONFIG,
-        differential_run,
-        dump_mismatch,
-        fuzz_parsers,
-        generate_commands,
-        replay_sequential,
-        shrink_commands,
+def _differential(
+    commands: list, configs: list, seed: int, mutation: Optional[str], pressure: bool
+):
+    """One fuzz-mode differential run (pressure: small store, tolerant comparator)."""
+    from repro.check.differential import PRESSURE_STORE_CONFIG, differential_run
+
+    return differential_run(
+        commands,
+        seed=seed,
+        configs=configs,
+        mutation=mutation,
+        store_config=PRESSURE_STORE_CONFIG if pressure else None,
+        tolerant=pressure,
     )
+
+
+def _shrink_and_dump(
+    commands: list,
+    names: list[str],
+    seed: int,
+    mutation: Optional[str],
+    pressure: bool,
+    path: str,
+) -> Optional[list]:
+    """Shrink *commands* on the predicate that failed and dump the repro.
+
+    *names* is one config -- its replay disagreed with its oracle -- or a
+    pair whose replays each agree with their own oracle but not with each
+    other.  :func:`differential_run` over just those configs is the
+    predicate either way.  Returns the shrunk commands, or ``None`` (and
+    writes nothing) when *commands* do not fail to begin with.
+    """
+    from repro.check.differential import dump_mismatch, shrink_commands
+
+    by_name = _configs_by_name()
+    configs = [by_name[name] for name in names]
+
+    def run(sub):
+        return _differential(sub, configs, seed, mutation, pressure)
+
+    if run(commands).ok:
+        return None
+    small = shrink_commands(commands, lambda sub: not run(sub).ok)
+    diff = run(small)
+    dump_mismatch(
+        path, seed, names[0], small, diff.replays[0],
+        mutation=mutation, pressure=pressure, versus=diff,
+    )
+    return small
+
+
+def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from repro.check.differential import fuzz_parsers, generate_commands
 
     configs = _select_configs(args.config)
     pressure = args.pressure
-    store_config = PRESSURE_STORE_CONFIG if pressure else None
     failures = 0
     for seed in range(args.seed, args.seed + args.seeds):
         commands = generate_commands(
@@ -179,14 +221,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             zipf=args.zipf,
             lease=args.lease,
         )
-        diff = differential_run(
-            commands,
-            seed=seed,
-            configs=configs,
-            mutation=args.mutation,
-            store_config=store_config,
-            tolerant=pressure,
-        )
+        diff = _differential(commands, configs, seed, args.mutation, pressure)
         if diff.ok:
             note = ""
             if pressure:
@@ -196,31 +231,22 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"seed {seed}: ok ({len(commands)} commands{note})")
             continue
         failures += 1
-        bad = next(
-            (r for r in diff.replays if not r.ok), diff.replays[0]
-        )
-        config = _configs_by_name()[bad.config]
-        print(f"seed {seed}: MISMATCH on {bad.config}; shrinking ...")
-
-        def failing(sub):
-            return not replay_sequential(
-                config, sub, seed=seed, mutation=args.mutation,
-                store_config=store_config,
-            ).ok
-
-        small = shrink_commands(commands, failing)
-        replay = replay_sequential(
-            config, small, seed=seed, mutation=args.mutation,
-            store_config=store_config,
-        )
-        path = dump_mismatch(
-            f"{args.out}/mismatch-seed{seed}.json",
-            seed,
-            bad.config,
-            small,
-            replay,
-            mutation=args.mutation,
-            pressure=pressure,
+        bad = next((r for r in diff.replays if not r.ok), None)
+        if bad is not None:
+            names = [bad.config]
+            print(f"seed {seed}: MISMATCH on {bad.config}; shrinking ...")
+        else:
+            # Every replay agrees with its own oracle: what failed is the
+            # cross-config comparison, so that is what gets shrunk.
+            a, b, index = diff.disagreements[0]
+            names = [a, b]
+            print(
+                f"seed {seed}: MISMATCH between {a} and {b} at op #{index} "
+                "(each agrees with its oracle); shrinking ..."
+            )
+        path = f"{args.out}/mismatch-seed{seed}.json"
+        small = _shrink_and_dump(
+            commands, names, seed, args.mutation, pressure, path
         )
         print(f"  {len(small)}-op repro written to {path}")
         for cmd in small:
@@ -238,40 +264,22 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_shrink(args: argparse.Namespace) -> int:
-    from repro.check.differential import (
-        dump_mismatch,
-        load_commands,
-        replay_sequential,
-        shrink_commands,
-    )
-
-    from repro.check.differential import PRESSURE_STORE_CONFIG
+    from repro.check.differential import load_commands
 
     doc, commands = load_commands(args.repro_file)
-    config = _configs_by_name().get(doc["config"])
-    if config is None:
-        print(f"unknown config {doc['config']!r} in {args.repro_file}", file=sys.stderr)
+    names = [doc["config"], *doc.get("versus", [])]
+    unknown = [name for name in names if name not in _configs_by_name()]
+    if unknown:
+        print(f"unknown config {unknown[0]!r} in {args.repro_file}", file=sys.stderr)
         return 1
-    seed, mutation = doc.get("seed", 42), doc.get("mutation")
-    pressure = doc.get("pressure", False)
-    store_config = PRESSURE_STORE_CONFIG if pressure else None
-
-    def failing(sub):
-        return not replay_sequential(
-            config, sub, seed=seed, mutation=mutation, store_config=store_config
-        ).ok
-
-    if not failing(commands):
+    out = args.output or args.repro_file.replace(".json", "") + ".min.json"
+    small = _shrink_and_dump(
+        commands, names, doc.get("seed", 42), doc.get("mutation"),
+        doc.get("pressure", False), out,
+    )
+    if small is None:
         print(f"{args.repro_file}: no longer fails ({len(commands)} commands) -- fixed?")
         return 0
-    small = shrink_commands(commands, failing)
-    replay = replay_sequential(
-        config, small, seed=seed, mutation=mutation, store_config=store_config
-    )
-    out = args.output or args.repro_file.replace(".json", "") + ".min.json"
-    dump_mismatch(
-        out, seed, doc["config"], small, replay, mutation=mutation, pressure=pressure
-    )
     print(f"shrunk {len(commands)} -> {len(small)} commands; wrote {out}")
     for cmd in small:
         print(f"  {cmd.op} {cmd.key!r} value={cmd.value!r}")

@@ -1108,7 +1108,8 @@ def shrink_commands(
     1-minimal at chunk granularity: removing any single command makes
     the failure disappear.
     """
-    assert failing(commands), "shrink_commands needs a failing input"
+    if not failing(commands):
+        raise ValueError("shrink_commands needs a failing input")
     current = list(commands)
     granularity = 2
     while len(current) >= 2:
@@ -1138,8 +1139,15 @@ def dump_mismatch(
     result: ReplayResult,
     mutation: Optional[str] = None,
     pressure: bool = False,
+    versus: Optional[DifferentialResult] = None,
 ) -> str:
-    """Write a JSON repro case; returns the path written."""
+    """Write a JSON repro case; returns the path written.
+
+    *versus* is the differential run of a cross-config repro (*result* is
+    its first replay): the other config names and both outcomes at each
+    disagreeing op are written too, so a case where every replay matches
+    its own oracle still says what failed.
+    """
     doc = {
         "seed": seed,
         "config": config_name,
@@ -1152,6 +1160,13 @@ def dump_mismatch(
         ],
         "trace_file": result.trace_file,
     }
+    if versus is not None and versus.disagreements:
+        outcomes = {r.config: r.outcomes for r in versus.replays}
+        doc["versus"] = [r.config for r in versus.replays[1:]]
+        doc["disagreements"] = [
+            {"index": i, a: outcomes[a][i], b: outcomes[b][i]}
+            for a, b, i in versus.disagreements
+        ]
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(doc, indent=2) + "\n")

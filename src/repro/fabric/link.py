@@ -106,24 +106,14 @@ class Nic:
     def send_frame(self, dst: "Nic", nbytes: int, payload: Any) -> Event:
         """Transmit one frame to *dst*; the event fires at delivery.
 
-        The caller does not need to wait on the returned event -- frames
-        in flight progress on their own -- but stacks that implement
-        back-to-back segmentation (TCP) wait for transmit-side completion
-        via :meth:`send_frame_tx_done`.
+        The returned event is the transfer process itself: its value is
+        the :class:`Frame`, and it fails if *dst* has no rx handler.  The
+        caller does not need to wait on it -- frames in flight progress on
+        their own -- but stacks that implement back-to-back segmentation
+        (TCP) wait for transmit-side completion via
+        :meth:`send_frame_tx_done`.
         """
-        if nbytes < 0:
-            raise ValueError(f"negative frame size: {nbytes}")
-        if dst is self:
-            raise ValueError(f"{self.name}: loopback frames are not modeled")
-        if dst.params.name != self.params.name:
-            raise ValueError(
-                f"cannot bridge networks: {self.params.name} -> {dst.params.name}"
-            )
-        sim = self.sim
-        frame = Frame(self, dst, nbytes, payload)
-        delivered = Event(sim, ("delivered(%s)", frame.frame_id))
-        Process(sim, self._transfer(frame, delivered, None), "xfer")
-        return delivered
+        return self._launch(dst, nbytes, payload, False)[1]
 
     def send_frame_tx_done(self, dst: "Nic", nbytes: int, payload: Any) -> tuple[Event, Event]:
         """Like :meth:`send_frame` but also returns a transmit-done event.
@@ -132,18 +122,28 @@ class Nic:
         wire is free again (the next segment may start); ``delivered``
         fires at the receiver.
         """
-        if nbytes < 0:
-            raise ValueError(f"negative frame size: {nbytes}")
-        sim = self.sim
-        frame = Frame(self, dst, nbytes, payload)
-        delivered = Event(sim, ("delivered(%s)", frame.frame_id))
-        tx_done = Event(sim, ("txdone(%s)", frame.frame_id))
-        Process(sim, self._transfer(frame, delivered, tx_done), "xfer")
-        return tx_done, delivered
+        return self._launch(dst, nbytes, payload, True)
 
     # -- internals -----------------------------------------------------------
 
-    def _transfer(self, frame: Frame, delivered: Event, tx_done: Optional[Event]):
+    def _launch(
+        self, dst: "Nic", nbytes: int, payload: Any, want_tx_done: bool
+    ) -> tuple[Optional[Event], Process]:
+        """Validate, build the :class:`Frame` and start its transfer."""
+        if nbytes < 0:
+            raise ValueError(f"negative frame size: {nbytes}")
+        if dst is self:
+            raise ValueError(f"{self.name}: loopback frames are not modeled")
+        if dst.params.name != self.params.name:
+            raise ValueError(
+                f"cannot bridge networks: {self.params.name} -> {dst.params.name}"
+            )
+        frame = Frame(self, dst, nbytes, payload)
+        sim = self.sim
+        tx_done = Event(sim, ("txdone(%s)", frame.frame_id)) if want_tx_done else None
+        return tx_done, Process(sim, self._transfer(frame, tx_done), "xfer")
+
+    def _transfer(self, frame: Frame, tx_done: Optional[Event]):
         sim = self.sim
         dst = frame.dst
         nbytes = frame.nbytes
@@ -188,10 +188,9 @@ class Nic:
             tracer.end(span, sim.now)
         handler = dst.rx_handler
         if handler is None:
-            delivered.fail(RuntimeError(f"{dst.name}: no rx handler installed"))
-            return
+            raise RuntimeError(f"{dst.name}: no rx handler installed")
         handler(frame)
-        delivered.succeed(frame)
+        return frame
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Nic {self.name} ({self.params.name})>"

@@ -10,6 +10,12 @@ An :class:`Event` moves through three states:
 ``PROCESSED``
     The engine has popped it and run its callbacks; waiters have resumed.
 
+One elision rule: an event whose outcome is known when it is created (an
+uncontended ``Resource.request``, an accepted ``Store.put``, a ready
+``Store.get``) is *born* ``PROCESSED`` and never enters the heap; a process
+that yields it keeps running.  Anything that fails, or that somebody may
+already be waiting on, still goes through the heap.
+
 Events carry either a *value* (on success) or an *exception* (on failure).
 A failed event re-raises its exception inside every waiting process, which
 is how error propagation works throughout the stack (e.g. an RDMA completion
@@ -129,6 +135,13 @@ class Event:
         sim._seq = seq = sim._seq + 1
         heappush(sim._heap, (sim._now + delay, seq, self))
         return self
+
+    def _settle(self, value: Any = None) -> None:
+        """Born processed: the outcome was known at creation, nobody can be
+        waiting yet, so no heap entry, no hook, no ``events_processed``."""
+        self._state = PROCESSED
+        self._value = value
+        self.callbacks = None
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
         """Trigger the event as failed; waiters will see *exception* raised."""

@@ -3,10 +3,12 @@
 A *process* is a plain Python generator that yields :class:`Event` objects.
 Yielding suspends the process until the event is processed; the event's
 value becomes the result of the ``yield`` expression (or its exception is
-raised at the yield point).  A process is itself an :class:`Event` that
-fires with the generator's return value, so processes can wait on each
-other -- this is how, e.g., a memcached client op waits for the UCR
-progress engine to deliver a response.
+raised at the yield point).  Yielding an event that is *already* processed
+does not suspend at all: the process continues in the same engine step,
+with no event in between.  A process is itself an :class:`Event` that fires
+with the generator's return value, so processes can wait on each other --
+this is how, e.g., a memcached client op waits for the UCR progress engine
+to deliver a response.
 """
 
 from __future__ import annotations
@@ -54,7 +56,11 @@ class Process(Event):
         self._target: Optional[Event] = None
         self.label = label
         # Kick off at the current simulated time.
-        self._resume_on(Event(sim, "process-init"))
+        init = Event(sim, "process-init")
+        init.callbacks.append(self._resume)
+        init._state = TRIGGERED
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim._now, seq, init))
 
     @property
     def name(self) -> str:
@@ -96,21 +102,14 @@ class Process(Event):
 
     # -- engine driving ----------------------------------------------------
 
-    def _resume_on(self, event: Event) -> None:
-        """Schedule *event*, already carrying its outcome, to fire now and
-        resume this process (process start, and the bridge below)."""
-        event.callbacks.append(self._resume)
-        event._state = TRIGGERED
-        sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim._now, seq, event))
-
     def _resume(self, event: Event) -> None:
         """Callback attached to whatever event the process last yielded.
 
-        The success path is spelled out: send the value, and if what comes
-        back is a pending event of this simulator, wait on it.  Anything
-        else is :meth:`_resume_slow`'s.
+        The success path is spelled out: send the value; while what comes
+        back is an event of this simulator that was already processed
+        successfully (a grant on the spot, an accepted put, a ready get),
+        send its value too -- a loop, so stack depth stays bounded; once it
+        is a pending event, wait on it.  The rest is :meth:`_resume_slow`'s.
         """
         self._target = None
         if event._exception is not None:
@@ -118,10 +117,23 @@ class Process(Event):
             self._resume_slow(None, event._exception)
             return
         sim = self.sim
+        send = self._generator.send
+        value = event._value
         prev = sim._active_process
         sim._active_process = self
         try:
-            target = self._generator.send(event._value)
+            while True:
+                target = send(value)
+                if not isinstance(target, Event) or target.sim is not sim:
+                    break
+                if target._state is not PROCESSED:
+                    target.callbacks.append(self._resume)
+                    self._target = target
+                    sim._active_process = prev
+                    return
+                if target._exception is not None:
+                    break
+                value = target._value
         except StopIteration as stop:
             sim._active_process = prev
             self.succeed(stop.value)
@@ -131,27 +143,27 @@ class Process(Event):
             self.fail(exc)
             return
         sim._active_process = prev
-        if isinstance(target, Event) and target.sim is sim and target._state is not PROCESSED:
-            target.callbacks.append(self._resume)
-            self._target = target
-        else:
-            self._resume_slow(target, None)
+        self._resume_slow(target, None)
 
     def _resume_slow(self, target: Any, exc: Optional[BaseException]) -> None:
-        """Everything off the straight line.
+        """Everything off the straight line, as one loop.
 
         Throws *exc* (a failed event's exception, an interrupt) into the
         generator to learn what it yields next, or starts from the *target*
-        it already yielded; rejects misuse by raising inside the generator,
-        so tracebacks point at it; and bridges an already-processed target.
+        it already yielded.  Misuse is rejected by raising inside the
+        generator, so tracebacks point at it; a processed target is thrown
+        in if it failed and sent if it succeeded; the loop ends when the
+        generator does or yields something pending.
         """
         sim = self.sim
+        generator = self._generator
+        step, arg = (None, None) if exc is None else (generator.throw, exc)
         while True:
-            if exc is not None:
+            if step is not None:
                 prev = sim._active_process
                 sim._active_process = self
                 try:
-                    target = self._generator.throw(exc)
+                    target = step(arg)
                 except StopIteration as stop:
                     sim._active_process = prev
                     self.succeed(stop.value)
@@ -161,25 +173,20 @@ class Process(Event):
                     self.fail(raised)
                     return
                 sim._active_process = prev
+            step = generator.throw
             if not isinstance(target, Event):
-                exc = TypeError(
+                arg = TypeError(
                     f"process {self.name!r} yielded {target!r}; processes may "
                     "only yield Event instances"
                 )
             elif target.sim is not sim:
-                exc = ValueError("yielded event belongs to a different simulator")
-            else:
-                break
-        if target._state is PROCESSED:
-            # Already done: resume immediately (same simulated instant) via
-            # a zero-delay bridge so stack depth stays bounded.
-            if target._exception is not None:
+                arg = ValueError("yielded event belongs to a different simulator")
+            elif target._state is not PROCESSED:
+                target.callbacks.append(self._resume)
+                self._target = target
+                return
+            elif target._exception is not None:
                 target.defused = True
-            bridge = Event(sim, "bridge")
-            bridge._value = target._value
-            bridge._exception = target._exception
-            self._resume_on(bridge)
-            self._target = bridge
-        else:
-            target.callbacks.append(self._resume)
-            self._target = target
+                arg = target._exception
+            else:
+                step, arg = generator.send, target._value

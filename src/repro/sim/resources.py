@@ -12,28 +12,33 @@ wait on them with ordinary ``yield``.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import TYPE_CHECKING, Any, Deque, Optional
 
-from repro.sim.events import PENDING, TRIGGERED, Event
+from repro.sim.events import PENDING, PROCESSED, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
 
 class Request(Event):
-    """A pending or granted claim on a :class:`Resource`."""
+    """A claim on a :class:`Resource`: born processed when capacity was
+    free, otherwise pending in the FIFO until a release grants it."""
 
     __slots__ = ("resource",)
 
-    def __init__(self, sim: "Simulator", resource: "Resource") -> None:
+    def __init__(self, sim: "Simulator", resource: "Resource", granted: bool) -> None:
         self.sim = sim
         self.resource = resource
-        self._state = PENDING
-        self._value = None
         self._exception = None
-        self.callbacks = []
         self.defused = False
+        if granted:  # Event._settle(self), spelled out
+            self._state = PROCESSED
+            self._value = self
+            self.callbacks = None
+        else:
+            self._state = PENDING
+            self._value = None
+            self.callbacks = []
 
     @property
     def name(self) -> str:
@@ -49,6 +54,10 @@ class Resource:
         yield req
         yield sim.timeout(work_us)
         cpu.release(req)
+
+    With capacity free the request comes back already processed -- it
+    holds its unit, costs no event, and ``yield req`` does not suspend.
+    Only a request that had to queue is granted through the heap.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "resource") -> None:
@@ -71,17 +80,13 @@ class Resource:
         return len(self._queue)
 
     def request(self) -> Request:
-        """Claim one unit of capacity; the returned event fires when granted."""
-        sim = self.sim
-        req = Request(sim, self)
+        """Claim one unit of capacity; the returned event is already
+        processed when a unit was free, and fires when granted otherwise."""
         if len(self._users) < self.capacity:
+            req = Request(self.sim, self, True)
             self._users.add(req)
-            # Granted on the spot: req.succeed(req), spelled out.
-            req._state = TRIGGERED
-            req._value = req
-            sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (sim._now, seq, req))
         else:
+            req = Request(self.sim, self, False)
             self._queue.append(req)
         return req
 
@@ -109,6 +114,9 @@ class Store:
     ``put`` always succeeds immediately when the store is unbounded;
     with ``capacity`` set, ``put`` returns an event that fires once space
     is available (modeling back-pressure, e.g. a full socket send buffer).
+    An accepted ``put`` and a ``get`` that finds an item return events that
+    are already processed; a blocked getter or putter is woken through the
+    heap.
     """
 
     def __init__(
@@ -141,10 +149,10 @@ class Store:
             # Hand the item straight to the oldest waiting getter.
             getter = self._getters.popleft()
             getter.succeed(item)
-            done.succeed()
+            done._settle()
         elif self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
-            done.succeed()
+            done._settle()
         else:
             self._putters.append((done, item))
         return done
@@ -153,7 +161,7 @@ class Store:
         """Take the oldest item; the returned event fires with the item."""
         ev = Event(self.sim, ("get(%s)", self.name))
         if self._items:
-            ev.succeed(self._items.popleft())
+            ev._settle(self._items.popleft())
             self._admit_putter()
         else:
             self._getters.append(ev)

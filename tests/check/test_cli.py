@@ -94,3 +94,61 @@ def test_shrink_reminimizes_dump(tmp_path, capsys):
     assert code == 1  # still failing (the mutation is in the dump)
     assert "shrunk" in out
     assert dump.with_name(dump.stem + ".min.json").exists()
+
+
+def test_fuzz_shrinks_a_cross_config_disagreement_on_the_pair(
+    tmp_path, capsys, monkeypatch
+):
+    """Every replay agrees with its own oracle and two configs disagree
+    with each other: the pair is what failed, so the pair is what gets
+    named, shrunk and dumped (``fuzz --pressure --seed 202`` used to blame
+    the first config, shrink on a predicate that held, and die on the
+    ``assert`` in ``shrink_commands``)."""
+    from repro.check import differential
+
+    real = differential.replay_sequential
+
+    def skewed(config, commands, **kwargs):
+        result = real(config, commands, **kwargs)
+        if config[0] == "SDP/text":
+            for index, cmd in enumerate(commands):
+                if cmd.op == "delete":
+                    result.outcomes[index] = ["ok", "skewed"]
+        return result
+
+    monkeypatch.setattr(differential, "replay_sequential", skewed)
+    code = main(
+        [
+            "fuzz",
+            "--seed", "3",
+            "--seeds", "1",
+            "--ops", "30",
+            "--parser-cases", "0",
+            "--config", "UCR-IB",
+            "--config", "SDP/text",
+            "--out", str(tmp_path),
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "MISMATCH between UCR-IB and SDP/text at op #14" in out
+    dump = tmp_path / "mismatch-seed3.json"
+    doc = json.loads(dump.read_text())
+    assert (doc["config"], doc["versus"], doc["mismatches"]) == ("UCR-IB", ["SDP/text"], [])
+    assert [c["op"] for c in doc["commands"]] == ["delete"]
+    assert doc["disagreements"] == [
+        {"index": 0, "UCR-IB": ["ok", False], "SDP/text": ["ok", "skewed"]}
+    ]
+    # ...and the dump names the pair, so `shrink` replays the pair too.
+    assert main(["shrink", str(dump)]) == 1
+    assert "shrunk 1 -> 1 commands" in capsys.readouterr().out
+
+
+def test_shrink_reports_a_dump_that_no_longer_fails(tmp_path, capsys):
+    dump = tmp_path / "fixed.json"
+    dump.write_text(json.dumps({
+        "seed": 1, "config": "UCR-IB", "mutation": None, "pressure": False,
+        "commands": [{"op": "get", "key": "k"}],
+    }))
+    assert main(["shrink", str(dump)]) == 0
+    assert "no longer fails" in capsys.readouterr().out

@@ -154,3 +154,8 @@ def test_concurrent_under_chaos_stays_linearizable():
 
 def test_fuzz_parsers_crash_free():
     assert fuzz_parsers(1, n_cases=150) == []
+
+
+def test_shrink_rejects_an_input_that_does_not_fail():
+    with pytest.raises(ValueError, match="needs a failing input"):
+        shrink_commands(generate_commands(1, 5), lambda sub: False)

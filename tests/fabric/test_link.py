@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fabric import HOST_CLOVERTOWN, IB_DDR, IB_QDR, Network, Node
+from repro.fabric import ETH_10G, HOST_CLOVERTOWN, IB_DDR, IB_QDR, Network, Node
 from repro.sim import Simulator
 
 
@@ -83,28 +83,40 @@ def test_double_rx_handler_rejected():
         nic_b.install_rx_handler(lambda f: None)
 
 
-def test_loopback_rejected():
+# Both entry points share one launch helper; each rejected shape is checked
+# on each (send_frame_tx_done used to skip the loopback and cross-network
+# checks, so the sockets path could bridge IB and 10GigE NICs silently).
+ENTRY_POINTS = pytest.mark.parametrize("entry", ["send_frame", "send_frame_tx_done"])
+
+
+@ENTRY_POINTS
+def test_loopback_rejected(entry):
     sim, nic_a, _ = make_pair()
-    with pytest.raises(ValueError):
-        nic_a.send_frame(nic_a, 64, None)
+    with pytest.raises(ValueError, match="loopback"):
+        getattr(nic_a, entry)(nic_a, 64, None)
+    assert sim.peek() == float("inf")  # nothing was started
 
 
-def test_cross_network_rejected():
+@ENTRY_POINTS
+def test_cross_network_rejected(entry):
     sim = Simulator()
-    ddr = Network(sim, IB_DDR)
-    qdr = Network(sim, IB_QDR)
+    ib = Network(sim, IB_QDR)
+    eth = Network(sim, ETH_10G)
     a = Node(sim, "a", HOST_CLOVERTOWN)
     b = Node(sim, "b", HOST_CLOVERTOWN)
-    nic_ddr = ddr.attach(a)
-    nic_qdr = qdr.attach(b)
-    with pytest.raises(ValueError):
-        nic_ddr.send_frame(nic_qdr, 64, None)
+    nic_ib = ib.attach(a)
+    nic_eth = eth.attach(b)
+    with pytest.raises(ValueError, match="cannot bridge networks"):
+        getattr(nic_ib, entry)(nic_eth, 64, None)
+    assert sim.peek() == float("inf")
 
 
-def test_negative_size_rejected():
+@ENTRY_POINTS
+def test_negative_size_rejected(entry):
     sim, nic_a, nic_b = make_pair()
-    with pytest.raises(ValueError):
-        nic_a.send_frame(nic_b, -1, None)
+    with pytest.raises(ValueError, match="negative frame size"):
+        getattr(nic_a, entry)(nic_b, -1, None)
+    assert sim.peek() == float("inf")
 
 
 def test_tx_done_fires_before_delivery():
@@ -139,8 +151,9 @@ def test_frame_records_timestamps():
     sim, nic_a, nic_b = make_pair()
     seen = []
     nic_b.install_rx_handler(seen.append)
-    nic_a.send_frame(nic_b, 512, None)
+    delivered = nic_a.send_frame(nic_b, 512, None)
     sim.run()
     frame = seen[0]
+    assert delivered.value is frame  # the transfer process is the delivery event
     assert frame.sent_at == 0.0
     assert frame.delivered_at == sim.now

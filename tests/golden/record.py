@@ -13,6 +13,7 @@ the review of that claim is the point of the golden suite.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -23,9 +24,18 @@ from repro.sanitize import capture
 GOLDEN_PATH = Path(__file__).parent / "digests.json"
 
 
+def report_digest(report) -> str:
+    """SHA-256 of the rendered report: the *results*, to the last digit.
+
+    Pinned beside the event-stream digest so that a kernel change which
+    moves the stream can show it moved nothing anybody reads.
+    """
+    return hashlib.sha256(report.render().encode()).hexdigest()
+
+
 def record(names: list[str] | None = None) -> dict:
     """Run the named figures (default: all golden ones) and return
-    ``{figure: {"digest": ..., "events": ...}}``."""
+    ``{figure: {"digest": ..., "events": ..., "report": ...}}``."""
     existing = {}
     if GOLDEN_PATH.exists():
         existing = json.loads(GOLDEN_PATH.read_text())
@@ -33,10 +43,11 @@ def record(names: list[str] | None = None) -> dict:
         if name == "ext":
             continue  # extensions explore; they are not pinned
         with capture() as digest:
-            FIGURES[name](True)  # fast mode: what CI replays
+            report = FIGURES[name](True)  # fast mode: what CI replays
         existing[name] = {
             "digest": digest.hexdigest(),
             "events": digest.events,
+            "report": report_digest(report),
         }
         print(f"figure {name}: {digest.events} events {digest.hexdigest()[:16]}...")
     return existing

@@ -18,6 +18,7 @@ import pytest
 
 from repro.experiments.runner import FIGURES
 from repro.sanitize import capture
+from tests.golden.record import report_digest
 
 GOLDEN_PATH = Path(__file__).parent / "digests.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -29,7 +30,7 @@ def test_golden_file_covers_the_figures():
         "pressure", "storm", "stampede", "gutter",
     }
     for name, entry in GOLDEN.items():
-        assert set(entry) == {"digest", "events"}
+        assert set(entry) == {"digest", "events", "report"}
         assert entry["events"] > 0
 
 
@@ -47,4 +48,8 @@ def test_figure_event_stream_matches_golden(name):
     assert digest.hexdigest() == golden["digest"], (
         f"figure {name}: same event count but different stream content "
         "(regenerate via python -m tests.golden.record if intended)"
+    )
+    assert report_digest(report) == golden["report"], (
+        f"figure {name}: the rendered report changed -- a result moved, "
+        "not just the event stream"
     )

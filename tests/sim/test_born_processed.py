@@ -1,0 +1,199 @@
+"""The kernel's one elision rule: an event whose outcome is known when it
+is created is born ``PROCESSED`` and never enters the heap, and a process
+that yields a successfully processed event keeps running.
+
+Everything with a waiter, and everything that fails, still goes through
+the heap; those halves are checked here next to the elided ones.
+"""
+
+import pytest
+
+from repro.fabric import HOST_WESTMERE, Node
+from repro.sim import Interrupt, Resource, Simulator, Store
+from repro.sim.events import Timeout
+
+
+def test_uncontended_request_is_born_processed_and_costs_no_event():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    req = res.request()
+    assert req.processed and req.ok and req.value is req
+    assert res.count == 1
+    assert sim.peek() == float("inf")  # nothing scheduled
+
+    granted_at = []
+
+    def waiter():
+        queued = res.request()
+        try:
+            assert not queued.triggered and res.queued == 1
+            yield queued
+            granted_at.append(sim.now)
+        finally:
+            res.release(queued)
+
+    def holder():
+        yield sim.timeout(5.0)
+        res.release(req)
+
+    sim.process(waiter())
+    sim.process(holder())
+    sim.run()
+    assert granted_at == [5.0]
+    assert (res.count, res.queued) == (0, 0)
+    # Two process starts, the timeout, the queued grant (through the heap,
+    # as before) and two process ends -- and nothing for the first grant.
+    assert sim.events_processed == 6
+
+
+def test_full_resource_returns_a_pending_request_that_can_be_cancelled():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    first = res.request()
+    second = res.request()
+    third = res.request()
+    assert first.processed and not second.triggered and not third.triggered
+    res.release(second)  # cancel while queued
+    assert res.queued == 1
+    res.release(first)
+    assert third.triggered and not third.processed  # woken through the heap
+    sim.run()
+    assert third.processed and not second.triggered
+    assert sim.events_processed == 1
+    with pytest.raises(ValueError):
+        res.release(second)
+
+
+def test_back_to_back_processed_yields_do_not_recurse():
+    sim = Simulator()
+    node = Node(sim, "n0", HOST_WESTMERE)
+    iterations = 50_000
+    kinds: dict = {}
+    sim.pre_event_hooks.append(
+        lambda s, e: kinds.__setitem__(type(e), kinds.get(type(e), 0) + 1)
+    )
+
+    def proc():
+        for _ in range(iterations):
+            yield from node.cpu_run(0.0)
+        # ...and with nothing pending in between at all.
+        done = Store(sim).put("x")
+        for _ in range(iterations):
+            yield done
+        return "finished"
+
+    p = sim.process(proc())
+    sim.run()
+    assert p.value == "finished"
+    assert kinds[Timeout] == iterations
+    assert sim.events_processed == iterations + 2  # plus process start and end
+    assert node.cpu.count == 0
+
+
+def test_conditions_over_born_processed_events():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    store = Store(sim)
+    req = res.request()
+    put = store.put("item")
+    never = sim.event()
+    seen = []
+
+    def proc():
+        got = yield sim.all_of([req, put])
+        seen.append(("all", got[req] is req, got[put], sim.now))
+        got = yield sim.any_of([never, put])
+        seen.append(("any", never in got, put in got, sim.now))
+
+    sim.process(proc())
+    sim.run()
+    assert seen == [("all", True, None, 0.0), ("any", False, True, 0.0)]
+
+
+def test_interrupt_while_a_born_processed_grant_is_held_releases_it():
+    sim = Simulator()
+    node = Node(sim, "n0", HOST_WESTMERE)
+    outcome = []
+
+    def victim():
+        try:
+            yield from node.cpu_run(100.0)
+        except Interrupt as intr:
+            outcome.append((sim.now, intr.cause, node.cpu.count))
+
+    def attacker():
+        yield sim.timeout(3.0)
+        assert node.cpu.count == 1  # held across the yield, never an event
+        v.interrupt("stop")
+
+    v = sim.process(victim())
+    sim.process(attacker())
+    sim.run()
+    assert outcome == [(3.0, "stop", 0)]
+    assert node.cpu.count == 0
+
+
+def test_yielding_a_failed_processed_event_raises_at_that_yield():
+    sim = Simulator()
+    failed = sim.event()
+    failed.defused = True  # nobody is waiting when it is processed
+    failed.fail(KeyError("gone"))
+    sim.run()
+    assert failed.processed
+    trail = []
+
+    def proc():
+        ready = Store(sim).put(1)
+        yield ready
+        trail.append("before")
+        try:
+            yield failed
+        except KeyError as exc:
+            trail.append(("raised", exc.args[0], sim.now))
+        value = yield ready  # and the process carries on after it
+        trail.append(("after", value))
+
+    before = sim.events_processed
+    sim.process(proc())
+    sim.run()
+    assert trail == ["before", ("raised", "gone", 0.0), ("after", None)]
+    assert sim.events_processed == before + 2  # process start and end only
+
+
+def test_run_until_event_on_a_born_processed_event_does_not_step():
+    sim = Simulator()
+    sim.timeout(1.0)
+    store = Store(sim)
+    store.put("a")
+    got = store.get()
+    assert got.processed
+    assert sim.run_until_event(got) == "a"
+    assert (sim.now, sim.events_processed) == (0.0, 0)
+    assert sim.run_until_event(Resource(sim).request()).processed
+    assert sim.events_processed == 0
+
+
+def test_bounded_store_back_pressure_is_unchanged():
+    sim = Simulator()
+    ring = Store(sim, capacity=1)
+    first = ring.put("a")
+    blocked = ring.put("b")
+    assert first.processed and not blocked.triggered
+    waiting = Store(sim).get()
+    assert not waiting.triggered  # an empty store still parks the getter
+    trail = []
+
+    def producer():
+        yield blocked
+        trail.append(("admitted", sim.now, len(ring)))
+
+    def consumer():
+        yield sim.timeout(2.0)
+        item = yield ring.get()
+        trail.append(("got", item, sim.now))
+
+    sim.process(producer())
+    sim.process(consumer())
+    sim.run()
+    assert trail == [("got", "a", 2.0), ("admitted", 2.0, 1)]
+    assert ring.peek_all() == ["b"]

@@ -9,7 +9,11 @@ helper or a ``super().__init__`` chain creeping back into the kernel costs at
 least one call per event and fails here.
 
 Calls per iteration at the commit before the fast path, for the record:
-ping-pong 10, ``cpu_run`` 25, one frame 90 (now 4, 11 and 36).
+ping-pong 10, ``cpu_run`` 25, one frame 90; with the fast path 4, 11 and 36.
+Since born-processed events the *events* per iteration moved too --
+``cpu_run`` 2 -> 1 (the uncontended grant is no event), one frame 8 -> 5
+(two grants and the separate ``delivered`` event are gone: process start,
+three timeouts, process end remain) -- and the calls are 4, 10 and 32.
 """
 
 import sys
@@ -75,8 +79,8 @@ def _frames(sim: Simulator) -> None:
     "scenario, events_per_iteration, calls_per_iteration",
     [
         (_timeout_ping_pong, 1, 4 + 1),
-        (_cpu_run_loop, 2, 11 + 1),
-        (_frames, 8, 36 + 1),
+        (_cpu_run_loop, 1, 10 + 1),
+        (_frames, 5, 32 + 1),
     ],
     ids=["timeout-ping-pong", "cpu_run", "send_frame"],
 )
