@@ -247,12 +247,21 @@ class UcrContext:
             if entry.header_handler is not None:
                 dest = entry.header_handler(ep, wire.header, wire.data_length)
             ep.repost_recv_buffer(buf)  # header consumed; free the bounce slot
+            self._post_rendezvous_read(ep, wire, dest)
+        finally:
+            if tracer.enabled:
+                tracer.end(span, self.sim.now)
+
+    def _post_rendezvous_read(self, ep: Endpoint, wire: AmWire, dest) -> None:
+        """Post the RDMA READ that pulls *wire*'s data into *dest*, or into
+        a staging buffer that the completion cookie then owns."""
+        if dest is None:
+            temp = self.runtime.rendezvous_pool_for(wire.data_length).get()
+            mr, offset = temp.mr, 0
+        else:
             temp = None
-            if dest is None:
-                temp = self.runtime.rendezvous_pool_for(wire.data_length).get()
-                mr, offset = temp.mr, 0
-            else:
-                mr, offset = self._resolve_dest(dest)
+            mr, offset = self._resolve_dest(dest)
+        try:
             assert wire.rdma is not None
             cookie = _SendCompletionCookie(
                 kind="rendezvous-read", endpoint=ep, wire=wire, dest=(mr, offset, temp)
@@ -266,9 +275,12 @@ class UcrContext:
                 trace=wire.trace if tracer.enabled else None,
             )
             ep._post(read_wr)
-        finally:
-            if tracer.enabled:
-                tracer.end(span, self.sim.now)
+        except BaseException:
+            # The READ never went out, so no completion will reach
+            # _finish_rendezvous to release the staging buffer.
+            if temp is not None:
+                temp.release()
+            raise
 
     def _finish_rendezvous(self, ep: Endpoint, cookie: _SendCompletionCookie):
         wire = cookie.wire

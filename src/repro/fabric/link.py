@@ -82,10 +82,6 @@ class Nic:
         self.name = name
         self.tx = Resource(sim, capacity=1, name=f"{name}.tx")
         self.rx = Resource(sim, capacity=1, name=f"{name}.rx")
-        #: Chaos hook (repro.chaos): multiplies this port's serialization
-        #: and propagation times.  1.0 is nominal; a LinkDegrade fault
-        #: raises it for a window (cable renegotiation, congested uplink).
-        self.slowdown = 1.0
         #: Installed by the protocol stack bound to this NIC; called with
         #: each delivered frame.  Exactly one stack owns a NIC.
         self.rx_handler: Optional[Callable[[Frame], None]] = None
@@ -96,6 +92,17 @@ class Nic:
         self.frames_sent = Counter(sim, f"{name}.frames_sent")
         self.bytes_sent = Counter(sim, f"{name}.bytes_sent")
         self.frames_received = Counter(sim, f"{name}.frames_received")
+
+    @property
+    def slowdown(self) -> float:
+        """Chaos hook (repro.chaos): multiplies this port's serialization
+        and propagation times.  1.0 is nominal; a LinkDegrade fault raises
+        it for a window (cable renegotiation, congested uplink)."""
+        return self.tx.stretch
+
+    @slowdown.setter
+    def slowdown(self, factor: float) -> None:
+        self.tx.stretch = factor
 
     def install_rx_handler(self, handler: Callable[[Frame], None]) -> None:
         """Bind the owning protocol stack's receive entry point."""
@@ -159,28 +166,26 @@ class Nic:
 
         # Serialize on the local wire.
         tx = self.tx
-        req = tx.request()
+        held = tx.hold(self.params.serialization_time(nbytes))
         try:
-            yield req
-            yield Timeout(sim, self.params.serialization_time(nbytes) * self.slowdown)
+            yield held
         finally:
-            tx.release(req)
+            tx.release(held)
         self.frames_sent.value += 1
         self.bytes_sent.value += nbytes
         if tx_done is not None:
             tx_done.succeed()
 
-        # Fly through the switch.
-        yield Timeout(sim, self.params.one_way_delay() * self.slowdown)
+        # Fly through the switch (``tx.stretch`` is :attr:`slowdown`).
+        yield Timeout(sim, self.params.one_way_delay() * tx.stretch)
 
         # Receive-side per-frame processing (incast pressure point).
         rx = dst.rx
-        rreq = rx.request()
+        held = rx.hold(dst.params.rx_frame_process_us)
         try:
-            yield rreq
-            yield Timeout(sim, dst.params.rx_frame_process_us)
+            yield held
         finally:
-            rx.release(rreq)
+            rx.release(held)
 
         frame.delivered_at = sim.now
         dst.frames_received.value += 1

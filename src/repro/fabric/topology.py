@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from repro.fabric.link import Nic
 from repro.fabric.params import HostParams, LinkParams
-from repro.sim import Resource, Timeout
+from repro.sim import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import Simulator
@@ -66,10 +66,6 @@ class Node:
         #: Shared CPU: every modeled software activity (kernel stack, server
         #: worker, client library) competes for these cores.
         self.cpu = Resource(sim, capacity=host.cores, name=f"{name}.cpu")
-        #: Chaos hook (repro.chaos): multiplies every unit of CPU work on
-        #: this host.  1.0 is nominal; a SlowServer fault raises it for a
-        #: window (thermal throttling, a co-scheduled batch job...).
-        self.cpu_scale = 1.0
         self._nics: dict[str, Nic] = {}
 
     def _register_nic(self, network_name: str, nic: Nic) -> None:
@@ -86,24 +82,36 @@ class Node:
     def networks(self) -> list[str]:
         return list(self._nics)
 
+    @property
+    def cpu_scale(self) -> float:
+        """Chaos hook (repro.chaos): multiplies every unit of CPU work on
+        this host, read when the work gets its core.  1.0 is nominal; a
+        SlowServer fault raises it for a window (thermal throttling, a
+        co-scheduled batch job...)."""
+        return self.cpu.stretch
+
+    @cpu_scale.setter
+    def cpu_scale(self, factor: float) -> None:
+        self.cpu.stretch = factor
+
     def cpu_run(self, work_us: float):
         """Process helper: occupy one core for *work_us* of CPU time.
 
         Yields from inside a process::
 
             yield from node.cpu_run(1.5)
+
+        One :meth:`~repro.sim.resources.Resource.hold`, so one event per
+        slice; ``cpu_scale`` applies as of the moment the core is granted.
         """
-        if work_us < 0:
-            raise ValueError(f"negative CPU work: {work_us}")
         cpu = self.cpu
-        req = cpu.request()
+        held = cpu.hold(work_us)
         try:
-            yield req
-            yield Timeout(self.sim, work_us * self.cpu_scale)
+            yield held
         finally:
-            # An interrupt raised at either yield must free the core (a
-            # queued request is cancelled, a granted one released).
-            cpu.release(req)
+            # An interrupt raised at the yield must free the core (a queued
+            # hold is cancelled, a running one released).
+            cpu.release(held)
 
     def memcpy(self, nbytes: int):
         """Process helper: one single-core buffer copy of *nbytes*."""

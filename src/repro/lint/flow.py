@@ -461,11 +461,12 @@ class InterruptSafetyRule(FlowRule):
 
     ``Process.interrupt`` raises *at the yield point*.  A process holding
     a granted (or still-queued -- ``Resource.release`` cancels pending
-    requests too) ``request()`` when that happens must release it in a
-    ``finally``, or the resource wedges for every later requester.  The
-    rule walks each generator: from ``var = <resource>.request()`` onward,
-    every yield reachable while the request is live must sit under a
-    ``try`` whose ``finally`` releases *var*.
+    requests too) ``request()`` or ``hold(...)`` when that happens must
+    release it in a ``finally``, or the resource wedges for every later
+    requester.  The rule walks each generator: from the statement that
+    binds *var* to a resource's ``request()`` / ``hold(...)`` onward, every
+    yield reachable while the request is live must sit under a ``try``
+    whose ``finally`` releases *var*.
     """
 
     rule_id = "L011"
@@ -525,7 +526,8 @@ class InterruptSafetyRule(FlowRule):
 
     @staticmethod
     def _requested_var(stmt: Optional[ast.stmt]) -> Optional[str]:
-        """The target name of a ``var = <resource>.request()`` statement."""
+        """The target name of a statement binding a resource's
+        ``request()`` or ``hold(...)`` to a local."""
         if (
             isinstance(stmt, ast.Assign)
             and len(stmt.targets) == 1

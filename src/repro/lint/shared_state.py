@@ -185,11 +185,10 @@ def is_pool_get(call: ast.expr) -> bool:
 
 
 def is_resource_request(call: ast.expr) -> bool:
-    """``<resource>.request()``: the acquire point of a sim Resource."""
-    return (
-        isinstance(call, ast.Call)
-        and isinstance(call.func, ast.Attribute)
-        and call.func.attr == "request"
-        and not call.args
-        and not call.keywords
-    )
+    """A no-argument ``request()`` or a ``hold(...)`` method call: the
+    acquire points of a sim Resource."""
+    if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)):
+        return False
+    if call.func.attr == "hold":
+        return True
+    return call.func.attr == "request" and not call.args and not call.keywords

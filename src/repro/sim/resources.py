@@ -12,52 +12,66 @@ wait on them with ordinary ``yield``.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Deque, Optional
 
-from repro.sim.events import PENDING, PROCESSED, Event
+from repro.sim.events import PENDING, TRIGGERED, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
 
 class Request(Event):
-    """A claim on a :class:`Resource`: born processed when capacity was
-    free, otherwise pending in the FIFO until a release grants it."""
+    """A claim on a :class:`Resource`.
 
-    __slots__ = ("resource",)
+    From :meth:`Resource.request` it is the grant: born processed when
+    capacity was free, otherwise pending in the FIFO until a release
+    grants it.  From :meth:`Resource.hold` it is the whole occupancy:
+    *duration* is set, and it fires when the holder's time is up.
+    """
 
-    def __init__(self, sim: "Simulator", resource: "Resource", granted: bool) -> None:
+    __slots__ = ("resource", "duration")
+
+    def __init__(
+        self, sim: "Simulator", resource: "Resource", duration: Optional[float] = None
+    ) -> None:
         self.sim = sim
         self.resource = resource
+        self.duration = duration
+        self._state = PENDING
+        self._value = None
         self._exception = None
+        self.callbacks = []
         self.defused = False
-        if granted:  # Event._settle(self), spelled out
-            self._state = PROCESSED
-            self._value = self
-            self.callbacks = None
-        else:
-            self._state = PENDING
-            self._value = None
-            self.callbacks = []
 
     @property
     def name(self) -> str:
-        return f"request({self.resource.name})"
+        if self.duration is None:
+            return f"request({self.resource.name})"
+        return f"hold({self.resource.name}, {self.duration})"
 
 
 class Resource:
     """A counting semaphore with a FIFO wait queue.
 
-    Usage inside a process::
+    Occupying a unit for a known time is one event::
 
-        req = cpu.request()
-        yield req
-        yield sim.timeout(work_us)
-        cpu.release(req)
+        h = cpu.hold(work_us)
+        try:
+            yield h
+        finally:
+            cpu.release(h)
 
-    With capacity free the request comes back already processed -- it
-    holds its unit, costs no event, and ``yield req`` does not suspend.
-    Only a request that had to queue is granted through the heap.
+    ``h`` fires ``work_us * stretch`` after it is granted -- on the spot
+    with a unit free, otherwise by the release that reaches it in the
+    FIFO, with :attr:`stretch` read then; either way the hold is the only
+    event.  An interrupt at the ``yield`` runs the ``finally``: a queued
+    hold is cancelled, a running one frees its unit at once and its heap
+    entry pops later with nobody listening.
+
+    :meth:`request` is the same grant path without a known length: born
+    processed with capacity free, granted through the heap otherwise, and
+    the holder yields whatever it waits for before :meth:`release`.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "resource") -> None:
@@ -66,6 +80,9 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
+        #: Multiplies every hold's duration, read when the hold is granted
+        #: (``Node.cpu_scale`` and ``Nic.slowdown`` are views of it).
+        self.stretch = 1.0
         self._users: set[Request] = set()
         self._queue: Deque[Request] = deque()
 
@@ -82,11 +99,27 @@ class Resource:
     def request(self) -> Request:
         """Claim one unit of capacity; the returned event is already
         processed when a unit was free, and fires when granted otherwise."""
+        req = Request(self.sim, self)
         if len(self._users) < self.capacity:
-            req = Request(self.sim, self, True)
             self._users.add(req)
+            req._settle(req)
         else:
-            req = Request(self.sim, self, False)
+            self._queue.append(req)
+        return req
+
+    def hold(self, duration: float) -> Request:
+        """Claim one unit for *duration*; the returned event fires when
+        that time, times :attr:`stretch`, has passed since the grant."""
+        if duration < 0:
+            raise ValueError(f"negative hold on {self.name!r}: {duration}")
+        sim = self.sim
+        req = Request(sim, self, duration)
+        if len(self._users) < self.capacity:
+            self._users.add(req)
+            req._state = TRIGGERED
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim._now + duration * self.stretch, seq, req))
+        else:
             self._queue.append(req)
         return req
 
@@ -102,7 +135,10 @@ class Resource:
         if self._queue:
             nxt = self._queue.popleft()
             self._users.add(nxt)
-            nxt.succeed(nxt)
+            if nxt.duration is None:
+                nxt.succeed(nxt)
+            else:
+                nxt.succeed(delay=nxt.duration * self.stretch)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Resource {self.name!r} {self.count}/{self.capacity} (+{self.queued} queued)>"

@@ -48,8 +48,9 @@ class StackParams:
     #: Receiver-side protocol work per segment (softirq; 0 when offloaded).
     rx_per_segment_us: float
     #: Cost of the receive notification (interrupt for kernel stacks,
-    #: completion-event dispatch for SDP); charged once per inbound frame
-    #: batch that finds the receiver idle.
+    #: completion-event dispatch for SDP); charged on every inbound
+    #: segment, after ``rx_per_segment_us`` (``Connection._rx_pump``) --
+    #: no interrupt coalescing is modeled, and Figs 3-4 are calibrated so.
     rx_notify_us: float
     #: Copy user buffer -> transmit path?
     copy_on_tx: bool

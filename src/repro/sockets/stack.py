@@ -15,6 +15,7 @@ real TCP.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -274,6 +275,12 @@ class SocketStack:
         self.params = params
         self.nic: "Nic" = node.nic(params.network)
         self.rng = rng or RngStream(0, f"{node.name}/{params.name}")
+        #: Lognormal location that makes the sample mean jitter_mean_us.
+        self._jitter_mu = (
+            math.log(params.jitter_mean_us) - params.jitter_sigma**2 / 2
+            if params.jitter_sigma > 0
+            else 0.0
+        )
         self._listeners: dict[int, "Socket"] = {}
         self._connections: dict[tuple[str, int, int], Connection] = {}
         self._ephemeral = itertools.count(self.EPHEMERAL_BASE)
@@ -320,14 +327,10 @@ class SocketStack:
 
     def draw_jitter(self) -> float:
         """One lognormal jitter sample (µs); 0 when the stack is smooth."""
-        p = self.params
-        if p.jitter_sigma <= 0:
+        sigma = self.params.jitter_sigma
+        if sigma <= 0:
             return 0.0
-        import math
-
-        # Parameterize so the sample mean equals jitter_mean_us.
-        mu = math.log(p.jitter_mean_us) - p.jitter_sigma**2 / 2
-        return self.rng.lognormal(mu, p.jitter_sigma)
+        return self.rng.lognormal(self._jitter_mu, sigma)
 
     def alloc_ephemeral_port(self) -> int:
         return next(self._ephemeral)

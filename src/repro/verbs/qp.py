@@ -209,12 +209,12 @@ class QueuePair:
         yield sim.timeout(params.post_overhead(wr.nbytes))
 
         # The adapter's WQE engine is shared across all QPs on this HCA.
-        engine = self.hca.tx_engine.request()
+        engine = self.hca.tx_engine
+        held = engine.hold(params.wqe_process_us)
         try:
-            yield engine
-            yield sim.timeout(params.wqe_process_us)
+            yield held
         finally:
-            self.hca.tx_engine.release(engine)
+            engine.release(held)
         if tracer.enabled:
             tracer.end(span, sim.now)
 

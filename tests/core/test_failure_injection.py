@@ -5,6 +5,7 @@ import pytest
 from repro.core.errors import EndpointClosed
 from repro.core.params import UcrParams
 from repro.verbs.cq import CompletionQueue
+from repro.verbs.enums import Opcode
 from repro.sim import Simulator
 
 from repro.testing import UcrWorld
@@ -53,6 +54,40 @@ def test_failure_mid_rendezvous_releases_resources():
     world.sim.process(reconnect())
     world.sim.run()
     assert "new" in eps and not eps["new"].failed
+
+
+def test_rendezvous_read_that_cannot_be_posted_returns_its_staging_buffer(monkeypatch):
+    """The target stages a handler-less rendezvous in a pool buffer that
+    the READ's completion cookie releases.  If the READ cannot be posted
+    (the QP left RTS under the header handler's CPU slice) there will be no
+    completion, so the buffer must go back on the spot."""
+    world = UcrWorld()
+    client_ep, server_ep = world.establish()
+    world.server_rt.register_handler(MSG)  # no header handler: no destination
+    payload = bytes(64 * 1024)
+    pool = world.server_rt.rendezvous_pool_for(len(payload))
+    free_before = pool.free_count
+    real_post = server_ep._post
+    refused = []
+
+    def post(wr, ud_destination=None):
+        if wr.opcode is Opcode.RDMA_READ:
+            refused.append(pool.free_count)
+            raise EndpointClosed("injected: READ refused")
+        real_post(wr, ud_destination)
+
+    monkeypatch.setattr(server_ep, "_post", post)
+
+    def sender():
+        yield from client_ep.send_message(
+            MSG, header=None, header_bytes=8, data=payload
+        )
+
+    world.sim.process(sender())
+    world.sim.run()
+    assert refused == [free_before - 1]  # checked out when the post failed...
+    assert pool.free_count == free_before  # ...and returned, not leaked
+    assert pool.grow_events == 0
 
 
 def test_failed_endpoint_wakes_credit_waiters_with_error():

@@ -80,13 +80,22 @@ def legal_qp_bringup(qp, tear_down):
 
 
 def finally_protected_hold(sim, res):
-    """The fixed shape of every call site in the tree (L011)."""
+    """``request()`` with the wait spelled out, finally-protected (L011)."""
     req = res.request()
     try:
         yield req
         yield sim.timeout(5.0)
     finally:
         res.release(req)
+
+
+def finally_protected_timed_hold(res, work_us):
+    """``Resource.hold``: one yield, released in the finally (L011)."""
+    held = res.hold(work_us)
+    try:
+        yield held
+    finally:
+        res.release(held)
 
 
 def no_yield_while_held(sim, res):

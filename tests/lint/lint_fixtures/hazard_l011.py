@@ -33,3 +33,11 @@ def wrong_finally(sim, res, other):
         yield sim.timeout(5.0)
     finally:
         other.release(token)
+
+
+def unprotected_timed_hold(res, work_us):
+    """``hold`` is an acquire too: its one yield is where the unit is held
+    (or still queued), so an interrupt there orphans it."""
+    held = res.hold(work_us)  # HAZARD: L011
+    yield held
+    res.release(held)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.fabric import HOST_WESTMERE, Node
 from repro.sim import Interrupt, Resource, Simulator, Store
-from repro.sim.events import Timeout
+from repro.sim.resources import Request
 
 
 def test_uncontended_request_is_born_processed_and_costs_no_event():
@@ -85,7 +85,7 @@ def test_back_to_back_processed_yields_do_not_recurse():
     p = sim.process(proc())
     sim.run()
     assert p.value == "finished"
-    assert kinds[Timeout] == iterations
+    assert kinds[Request] == iterations  # each slice is its hold, nothing else
     assert sim.events_processed == iterations + 2  # plus process start and end
     assert node.cpu.count == 0
 

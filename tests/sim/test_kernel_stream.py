@@ -16,6 +16,15 @@ t=3.0 the consumer, no longer suspended on its ready ``get``, logs ``got``
 before the interrupted ``queued`` worker logs instead of after.  What did
 not move is pinned separately as ``PINNED_LOG_LINES``, recorded before the
 change: every line the processes logged, timestamp included, as a multiset.
+
+Re-pinned a second time when ``Resource.hold`` arrived (76 -> 93 events),
+this time because the *scenario* grew: the kernel change alone left the 76
+events above bit-identical (``request()`` is the same grant path), and the
+17 new ones are the ``dma`` block -- five process starts and ends, two
+timeouts, two interrupts and three holds (the on-the-spot one, the one a
+release granted, and the interrupted one's entry popping unheard); the
+hold cancelled while queued never reaches the heap.  The block logs
+nothing, so ``PINNED_LOG`` and ``PINNED_LOG_LINES`` did not move.
 """
 
 import hashlib
@@ -25,8 +34,8 @@ import pytest
 from repro.sim import Interrupt, Resource, Simulator, Store, Tracer
 from repro.sim.engine import UnhandledFailure
 
-PINNED_EVENTS = 76
-PINNED_STREAM = "cceed5fe69c74c83bdc6579a03183942"
+PINNED_EVENTS = 93
+PINNED_STREAM = "2a22f761350c602ec99752629a23ca3a"
 PINNED_LOG = "63c57b09fee68d46a271ce74f6da601e"
 #: The log with order within the run set aside; unchanged since 07ddc4f.
 PINNED_LOG_LINES = "d9930928cd4e1567f108bd654d99c934"
@@ -76,6 +85,33 @@ def _scenario(sim: Simulator, log: list) -> None:
         holder.interrupt("cancel-timeout")  # waiting on a timeout
 
     sim.process(canceller())
+
+    # -- Resource.hold: contended, cancelled while queued, interrupted while
+    # running.  Silent and over by t=3.0, so the log pinned below and the
+    # events the late hook counts are the ones they were. -------------------
+    dma = Resource(sim, capacity=1, name="dma")
+
+    def dma_user(duration):
+        held = dma.hold(duration)
+        try:
+            yield held
+        except Interrupt:
+            pass
+        finally:
+            dma.release(held)
+
+    sim.process(dma_user(1.0), label="dma-first")  # on the spot, fires at 1.0
+    dma_running = sim.process(dma_user(2.0))  # granted at 1.0, interrupted at 2.0
+    dma_queued = sim.process(dma_user(1.0))  # interrupted at 0.5, never granted
+    sim.process(dma_user(0.5), label="dma-last")  # granted at 2.0, fires at 2.5
+
+    def dma_canceller():
+        yield sim.timeout(0.5)
+        dma_queued.interrupt()
+        yield sim.timeout(1.5)
+        dma_running.interrupt()  # its heap entry still pops at 3.0, unheard
+
+    sim.process(dma_canceller())
 
     # -- bounded Store back-pressure ----------------------------------------
     ring = Store(sim, capacity=2, name="ring")
