@@ -34,7 +34,7 @@ from repro.memcached.store import StoreConfig
 from repro.sim import Simulator
 from repro.sim.rng import RngStream
 from repro.sockets.stack import SocketStack
-from repro.verbs.device import Hca, reset_qpn_registry
+from repro.verbs.device import Hca
 
 SERVER_NODE = "server"
 MEMCACHED_PORT = 11211
@@ -55,7 +55,6 @@ class Cluster:
             raise ValueError("need at least one client node")
         if n_servers < 1:
             raise ValueError("need at least one server node")
-        reset_qpn_registry()
         reset_cas_ids()
         self.spec = spec
         self.seed = seed

@@ -11,6 +11,10 @@ A frame's end-to-end latency is::
 
     tx queueing + serialization + propagation + switch + rx processing
 
+and a frame in flight is exactly those three events -- the tx hold, the
+fly ``Timeout``, the rx hold -- each one's firing starting the next by a
+callback; there is no process per frame.
+
 Payloads ride along as opaque Python objects; the protocol stacks above
 decide what a frame means (an Ethernet packet, an IB message, an RDMA read
 request...).
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.sim import Event, Process, Resource, Timeout
+from repro.sim import Event, Resource, Timeout
 from repro.sim.trace import Counter
 from repro.telemetry import tracer
 
@@ -29,14 +33,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fabric.params import LinkParams
     from repro.fabric.topology import Node
     from repro.sim import Simulator
+    from repro.sim.resources import Request
 
 _frame_ids = itertools.count(1)
 
 
 class Frame:
-    """One unit of transmission on the wire."""
+    """One unit of transmission on the wire, and its way across it.
 
-    __slots__ = ("src", "dst", "nbytes", "payload", "frame_id", "sent_at", "delivered_at")
+    :meth:`Nic.send_frame` returns the frame already queued on the sender's
+    wire.  :attr:`tx_done` is that transmit hold itself: it fires when the
+    local wire is free again, which is all a stack that segments back to
+    back (TCP) waits for.  :attr:`delivered` is for a caller that wants to
+    know when the frame has landed; nobody has to -- frames in flight
+    progress on their own.
+    """
+
+    __slots__ = ("src", "dst", "nbytes", "payload", "frame_id", "sent_at", "delivered_at",
+                 "tx_done", "_delivered", "_landed", "_span")
 
     def __init__(self, src: "Nic", dst: "Nic", nbytes: int, payload: Any) -> None:
         self.src = src
@@ -44,8 +58,78 @@ class Frame:
         self.nbytes = nbytes
         self.payload = payload
         self.frame_id = next(_frame_ids)
-        self.sent_at = 0.0
+        self.sent_at = src.sim.now
         self.delivered_at = 0.0
+        #: The transmit hold (a :class:`~repro.sim.resources.Request`).
+        self.tx_done: Optional[Event] = None
+        self._delivered: Optional[Event] = None
+        self._landed = False
+        self._span = None
+
+    @property
+    def delivered(self) -> Event:
+        """Fires at the receiver with this frame as its value; fails if the
+        receiver has no rx handler or the handler raises.
+
+        The event is made when somebody asks.  Asked for while the frame is
+        in flight it is triggered at delivery and goes through the heap
+        like any event with a waiter; asked for after the frame landed its
+        outcome is known, so it is born processed; never asked for, a
+        delivery schedules nothing.
+        """
+        event = self._delivered
+        if event is None:
+            event = Event(self.src.sim, ("delivered(%s)", self.frame_id))
+            if self._landed:
+                event._settle(self)
+            else:
+                self._delivered = event
+        return event
+
+    # -- the three events of a frame; each callback starts the next --------------
+
+    def _sent(self, held: "Request") -> None:
+        """The tx hold fired: the wire is free, the frame flies."""
+        src = self.src
+        tx = src.tx
+        tx.release(held)
+        src.frames_sent.value += 1
+        src.bytes_sent.value += self.nbytes
+        # Through the switch (``tx.stretch`` is :attr:`Nic.slowdown`).
+        fly_us = src.params.one_way_delay() * tx.stretch
+        Timeout(src.sim, fly_us).callbacks.append(self._arrived)
+
+    def _arrived(self, _fly: Event) -> None:
+        """At the receiving port: per-frame processing (incast pressure point)."""
+        dst = self.dst
+        dst.rx.hold(dst.params.rx_frame_process_us).callbacks.append(self._received)
+
+    def _received(self, held: "Request") -> None:
+        """The rx hold fired: stamp, count, hand the frame to the stack."""
+        dst = self.dst
+        dst.rx.release(held)
+        self.delivered_at = now = dst.sim.now
+        dst.frames_received.value += 1
+        if tracer.enabled:
+            tracer.end(self._span, now)
+        try:
+            handler = dst.rx_handler
+            if handler is None:
+                raise RuntimeError(f"{dst.name}: no rx handler installed")
+            handler(self)
+        except Exception as exc:
+            # A failed event, not a raw exception out of the loop: a waiter
+            # sees it raised at its yield, and with no waiter the engine
+            # escalates it as ``UnhandledFailure``.
+            self.delivered.fail(exc)
+        else:
+            self._landed = True
+            event = self._delivered
+            if event is not None:
+                # The event carries the frame from here on; a frame that kept
+                # pointing back at it would be a cycle only the collector frees.
+                self._delivered = None
+                event.succeed(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -110,33 +194,16 @@ class Nic:
             raise RuntimeError(f"{self.name}: rx handler already installed")
         self.rx_handler = handler
 
-    def send_frame(self, dst: "Nic", nbytes: int, payload: Any) -> Event:
-        """Transmit one frame to *dst*; the event fires at delivery.
+    def send_frame(self, dst: "Nic", nbytes: int, payload: Any) -> Frame:
+        """Transmit one frame to *dst*; the one way onto the wire.
 
-        The returned event is the transfer process itself: its value is
-        the :class:`Frame`, and it fails if *dst* has no rx handler.  The
-        caller does not need to wait on it -- frames in flight progress on
-        their own -- but stacks that implement back-to-back segmentation
-        (TCP) wait for transmit-side completion via
-        :meth:`send_frame_tx_done`.
+        Returns the :class:`Frame`, already holding (or queued for) this
+        port's transmitter.  Wait on ``frame.tx_done`` for the local wire
+        to be free again, on ``frame.delivered`` for the receiver to have
+        it, or on neither.  ``slowdown`` stretches the serialization as of
+        the moment the frame gets the wire and the flight as of the moment
+        it leaves it.
         """
-        return self._launch(dst, nbytes, payload, False)[1]
-
-    def send_frame_tx_done(self, dst: "Nic", nbytes: int, payload: Any) -> tuple[Event, Event]:
-        """Like :meth:`send_frame` but also returns a transmit-done event.
-
-        Returns ``(tx_done, delivered)``.  ``tx_done`` fires when the local
-        wire is free again (the next segment may start); ``delivered``
-        fires at the receiver.
-        """
-        return self._launch(dst, nbytes, payload, True)
-
-    # -- internals -----------------------------------------------------------
-
-    def _launch(
-        self, dst: "Nic", nbytes: int, payload: Any, want_tx_done: bool
-    ) -> tuple[Optional[Event], Process]:
-        """Validate, build the :class:`Frame` and start its transfer."""
         if nbytes < 0:
             raise ValueError(f"negative frame size: {nbytes}")
         if dst is self:
@@ -146,55 +213,16 @@ class Nic:
                 f"cannot bridge networks: {self.params.name} -> {dst.params.name}"
             )
         frame = Frame(self, dst, nbytes, payload)
-        sim = self.sim
-        tx_done = Event(sim, ("txdone(%s)", frame.frame_id)) if want_tx_done else None
-        return tx_done, Process(sim, self._transfer(frame, tx_done), "xfer")
-
-    def _transfer(self, frame: Frame, tx_done: Optional[Event]):
-        sim = self.sim
-        dst = frame.dst
-        nbytes = frame.nbytes
-        frame.sent_at = sim.now
-        span = None
         if tracer.enabled:
-            rider = getattr(frame.payload, "trace", None)
+            rider = getattr(payload, "trace", None)
             if rider is not None:
-                span = tracer.begin(
-                    "fabric.xfer", "fabric", sim.now, parent=rider,
+                frame._span = tracer.begin(
+                    "fabric.xfer", "fabric", frame.sent_at, parent=rider,
                     nbytes=nbytes, src=self.name, dst=dst.name,
                 )
-
         # Serialize on the local wire.
-        tx = self.tx
-        held = tx.hold(self.params.serialization_time(nbytes))
-        try:
-            yield held
-        finally:
-            tx.release(held)
-        self.frames_sent.value += 1
-        self.bytes_sent.value += nbytes
-        if tx_done is not None:
-            tx_done.succeed()
-
-        # Fly through the switch (``tx.stretch`` is :attr:`slowdown`).
-        yield Timeout(sim, self.params.one_way_delay() * tx.stretch)
-
-        # Receive-side per-frame processing (incast pressure point).
-        rx = dst.rx
-        held = rx.hold(dst.params.rx_frame_process_us)
-        try:
-            yield held
-        finally:
-            rx.release(held)
-
-        frame.delivered_at = sim.now
-        dst.frames_received.value += 1
-        if tracer.enabled:
-            tracer.end(span, sim.now)
-        handler = dst.rx_handler
-        if handler is None:
-            raise RuntimeError(f"{dst.name}: no rx handler installed")
-        handler(frame)
+        frame.tx_done = held = self.tx.hold(self.params.serialization_time(nbytes))
+        held.callbacks.append(frame._sent)
         return frame
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

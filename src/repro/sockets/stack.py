@@ -38,7 +38,7 @@ DEFAULT_SNDBUF = 256 * 1024
 _conn_seq = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class SegPacket:
     """One stack-level segment on the wire."""
 
@@ -52,7 +52,7 @@ class SegPacket:
     trace: Any = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _TxItem:
     """One send() worth of bytes (or a FIN) queued for the transmit pump."""
 
@@ -171,10 +171,9 @@ class Connection:
                     zcopy=item.zcopy,
                     trace=item.trace if tracer.enabled else None,
                 )
-                tx_done, _delivered = stack.nic.send_frame_tx_done(
-                    remote_nic, len(seg), packet
-                )
-                yield tx_done  # keep segments of one stream in order
+                # The wire being free again *is* the frame's tx hold; waiting
+                # on it keeps segments of one stream in order.
+                yield stack.nic.send_frame(remote_nic, len(seg), packet).tx_done
             if tracer.enabled:
                 tracer.end(span, sim.now)
             self.bytes_unsent -= len(item.data)

@@ -25,7 +25,6 @@ from repro.sim import Simulator
 from repro.sim.rng import RngStream
 from repro.sockets.stack import SocketStack
 from repro.verbs import Hca
-from repro.verbs.device import reset_qpn_registry
 from repro.verbs.params import HCA_CONNECTX_DDR
 
 #: The memcached service id used by the UCR worlds.
@@ -44,7 +43,6 @@ class UcrWorld:
     """A client runtime and a server runtime on an IB-DDR fabric."""
 
     def __init__(self, params: Optional[UcrParams] = None, n_nodes: int = 2) -> None:
-        reset_qpn_registry()
         self.sim = Simulator()
         self.net = Network(self.sim, IB_DDR)
         self.nodes = []

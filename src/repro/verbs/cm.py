@@ -120,7 +120,7 @@ class ConnectionManager:
 
     def _send_mad(self, remote_hca: "Hca", packet: CmPacket):
         yield from self.hca.nic.node.cpu_run(CM_PROCESS_US)
-        yield self.hca.nic.send_frame(remote_hca.nic, CM_MAD_BYTES, packet)
+        yield self.hca.nic.send_frame(remote_hca.nic, CM_MAD_BYTES, packet).delivered
 
     def _on_packet(self, packet: CmPacket) -> None:
         self.sim.process(self._handle(packet), label=f"cm-{packet.kind}")

@@ -9,6 +9,7 @@ resource is ever touched here).
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.sim import Resource
@@ -25,15 +26,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _qp_nums = itertools.count(100)
 
-#: Cluster-wide QP directory (QP numbers are unique across the simulation,
-#: like LID+QPN pairs on a real fabric).  Used to route RDMA READ responses
-#: and CM datagrams back to the right adapter.
-_qpn_registry: dict[int, "Hca"] = {}
-
-
-def reset_qpn_registry() -> None:
-    """Test/benchmark hook: forget all registered QPs."""
-    _qpn_registry.clear()
+#: Fabric-wide QP directory (QP numbers are unique across the process, like
+#: LID+QPN pairs on a real fabric).  Used to route RDMA READ responses and
+#: CM datagrams back to the right adapter.  Weak towards the adapters: a
+#: dropped cluster takes its entries with it, so nothing module-level keeps
+#: a ``Simulator`` and everything it reaches alive.
+_qpn_registry: "weakref.WeakValueDictionary[int, Hca]" = weakref.WeakValueDictionary()
 
 
 def lookup_qp(qpn: int) -> QueuePair:
@@ -47,7 +45,7 @@ def lookup_qp(qpn: int) -> QueuePair:
 class Hca:
     """A host channel adapter bound to one fabric NIC."""
 
-    __slots__ = ("sim", "nic", "params", "tx_engine", "_qps", "cm_handler")
+    __slots__ = ("sim", "nic", "params", "tx_engine", "_qps", "cm_handler", "__weakref__")
 
     def __init__(self, sim: "Simulator", nic: "Nic", params: HcaParams) -> None:
         self.sim = sim

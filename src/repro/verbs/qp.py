@@ -247,10 +247,9 @@ class QueuePair:
             length=len(payload),
             wr=wr,
         )
-        delivered = self.hca.nic.send_frame(
+        yield self.hca.nic.send_frame(
             target.hca.nic, len(payload) + IB_HEADER_BYTES, packet
-        )
-        yield delivered
+        ).delivered
 
         if self.qp_type is QpType.UD:
             # Unreliable: local completion as soon as the frame left; no ACK.
@@ -275,10 +274,9 @@ class QueuePair:
             length=wr.sge.length or 0,
             wr=wr,
         )
-        delivered = self.hca.nic.send_frame(
+        yield self.hca.nic.send_frame(
             target.hca.nic, RDMA_READ_REQUEST_BYTES, packet
-        )
-        yield delivered
+        ).delivered
         # Completion arrives with the READ response (handled by the HCA
         # receive path); nothing further for the requester pipeline.
 

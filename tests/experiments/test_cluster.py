@@ -1,5 +1,8 @@
 """Cluster builder tests."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster import CLUSTER_A, CLUSTER_B, Cluster
@@ -85,3 +88,25 @@ def test_same_seed_same_results():
 
     assert one_latency(7) == one_latency(7)
     assert one_latency(7) != one_latency(8)
+
+
+def test_dropped_ucr_cluster_is_collectable():
+    """Nothing module-level keeps a cluster alive: the fabric-wide QP
+    directory is weak towards the adapters, so the simulator (and all it
+    reaches) dies with the last reference -- no reset hook involved."""
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1)
+    cluster.start_server()
+    client = cluster.client("UCR-IB")
+
+    def one_op():
+        yield from client.set("k", b"v")
+        return (yield from client.get("k"))
+
+    op = cluster.sim.process(one_op())
+    cluster.sim.run()
+    assert op.value == b"v"
+
+    sim_ref = weakref.ref(cluster.sim)
+    del cluster, client, op
+    gc.collect()
+    assert sim_ref() is None

@@ -116,9 +116,7 @@ def test_registered_pages_expose_mr():
     from repro.fabric import HOST_CLOVERTOWN, IB_DDR, Network, Node
     from repro.verbs import Hca
     from repro.verbs.params import HCA_CONNECTX_DDR
-    from repro.verbs.device import reset_qpn_registry
 
-    reset_qpn_registry()
     sim = Simulator()
     net = Network(sim, IB_DDR)
     node = Node(sim, "s", HOST_CLOVERTOWN)

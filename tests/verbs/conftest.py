@@ -5,7 +5,6 @@ import pytest
 from repro.fabric import HOST_CLOVERTOWN, IB_DDR, Network, Node
 from repro.sim import Simulator
 from repro.verbs import Access, Hca, QpType
-from repro.verbs.device import reset_qpn_registry
 from repro.verbs.params import HCA_CONNECTX_DDR
 
 
@@ -13,7 +12,6 @@ class VerbsPair:
     """Two connected RC endpoints with PDs, CQs and helpers."""
 
     def __init__(self, params=IB_DDR, hca_params=HCA_CONNECTX_DDR):
-        reset_qpn_registry()
         self.sim = Simulator()
         self.net = Network(self.sim, params)
         self.node_a = Node(self.sim, "a", HOST_CLOVERTOWN)

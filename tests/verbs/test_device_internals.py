@@ -3,7 +3,7 @@
 import pytest
 
 from repro.verbs import Access, Opcode, RecvWR, SendWR, Sge
-from repro.verbs.device import lookup_qp, reset_qpn_registry
+from repro.verbs.device import lookup_qp
 
 
 def test_hca_engine_serializes_across_qps(pair):
