@@ -47,8 +47,6 @@ def record(names: list[str] | None = None) -> tuple[dict, list[str]]:
         golden = json.loads(GOLDEN_PATH.read_text())
     moved = []
     for name in names or sorted(FIGURES):
-        if name == "ext":
-            continue  # extensions explore; they are not pinned
         with capture() as digest:
             report = FIGURES[name](True)  # fast mode: what CI replays
         old = golden.get(name, {})

@@ -27,7 +27,7 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 def test_golden_file_covers_the_figures():
     assert set(GOLDEN) == {
         "3", "4", "5", "6", "6s", "breakdown", "onesided", "pipeline",
-        "pressure", "storm", "stampede", "gutter",
+        "pressure", "storm", "stampede", "gutter", "ext",
     }
     for name, entry in GOLDEN.items():
         assert set(entry) == {"digest", "events", "report"}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import CLUSTER_A, CLUSTER_B, Cluster
+from repro.memcached import protocol_binary as binp
 from repro.memcached.command import Command
 from repro.sim import RngStream
 from repro.sockets import stack
@@ -81,6 +82,30 @@ def test_quit_closes_cleanly(cluster):
         return data
 
     assert run(cluster, scenario()) == b""  # EOF, no reply (per protocol)
+
+
+def test_binary_quit_answers_once_then_closes(cluster):
+    """Binary QUIT (unlike text ``quit``) is acknowledged: one response
+    frame echoing the opcode and the opaque, then EOF."""
+    sock = raw_socket(cluster)
+    quit_frame = binp.encode(
+        binp.BinMessage(binp.MAGIC_REQUEST, binp.Opcode.QUIT, opaque=0xBEEF)
+    )
+
+    def scenario():
+        yield from sock.connect("server", 11211)
+        yield from sock.send(quit_frame)
+        reply = yield from sock.recv(256)
+        tail = yield from sock.recv(256)
+        return reply, tail
+
+    reply, tail = run(cluster, scenario())
+    [frame] = binp.BinaryParser().feed(reply)
+    assert (frame.magic, frame.opcode, frame.status, frame.opaque) == (
+        binp.MAGIC_RESPONSE, binp.Opcode.QUIT, binp.Status.NO_ERROR, 0xBEEF
+    )
+    assert tail == b""
+    assert not any(worker._conns for worker in cluster.server.workers)
 
 
 def test_noreply_suppresses_responses(cluster):
