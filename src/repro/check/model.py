@@ -390,11 +390,5 @@ class ModelMemcached:
         """
         return self._items.pop(key, None) is not None
 
-    # -- introspection (tests) ----------------------------------------------------
-
-    def live_keys(self) -> list[str]:
-        """Keys currently visible (forces lazy expiry), sorted."""
-        return sorted(k for k in list(self._items) if self._live(k) is not None)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ModelMemcached {len(self._items)} items>"

@@ -113,10 +113,6 @@ class Cluster:
         """The first (often only) server; None before start_server()."""
         return self.servers.get(self.server_names[0])
 
-    @property
-    def ucr_port(self) -> Optional[UcrServerPort]:
-        return self.ucr_ports.get(self.server_names[0])
-
     # -- server -------------------------------------------------------------------
 
     def start_server(

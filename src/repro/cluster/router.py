@@ -127,9 +127,6 @@ class HashRing:
     def nodes(self) -> list[RingNode]:
         return list(self._nodes.values())
 
-    def weight_of(self, name: str) -> int:
-        return self._nodes[name].weight
-
     def add_server(self, node: Union[str, RingNode]) -> None:
         """Join a server; only ~weight/total_weight of keys remap to it."""
         node = _coerce(node)

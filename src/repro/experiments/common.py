@@ -57,22 +57,14 @@ class ExperimentReport:
 
 
 def build_cluster(
-    spec: ClusterSpec, n_client_nodes: int = 1, n_workers: int = 4, seed: int = 42
-) -> Cluster:
-    """A started cluster ready for benchmarking."""
-    cluster = Cluster(spec, n_client_nodes=n_client_nodes, seed=seed)
-    cluster.start_server(n_workers=n_workers)
-    return cluster
-
-
-def build_sharded_cluster(
     spec: ClusterSpec,
-    n_servers: int,
-    n_client_nodes: int = 8,
+    n_client_nodes: int = 1,
     n_workers: int = 4,
     seed: int = 42,
+    n_servers: int = 1,
 ) -> Cluster:
-    """A started multi-server pool for ring-routed (sharded) benchmarks."""
+    """A started cluster ready for benchmarking (``n_servers > 1``: a
+    multi-server pool for ring-routed benchmarks)."""
     cluster = Cluster(
         spec, n_client_nodes=n_client_nodes, seed=seed, n_servers=n_servers
     )

@@ -23,7 +23,6 @@ from repro.cluster.router import HashRing
 from repro.experiments.common import (
     ExperimentReport,
     build_cluster,
-    build_sharded_cluster,
     tps_sweep,
 )
 from repro.workloads.keys import KeyChooser
@@ -141,8 +140,8 @@ def run_sharded(fast: bool = False) -> ExperimentReport:
         # Two workers per server: a single server saturates under eight
         # closed-loop clients, so pool scaling is visible (with a CPU
         # surplus the clients are latency-bound and sharding is a wash).
-        cluster = build_sharded_cluster(
-            CLUSTER_B, n_servers, n_client_nodes=n_clients, n_workers=2
+        cluster = build_cluster(
+            CLUSTER_B, n_client_nodes=n_clients, n_workers=2, n_servers=n_servers
         )
         runner = MemslapRunner(
             cluster,

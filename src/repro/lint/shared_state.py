@@ -129,32 +129,6 @@ def classify_chain(expr: ast.expr) -> Optional[tuple[str, str]]:
     return None
 
 
-def shared_reads(expr: ast.AST) -> list[tuple[str, str, ast.Attribute]]:
-    """Every shared-state read inside *expr*: ``(category, chain, node)``.
-
-    Nested attribute accesses report once at the longest classified
-    chain (``self.ring._nodes`` is one read, not two).
-    """
-    from repro.lint.cfg import walk_same_scope
-
-    out: list[tuple[str, str, ast.Attribute]] = []
-    claimed: set[int] = set()
-    for node in walk_same_scope(expr):
-        if not isinstance(node, ast.Attribute) or id(node) in claimed:
-            continue
-        hit = classify_chain(node)
-        if hit is None:
-            continue
-        category, chain = hit
-        out.append((category, chain, node))
-        # Claim the whole prefix so sub-chains don't double-report.
-        inner = node.value
-        while isinstance(inner, ast.Attribute):
-            claimed.add(id(inner))
-            inner = inner.value
-    return out
-
-
 def is_pool_get(call: ast.expr) -> bool:
     """``<pool-ish>.get()``: the static acquire point of a PooledBuffer.
 

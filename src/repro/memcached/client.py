@@ -199,16 +199,11 @@ def _lease_notes(cmd: Command, result) -> tuple:
 class _SocketConn:
     """One text- or binary-protocol connection to one server."""
 
-    def __init__(
-        self, transport: "SocketsTransport", server: str, port: int, binary: bool = False
-    ) -> None:
-        self.transport = transport
+    def __init__(self, sock, parser, server: str, port: int) -> None:
+        self.sock = sock
+        self.parser = parser
         self.server = server
         self.port = port
-        self.sock = transport.stack.socket()
-        self.parser = (
-            binp.BinaryParser() if binary else protocol.ResponseParser()
-        )
         self.tokens: list = []
         self.connected = False
 
@@ -224,9 +219,6 @@ class _SocketConn:
                 raise ServerDownError(f"{self.server}: connection closed")
             self.tokens.extend(self.parser.feed(data))
         return self.tokens.pop(0)
-
-    def send(self, payload: bytes, trace=None):
-        yield from self.sock.send(payload, trace=trace)
 
 
 class SocketsTransport:
@@ -246,30 +238,24 @@ class SocketsTransport:
         self.stack = stack
         self.port = port
         self.costs = costs
-        #: Speak the binary protocol instead of ASCII (libmemcached's
-        #: MEMCACHED_BEHAVIOR_BINARY_PROTOCOL).
-        self.binary = binary
-        #: The one codec module this connection's wire format uses.
-        self._codec = binp if binary else protocol
-        #: The binary fixed-offset encode/decode is cheaper than text
-        #: formatting/walking -- same constants as the UCR struct path.
-        self._build_us = costs.build_ucr_us if binary else costs.build_text_us
-        self._parse_us = costs.parse_ucr_us if binary else costs.parse_text_us
+        #: The wire format's row -- codec, parser and cost fields all come
+        #: from it (*binary*: libmemcached's
+        #: MEMCACHED_BEHAVIOR_BINARY_PROTOCOL instead of ASCII).
+        self.wire = binp.WIRE if binary else protocol.WIRE
+        self._build_us = getattr(costs, self.wire.client_build_cost)
+        self._parse_us = getattr(costs, self.wire.client_parse_cost)
         self._conns: dict[str, _SocketConn] = {}
 
     #: One connection per server: parallel per-server fan-out is safe.
     supports_concurrency = True
 
-    @property
-    def name(self) -> str:
-        suffix = "-bin" if self.binary else ""
-        return self.stack.params.name + suffix
-
     def conn(self, server: str):
         """Process helper: the (lazily connected) connection to *server*."""
         c = self._conns.get(server)
         if c is None:
-            c = _SocketConn(self, server, self.port, binary=self.binary)
+            c = _SocketConn(
+                self.stack.socket(), self.wire.response_parser(), server, self.port
+            )
             self._conns[server] = c
         if not c.connected:
             yield from c.connect()
@@ -288,8 +274,8 @@ class SocketsTransport:
         )
         try:
             c = yield from self.conn(server)
-            yield from c.send(self._codec.encode_command(cmd), trace=_ctx(span))
-            assembler = self._codec.ReplyAssembler(cmd)
+            yield from c.sock.send(self.wire.encode_command(cmd), trace=_ctx(span))
+            assembler = self.wire.reply_assembler(cmd)
             while not assembler.feed((yield from c.next_token())):
                 pass
         finally:
@@ -304,7 +290,7 @@ class SocketsTransport:
         Returns one entry per command, in order: its :class:`Reply`, or
         the exception that felled it (a dead connection reports
         ``ServerDownError`` for every command still incomplete).  Reply
-        matching follows the codec's declared policy: in submission
+        matching follows the wire format's declared policy: in submission
         order for text, by opaque (the slot index) for binary.
         """
         if window <= 1:
@@ -315,7 +301,7 @@ class SocketsTransport:
                 except (ServerDownError, ClientError, ServerError, ProtocolError) as exc:
                     results.append(exc)
             return results
-        codec = self._codec
+        wire = self.wire
         results: list = [_PENDING] * len(commands)
         pending: list[int] = []  # slots awaiting completion, oldest first
         assemblers: dict = {}
@@ -335,13 +321,13 @@ class SocketsTransport:
                     yield from self.node.cpu_run(
                         self.node.host.cpu_time(self._build_us)
                     )
-                    assemblers[i] = codec.ReplyAssembler(commands[i])
+                    assemblers[i] = wire.reply_assembler(commands[i])
                     pending.append(i)
-                    yield from c.send(
-                        codec.encode_command(commands[i], opaque=i), trace=_ctx(span)
+                    yield from c.sock.send(
+                        wire.encode_command(commands[i], opaque=i), trace=_ctx(span)
                     )
                 token = yield from c.next_token()
-                i = pending[0] if codec.IN_ORDER_REPLIES else token.opaque
+                i = pending[0] if wire.in_order_replies else token.opaque
                 try:
                     complete = assemblers[i].feed(token)
                 except ProtocolError as exc:
@@ -404,10 +390,6 @@ class UcrTransport:
 
     #: Parallel mget fan-out is safe: responses route by request id.
     supports_concurrency = True
-
-    @property
-    def name(self) -> str:
-        return "UCR-IB"
 
     def _checkout_counter(self):
         if self._counter_pool:
@@ -593,10 +575,6 @@ class UcrUdTransport(UcrTransport):
         self._server_uds: dict[str, object] = {}
         self._next_request_id = 1
         self._last_request_id = 0
-
-    @property
-    def name(self) -> str:
-        return "UCR-UD"
 
     def add_ud_server(self, name: str, server_ud_endpoint) -> None:
         """Register the server's UD endpoint (out-of-band discovery)."""

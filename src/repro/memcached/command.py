@@ -14,15 +14,16 @@ The IR mirrors the paper's observation that a request is best handled as
 a single descriptor: once an operation is a ``Command``, batching and
 pipelining are implemented once, beneath every transport.
 
-Both dataclasses are plain state carriers -- no wire knowledge, no store
-knowledge -- so codecs and the engine stay the only places where a
-format or a semantic lives.
+``Command`` and ``Reply`` are plain state carriers -- no wire knowledge,
+no store knowledge -- so codecs and the engine stay the only places where
+a format or a semantic lives.  :class:`WireFormat` is the shape of the
+row each sockets codec publishes about itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 #: Every data-path operation the IR covers (admin ops included).
 OPS = frozenset(
@@ -135,3 +136,43 @@ def entry_length(data) -> int:
     if isinstance(data, (bytes, bytearray)):
         return len(data)
     return data.value_length
+
+
+@dataclass(frozen=True)
+class WireFormat:
+    """One sockets wire format as one row: every answer to "text or
+    binary?" that the server's request path and the client's sockets
+    transport need.  Each codec module fills in its own (``protocol.WIRE``,
+    ``protocol_binary.WIRE``); the server picks one per connection from
+    the first byte, the client one per transport, and nothing else
+    branches on the format.  The ``*_cost`` columns name fields of
+    ``MemcachedCosts`` / ``ClientCosts``: the per-format cost table.
+    """
+
+    # -- server side ------------------------------------------------------
+    #: Makes the incremental parser whose ``feed(bytes)`` -> wire requests.
+    request_parser: Callable[[], Any]
+    #: Wire request -> :class:`Command`; may raise ``ProtocolError``.
+    decode: Callable[[Any], Command]
+    #: ``(wire request, cmd, reply)`` -> response bytes (``b""``: say nothing).
+    encode_reply: Callable[[Any, Command, Reply], bytes]
+    #: In-band answer to unparseable bytes before the drop (``b""``: none).
+    parse_error_reply: bytes
+    #: Wire request -> the acknowledgement of a ``quit`` (None: just close).
+    farewell: Optional[Callable[[Any], bytes]]
+    #: Charged per request, before execution.
+    server_parse_cost: str
+    #: Charged per non-error reply, after execution (None: filled in place).
+    server_build_cost: Optional[str]
+    # -- client side ------------------------------------------------------
+    #: Makes the incremental parser whose ``feed(bytes)`` -> reply tokens.
+    response_parser: Callable[[], Any]
+    #: ``(cmd, opaque)`` -> request bytes.
+    encode_command: Callable[..., bytes]
+    #: ``cmd`` -> an assembler whose ``feed(token)`` completes a Reply.
+    reply_assembler: Callable[[Command], Any]
+    #: Pipelined reply matching: submission order, or ``token.opaque``.
+    in_order_replies: bool
+    #: Charged per command sent / per reply completed.
+    client_build_cost: str
+    client_parse_cost: str

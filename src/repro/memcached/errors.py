@@ -15,10 +15,6 @@ class NotFoundError(MemcachedError):
     """NOT_FOUND: the key does not exist (delete/incr/decr/cas/touch)."""
 
 
-class ExistsError(MemcachedError):
-    """EXISTS: cas token mismatch -- someone updated the item first."""
-
-
 class ClientError(MemcachedError):
     """CLIENT_ERROR: malformed request (bad key, bad data chunk...)."""
 

@@ -87,10 +87,6 @@ class OneSidedTransport(UcrTransport):
         #: Fallback reason -> count ('absent'/'expired'/'oversize'/'torn').
         self.fallbacks: dict[str, int] = {}
 
-    @property
-    def name(self) -> str:
-        return "UCR-1S"
-
     def add_index(self, server: str, descriptor: IndexDescriptor) -> None:
         """Register *server*'s exported-index advertisement."""
         self._descriptors[server] = descriptor

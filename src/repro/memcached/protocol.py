@@ -13,9 +13,10 @@ to the work done here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from repro.memcached.command import Command, Reply, WireFormat, entry_data
 from repro.memcached.errors import ProtocolError
 
 CRLF = b"\r\n"
@@ -29,48 +30,43 @@ SIMPLE_COMMANDS = frozenset(
 )
 
 
-@dataclass
-class Request:
-    """One parsed client command."""
-
-    command: str
-    keys: list[str] = field(default_factory=list)
-    flags: int = 0
-    exptime: float = 0
-    cas: int = 0
-    delta: int = 0
-    data: bytes = b""
-    noreply: bool = False
-    #: ``getl <key> stale``: the caller accepts a stale value on a lost lease.
-    stale: bool = False
-    #: Storage ``lease=<N>`` token: fill authorised by a won getl lease.
-    lease: int = 0
-
-    @property
-    def key(self) -> str:
-        return self.keys[0]
-
-
 class RequestParser:
     """Incremental server-side parser.
 
-    Feed arbitrary byte chunks; collect complete :class:`Request` objects.
-    State machine: a command line, then (for storage commands) a data
-    block of exactly ``<bytes>`` + CRLF.
+    Feed arbitrary byte chunks; collect complete IR
+    :class:`~repro.memcached.command.Command` objects.  State machine: a
+    command line, then (for storage commands) a data block of exactly
+    ``<bytes>`` + CRLF.
+
+    A malformed line does not take the commands completed before it in
+    the same ``feed`` with it: they are returned, and the
+    :class:`ProtocolError` is raised by the next call (and every later
+    one) -- so what executes does not depend on how the bytes were
+    split into reads.
     """
 
     def __init__(self, max_line: int = 2048) -> None:
         self._buf = bytearray()
-        self._pending: Optional[Request] = None  # awaiting data block
-        self._need = 0
+        self._pending: Optional[Command] = None  # awaiting data block
+        self._need = 0  # declared byte count of the pending data block
+        self._error: Optional[ProtocolError] = None
         self.max_line = max_line
-        self.bytes_consumed = 0
 
-    def feed(self, data: bytes) -> list[Request]:
+    def feed(self, data: bytes) -> list[Command]:
         """Append *data*; return every command completed by it."""
+        if self._error is not None:
+            raise self._error
         self._buf.extend(data)
-        self.bytes_consumed += len(data)
-        out: list[Request] = []
+        out: list[Command] = []
+        try:
+            self._parse_into(out)
+        except ProtocolError as exc:
+            self._error = exc
+            if not out:
+                raise
+        return out
+
+    def _parse_into(self, out: list[Command]) -> None:
         while True:
             if self._pending is not None:
                 if len(self._buf) < self._need + 2:
@@ -79,12 +75,11 @@ class RequestParser:
                 terminator = bytes(self._buf[self._need : self._need + 2])
                 del self._buf[: self._need + 2]
                 if terminator != CRLF:
-                    self._pending = None
                     raise ProtocolError("bad data chunk terminator")
-                req = self._pending
+                cmd = self._pending
                 self._pending = None
-                req.data = block
-                out.append(req)
+                cmd.value = block
+                out.append(cmd)
                 continue
             nl = self._buf.find(CRLF)
             if nl < 0:
@@ -93,27 +88,25 @@ class RequestParser:
                 break
             line = bytes(self._buf[:nl]).decode("ascii", errors="replace")
             del self._buf[: nl + 2]
-            req = self._parse_line(line)
-            if req.command in STORAGE_COMMANDS:
-                self._pending = req
-                self._need = req.delta  # reused field: declared byte count
+            cmd = self._parse_line(line)
+            if cmd.op in STORAGE_COMMANDS:
+                self._pending = cmd
             else:
-                out.append(req)
-        return out
+                out.append(cmd)
 
-    def _parse_line(self, line: str) -> Request:
+    def _parse_line(self, line: str) -> Command:
         parts = line.split()
         if not parts:
             raise ProtocolError("empty command line")
-        cmd = parts[0].lower()
-        if cmd in STORAGE_COMMANDS:
-            return self._parse_storage(cmd, parts)
-        if cmd not in SIMPLE_COMMANDS:
-            raise ProtocolError(f"unknown command {cmd!r}")
-        return self._parse_simple(cmd, parts)
+        op = parts[0].lower()
+        if op in STORAGE_COMMANDS:
+            return self._parse_storage(op, parts)
+        if op not in SIMPLE_COMMANDS:
+            raise ProtocolError(f"unknown command {op!r}")
+        return self._parse_simple(op, parts)
 
-    def _parse_storage(self, cmd: str, parts: list[str]) -> Request:
-        want = 6 if cmd == "cas" else 5
+    def _parse_storage(self, op: str, parts: list[str]) -> Command:
+        want = 6 if op == "cas" else 5
         noreply = False
         if len(parts) > want and parts[-1] == "noreply":
             noreply = True
@@ -123,67 +116,67 @@ class RequestParser:
             try:
                 lease = int(parts[-1][len("lease="):])
             except ValueError as exc:
-                raise ProtocolError(f"bad {cmd} lease token") from exc
+                raise ProtocolError(f"bad {op} lease token") from exc
             if lease <= 0:
-                raise ProtocolError(f"bad {cmd} lease token")
+                raise ProtocolError(f"bad {op} lease token")
             parts = parts[:-1]
         if len(parts) != want:
-            raise ProtocolError(f"bad {cmd} line")
+            raise ProtocolError(f"bad {op} line")
         try:
             flags = int(parts[2])
             exptime = float(parts[3])
             nbytes = int(parts[4])
-            cas = int(parts[5]) if cmd == "cas" else 0
+            cas = int(parts[5]) if op == "cas" else 0
         except ValueError as exc:
-            raise ProtocolError(f"bad {cmd} numeric field") from exc
+            raise ProtocolError(f"bad {op} numeric field") from exc
         if nbytes < 0:
             raise ProtocolError("negative byte count")
-        return Request(
-            command=cmd,
+        self._need = nbytes
+        return Command(
+            op=op,
             keys=[parts[1]],
             flags=flags,
             exptime=exptime,
             cas=cas,
-            delta=nbytes,  # stashed until the data block arrives
             noreply=noreply,
-            lease=lease,
+            lease_token=lease,
         )
 
-    def _parse_simple(self, cmd: str, parts: list[str]) -> Request:
-        noreply = parts[-1] == "noreply" and cmd in {"delete", "incr", "decr", "touch", "flush_all"}
+    def _parse_simple(self, op: str, parts: list[str]) -> Command:
+        noreply = parts[-1] == "noreply" and op in {"delete", "incr", "decr", "touch", "flush_all"}
         if noreply:
             parts = parts[:-1]
-        if cmd in ("get", "gets"):
+        if op in ("get", "gets"):
             if len(parts) < 2:
                 raise ProtocolError("get requires at least one key")
-            return Request(command=cmd, keys=parts[1:])
-        if cmd == "getl":
+            return Command(op=op, keys=parts[1:])
+        if op == "getl":
             # getl <key> [stale]
             stale = len(parts) == 3 and parts[2] == "stale"
             if len(parts) != 2 and not stale:
                 raise ProtocolError("bad getl line")
-            return Request(command=cmd, keys=[parts[1]], stale=stale)
-        if cmd in ("incr", "decr"):
+            return Command(op=op, keys=[parts[1]], stale_ok=stale)
+        if op in ("incr", "decr"):
             if len(parts) != 3:
-                raise ProtocolError(f"bad {cmd} line")
+                raise ProtocolError(f"bad {op} line")
             try:
                 delta = int(parts[2])
             except ValueError as exc:
                 raise ProtocolError("non-numeric delta") from exc
-            return Request(command=cmd, keys=[parts[1]], delta=delta, noreply=noreply)
-        if cmd == "touch":
+            return Command(op=op, keys=[parts[1]], delta=delta, noreply=noreply)
+        if op == "touch":
             if len(parts) != 3:
                 raise ProtocolError("bad touch line")
-            return Request(command=cmd, keys=[parts[1]], exptime=float(parts[2]), noreply=noreply)
-        if cmd == "delete":
+            return Command(op=op, keys=[parts[1]], exptime=float(parts[2]), noreply=noreply)
+        if op == "delete":
             if len(parts) != 2:
                 raise ProtocolError("bad delete line")
-            return Request(command=cmd, keys=[parts[1]], noreply=noreply)
-        if cmd == "flush_all":
+            return Command(op=op, keys=[parts[1]], noreply=noreply)
+        if op == "flush_all":
             delay = float(parts[1]) if len(parts) > 1 else 0.0
-            return Request(command=cmd, exptime=delay, noreply=noreply)
+            return Command(op=op, exptime=delay, noreply=noreply)
         # stats / version / quit
-        return Request(command=cmd, keys=parts[1:])
+        return Command(op=op, keys=parts[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -395,32 +388,12 @@ def build_version() -> bytes:
 # ---------------------------------------------------------------------------
 # Command-IR codec (text wire format)
 # ---------------------------------------------------------------------------
-# The IR half of this module: Command -> request bytes (client),
-# Request -> Command (server), Reply -> response bytes (server), and a
-# token-stream assembler for the client.  Matching under pipelining is
-# in-order: the text protocol answers requests in submission order, so
-# the transport feeds reply tokens to the oldest incomplete assembler.
-
-from repro.memcached.command import Command, Reply, entry_data  # noqa: E402
-
-#: Pipelined reply matching policy: text replies arrive in request order.
-IN_ORDER_REPLIES = True
-
-
-def request_to_command(req: Request) -> Command:
-    """Decode one parsed text request into the IR."""
-    return Command(
-        op=req.command,
-        keys=list(req.keys),
-        value=req.data,
-        flags=req.flags,
-        exptime=req.exptime,
-        cas=req.cas,
-        delta=req.delta,
-        noreply=req.noreply,
-        stale_ok=req.stale,
-        lease_token=req.lease,
-    )
+# The IR half of this module: Command -> request bytes (client), Reply
+# -> response bytes (server), and a token-stream assembler for the
+# client; the request parser above already emits Commands.  Matching
+# under pipelining is in-order: the text protocol answers requests in
+# submission order, so the transport feeds reply tokens to the oldest
+# incomplete assembler.
 
 
 def encode_command(cmd: Command, opaque: int = 0) -> bytes:
@@ -588,3 +561,22 @@ class ReplyAssembler:
         if isinstance(token, str) and token in marker_map:
             return self._done(Reply(marker_map[token]))
         raise ProtocolError(f"unexpected token {token!r} for {op}")
+
+
+#: Text: ``quit`` closes without a word, a malformed line is answered
+#: ``ERROR``, formatting the reply lines is charged on top of dispatch.
+WIRE = WireFormat(
+    request_parser=RequestParser,
+    decode=lambda cmd: cmd,
+    encode_reply=lambda _request, cmd, reply: encode_reply(cmd, reply),
+    parse_error_reply=encode_error(),
+    farewell=None,
+    server_parse_cost="parse_dispatch_us",
+    server_build_cost="response_build_us",
+    response_parser=ResponseParser,
+    encode_command=encode_command,
+    reply_assembler=ReplyAssembler,
+    in_order_replies=True,
+    client_build_cost="build_text_us",
+    client_parse_cost="parse_text_us",
+)

@@ -63,18 +63,6 @@ class Opcode:
     SETL = 0x31
 
 
-_OPCODE_NAMES = {
-    value: name
-    for name, value in vars(Opcode).items()
-    if not name.startswith("_")
-}
-
-
-def opcode_name(opcode: int) -> str:
-    """Human-readable opcode label (telemetry span attributes)."""
-    return _OPCODE_NAMES.get(opcode, f"op{opcode:#04x}")
-
-
 #: The quiet retrieval opcodes: misses produce no response at all.
 QUIET_GET_OPCODES = frozenset({Opcode.GETQ, Opcode.GETKQ})
 
@@ -105,10 +93,6 @@ class BinMessage:
     status: int = 0  # vbucket on requests
     opaque: int = 0
     cas: int = 0
-
-    @property
-    def is_request(self) -> bool:
-        return self.magic == MAGIC_REQUEST
 
     # -- typed extras helpers ----------------------------------------------------
 
@@ -180,16 +164,33 @@ def encode(msg: BinMessage) -> bytes:
 
 
 class BinaryParser:
-    """Incremental decoder: feed byte chunks, collect messages."""
+    """Incremental decoder: feed byte chunks, collect messages.
+
+    Like the text parser, a bad header does not take the messages
+    completed before it in the same ``feed`` with it: they are returned
+    and the :class:`ProtocolError` is raised by every later call.
+    """
 
     def __init__(self, max_body: int = 2 * 1024 * 1024) -> None:
         self._buf = bytearray()
+        self._error: "ProtocolError | None" = None
         self.max_body = max_body
 
     def feed(self, data: bytes) -> list[BinMessage]:
         """Append *data*; return every message completed by it."""
+        if self._error is not None:
+            raise self._error
         self._buf.extend(data)
         out: list[BinMessage] = []
+        try:
+            self._parse_into(out)
+        except ProtocolError as exc:
+            self._error = exc
+            if not out:
+                raise
+        return out
+
+    def _parse_into(self, out: list[BinMessage]) -> None:
         while len(self._buf) >= HEADER_LEN:
             (
                 magic, opcode, key_len, extras_len, data_type,
@@ -219,7 +220,6 @@ class BinaryParser:
                     cas=cas,
                 )
             )
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +375,7 @@ def respond_stats(request: BinMessage, stats: dict) -> bytes:
 # GETKQ-per-key quiet batch closed by a NOOP, all sharing one opaque --
 # misses simply produce no frame (the real protocol's mget idiom).
 
-from repro.memcached.command import Command, Reply, entry_data  # noqa: E402
-
-#: Pipelined reply matching policy: binary frames route by opaque.
-IN_ORDER_REPLIES = False
+from repro.memcached.command import Command, Reply, WireFormat, entry_data  # noqa: E402
 
 #: No-auto-create sentinel in arith extras (binary spec).
 NO_AUTO_CREATE = 0xFFFFFFFF
@@ -432,7 +429,9 @@ def request_to_command(msg: BinMessage) -> Command:
         return Command(op="version")
     if op == Opcode.STAT:
         return Command(op="stats", keys=[key] if key else [])
-    return Command(op=opcode_name(op))
+    if op == Opcode.QUIT:
+        return Command(op="quit")
+    return Command(op=f"op{op:#04x}")  # no such op: the engine answers "unknown"
 
 
 def encode_command(cmd: Command, opaque: int = 0) -> bytes:
@@ -653,3 +652,23 @@ class ReplyAssembler:
         if msg.status == Status.NO_ERROR:
             return self._done(Reply("ok"))
         return self._done(self._error(msg))
+
+
+#: Binary: QUIT is acknowledged, unparseable bytes just close the
+#: connection, the fixed-layout response is filled in place (no build
+#: charge); the client's fixed-offset codec costs what the UCR struct's does.
+WIRE = WireFormat(
+    request_parser=BinaryParser,
+    decode=request_to_command,
+    encode_reply=encode_reply,
+    parse_error_reply=b"",
+    farewell=respond,
+    server_parse_cost="parse_binary_us",
+    server_build_cost=None,
+    response_parser=BinaryParser,
+    encode_command=encode_command,
+    reply_assembler=ReplyAssembler,
+    in_order_replies=False,
+    client_build_cost="build_ucr_us",
+    client_parse_cost="parse_ucr_us",
+)

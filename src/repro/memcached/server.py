@@ -3,8 +3,12 @@
 Socket path (stock memcached): a dispatcher thread epoll-waits on the
 listen socket(s), accepts connections and assigns them round-robin to
 worker threads; each worker epoll-waits over its connections, parses the
-text protocol incrementally, executes against the shared
-:class:`~repro.memcached.store.ItemStore` and writes responses.
+text or binary protocol incrementally (sniffed on the connection's first
+byte), executes against the shared
+:class:`~repro.memcached.store.ItemStore` and writes responses.  Both
+wire formats run the one request path (``_Worker._service`` ->
+``MemcachedServer.execute``) over their
+:class:`~repro.memcached.command.WireFormat` row.
 
 UCR path (the paper's §V design): :class:`UcrServerPort` attaches a
 :class:`~repro.core.runtime.UcrRuntime` to the *same* server object.  New
@@ -27,9 +31,8 @@ from repro.memcached.errors import ClientError, ProtocolError, ServerError
 from repro.memcached import protocol
 from repro.memcached import protocol_binary as binp
 from repro.memcached import protocol_ucr as ucrp
-from repro.memcached.command import entry_data
+from repro.memcached.command import Command, WireFormat, entry_data
 from repro.memcached.engine import CommandEngine
-from repro.memcached.protocol import Request, RequestParser
 
 # The UCR struct protocol lives in protocol_ucr; re-exported here for
 # callers that import the wire types from the server module.
@@ -78,22 +81,18 @@ class MemcachedCosts:
 class _ConnState:
     """Per-connection protocol state: sniffed on the first byte."""
 
-    __slots__ = ("kind", "parser", "last_trace")
+    __slots__ = ("wire", "parser", "last_trace")
 
     def __init__(self) -> None:
-        self.kind: Optional[str] = None  # 'text' | 'binary'
+        self.wire: Optional[WireFormat] = None
         self.parser = None
         #: Most recent telemetry rider received on this connection.
         self.last_trace = None
 
     def sniff(self, first_byte: int) -> None:
         """Real memcached: a 0x80 first byte selects the binary codec."""
-        if first_byte == binp.MAGIC_REQUEST:
-            self.kind = "binary"
-            self.parser = binp.BinaryParser()
-        else:
-            self.kind = "text"
-            self.parser = RequestParser()
+        self.wire = binp.WIRE if first_byte == binp.MAGIC_REQUEST else protocol.WIRE
+        self.parser = self.wire.request_parser()
 
 
 class _Worker:
@@ -135,16 +134,51 @@ class _Worker:
         state = self._conns.get(sock)
         if state is None:
             return
-        if state.kind is None:
+        if state.wire is None:
             state.sniff(data[0])
         if tracer.enabled:
             riders = sock.take_traces()
             if riders:
                 state.last_trace = riders[-1]
-        if state.kind == "text":
-            yield from self._service_text(sock, state, data)
-        else:
-            yield from self._service_binary(sock, state, data)
+        server = self.server
+        wire = state.wire
+        parse_us = getattr(server.costs, wire.server_parse_cost)
+        try:
+            # The parser holds a parse error back until the requests
+            # completed before it have been returned, and a request whose
+            # decode fails is reached only after its predecessors were
+            # served: how the bytes were split into reads never decides
+            # what executes.  The empty feed collects a held-back error.
+            while requests := state.parser.feed(data):
+                data = b""
+                for request in requests:
+                    cmd = wire.decode(request)
+                    self.requests_handled += 1
+                    server.stats_requests += 1
+                    span = (
+                        tracer.begin("server.op", "server", server.sim.now,
+                                     parent=state.last_trace, op=cmd.op)
+                        if tracer.enabled and state.last_trace is not None
+                        else None
+                    )
+                    ctx = span.ctx if span is not None else None
+                    try:
+                        yield from server.node.cpu_run(server.node.host.cpu_time(parse_us))
+                        if cmd.op == "quit":
+                            if wire.farewell is not None:
+                                yield from self._send(sock, wire.farewell(request))
+                            self._drop(sock)
+                            return
+                        response = yield from server.execute(wire, request, cmd, trace=ctx)
+                        if response and not cmd.noreply:
+                            yield from self._send(sock, response, trace=ctx)
+                    finally:
+                        if tracer.enabled:
+                            tracer.end(span, server.sim.now)
+        except ProtocolError:
+            if wire.parse_error_reply:
+                yield from self._send(sock, wire.parse_error_reply)
+            self._drop(sock)
 
     def _send(self, sock: Socket, data: bytes, trace=None):
         """Write a reply on the worker's non-blocking socket.
@@ -160,76 +194,6 @@ class _Worker:
                 return
             except WouldBlock:
                 yield sock.conn.wait_sndbuf_space()
-
-    def _service_text(self, sock: Socket, state: _ConnState, data: bytes):
-        server = self.server
-        try:
-            requests = state.parser.feed(data)
-        except ProtocolError:
-            yield from self._send(sock, protocol.encode_error())
-            self._drop(sock)
-            return
-        for req in requests:
-            self.requests_handled += 1
-            server.stats_requests += 1
-            span = (
-                tracer.begin("server.op", "server", server.sim.now,
-                             parent=state.last_trace, op=req.command)
-                if tracer.enabled and state.last_trace is not None
-                else None
-            )
-            try:
-                yield from server.node.cpu_run(
-                    server.node.host.cpu_time(server.costs.parse_dispatch_us)
-                )
-                if req.command == "quit":
-                    self._drop(sock)
-                    return
-                response = yield from server.execute_text(
-                    req, trace=span.ctx if span is not None else None
-                )
-                if response is not None and not req.noreply:
-                    yield from self._send(
-                        sock, response, trace=span.ctx if span is not None else None
-                    )
-            finally:
-                if tracer.enabled:
-                    tracer.end(span, server.sim.now)
-
-    def _service_binary(self, sock: Socket, state: _ConnState, data: bytes):
-        server = self.server
-        try:
-            messages = state.parser.feed(data)
-        except ProtocolError:
-            self._drop(sock)  # binary has no in-band parse-error reply
-            return
-        for msg in messages:
-            self.requests_handled += 1
-            server.stats_requests += 1
-            span = (
-                tracer.begin("server.op", "server", server.sim.now,
-                             parent=state.last_trace, op=binp.opcode_name(msg.opcode))
-                if tracer.enabled and state.last_trace is not None
-                else None
-            )
-            try:
-                yield from server.node.cpu_run(
-                    server.node.host.cpu_time(server.costs.parse_binary_us)
-                )
-                if msg.opcode == binp.Opcode.QUIT:
-                    yield from self._send(sock, binp.respond(msg))
-                    self._drop(sock)
-                    return
-                response = yield from server.execute_binary(
-                    msg, trace=span.ctx if span is not None else None
-                )
-                if response:
-                    yield from self._send(
-                        sock, response, trace=span.ctx if span is not None else None
-                    )
-            finally:
-                if tracer.enabled:
-                    tracer.end(span, server.sim.now)
 
 
 class MemcachedServer:
@@ -270,8 +234,9 @@ class MemcachedServer:
     # -- sockets front end ------------------------------------------------------
 
     def listen_sockets(self, stack: "SocketStack", port: int = 11211) -> None:
-        """Serve the text protocol on *stack* (callable multiple times --
-        the paper's testbed serves IPoIB, SDP and 10GigE simultaneously)."""
+        """Serve the text and binary protocols on *stack* (each connection
+        is sniffed on its first byte; callable multiple times -- the
+        paper's testbed serves IPoIB, SDP and 10GigE simultaneously)."""
         listener = stack.socket()
         listener.bind(port)
         listener.listen(backlog=1024)
@@ -286,33 +251,31 @@ class MemcachedServer:
             yield from self.node.cpu_run(self.node.host.context_switch_us)
             self.workers[next(self._rr)].assign(sock)
 
-    # -- command execution (text protocol) -----------------------------------------
+    # -- command execution (both sockets wire formats) ----------------------------
 
-    def execute_text(self, req: Request, trace=None):
-        """Process helper: run one parsed command, return response bytes.
+    def execute(self, wire: WireFormat, request, cmd: Command, trace=None):
+        """Process helper: run one decoded command, return response bytes.
 
         Decode (codec) -> execute (engine) -> encode (codec); this method
-        only charges the text frontend's cost structure: dispatch was
-        charged by the worker, the engine's store work is op_execute,
-        response assembly copies each hit's value and charges
-        response_build -- except error replies, which are formatted on
-        the bail-out path without a build charge (stock memcached's
-        error path is the cheap one).
+        charges the sockets frontend's cost structure around the engine:
+        the parse was charged by the worker, the engine's store work is
+        op_execute, and response assembly copies each hit's value.  The
+        text row then pays response_build -- except on error replies,
+        which are formatted on the bail-out path (stock memcached's error
+        path is the cheap one); the binary row has no build charge (the
+        fixed-layout response is filled in place), and its quiet-get
+        misses encode to b"" so the worker sends nothing.
         """
-        costs = self.costs
         node = self.node
         span = (
             tracer.begin("store.apply", "store", self.sim.now,
-                         parent=trace, op=req.command)
+                         parent=trace, op=cmd.op)
             if tracer.enabled and trace is not None
             else None
         )
         try:
-            yield from node.cpu_run(node.host.cpu_time(costs.op_execute_us))
-            cmd = protocol.request_to_command(req)
+            yield from node.cpu_run(node.host.cpu_time(self.costs.op_execute_us))
             reply = self.engine.apply(cmd)
-            if reply.status == "error":
-                return protocol.encode_reply(cmd, reply)
             if reply.status == "values":
                 # Real memcached pins each served item (refcount) until
                 # the response is written out; the simulator snapshots
@@ -328,46 +291,11 @@ class MemcachedServer:
                     # outgoing stream.
                     if data:
                         yield from node.memcpy(len(data))
-            yield from node.cpu_run(node.host.cpu_time(costs.response_build_us))
-            return protocol.encode_reply(cmd, reply)
-        finally:
-            if tracer.enabled:
-                tracer.end(span, self.sim.now)
-
-    # -- command execution (binary protocol) -----------------------------------------
-
-    def execute_binary(self, msg: "binp.BinMessage", trace=None):
-        """Process helper: run one binary command, return response bytes.
-
-        Same decode -> engine -> encode shape as the text path, with the
-        binary frontend's cost structure: no response_build charge (the
-        fixed-layout response is filled in place), one memcpy per served
-        value.  Quiet-get misses encode to b"" and the worker sends
-        nothing.
-        """
-        costs = self.costs
-        node = self.node
-        span = (
-            tracer.begin("store.apply", "store", self.sim.now,
-                         parent=trace, op=binp.opcode_name(msg.opcode))
-            if tracer.enabled and trace is not None
-            else None
-        )
-        try:
-            yield from node.cpu_run(node.host.cpu_time(costs.op_execute_us))
-            cmd = binp.request_to_command(msg)
-            reply = self.engine.apply(cmd)
-            if reply.status == "values" and reply.values:
-                # Same item-pinning rule as the text path: snapshot at
-                # the linearization point, then charge the copy.
-                reply.values = [
-                    (key, flags, entry_data(data), cas)
-                    for key, flags, data, cas in reply.values
-                ]
-                _key, _flags, data, _cas = reply.values[0]
-                if data:
-                    yield from node.memcpy(len(data))
-            return binp.encode_reply(msg, cmd, reply)
+            if wire.server_build_cost and reply.status != "error":
+                yield from node.cpu_run(
+                    node.host.cpu_time(getattr(self.costs, wire.server_build_cost))
+                )
+            return wire.encode_reply(request, cmd, reply)
         finally:
             if tracer.enabled:
                 tracer.end(span, self.sim.now)

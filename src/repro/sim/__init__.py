@@ -29,7 +29,7 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngStream
-from repro.sim.trace import Counter, LatencyRecorder, Tracer
+from repro.sim.trace import Counter, LatencyRecorder
 
 __all__ = [
     "AllOf",
@@ -44,5 +44,4 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "Tracer",
 ]

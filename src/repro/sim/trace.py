@@ -1,22 +1,19 @@
-"""Measurement utilities: counters, latency recorders, event tracing.
+"""Measurement utilities: counters and latency recorders.
 
 All paper-facing metrics flow through these classes so experiments report
 numbers one way: latency recorders collect simulated-µs samples and expose
 mean/percentiles/jitter; counters track monotone totals (ops, bytes,
-retransmits) with rate helpers; the tracer optionally logs every processed
-event for debugging small scenarios.
+retransmits) with rate helpers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
-    from repro.sim.events import Event
 
 
 class Counter:
@@ -125,43 +122,3 @@ class LatencyRecorder:
     def _require_samples(self) -> None:
         if not self._samples:
             raise ValueError(f"latency recorder {self.name!r} has no samples")
-
-
-@dataclass
-class TraceRecord:
-    """One processed event, as captured by :class:`Tracer`."""
-
-    time: float
-    kind: str
-    name: str
-    detail: Any = None
-
-
-@dataclass
-class Tracer:
-    """Optional event logger; attach with :meth:`install`.
-
-    Intended for unit tests and debugging of small scenarios -- tracing a
-    full figure-6 run would record millions of entries.
-    """
-
-    records: list[TraceRecord] = field(default_factory=list)
-    limit: Optional[int] = None
-
-    def install(self, sim: "Simulator") -> None:
-        sim.pre_event_hooks.append(self._on_event)
-
-    def log(self, sim: "Simulator", kind: str, name: str, detail: Any = None) -> None:
-        """Manually record a domain-level happening (e.g. 'rdma-read start')."""
-        self._append(TraceRecord(sim.now, kind, name, detail))
-
-    def _on_event(self, sim: "Simulator", event: "Event") -> None:
-        self._append(TraceRecord(sim.now, type(event).__name__, event.name))
-
-    def _append(self, record: TraceRecord) -> None:
-        if self.limit is not None and len(self.records) >= self.limit:
-            return
-        self.records.append(record)
-
-    def of_kind(self, kind: str) -> list[TraceRecord]:
-        return [r for r in self.records if r.kind == kind]

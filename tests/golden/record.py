@@ -2,7 +2,7 @@
 
 Usage::
 
-    PYTHONPATH=src python -m tests.golden.record        # all figures
+    PYTHONPATH=src python -m tests.golden.record        # all 13 figures, ext included
     PYTHONPATH=src python -m tests.golden.record 3 6s   # a subset
 
 Rewrites ``tests/golden/digests.json`` in place (only the figures run).
@@ -39,7 +39,7 @@ def report_digest(report) -> str:
 
 
 def record(names: list[str] | None = None) -> tuple[dict, list[str]]:
-    """Run the named figures (default: all golden ones); return the updated
+    """Run the named figures (default: all 13 in FIGURES); return the updated
     ``{figure: {"digest": ..., "events": ..., "report": ...}}`` and the
     figures whose previously recorded ``report`` no longer matches."""
     golden = {}

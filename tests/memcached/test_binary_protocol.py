@@ -59,6 +59,15 @@ def test_bad_magic_raises():
         BinaryParser().feed(b"\x42" + bytes(HEADER_LEN - 1))
 
 
+def test_bad_magic_is_held_back_behind_the_frames_before_it():
+    parser = binp.BinaryParser()
+    frames = parser.feed(binp.build_get("a", opaque=1) + b"\x42" * binp.HEADER_LEN)
+    assert [f.opaque for f in frames] == [1]
+    for later in (b"", binp.build_get("b")):  # the parser stays poisoned
+        with pytest.raises(ProtocolError, match="bad magic"):
+            parser.feed(later)
+
+
 def test_oversized_body_rejected():
     header = struct.pack("!BBHBBHLLQ", MAGIC_REQUEST, 0, 0, 0, 0, 0, 2**25, 0, 0)
     with pytest.raises(ProtocolError):

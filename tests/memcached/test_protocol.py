@@ -13,7 +13,7 @@ from repro.memcached.protocol import RequestParser, ResponseParser, ValueReply
 def test_parse_get_single():
     reqs = RequestParser().feed(b"get foo\r\n")
     assert len(reqs) == 1
-    assert reqs[0].command == "get"
+    assert reqs[0].op == "get"
     assert reqs[0].keys == ["foo"]
 
 
@@ -26,11 +26,11 @@ def test_parse_set_with_data_block():
     reqs = RequestParser().feed(b"set k 5 100 9\r\nthe-value\r\n")
     assert len(reqs) == 1
     req = reqs[0]
-    assert req.command == "set"
+    assert req.op == "set"
     assert req.key == "k"
     assert req.flags == 5
     assert req.exptime == 100
-    assert req.data == b"the-value"
+    assert req.value == b"the-value"
 
 
 def test_parse_partial_reads_reassemble():
@@ -38,13 +38,13 @@ def test_parse_partial_reads_reassemble():
     assert parser.feed(b"set k 0 ") == []
     assert parser.feed(b"0 5\r\nhel") == []
     reqs = parser.feed(b"lo\r\n")
-    assert reqs[0].data == b"hello"
+    assert reqs[0].value == b"hello"
 
 
 def test_parse_pipelined_commands():
     parser = RequestParser()
     reqs = parser.feed(b"set a 0 0 1\r\nx\r\nget a\r\ndelete a\r\n")
-    assert [r.command for r in reqs] == ["set", "get", "delete"]
+    assert [r.op for r in reqs] == ["set", "get", "delete"]
 
 
 def test_parse_noreply_variants():
@@ -56,9 +56,9 @@ def test_parse_noreply_variants():
 
 def test_parse_cas_line():
     reqs = RequestParser().feed(b"cas k 1 2 3 42\r\nabc\r\n")
-    assert reqs[0].command == "cas"
+    assert reqs[0].op == "cas"
     assert reqs[0].cas == 42
-    assert reqs[0].data == b"abc"
+    assert reqs[0].value == b"abc"
 
 
 def test_parse_incr_decr_touch():
@@ -77,14 +77,14 @@ def test_binary_safe_data_block():
     data = bytes(range(256))
     payload = f"set bin 0 0 {len(data)}\r\n".encode() + data + b"\r\n"
     reqs = RequestParser().feed(payload)
-    assert reqs[0].data == data
+    assert reqs[0].value == data
 
 
 def test_data_block_may_contain_crlf():
     data = b"line1\r\nline2\r\n"
     payload = f"set k 0 0 {len(data)}\r\n".encode() + data + b"\r\n"
     reqs = RequestParser().feed(payload)
-    assert reqs[0].data == data
+    assert reqs[0].value == data
 
 
 def test_bad_terminator_raises():
@@ -105,6 +105,20 @@ def test_bad_numeric_field_raises():
 def test_get_without_key_raises():
     with pytest.raises(ProtocolError):
         RequestParser().feed(b"get\r\n")
+
+
+def test_parse_error_is_held_back_behind_the_commands_before_it():
+    parser = RequestParser()
+    reqs = parser.feed(b"set a 0 0 1\r\nx\r\nget a\r\nbogus\r\nget b\r\n")
+    assert [(r.op, r.keys) for r in reqs] == [("set", ["a"]), ("get", ["a"])]
+    for later in (b"", b"get c\r\n"):  # the parser stays poisoned
+        with pytest.raises(ProtocolError, match="bogus"):
+            parser.feed(later)
+
+
+def test_storage_byte_count_does_not_leak_into_the_command():
+    [cmd] = RequestParser().feed(b"set k 0 0 9\r\nthe-value\r\n")
+    assert cmd.delta == 0
 
 
 def test_oversized_line_raises():
@@ -176,8 +190,8 @@ def test_response_unknown_line_raises():
 def test_build_storage_matches_parser():
     blob = protocol.build_storage("set", "k", 1, 60, b"abc")
     reqs = RequestParser().feed(blob)
-    assert reqs[0].command == "set"
-    assert reqs[0].data == b"abc"
+    assert reqs[0].op == "set"
+    assert reqs[0].value == b"abc"
     assert reqs[0].flags == 1
 
 
@@ -185,7 +199,7 @@ def test_build_get_matches_parser():
     reqs = RequestParser().feed(protocol.build_get(["a", "b"]))
     assert reqs[0].keys == ["a", "b"]
     reqs = RequestParser().feed(protocol.build_get(["a"], with_cas=True))
-    assert reqs[0].command == "gets"
+    assert reqs[0].op == "gets"
 
 
 def test_build_arith_delete_touch_match_parser():
@@ -198,4 +212,4 @@ def test_build_arith_delete_touch_match_parser():
         (protocol.build_stats(), "stats"),
     ]:
         reqs = RequestParser().feed(blob)
-        assert reqs[0].command == cmd
+        assert reqs[0].op == cmd

@@ -54,6 +54,79 @@ def test_bad_data_terminator_drops_connection(cluster):
     assert run(cluster, scenario()) == b"ERROR\r\n"
 
 
+MALFORMED = {
+    # wire format -> (a set of key "a", a get of it, bytes no parser accepts)
+    "text": (b"set a 0 0 1\r\nx\r\n", b"get a\r\n", b"bogus\r\n"),
+    "binary": (
+        binp.build_set("a", b"x", opaque=1),
+        binp.build_get("a", opaque=2),
+        b"\x42" * binp.HEADER_LEN,  # bad magic
+    ),
+}
+
+
+@pytest.mark.parametrize("wire", sorted(MALFORMED))
+def test_framing_does_not_decide_what_executes(wire):
+    """Requests completed before malformed bytes are served and answered,
+    then the parse error is reported and the connection dropped -- whether
+    the bytes arrive in one read or in two."""
+    good_set, good_get, bad = MALFORMED[wire]
+
+    def outcome(sends):
+        cluster = Cluster(CLUSTER_A, n_client_nodes=2)
+        server = cluster.start_server()
+        sock = raw_socket(cluster)
+
+        def scenario():
+            yield from sock.connect("server", 11211)
+            for payload in sends:
+                yield from sock.send(payload)
+                yield cluster.sim.timeout(500.0)  # its own read on the server
+            got = b""
+            while chunk := (yield from sock.recv(4096)):
+                got += chunk
+            return got  # everything up to the server's close
+
+        replies = run(cluster, scenario())
+        item = server.store.get("a")
+        return replies, item is not None and item.value()
+
+    one_read = outcome([good_set + good_get + bad])
+    two_reads = outcome([good_set + good_get, bad])
+    assert one_read == two_reads
+    replies, stored = one_read
+    assert stored == b"x"
+    if wire == "text":
+        assert replies == b"STORED\r\nVALUE a 0 1\r\nx\r\nEND\r\nERROR\r\n"
+    else:  # binary has no in-band parse-error reply: two answers, then EOF
+        stored_frame, hit = binp.BinaryParser().feed(replies)
+        assert (stored_frame.opaque, stored_frame.status) == (1, binp.Status.NO_ERROR)
+        assert (hit.opaque, hit.value) == (2, b"x")
+
+
+def test_binary_frame_that_does_not_decode_drops_the_connection_only(cluster):
+    """A well-framed SET whose extras are the wrong length used to raise
+    out of the worker and take the whole epoll loop with it."""
+    sock = raw_socket(cluster)
+    bad_set = binp.encode(binp.BinMessage(
+        binp.MAGIC_REQUEST, binp.Opcode.SET, key=b"k", extras=b"\0\0", value=b"v"
+    ))
+
+    def scenario():
+        yield from sock.connect("server", 11211)
+        yield from sock.send(binp.build_set("a", b"x", opaque=1) + bad_set)
+        reply = yield from sock.recv(256)
+        tail = yield from sock.recv(256)
+        return reply, tail
+
+    reply, tail = run(cluster, scenario())
+    [stored] = binp.BinaryParser().feed(reply)
+    assert (stored.opaque, stored.status) == (1, binp.Status.NO_ERROR)
+    assert tail == b""
+    assert cluster.server.store.get("k") is None
+    assert all(worker.process.is_alive for worker in cluster.server.workers)
+
+
 def test_oversized_value_server_error_not_crash(cluster):
     sock = raw_socket(cluster)
     big = 1024 * 1024  # one full page: exceeds item ceiling with overhead

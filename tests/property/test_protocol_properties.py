@@ -34,11 +34,11 @@ def test_storage_roundtrip_under_any_fragmentation(key, flags, exp, data, cuts):
         reqs.extend(parser.feed(chunk))
     assert len(reqs) == 1
     req = reqs[0]
-    assert req.command == "set"
+    assert req.op == "set"
     assert req.key == key
     assert req.flags == flags
     assert req.exptime == exp
-    assert req.data == data
+    assert req.value == data
 
 
 @settings(max_examples=60, deadline=None)
@@ -48,7 +48,7 @@ def test_pipelined_storage_commands_all_parse(pairs):
     reqs = RequestParser().feed(blob)
     assert len(reqs) == len(pairs)
     for req, (k, v) in zip(reqs, pairs):
-        assert (req.key, req.data) == (k, v)
+        assert (req.key, req.value) == (k, v)
 
 
 @settings(max_examples=60, deadline=None)

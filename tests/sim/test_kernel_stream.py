@@ -31,7 +31,7 @@ import hashlib
 
 import pytest
 
-from repro.sim import Interrupt, Resource, Simulator, Store, Tracer
+from repro.sim import Interrupt, Resource, Simulator, Store
 from repro.sim.engine import UnhandledFailure
 
 PINNED_EVENTS = 93
@@ -257,11 +257,12 @@ def _digest(rows) -> str:
 
 def test_event_stream_matches_the_pinned_digest():
     sim = Simulator()
-    tracer = Tracer()
-    tracer.install(sim)
+    stream: list = []
+    sim.pre_event_hooks.append(
+        lambda sim, event: stream.append((sim.now, type(event).__name__, event.name))
+    )
     log: list = []
     _scenario(sim, log)
-    stream = [(r.time, r.kind, r.name) for r in tracer.records]
     assert len(stream) == sim.events_processed
     assert _digest(sorted(log, key=repr)) == PINNED_LOG_LINES
     assert (sim.events_processed, _digest(stream), _digest(log)) == (

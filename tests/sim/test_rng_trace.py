@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Counter, LatencyRecorder, RngStream, Simulator, Tracer
+from repro.sim import Counter, LatencyRecorder, RngStream, Simulator
 
 
 # ------------------------------------------------------------------ RNG
@@ -134,38 +134,3 @@ def test_latency_empty_raises():
     rec = LatencyRecorder()
     with pytest.raises(ValueError):
         rec.mean()
-
-
-# ----------------------------------------------------------------- Tracer
-
-
-def test_tracer_records_events():
-    sim = Simulator()
-    tracer = Tracer()
-    tracer.install(sim)
-
-    def proc():
-        yield sim.timeout(1.0)
-        yield sim.timeout(2.0)
-
-    sim.process(proc())
-    sim.run()
-    assert len(tracer.records) >= 2
-    assert any(r.kind == "Timeout" for r in tracer.records)
-
-
-def test_tracer_manual_log_and_filter():
-    sim = Simulator()
-    tracer = Tracer()
-    tracer.log(sim, "rdma", "read-start", detail={"bytes": 4096})
-    tracer.log(sim, "cpu", "parse", None)
-    assert len(tracer.of_kind("rdma")) == 1
-    assert tracer.of_kind("rdma")[0].detail == {"bytes": 4096}
-
-
-def test_tracer_limit():
-    sim = Simulator()
-    tracer = Tracer(limit=3)
-    for i in range(10):
-        tracer.log(sim, "k", str(i))
-    assert len(tracer.records) == 3

@@ -43,6 +43,38 @@ def test_every_public_class_and_function_documented():
     assert undocumented == [], undocumented
 
 
+#: Public class names that may be defined in more than one module, each
+#: with where and why.  Everything else names one thing under ``repro``.
+SHARED_CLASS_NAMES = {
+    "ReplyAssembler": (
+        {"memcached/protocol.py", "memcached/protocol_binary.py"},
+        "the per-codec symmetric surface: each wire format's row names its own",
+    ),
+    "Opcode": (
+        {"memcached/protocol_binary.py", "verbs/enums.py"},
+        "two wire vocabularies: memcached binary opcodes and IB verbs opcodes",
+    ),
+    "Command": (
+        {"check/differential.py", "memcached/command.py"},
+        "the fuzzer's is a symbolic script step (token_ref, sleep), not a wire "
+        "command; ROADMAP 'Finish the collapse' keeps merging them open",
+    ),
+}
+
+
+def test_public_class_names_are_unique():
+    """One name, one concept: ``Request`` and ``Tracer`` used to mean two
+    things each.  A new duplicate needs an entry above, with its reason."""
+    defined: dict[str, set[str]] = {}
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defined.setdefault(node.name, set()).add(str(path.relative_to(SRC)))
+    shared = {name: where for name, where in defined.items() if len(where) > 1}
+    assert shared == {name: where for name, (where, _why) in SHARED_CLASS_NAMES.items()}
+    assert all(why for _where, why in SHARED_CLASS_NAMES.values())
+
+
 def test_public_api_importable_and_versioned():
     assert repro.__version__
     for name in repro.__all__:
