@@ -6,10 +6,11 @@ and across all transport/protocol configurations) and a concurrent
 4-client sharded pass whose recorded history goes to the
 linearizability checker -- and prints a per-configuration verdict with
 the deterministic history digest.  By default each configuration also
-runs pipelined (``--pipeline-depth`` commands in flight): a
-depth-windowed oracle replay plus a pipelined concurrent pass.  ``repro-check fuzz`` sweeps seeds,
-shrinks any mismatch it finds, and writes JSON repro cases;
-``repro-check shrink`` re-minimizes a previously dumped case.
+runs pipelined (``--pipeline-depth`` commands in flight): the same
+differential pass replayed in depth-wide windows, plus a pipelined
+concurrent pass.  ``repro-check fuzz`` sweeps seeds, shrinks any mismatch
+it finds, and writes JSON repro cases; ``repro-check shrink`` re-minimizes
+a previously dumped case.
 
 Exit code 0 means every check passed; 1 means a mismatch, a
 non-linearizable history, or a parser crash.
@@ -42,15 +43,26 @@ def _select_configs(names: Optional[list[str]]) -> list:
     return [table[n] for n in names]
 
 
+def _print_failures(diff) -> None:
+    """Say what a failed differential run failed on (first five each)."""
+    for replay in diff.replays:
+        for index, actual, expected in replay.mismatches[:5]:
+            print(
+                f"  {replay.config} #{index}: client {actual!r}"
+                f" != oracle {expected!r}"
+            )
+    for a, b, index in diff.disagreements[:5]:
+        print(f"  {a} vs {b}: first disagreement at #{index}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     # Deferred: building clusters pulls in the whole simulator.
     from repro.check.differential import (
         PRESSURE_STORE_CONFIG,
         differential_run,
-        generate_commands,
         replay_concurrent,
-        replay_pipelined,
     )
+    from repro.check.generate import generate_commands
 
     configs = _select_configs(args.config)
     failed = False
@@ -86,37 +98,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"  cross-config divergences tolerated: {len(diff.tolerated)}")
     if not diff.ok:
         failed = True
-        for replay in diff.replays:
-            for index, actual, expected in replay.mismatches[:5]:
-                print(
-                    f"  {replay.config} #{index}: client {actual!r}"
-                    f" != oracle {expected!r}"
-                )
-        for a, b, index in diff.disagreements[:5]:
-            print(f"  {a} vs {b}: first disagreement at #{index}")
+        _print_failures(diff)
 
     depth = args.pipeline_depth
     if depth > 1 and pressure:
-        # The depth-windowed oracle replay has no eviction adoption
-        # (batched ops complete out of order, so there is no single
-        # "before the oracle op" drain point); pressure pipelining is
-        # covered by the concurrent pass below instead.
+        # Eviction adoption needs a single "before the oracle op" drain
+        # point, and batched ops complete out of order: replay() rejects
+        # the combination.  Pressure pipelining is covered by the
+        # concurrent pass below instead.
         print("pipelined: skipped under --pressure")
     elif depth > 1:
         print(
             f"pipelined: {len(commands)} commands x {len(configs)} configs "
             f"(depth {depth}, seed {args.seed})"
         )
-        for config in configs:
-            replay = replay_pipelined(config, commands, depth=depth, seed=args.seed)
-            verdict = "ok" if replay.ok else "MISMATCH"
-            print(f"  {replay.config:<22} {verdict}")
-            if not replay.ok:
-                failed = True
-                for index, actual, expected in replay.mismatches[:5]:
-                    print(
-                        f"    #{index}: client {actual!r} != oracle {expected!r}"
-                    )
+        piped = differential_run(
+            commands, seed=args.seed, configs=configs, depth=depth
+        )
+        for replay in piped.replays:
+            print(f"  {replay.config:<22} {'ok' if replay.ok else 'MISMATCH'}")
+        if not piped.ok:
+            failed = True
+            _print_failures(piped)
 
     print(
         f"concurrent: {args.clients} clients x {args.ops} ops over "
@@ -187,7 +190,7 @@ def _shrink_and_dump(
     predicate either way.  Returns the shrunk commands, or ``None`` (and
     writes nothing) when *commands* do not fail to begin with.
     """
-    from repro.check.differential import dump_mismatch, shrink_commands
+    from repro.check.shrink import dump_mismatch, shrink_commands
 
     by_name = _configs_by_name()
     configs = [by_name[name] for name in names]
@@ -207,7 +210,8 @@ def _shrink_and_dump(
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.check.differential import fuzz_parsers, generate_commands
+    from repro.check.generate import generate_commands
+    from repro.check.parser_fuzz import fuzz_parsers
 
     configs = _select_configs(args.config)
     pressure = args.pressure
@@ -249,8 +253,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             commands, names, seed, args.mutation, pressure, path
         )
         print(f"  {len(small)}-op repro written to {path}")
-        for cmd in small:
-            print(f"    {cmd.op} {cmd.key!r} value={cmd.value!r}")
+        for step in small:
+            print(f"    {step.describe()}")
 
     parser_failures = fuzz_parsers(args.seed, n_cases=args.parser_cases)
     if parser_failures:
@@ -264,7 +268,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_shrink(args: argparse.Namespace) -> int:
-    from repro.check.differential import load_commands
+    from repro.check.shrink import load_commands
 
     doc, commands = load_commands(args.repro_file)
     names = [doc["config"], *doc.get("versus", [])]
@@ -281,8 +285,8 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
         print(f"{args.repro_file}: no longer fails ({len(commands)} commands) -- fixed?")
         return 0
     print(f"shrunk {len(commands)} -> {len(small)} commands; wrote {out}")
-    for cmd in small:
-        print(f"  {cmd.op} {cmd.key!r} value={cmd.value!r}")
+    for step in small:
+        print(f"  {step.describe()}")
     return 1
 
 

@@ -21,6 +21,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.memcached.command import Command, Reply
 from repro.memcached.errors import ClientError, ServerError
 from repro.memcached.items import ITEM_HEADER_OVERHEAD
 from repro.memcached.slabs import PAGE_BYTES, build_chunk_sizes
@@ -293,25 +294,13 @@ class ModelMemcached:
         self._leases[key] = (token, now + self.lease_ttl_s)
         return "won", stale, token
 
-    def set_with_lease(
-        self, key: str, value: bytes, lease_token: int,
-        flags: int = 0, exptime: float = 0,
-    ) -> str:
-        """A lease-carrying fill: stored only while the lease is live.
-
-        The gate runs before key validation, mirroring the engine's
-        ``_storage`` order (an unknown/expired token is ``not_stored``
-        without ever reaching the store).
-        """
-        if lease_token:
-            current = self._leases.get(key)
-            if (
-                current is None
-                or current[0] != lease_token
-                or self.now_seconds() >= current[1]
-            ):
-                return "not_stored"
-        return self.set(key, value, flags, exptime)
+    def _lease_live(self, key: str, token: int) -> bool:
+        current = self._leases.get(key)
+        return (
+            current is not None
+            and current[0] == token
+            and self.now_seconds() < current[1]
+        )
 
     # -- mutation -----------------------------------------------------------------
 
@@ -389,6 +378,57 @@ class ModelMemcached:
         keys without reporting them still fails verification.
         """
         return self._items.pop(key, None) is not None
+
+    # -- the front door: one IR command in, one reply out -------------------------
+
+    def apply(self, cmd: Command) -> Reply:
+        """Run one IR command; total, like ``CommandEngine.apply``: the
+        error taxonomy comes back as an error reply, never as a raise."""
+        try:
+            return self._dispatch(cmd)
+        except ClientError as exc:
+            return Reply("error", message=str(exc), error_kind="client")
+        except ServerError as exc:
+            return Reply("error", message=str(exc), error_kind="server")
+
+    def _dispatch(self, cmd: Command) -> Reply:
+        op = cmd.op
+        if op in ("get", "gets"):
+            hits = [(key, self.get(key)) for key in cmd.keys]
+            return Reply("values", values=[
+                (key, hit.flags, hit.value, hit.cas) for key, hit in hits if hit
+            ])
+        if op == "getl":
+            state, hit, token = self.getl(cmd.key, cmd.stale_ok)
+            values = [(cmd.key, hit.flags, hit.value, hit.cas)] if hit else []
+            if state == "hit":
+                return Reply("values", values=values)
+            return Reply("values", values=values, lease_state=state,
+                         lease_token=token, stale=hit is not None)
+        if op in ("set", "add", "replace"):
+            # The lease gate runs before key validation, as the engine's
+            # does: a fill whose token is not live never reaches the store.
+            if cmd.lease_token and not self._lease_live(cmd.key, cmd.lease_token):
+                return Reply("not_stored")
+            return Reply(getattr(self, op)(cmd.key, cmd.value, cmd.flags, cmd.exptime))
+        if op == "cas":
+            return Reply(self.cas(cmd.key, cmd.value, cmd.cas, cmd.flags, cmd.exptime))
+        if op in ("append", "prepend"):
+            return Reply(getattr(self, op)(cmd.key, cmd.value))
+        if op == "delete":
+            return Reply("deleted" if self.delete(cmd.key) else "not_found")
+        if op in ("incr", "decr"):
+            number = getattr(self, op)(cmd.key, cmd.delta)
+            if number is None:
+                return Reply("not_found")
+            return Reply("number", number=number)
+        if op == "touch":
+            return Reply("touched" if self.touch(cmd.key, cmd.exptime) else "not_found")
+        if op == "flush_all":
+            self.flush_all(cmd.exptime)
+            return Reply("ok")
+        return Reply("error", message=f"unknown op {op!r}",
+                     error_kind="client", detail="unknown")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ModelMemcached {len(self._items)} items>"

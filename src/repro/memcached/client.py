@@ -126,7 +126,7 @@ def _raise_reply_error(reply: Reply) -> None:
     raise ServerError(reply.message)
 
 
-def _interpret(cmd: Command, reply: Reply):
+def interpret(cmd: Command, reply: Reply):
     """Map a reply onto the blocking API's return value (raising for
     error replies).  One interpretation for all transports -- the codecs
     already normalized the wire differences into the IR."""
@@ -809,7 +809,7 @@ class MemcachedClient:
         :attr:`policy`) -> history record -> hot-cache lookup ->
         ``client.<op>`` span -> route -> one-sided ladder (when the
         transport offers ``onesided_get``) -> ``transport.execute`` ->
-        :func:`_interpret` -> hot-cache invalidate/admit -> record
+        :func:`interpret` -> hot-cache invalidate/admit -> record
         completion and shard-health accounting.  Each attempt is its own
         record and span against the shard it re-routed to.  The target
         and the checker annotations are locals, so processes sharing one
@@ -859,7 +859,7 @@ class MemcachedClient:
                         reply = yield from self.transport.execute(
                             server, routed, trace=_ctx(span)
                         )
-                    result = _interpret(routed, reply)
+                    result = interpret(routed, reply)
                 finally:
                     if hc is not None and op in _HOT_INVALIDATING_OPS:
                         # Write-through invalidation: even a failed or
@@ -1083,7 +1083,7 @@ class MemcachedClient:
                 rep = ServerDownError(f"{server}: pipelined reply never arrived")
             if not isinstance(rep, Exception):
                 try:
-                    rep = _interpret(cmd, rep)
+                    rep = interpret(cmd, rep)
                 except _OP_ERRORS as exc:
                     rep = exc
             if isinstance(rep, ServerDownError):
@@ -1134,7 +1134,7 @@ class MemcachedClient:
                 reply = yield from self.transport.execute(
                     server, cmd, trace=_ctx(span)
                 )
-                _interpret(cmd, reply)
+                interpret(cmd, reply)
         except _OP_ERRORS as exc:
             if rec is not None:
                 self._settle(rec, server, exc)
@@ -1150,7 +1150,7 @@ class MemcachedClient:
         target = server or self.distribution.servers[0]
         cmd = Command(op="stats")
         reply = yield from self.transport.execute(target, cmd)
-        return _interpret(cmd, reply)
+        return interpret(cmd, reply)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,36 @@ def test_fuzz_detects_mutation_and_dumps_repro(tmp_path, capsys):
     assert 1 <= len(doc["commands"]) <= 10  # shrunk before dumping
 
 
+def test_a_printed_repro_is_readable_under_pressure(tmp_path, capsys):
+    """A pressure value is 124 KB; the witness is what a CI log is for.
+    Every line of fuzz's output (and of shrink's) stays short, while the
+    dump keeps the bytes."""
+    code = main(
+        [
+            "fuzz",
+            "--pressure",
+            "--seed", "7",
+            "--seeds", "1",
+            "--ops", "200",
+            "--parser-cases", "0",
+            "--mutation", "skip-eviction-counter",
+            "--config", "UCR-IB",
+            "--out", str(tmp_path),
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 1 and "MISMATCH" in out
+    dump = tmp_path / "mismatch-seed7.json"
+    steps = json.loads(dump.read_text())["commands"]
+    assert any(len(step.get("value", "")) > 100_000 for step in steps)
+    # A dump says what each op reads, not every field on every step.
+    assert all("stale_ok" not in step and "sleep_s" not in step for step in steps)
+    main(["shrink", str(dump)])
+    out += capsys.readouterr().out
+    assert out.count(" bytes> ") >= 2 * sum("value" in step for step in steps)
+    assert max(len(line) for line in out.splitlines()) <= 200
+
+
 def test_fuzz_clean_exits_zero(tmp_path, capsys):
     code = main(
         [
@@ -106,7 +136,7 @@ def test_fuzz_shrinks_a_cross_config_disagreement_on_the_pair(
     ``assert`` in ``shrink_commands``)."""
     from repro.check import differential
 
-    real = differential.replay_sequential
+    real = differential.replay
 
     def skewed(config, commands, **kwargs):
         result = real(config, commands, **kwargs)
@@ -116,7 +146,7 @@ def test_fuzz_shrinks_a_cross_config_disagreement_on_the_pair(
                     result.outcomes[index] = ["ok", "skewed"]
         return result
 
-    monkeypatch.setattr(differential, "replay_sequential", skewed)
+    monkeypatch.setattr(differential, "replay", skewed)
     code = main(
         [
             "fuzz",

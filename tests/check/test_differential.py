@@ -5,17 +5,15 @@ import pytest
 
 from repro.check.differential import (
     CONFIGS,
-    MUTATIONS,
-    Command,
+    PRESSURE_STORE_CONFIG,
     differential_run,
-    dump_mismatch,
-    fuzz_parsers,
-    generate_commands,
-    load_commands,
+    replay,
     replay_concurrent,
-    replay_sequential,
-    shrink_commands,
 )
+from repro.check.generate import Step, generate_commands
+from repro.check.mutations import MUTATIONS
+from repro.check.parser_fuzz import fuzz_parsers
+from repro.check.shrink import dump_mismatch, load_commands, shrink_commands
 
 UCR = CONFIGS[0]
 SDP_BIN = CONFIGS[2]
@@ -37,11 +35,28 @@ def test_generator_concurrent_stays_checkable():
 
 def test_command_json_roundtrip():
     for cmd in generate_commands(11, 60):
-        assert Command.from_json(cmd.to_json()) == cmd
+        assert Step.from_json(cmd.to_json()) == cmd
+
+
+def test_step_json_says_what_the_op_reads_and_old_dumps_still_load():
+    assert Step("set", ["k"], b"v").to_json() == {"op": "set", "key": "k", "value": "v"}
+    assert Step("incr", ["k"], delta=1).to_json() == {"op": "incr", "key": "k"}
+    assert Step("sleep", sleep_s=3).to_json() == {"op": "sleep", "sleep_s": 3}
+    # Dumps come from outside the program: their defaults are the
+    # script's (delta 1, stale-tolerant getl), not the IR's (0 / False) ...
+    assert Step.from_json({"op": "incr", "key": "k"}).delta == 1
+    assert Step.from_json({"op": "getl", "key": "k"}).stale_ok is True
+    # ... and a dump written before defaults were left out reads the same.
+    old = {"op": "set", "key": "k", "value": "v", "flags": 0, "exptime": 0,
+           "delta": 1, "token_ref": "last", "sleep_s": 0, "stale_ok": True}
+    assert Step.from_json(old) == Step("set", ["k"], b"v")
+    assert Step.from_json({**old, "op": "sleep", "key": "", "sleep_s": 2}) == Step(
+        "sleep", sleep_s=2
+    )
 
 
 def test_sequential_replay_matches_oracle():
-    result = replay_sequential(UCR, generate_commands(7, 60))
+    result = replay(UCR, generate_commands(7, 60))
     assert result.ok, result.mismatches[:3]
 
 
@@ -51,6 +66,24 @@ def test_differential_agreement_across_all_configs():
     result = differential_run(generate_commands(7, 50), configs=CONFIGS)
     assert result.ok, (result.disagreements, [r.mismatches[:2] for r in result.replays])
     assert len(result.replays) == len(CONFIGS)
+
+
+def test_pipelined_replay_is_the_same_replay_at_depth():
+    """Windows of four in flight: every config still matches the oracle
+    and the others, the outcomes are the blocking replay's, and the
+    feature set is the one replay's (a mutation is caught here too)."""
+    steps = generate_commands(1, 80)
+    configs = [UCR, CONFIGS[1], SDP_BIN, CONFIGS[-1]]
+    piped = differential_run(steps, seed=1, configs=configs, depth=4)
+    assert piped.ok, (piped.disagreements, [r.mismatches[:2] for r in piped.replays])
+    assert [r.config for r in piped.replays] == [f"{c[0]}/pipe4" for c in configs]
+    assert piped.replays[0].outcomes == replay(UCR, steps, seed=1).outcomes
+    assert not replay(UCR, generate_commands(9, 80), depth=4, mutation="delete-lies").ok
+
+
+def test_pipelined_replay_refuses_eviction_adoption():
+    with pytest.raises(ValueError, match="depth 1"):
+        replay(UCR, generate_commands(1, 5), depth=4, store_config=PRESSURE_STORE_CONFIG)
 
 
 #: Mutations only expressible under memory pressure get their own rig
@@ -73,11 +106,11 @@ def test_injected_mutations_are_caught_and_shrink_small(mutation):
     """A deliberately broken store is detected, and ddmin produces a
     counterexample of at most 10 commands (the acceptance bound)."""
     commands = generate_commands(9, 80)
-    result = replay_sequential(UCR, commands, mutation=mutation)
+    result = replay(UCR, commands, mutation=mutation)
     assert not result.ok, f"{mutation} not detected"
 
     def failing(sub):
-        return not replay_sequential(UCR, sub, mutation=mutation).ok
+        return not replay(UCR, sub, mutation=mutation).ok
 
     small = shrink_commands(commands, failing)
     assert 1 <= len(small) <= 10
@@ -94,11 +127,11 @@ def test_onesided_mutation_is_caught_and_shrinks_small():
     # Seed 8 produces a set -> delete -> read window with no intervening
     # flush or republish of the bucket, which the bug needs to show.
     commands = generate_commands(8, 80)
-    result = replay_sequential(onesided, commands, mutation=mutation)
+    result = replay(onesided, commands, mutation=mutation)
     assert not result.ok, f"{mutation} not detected"
 
     def failing(sub):
-        return not replay_sequential(onesided, sub, mutation=mutation).ok
+        return not replay(onesided, sub, mutation=mutation).ok
 
     small = shrink_commands(commands, failing)
     assert 1 <= len(small) <= 10
@@ -110,13 +143,13 @@ def test_onesided_mutation_is_invisible_to_rpc_transports():
     """The same bug on an active-message config never surfaces: RPC
     answers come from the authoritative store, not the index."""
     commands = generate_commands(8, 80)
-    result = replay_sequential(UCR, commands, mutation="onesided-skip-version-bump")
+    result = replay(UCR, commands, mutation="onesided-skip-version-bump")
     assert result.ok
 
 
 def test_dump_and_load_roundtrip(tmp_path):
     commands = generate_commands(9, 80)
-    result = replay_sequential(UCR, commands, mutation="delete-lies")
+    result = replay(UCR, commands, mutation="delete-lies")
     path = dump_mismatch(
         str(tmp_path / "case.json"), 9, UCR[0], commands, result, mutation="delete-lies"
     )

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.check.differential import generate_commands
+from repro.check.generate import generate_commands
 
 MODES = {
     "plain": {},

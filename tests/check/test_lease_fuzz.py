@@ -3,15 +3,12 @@ Zipf hot keys, pressure composition, and the pinned lease mutation."""
 
 import pytest
 
-from repro.check.differential import (
-    CONFIGS,
-    PRESSURE_STORE_CONFIG,
-    generate_commands,
-    replay_sequential,
-    shrink_commands,
-)
+from repro.check.differential import CONFIGS, PRESSURE_STORE_CONFIG, replay
+from repro.check.generate import generate_commands
+from repro.check.shrink import shrink_commands
 
 UCR = CONFIGS[0]
+SDP_TEXT = CONFIGS[1]
 SDP_BIN = CONFIGS[2]
 ONESIDED = CONFIGS[-1]
 
@@ -41,11 +38,11 @@ def test_zipf_mode_concentrates_keys():
     assert top > len(keyed) / 8 * 1.5
 
 
-@pytest.mark.parametrize("config", [UCR, SDP_BIN, ONESIDED],
+@pytest.mark.parametrize("config", [UCR, SDP_TEXT, SDP_BIN, ONESIDED],
                          ids=lambda c: c[0])
 def test_lease_fuzz_matches_oracle(config):
     for seed in (1, 2, 3):
-        result = replay_sequential(
+        result = replay(
             config, generate_commands(seed, 80, lease=True), seed=seed
         )
         assert result.ok, (config[0], seed, result.mismatches[:3])
@@ -56,7 +53,7 @@ def test_lease_fuzz_under_pressure_matches_oracle():
         commands = generate_commands(
             seed, 80, lease=True, zipf=True, pressure=True
         )
-        result = replay_sequential(
+        result = replay(
             UCR, commands, seed=seed, store_config=PRESSURE_STORE_CONFIG
         )
         assert result.ok, (seed, result.mismatches[:3])
@@ -67,13 +64,13 @@ def test_lease_mutation_is_caught_and_shrinks_small():
     deadline -- is detected and ddmin shrinks it to a tiny witness:
     set(ttl) -> sleep past ttl + window -> stale-tolerant getl."""
     commands = generate_commands(PINNED_SEED, 120, n_keys=4, lease=True)
-    result = replay_sequential(UCR, commands, seed=PINNED_SEED,
+    result = replay(UCR, commands, seed=PINNED_SEED,
                                mutation=MUTATION)
     assert not result.ok, f"{MUTATION} not detected"
-    assert replay_sequential(UCR, commands, seed=PINNED_SEED).ok
+    assert replay(UCR, commands, seed=PINNED_SEED).ok
 
     def failing(sub):
-        return not replay_sequential(
+        return not replay(
             UCR, sub, seed=PINNED_SEED, mutation=MUTATION
         ).ok
 
@@ -93,6 +90,6 @@ def test_lease_mutation_invisible_without_stale_reads():
     """The same mutation never fires on a lease-free sequence: the stale
     window only matters to stale-tolerant getl."""
     commands = generate_commands(PINNED_SEED, 120, n_keys=4)
-    result = replay_sequential(UCR, commands, seed=PINNED_SEED,
+    result = replay(UCR, commands, seed=PINNED_SEED,
                                mutation=MUTATION)
     assert result.ok

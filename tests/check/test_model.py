@@ -1,11 +1,16 @@
 """The reference oracle: unit semantics + property agreement with the
 real store on a shared simulated clock."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.check.model import MODEL_DIVERGENCES, ModelMemcached
+from repro.memcached.command import Command, entry_data
+from repro.memcached.engine import CommandEngine
 from repro.memcached.errors import ClientError, ServerError
 from repro.memcached.items import ITEM_HEADER_OVERHEAD
 from repro.memcached.slabs import PAGE_BYTES
@@ -181,9 +186,11 @@ def test_model_too_large_set_destroys_old_value():
     assert model.get("k") is None
 
 
-# -- property: model vs the real store on one clock ---------------------------
+# -- property: the oracle vs the engine, at the IR, on one clock ---------------
 
-KEYS = st.sampled_from([f"k{i}" for i in range(6)] + ["k" * 250])
+#: Few keys, so that a won lease or a gets token usually meets a later op
+#: on its key; the two boundary keys are the longest legal and one past.
+KEYS = st.sampled_from(["a", "a", "b", "b", "k" * 250, "k" * 251])
 VALUES = st.one_of(
     st.binary(min_size=0, max_size=64),
     st.sampled_from(
@@ -192,112 +199,98 @@ VALUES = st.one_of(
 )
 DELTAS = st.sampled_from([1, 7, 2**32, 2**64 - 1])
 EXPTIMES = st.sampled_from([0, 0, 1, 3])
+FLAGS = st.integers(0, 2**16 - 1)
+#: A symbolic token, resolved per side: the latest gets (cas) or won
+#: lease (a fill) on the key, or one no store ever issued.
+TOKEN_REFS = st.sampled_from(["last", "last", "bogus"])
 
-COMMANDS = st.lists(
-    st.one_of(
-        st.tuples(st.just("set"), KEYS, VALUES, EXPTIMES),
-        st.tuples(st.just("add"), KEYS, VALUES, EXPTIMES),
-        st.tuples(st.just("replace"), KEYS, VALUES, EXPTIMES),
-        st.tuples(st.just("append"), KEYS, VALUES, st.just(0)),
-        st.tuples(st.just("prepend"), KEYS, VALUES, st.just(0)),
-        st.tuples(st.just("get"), KEYS, st.just(b""), st.just(0)),
-        st.tuples(st.just("delete"), KEYS, st.just(b""), st.just(0)),
-        st.tuples(st.just("incr"), KEYS, st.just(b""), DELTAS),
-        st.tuples(st.just("decr"), KEYS, st.just(b""), DELTAS),
-        st.tuples(st.just("touch"), KEYS, st.just(b""), EXPTIMES),
-        st.tuples(st.just("flush"), st.just("k0"), st.just(b""), EXPTIMES),
-        st.tuples(st.just("advance"), st.just("k0"), st.just(b""), st.integers(1, 4)),
-    ),
-    min_size=1,
+
+def _keyed(ops, **fields):
+    keys = st.lists(KEYS, min_size=1, max_size=1)
+    return st.builds(Command, op=st.sampled_from(ops), keys=keys, **fields)
+
+
+_STORE = {"value": VALUES, "flags": FLAGS, "exptime": EXPTIMES}
+
+#: (strategy of (command, token_ref), weight): stores and reads dominate so
+#: state builds up between the flushes and clock advances that wipe it.
+_WEIGHTED = [
+    (st.tuples(_keyed(["set", "set", "add", "replace"], **_STORE), st.none()), 4),
+    (st.tuples(_keyed(["cas", "cas", "set", "add", "replace"], **_STORE), TOKEN_REFS), 3),
+    (st.tuples(_keyed(["append", "prepend"], value=VALUES), st.none()), 1),
+    (st.tuples(_keyed(["get", "gets", "gets", "delete"]), st.none()), 3),
+    (st.tuples(_keyed(["getl"], stale_ok=st.booleans()), st.none()), 3),
+    (st.tuples(_keyed(["incr", "decr"], delta=DELTAS), st.none()), 1),
+    (st.tuples(_keyed(["touch"], exptime=EXPTIMES), st.none()), 1),
+    (st.tuples(st.builds(Command, op=st.just("flush_all"), exptime=EXPTIMES), st.none()), 1),
+    (st.tuples(st.just("advance"), st.sampled_from([1, 1, 3, 12])), 3),
+]
+
+STEPS = st.lists(
+    # one_of() folds repeated alternatives into one; a drawn index keeps them.
+    st.sampled_from(
+        [i for i, (_, weight) in enumerate(_WEIGHTED) for _ in range(weight)]
+    ).flatmap(lambda i: _WEIGHTED[i][0]),
+    min_size=25,
     max_size=60,
 )
 
-
-def _outcome(fn, *args):
-    """(tag, value) so error modes are compared too."""
-    try:
-        return ("ok", fn(*args))
-    except ClientError:
-        return ("error", "client")
-    except ServerError:
-        return ("error", "server")
+BOGUS = 2**61
 
 
-@settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow], deadline=None)
-@given(COMMANDS)
-def test_model_matches_store(commands):
-    """Same command stream, same clock: every observable outcome agrees
-    (values, flags, presence booleans, counter values, error kinds)."""
+class _Side:
+    """One implementation of ``apply`` with its own token maps (raw cas
+    tokens differ across sides: MODEL_DIVERGENCES 'cas-token-values')."""
+
+    def __init__(self, apply) -> None:
+        self.apply = apply
+        self.tokens: dict = {}
+        self.cas_seen: dict[int, int] = {}
+
+    def step(self, cmd: Command, token_ref) -> tuple:
+        """Apply *cmd* (its symbolic token resolved on this side) and
+        return everything a client could observe of the reply."""
+        if token_ref is not None:
+            field = "cas" if cmd.op == "cas" else "lease_token"
+            token = self.tokens.get((field, cmd.key), BOGUS) if token_ref == "last" else BOGUS
+            cmd = dataclasses.replace(cmd, **{field: token})
+        reply = self.apply(cmd)
+        if cmd.op == "gets" and reply.values:
+            self.tokens["cas", cmd.key] = reply.values[0][3]
+        if reply.lease_state == "won":
+            self.tokens["lease_token", cmd.key] = reply.lease_token
+        values = [
+            (key, flags, entry_data(data), self.cas_seen.setdefault(cas, len(self.cas_seen)))
+            for key, flags, data, cas in reply.values
+        ]
+        return (reply.status, reply.number, values, reply.error_kind,
+                reply.lease_state, reply.lease_token, reply.stale)
+
+
+def _first_divergence(steps):
+    """Run *steps* through both ``apply``s on one clock; the first step
+    whose observable replies differ, or None.  (A helper so that a failing
+    example's traceback does not keep its megabytes of slab pages alive
+    while hypothesis shrinks.)"""
     sim = Simulator()
     store = ItemStore(sim, StoreConfig(max_bytes=64 * PAGE_BYTES))
-    model = ModelMemcached(lambda: sim.now / 1e6)
-    for op, key, value, arg in commands:
-        if op == "advance":
+    engine = _Side(CommandEngine(SimpleNamespace(store=store)).apply)
+    oracle = _Side(ModelMemcached(lambda: sim.now / 1e6).apply)
+    for index, (cmd, arg) in enumerate(steps):
+        if cmd == "advance":
             sim._now += arg * 1e6
             continue
-        if op == "flush":
-            store.flush_all(arg)
-            model.flush_all(arg)
-            continue
-        if op in ("set", "add", "replace"):
-            got = _outcome(getattr(store, op), key, value, 3, arg)
-            want = _outcome(getattr(model, op), key, value, 3, arg)
-            if got[0] == "ok":
-                got = ("ok", got[1] is not None)
-                want = ("ok", want[1] == "stored")
-        elif op in ("append", "prepend"):
-            got = _outcome(getattr(store, op), key, value)
-            want = _outcome(getattr(model, op), key, value)
-            if got[0] == "ok":
-                got = ("ok", got[1] is not None)
-                want = ("ok", want[1] == "stored")
-        elif op == "get":
-            got = _outcome(store.get, key)
-            want = _outcome(model.get, key)
-            if got[0] == "ok":
-                got = ("ok", None if got[1] is None else (got[1].value(), got[1].flags))
-                want = (
-                    "ok",
-                    None if want[1] is None else (want[1].value, want[1].flags),
-                )
-        elif op == "delete":
-            got = _outcome(store.delete, key)
-            want = _outcome(model.delete, key)
-        elif op in ("incr", "decr"):
-            got = _outcome(getattr(store, op), key, arg)
-            want = _outcome(getattr(model, op), key, arg)
-        elif op == "touch":
-            got = _outcome(store.touch, key, arg)
-            want = _outcome(model.touch, key, arg)
-        assert got == want, (op, key, value, arg)
+        got, want = engine.step(cmd, arg), oracle.step(cmd, arg)
+        if got != want:
+            return index, cmd, arg, got, want
+    return None
 
 
-@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow], deadline=None)
-@given(COMMANDS)
-def test_model_cas_agrees_with_store(commands):
-    """CAS flows: tokens are compared *behaviorally* (each side uses its
-    own gets token), raw values intentionally differ (MODEL_DIVERGENCES)."""
-    sim = Simulator()
-    store = ItemStore(sim, StoreConfig(max_bytes=64 * PAGE_BYTES))
-    model = ModelMemcached(lambda: sim.now / 1e6)
-    store_tok: dict[str, int] = {}
-    model_tok: dict[str, int] = {}
-    bogus = 2**61
-    for i, (op, key, value, arg) in enumerate(commands):
-        if op in ("set", "add", "replace"):
-            _outcome(getattr(store, op), key, value, 0, 0)
-            _outcome(getattr(model, op), key, value, 0, 0)
-        elif op == "get":  # reuse as "gets": refresh both token maps
-            s = _outcome(store.get, key)
-            m = _outcome(model.gets, key)
-            assert (s[1] is None) == (m[1] is None)
-            if s[0] == "ok" and s[1] is not None:
-                store_tok[key] = s[1].cas
-                model_tok[key] = m[1].cas
-        elif op == "delete":  # reuse as "cas" with the last-seen token
-            use_bogus = i % 3 == 0
-            s_tok = bogus if use_bogus else store_tok.get(key, bogus)
-            m_tok = bogus if use_bogus else model_tok.get(key, bogus)
-            got = _outcome(store.cas, key, b"cas-val", s_tok)
-            want = _outcome(model.cas, key, b"cas-val", m_tok)
-            assert got == want, (key, use_bogus)
+@settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+@given(STEPS)
+def test_oracle_apply_matches_engine_apply(steps):
+    """Same IR commands, same clock, two ``apply``s: every reply field a
+    codec could put on a wire agrees -- status, counter value, hit
+    values/flags, cas identity, error kind, lease verdict and token,
+    staleness.  cas and lease fills use each side's own latest token."""
+    assert _first_divergence(steps) is None

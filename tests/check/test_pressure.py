@@ -12,19 +12,16 @@ import pytest
 
 from repro.check.differential import (
     CONFIGS,
-    MUTATIONS,
     PRESSURE_STORE_CONFIG,
-    Command,
     _eviction_explains,
     _strip_cas_tokens,
     differential_run,
-    dump_mismatch,
-    generate_commands,
-    load_commands,
+    replay,
     replay_concurrent,
-    replay_sequential,
-    shrink_commands,
 )
+from repro.check.generate import Step, generate_commands
+from repro.check.mutations import MUTATIONS
+from repro.check.shrink import dump_mismatch, load_commands, shrink_commands
 from repro.memcached.items import ITEM_HEADER_OVERHEAD
 from repro.memcached.slabs import PAGE_BYTES, build_chunk_sizes
 
@@ -95,6 +92,59 @@ def test_tolerant_comparator_only_excuses_presence_differences():
     assert _eviction_explains(("ok", 0), ("ok", None))
 
 
+def test_arithmetic_client_error_reads_as_presence():
+    """incr / decr answer a present non-numeric value with CLIENT_ERROR
+    and an evicted one with not-found: that pair is present-vs-absent
+    spoken through arithmetic's error, and nothing else is excused."""
+    absent, non_numeric = ["ok", None], ["error", "client"]
+    assert _eviction_explains(absent, non_numeric, "incr")
+    assert _eviction_explains(non_numeric, absent, "decr")
+    # CLIENT_ERROR vs a number is value-vs-value on a present key.
+    assert not _eviction_explains(["ok", 42], non_numeric, "incr")
+    # Only arithmetic speaks presence this way.
+    assert not _eviction_explains(absent, non_numeric, "get")
+    assert not _eviction_explains(absent, non_numeric)
+
+
+def test_seed_202_witness_is_a_divergent_eviction_not_a_disagreement():
+    """The shrunk repro of ``fuzz --pressure --seed 202 --ops 120``: UCR-IB
+    has evicted key15 by the final incr (not-found), SDP/text still holds
+    its 124 514 non-numeric bytes (CLIENT_ERROR).  Each replay agrees with
+    its own oracle; the tolerant comparator used to refuse the pair
+    because one side was not ``ok``."""
+    def big(ch: str, n: int = 124514) -> bytes:
+        return ch.encode() * n
+
+    witness = [
+        Step("set", ["key9"], big("t"), 57729),
+        Step("set", ["key15"], big("x"), 13494),
+        Step("get", ["key9"]),
+        Step("set", ["key6"], big("h"), 35541),
+        Step("set", ["key10"], big("b", 124513), 56607, 4),
+        Step("set", ["key22"], big("t"), 59072),
+        Step("set", ["key5"], big("t"), 30389, 2),
+        Step("set", ["key7"], big("x"), 61908),
+        Step("set", ["key19"], big("b", 124513), 49364),
+        Step("set", ["key8"], b"41", 33210),
+        Step("set", ["key10"], big("b", 124513), 15023),
+        Step("incr", ["key15"], delta=2**64 - 1),
+    ]
+    result = differential_run(
+        witness,
+        seed=202,
+        configs=[CONFIGS[0], CONFIGS[1]],
+        store_config=PRESSURE_STORE_CONFIG,
+        tolerant=True,
+    )
+    ucr, sdp_text = result.replays
+    assert ucr.ok and sdp_text.ok
+    assert (ucr.outcomes[-1], sdp_text.outcomes[-1]) == (
+        ["ok", None], ["error", "client"],
+    )
+    assert result.ok, result.disagreements
+    assert ("UCR-IB", "SDP/text", len(witness) - 1) in result.tolerated
+
+
 def test_concurrent_pressure_is_linearizable_with_eviction_budgets():
     result = replay_concurrent(
         UCR,
@@ -136,7 +186,7 @@ def test_skip_eviction_counter_is_caught_and_shrinks():
     """A store that evicts silently (no counter, no hook) can no longer
     launder the loss through eviction adoption: the oracle keeps the
     victim and the replay mismatches."""
-    result = replay_sequential(
+    result = replay(
         UCR,
         PRESSURE_COMMANDS,
         seed=7,
@@ -146,7 +196,7 @@ def test_skip_eviction_counter_is_caught_and_shrinks():
     assert not result.ok
 
     def failing(sub):
-        return not replay_sequential(
+        return not replay(
             UCR,
             sub,
             seed=7,
@@ -164,7 +214,7 @@ def _val(key: str, chunk_size: int, ch: int) -> bytes:
     return bytes([ch]) * (chunk_size - ITEM_HEADER_OVERHEAD - len(key) - 1)
 
 
-def _double_free_witness() -> list[Command]:
+def _double_free_witness() -> list[Step]:
     """A handcrafted stream that corrupts data iff the slab mover leaks
     the donor's chunks (the double-free-on-rebalance mutation).
 
@@ -178,29 +228,29 @@ def _double_free_witness() -> list[Command]:
     """
     by_density = {PAGE_BYTES // size: size for size in build_chunk_sizes()}
     c3, c8 = by_density[3], by_density[8]
-    cmds = [Command(op="set", key="a1", value=_val("a1", c3, ord("A")))]
+    cmds = [Step(op="set", keys=["a1"], value=_val("a1", c3, ord("A")))]
     cmds += [
-        Command(op="set", key=f"b{i}", value=_val(f"b{i}", c8, ord("a") + i))
+        Step(op="set", keys=[f"b{i}"], value=_val(f"b{i}", c8, ord("a") + i))
         for i in range(1, 9)
     ]
-    cmds.append(Command(op="delete", key="a1"))
+    cmds.append(Step(op="delete", keys=["a1"]))
     cmds += [
-        Command(op="set", key=f"b{i}", value=_val(f"b{i}", c8, ord("a") + i))
+        Step(op="set", keys=[f"b{i}"], value=_val(f"b{i}", c8, ord("a") + i))
         for i in range(9, 17)
     ]
-    cmds.append(Command(op="set", key="a2", value=_val("a2", c3, ord("Z"))))
-    cmds += [Command(op="get", key=f"b{i}") for i in range(9, 17)]
+    cmds.append(Step(op="set", keys=["a2"], value=_val("a2", c3, ord("Z"))))
+    cmds += [Step(op="get", keys=[f"b{i}"]) for i in range(9, 17)]
     return cmds
 
 
 def test_double_free_on_rebalance_is_caught_and_shrinks():
     witness = _double_free_witness()
-    honest = replay_sequential(
+    honest = replay(
         UCR, witness, seed=7, store_config=PRESSURE_STORE_CONFIG
     )
     assert honest.ok, honest.mismatches[:2]
 
-    bad = replay_sequential(
+    bad = replay(
         UCR,
         witness,
         seed=7,
@@ -210,7 +260,7 @@ def test_double_free_on_rebalance_is_caught_and_shrinks():
     assert not bad.ok  # overlapping chunks genuinely corrupt page bytes
 
     def failing(sub):
-        return not replay_sequential(
+        return not replay(
             UCR,
             sub,
             seed=7,
@@ -246,7 +296,7 @@ def test_sanitizer_catches_the_double_free_directly():
 
 
 def test_pressure_dump_roundtrip(tmp_path):
-    result = replay_sequential(
+    result = replay(
         UCR,
         PRESSURE_COMMANDS[:60],
         seed=7,

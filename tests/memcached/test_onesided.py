@@ -337,7 +337,7 @@ def test_export_sanitizer_accepts_a_live_workload(cluster):
 def test_export_sanitizer_flags_skipped_invalidation(cluster):
     """The seeded MUTATIONS bug, caught structurally: unpublish without
     the seqlock bump leaves a live, ownerless entry behind."""
-    from repro.check.differential import MUTATIONS
+    from repro.check.mutations import MUTATIONS
 
     client = cluster.client("UCR-1S")
     store = cluster.server.store

@@ -54,11 +54,6 @@ SHARED_CLASS_NAMES = {
         {"memcached/protocol_binary.py", "verbs/enums.py"},
         "two wire vocabularies: memcached binary opcodes and IB verbs opcodes",
     ),
-    "Command": (
-        {"check/differential.py", "memcached/command.py"},
-        "the fuzzer's is a symbolic script step (token_ref, sleep), not a wire "
-        "command; ROADMAP 'Finish the collapse' keeps merging them open",
-    ),
 }
 
 
