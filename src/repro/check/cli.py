@@ -22,25 +22,49 @@ import argparse
 import sys
 from typing import Optional
 
+from repro.check.differential import (
+    CONFIGS,
+    PRESSURE_STORE_CONFIG,
+    differential_run,
+    replay_concurrent,
+)
+from repro.check.generate import generate_commands
+from repro.check.parser_fuzz import fuzz_parsers
+from repro.check.shrink import dump_mismatch, load_commands, shrink_commands
 
-def _configs_by_name() -> dict:
-    from repro.check.differential import CONFIGS
-
-    return {name: (name, transport, binary) for name, transport, binary in CONFIGS}
+_BY_NAME = {config[0]: config for config in CONFIGS}
 
 
 def _select_configs(names: Optional[list[str]]) -> list:
-    from repro.check.differential import CONFIGS
-
-    if not names:
-        return list(CONFIGS)
-    table = _configs_by_name()
-    missing = [n for n in names if n not in table]
+    missing = [n for n in names or () if n not in _BY_NAME]
     if missing:
         raise SystemExit(
-            f"unknown config(s) {missing}; choose from {sorted(table)}"
+            f"unknown config(s) {missing}; choose from {sorted(_BY_NAME)}"
         )
-    return [table[n] for n in names]
+    return [_BY_NAME[n] for n in names] if names else list(CONFIGS)
+
+
+def _script(seed: int, n: int, pressure: bool, **modes) -> list:
+    """The seeded script a CLI run replays (pressure widens the key pool)."""
+    return generate_commands(
+        seed, n, n_keys=32 if pressure else 8, pressure=pressure, **modes
+    )
+
+
+def _differential(
+    steps: list, configs: list, seed: int, pressure: bool,
+    mutation: Optional[str] = None, depth: int = 1,
+):
+    """One differential run (pressure: small store, tolerant comparator)."""
+    return differential_run(
+        steps,
+        seed=seed,
+        configs=configs,
+        mutation=mutation,
+        store_config=PRESSURE_STORE_CONFIG if pressure else None,
+        tolerant=pressure,
+        depth=depth,
+    )
 
 
 def _print_failures(diff) -> None:
@@ -56,32 +80,12 @@ def _print_failures(diff) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    # Deferred: building clusters pulls in the whole simulator.
-    from repro.check.differential import (
-        PRESSURE_STORE_CONFIG,
-        differential_run,
-        replay_concurrent,
-    )
-    from repro.check.generate import generate_commands
-
     configs = _select_configs(args.config)
     failed = False
     pressure = args.pressure
-    store_config = PRESSURE_STORE_CONFIG if pressure else None
 
-    commands = generate_commands(
-        args.seed,
-        args.sequential_ops,
-        n_keys=32 if pressure else 8,
-        pressure=pressure,
-    )
-    diff = differential_run(
-        commands,
-        seed=args.seed,
-        configs=configs,
-        store_config=store_config,
-        tolerant=pressure,
-    )
+    commands = _script(args.seed, args.sequential_ops, pressure)
+    diff = _differential(commands, configs, args.seed, pressure)
     status = "ok" if diff.ok else "MISMATCH"
     label = "pressure sequential" if pressure else "sequential"
     print(
@@ -112,9 +116,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"pipelined: {len(commands)} commands x {len(configs)} configs "
             f"(depth {depth}, seed {args.seed})"
         )
-        piped = differential_run(
-            commands, seed=args.seed, configs=configs, depth=depth
-        )
+        piped = _differential(commands, configs, args.seed, pressure=False, depth=depth)
         for replay in piped.replays:
             print(f"  {replay.config:<22} {'ok' if replay.ok else 'MISMATCH'}")
         if not piped.ok:
@@ -138,7 +140,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 n_keys=32 if pressure else 8,
                 chaos=args.chaos,
                 pipeline_depth=d,
-                store_config=store_config,
+                store_config=PRESSURE_STORE_CONFIG if pressure else None,
             )
             verdict = "linearizable" if result.ok else "NOT LINEARIZABLE"
             extra = (
@@ -158,22 +160,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _differential(
-    commands: list, configs: list, seed: int, mutation: Optional[str], pressure: bool
-):
-    """One fuzz-mode differential run (pressure: small store, tolerant comparator)."""
-    from repro.check.differential import PRESSURE_STORE_CONFIG, differential_run
-
-    return differential_run(
-        commands,
-        seed=seed,
-        configs=configs,
-        mutation=mutation,
-        store_config=PRESSURE_STORE_CONFIG if pressure else None,
-        tolerant=pressure,
-    )
-
-
 def _shrink_and_dump(
     commands: list,
     names: list[str],
@@ -190,13 +176,10 @@ def _shrink_and_dump(
     predicate either way.  Returns the shrunk commands, or ``None`` (and
     writes nothing) when *commands* do not fail to begin with.
     """
-    from repro.check.shrink import dump_mismatch, shrink_commands
-
-    by_name = _configs_by_name()
-    configs = [by_name[name] for name in names]
+    configs = [_BY_NAME[name] for name in names]
 
     def run(sub):
-        return _differential(sub, configs, seed, mutation, pressure)
+        return _differential(sub, configs, seed, pressure, mutation)
 
     if run(commands).ok:
         return None
@@ -210,22 +193,12 @@ def _shrink_and_dump(
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.check.generate import generate_commands
-    from repro.check.parser_fuzz import fuzz_parsers
-
     configs = _select_configs(args.config)
     pressure = args.pressure
     failures = 0
     for seed in range(args.seed, args.seed + args.seeds):
-        commands = generate_commands(
-            seed,
-            args.ops,
-            n_keys=32 if pressure else 8,
-            pressure=pressure,
-            zipf=args.zipf,
-            lease=args.lease,
-        )
-        diff = _differential(commands, configs, seed, args.mutation, pressure)
+        commands = _script(seed, args.ops, pressure, zipf=args.zipf, lease=args.lease)
+        diff = _differential(commands, configs, seed, pressure, args.mutation)
         if diff.ok:
             note = ""
             if pressure:
@@ -268,11 +241,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_shrink(args: argparse.Namespace) -> int:
-    from repro.check.shrink import load_commands
-
     doc, commands = load_commands(args.repro_file)
     names = [doc["config"], *doc.get("versus", [])]
-    unknown = [name for name in names if name not in _configs_by_name()]
+    unknown = [name for name in names if name not in _BY_NAME]
     if unknown:
         print(f"unknown config {unknown[0]!r} in {args.repro_file}", file=sys.stderr)
         return 1

@@ -27,13 +27,19 @@ repro dumps in :mod:`repro.check.shrink`, the parser fuzzer in
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from repro.chaos.controller import ChaosController
+from repro.chaos.schedule import random_schedule
 from repro.check.generate import Step, generate_commands
 from repro.check.history import CheckResult, check_history, recorder
 from repro.check.model import ModelMemcached
 from repro.check.mutations import MUTATIONS
+from repro.cluster.builder import Cluster
+from repro.cluster.configs import CLUSTER_A
+from repro.memcached.client import interpret
 from repro.memcached.errors import (
     ClientError,
     ProtocolError,
@@ -42,6 +48,8 @@ from repro.memcached.errors import (
 )
 from repro.memcached.slabs import PAGE_BYTES
 from repro.memcached.store import StoreConfig
+from repro.telemetry.chrome import chrome_document, write_chrome
+from repro.telemetry.spans import tracing
 
 #: The standard memory-pressure rig: a store two slab pages deep with
 #: the rebalancer on, so the pressure value pool (slab-edge values in
@@ -93,9 +101,6 @@ def _ask_oracle(oracle: ModelMemcached, command):
     """The oracle's entry for *command*, in :func:`_issue`'s form: the
     same reply interpretation the client applies, over the oracle's own
     ``apply``."""
-    # Deferred: the client imports repro.check.history (see _build_cluster).
-    from repro.memcached.client import interpret
-
     try:
         return interpret(command, oracle.apply(command))
     except (ClientError, ServerError) as exc:
@@ -207,17 +212,6 @@ class ReplayResult:
         return not self.mismatches
 
 
-def _build_cluster(n_client_nodes: int = 1, n_servers: int = 1, seed: int = 42):
-    # Deferred: the cluster builder imports the client, which imports
-    # repro.check.history -- importing it at module load would cycle.
-    from repro.cluster.builder import Cluster
-    from repro.cluster.configs import CLUSTER_A
-
-    return Cluster(
-        CLUSTER_A, n_client_nodes=n_client_nodes, seed=seed, n_servers=n_servers
-    )
-
-
 def replay(
     config: tuple[str, str, bool],
     steps: list[Step],
@@ -249,7 +243,7 @@ def replay(
         raise ValueError("eviction adoption needs depth 1: windows have no drain point")
     name, transport, binary = config
     sc = store_config or StoreConfig()
-    cluster = _build_cluster(seed=seed)
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1, seed=seed)
     cluster.start_server(store_config=sc)
     store = cluster.server.store
     if mutation is not None:
@@ -322,18 +316,12 @@ def replay(
                 result.outcomes.append(actual)
             oom_seen = oom_now
 
-    if trace_path is not None:
-        from repro.telemetry.chrome import chrome_document, write_chrome
-        from repro.telemetry.spans import tracing
-
-        with tracing() as t:
-            cluster.sim.process(driver())
-            cluster.sim.run()
-        write_chrome(trace_path, chrome_document([(name, t.spans, t.instants)]))
-        result.trace_file = trace_path
-    else:
+    with tracing() if trace_path is not None else nullcontext() as t:
         cluster.sim.process(driver())
         cluster.sim.run()
+    if trace_path is not None:
+        write_chrome(trace_path, chrome_document([(name, t.spans, t.instants)]))
+        result.trace_file = trace_path
     result.evictions = store.stats.evictions
     result.reclaimed = store.stats.reclaimed
     result.oom_errors = store.stats.oom_errors
@@ -514,8 +502,8 @@ def replay_concurrent(
     ``evictable`` rather than failed.
     """
     name, transport, binary = config
-    cluster = _build_cluster(
-        n_client_nodes=n_clients, n_servers=n_servers, seed=seed
+    cluster = Cluster(
+        CLUSTER_A, n_client_nodes=n_clients, seed=seed, n_servers=n_servers
     )
     cluster.start_server(store_config=store_config or StoreConfig())
     pressure = store_config is not None
@@ -543,9 +531,6 @@ def replay_concurrent(
 
     chaos_log: list = []
     if chaos:
-        from repro.chaos.controller import ChaosController
-        from repro.chaos.schedule import random_schedule
-
         schedule = random_schedule(
             seed, cluster.server_names, n_faults=3, horizon_us=400_000.0
         )

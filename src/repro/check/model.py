@@ -13,6 +13,11 @@ The model raises the same error taxonomy as the store
 (:class:`~repro.memcached.errors.ClientError` /
 :class:`~repro.memcached.errors.ServerError`) so callers can compare
 failure modes, not just values.
+
+:meth:`ModelMemcached.apply` is the front door the replay layer uses:
+one IR ``Command`` in, one ``Reply`` out, total like the engine's.  It
+shares the contract types with the code under test and nothing else:
+the oracle never imports the engine it is compared with.
 """
 
 from __future__ import annotations

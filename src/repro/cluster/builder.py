@@ -14,7 +14,7 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.cluster.configs import ClusterSpec
-from repro.cluster.router import DEFAULT_VNODES, HashRing
+from repro.cluster.router import HashRing
 from repro.core import UcrRuntime
 from repro.fabric.topology import Network, Node
 from repro.memcached.client import (
@@ -29,7 +29,7 @@ from repro.memcached.client import (
 from repro.memcached.items import reset_cas_ids
 from repro.memcached.onesided import OneSidedTransport
 from repro.memcached.server import MemcachedCosts, MemcachedServer, UcrServerPort
-from repro.memcached.serving import GutterRouter, ProbabilisticHotCache
+from repro.memcached.serving import ProbabilisticHotCache
 from repro.memcached.store import StoreConfig
 from repro.sim import Simulator
 from repro.sim.rng import RngStream
@@ -241,42 +241,29 @@ class Cluster:
         client_node: int = 0,
         costs: ClientCosts = ClientCosts(),
         timeout_us: Optional[float] = None,
-        vnodes: int = DEFAULT_VNODES,
         policy: FailoverPolicy = FailoverPolicy(),
         binary: bool = False,
         pipeline_depth: int = 1,
-        gutter: int = 0,
-        gutter_ttl_s: float = 10.0,
         hot_cache: Optional[ProbabilisticHotCache] = None,
+        ring=None,
     ) -> ShardedClient:
-        """A failure-aware client routing over a consistent-hash ring.
+        """A failure-aware client routing over the server pool.
 
-        Same transports as :meth:`client`, but keys route through a
-        :class:`~repro.cluster.router.HashRing` over the server pool and
+        Same transports as :meth:`client`, but keys route through *ring*
+        -- any object speaking the distribution protocol (``server_for``
+        / ``servers`` / ``remove_server``); by default a
+        :class:`~repro.cluster.router.HashRing` over every server -- and
         operations fail over per *policy* (bounded retry, exponential
-        backoff, ejection/rejoin) when a shard dies.
-
-        With ``gutter=N`` the *last* N pool servers are reserved as a
-        gutter pool (docs/SERVING.md): they leave the primary ring, and
-        traffic for ejected primary shards diverts to them with writes
-        clamped to *gutter_ttl_s*.  *hot_cache* attaches a client-local
+        backoff, ejection/rejoin) when a shard dies.  A gutter pool is a
+        router like any other: ``ring=GutterRouter.reserving_last(
+        cluster.server_names, n)`` (docs/SERVING.md).  *hot_cache*
+        attaches a client-local
         :class:`~repro.memcached.serving.ProbabilisticHotCache`.
         """
         t = self._transport(transport, client_node, costs, timeout_us, binary)
-        if gutter:
-            if gutter >= len(self.server_names):
-                raise ValueError(
-                    f"gutter={gutter} leaves no primary shards out of "
-                    f"{len(self.server_names)} servers"
-                )
-            primary = HashRing(self.server_names[:-gutter], vnodes=vnodes)
-            spare = HashRing(self.server_names[-gutter:], vnodes=vnodes)
-            ring = GutterRouter(primary, spare, gutter_ttl_s=gutter_ttl_s)
-        else:
-            ring = HashRing(self.server_names, vnodes=vnodes)
         return ShardedClient(
             t,
-            ring,
+            ring if ring is not None else HashRing(self.server_names),
             policy=policy,
             pipeline_depth=pipeline_depth,
             hot_cache=hot_cache,

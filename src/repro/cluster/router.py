@@ -123,10 +123,6 @@ class HashRing:
         """Member names in insertion order (distribution protocol)."""
         return list(self._nodes)
 
-    @property
-    def nodes(self) -> list[RingNode]:
-        return list(self._nodes.values())
-
     def add_server(self, node: Union[str, RingNode]) -> None:
         """Join a server; only ~weight/total_weight of keys remap to it."""
         node = _coerce(node)

@@ -57,9 +57,6 @@ class UcrContext:
     def _register_endpoint(self, ep: Endpoint) -> None:
         self._endpoints[ep.qp.qp_num] = ep
 
-    def endpoints(self) -> list[Endpoint]:
-        return list(self._endpoints.values())
-
     def connect(
         self,
         remote_runtime: "UcrRuntime",

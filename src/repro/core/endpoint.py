@@ -421,11 +421,6 @@ class Endpoint:  # repro-lint: disable=L003
         if self.on_failure is not None:
             self.on_failure(self)
 
-    def close(self) -> None:
-        """Graceful local teardown (no wire protocol; peers detect via
-        timeouts, the data-center failure model of §IV-A)."""
-        self.fail("closed locally")
-
     def _check_alive(self) -> None:
         if self.failed:
             raise EndpointClosed(

@@ -41,7 +41,7 @@ from repro.cluster.builder import Cluster
 from repro.cluster.configs import CLUSTER_A
 from repro.experiments.common import ExperimentReport
 from repro.memcached.client import FailoverPolicy
-from repro.memcached.serving import ProbabilisticHotCache
+from repro.memcached.serving import GutterRouter, ProbabilisticHotCache
 from repro.workloads.serving import ServingResult, ServingRunner
 
 #: Every serving figure draws its scenario from this seed.
@@ -91,8 +91,10 @@ def _run_config(
         client = cluster.sharded_client(
             client_node=i,
             policy=policy or FailoverPolicy(),
-            gutter=gutter,
             hot_cache=hc,
+            ring=GutterRouter.reserving_last(cluster.server_names, gutter)
+            if gutter
+            else None,
         )
         clients.append(client)
         return client

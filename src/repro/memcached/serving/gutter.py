@@ -51,6 +51,18 @@ class GutterRouter:
         #: Operations redirected into the gutter pool.
         self.absorbed = 0
 
+    @classmethod
+    def reserving_last(
+        cls, servers: list[str], n: int, gutter_ttl_s: float = 10.0
+    ) -> "GutterRouter":
+        """The standard split of one pool: its *last* n servers leave
+        the primary ring and become the gutter pool."""
+        if not 0 < n < len(servers):
+            raise ValueError(
+                f"gutter={n} leaves no primary shards out of {len(servers)} servers"
+            )
+        return cls(HashRing(servers[:-n]), HashRing(servers[-n:]), gutter_ttl_s)
+
     # -- distribution protocol ---------------------------------------------
 
     @property

@@ -71,11 +71,6 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._state is PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event currently being waited on (for introspection/tests)."""
-        return self._target
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current wait point.
 

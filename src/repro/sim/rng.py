@@ -38,12 +38,6 @@ class RngStream:
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         return float(self._rng.uniform(low, high))
 
-    def exponential(self, mean: float) -> float:
-        return float(self._rng.exponential(mean))
-
-    def normal(self, mean: float, std: float) -> float:
-        return float(self._rng.normal(mean, std))
-
     def lognormal(self, mean: float, sigma: float) -> float:
         return float(self._rng.lognormal(mean, sigma))
 

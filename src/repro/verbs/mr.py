@@ -86,10 +86,6 @@ class MemoryRegion:
         self._buffer = bytearray(size)
         self._valid = True
 
-    @property
-    def valid(self) -> bool:
-        return self._valid
-
     def describe(self) -> RegionDescriptor:
         """The advertisement remote peers need to READ/WRITE this region."""
         if Access.REMOTE_READ not in self.access and Access.REMOTE_WRITE not in self.access:

@@ -65,9 +65,9 @@ def test_a_printed_repro_is_readable_under_pressure(tmp_path, capsys):
         [
             "fuzz",
             "--pressure",
-            "--seed", "7",
+            "--seed", "1",
             "--seeds", "1",
-            "--ops", "200",
+            "--ops", "60",
             "--parser-cases", "0",
             "--mutation", "skip-eviction-counter",
             "--config", "UCR-IB",
@@ -76,7 +76,7 @@ def test_a_printed_repro_is_readable_under_pressure(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert code == 1 and "MISMATCH" in out
-    dump = tmp_path / "mismatch-seed7.json"
+    dump = tmp_path / "mismatch-seed1.json"
     steps = json.loads(dump.read_text())["commands"]
     assert any(len(step.get("value", "")) > 100_000 for step in steps)
     # A dump says what each op reads, not every field on every step.
@@ -172,6 +172,34 @@ def test_fuzz_shrinks_a_cross_config_disagreement_on_the_pair(
     # ...and the dump names the pair, so `shrink` replays the pair too.
     assert main(["shrink", str(dump)]) == 1
     assert "shrunk 1 -> 1 commands" in capsys.readouterr().out
+
+
+def test_run_says_what_a_red_pass_failed_on(capsys, monkeypatch):
+    """A red ``run`` names the mismatching op and the disagreeing pair, for
+    the blocking pass and the pipelined one alike (one printer)."""
+    from repro.check import differential
+
+    real = differential.replay
+
+    def skewed(config, steps, **kwargs):
+        result = real(config, steps, **kwargs)
+        if config[0] == "SDP/text":
+            result.outcomes[0] = ["ok", "skewed"]
+            result.mismatches.append((0, ["ok", "skewed"], result.outcomes[1]))
+        return result
+
+    monkeypatch.setattr(differential, "replay", skewed)
+    code = main(
+        ["run", "--sequential-ops", "10", "--ops", "16",
+         "--config", "UCR-IB", "--config", "SDP/text"]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "sequential: 10 commands x 2 configs (seed 42): MISMATCH" in out
+    assert "  SDP/text #0: client ['ok', 'skewed'] != oracle" in out
+    assert "  SDP/text/pipe4         MISMATCH" in out
+    assert out.count("  UCR-IB vs SDP/text: first disagreement at #0") == 1
+    assert out.count("  UCR-IB/pipe4 vs SDP/text/pipe4: first disagreement at #0") == 1
 
 
 def test_shrink_reports_a_dump_that_no_longer_fails(tmp_path, capsys):

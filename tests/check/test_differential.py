@@ -1,6 +1,8 @@
 """Differential replay: oracle agreement, cross-config agreement,
 determinism, fault-injection detection, shrinking, parser fuzzing."""
 
+import json
+
 import pytest
 
 from repro.check.differential import (
@@ -79,6 +81,14 @@ def test_pipelined_replay_is_the_same_replay_at_depth():
     assert [r.config for r in piped.replays] == [f"{c[0]}/pipe4" for c in configs]
     assert piped.replays[0].outcomes == replay(UCR, steps, seed=1).outcomes
     assert not replay(UCR, generate_commands(9, 80), depth=4, mutation="delete-lies").ok
+
+
+def test_a_replay_can_be_traced_at_any_depth(tmp_path):
+    path = str(tmp_path / "trace.json")
+    result = replay(SDP_BIN, generate_commands(1, 12), depth=4, trace_path=path)
+    assert result.ok and result.trace_file == path
+    names = {e["name"] for e in json.loads((tmp_path / "trace.json").read_text())["traceEvents"]}
+    assert "client.pipeline" in names  # the windows really rode the pipeline
 
 
 def test_pipelined_replay_refuses_eviction_adoption():

@@ -3,8 +3,13 @@ Zipf hot keys, pressure composition, and the pinned lease mutation."""
 
 import pytest
 
-from repro.check.differential import CONFIGS, PRESSURE_STORE_CONFIG, replay
-from repro.check.generate import generate_commands
+from repro.check.differential import (
+    CONFIGS,
+    PRESSURE_STORE_CONFIG,
+    differential_run,
+    replay,
+)
+from repro.check.generate import Step, generate_commands
 from repro.check.shrink import shrink_commands
 
 UCR = CONFIGS[0]
@@ -46,6 +51,35 @@ def test_lease_fuzz_matches_oracle(config):
             config, generate_commands(seed, 80, lease=True), seed=seed
         )
         assert result.ok, (config[0], seed, result.mismatches[:3])
+
+
+def test_the_lease_conversation_reads_the_same_on_every_wire():
+    """Every lease verdict, scripted, over all eight configs: won with a
+    stale ghost, lost with and without one, a denied fill, the winner's
+    fill, a fresh hit.  (The seeded sequences above seldom lose a lease
+    or serve stale, and nothing else in tier-1 speaks ``getl`` in text.)"""
+    script = [
+        Step("set", ["k"], b"v1", flags=5, exptime=1),
+        Step("sleep", sleep_s=2),
+        Step("getl", ["k"], stale_ok=True),
+        Step("getl", ["k"], stale_ok=True),
+        Step("getl", ["k"], stale_ok=False),
+        Step("setl", ["k"], b"v2", token_ref="bogus"),
+        Step("setl", ["k"], b"v2"),
+        Step("getl", ["k"], stale_ok=True),
+    ]
+    result = differential_run(script, configs=CONFIGS)
+    assert result.ok, (result.disagreements, [r.mismatches for r in result.replays])
+    assert result.replays[0].outcomes == [
+        ["ok", True],
+        ["sleep", 2],
+        ["ok", ["won", "v1", "lease#0"]],
+        ["ok", ["lost", "v1", None]],
+        ["ok", ["lost", None, None]],
+        ["ok", False],
+        ["ok", True],
+        ["ok", "v2"],
+    ]
 
 
 def test_lease_fuzz_under_pressure_matches_oracle():

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.check.generate import BOGUS_CAS
 from repro.check.model import MODEL_DIVERGENCES, ModelMemcached
 from repro.memcached.command import Command, entry_data
 from repro.memcached.engine import CommandEngine
@@ -219,6 +220,8 @@ _WEIGHTED = [
     (st.tuples(_keyed(["cas", "cas", "set", "add", "replace"], **_STORE), TOKEN_REFS), 3),
     (st.tuples(_keyed(["append", "prepend"], value=VALUES), st.none()), 1),
     (st.tuples(_keyed(["get", "gets", "gets", "delete"]), st.none()), 3),
+    (st.tuples(st.builds(Command, op=st.just("get"),
+                         keys=st.lists(KEYS, min_size=2, max_size=3)), st.none()), 1),
     (st.tuples(_keyed(["getl"], stale_ok=st.booleans()), st.none()), 3),
     (st.tuples(_keyed(["incr", "decr"], delta=DELTAS), st.none()), 1),
     (st.tuples(_keyed(["touch"], exptime=EXPTIMES), st.none()), 1),
@@ -235,9 +238,6 @@ STEPS = st.lists(
     max_size=60,
 )
 
-BOGUS = 2**61
-
-
 class _Side:
     """One implementation of ``apply`` with its own token maps (raw cas
     tokens differ across sides: MODEL_DIVERGENCES 'cas-token-values')."""
@@ -252,7 +252,7 @@ class _Side:
         return everything a client could observe of the reply."""
         if token_ref is not None:
             field = "cas" if cmd.op == "cas" else "lease_token"
-            token = self.tokens.get((field, cmd.key), BOGUS) if token_ref == "last" else BOGUS
+            token = self.tokens.get((field, cmd.key), BOGUS_CAS) if token_ref == "last" else BOGUS_CAS
             cmd = dataclasses.replace(cmd, **{field: token})
         reply = self.apply(cmd)
         if cmd.op == "gets" and reply.values:

@@ -12,7 +12,7 @@ from repro.check.history import recorder
 from repro.cluster import CLUSTER_A, Cluster
 from repro.memcached.client import FailoverPolicy, MemcachedClient, ShardedClient
 from repro.memcached.command import Command
-from repro.memcached.serving import ProbabilisticHotCache
+from repro.memcached.serving import GutterRouter, ProbabilisticHotCache
 from repro.telemetry import tracer, tracing
 
 CLIENTS = {
@@ -21,7 +21,7 @@ CLIENTS = {
     "UCR-1S": lambda c: c.client("UCR-1S"),
     "UCR-1S sharded": lambda c: c.sharded_client("UCR-1S"),
     "sharded + hot cache + gutter": lambda c: c.sharded_client(
-        "UCR-IB", gutter=1,
+        "UCR-IB", ring=GutterRouter.reserving_last(c.server_names, 1),
         hot_cache=ProbabilisticHotCache(seed=1, admission_rate=1.0),
     ),
 }

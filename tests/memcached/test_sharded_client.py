@@ -295,7 +295,9 @@ def test_non_default_timeout_changes_failure_detection_latency():
 
 def test_sharded_client_vnodes_parameter():
     cluster = pool(n_servers=4)
-    client = cluster.sharded_client("UCR-IB", vnodes=10)
+    client = cluster.sharded_client(
+        "UCR-IB", ring=HashRing(cluster.server_names, vnodes=10)
+    )
     assert client.ring.vnodes == 10
     assert len(client.ring) == 40  # 4 servers x 10 points
     default = cluster.sharded_client("UCR-IB", client_node=0)

@@ -82,8 +82,7 @@ def test_gutter_bound_writes_are_ttl_clamped_end_to_end():
         "UCR-IB",
         timeout_us=3000.0,
         policy=FailoverPolicy(eject_threshold=1, rejoin_after_us=1e9),
-        gutter=1,
-        gutter_ttl_s=5.0,
+        ring=GutterRouter.reserving_last(cluster.server_names, 1, gutter_ttl_s=5.0),
     )
     gutter_server = cluster.server_names[-1]
     victim = next(
