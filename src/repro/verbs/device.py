@@ -1,9 +1,9 @@
 """The HCA: adapter-level routing, QP/CQ/PD factories.
 
 One :class:`Hca` owns one NIC.  Its receive path demultiplexes inbound
-packets to queue pairs by destination QP number and drives the responder
-actions as simulation processes -- entirely "in hardware" (no host CPU
-resource is ever touched here).
+packets to queue pairs by destination QP number and calls the responder
+actions in the delivering frame's step -- entirely "in hardware" (no host
+CPU resource is ever touched here, and no process is started).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.sim import Resource
 from repro.verbs.cq import CompletionQueue
-from repro.verbs.enums import QpType
+from repro.verbs.enums import QpType, WcStatus
 from repro.verbs.mr import ProtectionDomain
 from repro.verbs.packets import CmPacket, IbPacket
 from repro.verbs.params import HcaParams
@@ -139,24 +139,17 @@ class Hca:
             # Stale packet for a destroyed QP: NAK so an RC requester
             # waiting on the responder outcome completes with an error
             # instead of hanging.
-            wr = packet.wr
-            if wr is not None:
-                from repro.verbs.enums import WcStatus
-                from repro.verbs.qp import QueuePair
-
-                wr._remote_status = WcStatus.RNR_RETRY_EXC_ERR
-                QueuePair._signal_responder_done(packet)
+            if packet.wr is not None:
+                packet.wr.responder_done(WcStatus.RNR_RETRY_EXC_ERR)
             return
         if packet.kind == "send":
-            self.sim.process(qp.responder_send(packet), label="responder-send")
+            qp.responder_send(packet)
         elif packet.kind == "write":
-            self.sim.process(qp.responder_write(packet), label="responder-write")
+            qp.responder_write(packet)
         elif packet.kind == "read_req":
-            self.sim.process(qp.responder_read(packet), label="responder-read")
+            qp.responder_read(packet)
         elif packet.kind == "read_resp":
-            self.sim.process(
-                qp.requester_read_response(packet), label="read-response"
-            )
+            qp.requester_read_response(packet)
         else:
             raise ValueError(f"unknown IB packet kind {packet.kind!r}")
 

@@ -15,13 +15,21 @@ without any remote-CPU involvement.  This asymmetry -- remote memory
 access with zero remote CPU -- is the property the paper's design builds
 on, and it falls out of the model for free: no ``cpu_run`` appears
 anywhere in this file.
+
+Nor does a process: a work request is its modelled delays, each one's
+firing starting the next by a callback (:class:`_Wqe` on the requester
+side; the ``responder_*`` methods, called by the HCA's receive path, on
+the other).  ``docs/ARCHITECTURE.md`` ("A work request is its delays")
+has the per-opcode event table.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Any, Deque, Optional
 
+from repro.sim import Event, Timeout
 from repro.verbs.cq import CompletionQueue, WorkCompletion
 from repro.verbs.enums import Opcode, QpState, QpType, WcStatus, legal_transition
 from repro.verbs.packets import (
@@ -30,6 +38,7 @@ from repro.verbs.packets import (
     IbPacket,
 )
 from repro.telemetry import tracer
+from repro.verbs.srq import RNR_RETRIES, RNR_RETRY_DELAY_US
 from repro.verbs.wr import RecvWR, SendWR
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -185,261 +194,171 @@ class QueuePair:
                 raise ValueError("UD transport supports SEND only")
             target = remote_qp
         self._outstanding_sends += 1
-        self.hca.sim.process(
-            self._requester(wr, target), label=f"qp{self.qp_num}-send"
-        )
-
-    @property
-    def recv_queue_depth(self) -> int:
-        return len(self._recv_queue)
-
-    # -- requester pipeline -----------------------------------------------------
-
-    def _requester(self, wr: SendWR, target: "QueuePair"):
         sim = self.hca.sim
-        params = self.hca.params
         span = (
             tracer.begin("verbs.post", "verbs", sim.now,
                          parent=wr.trace, opcode=wr.opcode.name, nbytes=wr.nbytes)
             if tracer.enabled and wr.trace is not None
             else None
         )
+        # Doorbell + optional DMA payload fetch; the WQE moves on from there.
+        doorbell = Timeout(sim, self.hca.params.post_overhead(wr.nbytes))
+        doorbell.callbacks.append(_Wqe(self, wr, target, span)._rung)
 
-        # Doorbell + optional DMA payload fetch.
-        yield sim.timeout(params.post_overhead(wr.nbytes))
+    @property
+    def recv_queue_depth(self) -> int:
+        return len(self._recv_queue)
 
-        # The adapter's WQE engine is shared across all QPs on this HCA.
-        engine = self.hca.tx_engine
-        held = engine.hold(params.wqe_process_us)
-        try:
-            yield held
-        finally:
-            engine.release(held)
-        if tracer.enabled:
-            tracer.end(span, sim.now)
+    # -- responder actions (called by the owning HCA's receive path) -------------
 
-        try:
-            if wr.opcode in (Opcode.SEND, Opcode.RDMA_WRITE):
-                yield from self._requester_send_or_write(wr, target)
-            elif wr.opcode is Opcode.RDMA_READ:
-                yield from self._requester_read(wr, target)
-            else:  # pragma: no cover - constructor rejects RECV already
-                raise AssertionError(wr.opcode)
-        finally:
-            self._outstanding_sends -= 1
-
-    def _requester_send_or_write(self, wr: SendWR, target: "QueuePair"):
-        sim = self.hca.sim
-        params = self.hca.params
-        payload = wr.payload_bytes()
-        if self.qp_type is QpType.RC:
-            # The responder signals this once it has placed the data (or
-            # decided on an error) so the completion carries the true
-            # status even when SRQ RNR retries delayed the outcome.
-            wr._responder_event = sim.event(("resp-done(%s)", wr.wr_id))
-        packet = IbPacket(
-            kind="send" if wr.opcode is Opcode.SEND else "write",
-            src_qpn=self.qp_num,
-            dst_qpn=target.qp_num,
-            payload=payload,
-            remote_rkey=wr.remote_rkey,
-            remote_offset=wr.remote_offset,
-            length=len(payload),
-            wr=wr,
-        )
-        yield self.hca.nic.send_frame(
-            target.hca.nic, len(payload) + IB_HEADER_BYTES, packet
-        ).delivered
-
-        if self.qp_type is QpType.UD:
-            # Unreliable: local completion as soon as the frame left; no ACK.
-            if wr.signaled:
-                self.send_cq.push(self._success_wc(wr, len(payload)))
-            return
-
-        # RC: wait for the responder's outcome, then the ACK flight back.
-        yield wr._responder_event
-        yield sim.timeout(self.hca.nic.params.one_way_delay() + params.ack_process_us)
-        status = wr._remote_status
-        if wr.signaled or status is not WcStatus.SUCCESS:
-            self.send_cq.push(self._wc(wr, len(payload), status))
-
-    def _requester_read(self, wr: SendWR, target: "QueuePair"):
-        packet = IbPacket(
-            kind="read_req",
-            src_qpn=self.qp_num,
-            dst_qpn=target.qp_num,
-            remote_rkey=wr.remote_rkey,
-            remote_offset=wr.remote_offset,
-            length=wr.sge.length or 0,
-            wr=wr,
-        )
-        yield self.hca.nic.send_frame(
-            target.hca.nic, RDMA_READ_REQUEST_BYTES, packet
-        ).delivered
-        # Completion arrives with the READ response (handled by the HCA
-        # receive path); nothing further for the requester pipeline.
-
-    # -- responder actions (invoked by the owning HCA's receive path) ------------
-
-    def responder_send(self, packet: IbPacket):
-        """Consume a receive WR for an inbound SEND; yields sim events."""
-        sim = self.hca.sim
+    def responder_send(self, packet: IbPacket) -> None:
+        """Consume a receive WR for an inbound SEND; called by the HCA's
+        receive path, finishes by callbacks (RNR backoff, ``cq_gen``)."""
         span = (
-            tracer.begin("verbs.recv", "verbs", sim.now,
+            tracer.begin("verbs.recv", "verbs", self.hca.sim.now,
                          parent=packet.trace, nbytes=packet.length)
             if tracer.enabled and packet.trace is not None
             else None
         )
+        if self.state is QpState.ERROR:
+            self._recv_done(packet, span, WcStatus.RNR_RETRY_EXC_ERR)
+        else:
+            self._claim_recv_wr(packet, span, RNR_RETRIES)
+
+    def _claim_recv_wr(self, packet: IbPacket, span: Any, retries: int,
+                       _backoff: Optional[Event] = None) -> None:
+        """Take a landing buffer (private queue, or SRQ with RNR retries)
+        and start the CQE-generation delay that ends in placing into it."""
+        sim = self.hca.sim
         try:
-            if self.state is QpState.ERROR:
-                if packet.wr is not None:
-                    packet.wr._remote_status = WcStatus.RNR_RETRY_EXC_ERR
-                return
-            rwr = yield from self._claim_recv_wr(packet)
+            if self.srq is None:
+                rwr = self._recv_queue.popleft() if self._recv_queue else None
+            else:
+                rwr = self.srq.pop()
+                if rwr is None and retries and self.qp_type is QpType.RC:
+                    # Shared pool transiently dry: RNR NAK + sender retransmits.
+                    Timeout(sim, RNR_RETRY_DELAY_US).callbacks.append(
+                        partial(self._claim_recv_wr, packet, span, retries - 1)
+                    )
+                    return
             if rwr is None:
+                # Receiver not ready.  RC: fail the sender (a private queue's
+                # exhausted retries are modeled as immediate, so upper-layer
+                # flow control must be correct).  UD: the datagram is dropped.
+                rc = self.qp_type is QpType.RC
+                self._recv_done(packet, span, WcStatus.RNR_RETRY_EXC_ERR if rc else None)
                 return
-            yield from self._place_and_complete(packet, rwr)
-        finally:
-            self._signal_responder_done(packet)
-            if tracer.enabled:
-                tracer.end(span, sim.now)
+            Timeout(sim, self.hca.params.cq_gen_us).callbacks.append(
+                partial(self._place_and_complete, packet, span, rwr)
+            )
+        except Exception as exc:
+            _fail(self, "verbs.recv", packet.wr, exc)
 
-    def _claim_recv_wr(self, packet: IbPacket):
-        """Take a landing buffer (private queue or SRQ with RNR retries)."""
-        sim = self.hca.sim
-        if self.srq is None:
-            if not self._recv_queue:
-                # Receiver not ready.  RC with a private queue: fail the
-                # sender outright (exhausted retries modeled as immediate,
-                # so upper-layer flow control must be correct).  UD: drop.
-                if self.qp_type is QpType.RC and packet.wr is not None:
-                    packet.wr._remote_status = WcStatus.RNR_RETRY_EXC_ERR
-                return None
-            return self._recv_queue.popleft()
-        from repro.verbs.srq import RNR_RETRIES, RNR_RETRY_DELAY_US
-
-        rwr = self.srq.pop()
-        if rwr is not None:
-            return rwr
-        if self.qp_type is QpType.UD:
-            return None  # datagram dropped
-        # Shared pool transiently dry: RNR NAK + sender retransmits.
-        for _ in range(RNR_RETRIES):
-            yield sim.timeout(RNR_RETRY_DELAY_US)
-            rwr = self.srq.pop()
-            if rwr is not None:
-                return rwr
-        if packet.wr is not None:
-            packet.wr._remote_status = WcStatus.RNR_RETRY_EXC_ERR
-        return None
-
-    def _place_and_complete(self, packet: IbPacket, rwr: RecvWR):
-        sim = self.hca.sim
-        yield sim.timeout(self.hca.params.cq_gen_us)
+    def _place_and_complete(self, packet: IbPacket, span: Any, rwr: RecvWR,
+                            _cq_gen: Event) -> None:
         try:
-            rwr.sge.scatter(packet.payload, require_remote=False)
-        except (IndexError, PermissionError):
-            self.recv_cq.push(
-                WorkCompletion(
+            try:
+                rwr.sge.scatter(packet.payload, require_remote=False)
+            except (IndexError, PermissionError):
+                status = WcStatus.REM_ACCESS_ERR
+                wc = WorkCompletion(
                     wr_id=rwr.wr_id,
                     opcode=Opcode.RECV,
                     status=WcStatus.LOC_LEN_ERR,
                     qp_num=self.qp_num,
                     context=rwr.context,
                 )
-            )
-            if packet.wr is not None:
-                packet.wr._remote_status = WcStatus.REM_ACCESS_ERR
-            return
-        self.recv_cq.push(
-            WorkCompletion(
-                wr_id=rwr.wr_id,
-                opcode=Opcode.RECV,
-                status=WcStatus.SUCCESS,
-                byte_len=len(packet.payload),
-                qp_num=self.qp_num,
-                context=rwr.context,
-                data=packet.payload,
-                app_object=packet.wr.app_object if packet.wr is not None else None,
-            )
-        )
+            else:
+                status = None
+                wc = WorkCompletion(
+                    wr_id=rwr.wr_id,
+                    opcode=Opcode.RECV,
+                    status=WcStatus.SUCCESS,
+                    byte_len=len(packet.payload),
+                    qp_num=self.qp_num,
+                    context=rwr.context,
+                    data=packet.payload,
+                    app_object=packet.wr.app_object if packet.wr is not None else None,
+                )
+            self.recv_cq.push(wc)
+            self._recv_done(packet, span, status)
+        except Exception as exc:
+            _fail(self, "verbs.recv", packet.wr, exc)
 
-    def responder_write(self, packet: IbPacket):
-        """Place an inbound RDMA WRITE; yields sim events."""
-        try:
-            if self.state is QpState.ERROR:
-                return
+    def _recv_done(self, packet: IbPacket, span: Any,
+                   status: Optional[WcStatus] = None) -> None:
+        """The SEND responder's one exit: the verdict goes to the requester
+        (whose ACK may now fly, if it is RC) and the span closes."""
+        if packet.wr is not None:
+            packet.wr.responder_done(status)
+        if tracer.enabled:
+            tracer.end(span, self.hca.sim.now)
+
+    def responder_write(self, packet: IbPacket) -> None:
+        """Place an inbound RDMA WRITE; called by the HCA's receive path."""
+        status = None
+        if self.state is not QpState.ERROR:
             try:
                 mr = self.pd.lookup_rkey(packet.remote_rkey)
                 mr.remote_write(packet.remote_offset, packet.payload)
             except (PermissionError, IndexError):
-                if packet.wr is not None:
-                    packet.wr._remote_status = WcStatus.REM_ACCESS_ERR
-        finally:
-            self._signal_responder_done(packet)
-        return
-        yield  # pragma: no cover - keeps this a generator for uniform driving
+                status = WcStatus.REM_ACCESS_ERR
+        if packet.wr is not None:
+            packet.wr.responder_done(status)
 
-    @staticmethod
-    def _signal_responder_done(packet: IbPacket) -> None:
-        """Wake the RC requester: the ACK for this operation may fly."""
-        wr = packet.wr
-        event = wr._responder_event if wr is not None else None
-        if event is not None and not event.triggered:
-            event.succeed()
+    def responder_read(self, packet: IbPacket) -> None:
+        """Serve an inbound RDMA READ request; called by the HCA's receive
+        path, answers when the adapter's turnaround delay fires."""
+        Timeout(self.hca.sim, self.hca.params.rdma_read_turnaround_us).callbacks.append(
+            partial(self._read_respond, packet)
+        )
 
-    def responder_read(self, packet: IbPacket):
-        """Serve an inbound RDMA READ request; yields sim events."""
-        sim = self.hca.sim
-        params = self.hca.params
-        yield sim.timeout(params.rdma_read_turnaround_us)
+    def _read_respond(self, packet: IbPacket, _turnaround: Event) -> None:
         try:
-            mr = self.pd.lookup_rkey(packet.remote_rkey)
-            data = mr.remote_read(packet.remote_offset, packet.length)
-        except (PermissionError, IndexError):
-            # Error response: tiny frame, completes the WR with an error.
+            try:
+                mr = self.pd.lookup_rkey(packet.remote_rkey)
+                data = mr.remote_read(packet.remote_offset, packet.length)
+            except (PermissionError, IndexError):
+                # Error response: tiny frame, completes the WR with an error.
+                data = b""
+                packet.wr._remote_status = WcStatus.REM_ACCESS_ERR
             response = IbPacket(
                 kind="read_resp",
                 src_qpn=self.qp_num,
                 dst_qpn=packet.src_qpn,
-                payload=b"",
+                payload=data,
                 wr=packet.wr,
             )
-            response.wr._remote_status = WcStatus.REM_ACCESS_ERR
             self.hca.nic.send_frame(
-                self.hca.peer_nic(packet.src_qpn), IB_HEADER_BYTES, response
+                self.hca.peer_nic(packet.src_qpn),
+                len(data) + IB_HEADER_BYTES,
+                response,
             )
-            return
-        response = IbPacket(
-            kind="read_resp",
-            src_qpn=self.qp_num,
-            dst_qpn=packet.src_qpn,
-            payload=data,
-            wr=packet.wr,
-        )
-        self.hca.nic.send_frame(
-            self.hca.peer_nic(packet.src_qpn),
-            len(data) + IB_HEADER_BYTES,
-            response,
+        except Exception as exc:
+            _fail(self, "verbs.read", packet.wr, exc)
+
+    def requester_read_response(self, packet: IbPacket) -> None:
+        """Complete a local RDMA READ when its response lands; called by the
+        HCA's receive path, completes when the ``cq_gen`` delay fires."""
+        Timeout(self.hca.sim, self.hca.params.cq_gen_us).callbacks.append(
+            partial(self._read_complete, packet)
         )
 
-    def requester_read_response(self, packet: IbPacket):
-        """Complete a local RDMA READ when its response lands; yields events."""
-        sim = self.hca.sim
-        wr: SendWR = packet.wr
-        status = wr._remote_status
-        yield sim.timeout(self.hca.params.cq_gen_us)
-        if status is WcStatus.SUCCESS:
-            wr.sge.scatter(packet.payload, require_remote=False)
-            self.send_cq.push(self._success_wc(wr, len(packet.payload)))
-        else:
-            self.send_cq.push(self._wc(wr, 0, status))
+    def _read_complete(self, packet: IbPacket, _cq_gen: Event) -> None:
+        # The WQE is retired where its completion is pushed, on either arm:
+        # ``max_send_wr`` bounds the READs in flight, not just the requests.
+        self._outstanding_sends -= 1
+        try:
+            wr: SendWR = packet.wr
+            status = wr._remote_status
+            if status is WcStatus.SUCCESS:
+                wr.sge.scatter(packet.payload, require_remote=False)
+            # (An error response carries no payload: ``byte_len`` 0.)
+            self.send_cq.push(self._wc(wr, len(packet.payload), status))
+        except Exception as exc:
+            _fail(self, "verbs.read", packet.wr, exc)
 
     # -- helpers -----------------------------------------------------------------
-
-    def _success_wc(self, wr: SendWR, nbytes: int) -> WorkCompletion:
-        return self._wc(wr, nbytes, WcStatus.SUCCESS)
 
     def _wc(self, wr: SendWR, nbytes: int, status: WcStatus) -> WorkCompletion:
         return WorkCompletion(
@@ -453,3 +372,116 @@ class QueuePair:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<QueuePair #{self.qp_num} {self.qp_type.name} {self.state.value}>"
+
+
+def _fail(qp: QueuePair, stage: str, wr: Optional[SendWR], exc: Exception) -> None:
+    """A stage raised something it does not handle: fail an event made on
+    the spot, so the loop escalates it as ``UnhandledFailure`` naming the
+    stage and the WR -- what the failed process gave -- not a raw exception."""
+    name = ("%s(wr %s on qp %s)", stage, getattr(wr, "wr_id", None), qp.qp_num)
+    Event(qp.hca.sim, name).fail(exc)
+
+
+class _Wqe:
+    """One posted work request on its way through the requester pipeline.
+
+    Each stage is the callback of the delay before it: the doorbell
+    ``Timeout`` (started by :meth:`QueuePair.post_send`), the hold on the
+    adapter's WQE engine, and for RC SEND / WRITE the ACK ``Timeout`` that
+    the responder starts through ``SendWR.responder_done``.  An RDMA READ
+    leaves here with its request frame; its completion is the response's
+    (:meth:`QueuePair.requester_read_response`).
+    """
+
+    __slots__ = ("qp", "wr", "target", "span", "nbytes")
+
+    def __init__(self, qp: QueuePair, wr: SendWR, target: QueuePair, span: Any) -> None:
+        self.qp = qp
+        self.wr = wr
+        self.target = target
+        self.span = span
+        self.nbytes = 0
+
+    def _rung(self, _doorbell: Event) -> None:
+        """The adapter's WQE engine is shared across all QPs on this HCA."""
+        hca = self.qp.hca
+        try:
+            hca.tx_engine.hold(hca.params.wqe_process_us).callbacks.append(self._launch)
+        except Exception as exc:
+            _fail(self.qp, "verbs.post", self.wr, exc)
+
+    def _launch(self, held: Event) -> None:
+        """The engine hold fired: free it, put the message on the wire."""
+        qp, wr, target = self.qp, self.wr, self.target
+        hca = qp.hca
+        hca.tx_engine.release(held)
+        try:
+            if tracer.enabled:
+                tracer.end(self.span, hca.sim.now)
+            if wr.opcode is Opcode.RDMA_READ:
+                packet = IbPacket(
+                    kind="read_req",
+                    src_qpn=qp.qp_num,
+                    dst_qpn=target.qp_num,
+                    remote_rkey=wr.remote_rkey,
+                    remote_offset=wr.remote_offset,
+                    length=wr.sge.length or 0,
+                    wr=wr,
+                )
+                hca.nic.send_frame(target.hca.nic, RDMA_READ_REQUEST_BYTES, packet)
+                return
+            payload = wr.payload_bytes()
+            self.nbytes = len(payload)
+            packet = IbPacket(
+                kind="send" if wr.opcode is Opcode.SEND else "write",
+                src_qpn=qp.qp_num,
+                dst_qpn=target.qp_num,
+                payload=payload,
+                remote_rkey=wr.remote_rkey,
+                remote_offset=wr.remote_offset,
+                length=len(payload),
+                wr=wr,
+            )
+            if qp.qp_type is QpType.RC:
+                # The responder calls this once it has placed the data (or
+                # decided on an error), so the completion carries the true
+                # status even when SRQ RNR retries delayed the outcome.  Its
+                # signal is strictly later than delivery: nobody asks for
+                # ``delivered``.
+                wr._on_responder_done = self._responded
+            frame = hca.nic.send_frame(
+                target.hca.nic, len(payload) + IB_HEADER_BYTES, packet
+            )
+            if qp.qp_type is QpType.UD:
+                frame.delivered.callbacks.append(self._ud_delivered)
+        except Exception as exc:
+            _fail(qp, "verbs.post", wr, exc)
+
+    def _ud_delivered(self, delivered: Event) -> None:
+        # Unreliable: no ACK.  The local completion hangs on *delivery* --
+        # after the flight and the receiver's rx hold, later than an adapter
+        # that completes when the frame has left (ROADMAP item 5).  A failed
+        # delivery stays un-defused: the loop escalates it.
+        qp = self.qp
+        qp._outstanding_sends -= 1
+        try:
+            if delivered.ok and self.wr.signaled:
+                qp.send_cq.push(qp._wc(self.wr, self.nbytes, WcStatus.SUCCESS))
+        except Exception as exc:
+            _fail(qp, "verbs.post", self.wr, exc)
+
+    def _responded(self) -> None:
+        """RC: the responder's outcome is in; the ACK flies back."""
+        hca = self.qp.hca
+        ack_us = hca.nic.params.one_way_delay() + hca.params.ack_process_us
+        Timeout(hca.sim, ack_us).callbacks.append(self._acked)
+
+    def _acked(self, _ack: Event) -> None:
+        qp, wr = self.qp, self.wr
+        qp._outstanding_sends -= 1
+        try:
+            status = wr._remote_status
+            if wr.signaled or status is not WcStatus.SUCCESS:
+                qp.send_cq.push(qp._wc(wr, self.nbytes, status))
+        except Exception as exc:
+            _fail(qp, "verbs.post", wr, exc)

@@ -73,9 +73,9 @@ class SendWR:
     #: RC responder outcome, written by the remote side before the ACK
     #: flies back; SUCCESS until proven otherwise.
     _remote_status: WcStatus = field(default=WcStatus.SUCCESS, init=False, repr=False)
-    #: RC only: event the responder triggers once it has decided the
-    #: outcome (set by the requester pipeline when needed).
-    _responder_event: Any = field(default=None, init=False, repr=False)
+    #: RC only: what the responder calls once it has decided the outcome
+    #: (set by the requester pipeline, cleared when used).
+    _on_responder_done: Any = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.opcode is Opcode.RECV:
@@ -88,6 +88,21 @@ class SendWR:
                 raise ValueError(f"{self.opcode} requires remote_rkey")
             if self.sge is None:
                 raise ValueError(f"{self.opcode} requires a local sge")
+
+    def responder_done(self, status: Optional[WcStatus] = None) -> None:
+        """The remote side's verdict: an error *status*, or none for success.
+
+        Starts the RC requester's ACK, once -- the link is cleared when
+        used, so a second verdict for the same WR (a stale-QP NAK and a late
+        responder) starts no second ACK, and the WR and its requester state
+        do not keep each other alive.
+        """
+        if status is not None:
+            self._remote_status = status
+        notify = self._on_responder_done
+        if notify is not None:
+            self._on_responder_done = None
+            notify()
 
     @property
     def nbytes(self) -> int:

@@ -130,3 +130,14 @@ def test_no_wall_clock_leakage():
     random.random()
     second = probe()
     assert first == second
+
+
+def test_verbs_data_path_starts_no_process():
+    """A work request is its delays, chained by callbacks: under
+    ``verbs/`` only connection set-up (``cm.py``) may start a process."""
+    starters = sorted(
+        path.name
+        for path in (SRC / "verbs").glob("*.py")
+        if "sim.process(" in path.read_text()
+    )
+    assert starters == ["cm.py"]

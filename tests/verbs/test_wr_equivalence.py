@@ -12,6 +12,7 @@ import pytest
 
 from repro.cluster.configs import CLUSTER_A
 from repro.experiments.common import build_cluster
+from repro.sim.engine import UnhandledFailure
 from repro.telemetry.spans import tracing
 from repro.verbs import Access, Opcode, QpType, RecvWR, SendWR, Sge, WcStatus
 from repro.workloads.memslap import MemslapRunner
@@ -150,3 +151,90 @@ def test_outstanding_sends_returns_to_zero_on_every_terminal_arm(arm):
     assert qp._outstanding_sends == 0
     wcs = pair.cq_a.poll(8)
     assert [wc.status for wc in wcs] == [status]
+
+
+def test_max_send_wr_bounds_outstanding_reads():
+    """A READ's WQE is held until its completion, not until its request
+    frame has landed (where it used to be retired, so the bound never bit)."""
+    pair = VerbsPair()
+    qp_a = pair.hca_a.create_qp(pair.pd_a, pair.cq_a, pair.cq_a, max_send_wr=2)
+    qp_b = pair.hca_b.create_qp(pair.pd_b, pair.cq_b, pair.cq_b)
+    qp_a.connect(qp_b)
+    qp_b.connect(qp_a)
+    remote = pair.mr("b", 64)
+    sim = pair.sim
+
+    qp_a.post_send(_read(pair, remote))
+    qp_a.post_send(_read(pair, remote))
+    while pair.hca_b.nic.frames_received.value < 2:  # both requests delivered...
+        sim.step()
+    sim.step()  # ...and just past it
+    assert len(pair.cq_a) == 0
+    with pytest.raises(RuntimeError, match="send queue full"):
+        qp_a.post_send(_read(pair, remote))
+
+    sim.run()
+    assert [wc.ok for wc in pair.cq_a.poll(8)] == [True, True]
+    qp_a.post_send(_read(pair, remote))
+    sim.run()
+    assert [wc.ok for wc in pair.cq_a.poll(8)] == [True]
+    assert qp_a._outstanding_sends == 0
+
+
+# --------------------------------------- failing as a failed process failed
+
+
+class _Boom(Exception):
+    pass
+
+
+def _raise_boom(*_args, **_kwargs):
+    raise _Boom("not an IndexError, not a PermissionError")
+
+
+@pytest.mark.parametrize(
+    "opcode, patched, stage",
+    [
+        (Opcode.SEND, "remote_write", "verbs.recv"),  # the responder's scatter
+        (Opcode.RDMA_READ, "remote_read", "verbs.read"),  # the responder's gather
+        (Opcode.RDMA_WRITE, "read", "verbs.post"),  # the requester's own gather
+    ],
+    ids=["scatter", "remote_read", "gather"],
+)
+def test_unexpected_exception_in_a_stage_is_an_unhandled_failure(
+    monkeypatch, opcode, patched, stage
+):
+    """Never a raw exception out of ``sim.run()``: the loop escalates a
+    failed event that names the stage and the WR, as it did the failed process."""
+    pair = VerbsPair()
+    remote = pair.mr("b", 64)
+    pair.qp_b.post_recv(RecvWR(sge=Sge(pair.mr("b", 64, Access.local_only()))))
+    if opcode is Opcode.SEND:
+        wr = SendWR(opcode=opcode, inline_data=b"x")
+    else:
+        wr = SendWR(opcode=opcode, sge=Sge(pair.mr("a", 8)), remote_rkey=remote.rkey)
+    pair.qp_a.post_send(wr)
+    monkeypatch.setattr(type(remote), patched, _raise_boom)
+    where = rf"{stage}\(wr {wr.wr_id} on qp \d+\)"
+    with pytest.raises(UnhandledFailure, match=where) as caught:
+        pair.sim.run()
+    assert isinstance(caught.value.__cause__, _Boom)
+
+
+def test_responder_verdict_is_idempotent():
+    """A stale-QP NAK followed by a late responder: one ACK timer, one CQE,
+    the WQE retired once."""
+    pair = VerbsPair()
+    wr = SendWR(opcode=Opcode.SEND, inline_data=b"x")
+    pair.qp_a.post_send(wr)
+    pair.hca_b.destroy_qp(pair.qp_b)  # the frame finds no QP: the HCA NAKs
+    sim = pair.sim
+    while wr._remote_status is WcStatus.SUCCESS:
+        sim.step()
+    before = sim.events_processed
+    wr.responder_done()  # the late responder
+    wr.responder_done(WcStatus.REM_ACCESS_ERR)
+    sim.run()
+    assert sim.events_processed - before == 1  # the one ACK
+    assert len(pair.cq_a.poll(8)) == 1
+    assert pair.qp_a._outstanding_sends == 0
