@@ -23,17 +23,18 @@ event per message and fails here in well under a second.
 """
 
 import gc
-import sys
 
 import pytest
 
 from repro.sim.process import Process
 from repro.verbs import (
-    Access, CompletionQueue, Opcode, QpType, QueuePair, RecvWR, SendWR, Sge,
+    Access, CompletionQueue, Opcode, QueuePair, RecvWR, SendWR, Sge,
 )
 from repro.verbs.srq import RNR_RETRY_DELAY_US
 
+from tests.sim.test_kernel_budget import _python_calls
 from tests.verbs.conftest import VerbsPair
+from tests.verbs.test_cm_ud import make_ud_pair
 
 MESSAGES = 200
 #: Python functions entered per ping-pong RC SEND -- building and posting the
@@ -74,10 +75,7 @@ def pair():
     pair.recv_mr = pair.mr("b", 64, Access.local_only())
     pair.remote_mr = pair.mr("b", 64)
     pair.local_mr = pair.mr("a", 64)
-    pair.ud_a = pair.hca_a.create_qp(pair.pd_a, pair.cq_a, pair.cq_a, QpType.UD)
-    pair.ud_b = pair.hca_b.create_qp(pair.pd_b, pair.cq_b, pair.cq_b, QpType.UD)
-    pair.ud_a.ready_ud()
-    pair.ud_b.ready_ud()
+    pair.ud_a, pair.ud_b = make_ud_pair(pair)
     # Detach whatever the suite's fixtures hooked on: the budget is the bare model's.
     del pair.sim.pre_event_hooks[:]
     return pair
@@ -160,18 +158,7 @@ def test_python_calls_per_send_stay_within_budget(pair, monkeypatch):
     monkeypatch.setattr(QueuePair, "observers", [])
     monkeypatch.setattr(CompletionQueue, "observers", [])
     _ping_pong(pair, MESSAGES)
-    calls = 0
-
-    def profiler(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(profiler)
-    try:
-        pair.sim.run()
-    finally:
-        sys.setprofile(None)
+    calls = _python_calls(pair.sim)
     # 7 per SEND and the receiver's ``cq-wait`` wake.
     assert pair.sim.events_processed == MESSAGES * 8
     assert calls <= MESSAGES * CALLS_PER_SEND + 10, f"{(calls - 10) / MESSAGES:.2f} per SEND"

@@ -14,11 +14,12 @@ from repro.cluster.configs import CLUSTER_A
 from repro.experiments.common import build_cluster
 from repro.sim.engine import UnhandledFailure
 from repro.telemetry.spans import tracing
-from repro.verbs import Access, Opcode, QpType, RecvWR, SendWR, Sge, WcStatus
+from repro.verbs import Access, Opcode, RecvWR, SendWR, Sge, WcStatus
 from repro.workloads.memslap import MemslapRunner
 from repro.workloads.patterns import GET_ONLY
 
 from tests.verbs.conftest import VerbsPair
+from tests.verbs.test_cm_ud import make_ud_pair
 
 #: ``(name, start_us, end_us)`` of the verbs spans of the last timed GET of
 #: a one-client UCR-IB run (2 warm-up + 3 timed ops), by value size.  4 KB
@@ -65,10 +66,10 @@ def test_verbs_spans_of_a_traced_get_are_the_parents_to_the_float(size):
 # ------------------------------------------------- the WQE comes back, once
 
 
-def _read(pair, remote, length=8):
+def _read(pair, remote):
     return SendWR(
         opcode=Opcode.RDMA_READ,
-        sge=Sge(pair.mr("a", 64), 0, length),
+        sge=Sge(pair.mr("a", 64), 0, 8),
         remote_rkey=remote.rkey,
     )
 
@@ -94,10 +95,7 @@ def _rc_write(pair):
 
 
 def _ud(pair):
-    ud_a = pair.hca_a.create_qp(pair.pd_a, pair.cq_a, pair.cq_a, QpType.UD)
-    ud_b = pair.hca_b.create_qp(pair.pd_b, pair.cq_b, pair.cq_b, QpType.UD)
-    ud_a.ready_ud()
-    ud_b.ready_ud()
+    ud_a, ud_b = make_ud_pair(pair)
     ud_a.post_send(SendWR(opcode=Opcode.SEND, inline_data=b"dgram"), remote_qp=ud_b)
     return ud_a, WcStatus.SUCCESS
 
