@@ -9,7 +9,7 @@ experiment is practical.
 from repro.fabric import HOST_WESTMERE, Node
 from repro.memcached.store import ItemStore, StoreConfig
 from repro.memcached.slabs import PAGE_BYTES
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 
 
 def test_bench_engine_timeout_chain(benchmark):
@@ -91,27 +91,6 @@ def test_bench_cpu_run_uncontended(benchmark):
 
     events = benchmark(run)
     assert events == 20_000 + 2  # the slices, process start and end
-
-
-def test_bench_store_producer_consumer(benchmark):
-    def run():
-        sim = Simulator()
-        q = Store(sim)
-
-        def producer():
-            for i in range(10_000):
-                q.put(i)
-                yield sim.timeout(0.1)
-
-        def consumer():
-            for _ in range(10_000):
-                yield q.get()
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-
-    benchmark(run)
 
 
 def test_bench_itemstore_set_get(benchmark):

@@ -15,8 +15,10 @@ Public surface:
   waitable primitives.
 - :class:`~repro.sim.process.Process`, :class:`~repro.sim.process.Interrupt`
   -- generator-backed concurrent activities.
-- :class:`~repro.sim.resources.Resource`, :class:`~repro.sim.resources.Store`
-  -- contention primitives (CPU cores, DMA engines, mailboxes).
+- :class:`~repro.sim.resources.Resource` -- the contention primitive (CPU
+  cores, DMA engines, link directions).  A queue between two processes is
+  a ``deque`` and one :class:`Event` the consumer arms; there is no class
+  for it.
 - :mod:`repro.sim.rng` -- deterministic, stream-split random numbers.
 - :mod:`repro.sim.trace` -- measurement hooks (latency samples, counters).
 
@@ -27,7 +29,7 @@ Time unit convention: **microseconds** (float).  Size convention: **bytes**
 from repro.sim.engine import Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RngStream
 from repro.sim.trace import Counter, LatencyRecorder
 
@@ -42,6 +44,5 @@ __all__ = [
     "Resource",
     "RngStream",
     "Simulator",
-    "Store",
     "Timeout",
 ]

@@ -11,10 +11,9 @@ An :class:`Event` moves through three states:
     The engine has popped it and run its callbacks; waiters have resumed.
 
 One elision rule: an event whose outcome is known when it is created (an
-uncontended ``Resource.request``, an accepted ``Store.put``, a ready
-``Store.get``) is *born* ``PROCESSED`` and never enters the heap; a process
-that yields it keeps running.  Anything that fails, or that somebody may
-already be waiting on, still goes through the heap.
+uncontended ``Resource.request``) is *born* ``PROCESSED`` and never enters
+the heap; a process that yields it keeps running.  Anything that fails, or
+that somebody may already be waiting on, still goes through the heap.
 
 Events carry either a *value* (on success) or an *exception* (on failure).
 A failed event re-raises its exception inside every waiting process, which

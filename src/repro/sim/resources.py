@@ -1,19 +1,21 @@
-"""Contention primitives: capacity resources and FIFO stores.
+"""The contention primitive: a capacity resource.
 
 ``Resource`` models anything with limited parallelism -- CPU cores on a
 memcached server node, the DMA engine of an HCA, the transmit side of a
-link.  ``Store`` models an unbounded (or bounded) FIFO of items -- NIC
-receive rings, socket accept queues, worker-thread mailboxes.
+link.  It hands out :class:`Request` events, so processes wait on it with
+an ordinary ``yield``.
 
-Both hand out plain :class:`~repro.sim.events.Event` objects so processes
-wait on them with ordinary ``yield``.
+There is no queue primitive: a FIFO between two parties is a
+``collections.deque`` plus one plain :class:`~repro.sim.events.Event` that
+the consumer arms when it finds the deque empty and the producer fires
+(``sockets.Connection``'s pumps, ``Socket.accept``, ``Epoll.wait``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Deque, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.sim.events import PENDING, TRIGGERED, Event
 
@@ -143,86 +145,3 @@ class Resource:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Resource {self.name!r} {self.count}/{self.capacity} (+{self.queued} queued)>"
 
-
-class Store:
-    """An ordered item buffer with blocking get and optional capacity bound.
-
-    ``put`` always succeeds immediately when the store is unbounded;
-    with ``capacity`` set, ``put`` returns an event that fires once space
-    is available (modeling back-pressure, e.g. a full socket send buffer).
-    An accepted ``put`` and a ``get`` that finds an item return events that
-    are already processed; a blocked getter or putter is woken through the
-    heap.
-    """
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        capacity: Optional[int] = None,
-        name: str = "store",
-    ) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def getters_waiting(self) -> int:
-        """Number of blocked ``get`` calls."""
-        return len(self._getters)
-
-    def put(self, item: Any) -> Event:
-        """Deposit *item*; returns an event that fires once accepted."""
-        done = Event(self.sim, ("put(%s)", self.name))
-        if self._getters:
-            # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            done._settle()
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            done._settle()
-        else:
-            self._putters.append((done, item))
-        return done
-
-    def get(self) -> Event:
-        """Take the oldest item; the returned event fires with the item."""
-        ev = Event(self.sim, ("get(%s)", self.name))
-        if self._items:
-            ev._settle(self._items.popleft())
-            self._admit_putter()
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking take: ``(True, item)`` or ``(False, None)``."""
-        if self._items:
-            item = self._items.popleft()
-            self._admit_putter()
-            return True, item
-        return False, None
-
-    def peek_all(self) -> list[Any]:
-        """Snapshot of buffered items (for stats/tests); does not consume."""
-        return list(self._items)
-
-    def _admit_putter(self) -> None:
-        if self._putters and (self.capacity is None or len(self._items) < self.capacity):
-            done, item = self._putters.popleft()
-            if self._getters:
-                self._getters.popleft().succeed(item)
-            else:
-                self._items.append(item)
-            done.succeed()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Store {self.name!r} items={len(self._items)} getters={len(self._getters)}>"

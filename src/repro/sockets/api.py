@@ -17,9 +17,9 @@ stack's :class:`~repro.sockets.params.StackParams`.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.sim import Store
 from repro.sockets.stack import Connection, SegPacket, SocketStack
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,7 +58,10 @@ class Socket:
         self.blocking = True
         self.port: Optional[int] = None
         self.conn: Optional[Connection] = None
-        self._accept_queue: Optional[Store] = None
+        #: Handshaken connections awaiting accept(), and the event blocked
+        #: accept() calls park on while there are none.
+        self._accept_queue: Optional[deque[Connection]] = None
+        self._accept_wake = None
         self._connect_done = None
         #: Epoll instances watching this socket call back through here.
         self._readiness_watchers: list[Callable[["Socket"], None]] = []
@@ -79,10 +82,14 @@ class Socket:
         self.state = _State.BOUND
 
     def listen(self, backlog: int = 128) -> None:
-        """Enter the listening state with an accept backlog."""
+        """Enter the listening state.
+
+        *backlog* is the BSD argument and bounds nothing: no SYN is ever
+        refused, a handshake past it waits its turn in the same queue.
+        """
         if self.state is not _State.BOUND:
             raise SocketError(f"listen() in state {self.state.value}")
-        self._accept_queue = Store(self.sim, capacity=backlog, name=f"accept:{self.port}")
+        self._accept_queue = deque()
         self.state = _State.LISTENING
 
     def accept(self):
@@ -94,13 +101,15 @@ class Socket:
         if self.state is not _State.LISTENING:
             raise SocketError("accept() on a non-listening socket")
         yield from self.node.cpu_run(self.stack.params.syscall_us)
-        assert self._accept_queue is not None
-        if not self.blocking:
-            ok, conn = self._accept_queue.try_get()
-            if not ok:
+        queue = self._accept_queue
+        assert queue is not None
+        while not queue:
+            if not self.blocking:
                 raise WouldBlock("no pending connections")
-        else:
-            conn = yield self._accept_queue.get()
+            if self._accept_wake is None:
+                self._accept_wake = self.sim.event(("accept:%s", self.port))
+            yield self._accept_wake
+        conn = queue.popleft()
         child = Socket(self.stack)
         child.state = _State.CONNECTED
         child.port = self.port
@@ -114,12 +123,15 @@ class Socket:
         """Stack receive path: a completed handshake awaits accept()."""
         if self._accept_queue is None:
             return
-        self._accept_queue.put(conn)
+        self._accept_queue.append(conn)
+        wake, self._accept_wake = self._accept_wake, None
+        if wake is not None:
+            wake.succeed()
         self._notify_readable()  # listen sockets poll readable on pending accepts
 
     @property
     def accept_pending(self) -> bool:
-        return self._accept_queue is not None and len(self._accept_queue) > 0
+        return bool(self._accept_queue)
 
     # -- client side -------------------------------------------------------------------
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.sim import Event, Store
+from repro.sim import Event
 from repro.sim.rng import RngStream
 from repro.telemetry import tracer
 
@@ -86,8 +87,12 @@ class Connection:
         self.sndbuf = DEFAULT_SNDBUF
         self.bytes_unsent = 0
         self._sndbuf_waiters: list[Event] = []
-        self._tx_queue: Store = Store(stack.sim, name=f"conn{self.conn_id}.tx")
-        self._rx_queue: Store = Store(stack.sim, name=f"conn{self.conn_id}.rx")
+        #: What each pump drains, and the event it parks on when it finds
+        #: nothing there (armed by the pump, fired by whoever appends).
+        self._tx_items: deque[_TxItem] = deque()
+        self._tx_wake: Optional[Event] = None
+        self._rx_packets: deque[SegPacket] = deque()
+        self._rx_wake: Optional[Event] = None
         #: Telemetry riders that arrived with delivered bytes, in order;
         #: drained by ``Socket.take_traces`` (empty unless tracing).
         self.rx_traces: list = []
@@ -103,14 +108,20 @@ class Connection:
             raise BrokenPipeError(f"connection {self.conn_id} is closed")
         done = self.sim.event(("conn%s.send-done", self.conn_id))
         self.bytes_unsent += len(data)
-        self._tx_queue.put(_TxItem(data, zcopy, done, trace=trace))
+        self._tx_append(_TxItem(data, zcopy, done, trace=trace))
         return done
 
     def enqueue_fin(self) -> None:
         """Queue a FIN behind any pending data (in-order close)."""
         done = self.sim.event(("conn%s.fin-done", self.conn_id))
         done.defused = True  # nobody waits on FIN completion
-        self._tx_queue.put(_TxItem(b"", False, done, fin=True))
+        self._tx_append(_TxItem(b"", False, done, fin=True))
+
+    def _tx_append(self, item: _TxItem) -> None:
+        self._tx_items.append(item)
+        wake, self._tx_wake = self._tx_wake, None
+        if wake is not None:
+            wake.succeed()
 
     @property
     def sndbuf_full(self) -> bool:
@@ -131,7 +142,10 @@ class Connection:
         stack = self.stack
         params = stack.params
         while True:
-            item: _TxItem = yield self._tx_queue.get()
+            if not self._tx_items:
+                self._tx_wake = sim.event(("conn%s.tx-wake", self.conn_id))
+                yield self._tx_wake
+            item = self._tx_items.popleft()
             remote_nic = stack.peer_nic(self.remote_node)
             if item.fin:
                 packet = SegPacket(
@@ -185,14 +199,20 @@ class Connection:
 
     def rx_enqueue(self, packet: SegPacket) -> None:
         """Stack frame handler hands segments here; the pump orders them."""
-        self._rx_queue.put(packet)
+        self._rx_packets.append(packet)
+        wake, self._rx_wake = self._rx_wake, None
+        if wake is not None:
+            wake.succeed()
 
     def _rx_pump(self):
         """Charge receive-path costs and deliver bytes, strictly in order."""
         params = self.stack.params
         node = self.stack.node
         while True:
-            packet: SegPacket = yield self._rx_queue.get()
+            if not self._rx_packets:
+                self._rx_wake = self.sim.event(("conn%s.rx-wake", self.conn_id))
+                yield self._rx_wake
+            packet = self._rx_packets.popleft()
             if packet.kind == "fin":
                 self.deliver_eof()
                 return

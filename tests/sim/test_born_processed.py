@@ -9,7 +9,7 @@ the heap; those halves are checked here next to the elided ones.
 import pytest
 
 from repro.fabric import HOST_WESTMERE, Node
-from repro.sim import Interrupt, Resource, Simulator, Store
+from repro.sim import Interrupt, Resource, Simulator
 from repro.sim.resources import Request
 
 
@@ -73,11 +73,12 @@ def test_back_to_back_processed_yields_do_not_recurse():
         lambda s, e: kinds.__setitem__(type(e), kinds.get(type(e), 0) + 1)
     )
 
+    done = Resource(sim).request()
+
     def proc():
         for _ in range(iterations):
             yield from node.cpu_run(0.0)
         # ...and with nothing pending in between at all.
-        done = Store(sim).put("x")
         for _ in range(iterations):
             yield done
         return "finished"
@@ -92,22 +93,20 @@ def test_back_to_back_processed_yields_do_not_recurse():
 
 def test_conditions_over_born_processed_events():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
-    store = Store(sim)
-    req = res.request()
-    put = store.put("item")
+    req = Resource(sim).request()
+    other = Resource(sim).request()
     never = sim.event()
     seen = []
 
     def proc():
-        got = yield sim.all_of([req, put])
-        seen.append(("all", got[req] is req, got[put], sim.now))
-        got = yield sim.any_of([never, put])
-        seen.append(("any", never in got, put in got, sim.now))
+        got = yield sim.all_of([req, other])
+        seen.append(("all", got[req] is req, got[other] is other, sim.now))
+        got = yield sim.any_of([never, other])
+        seen.append(("any", never in got, other in got, sim.now))
 
     sim.process(proc())
     sim.run()
-    assert seen == [("all", True, None, 0.0), ("any", False, True, 0.0)]
+    assert seen == [("all", True, True, 0.0), ("any", False, True, 0.0)]
 
 
 def test_interrupt_while_a_born_processed_grant_is_held_releases_it():
@@ -140,10 +139,10 @@ def test_yielding_a_failed_processed_event_raises_at_that_yield():
     failed.fail(KeyError("gone"))
     sim.run()
     assert failed.processed
+    ready = Resource(sim).request()
     trail = []
 
     def proc():
-        ready = Store(sim).put(1)
         yield ready
         trail.append("before")
         try:
@@ -151,49 +150,20 @@ def test_yielding_a_failed_processed_event_raises_at_that_yield():
         except KeyError as exc:
             trail.append(("raised", exc.args[0], sim.now))
         value = yield ready  # and the process carries on after it
-        trail.append(("after", value))
+        trail.append(("after", value is ready))
 
     before = sim.events_processed
     sim.process(proc())
     sim.run()
-    assert trail == ["before", ("raised", "gone", 0.0), ("after", None)]
+    assert trail == ["before", ("raised", "gone", 0.0), ("after", True)]
     assert sim.events_processed == before + 2  # process start and end only
 
 
 def test_run_until_event_on_a_born_processed_event_does_not_step():
     sim = Simulator()
     sim.timeout(1.0)
-    store = Store(sim)
-    store.put("a")
-    got = store.get()
-    assert got.processed
-    assert sim.run_until_event(got) == "a"
+    granted = Resource(sim).request()
+    assert granted.processed
+    assert sim.run_until_event(granted) is granted
     assert (sim.now, sim.events_processed) == (0.0, 0)
-    assert sim.run_until_event(Resource(sim).request()).processed
-    assert sim.events_processed == 0
 
-
-def test_bounded_store_back_pressure_is_unchanged():
-    sim = Simulator()
-    ring = Store(sim, capacity=1)
-    first = ring.put("a")
-    blocked = ring.put("b")
-    assert first.processed and not blocked.triggered
-    waiting = Store(sim).get()
-    assert not waiting.triggered  # an empty store still parks the getter
-    trail = []
-
-    def producer():
-        yield blocked
-        trail.append(("admitted", sim.now, len(ring)))
-
-    def consumer():
-        yield sim.timeout(2.0)
-        item = yield ring.get()
-        trail.append(("got", item, sim.now))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert trail == [("got", "a", 2.0), ("admitted", 2.0, 1)]
-    assert ring.peek_all() == ["b"]

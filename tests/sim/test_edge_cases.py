@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Resource, Simulator, Store
+from repro.sim import Interrupt, Resource, Simulator
 
 
 def test_run_until_event_with_limit():
@@ -32,12 +32,14 @@ def test_pre_event_hooks_see_every_event():
 
 
 def test_interrupt_while_waiting_on_store():
+    """The wait every queue in the tree is built from (a consumer parked on
+    an armed wake event; the name is from when ``sim`` had a ``Store``)."""
     sim = Simulator()
-    store = Store(sim)
+    wake = sim.event()
 
     def consumer():
         try:
-            yield store.get()
+            yield wake
         except Interrupt:
             return "interrupted"
 
@@ -50,9 +52,9 @@ def test_interrupt_while_waiting_on_store():
     sim.process(interrupter())
     sim.run()
     assert p.value == "interrupted"
-    # The store's abandoned getter event remains but a later put must not
-    # crash the engine (its value lands on a defunct event).
-    store.put("orphan")
+    # The abandoned event remains armed, and firing it later must not
+    # crash the engine (its value lands with nobody listening).
+    wake.succeed("orphan")
     sim.run()
 
 

@@ -1,8 +1,8 @@
-"""Unit tests for Resource and Store contention primitives."""
+"""Unit tests for the Resource contention primitive."""
 
 import pytest
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 
 
 # ---------------------------------------------------------------- Resource
@@ -100,119 +100,3 @@ def test_resource_capacity_validation():
     with pytest.raises(ValueError):
         Resource(sim, capacity=0)
 
-
-# ------------------------------------------------------------------- Store
-
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-
-    def proc():
-        store.put("x")
-        item = yield store.get()
-        return item
-
-    p = sim.process(proc())
-    sim.run()
-    assert p.value == "x"
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-
-    def consumer():
-        item = yield store.get()
-        return (item, sim.now)
-
-    def producer():
-        yield sim.timeout(9.0)
-        store.put("late")
-
-    c = sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert c.value == ("late", 9.0)
-
-
-def test_store_fifo_ordering():
-    sim = Simulator()
-    store = Store(sim)
-    for i in range(5):
-        store.put(i)
-    got = []
-
-    def consumer():
-        for _ in range(5):
-            item = yield store.get()
-            got.append(item)
-
-    sim.process(consumer())
-    sim.run()
-    assert got == [0, 1, 2, 3, 4]
-
-
-def test_store_multiple_getters_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    results = {}
-
-    def consumer(tag):
-        item = yield store.get()
-        results[tag] = item
-
-    sim.process(consumer("first"))
-    sim.process(consumer("second"))
-    sim.run()
-    store.put("a")
-    store.put("b")
-    sim.run()
-    assert results == {"first": "a", "second": "b"}
-
-
-def test_bounded_store_backpressure():
-    sim = Simulator()
-    store = Store(sim, capacity=2)
-    p1 = store.put(1)
-    p2 = store.put(2)
-    p3 = store.put(3)
-    assert p1.triggered and p2.triggered
-    assert not p3.triggered
-
-    def consumer():
-        item = yield store.get()
-        return item
-
-    c = sim.process(consumer())
-    sim.run()
-    assert c.value == 1
-    assert p3.triggered  # space freed, third put admitted
-    assert store.peek_all() == [2, 3]
-
-
-def test_try_get():
-    sim = Simulator()
-    store = Store(sim)
-    ok, item = store.try_get()
-    assert not ok and item is None
-    store.put("y")
-    ok, item = store.try_get()
-    assert ok and item == "y"
-
-
-def test_store_len_and_getters_waiting():
-    sim = Simulator()
-    store = Store(sim)
-    assert len(store) == 0
-    store.get()
-    assert store.getters_waiting == 1
-    store.put("z")  # consumed by the waiting getter
-    assert len(store) == 0
-    assert store.getters_waiting == 0
-
-
-def test_store_capacity_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)
