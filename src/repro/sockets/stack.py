@@ -59,7 +59,6 @@ class _TxItem:
 
     data: bytes
     zcopy: bool
-    done: Event
     fin: bool = False
     trace: Any = None
 
@@ -102,20 +101,17 @@ class Connection:
 
     # -- transmit side ----------------------------------------------------------
 
-    def enqueue_send(self, data: bytes, zcopy: bool, trace=None) -> Event:
-        """Queue bytes for transmission; event fires once wired out."""
+    def enqueue_send(self, data: bytes, zcopy: bool, trace=None) -> None:
+        """Queue bytes for transmission.  Nothing marks the moment they are
+        wired out: a sender learns of it only as send-buffer room."""
         if self.closed_locally:
             raise BrokenPipeError(f"connection {self.conn_id} is closed")
-        done = self.sim.event(("conn%s.send-done", self.conn_id))
         self.bytes_unsent += len(data)
-        self._tx_append(_TxItem(data, zcopy, done, trace=trace))
-        return done
+        self._tx_append(_TxItem(data, zcopy, trace=trace))
 
     def enqueue_fin(self) -> None:
         """Queue a FIN behind any pending data (in-order close)."""
-        done = self.sim.event(("conn%s.fin-done", self.conn_id))
-        done.defused = True  # nobody waits on FIN completion
-        self._tx_append(_TxItem(b"", False, done, fin=True))
+        self._tx_append(_TxItem(b"", False, fin=True))
 
     def _tx_append(self, item: _TxItem) -> None:
         self._tx_items.append(item)
@@ -155,7 +151,6 @@ class Connection:
                     dst_port=self.remote_port,
                 )
                 stack.nic.send_frame(remote_nic, CONTROL_SEGMENT_BYTES, packet)
-                item.done.succeed()
                 return  # nothing follows a FIN
             span = (
                 tracer.begin("sockets.tx", "sockets", sim.now,
@@ -193,7 +188,6 @@ class Connection:
             self.bytes_unsent -= len(item.data)
             while self._sndbuf_waiters and not self.sndbuf_full:
                 self._sndbuf_waiters.pop(0).succeed()
-            item.done.succeed(len(item.data))
 
     # -- receive side -------------------------------------------------------------
 
