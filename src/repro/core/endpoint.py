@@ -235,31 +235,11 @@ class Endpoint:  # repro-lint: disable=L003
         if not registered_hint:
             yield from node.memcpy(len(data))
         staging.write(data)
-        wire = AmWire(
-            msg_id=msg_id,
-            header=header,
-            header_bytes=header_bytes,
-            data=None,
-            data_length=len(data),
-            rdma=RdmaDescriptor(
-                rkey=staging.mr.rkey, offset=0, length=len(data)
-            ),
-            origin_counter_id=oc_id,
-            target_counter_id=tc_id,
-            completion_counter_id=cc_id,
-            credits_returned=self._take_owed_credits(),
-            trace=getattr(header, "trace", None) if tracer.enabled else None,
+        self._post_rendezvous_header(
+            msg_id, header, header_bytes,
+            RdmaDescriptor(rkey=staging.mr.rkey, offset=0, length=len(data)),
+            oc_id, tc_id, cc_id, staging,
         )
-        self._staged[wire.seq] = staging
-        payload = bytes(wire.wire_bytes())
-        wr = SendWR(
-            opcode=Opcode.SEND,
-            inline_data=payload,
-            signaled=True,
-            context=_SendCompletionCookie(kind="header", endpoint=self),
-            app_object=wire,
-        )
-        self._post(wr)
 
     def _send_rendezvous_registered(
         self, msg_id, header, header_bytes, mr, offset, length, oc_id, tc_id, cc_id
@@ -271,23 +251,35 @@ class Endpoint:  # repro-lint: disable=L003
         memory's lifetime, which is why the caller must keep the region
         stable until the origin counter fires.
         """
+        self._post_rendezvous_header(
+            msg_id, header, header_bytes,
+            RdmaDescriptor(rkey=mr.rkey, offset=offset, length=length),
+            oc_id, tc_id, cc_id,
+        )
+
+    def _post_rendezvous_header(
+        self, msg_id, header, header_bytes, rdma, oc_id, tc_id, cc_id, staging=None
+    ):
+        """Send the header that tells the peer where to RDMA READ from."""
         wire = AmWire(
             msg_id=msg_id,
             header=header,
             header_bytes=header_bytes,
             data=None,
-            data_length=length,
-            rdma=RdmaDescriptor(rkey=mr.rkey, offset=offset, length=length),
+            data_length=rdma.length,
+            rdma=rdma,
             origin_counter_id=oc_id,
             target_counter_id=tc_id,
             completion_counter_id=cc_id,
             credits_returned=self._take_owed_credits(),
             trace=getattr(header, "trace", None) if tracer.enabled else None,
         )
-        payload = bytes(wire.wire_bytes())
+        if staging is not None:
+            # Before the post: one that fails releases it through fail().
+            self._staged[wire.seq] = staging
         wr = SendWR(
             opcode=Opcode.SEND,
-            inline_data=payload,
+            inline_data=bytes(wire.wire_bytes()),
             signaled=True,
             context=_SendCompletionCookie(kind="header", endpoint=self),
             app_object=wire,

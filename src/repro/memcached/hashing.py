@@ -76,10 +76,3 @@ class KetamaDistribution:
         if not self.servers:
             raise ValueError("removed the last server")
         self._build()
-
-    def add_server(self, name: str) -> None:
-        """Add a server and rebuild the ring."""
-        if name in self.servers:
-            raise ValueError(f"{name} already in pool")
-        self.servers.append(name)
-        self._build()

@@ -103,7 +103,10 @@ class RequestParser:
             return self._parse_storage(op, parts)
         if op not in SIMPLE_COMMANDS:
             raise ProtocolError(f"unknown command {op!r}")
-        return self._parse_simple(op, parts)
+        try:
+            return self._parse_simple(op, parts)
+        except ValueError as exc:  # a delta, exptime or delay that is no number
+            raise ProtocolError(f"bad {op} numeric field") from exc
 
     def _parse_storage(self, op: str, parts: list[str]) -> Command:
         want = 6 if op == "cas" else 5
@@ -159,11 +162,7 @@ class RequestParser:
         if op in ("incr", "decr"):
             if len(parts) != 3:
                 raise ProtocolError(f"bad {op} line")
-            try:
-                delta = int(parts[2])
-            except ValueError as exc:
-                raise ProtocolError("non-numeric delta") from exc
-            return Command(op=op, keys=[parts[1]], delta=delta, noreply=noreply)
+            return Command(op=op, keys=[parts[1]], delta=int(parts[2]), noreply=noreply)
         if op == "touch":
             if len(parts) != 3:
                 raise ProtocolError("bad touch line")
@@ -193,60 +192,9 @@ def encode_value(key: str, flags: int, data: bytes, cas: Optional[int] = None) -
     return head + data + CRLF
 
 
-def encode_end() -> bytes:
-    return b"END\r\n"
-
-def encode_stored() -> bytes:
-    return b"STORED\r\n"
-
-def encode_not_stored() -> bytes:
-    return b"NOT_STORED\r\n"
-
-def encode_exists() -> bytes:
-    return b"EXISTS\r\n"
-
-def encode_not_found() -> bytes:
-    return b"NOT_FOUND\r\n"
-
-def encode_deleted() -> bytes:
-    return b"DELETED\r\n"
-
-def encode_touched() -> bytes:
-    return b"TOUCHED\r\n"
-
-def encode_ok() -> bytes:
-    return b"OK\r\n"
-
-def encode_lease(token: int) -> bytes:
-    """A won getl lease: the caller must regenerate and fill."""
-    return f"LEASE {token}\r\n".encode()
-
-def encode_lost() -> bytes:
-    """A lost getl lease with no servable stale value."""
-    return b"LOST\r\n"
-
-def encode_stale() -> bytes:
-    """A lost getl lease; a stale VALUE block follows."""
-    return b"STALE\r\n"
-
-def encode_number(value: int) -> bytes:
-    return f"{value}\r\n".encode()
-
-def encode_error() -> bytes:
-    return b"ERROR\r\n"
-
-def encode_client_error(msg: str) -> bytes:
-    return f"CLIENT_ERROR {msg}\r\n".encode()
-
-def encode_server_error(msg: str) -> bytes:
-    return f"SERVER_ERROR {msg}\r\n".encode()
-
-def encode_version(version: str = "1.4.9-repro") -> bytes:
-    return f"VERSION {version}\r\n".encode()
-
 def encode_stats(stats: dict) -> bytes:
     lines = b"".join(f"STAT {k} {v}\r\n".encode() for k, v in stats.items())
-    return lines + encode_end()
+    return lines + b"END\r\n"
 
 
 # ---------------------------------------------------------------------------
@@ -431,49 +379,42 @@ def encode_command(cmd: Command, opaque: int = 0) -> bytes:
 def encode_reply(cmd: Command, reply: Reply) -> bytes:
     """Serialize one IR reply to text wire bytes (server side)."""
     status = reply.status
-    if status == "values" and cmd.op == "getl" and reply.lease_state:
-        # A getl miss: the lease verdict line, then any stale value.
-        if reply.lease_state == "won":
-            chunks = [encode_lease(reply.lease_token)]
-        elif reply.values:
-            chunks = [encode_stale()]
-        else:
-            chunks = [encode_lost()]
-        chunks += [
-            encode_value(key, flags, entry_data(data))
-            for key, flags, data, _cas in reply.values
-        ]
-        chunks.append(encode_end())
-        return b"".join(chunks)
     if status == "values":
-        chunks = [
+        chunks = []
+        if cmd.op == "getl" and reply.lease_state:
+            # A getl miss: the lease verdict line, then any stale value.
+            if reply.lease_state == "won":
+                chunks.append(f"LEASE {reply.lease_token}\r\n".encode())
+            else:
+                chunks.append(b"STALE\r\n" if reply.values else b"LOST\r\n")
+        chunks += [
             encode_value(key, flags, entry_data(data),
                          cas if cmd.op == "gets" else None)
             for key, flags, data, cas in reply.values
         ]
-        chunks.append(encode_end())
+        chunks.append(b"END\r\n")
         return b"".join(chunks)
     if status == "error":
         if reply.error_kind == "client":
             if reply.detail == "unknown":
-                return encode_error()
-            return encode_client_error(reply.message)
-        return encode_server_error(reply.message)
+                return b"ERROR\r\n"
+            return f"CLIENT_ERROR {reply.message}\r\n".encode()
+        return f"SERVER_ERROR {reply.message}\r\n".encode()
     if status == "number":
-        return encode_number(reply.number)
+        return f"{reply.number}\r\n".encode()
     if status == "stats":
         return encode_stats(reply.stats or {})
     if status == "version":
-        return encode_version(reply.message)
+        return f"VERSION {reply.message}\r\n".encode()
     return {
-        "stored": encode_stored,
-        "not_stored": encode_not_stored,
-        "exists": encode_exists,
-        "not_found": encode_not_found,
-        "deleted": encode_deleted,
-        "touched": encode_touched,
-        "ok": encode_ok,
-    }[status]()
+        "stored": b"STORED\r\n",
+        "not_stored": b"NOT_STORED\r\n",
+        "exists": b"EXISTS\r\n",
+        "not_found": b"NOT_FOUND\r\n",
+        "deleted": b"DELETED\r\n",
+        "touched": b"TOUCHED\r\n",
+        "ok": b"OK\r\n",
+    }[status]
 
 
 class ReplyAssembler:
@@ -569,7 +510,7 @@ WIRE = WireFormat(
     request_parser=RequestParser,
     decode=lambda cmd: cmd,
     encode_reply=lambda _request, cmd, reply: encode_reply(cmd, reply),
-    parse_error_reply=encode_error(),
+    parse_error_reply=b"ERROR\r\n",
     farewell=None,
     server_parse_cost="parse_dispatch_us",
     server_build_cost="response_build_us",

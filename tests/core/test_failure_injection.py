@@ -90,6 +90,37 @@ def test_rendezvous_read_that_cannot_be_posted_returns_its_staging_buffer(monkey
     assert pool.grow_events == 0
 
 
+def test_staged_rendezvous_whose_header_cannot_be_posted_returns_its_buffer():
+    """The origin's staging buffer is entered in ``_staged`` before the
+    header is posted: a post on a QP that left RTS during the staging copy
+    fails the endpoint, and ``fail()`` can only release what it can see."""
+    world = UcrWorld()
+    client_ep, _server_ep = world.establish()
+    world.server_rt.register_handler(MSG)
+    payload = bytes(64 * 1024)
+    pool = world.client_rt.rendezvous_pool_for(len(payload))
+    free_before = pool.free_count
+    seen = []
+
+    def sender():
+        with pytest.raises(EndpointClosed):
+            yield from client_ep.send_message(
+                MSG, header=None, header_bytes=8, data=payload
+            )
+        seen.append(pool.free_count)
+
+    def breaker():
+        yield world.sim.timeout(10.0)  # the 64 KB staging copy is under way
+        seen.append(pool.free_count)
+        client_ep.qp.to_error()
+
+    world.sim.process(sender())
+    world.sim.process(breaker())
+    world.sim.run()
+    assert seen == [free_before - 1, free_before]
+    assert client_ep.failed and client_ep.staged_count == 0
+
+
 def test_failed_endpoint_wakes_credit_waiters_with_error():
     params = UcrParams(credits=2, credit_return_threshold=1)
     world = UcrWorld(params=params)

@@ -81,6 +81,24 @@ def test_inconsistent_lengths_rejected():
         BinaryParser().feed(header + bytes(8))
 
 
+@pytest.mark.parametrize("accessor, right_length", [
+    ("set_extras", 8),
+    ("arith_extras", 20),
+    ("touch_extras", 4),
+    ("get_response_flags", 4),
+    ("flush_extras", 4),
+    ("getl_extras", 4),
+    ("setl_extras", 16),
+    ("getl_response_extras", 16),
+])
+def test_extras_of_the_wrong_length_are_a_protocol_error(accessor, right_length):
+    for length in (right_length - 1, right_length + 1):
+        msg = BinMessage(MAGIC_REQUEST, Opcode.NOOP, extras=bytes(length))
+        with pytest.raises(ProtocolError, match=f"must be .*{right_length} bytes"):
+            getattr(msg, accessor)()
+    assert BinMessage(MAGIC_REQUEST, Opcode.FLUSH).flush_extras() == 0  # optional
+
+
 def test_arith_extras_roundtrip():
     wire = binp.build_arith("n", 5, initial=100, exptime=60)
     [msg] = BinaryParser().feed(wire)

@@ -11,8 +11,10 @@ import pytest
 
 from repro.check.history import recorder
 from repro.cluster import CLUSTER_A, Cluster
+from repro.memcached.client import SocketsTransport
 from repro.memcached.command import Command
-from repro.memcached.errors import ClientError
+from repro.memcached.errors import ClientError, ProtocolError, ServerDownError
+from repro.testing import SocketWorld
 from repro.telemetry import tracing
 from repro.workloads.memslap import MemslapRunner
 from repro.workloads.patterns import GET_ONLY
@@ -117,6 +119,48 @@ def test_pipeline_error_is_an_entry_not_a_raise():
     assert outcomes[0] is True
     assert isinstance(outcomes[1], ClientError)
     assert outcomes[2] == b"not-a-number"
+
+
+@pytest.mark.parametrize("answer, felled_by", [
+    (b"STORED\r\nSTORED\r\n", ProtocolError),  # STORED answers no get: desync
+    (b"STORED\r\n", ServerDownError),  # one answer, then the server hangs up
+])
+def test_sockets_window_cut_short_fails_every_unfinished_slot(answer, felled_by):
+    """A finished slot keeps its reply; every slot still pending gets the
+    one exception that ended the window."""
+    world = SocketWorld()
+    listener = world.stacks[1].socket()
+    listener.bind(11211)
+    listener.listen()
+
+    def scripted_server():
+        sock = yield from listener.accept()
+        yield from sock.recv(4096)
+        yield from sock.send(answer)
+        sock.close()
+
+    transport = SocketsTransport(world.sim, world.nodes[0], world.stacks[0])
+    batch = [
+        Command(op="set", keys=["a"], value=b"x"),
+        Command(op="get", keys=["b"]),
+        Command(op="delete", keys=["c"]),
+    ]
+    world.sim.process(scripted_server())
+    window = world.sim.process(transport.execute_many("n1", batch, window=3))
+    world.sim.run()
+    stored, second, third = window.value
+    assert stored.status == "stored"
+    assert isinstance(second, felled_by) and third is second
+
+
+def test_ucr_window_against_a_server_that_refuses_the_first_connect():
+    cluster = fresh_cluster()
+    cluster.ucr_ports["server"].crash()
+    transport = cluster.client("UCR-IB").transport
+    batch = [Command(op="get", keys=[f"k{i}"]) for i in range(3)]
+    outcomes = run(cluster, transport.execute_many("server", batch, window=3))
+    assert len(outcomes) == 3 and outcomes[0] is outcomes[2]
+    assert isinstance(outcomes[0], ServerDownError)
 
 
 def test_pipeline_spreads_over_servers_in_submission_order():

@@ -1,8 +1,11 @@
 """Text protocol: incremental parsing, serialization, client parsing."""
 
+import hashlib
+
 import pytest
 
-from repro.memcached import protocol
+from repro.memcached import protocol, protocol_binary
+from repro.memcached.command import REPLY_STATUSES, Command, Reply
 from repro.memcached.errors import ProtocolError
 from repro.memcached.protocol import RequestParser, ResponseParser, ValueReply
 
@@ -107,6 +110,32 @@ def test_get_without_key_raises():
         RequestParser().feed(b"get\r\n")
 
 
+@pytest.mark.parametrize("line, complaint", [
+    (b"", "empty command line"),
+    (b"   ", "empty command line"),
+    (b"set k 0 0", "bad set line"),
+    (b"set k 0 0 1 lease=soon", "bad set lease token"),
+    (b"set k 0 0 1 lease=0", "bad set lease token"),
+    (b"set k 0 0 1 lease=-4", "bad set lease token"),
+    (b"set k 0 0 -1", "negative byte count"),
+    (b"cas k 0 0 1", "bad cas line"),
+    (b"getl", "bad getl line"),
+    (b"getl k fresh", "bad getl line"),
+    (b"getl k stale please", "bad getl line"),
+    (b"incr k", "bad incr line"),
+    (b"decr k 1 2", "bad decr line"),
+    (b"incr k lots", "bad incr numeric field"),
+    (b"touch k", "bad touch line"),
+    (b"touch k soon", "bad touch numeric field"),  # a ValueError until PR 22
+    (b"flush_all soon", "bad flush_all numeric field"),  # likewise
+    (b"delete", "bad delete line"),
+    (b"delete a b", "bad delete line"),
+])
+def test_malformed_request_line_raises(line, complaint):
+    with pytest.raises(ProtocolError, match=complaint):
+        RequestParser().feed(line + b"\r\n")
+
+
 def test_parse_error_is_held_back_behind_the_commands_before_it():
     parser = RequestParser()
     reqs = parser.feed(b"set a 0 0 1\r\nx\r\nget a\r\nbogus\r\nget b\r\n")
@@ -137,10 +166,64 @@ def test_encode_value_block():
 
 
 def test_encode_markers():
-    assert protocol.encode_stored() == b"STORED\r\n"
-    assert protocol.encode_end() == b"END\r\n"
-    assert protocol.encode_number(42) == b"42\r\n"
-    assert protocol.encode_client_error("oops") == b"CLIENT_ERROR oops\r\n"
+    set_, get, incr = Command("set", ["k"]), Command("get", ["k"]), Command("incr", ["k"])
+    assert protocol.encode_reply(set_, Reply("stored")) == b"STORED\r\n"
+    assert protocol.encode_reply(get, Reply("values")) == b"END\r\n"
+    assert protocol.encode_reply(incr, Reply("number", number=42)) == b"42\r\n"
+    oops = Reply("error", message="oops", error_kind="client")
+    assert protocol.encode_reply(set_, oops) == b"CLIENT_ERROR oops\r\n"
+
+
+def _reply_corpus():
+    """(command, reply) pairs: every reply status, every arm of each."""
+    get, gets = Command("get", ["k"]), Command("gets", ["k"])
+    getl = Command("getl", ["k"], stale_ok=True)
+    set_ = Command("set", ["k"], value=b"v", flags=3, exptime=9)
+    incr = Command("incr", ["k"], delta=2)
+    hit = [("k", 7, b"data", 42)]
+    return [
+        (set_, Reply("stored", cas=11)),
+        (Command("add", ["k"], value=b"v"), Reply("not_stored")),
+        (Command("cas", ["k"], value=b"v", cas=5), Reply("exists")),
+        (Command("replace", ["k"], value=b"v"), Reply("not_found")),
+        (Command("delete", ["k"]), Reply("deleted")),
+        (Command("delete", ["k"]), Reply("not_found")),
+        (Command("touch", ["k"], exptime=30), Reply("touched")),
+        (Command("flush_all"), Reply("ok")),
+        (incr, Reply("number", number=44, cas=12)),
+        (get, Reply("values", values=hit)),
+        (get, Reply("values")),
+        (gets, Reply("values", values=hit)),
+        (getl, Reply("values", values=hit)),
+        (getl, Reply("values", lease_state="won", lease_token=77)),
+        (getl, Reply("values", lease_state="lost")),
+        (getl, Reply("values", values=hit, lease_state="lost", stale=True)),
+        (Command("stats"), Reply("stats", stats={"curr_items": 3, "bytes": 100})),
+        (Command("stats"), Reply("stats")),
+        (Command("version"), Reply("version", message="1.4.9-repro")),
+        (set_, Reply("error", message="object too large for cache")),
+        (incr, Reply("error", message="invalid numeric delta argument",
+                     error_kind="client", detail="non_numeric")),
+        (set_, Reply("error", message="bad data chunk", error_kind="client")),
+        (get, Reply("error", error_kind="client", detail="unknown")),
+    ]
+
+
+def test_reply_wire_bytes_are_pinned():
+    """Every reply the server can say, in both sockets formats, through the
+    ``WIRE`` rows the worker loop uses.  Recorded at 4b70916, before the
+    text codec's sixteen per-line functions became one table."""
+    corpus = _reply_corpus()
+    assert {reply.status for _cmd, reply in corpus} == REPLY_STATUSES
+    h = hashlib.sha256()
+    for name, wire in (("text", protocol.WIRE), ("binary", protocol_binary.WIRE)):
+        for cmd, reply in corpus:
+            (request,) = wire.request_parser().feed(wire.encode_command(cmd, 9))
+            out = wire.encode_reply(request, wire.decode(request), reply)
+            h.update(f"{name}|{cmd.op}|{len(out)}|".encode() + out)
+    assert h.hexdigest() == (
+        "d1b6ff1492fdaf7b826eabdbf1687c3c4b39f1a6bc4e4f371b05957c4ee994ba"
+    )
 
 
 def test_encode_stats_roundtrip():

@@ -127,6 +127,23 @@ def test_binary_frame_that_does_not_decode_drops_the_connection_only(cluster):
     assert all(worker.process.is_alive for worker in cluster.server.workers)
 
 
+@pytest.mark.parametrize("line", [b"touch k soon\r\n", b"flush_all soon\r\n"])
+def test_non_numeric_time_is_a_parse_error_not_a_dead_worker(cluster, line):
+    """``float("soon")`` used to raise ``ValueError`` out of the text parser
+    and through the worker, taking its epoll loop with it."""
+    sock = raw_socket(cluster)
+
+    def scenario():
+        yield from sock.connect("server", 11211)
+        yield from sock.send(line)
+        reply = yield from sock.recv(64)
+        tail = yield from sock.recv(64)
+        return reply, tail
+
+    assert run(cluster, scenario()) == (b"ERROR\r\n", b"")
+    assert all(worker.process.is_alive for worker in cluster.server.workers)
+
+
 def test_oversized_value_server_error_not_crash(cluster):
     sock = raw_socket(cluster)
     big = 1024 * 1024  # one full page: exceeds item ceiling with overhead

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.memcached import protocol
+from repro.memcached.command import Command, Reply
 from repro.memcached.protocol import RequestParser, ResponseParser
 
 KEYS = st.text(alphabet="abcdefghijklmnop0123456789_.-", min_size=1, max_size=32)
@@ -55,7 +56,9 @@ def test_pipelined_storage_commands_all_parse(pairs):
 @given(KEYS, FLAGS, DATA, st.integers(min_value=1, max_value=2**31),
        st.lists(st.integers(min_value=0), max_size=6))
 def test_value_reply_roundtrip_under_fragmentation(key, flags, data, cas, cuts):
-    blob = protocol.encode_value(key, flags, data, cas) + protocol.encode_end()
+    blob = protocol.encode_reply(
+        Command("gets", [key]), Reply("values", values=[(key, flags, data, cas)])
+    )
     parser = ResponseParser()
     tokens = []
     for chunk in chunked(blob, cuts):
@@ -72,8 +75,10 @@ def test_value_reply_roundtrip_under_fragmentation(key, flags, data, cas, cuts):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(KEYS, DATA), min_size=0, max_size=6))
 def test_multi_value_response_roundtrip(pairs):
-    blob = b"".join(protocol.encode_value(k, 0, v) for k, v in pairs)
-    blob += protocol.encode_end()
+    keys = [k for k, _v in pairs]
+    blob = protocol.encode_reply(
+        Command("get", keys), Reply("values", values=[(k, 0, v, 0) for k, v in pairs])
+    )
     tokens = ResponseParser().feed(blob)
     values = [t for t in tokens if not isinstance(t, str)]
     assert len(values) == len(pairs)

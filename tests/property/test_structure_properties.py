@@ -2,6 +2,7 @@
 counters, and the DES engine's ordering guarantees."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.memcached.hashing import KetamaDistribution, ModulaDistribution
@@ -172,3 +173,16 @@ def test_counter_waiters_fire_exactly_once(increments):
     sim.process(bumper())
     sim.run()
     assert sorted(hits) == thresholds  # every waiter fired exactly once
+
+
+def test_removing_servers_from_either_distribution():
+    """A removed server owns no key afterwards, and the last one cannot go."""
+    keys = [f"key-{i}" for i in range(64)]
+    for dist_cls in (ModulaDistribution, KetamaDistribution):
+        dist = dist_cls(["alpha", "beta", "gamma"])
+        dist.remove_server("beta")
+        assert dist.servers == ["alpha", "gamma"]
+        assert {dist.server_for(k) for k in keys} == {"alpha", "gamma"}
+        dist.remove_server("alpha")
+        with pytest.raises(ValueError, match="last server"):
+            dist.remove_server("gamma")

@@ -109,6 +109,54 @@ def test_close_is_idempotent():
     world.sim.run()
 
 
+def test_closing_a_listener_frees_its_port():
+    world = SocketWorld()
+    listener = world.stacks[1].socket()
+    listener.bind(6000)
+    listener.listen()
+    with pytest.raises(OSError, match="already in use"):
+        world.stacks[1].socket().bind(6000)
+    listener.close()
+    successor = world.stacks[1].socket()
+    successor.bind(6000)  # the port is free again
+    successor.listen()
+
+    def late_client():
+        yield from world.stacks[0].socket().connect("n1", 6000)
+        return successor.accept_pending and not listener.accept_pending
+
+    p = world.sim.process(late_client())
+    world.sim.run()
+    assert p.value is True  # the SYN went to the new owner of the port
+
+
+def test_two_blocked_accepts_each_get_a_connection():
+    world = SocketWorld()
+    listener = world.stacks[1].socket()
+    listener.bind(6000)
+    listener.listen()
+    accepted = []
+
+    def acceptor(tag):
+        child = yield from listener.accept()
+        accepted.append((tag, child.conn.remote_port))
+
+    def client():
+        sock = world.stacks[0].socket()
+        yield from sock.connect("n1", 6000)
+        return sock.port
+
+    world.sim.process(acceptor("first"))
+    world.sim.process(acceptor("second"))
+    world.sim.run()  # both park on the one armed wake
+    ports = []
+    for _ in range(2):
+        p = world.sim.process(client())
+        world.sim.run()
+        ports.append(p.value)
+    assert accepted == [("first", ports[0]), ("second", ports[1])]
+
+
 def test_nonblocking_accept_would_block():
     from repro.sockets import WouldBlock
 

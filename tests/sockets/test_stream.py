@@ -240,6 +240,25 @@ def test_sndbuf_backpressure(world):
     assert progress[-1] - progress[0] > 0
 
 
+def test_blocking_send_waits_for_send_buffer_room(world):
+    """Send-buffer room is the one thing a sender hears about bytes it has
+    handed over: a second send() on a full buffer parks until the tx pump
+    has wired the first one out."""
+    client, server = world.connect_pair()
+    client.conn.sndbuf = 1024
+    unsent_at_return = []
+
+    def client_proc():
+        for _ in range(2):
+            yield from client.send(bytes(4096))
+            unsent_at_return.append(client.conn.bytes_unsent)
+
+    world.sim.process(client_proc())
+    world.sim.run()
+    assert unsent_at_return == [4096, 4096]  # 8192 had the second not waited
+    assert len(server.conn.rx_buffer) == 8192
+
+
 def test_stack_peer_lookup_unknown(world):
     with pytest.raises(KeyError):
         world.stacks[0].peer("ghost")
