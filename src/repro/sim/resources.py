@@ -144,4 +144,3 @@ class Resource:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Resource {self.name!r} {self.count}/{self.capacity} (+{self.queued} queued)>"
-

@@ -15,8 +15,8 @@ function, so they would all read "missed"; and a function's own ``def`` line,
 which only ever gets a ``call`` event, never a ``line`` event.
 
 The cost decays: a code object whose lines have all been seen gets no local
-trace function any more, so a suite that takes 3 minutes takes about twice
-that under trace, not thirteen.  The local trace function is one module-level
+trace function any more, so a suite that takes 3 minutes takes under 8
+under trace, not thirteen.  The local trace function is one module-level
 function, not a closure per call: a frame that points at a closure that
 points back at per-call state is cyclic garbage, and the suite has tests
 that fail on cyclic garbage (``tests/verbs/test_wr_budget.py``).
