@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro.core.endpoint import Endpoint, _SendCompletionCookie
 from repro.core.errors import EndpointClosed, UcrTimeout
 from repro.core.messages import AmWire, InternalWire
+from repro.sim import Expired
 from repro.telemetry import tracer
 from repro.verbs.enums import Opcode, QpType, WcStatus
 from repro.verbs.wr import SendWR, Sge
@@ -79,14 +80,13 @@ class UcrContext:
         )
         if timeout_us is None:
             timeout_us = self.runtime.params.default_timeout_us
-        timer = self.sim.timeout(timeout_us)
-        fired = yield self.sim.any_of([done, timer])
-        if done not in fired:
-            # Abandon the attempt: a late REP/REJ must not escalate as an
-            # unhandled failure once nobody is waiting.
-            done.defused = True
-            raise UcrTimeout(f"connect to service {service_id} exceeded {timeout_us} µs")
-        qp = fired[done]
+        try:
+            qp = yield done.expire_after(timeout_us)
+        except Expired:
+            # The CM tears the attempt down when the late REP/REJ arrives.
+            raise UcrTimeout(
+                f"connect to service {service_id} exceeded {timeout_us} µs"
+            ) from None
         return Endpoint(self, qp, reliable=True, peer_label=remote_runtime.name)
 
     def create_ud_endpoint(self, remote_ep: Optional[Endpoint] = None) -> Endpoint:

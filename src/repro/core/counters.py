@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.errors import UcrTimeout
-from repro.sim import Event
+from repro.sim import Event, Expired
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import Simulator
@@ -58,7 +58,10 @@ class UcrCounter:
         still_waiting = []
         for threshold, event in self._waiters:
             if self._value >= threshold:
-                event.succeed(self._value)
+                # An expired waiter is withdrawn when its process resumes,
+                # which may be later in this same instant.
+                if not event.triggered:
+                    event.succeed(self._value)
             else:
                 still_waiting.append((threshold, event))
         self._waiters = still_waiting
@@ -83,15 +86,15 @@ class UcrCounter:
         if timeout_us is None:
             yield target
             return self._value
-        timer = self.sim.timeout(timeout_us)
-        fired = yield self.sim.any_of([target, timer])
-        if target not in fired:
+        try:
+            yield target.expire_after(timeout_us)
+        except Expired:
             # Withdraw the stale waiter so a late increment doesn't leak
             # an event nobody owns.
             self._waiters = [(t, e) for (t, e) in self._waiters if e is not target]
             raise UcrTimeout(
                 f"{self.name}: still {self._value} < {threshold} after {timeout_us} µs"
-            )
+            ) from None
         return self._value
 
     def wait_increment(self, timeout_us: Optional[float] = None):

@@ -27,7 +27,7 @@ Time unit convention: **microseconds** (float).  Size convention: **bytes**
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, Expired, Timeout
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import Resource
 from repro.sim.rng import RngStream
@@ -38,6 +38,7 @@ __all__ = [
     "AnyOf",
     "Counter",
     "Event",
+    "Expired",
     "Interrupt",
     "LatencyRecorder",
     "Process",

@@ -52,6 +52,11 @@ PROCESSED = EventState.PROCESSED
 EventName = Union[str, tuple]
 
 
+class Expired(Exception):
+    """The deadline of :meth:`Event.expire_after` passed first; ``args[0]``
+    is the delay that was allowed."""
+
+
 class Event:
     """A one-shot occurrence that processes can wait on.
 
@@ -152,6 +157,27 @@ class Event:
         self._exception = exception
         self.sim._schedule(self, delay)
         return self
+
+    # -- deadline ----------------------------------------------------------
+
+    def expire_after(self, delay: float) -> "Event":
+        """Give the wait on this event a deadline; returns the event.
+
+        If the event is still ``PENDING`` *delay* from now it fails with
+        :class:`Expired`, so ``yield ev.expire_after(t)`` either returns the
+        event's value or raises ``Expired`` at the yield.  An event that was
+        triggered first keeps its own outcome, failure included.  The timer
+        is never cancelled: it pops as a no-op when the event won.  Whoever
+        triggers the event and may do so after the deadline checks
+        :attr:`triggered` first.  Not for a :class:`Process`, which triggers
+        itself.
+        """
+        Timeout(self.sim, delay).callbacks.append(self._expire)
+        return self
+
+    def _expire(self, timer: "Timeout") -> None:
+        if self._state is PENDING:
+            self.fail(Expired(timer.delay))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = f" {self.name!r}" if self.name else ""

@@ -20,6 +20,7 @@ import enum
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.sim import Expired
 from repro.sockets.stack import Connection, SegPacket, SocketStack
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -163,15 +164,14 @@ class Socket:
                 dst_port=remote_port,
             ),
         )
-        timer = self.sim.timeout(timeout_us)
-        fired = yield self.sim.any_of([self._connect_done, timer])
-        if self._connect_done not in fired:
-            self._connect_done.defused = True
+        try:
+            yield self._connect_done.expire_after(timeout_us)
+        except Expired:
             self.stack.drop_connection(self.conn)
             self.state = _State.CLOSED
             raise ConnectionRefusedError(
                 f"{remote_node}:{remote_port} did not answer within {timeout_us} µs"
-            )
+            ) from None
         self.state = _State.CONNECTED
 
     def _connect_established(self) -> None:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.sim import Expired
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fabric.topology import Node
     from repro.sim import Simulator
@@ -67,15 +69,14 @@ class Epoll:
             ready = self._poll_ready()
             if ready:
                 return ready
-            self._wakeup = self.sim.event(name="epoll-wakeup")
+            wakeup = self._wakeup = self.sim.event(name="epoll-wakeup")
             if timeout_us is not None:
-                timer = self.sim.timeout(timeout_us)
-                fired = yield self.sim.any_of([self._wakeup, timer])
-                armed, self._wakeup = self._wakeup, None
-                if armed not in fired:
-                    return []
-            else:
-                yield self._wakeup
+                wakeup.expire_after(timeout_us)
+            try:
+                yield wakeup
+            except Expired:
+                return []
+            finally:
                 self._wakeup = None
             # Thread wakeup out of epoll_wait.
             yield from self.node.cpu_run(self.node.host.context_switch_us)

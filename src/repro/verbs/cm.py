@@ -175,20 +175,26 @@ class ConnectionManager:
         pending = self._pending.pop(packet.conn_id, None)
         if pending is None:
             return
+        assert pending.done is not None
         server_nic = self.hca.peer_nic(packet.src_qpn)
         server_hca = _hca_of_nic(server_nic)
-        server_qp = server_hca.qp(packet.src_qpn)
-        pending.qp.connect(server_qp)
-        rtu = CmPacket(
-            kind="rtu",
+        abandoned = pending.done.triggered  # the caller's deadline passed
+        if not abandoned:
+            pending.qp.connect(server_hca.qp(packet.src_qpn))
+        answer = CmPacket(
+            kind="rej" if abandoned else "rtu",
             service_id=packet.service_id,
             src_qpn=pending.qp.qp_num,
             dst_qpn=packet.src_qpn,
             conn_id=packet.conn_id,
         )
-        yield from self._send_mad(server_hca, rtu)
-        assert pending.done is not None
-        pending.done.succeed(pending.qp)
+        yield from self._send_mad(server_hca, answer)
+        if pending.done.triggered:
+            # Nobody will own the QP.  (A deadline that passes while the RTU
+            # is in flight leaves the listener an endpoint whose peer is gone.)
+            self.hca.destroy_qp(pending.qp)
+        else:
+            pending.done.succeed(pending.qp)
 
     def _handle_rtu(self, packet: CmPacket) -> None:
         pending = self._pending.pop(packet.conn_id, None)
@@ -197,9 +203,13 @@ class ConnectionManager:
         pending.listener.on_connected(pending.qp, pending.private_data)
 
     def _handle_rej(self, packet: CmPacket) -> None:
+        """Either side gives up: the connector was refused, or the listener
+        parked a QP for a connector that has since timed out."""
         pending = self._pending.pop(packet.conn_id, None)
-        if pending is not None and pending.done is not None:
-            self.hca.destroy_qp(pending.qp)
+        if pending is None:
+            return
+        self.hca.destroy_qp(pending.qp)
+        if pending.done is not None and not pending.done.triggered:
             pending.done.fail(
                 ConnectionRefusedError(f"no listener for service {packet.service_id}")
             )

@@ -5,7 +5,7 @@ import pytest
 from repro.core import UcrParams, UcrRuntime, UcrTimeout
 from repro.core.errors import EndpointClosed
 
-from repro.testing import UcrWorld
+from repro.testing import SERVICE, UcrWorld
 
 MSG_SINK = 2
 
@@ -75,6 +75,27 @@ def test_counter_timeout_withdraws_waiter(world):
     world.sim.run()
     c.add()  # late increment must not explode on a dangling waiter
     assert c.value == 1
+
+
+def test_increment_in_the_instant_of_the_deadline_loses_quietly(world):
+    """The deadline has fired but the waiter has not resumed yet: the
+    increment finds the waiter's event already failed and leaves it alone."""
+    c = world.client_rt.create_counter()
+    sim = world.sim
+
+    def waiter():
+        with pytest.raises(UcrTimeout):
+            yield from c.wait_for(1, timeout_us=10.0)
+        return sim.now
+
+    def bumper():  # scheduled after the deadline timer, at the same time
+        yield sim.timeout(10.0)
+        c.add()
+
+    p = sim.process(waiter())
+    sim.process(bumper())
+    sim.run()
+    assert (p.value, c.value, c._waiters) == (10.0, 1, [])
 
 
 def test_counter_rejects_zero_or_negative(world):
@@ -253,6 +274,41 @@ def test_connect_timeout_raises():
     world.sim.process(connector())
     world.sim.run()
     assert outcome.get("timeout")
+
+
+@pytest.mark.parametrize(
+    "timeout_us, accepted",
+    # The client's CM answers the REP at 13.54 us and its RTU lands at 17.31.
+    [(1.0, 0), (15.0, 1)],
+    ids=["before-rep", "rtu-in-flight"],
+)
+def test_connect_timeout_against_live_listener_is_torn_down(timeout_us, accepted):
+    """The abandoned attempt's late REP is answered with a REJ and both
+    QPs go; only a deadline that passes with the RTU already in flight
+    leaves the listener its endpoint (the peer QP is gone all the same)."""
+    world = UcrWorld()
+    server_ctx = world.server_rt.create_context("server")
+    ctx = world.client_rt.create_context("c")
+    endpoints = []
+    world.server_rt.listen(
+        SERVICE,
+        select_context=lambda: server_ctx,
+        on_endpoint=lambda ep, pdata: endpoints.append(ep),
+    )
+    recv_free = world.server_rt.recv_pool.free_count
+
+    def connector():
+        with pytest.raises(UcrTimeout):
+            yield from ctx.connect(world.server_rt, SERVICE, timeout_us=timeout_us)
+
+    world.sim.process(connector())
+    world.sim.run()  # an UnhandledFailure would surface here
+    assert len(endpoints) == accepted
+    assert len(world.client_rt.hca._qps) == 0
+    assert len(world.server_rt.hca._qps) == accepted
+    assert not world.client_rt.cm._pending and not world.server_rt.cm._pending
+    if not accepted:
+        assert world.server_rt.recv_pool.free_count == recv_free
 
 
 def test_connect_refused_when_no_listener():
