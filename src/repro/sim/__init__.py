@@ -10,9 +10,11 @@ dependencies beyond the scientific stack.
 Public surface:
 
 - :class:`~repro.sim.engine.Simulator` -- the event loop and clock.
-- :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
-  :class:`~repro.sim.events.AnyOf`, :class:`~repro.sim.events.AllOf` --
-  waitable primitives.
+- :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout` --
+  waitable primitives.  A wait with a deadline is
+  ``yield event.expire_after(delay)``, which raises
+  :class:`~repro.sim.events.Expired` at the yield if the deadline comes
+  first; there is no composite event.
 - :class:`~repro.sim.process.Process`, :class:`~repro.sim.process.Interrupt`
   -- generator-backed concurrent activities.
 - :class:`~repro.sim.resources.Resource` -- the contention primitive (CPU
@@ -27,15 +29,13 @@ Time unit convention: **microseconds** (float).  Size convention: **bytes**
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Expired, Timeout
+from repro.sim.events import Event, Expired, Timeout
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import Resource
 from repro.sim.rng import RngStream
 from repro.sim.trace import Counter, LatencyRecorder
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Counter",
     "Event",
     "Expired",

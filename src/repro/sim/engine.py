@@ -13,9 +13,9 @@ invariants").
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
-from repro.sim.events import PROCESSED, AllOf, AnyOf, Event, EventName, Timeout
+from repro.sim.events import PROCESSED, Event, EventName, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 _INF = float("inf")
@@ -93,14 +93,6 @@ class Simulator:
     def process(self, generator: ProcessGenerator, label: str = "") -> Process:
         """Start a new process from *generator*; returns its Process event."""
         return Process(self, generator, label=label)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event firing when any of *events* fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event firing when all of *events* have fired."""
-        return AllOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
 

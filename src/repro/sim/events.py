@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.engine import Simulator
@@ -210,102 +210,3 @@ class Timeout(Event):
     @property
     def name(self) -> str:
         return f"timeout({self.delay})"
-
-
-class ConditionValue:
-    """Mapping-like view over the events a condition has collected.
-
-    Supports ``event in cv``, ``cv[event]`` and ``cv.events`` so callers can
-    distinguish which branch of an :class:`AnyOf` fired (the idiom used by
-    UCR's wait-with-timeout).
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: list[Event]) -> None:
-        self.events = events
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self.events
-
-    def __getitem__(self, event: Event) -> Any:
-        if event not in self.events:
-            raise KeyError(event)
-        return event._value
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ConditionValue {self.events!r}>"
-
-
-class Condition(Event):
-    """Composite event over a set of sub-events.
-
-    Parameters
-    ----------
-    evaluate:
-        Callable ``(events, triggered_count) -> bool`` deciding readiness.
-    events:
-        Sub-events to observe.  Already-processed sub-events count.
-    """
-
-    __slots__ = ("_events", "_evaluate", "_count")
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        evaluate: Callable[[list[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        super().__init__(sim)
-        self._events = list(events)
-        self._evaluate = evaluate
-        self._count = 0
-
-        for event in self._events:
-            if event.sim is not sim:
-                raise ValueError("all condition events must share one simulator")
-
-        if not self._events:
-            self.succeed(ConditionValue([]))
-            return
-
-        for event in self._events:
-            if event._state is PROCESSED:
-                self._on_sub_event(event)
-            else:
-                event.callbacks.append(self._on_sub_event)
-
-    def _collect_values(self) -> ConditionValue:
-        return ConditionValue([e for e in self._events if e._state is PROCESSED])
-
-    def _on_sub_event(self, event: Event) -> None:
-        if self._state is not PENDING:
-            return
-        if event._exception is not None:
-            event.defused = True
-            self.fail(event._exception)
-            return
-        self._count += 1
-        if self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-
-
-class AnyOf(Condition):
-    """Fires as soon as any sub-event fires (the ``|`` of events)."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, lambda events, count: count >= 1, events)
-
-
-class AllOf(Condition):
-    """Fires once every sub-event has fired (the ``&`` of events)."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, lambda events, count: count == len(events), events)

@@ -92,21 +92,20 @@ def test_back_to_back_processed_yields_do_not_recurse():
 
 
 def test_conditions_over_born_processed_events():
+    """A deadline on a born-processed event: no suspension, and the timer
+    it armed all the same pops unheard."""
     sim = Simulator()
     req = Resource(sim).request()
-    other = Resource(sim).request()
-    never = sim.event()
     seen = []
 
     def proc():
-        got = yield sim.all_of([req, other])
-        seen.append(("all", got[req] is req, got[other] is other, sim.now))
-        got = yield sim.any_of([never, other])
-        seen.append(("any", never in got, other in got, sim.now))
+        got = yield req.expire_after(5.0)
+        seen.append((got is req, sim.now, sim.events_processed))
 
     sim.process(proc())
     sim.run()
-    assert seen == [("all", True, True, 0.0), ("any", False, True, 0.0)]
+    assert seen == [(True, 0.0, 1)]  # the process start, nothing else
+    assert (sim.now, sim.events_processed) == (5.0, 3)
 
 
 def test_interrupt_while_a_born_processed_grant_is_held_releases_it():

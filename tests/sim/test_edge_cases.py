@@ -173,7 +173,7 @@ def test_condition_with_failed_preprocessed_event():
 
     def late():
         try:
-            yield sim.any_of([bad, sim.timeout(5.0)])
+            yield bad.expire_after(5.0)
         except ValueError:
             return "propagated"
 

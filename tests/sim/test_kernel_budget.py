@@ -25,7 +25,9 @@ awaited frame is 4 events and 22 calls, and a frame nobody waits for at
 delivery -- the sockets pump's, which yields the tx hold itself -- is 3
 events and 19 calls.  The four-step idiom coming back at ``cpu_run`` costs
 3 calls per hold, a process or a helper event creeping back into the frame
-path costs an event, and either fails here.
+path costs an event, and either fails here.  A wait with a deadline that is
+met (``Event.expire_after``) is 2 events -- the wake and the stale timer --
+and 8 calls; as an ``AnyOf`` over ``[event, timer]`` it was 3 and 18.
 """
 
 import sys
@@ -92,6 +94,16 @@ def _frames_tx_done_only(sim: Simulator) -> None:
     _frames(sim, wait_for="tx_done")
 
 
+def _deadline_wait_met(sim: Simulator) -> None:
+    """The wake and, a microsecond behind it, the timer nobody hears."""
+
+    def proc():
+        for _ in range(ITERATIONS):
+            yield sim.event().succeed(delay=1.0).expire_after(2.0)
+
+    sim.process(proc())
+
+
 @pytest.mark.parametrize(
     "scenario, events_per_iteration, calls_per_iteration",
     [
@@ -99,8 +111,10 @@ def _frames_tx_done_only(sim: Simulator) -> None:
         (_cpu_run_loop, 1, 7 + 1),
         (_frames, 4, 22 + 1),
         (_frames_tx_done_only, 3, 19 + 1),
+        (_deadline_wait_met, 2, 8 + 1),
     ],
-    ids=["timeout-ping-pong", "cpu_run", "send_frame", "send_frame-tx_done-only"],
+    ids=["timeout-ping-pong", "cpu_run", "send_frame", "send_frame-tx_done-only",
+         "deadline-wait-met"],
 )
 def test_calls_per_event_stay_within_budget(
     scenario, events_per_iteration, calls_per_iteration
