@@ -14,8 +14,8 @@ progress.  Three roles exist per message, all optional:
     ``None``).
 
 The synchronization primitive is :meth:`UcrCounter.wait_for` -- a wait
-with a timeout, because in the data-center model a hung peer must not
-hang the waiter (paper §IV-A).
+that carries its deadline (``Event.expire_after``), because in the
+data-center model a hung peer must not hang the waiter (paper §IV-A).
 """
 
 from __future__ import annotations
@@ -83,11 +83,10 @@ class UcrCounter:
             yield from counter.wait_for(1, timeout_us=50_000)
         """
         target = self.reached(threshold)
-        if timeout_us is None:
-            yield target
-            return self._value
+        if timeout_us is not None:
+            target.expire_after(timeout_us)
         try:
-            yield target.expire_after(timeout_us)
+            yield target
         except Expired:
             # Withdraw the stale waiter so a late increment doesn't leak
             # an event nobody owns.

@@ -399,6 +399,15 @@ class UcrTransport:
     def _checkin_counter(self, counter) -> None:
         self._counter_pool.append(counter)
 
+    def _server_down(self, server: str, ep, exc) -> ServerDownError:
+        """Corrective action when a wait on *ep* times out or finds it
+        dead (paper §V-B): fail it and forget it, so failover takes over.
+        Returns the error to raise."""
+        if not ep.failed:
+            ep.fail(str(exc))
+        self._endpoints.pop(server, None)
+        return ServerDownError(f"{server}: {exc}")
+
     def add_server(self, name: str, runtime: "UcrRuntime") -> None:
         """Declare how to reach *name* (its UCR runtime)."""
         self._runtimes[name] = runtime
@@ -527,18 +536,13 @@ class UcrTransport:
             # Block on counter C with a timeout (paper §V-B).
             yield from counter.wait_increment(timeout_us=self.timeout_us)
         except (UcrTimeout, EndpointClosed) as exc:
-            # Corrective action: declare the server dead.
-            self._pending.pop(rid, None)
-            if not ep.failed:
-                ep.fail(str(exc))
-            self._endpoints.pop(server, None)
-            raise ServerDownError(f"{server}: {exc}") from exc
+            raise self._server_down(server, ep, exc) from exc
         finally:
+            entry = self._pending.pop(rid, None)
             self._checkin_counter(counter)
             if tracer.enabled:
                 tracer.end(span, self.sim.now)
         yield from self.node.cpu_run(self.node.host.cpu_time(self.costs.parse_ucr_us))
-        entry = self._pending.pop(rid, None)
         assert entry is not None, "counter fired before response landed"
         return entry
 

@@ -42,7 +42,6 @@ from repro.core.endpoint import _SendCompletionCookie
 from repro.core.errors import EndpointClosed, UcrTimeout
 from repro.memcached.client import ClientCosts, DEFAULT_TIMEOUT_US, UcrTransport
 from repro.memcached.command import Reply
-from repro.memcached.errors import ServerDownError
 from repro.memcached.onesided.index import IndexDescriptor
 from repro.memcached.onesided.layout import (
     ENTRY_BYTES,
@@ -129,12 +128,7 @@ class OneSidedTransport(UcrTransport):
             ep._post(wr)
             yield from counter.wait_increment(timeout_us=self.timeout_us)
         except (UcrTimeout, EndpointClosed) as exc:
-            # Same corrective action as the AM round-trip: declare the
-            # server dead so failover takes over.
-            if not ep.failed:
-                ep.fail(str(exc))
-            self._endpoints.pop(server, None)
-            raise ServerDownError(f"{server}: {exc}") from exc
+            raise self._server_down(server, ep, exc) from exc
         finally:
             self._checkin_counter(counter)
         self.onesided_reads += 1

@@ -11,10 +11,8 @@ Public surface:
 
 - :class:`~repro.sim.engine.Simulator` -- the event loop and clock.
 - :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout` --
-  waitable primitives.  A wait with a deadline is
-  ``yield event.expire_after(delay)``, which raises
-  :class:`~repro.sim.events.Expired` at the yield if the deadline comes
-  first; there is no composite event.
+  waitable primitives; ``yield event.expire_after(delay)`` is a wait with a
+  deadline (:class:`~repro.sim.events.Expired`).  No composite events.
 - :class:`~repro.sim.process.Process`, :class:`~repro.sim.process.Interrupt`
   -- generator-backed concurrent activities.
 - :class:`~repro.sim.resources.Resource` -- the contention primitive (CPU

@@ -153,7 +153,7 @@ class Socket:
         self.conn.socket = self
         self.stack.register_connection(self.conn)
         self.state = _State.CONNECTING
-        self._connect_done = self.sim.event(name=f"connect:{self.port}")
+        self._connect_done = self.sim.event(name=("connect:%s", self.port))
         yield from self.node.cpu_run(params.connect_setup_us)
         self.stack.send_control(
             remote_node,

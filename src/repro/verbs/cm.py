@@ -104,7 +104,7 @@ class ConnectionManager:
         """
         qp = self.hca.create_qp(pd, send_cq, recv_cq, QpType.RC)
         conn_id = next(_conn_ids)
-        done = self.sim.event(name=f"cm-connect({conn_id})")
+        done = self.sim.event(name=("cm-connect(%s)", conn_id))
         self._pending[conn_id] = _PendingConnect(qp, done)
         req = CmPacket(
             kind="req",

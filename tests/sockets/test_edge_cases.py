@@ -22,6 +22,7 @@ def test_connect_to_closed_port_times_out():
     world.sim.run()
     assert outcome["refused_at"] >= 500.0
     assert sock.state.value == "closed"
+    assert sock._connect_done.name == f"connect:{sock.port}"  # rendered on this read
 
 
 def test_connect_timeout_does_not_leak_connection():

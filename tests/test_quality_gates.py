@@ -84,6 +84,24 @@ def test_all_exports_exist():
             assert hasattr(mod, symbol), f"{name}.{symbol} missing"
 
 
+def test_kernel_public_surface_is_pinned():
+    """A new kernel primitive is a reviewed decision: it changes this list."""
+    import repro.sim
+
+    assert repro.sim.__all__ == [
+        "Counter",
+        "Event",
+        "Expired",
+        "Interrupt",
+        "LatencyRecorder",
+        "Process",
+        "Resource",
+        "RngStream",
+        "Simulator",
+        "Timeout",
+    ]
+
+
 def test_full_stack_determinism():
     """Two identical fast Figure-5 panels must agree to the bit."""
     from repro.cluster import CLUSTER_B, Cluster

@@ -1,5 +1,7 @@
 """Connection manager handshake and UD transport tests."""
 
+import re
+
 import pytest
 
 from repro.verbs import Access, Opcode, QpType, RecvWR, SendWR, Sge
@@ -23,6 +25,7 @@ def test_cm_connect_establishes_rc_pair(pair):
         pair.hca_b, 11211, pair.pd_a, pair.cq_a, pair.cq_a, private_data="hi"
     )
     client_qp = pair.sim.run_until_event(done)
+    assert re.fullmatch(r"cm-connect\(\d+\)", done.name)  # rendered on this read
     pair.sim.run()
     assert len(server_qps) == 1
     server_qp, pdata = server_qps[0]
