@@ -46,7 +46,9 @@ _RING_SIZE = 1 << _RING_BITS
 
 
 def ring_point(data: str) -> int:
-    """Map a string to a point on the 32-bit ring (stable across runs)."""
+    """Map a string to a point on the 32-bit ring (stable across runs):
+    the first four bytes of its MD5, little-endian.  The one key hash of
+    every client distribution, :mod:`repro.memcached.hashing`'s too."""
     return int.from_bytes(hashlib.md5(data.encode()).digest()[:4], "little")
 
 

@@ -31,10 +31,11 @@ from typing import Optional
 #: slabs.py, buffers.py, cq.py, qp.py, router.py, client.py,
 #: controller.py); the flow tests pin the classification behavior.
 REGISTRY: dict[str, tuple[str, ...]] = {
-    # The memcached store and its index (McStore.table / .lru / .slabs).
-    "store": ("store", "_store", "table", "_table"),
-    # Slab allocator state (size classes, LRU chains, free chunk lists).
-    "slabs": ("slabs", "lru", "_lru", "free_chunks"),
+    # The memcached store and its key index (ItemStore.by_key).
+    "store": ("store", "by_key"),
+    # Slab allocator state (size classes, per-class LRUs, free chunk
+    # lists: ItemStore.slabs / .lrus).
+    "slabs": ("slabs", "lrus", "free_chunks"),
     # Registered-buffer pools and staged rendezvous buffers.
     "pool": ("recv_pool", "_rdv_pools", "_staged", "_free"),
     # Completion queues and their backing CQE lists.

@@ -3,11 +3,10 @@
 This package reimplements the memcached 1.4-era engine the paper extends
 (server 1.4.x, libmemcached 0.45):
 
-- storage engine: slab allocator (:mod:`~repro.memcached.slabs`),
-  power-of-two chained hash table (:mod:`~repro.memcached.hashtable`),
-  per-class LRU (:mod:`~repro.memcached.lru`), tied together by
-  :class:`~repro.memcached.store.ItemStore` with lazy expiry, CAS,
-  flush_all and eviction accounting;
+- storage engine: slab allocator (:mod:`~repro.memcached.slabs`) under
+  :class:`~repro.memcached.store.ItemStore`, which keeps the key index
+  (a ``dict``) and one LRU per slab class (an ``OrderedDict``) and adds
+  lazy expiry, CAS, flush_all and eviction accounting;
 - :mod:`~repro.memcached.protocol`: the text protocol with an
   incremental parser (partial reads, pipelining, noreply);
 - :class:`~repro.memcached.server.MemcachedServer`: libevent-style

@@ -14,12 +14,9 @@ inherently scalable as there is no central server to consult" (paper
 from __future__ import annotations
 
 import bisect
-import hashlib
 from typing import Sequence
 
-
-def _hash32(data: str) -> int:
-    return int.from_bytes(hashlib.md5(data.encode()).digest()[:4], "little")
+from repro.cluster.router import ring_point
 
 
 class ModulaDistribution:
@@ -32,7 +29,7 @@ class ModulaDistribution:
 
     def server_for(self, key: str) -> str:
         """The server responsible for *key*."""
-        return self.servers[_hash32(key) % len(self.servers)]
+        return self.servers[ring_point(key) % len(self.servers)]
 
     def remove_server(self, name: str) -> None:
         """Drop a (dead) server from the distribution."""
@@ -57,14 +54,14 @@ class KetamaDistribution:
         ring = []
         for server in self.servers:
             for i in range(self.POINTS_PER_SERVER):
-                ring.append((_hash32(f"{server}-{i}"), server))
+                ring.append((ring_point(f"{server}-{i}"), server))
         ring.sort()
         self._ring = ring
         self._points = [p for p, _ in ring]
 
     def server_for(self, key: str) -> str:
         """The first ring point at or after the key's hash."""
-        h = _hash32(key)
+        h = ring_point(key)
         idx = bisect.bisect(self._points, h)
         if idx == len(self._ring):
             idx = 0

@@ -1,17 +1,17 @@
 """Items: the unit of storage.
 
 An :class:`Item` mirrors memcached's ``item`` struct: key, client flags,
-expiry, CAS id, and intrusive links for both the hash chain (``h_next``)
-and the per-class LRU (``prev``/``next``).  The value bytes live in the
-slab chunk the item was allocated from, not in the item object -- that
-indirection is what lets the UCR server RDMA-expose values directly from
-registered slab pages.
+expiry and CAS id.  The store's key index and per-class LRUs hold items
+by reference (no intrusive links; ``linked`` says whether they do).  The
+value bytes live in the slab chunk the item was allocated from, not in
+the item object -- that indirection is what lets the UCR server
+RDMA-expose values directly from registered slab pages.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memcached.slabs import SlabChunk
@@ -50,9 +50,6 @@ class Item:
         "cas",
         "value_length",
         "chunk",
-        "h_next",
-        "prev",
-        "next",
         "linked",
         "last_access",
         "created_at",
@@ -73,10 +70,6 @@ class Item:
         self.cas = next_cas_id()
         self.value_length = value_length
         self.chunk = chunk
-        # Intrusive links.
-        self.h_next: Optional["Item"] = None
-        self.prev: Optional["Item"] = None
-        self.next: Optional["Item"] = None
         self.linked = False
         self.last_access = 0.0
         self.created_at = 0.0

@@ -1,21 +1,29 @@
-"""The storage engine: slabs + hash table + LRU + expiry + stats.
+"""The storage engine: slabs + key index + per-class LRUs + expiry + stats.
 
 :class:`ItemStore` is shared by the sockets workers and the UCR contexts
 of one server (the paper's dual-mode design): all transports see the same
 data.  Methods are synchronous Python -- the *time* cost of each
 operation is charged by the calling server layer, which knows whose CPU
-is doing the work.
+is doing the work (``MemcachedCosts.op_execute_us``: hash, lookup, LRU
+and slab bookkeeping as one flat cost).
+
+The key index is a ``dict`` and each slab class's LRU an
+``OrderedDict`` (oldest first, most recently used last): memcached's
+chained hash table and intrusive tail queues, minus the machinery that
+only bounds a C request's worst case.  Eviction stays per class, so
+pressure in one size class never evicts items of another (memcached's
+"calcification", reproduced on purpose).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.memcached.errors import ClientError, ServerError
-from repro.memcached.hashtable import DEFAULT_POWER, HashTable
 from repro.memcached.items import ITEM_HEADER_OVERHEAD, Item
-from repro.memcached.lru import LruManager
 from repro.memcached.serving.leases import LeaseTable
 from repro.memcached.slabs import CHUNK_MIN, GROWTH_FACTOR, PAGE_BYTES, SlabAllocator
 
@@ -30,6 +38,9 @@ MAX_KEY_LENGTH = 250
 #: Counters are uint64: incr wraps here, and a stored value at or above
 #: it fails safe_strtoull-style parsing (memcached's behaviour).
 COUNTER_LIMIT = 2**64
+#: How many of a class's coldest items the reclaim pass inspects for an
+#: expired or flushed victim before falling back to evicting the coldest.
+RECLAIM_SCAN = 50
 
 
 @dataclass(frozen=True)
@@ -40,7 +51,6 @@ class StoreConfig:
     evictions_enabled: bool = True           # -M inverts this
     chunk_min: int = CHUNK_MIN               # -n
     growth_factor: float = GROWTH_FACTOR     # -f
-    initial_hash_power: int = DEFAULT_POWER
     #: The slab mover: when an allocation fails, reassign an empty page
     #: from another class before evicting.  Off by default -- enabling it
     #: changes eviction victims, so default runs stay digest-identical.
@@ -104,8 +114,13 @@ class ItemStore:
             chunk_min=config.chunk_min,
             factor=config.growth_factor,
         )
-        self.table = HashTable(config.initial_hash_power)
-        self.lru = LruManager()
+        #: key -> linked item: the index every lookup goes through.
+        self.by_key: dict[str, Item] = {}
+        #: One LRU per slab class, indexed by class id: linked items,
+        #: coldest first, most recently used last.
+        self.lrus: list[OrderedDict[Item, None]] = [
+            OrderedDict() for _ in self.slabs.classes
+        ]
         self.stats = StoreStats()
         #: Items created strictly before this instant are flushed.
         self._flush_before = -1.0
@@ -203,7 +218,7 @@ class ItemStore:
             return None
         self.stats.get_hits += 1
         item.last_access = self.now_seconds()
-        self.lru.touch(item)
+        self.lrus[item.chunk.slab_class.class_id].move_to_end(item)
         if self.onesided is not None:
             # Collision takeover / republish after a flush invalidation.
             self.onesided.ensure(item)
@@ -237,12 +252,12 @@ class ItemStore:
         """
         self._validate_key(key)
         self.stats.cmd_get += 1
-        item = self.table.find(key)
+        item = self.by_key.get(key)
         now = self.now_seconds()
         if item is not None and not (item.is_expired(now) or self._is_flushed(item)):
             self.stats.get_hits += 1
             item.last_access = now
-            self.lru.touch(item)
+            self.lrus[item.chunk.slab_class.class_id].move_to_end(item)
             if self.onesided is not None:
                 self.onesided.ensure(item)
             return "hit", item, 0
@@ -444,17 +459,17 @@ class ItemStore:
             if chunk is not None:
                 return chunk
         now = self.now_seconds()
-        # Pass 1: reap expired from the tail; pass 2: evict the coldest.
+        lru = self.lrus[cls.class_id]
+        # Pass 1: reap expired from the cold end; pass 2: evict the coldest.
         victim = None
         kind = "evicted"
-        for candidate in self.lru.eviction_candidates(cls.class_id):
+        for candidate in islice(lru, RECLAIM_SCAN):
             if candidate.is_expired(now) or self._is_flushed(candidate):
                 victim = candidate
                 kind = "reclaimed"
                 break
         if victim is None:
-            for candidate in self.lru.eviction_candidates(cls.class_id, max_scan=1):
-                victim = candidate
+            victim = next(iter(lru), None)
         if victim is None:
             self._record_oom(cls)
             raise ServerError("out of memory storing object")
@@ -512,7 +527,7 @@ class ItemStore:
 
     def _live_item(self, key: str) -> Optional[Item]:
         """Lookup with lazy expiry and flush filtering."""
-        item = self.table.find(key)
+        item = self.by_key.get(key)
         if item is None:
             return None
         if item.is_expired(self.now_seconds()) or self._is_flushed(item):
@@ -524,10 +539,12 @@ class ItemStore:
         return item.created_at < self._flush_before and self._flush_before <= self.now_seconds()
 
     def _link(self, item: Item) -> None:
+        if item.linked:
+            raise ValueError(f"{item!r} already linked")
         # Any successful value write settles the key's fill race.
         self.leases.clear(item.key)
-        self.table.insert(item)
-        self.lru.link(item)
+        self.by_key[item.key] = item
+        self.lrus[item.chunk.slab_class.class_id][item] = None
         item.linked = True
         self.stats.total_items += 1
         self.stats.curr_items += 1
@@ -541,8 +558,8 @@ class ItemStore:
             # exported entry may ever name a reusable chunk (eviction and
             # slab rebalancing both route through here).
             self.onesided.unpublish(item)
-        self.table.remove(item.key)
-        self.lru.unlink(item)
+        del self.by_key[item.key]
+        del self.lrus[item.chunk.slab_class.class_id][item]
         item.linked = False
         self.stats.curr_items -= 1
         self.stats.bytes -= item.total_bytes
@@ -559,8 +576,6 @@ class ItemStore:
         """The counters behind the top-level ``stats`` command."""
         d = self.stats.as_dict()
         d.update(self.slabs.stats())
-        d["hash_buckets"] = self.table.buckets
-        d["hash_expansions"] = self.table.expansions
         return d
 
     def slab_stats_detail(self) -> dict[str, int]:
@@ -585,17 +600,14 @@ class ItemStore:
         counters (evicted/reclaimed/outofmemory, memcached's names)."""
         out: dict[str, int] = {}
         now = self.now_seconds()
-        class_ids = set(self.lru._queues) | set(self._class_stats)
-        for class_id in sorted(class_ids):
-            queue = self.lru._queues.get(class_id)
-            number = len(queue) if queue is not None else 0
+        for class_id, lru in enumerate(self.lrus):
             counters = self._class_stats.get(class_id)
-            if number == 0 and counters is None:
+            if not lru and counters is None:
                 continue
             prefix = f"items:{class_id}"
-            out[f"{prefix}:number"] = number
-            tail = queue.tail if queue is not None else None
-            out[f"{prefix}:age"] = int(now - tail.last_access) if tail else 0
+            out[f"{prefix}:number"] = len(lru)
+            coldest = next(iter(lru), None)
+            out[f"{prefix}:age"] = int(now - coldest.last_access) if coldest else 0
             if counters is not None:
                 out[f"{prefix}:evicted"] = counters["evicted"]
                 out[f"{prefix}:reclaimed"] = counters["reclaimed"]

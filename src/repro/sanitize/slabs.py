@@ -1,22 +1,28 @@
 """Slab-accounting sanitizer.
 
-Cross-checks the memcached store's byte/item statistics against the live
-item population and the slab allocator's ground truth.  Invariants:
+Cross-checks the memcached store's key index, per-class LRUs and
+byte/item statistics against each other and the slab allocator's ground
+truth.  The linked items are the ones in the index.  Invariants:
 
-1. ``stats.bytes`` equals the summed footprint of all linked items;
-2. ``stats.curr_items`` equals the number of linked items;
-3. every linked item's chunk is marked used, and no two items share one;
-4. no chunk on a free list is marked used;
-5. ``allocated_bytes`` equals pages handed out times the page size;
-6. per class, used chunks (total - free) cover at least the linked items
+1. every item in the index is linked and filed under its own key;
+2. every linked item sits in exactly one class LRU, the one for its
+   chunk's class, and the LRUs hold nothing else;
+3. ``stats.curr_items`` equals both the index size and the summed LRU
+   sizes;
+4. ``stats.bytes`` equals the summed footprint of all linked items;
+5. every linked item's chunk is marked used, and no two items share one;
+6. no chunk on a free list is marked used;
+7. ``allocated_bytes`` equals pages handed out times the page size;
+8. per class, used chunks (total - free) cover at least the linked items
    stored there (reserved-but-uncommitted items may hold extras);
-7. per class, ``total_chunks`` equals ``total_pages * chunks_per_page``
+9. per class, ``total_chunks`` equals ``total_pages * chunks_per_page``
    -- page reassignment (the slab rebalancer) must move a page's worth
    of chunks atomically, so a mover that leaks the donor's chunks (a
    double-free in the making) breaks conservation immediately.
 
-Drift in any of these is how a slab double-free or a missed
-``stats.bytes`` update first becomes visible.
+Drift in any of these is how a slab double-free, a missed
+``stats.bytes`` update or an unlink that reached only one of the two
+structures first becomes visible.
 """
 
 from __future__ import annotations
@@ -45,16 +51,40 @@ class SlabSanitizer:
     def check(self, store: "ItemStore") -> list[str]:
         """Validate *store*; returns violations (raises them when strict)."""
         violations: list[str] = []
-        live = [item for item in store.table.items() if item.linked]
+        live = list(store.by_key.values())
 
+        for key, item in store.by_key.items():
+            if not item.linked:
+                violations.append(f"index holds unlinked item {item.key!r}")
+            if item.key != key:
+                violations.append(f"index files item {item.key!r} under {key!r}")
+            if item not in store.lrus[item.chunk.slab_class.class_id]:
+                violations.append(f"item {key!r} is missing from its class LRU")
+        for class_id, lru in enumerate(store.lrus):
+            for item in lru:
+                if item.chunk.slab_class.class_id != class_id:
+                    violations.append(
+                        f"class {class_id} LRU holds {item.key!r} of class "
+                        f"{item.chunk.slab_class.class_id}"
+                    )
+                if store.by_key.get(item.key) is not item:
+                    violations.append(
+                        f"class {class_id} LRU holds {item.key!r}, which the index does not"
+                    )
+
+        if store.stats.curr_items != len(live):
+            violations.append(
+                f"stats.curr_items={store.stats.curr_items} but {len(live)} items indexed"
+            )
+        in_lrus = sum(len(lru) for lru in store.lrus)
+        if store.stats.curr_items != in_lrus:
+            violations.append(
+                f"stats.curr_items={store.stats.curr_items} but the LRUs hold {in_lrus}"
+            )
         live_bytes = sum(item.total_bytes for item in live)
         if store.stats.bytes != live_bytes:
             violations.append(
                 f"stats.bytes={store.stats.bytes} but live items sum to {live_bytes}"
-            )
-        if store.stats.curr_items != len(live):
-            violations.append(
-                f"stats.curr_items={store.stats.curr_items} but {len(live)} items linked"
             )
 
         seen_chunks: dict[int, str] = {}

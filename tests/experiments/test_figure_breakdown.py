@@ -8,9 +8,9 @@ from repro.experiments import figure_breakdown
 from repro.telemetry import spans_from_chrome, validate_chrome
 
 
-@pytest.fixture(scope="module")
-def report():
-    return figure_breakdown.run(fast=True)
+@pytest.fixture
+def report(figure_runs):
+    return figure_runs["breakdown"][0]
 
 
 def test_all_shape_checks_pass(report):

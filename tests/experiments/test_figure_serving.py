@@ -6,22 +6,20 @@ produces its headline effects under the storm-shaped chaos scenarios.
 
 import pytest
 
-from repro.experiments import figure_serving
+
+@pytest.fixture
+def storm(figure_runs):
+    return figure_runs["storm"][0]
 
 
-@pytest.fixture(scope="module")
-def storm():
-    return figure_serving.run_storm(fast=True)
+@pytest.fixture
+def stampede(figure_runs):
+    return figure_runs["stampede"][0]
 
 
-@pytest.fixture(scope="module")
-def stampede():
-    return figure_serving.run_stampede(fast=True)
-
-
-@pytest.fixture(scope="module")
-def gutter():
-    return figure_serving.run_gutter(fast=True)
+@pytest.fixture
+def gutter(figure_runs):
+    return figure_runs["gutter"][0]
 
 
 def _assert_all(report):

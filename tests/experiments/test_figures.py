@@ -1,33 +1,34 @@
 """Figure reproductions (fast mode): every shape check must pass.
 
 These are the paper's headline results; a regression here means the
-model no longer reproduces the evaluation section.
+model no longer reproduces the evaluation section.  The reports are the
+session's shared runs (``figure_runs`` in ``tests/conftest.py``), the
+same ones the golden digests check.
 """
 
 import pytest
 
-from repro.experiments import figure3, figure4, figure5, figure6
 from repro.experiments.common import LARGE_SIZES, SMALL_SIZES
 
 
-@pytest.fixture(scope="module")
-def fig3():
-    return figure3.run(fast=True)
+@pytest.fixture
+def fig3(figure_runs):
+    return figure_runs["3"][0]
 
 
-@pytest.fixture(scope="module")
-def fig4():
-    return figure4.run(fast=True)
+@pytest.fixture
+def fig4(figure_runs):
+    return figure_runs["4"][0]
 
 
-@pytest.fixture(scope="module")
-def fig5():
-    return figure5.run(fast=True)
+@pytest.fixture
+def fig5(figure_runs):
+    return figure_runs["5"][0]
 
 
-@pytest.fixture(scope="module")
-def fig6():
-    return figure6.run(fast=True)
+@pytest.fixture
+def fig6(figure_runs):
+    return figure_runs["6"][0]
 
 
 def _assert_all(report):
@@ -125,10 +126,8 @@ def test_reports_render(fig3, fig4, fig5, fig6):
         assert "PASS" in text
 
 
-def test_extensions_shapes():
-    from repro.experiments import extensions
-
-    report = extensions.run(fast=True)
+def test_extensions_shapes(figure_runs):
+    report = figure_runs["ext"][0]
     _assert_all(report)
     assert "(E1) server QPs" in report.panels
     assert "(E2) codecs" in report.panels
@@ -137,10 +136,10 @@ def test_extensions_shapes():
 def test_runner_cli_fast_single_figure(capsys):
     from repro.experiments.runner import main
 
-    rc = main(["--fast", "-f", "5"])
+    rc = main(["--fast", "-f", "breakdown"])  # the cheapest figure
     out = capsys.readouterr().out
     assert rc == 0
-    assert "Figure 5" in out
+    assert "### breakdown:" in out
     assert "all shape checks passed" in out
 
 
@@ -148,8 +147,8 @@ def test_runner_cli_writes_report(tmp_path, capsys):
     from repro.experiments.runner import main
 
     out_file = tmp_path / "report.md"
-    rc = main(["--fast", "-f", "ext", "-o", str(out_file)])
+    rc = main(["--fast", "-f", "breakdown", "-o", str(out_file)])
     assert rc == 0
     text = out_file.read_text()
-    assert "Extensions" in text
+    assert "### breakdown:" in text
     assert "PASS" in text

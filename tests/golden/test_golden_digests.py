@@ -1,7 +1,9 @@
 """Golden determinism regression: figure runs replay bit-for-bit.
 
-Each experiment figure (fast mode) is run under the PR-1 event-digest
+Each experiment figure (fast mode) is run under the event-digest
 sanitizer and compared against the digest recorded in ``digests.json``.
+The run is the session's shared one (``figure_runs`` in
+``tests/conftest.py``): the shape tests read the same report.
 A mismatch means the simulated event stream changed -- either an
 unintended nondeterminism (a bug) or an intentional model change, in
 which case regenerate with::
@@ -16,8 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.runner import FIGURES
-from repro.sanitize import capture
 from tests.golden.record import report_digest
 
 GOLDEN_PATH = Path(__file__).parent / "digests.json"
@@ -35,9 +35,8 @@ def test_golden_file_covers_the_figures():
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_figure_event_stream_matches_golden(name):
-    with capture() as digest:
-        report = FIGURES[name](True)
+def test_figure_event_stream_matches_golden(name, figure_runs):
+    report, digest = figure_runs[name]
     assert report.all_passed, f"figure {name} shape checks failed"
     golden = GOLDEN[name]
     assert digest.events == golden["events"], (

@@ -242,7 +242,9 @@ def _chain(expr_src):
 
 def test_registry_classifies_known_chains():
     assert _chain("self.ring._nodes") == ("ring", "self.ring._nodes")
-    assert _chain("self.store.table")[0] == "store"
+    assert _chain("self.store.by_key")[0] == "store"
+    assert _chain("self.by_key") == ("store", "self.by_key")
+    assert _chain("self.lrus") == ("slabs", "self.lrus")
     assert _chain("qp._recv_queue")[0] == "qp"
     assert _chain("self._mirror")[0] == "onesided"
     assert _chain("store.onesided")[0] == "onesided"

@@ -125,6 +125,33 @@ def test_stats_and_flush(cluster_a, transport):
     assert after is None
 
 
+#: The top-level ``stats`` surface, key for key: store counters, slab
+#: allocator totals, server fields.  A key added or removed here is a
+#: wire-visible change and should be a decision, not drift.
+STATS_KEYS = {
+    # StoreStats
+    "cmd_get", "cmd_set", "get_hits", "get_misses", "delete_hits",
+    "delete_misses", "incr_hits", "incr_misses", "decr_hits", "decr_misses",
+    "cas_hits", "cas_misses", "cas_badval", "evictions", "expired_unfetched",
+    "reclaimed", "oom_errors", "slab_moves", "total_items", "curr_items",
+    "bytes",
+    # SlabAllocator.stats()
+    "allocated_bytes", "pages", "classes", "free_chunks", "total_chunks",
+    # MemcachedServer
+    "threads", "total_requests", "version",
+}
+
+
+def test_stats_key_set_is_pinned(cluster_a):
+    assert set(cluster_a.server.stats_dict()) == STATS_KEYS
+    client = cluster_a.client("IPoIB")
+
+    def scenario():
+        return (yield from client.stats())
+
+    assert set(run(cluster_a, scenario())) == STATS_KEYS  # the wire sees the same
+
+
 def test_dual_mode_share_one_store(cluster_a):
     """A UCR client reads what a sockets client wrote (paper §V-A)."""
     ucr = cluster_a.client("UCR-IB", client_node=0)

@@ -1,184 +1,131 @@
-"""Hash table and LRU unit tests."""
+"""The store's key index (a dict) and per-class LRUs (OrderedDicts).
+
+Each class's LRU is read coldest first: ``store.lrus[class_id]`` iterates
+from the eviction end to the most recently used item.
+"""
 
 import pytest
 
-from repro.memcached.hashtable import HashTable, hash_key
-from repro.memcached.items import Item
-from repro.memcached.lru import LruManager, LruQueue
+from repro.memcached.items import ITEM_HEADER_OVERHEAD
+from repro.memcached.slabs import PAGE_BYTES
+from repro.memcached.store import RECLAIM_SCAN, ItemStore, StoreConfig
+from repro.sanitize.slabs import SlabSanitizer
+from repro.sim import Simulator
 
 
-class _FakeClass:
-    def __init__(self, class_id=1):
-        self.class_id = class_id
+def lru_keys(store, key, value_length):
+    """Keys in the LRU of the class a *key* / *value_length* item lands in."""
+    cls = store.slabs.class_for(ITEM_HEADER_OVERHEAD + len(key) + value_length)
+    return [item.key for item in store.lrus[cls.class_id]]
 
 
-class _FakeChunk:
-    def __init__(self, class_id=1):
-        self.slab_class = _FakeClass(class_id)
-        self.capacity = 1024
-        self._data = b""
-
-    def write(self, data):
-        self._data = data
-
-    def read(self, length):
-        return self._data[:length]
-
-
-def make_item(key, class_id=1):
-    return Item(key, 0, 0.0, 0, _FakeChunk(class_id))
-
-
-# ------------------------------------------------------------ hash table
+# ------------------------------------------------------------------ index
 
 
 def test_insert_find_remove():
-    ht = HashTable(initial_power=4)
-    items = [make_item(f"k{i}") for i in range(10)]
-    for it in items:
-        ht.insert(it)
-    assert len(ht) == 10
-    assert ht.find("k3") is items[3]
-    removed = ht.remove("k3")
-    assert removed is items[3]
-    assert ht.find("k3") is None
-    assert len(ht) == 9
+    store = ItemStore(Simulator())
+    items = [store.set(f"k{i}", b"v") for i in range(10)]
+    assert len(store.by_key) == 10
+    assert store.get("k3") is items[3]
+    assert store.delete("k3")
+    assert store.get("k3") is None
+    assert "k3" not in store.by_key
+    assert len(store.by_key) == 9
 
 
 def test_find_missing_returns_none():
-    ht = HashTable(initial_power=4)
-    assert ht.find("ghost") is None
-    assert ht.remove("ghost") is None
-
-
-def test_collision_chains_work():
-    ht = HashTable(initial_power=4)  # 16 buckets: collisions certain
-    items = [make_item(f"key-{i}") for i in range(100)]
-    for it in items:
-        ht.insert(it)
-    for it in items:
-        assert ht.find(it.key) is it
-
-
-def test_expansion_triggers_and_preserves_items():
-    ht = HashTable(initial_power=4)  # expands beyond 24 items
-    items = [make_item(f"key-{i}") for i in range(200)]
-    for it in items:
-        ht.insert(it)
-    assert ht.expansions >= 1
-    assert ht.buckets > 16
-    for it in items:
-        assert ht.find(it.key) is it
-    assert len(ht) == 200
-
-
-def test_incremental_migration_completes():
-    ht = HashTable(initial_power=4)
-    for i in range(100):
-        ht.insert(make_item(f"key-{i}"))
-    # Drive migration with finds.
-    for i in range(100):
-        ht.find(f"key-{i}")
-    assert not ht.expanding
-
-
-def test_remove_during_expansion():
-    ht = HashTable(initial_power=4)
-    items = [make_item(f"key-{i}") for i in range(60)]
-    for it in items:
-        ht.insert(it)
-    # Remove half while the table may still be migrating.
-    for it in items[::2]:
-        assert ht.remove(it.key) is it
-    for i, it in enumerate(items):
-        expected = None if i % 2 == 0 else it
-        assert ht.find(it.key) is expected
+    store = ItemStore(Simulator())
+    assert store.get("ghost") is None
+    assert store.delete("ghost") is False
+    assert store.by_key == {}
 
 
 def test_items_iterator_sees_everything():
-    ht = HashTable(initial_power=4)
+    store = ItemStore(Simulator())
     keys = {f"key-{i}" for i in range(50)}
     for k in keys:
-        ht.insert(make_item(k))
-    assert {it.key for it in ht.items()} == keys
-
-
-def test_hash_key_stable():
-    assert hash_key("foo") == hash_key("foo")
-    assert hash_key("foo") != hash_key("bar")
-
-
-def test_power_validation():
-    with pytest.raises(ValueError):
-        HashTable(initial_power=2)
+        store.set(k, b"v")
+    assert set(store.by_key) == keys
+    assert all(item.linked for item in store.by_key.values())
+    assert sum(len(lru) for lru in store.lrus) == 50
 
 
 # -------------------------------------------------------------------- LRU
 
 
 def test_lru_push_and_touch_order():
-    q = LruQueue(1)
-    a, b, c = make_item("a"), make_item("b"), make_item("c")
-    for it in (a, b, c):
-        q.push_head(it)
-    # c is MRU; tail is a.
-    assert q.tail is a
-    q.touch(a)  # a becomes MRU
-    assert q.tail is b
-    assert q.head is a
+    store = ItemStore(Simulator())
+    for key in ("a", "b", "c"):
+        store.set(key, b"v")
+    assert lru_keys(store, "a", 1) == ["a", "b", "c"]  # c is MRU
+    store.get("a")  # a becomes MRU
+    assert lru_keys(store, "a", 1) == ["b", "c", "a"]
+    store.getl("b")  # a getl hit bumps too
+    assert lru_keys(store, "a", 1) == ["c", "a", "b"]
 
 
 def test_lru_unlink_middle():
-    q = LruQueue(1)
-    a, b, c = make_item("a"), make_item("b"), make_item("c")
-    for it in (a, b, c):
-        q.push_head(it)
-    q.unlink(b)
-    assert len(q) == 2
-    assert list(q.coldest()) == [a, c]
+    store = ItemStore(Simulator())
+    for key in ("a", "b", "c"):
+        store.set(key, b"v")
+    store.delete("b")
+    assert lru_keys(store, "a", 1) == ["a", "c"]
 
 
 def test_lru_unlink_head_and_tail():
-    q = LruQueue(1)
-    a, b = make_item("a"), make_item("b")
-    q.push_head(a)
-    q.push_head(b)
-    q.unlink(b)  # head
-    assert q.head is a and q.tail is a
-    q.unlink(a)  # both
-    assert q.head is None and q.tail is None
-    assert len(q) == 0
+    store = ItemStore(Simulator())
+    store.set("a", b"v")
+    store.set("b", b"v")
+    store.delete("b")  # most recently used
+    assert lru_keys(store, "a", 1) == ["a"]
+    store.delete("a")  # the last one
+    assert lru_keys(store, "a", 1) == []
+    assert store.stats.curr_items == 0
 
 
 def test_lru_double_link_rejected():
-    q = LruQueue(1)
-    a = make_item("a")
-    q.push_head(a)
-    with pytest.raises(ValueError):
-        q.push_head(a)
+    store = ItemStore(Simulator())
+    item = store.set("a", b"v")
+    with pytest.raises(ValueError, match="already linked"):
+        store._link(item)
+    assert lru_keys(store, "a", 1) == ["a"]
+    assert store.stats.curr_items == 1
+    assert SlabSanitizer().check(store) == []
 
 
 def test_lru_unlink_foreign_rejected():
-    q = LruQueue(1)
-    with pytest.raises(ValueError):
-        q.unlink(make_item("x"))
+    store = ItemStore(Simulator())
+    reservation = store.reserve("x", 5)  # allocated, never linked
+    with pytest.raises(KeyError):
+        store._unlink(reservation)
+    assert reservation.chunk.used  # the failed unlink freed nothing
+    store.abandon(reservation)
+    assert SlabSanitizer().check(store) == []
 
 
 def test_coldest_respects_max_scan():
-    q = LruQueue(1)
-    for i in range(100):
-        q.push_head(make_item(f"k{i}"))
-    assert len(list(q.coldest(max_scan=7))) == 7
+    """The reclaim pass inspects exactly the RECLAIM_SCAN coldest items."""
+    for rank, reclaimed in ((RECLAIM_SCAN - 1, True), (RECLAIM_SCAN, False)):
+        store = ItemStore(Simulator(), StoreConfig(max_bytes=PAGE_BYTES))
+        cls = store.slabs.class_for(12_000)
+        value_length = cls.chunk_size - ITEM_HEADER_OVERHEAD - len("k0000")
+        for i in range(cls.chunks_per_page):
+            store.set(f"k{i:04d}", bytes(value_length))
+        store.touch(f"k{rank:04d}", -1)  # expired, LRU position kept
+        store.set("fresh", bytes(value_length))
+        assert store.stats.reclaimed == int(reclaimed), rank
+        assert store.stats.evictions == int(not reclaimed), rank
+        # Reclaiming spares the live coldest item; evicting takes it.
+        assert ("k0000" in store.by_key) == reclaimed, rank
 
 
 def test_manager_routes_by_class():
-    mgr = LruManager()
-    a = make_item("a", class_id=1)
-    b = make_item("b", class_id=2)
-    mgr.link(a)
-    mgr.link(b)
-    assert len(mgr.queue(1)) == 1
-    assert len(mgr.queue(2)) == 1
-    assert mgr.total_items() == 2
-    mgr.unlink(a)
-    assert mgr.total_items() == 1
+    store = ItemStore(Simulator())
+    store.set("a", bytes(100))
+    store.set("b", bytes(10_000))
+    assert lru_keys(store, "a", 100) == ["a"]
+    assert lru_keys(store, "b", 10_000) == ["b"]
+    assert sum(len(lru) for lru in store.lrus) == 2
+    store.delete("a")
+    assert lru_keys(store, "b", 10_000) == ["b"]
+    assert sum(len(lru) for lru in store.lrus) == 1

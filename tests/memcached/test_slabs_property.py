@@ -1,11 +1,12 @@
-"""Property-based tests for the LRU queue and the slab allocator.
+"""Property-based tests for the store's per-class LRUs and the slab allocator.
 
 These are the two structures eviction and slab rebalancing lean on, so
 their invariants get the Hypothesis treatment:
 
-- :class:`LruQueue` stays structurally sound (``validate()`` returns no
-  violations) under arbitrary interleavings of push/unlink/touch, and
-  orders items exactly like a reference list;
+- each class LRU orders its items exactly like a reference list under
+  arbitrary interleavings of set/get/getl/delete/expire, eviction takes
+  the coldest item of the class that needs room, and the store passes
+  :class:`~repro.sanitize.slabs.SlabSanitizer` after every op;
 - :class:`SlabAllocator` conserves chunks -- every class always holds
   ``total_pages * chunks_per_page`` chunks, allocation never exceeds
   ``max_bytes``, and ``reassign_page``/``reclaim_page`` move pages
@@ -15,89 +16,121 @@ their invariants get the Hypothesis treatment:
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.memcached.items import Item
-from repro.memcached.lru import LruQueue
+from repro.memcached.items import ITEM_HEADER_OVERHEAD
 from repro.memcached.slabs import (
     PAGE_BYTES,
     SlabAllocator,
     build_chunk_sizes,
 )
+from repro.memcached.store import RECLAIM_SCAN, ItemStore, StoreConfig
+from repro.sanitize.slabs import SlabSanitizer
+from repro.sim import Simulator
 
 
-def _chunk(allocator: SlabAllocator) -> "object":
-    chunk = allocator.alloc(96)
-    assert chunk is not None
-    return chunk
+# Two slab classes, each held to the one page it claims first: 78 small
+# items (more than the reclaim scan) and 3 large ones.  Keys of one class
+# share a length, so each lands in its class exactly.
+SMALL_KEYS = [f"s{i:02d}" for i in range(90)]
+LARGE_KEYS = [f"L{i}" for i in range(5)]
+VALUE_LENGTH = {"s": 12_000, "L": 300_000}
 
-
-def _fresh_items(n: int) -> list[Item]:
-    allocator = SlabAllocator(max_bytes=4 * PAGE_BYTES)
-    return [Item(f"k{i}", 0, 0.0, 8, _chunk(allocator)) for i in range(n)]
-
-
-# One LRU op: (kind, item index).  Indices larger than the live set are
-# taken modulo, so every drawn op applies to something.
-LRU_OPS = st.lists(
-    st.tuples(st.sampled_from(["push", "unlink", "touch"]), st.integers(0, 15)),
+# One store op: (kind, key).  "fill" sets every key of *key*'s class in
+# turn, so the small class reaches eviction too.
+STORE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["set", "get", "getl", "delete", "expire", "fill"]),
+        st.sampled_from(SMALL_KEYS) | st.sampled_from(LARGE_KEYS),
+    ),
     min_size=1,
     max_size=80,
 )
 
 
-@settings(max_examples=80, deadline=None)
-@given(LRU_OPS)
-def test_lru_queue_matches_reference_list(ops):
-    """Queue order and size track a plain list under any op sequence."""
-    items = _fresh_items(16)
-    queue = LruQueue(class_id=0)
-    reference: list[Item] = []  # head first
-    for kind, index in ops:
-        item = items[index % len(items)]
-        linked = item in reference
-        if kind == "push":
-            if linked:
-                continue  # double-push raises by design; covered below
-            queue.push_head(item)
-            reference.insert(0, item)
-        elif kind == "unlink":
-            if not linked:
-                continue
-            queue.unlink(item)
-            reference.remove(item)
-        else:  # touch
-            if not linked:
-                continue
-            queue.touch(item)
-            reference.remove(item)
-            reference.insert(0, item)
-        assert queue.validate() == []
-        assert len(queue) == len(reference)
-    # Forward walk reproduces the reference order exactly.
-    walked = []
-    cursor = queue.head
-    while cursor is not None:
-        walked.append(cursor)
-        cursor = cursor.next
-    assert walked == reference
-    # coldest() walks tail-first.
-    assert list(queue.coldest(max_scan=len(reference) + 1)) == reference[::-1]
+@settings(max_examples=200, deadline=None)
+@given(STORE_OPS)
+def test_store_lru_matches_reference_list(ops):
+    """Each class LRU orders its items exactly like a reference list
+    (coldest first) under any op sequence: a link or a get/getl hit moves
+    the item to the MRU end, eviction reaps the first expired item among
+    the RECLAIM_SCAN coldest or else takes the coldest, and pressure in
+    one class never touches another."""
+    store = ItemStore(Simulator(), StoreConfig(max_bytes=2 * PAGE_BYTES))
+    reference: dict[int, list[str]] = {}  # class id -> keys, coldest first
+    expired: set[str] = set()
+    pressure = {"evicted": 0, "reclaimed": 0}
+
+    def class_of(key: str) -> int:
+        total = ITEM_HEADER_OVERHEAD + len(key) + VALUE_LENGTH[key[0]]
+        return store.slabs.class_for(total).class_id
+
+    def lru_of(key: str) -> list[str]:
+        return reference.setdefault(class_of(key), [])
+
+    def reap(key: str) -> None:
+        lru_of(key).remove(key)
+        expired.discard(key)
+
+    def set_(key: str) -> None:
+        lru = lru_of(key)
+        store.set(key, bytes(VALUE_LENGTH[key[0]]))
+        if key in lru:
+            reap(key)  # unlinked first, freeing its own chunk
+        elif len(lru) == store.slabs.classes[class_of(key)].chunks_per_page:
+            victim = next((k for k in lru[:RECLAIM_SCAN] if k in expired), lru[0])
+            pressure["reclaimed" if victim in expired else "evicted"] += 1
+            reap(victim)
+        lru.append(key)
+
+    set_(SMALL_KEYS[0])  # each class claims its one page up front
+    set_(LARGE_KEYS[0])
+    for kind, key in ops:
+        lru = lru_of(key)
+        live = key in lru and key not in expired
+        if kind == "set":
+            set_(key)
+        elif kind == "fill":
+            for other in SMALL_KEYS if key in SMALL_KEYS else LARGE_KEYS:
+                set_(other)
+        elif kind in ("get", "getl"):
+            hit = store.get(key) if kind == "get" else store.getl(key)[1]
+            assert (hit is not None) == live
+            if live:
+                lru.remove(key)
+                lru.append(key)
+            elif key in lru and kind == "get":
+                reap(key)  # a plain get lazily unlinks the expired item
+            # getl leaves an expired ghost where it is (LRU-neutral).
+        elif kind == "delete":
+            assert store.delete(key) == live
+            if key in lru:
+                reap(key)
+        else:  # expire: touch with a negative exptime
+            assert store.touch(key, -1) == live
+            if live:
+                expired.add(key)
+            elif key in lru:
+                reap(key)  # touch found it already expired and reaped it
+        for cid, keys in reference.items():
+            assert [item.key for item in store.lrus[cid]] == keys
+        assert store.stats.evictions == pressure["evicted"]
+        assert store.stats.reclaimed == pressure["reclaimed"]
+        assert SlabSanitizer().check(store) == []
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 8))
 def test_lru_double_push_rejected(n):
-    items = _fresh_items(n)
-    queue = LruQueue(class_id=0)
-    for item in items:
-        queue.push_head(item)
+    store = ItemStore(Simulator())
+    items = [store.set(f"k{i}", bytes(8)) for i in range(n)]
     for item in items:
         try:
-            queue.push_head(item)
+            store._link(item)
         except ValueError:
             pass
         else:  # pragma: no cover - the bug this test pins
-            raise AssertionError("double push_head silently accepted")
-        assert queue.validate() == []
+            raise AssertionError("double link silently accepted")
+        assert SlabSanitizer().check(store) == []
+    assert list(store.lrus[items[0].chunk.slab_class.class_id]) == items
 
 
 def test_class_for_is_monotonic_and_minimal():

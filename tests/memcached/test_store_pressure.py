@@ -106,7 +106,7 @@ def test_expired_item_beyond_scan_window_evicts_live_tail():
     # tail paid the price instead -- memcached's bounded tail walk.
     assert store.stats.evictions == 1
     assert store.stats.reclaimed == 0
-    assert store.table.find("k0000") is None
+    assert "k0000" not in store.by_key
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The model: a plain Python dict driven by the same random command
 sequence.  Any divergence (modulo eviction, which we disable by giving
-the store ample memory) is a bug in slabs/hashtable/LRU wiring.
+the store ample memory) is a bug in slabs/index/LRU wiring.
 """
 
 import hypothesis.strategies as st

@@ -1,41 +1,15 @@
-"""Property-based tests: hash table vs dict, slabs, LRU, distributions,
-counters, and the DES engine's ordering guarantees."""
+"""Property-based tests: slabs, distributions, counters, and the DES
+engine's ordering guarantees."""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.memcached.hashing import KetamaDistribution, ModulaDistribution
-from repro.memcached.hashtable import HashTable
-from repro.memcached.lru import LruQueue
 from repro.memcached.slabs import SlabAllocator, build_chunk_sizes
 from repro.sim import Simulator
 
-from tests.memcached.test_hashtable_lru import make_item
-
 KEYS = st.text(alphabet="abcdef012345", min_size=1, max_size=12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["insert", "remove", "find"]), KEYS),
-                min_size=1, max_size=80))
-def test_hashtable_matches_dict(ops):
-    ht = HashTable(initial_power=4)  # tiny: forces expansion + migration
-    model = {}
-    for op, key in ops:
-        if op == "insert":
-            if key not in model:
-                item = make_item(key)
-                ht.insert(item)
-                model[key] = item
-        elif op == "remove":
-            got = ht.remove(key)
-            want = model.pop(key, None)
-            assert got is want
-        else:
-            assert ht.find(key) is model.get(key)
-    assert len(ht) == len(model)
-    assert {i.key for i in ht.items()} == set(model)
 
 
 @settings(max_examples=50, deadline=None)
@@ -60,41 +34,6 @@ def test_slab_alloc_free_conservation(sizes):
         alloc.free(c)
     stats = alloc.stats()
     assert stats["free_chunks"] == stats["total_chunks"]
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["push", "touch", "unlink"]),
-                          st.integers(min_value=0, max_value=9)),
-                min_size=1, max_size=60))
-def test_lru_list_integrity(ops):
-    q = LruQueue(1)
-    items = {i: make_item(f"i{i}") for i in range(10)}
-    linked = set()
-    for op, idx in ops:
-        item = items[idx]
-        if op == "push" and idx not in linked:
-            q.push_head(item)
-            linked.add(idx)
-        elif op == "touch" and idx in linked:
-            q.touch(item)
-            assert q.head is item
-        elif op == "unlink" and idx in linked:
-            q.unlink(item)
-            linked.discard(idx)
-    assert len(q) == len(linked)
-    # Walk the list both ways; structure must be consistent.
-    forward = []
-    cursor = q.head
-    while cursor is not None:
-        forward.append(cursor.key)
-        cursor = cursor.next
-    backward = []
-    cursor = q.tail
-    while cursor is not None:
-        backward.append(cursor.key)
-        cursor = cursor.prev
-    assert forward == list(reversed(backward))
-    assert len(forward) == len(linked)
 
 
 @settings(max_examples=40, deadline=None)

@@ -48,6 +48,34 @@ def test_chunk_double_free_detected():
         SlabSanitizer().check(store)
 
 
+def test_item_dropped_from_its_lru_only_detected():
+    store = _populated_store()
+    item = store.by_key["key-1"]
+    del store.lrus[item.chunk.slab_class.class_id][item]  # the index keeps it
+    violations = SlabSanitizer(strict=False).check(store)
+    assert "item 'key-1' is missing from its class LRU" in violations
+    assert any("the LRUs hold" in v for v in violations)
+
+
+def test_item_dropped_from_the_index_only_detected():
+    store = _populated_store()
+    item = store.by_key.pop("key-1")  # its LRU keeps it
+    cid = item.chunk.slab_class.class_id
+    with pytest.raises(
+        SlabAccountingError,
+        match=f"class {cid} LRU holds 'key-1', which the index does not",
+    ):
+        SlabSanitizer().check(store)
+
+
+def test_unlinked_item_left_in_the_index_detected():
+    store = _populated_store()
+    store.by_key["ghost"] = store.reserve("ghost", 10)  # allocated, never linked
+    violations = SlabSanitizer(strict=False).check(store)
+    assert "index holds unlinked item 'ghost'" in violations
+    assert "item 'ghost' is missing from its class LRU" in violations
+
+
 def test_page_accounting_drift_detected():
     store = _populated_store()
     store.slabs.allocated_bytes += 1

@@ -41,7 +41,7 @@ def test_tracing_actually_recorded_during_perturbation_check():
     """Guard against a vacuous pass: the traced replay must trace."""
     with tracing():
         with capture() as digest:
-            FIGURES["3"](True)
+            FIGURES["breakdown"](True)  # the cheapest figure
         recorded = len(tracer.spans)
     assert digest.events > 0
     assert recorded > 0, "tracer was enabled but recorded no spans"
