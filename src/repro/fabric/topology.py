@@ -109,8 +109,8 @@ class Node:
         try:
             yield held
         finally:
-            # An interrupt raised at the yield must free the core (a queued
-            # hold is cancelled, a running one released).
+            # Whatever raises at the yield (GeneratorExit when the process
+            # is closed), a granted core is freed.
             cpu.release(held)
 
     def memcpy(self, nbytes: int):

@@ -29,7 +29,7 @@ L009      (flow) Pooled buffers released or handed off on all CFG paths,
           never used after release.
 L010      (flow) QP state writes follow ``LEGAL_QP_TRANSITIONS``.
 L011      (flow) Resource requests held across yields sit under
-          ``try/finally`` release (``Process.interrupt`` raises at yields).
+          ``try/finally`` release (failures raise at yields).
 ========  ==================================================================
 
 L001-L007 are per-module AST pattern matches (:mod:`repro.lint.rules`);

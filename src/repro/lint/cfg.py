@@ -5,8 +5,9 @@ The flow rules (L008-L011, :mod:`repro.lint.flow`) need to reason about
 has one answer: a ``yield`` (or ``yield from``).  Every process is a
 generator driven by the simulator, so a yield is the exact set of points
 where other processes run and shared state can change -- and, because
-:meth:`repro.sim.process.Process.interrupt` throws at the wait point, the
-exact set of points where an exception can appear "from nowhere".
+a failed or ``Expired`` event (or ``GeneratorExit`` on close) is thrown in
+at the wait point, the exact set of points where an exception can appear
+"from nowhere".
 
 This module builds a statement-level CFG per function:
 
@@ -21,7 +22,7 @@ This module builds a statement-level CFG per function:
   CFGs).
 - **Finally protection.**  Each node carries the stack of enclosing
   ``try`` statements that have a ``finally`` clause, so rules can check
-  structurally whether an interrupt landing at the node runs a cleanup.
+  structurally whether an exception landing at the node runs a cleanup.
 
 Exception edges are over-approximated: every node inside a ``try`` gets
 an edge to each handler entry and to the ``finally`` entry, carrying the

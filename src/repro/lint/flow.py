@@ -19,10 +19,11 @@ L009      Buffer typestate: every pooled-buffer acquire (``<pool>.get()``)
 L010      QP state machine: consecutive ``<qp>.state = QpState.X`` writes
           along any path must follow
           :data:`repro.verbs.enums.LEGAL_QP_TRANSITIONS`.
-L011      Interrupt safety: a resource ``request()`` held at a yield must
-          be under a ``try`` whose ``finally`` releases it --
-          :meth:`repro.sim.process.Process.interrupt` raises *at the
-          yield*, and an unreleased grant deadlocks every later waiter.
+L011      Release safety: a resource ``request()`` held at a yield must
+          be under a ``try`` whose ``finally`` releases it -- a failed or
+          ``Expired`` event raises *at the yield*, as does
+          ``GeneratorExit`` when an abandoned process is closed, and an
+          unreleased grant deadlocks every later waiter.
 L012      Seqlock discipline: writes to exported one-sided index entry
           fields (``slot = self._mirror[b]; slot.key_hash = ...``) must
           sit between ``seq_begin``/``seq_end`` on every path -- remote
@@ -31,7 +32,7 @@ L012      Seqlock discipline: writes to exported one-sided index entry
 ========  ==============================================================
 
 L008 and L011 only fire inside generator functions: a function with no
-yield has no scheduling boundary and no interrupt window.
+yield has no scheduling boundary and nothing raises into it.
 """
 
 from __future__ import annotations
@@ -459,14 +460,15 @@ class QpTransitionRule(FlowRule):
 class InterruptSafetyRule(FlowRule):
     """L011: resource grants held at a yield need try/finally release.
 
-    ``Process.interrupt`` raises *at the yield point*.  A process holding
-    a granted (or still-queued -- ``Resource.release`` cancels pending
-    requests too) ``request()`` or ``hold(...)`` when that happens must
-    release it in a ``finally``, or the resource wedges for every later
-    requester.  The rule walks each generator: from the statement that
-    binds *var* to a resource's ``request()`` / ``hold(...)`` onward, every
-    yield reachable while the request is live must sit under a ``try``
-    whose ``finally`` releases *var*.
+    Exceptions arrive *at the yield point*: a failed or ``Expired`` event
+    the process waits on, or ``GeneratorExit`` when an abandoned process
+    is closed.  A process holding a ``request()`` or ``hold(...)`` grant
+    when that happens must release it in a ``finally``, or the resource
+    wedges for every later requester.  The rule walks each generator: from
+    the statement that binds *var* to a resource's ``request()`` /
+    ``hold(...)`` onward, every yield reachable while the request is live
+    -- the grant's own yield included, granted or not yet -- must sit
+    under a ``try`` whose ``finally`` releases *var*.
     """
 
     rule_id = "L011"
@@ -520,7 +522,7 @@ class InterruptSafetyRule(FlowRule):
                 message=(
                     f"request '{var}' is held across the yield at line "
                     f"{yield_line} without try/finally release; "
-                    f"Process.interrupt raises at yields and would leak the grant"
+                    "an exception raised at a yield would leak the grant"
                 ),
             )
 

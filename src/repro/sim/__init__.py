@@ -13,8 +13,8 @@ Public surface:
 - :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout` --
   waitable primitives; ``yield event.expire_after(delay)`` is a wait with a
   deadline (:class:`~repro.sim.events.Expired`).  No composite events.
-- :class:`~repro.sim.process.Process`, :class:`~repro.sim.process.Interrupt`
-  -- generator-backed concurrent activities.
+- :class:`~repro.sim.process.Process` -- a generator-backed concurrent
+  activity.
 - :class:`~repro.sim.resources.Resource` -- the contention primitive (CPU
   cores, DMA engines, link directions).  A queue between two processes is
   a ``deque`` and one :class:`Event` the consumer arms; there is no class
@@ -28,7 +28,7 @@ Time unit convention: **microseconds** (float).  Size convention: **bytes**
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, Expired, Timeout
-from repro.sim.process import Interrupt, Process
+from repro.sim.process import Process
 from repro.sim.resources import Resource
 from repro.sim.rng import RngStream
 from repro.sim.trace import Counter, LatencyRecorder
@@ -37,7 +37,6 @@ __all__ = [
     "Counter",
     "Event",
     "Expired",
-    "Interrupt",
     "LatencyRecorder",
     "Process",
     "Resource",

@@ -12,7 +12,7 @@ invariants").
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop
 from typing import Any, Callable, Optional
 
 from repro.sim.events import PROCESSED, Event, EventName, Timeout
@@ -50,7 +50,6 @@ class Simulator:
         self._now = float(start_time)
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         #: Hook invoked as ``hook(sim, event)`` just before each event is
         #: processed; used by :mod:`repro.sim.trace`.  Append and remove in
         #: place (also mid-run); the loop holds on to this list object.
@@ -65,11 +64,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in microseconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing (None outside process context)."""
-        return self._active_process
 
     @property
     def events_processed(self) -> int:
@@ -93,14 +87,6 @@ class Simulator:
     def process(self, generator: ProcessGenerator, label: str = "") -> Process:
         """Start a new process from *generator*; returns its Process event."""
         return Process(self, generator, label=label)
-
-    # -- scheduling ----------------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float) -> None:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        self._seq += 1
-        heappush(self._heap, (self._now + delay, self._seq, event))
 
     # -- execution -----------------------------------------------------------
 

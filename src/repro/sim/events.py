@@ -131,10 +131,10 @@ class Event:
         """Trigger the event successfully, scheduling callbacks after *delay*."""
         if self._state is not PENDING:
             raise RuntimeError(f"{self!r} already triggered")
-        self._state = TRIGGERED
-        self._value = value
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
+        self._state = TRIGGERED
+        self._value = value
         sim = self.sim
         sim._seq = seq = sim._seq + 1
         heappush(sim._heap, (sim._now + delay, seq, self))
@@ -149,13 +149,12 @@ class Event:
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
         """Trigger the event as failed; waiters will see *exception* raised."""
-        if self._state is not PENDING:
-            raise RuntimeError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
-        self._state = TRIGGERED
+        # One validated push for both outcomes; nothing runs before the
+        # exception is set, so no callback ever sees the event succeed.
+        self.succeed(None, delay)
         self._exception = exception
-        self.sim._schedule(self, delay)
         return self
 
     # -- deadline ----------------------------------------------------------
@@ -169,8 +168,8 @@ class Event:
         triggered first keeps its own outcome, failure included.  The timer
         is never cancelled: it pops as a no-op when the event won.  Whoever
         triggers the event and may do so after the deadline checks
-        :attr:`triggered` first.  Not for a :class:`Process`, which triggers
-        itself.
+        :attr:`triggered` first.  Not for a :class:`Process` or a queued
+        resource request, which the kernel triggers without checking.
         """
         Timeout(self.sim, delay).callbacks.append(self._expire)
         return self

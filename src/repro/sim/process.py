@@ -24,23 +24,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ProcessGenerator = Generator[Event, Any, Any]
 
 
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The UCR timeout machinery uses interrupts to cancel in-flight waits when
-    a client declares a server dead.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0] if self.args else None
-
-
 class Process(Event):
     """Wraps a generator and drives it through the event loop."""
 
-    __slots__ = ("_generator", "_target", "label")
+    __slots__ = ("_generator", "label")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator, label: str = "") -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -52,8 +39,6 @@ class Process(Event):
         self.callbacks = []
         self.defused = False
         self._generator = generator
-        #: The event this process is currently waiting on (None when running).
-        self._target: Optional[Event] = None
         self.label = label
         # Kick off at the current simulated time.
         init = Event(sim, "process-init")
@@ -71,30 +56,6 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._state is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current wait point.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting removes it from the waited event's callbacks so the
-        event's eventual firing does not resume it twice.
-        """
-        if self._state is not PENDING:
-            raise RuntimeError(f"{self!r} has already terminated")
-        interrupt_ev = Event(self.sim, "interrupt")
-        interrupt_ev.callbacks.append(self._deliver_interrupt)
-        interrupt_ev.succeed(cause)
-
-    def _deliver_interrupt(self, event: Event) -> None:
-        if self._state is not PENDING:  # process ended before the interrupt landed
-            return
-        if self._target is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:  # already detached (event fired this step)
-                pass
-            self._target = None
-        self._resume_slow(None, Interrupt(event._value))
-
     # -- engine driving ----------------------------------------------------
 
     def _resume(self, event: Event) -> None:
@@ -102,11 +63,10 @@ class Process(Event):
 
         The success path is spelled out: send the value; while what comes
         back is an event of this simulator that was already processed
-        successfully (a grant on the spot, an accepted put, a ready get),
-        send its value too -- a loop, so stack depth stays bounded; once it
-        is a pending event, wait on it.  The rest is :meth:`_resume_slow`'s.
+        successfully (a grant on the spot), send its value too -- a loop,
+        so stack depth stays bounded; once it is a pending event, wait on
+        it.  The rest is :meth:`_resume_slow`'s.
         """
-        self._target = None
         if event._exception is not None:
             event.defused = True
             self._resume_slow(None, event._exception)
@@ -114,8 +74,6 @@ class Process(Event):
         sim = self.sim
         send = self._generator.send
         value = event._value
-        prev = sim._active_process
-        sim._active_process = self
         try:
             while True:
                 target = send(value)
@@ -123,51 +81,41 @@ class Process(Event):
                     break
                 if target._state is not PROCESSED:
                     target.callbacks.append(self._resume)
-                    self._target = target
-                    sim._active_process = prev
                     return
                 if target._exception is not None:
                     break
                 value = target._value
         except StopIteration as stop:
-            sim._active_process = prev
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            sim._active_process = prev
             self.fail(exc)
             return
-        sim._active_process = prev
         self._resume_slow(target, None)
 
     def _resume_slow(self, target: Any, exc: Optional[BaseException]) -> None:
         """Everything off the straight line, as one loop.
 
-        Throws *exc* (a failed event's exception, an interrupt) into the
-        generator to learn what it yields next, or starts from the *target*
-        it already yielded.  Misuse is rejected by raising inside the
-        generator, so tracebacks point at it; a processed target is thrown
-        in if it failed and sent if it succeeded; the loop ends when the
-        generator does or yields something pending.
+        Throws *exc* (a failed event's exception) into the generator to
+        learn what it yields next, or starts from the *target* it already
+        yielded.  Misuse is rejected by raising inside the generator, so
+        tracebacks point at it; a processed target is thrown in if it
+        failed and sent if it succeeded; the loop ends when the generator
+        does or yields something pending.
         """
         sim = self.sim
         generator = self._generator
         step, arg = (None, None) if exc is None else (generator.throw, exc)
         while True:
             if step is not None:
-                prev = sim._active_process
-                sim._active_process = self
                 try:
                     target = step(arg)
                 except StopIteration as stop:
-                    sim._active_process = prev
                     self.succeed(stop.value)
                     return
                 except BaseException as raised:
-                    sim._active_process = prev
                     self.fail(raised)
                     return
-                sim._active_process = prev
             step = generator.throw
             if not isinstance(target, Event):
                 arg = TypeError(
@@ -178,7 +126,6 @@ class Process(Event):
                 arg = ValueError("yielded event belongs to a different simulator")
             elif target._state is not PROCESSED:
                 target.callbacks.append(self._resume)
-                self._target = target
                 return
             elif target._exception is not None:
                 target.defused = True

@@ -67,9 +67,11 @@ class Resource:
     ``h`` fires ``work_us * stretch`` after it is granted -- on the spot
     with a unit free, otherwise by the release that reaches it in the
     FIFO, with :attr:`stretch` read then; either way the hold is the only
-    event.  An interrupt at the ``yield`` runs the ``finally``: a queued
-    hold is cancelled, a running one frees its unit at once and its heap
-    entry pops later with nobody listening.
+    event.  Whatever raises at the ``yield`` (``GeneratorExit`` when an
+    abandoned process is closed), the ``finally`` frees a granted unit at
+    once and the hold's heap entry pops later with nobody listening.
+    Nothing cancels a queued request: it holds nothing, and
+    :meth:`release` refuses it as it refuses another resource's request.
 
     :meth:`request` is the same grant path without a known length: born
     processed with capacity free, granted through the heap otherwise, and
@@ -126,14 +128,11 @@ class Resource:
         return req
 
     def release(self, request: Request) -> None:
-        """Return a previously granted unit; wakes the next waiter (FIFO)."""
-        if request in self._users:
-            self._users.remove(request)
-        elif request in self._queue:  # cancel a never-granted request
-            self._queue.remove(request)
-            return
-        else:
+        """Return a granted unit; wakes the next waiter (FIFO).  A request
+        still queued holds nothing and is refused like a foreign one."""
+        if request not in self._users:
             raise ValueError(f"{request!r} does not hold {self.name!r}")
+        self._users.remove(request)
         if self._queue:
             nxt = self._queue.popleft()
             self._users.add(nxt)

@@ -1,7 +1,8 @@
 """Seeded L011 hazards: grants held across yields without try/finally.
 
 Each ``HAZARD`` marker comment sits on the exact line of the acquire
-whose grant can be orphaned by ``Process.interrupt``.
+whose grant is orphaned if something raises at one of its yields (a failed
+or ``Expired`` event, ``GeneratorExit`` when the process is closed).
 """
 
 
@@ -14,8 +15,8 @@ def unprotected_hold(sim, res):
 
 
 def protected_late(sim, res):
-    """The grant yield itself is outside the try: still interruptible
-    while queued (``Resource.release`` cancels pending requests)."""
+    """The grant yield itself is outside the try: it is a yield with the
+    request live, granted or not yet, and the rule counts it."""
     req = res.request()  # HAZARD: L011
     yield req
     try:
@@ -36,8 +37,8 @@ def wrong_finally(sim, res, other):
 
 
 def unprotected_timed_hold(res, work_us):
-    """``hold`` is an acquire too: its one yield is where the unit is held
-    (or still queued), so an interrupt there orphans it."""
+    """``hold`` is an acquire too: its one yield is where the unit is held,
+    so an exception raised there orphans it."""
     held = res.hold(work_us)  # HAZARD: L011
     yield held
     res.release(held)

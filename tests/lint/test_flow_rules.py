@@ -147,7 +147,7 @@ def test_l010_distinguishes_receivers(tmp_path):
 
 
 def test_l011_flags_the_grant_yield_itself(tmp_path):
-    """Queued requests are interruptible too (release cancels them)."""
+    """The grant's own yield counts: the request is live there."""
     findings = _lint_source(
         tmp_path,
         """

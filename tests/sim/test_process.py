@@ -1,8 +1,8 @@
-"""Unit tests for processes: chaining, interrupts, error propagation."""
+"""Unit tests for processes: chaining, error propagation, misuse."""
 
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 
 
 def test_process_return_value():
@@ -93,86 +93,6 @@ def test_yield_on_already_failed_event():
     assert p.value == "late-caught"
 
 
-def test_interrupt_wakes_waiting_process():
-    sim = Simulator()
-
-    def sleeper():
-        try:
-            yield sim.timeout(1000.0)
-            return "overslept"
-        except Interrupt as intr:
-            return ("interrupted", intr.cause, sim.now)
-
-    p = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(3.0)
-        p.interrupt(cause="wakeup")
-
-    sim.process(interrupter())
-    sim.run()
-    assert p.value == ("interrupted", "wakeup", 3.0)
-
-
-def test_interrupt_finished_process_raises():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    p = sim.process(quick())
-    sim.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
-
-
-def test_interrupted_process_can_keep_running():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(1000.0)
-        except Interrupt:
-            log.append(("intr", sim.now))
-        yield sim.timeout(5.0)
-        log.append(("end", sim.now))
-
-    p = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(2.0)
-        p.interrupt()
-
-    sim.process(interrupter())
-    sim.run()
-    assert log == [("intr", 2.0), ("end", 7.0)]
-
-
-def test_original_timeout_does_not_double_resume_after_interrupt():
-    sim = Simulator()
-    resumes = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(10.0)
-            resumes.append("timeout")
-        except Interrupt:
-            resumes.append("interrupt")
-        yield sim.timeout(100.0)
-        resumes.append("second")
-
-    p = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(1.0)
-        p.interrupt()
-
-    sim.process(interrupter())
-    sim.run()
-    assert resumes == ["interrupt", "second"]
-
-
 def test_yielding_non_event_raises_in_process():
     sim = Simulator()
 
@@ -229,21 +149,6 @@ def test_is_alive_lifecycle():
     assert p.is_alive
     sim.run()
     assert not p.is_alive
-
-
-def test_active_process_visible_during_execution():
-    sim = Simulator()
-    seen = []
-
-    def proc():
-        seen.append(sim.active_process)
-        yield sim.timeout(1.0)
-        seen.append(sim.active_process)
-
-    p = sim.process(proc())
-    sim.run()
-    assert seen == [p, p]
-    assert sim.active_process is None
 
 
 def test_many_sequential_yields_do_not_overflow_stack():

@@ -92,7 +92,6 @@ def test_kernel_public_surface_is_pinned():
         "Counter",
         "Event",
         "Expired",
-        "Interrupt",
         "LatencyRecorder",
         "Process",
         "Resource",
