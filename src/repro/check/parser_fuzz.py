@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.memcached import protocol, protocol_binary as binp
+from repro.memcached.command import Command
 from repro.memcached.errors import ProtocolError
 from repro.sim.rng import RngStream
 
@@ -25,10 +26,10 @@ def fuzz_parsers(seed: int, n_cases: int = 200) -> list[str]:
         b"delete key0\r\nstats\r\n",
     ]
     seeds_bin = [
-        binp.build_set("key0", b"hello"),
-        binp.build_get("key0"),
-        binp.build_arith("key0", 3),
-        binp.build_flush(2),
+        binp.encode_command(Command("set", ["key0"], value=b"hello")),
+        binp.encode_command(Command("get", ["key0"])),
+        binp.encode_command(Command("incr", ["key0"], delta=3)),
+        binp.encode_command(Command("flush_all", exptime=2)),
     ]
     failures: list[str] = []
 

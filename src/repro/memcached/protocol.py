@@ -28,6 +28,8 @@ SIMPLE_COMMANDS = frozenset(
     {"get", "gets", "getl", "delete", "incr", "decr", "touch", "stats",
      "flush_all", "version", "quit"}
 )
+#: Commands that take a trailing ``noreply``.
+NOREPLY_COMMANDS = STORAGE_COMMANDS | {"delete", "incr", "decr", "touch", "flush_all"}
 
 
 class RequestParser:
@@ -146,7 +148,7 @@ class RequestParser:
         )
 
     def _parse_simple(self, op: str, parts: list[str]) -> Command:
-        noreply = parts[-1] == "noreply" and op in {"delete", "incr", "decr", "touch", "flush_all"}
+        noreply = parts[-1] == "noreply" and op in NOREPLY_COMMANDS
         if noreply:
             parts = parts[:-1]
         if op in ("get", "gets"):
@@ -280,60 +282,6 @@ class ResponseParser:
 
 
 # ---------------------------------------------------------------------------
-# Request construction (client side)
-# ---------------------------------------------------------------------------
-
-
-def build_storage(cmd: str, key: str, flags: int, exptime: float, data: bytes,
-                  cas: Optional[int] = None, noreply: bool = False,
-                  lease: int = 0) -> bytes:
-    """Serialize a set/add/replace/append/prepend/cas command."""
-    exp = int(exptime)
-    tail = f" lease={lease}" if lease else ""
-    tail += " noreply" if noreply else ""
-    if cmd == "cas":
-        head = f"cas {key} {flags} {exp} {len(data)} {cas}{tail}\r\n"
-    else:
-        head = f"{cmd} {key} {flags} {exp} {len(data)}{tail}\r\n"
-    return head.encode() + data + CRLF
-
-
-def build_get(keys: list[str], with_cas: bool = False) -> bytes:
-    cmd = "gets" if with_cas else "get"
-    return f"{cmd} {' '.join(keys)}\r\n".encode()
-
-
-def build_getl(key: str, stale_ok: bool = False) -> bytes:
-    return f"getl {key} stale\r\n".encode() if stale_ok else f"getl {key}\r\n".encode()
-
-
-def build_delete(key: str, noreply: bool = False) -> bytes:
-    return f"delete {key}{' noreply' if noreply else ''}\r\n".encode()
-
-
-def build_arith(cmd: str, key: str, delta: int, noreply: bool = False) -> bytes:
-    return f"{cmd} {key} {delta}{' noreply' if noreply else ''}\r\n".encode()
-
-
-def build_touch(key: str, exptime: float, noreply: bool = False) -> bytes:
-    return f"touch {key} {int(exptime)}{' noreply' if noreply else ''}\r\n".encode()
-
-
-def build_stats() -> bytes:
-    return b"stats\r\n"
-
-
-def build_flush_all(delay: float = 0.0, noreply: bool = False) -> bytes:
-    if delay:
-        return f"flush_all {int(delay)}{' noreply' if noreply else ''}\r\n".encode()
-    return f"flush_all{' noreply' if noreply else ''}\r\n".encode()
-
-
-def build_version() -> bytes:
-    return b"version\r\n"
-
-
-# ---------------------------------------------------------------------------
 # Command-IR codec (text wire format)
 # ---------------------------------------------------------------------------
 # The IR half of this module: Command -> request bytes (client), Reply
@@ -343,6 +291,20 @@ def build_version() -> bytes:
 # submission order, so the transport feeds reply tokens to the oldest
 # incomplete assembler.
 
+#: The request table: per op, the fields its line carries after the keys
+#: (``bytes`` is the data block's length).  ``encode_command`` then adds
+#: ``lease=``, ``stale`` and ``noreply``.  A new op is one row.
+_REQUESTS = {
+    **dict.fromkeys(
+        ("set", "add", "replace", "append", "prepend"), ("flags", "exptime", "bytes")
+    ),
+    "cas": ("flags", "exptime", "bytes", "cas"),
+    **dict.fromkeys(("get", "gets", "getl", "delete", "stats", "version"), ()),
+    **dict.fromkeys(("incr", "decr"), ("delta",)),
+    "touch": ("exptime",),
+    "flush_all": ("exptime",),  # left off when there is no delay
+}
+
 
 def encode_command(cmd: Command, opaque: int = 0) -> bytes:
     """Serialize one IR command to text wire bytes (client side).
@@ -351,29 +313,32 @@ def encode_command(cmd: Command, opaque: int = 0) -> bytes:
     the text protocol matches replies by order, not id.
     """
     op = cmd.op
-    if op in ("set", "add", "replace", "append", "prepend"):
-        return build_storage(op, cmd.key, cmd.flags, cmd.exptime, cmd.value,
-                             noreply=cmd.noreply, lease=cmd.lease_token)
-    if op == "cas":
-        return build_storage("cas", cmd.key, cmd.flags, cmd.exptime, cmd.value,
-                             cas=cmd.cas, noreply=cmd.noreply)
-    if op in ("get", "gets"):
-        return build_get(cmd.keys, with_cas=(op == "gets"))
-    if op == "getl":
-        return build_getl(cmd.key, stale_ok=cmd.stale_ok)
-    if op == "delete":
-        return build_delete(cmd.key, noreply=cmd.noreply)
-    if op in ("incr", "decr"):
-        return build_arith(op, cmd.key, cmd.delta, noreply=cmd.noreply)
-    if op == "touch":
-        return build_touch(cmd.key, cmd.exptime, noreply=cmd.noreply)
-    if op == "flush_all":
-        return build_flush_all(cmd.exptime, noreply=cmd.noreply)
-    if op == "stats":
-        return build_stats()
-    if op == "version":
-        return build_version()
-    raise ProtocolError(f"text protocol cannot encode op {cmd.op!r}")
+    fields = _REQUESTS.get(op)
+    if fields is None:
+        raise ProtocolError(f"text protocol cannot encode op {op!r}")
+    if op == "flush_all" and not cmd.exptime:
+        fields = ()
+    words = [op, *cmd.keys]
+    words += [str(len(cmd.value)) if name == "bytes" else str(int(getattr(cmd, name)))
+              for name in fields]
+    if cmd.lease_token and op in STORAGE_COMMANDS and op != "cas":
+        words.append(f"lease={cmd.lease_token}")
+    if cmd.stale_ok and op == "getl":
+        words.append("stale")
+    if cmd.noreply and op in NOREPLY_COMMANDS:
+        words.append("noreply")
+    line = " ".join(words).encode() + CRLF
+    return line + cmd.value + CRLF if op in STORAGE_COMMANDS else line
+
+
+def build_storage(op: str, key: str, flags: int, exptime: float, data: bytes) -> bytes:
+    """One storage request: the kind ``benchmarks/perf/micro.py`` parses."""
+    return encode_command(Command(op, [key], value=data, flags=flags, exptime=exptime))
+
+
+def build_get(keys: list[str]) -> bytes:
+    """One get request: the kind ``benchmarks/perf/micro.py`` parses."""
+    return encode_command(Command("get", keys))
 
 
 def encode_reply(cmd: Command, reply: Reply) -> bytes:

@@ -1,11 +1,13 @@
 """Binary protocol: codec units + end-to-end over sockets."""
 
 import struct
+from functools import partial
 
 import pytest
 
 from repro.cluster import CLUSTER_A, Cluster
 from repro.memcached import protocol_binary as binp
+from repro.memcached.command import Command
 from repro.memcached.errors import ProtocolError
 from repro.memcached.protocol_binary import (
     HEADER_LEN,
@@ -35,11 +37,11 @@ def test_encode_decode_roundtrip():
     assert decoded.value == b"payload"
     assert decoded.opaque == 0xDEAD
     assert decoded.cas == 42
-    assert decoded.set_extras() == (7, 60)
+    assert decoded.unpack_extras(struct.Struct("!LL"), "set") == (7, 60)
 
 
 def test_parser_handles_fragmentation():
-    wire = binp.build_set("key", b"value", 1, 2)
+    wire = binp.encode_command(Command("set", ["key"], value=b"value", flags=1, exptime=2))
     parser = BinaryParser()
     for i in range(0, len(wire), 5):
         msgs = parser.feed(wire[i : i + 5])
@@ -48,7 +50,10 @@ def test_parser_handles_fragmentation():
 
 
 def test_parser_handles_pipelining():
-    wire = binp.build_get("a") + binp.build_get("b") + binp.build_noop()
+    wire = b"".join(
+        binp.encode_command(cmd)
+        for cmd in (Command("get", ["a"]), Command("get", ["b"]), Command("noop"))
+    )
     msgs = BinaryParser().feed(wire)
     assert [m.opcode for m in msgs] == [Opcode.GET, Opcode.GET, Opcode.NOOP]
     assert msgs[0].key == b"a"
@@ -61,9 +66,10 @@ def test_bad_magic_raises():
 
 def test_bad_magic_is_held_back_behind_the_frames_before_it():
     parser = binp.BinaryParser()
-    frames = parser.feed(binp.build_get("a", opaque=1) + b"\x42" * binp.HEADER_LEN)
+    get = binp.encode_command(Command("get", ["a"]), opaque=1)
+    frames = parser.feed(get + b"\x42" * binp.HEADER_LEN)
     assert [f.opaque for f in frames] == [1]
-    for later in (b"", binp.build_get("b")):  # the parser stays poisoned
+    for later in (b"", get):  # the parser stays poisoned
         with pytest.raises(ProtocolError, match="bad magic"):
             parser.feed(later)
 
@@ -81,28 +87,43 @@ def test_inconsistent_lengths_rejected():
         BinaryParser().feed(header + bytes(8))
 
 
-@pytest.mark.parametrize("accessor, right_length", [
-    ("set_extras", 8),
-    ("arith_extras", 20),
-    ("touch_extras", 4),
-    ("get_response_flags", 4),
-    ("flush_extras", 4),
-    ("getl_extras", 4),
-    ("setl_extras", 16),
-    ("getl_response_extras", 16),
-])
-def test_extras_of_the_wrong_length_are_a_protocol_error(accessor, right_length):
+def _decode_request(opcode, extras):
+    binp.request_to_command(BinMessage(MAGIC_REQUEST, opcode, key=b"k", extras=extras))
+
+
+def _assemble_response(op, opcode, extras):
+    binp.ReplyAssembler(Command(op, ["k"])).feed(
+        BinMessage(MAGIC_RESPONSE, opcode, extras=extras)
+    )
+
+
+def _extras_layouts():
+    """Every request row with an extras layout, through ``request_to_command``,
+    and the two response layouts, through ``ReplyAssembler.feed``."""
+    names = {code: name.lower() for name, code in vars(Opcode).items() if name.isupper()}
+    for opcode, (_op, _fields, layout, _keyed) in binp._REQUESTS.items():
+        if layout is not None:
+            yield pytest.param(partial(_decode_request, opcode), layout.size,
+                               id=f"{names[opcode]}_extras")
+    for op, opcode, size in (("get", Opcode.GET, 4), ("getl", Opcode.GETL, 16)):
+        yield pytest.param(partial(_assemble_response, op, opcode), size,
+                           id=f"{op}_response_extras")
+
+
+@pytest.mark.parametrize("decode, right_length", _extras_layouts())
+def test_extras_of_the_wrong_length_are_a_protocol_error(decode, right_length):
     for length in (right_length - 1, right_length + 1):
-        msg = BinMessage(MAGIC_REQUEST, Opcode.NOOP, extras=bytes(length))
-        with pytest.raises(ProtocolError, match=f"must be .*{right_length} bytes"):
-            getattr(msg, accessor)()
-    assert BinMessage(MAGIC_REQUEST, Opcode.FLUSH).flush_extras() == 0  # optional
+        with pytest.raises(ProtocolError, match=f"must be {right_length} bytes, got {length}"):
+            decode(bytes(length))
+    flush = binp.request_to_command(BinMessage(MAGIC_REQUEST, Opcode.FLUSH))
+    assert (flush.op, flush.exptime) == ("flush_all", 0)  # FLUSH's extras are optional
 
 
 def test_arith_extras_roundtrip():
-    wire = binp.build_arith("n", 5, initial=100, exptime=60)
-    [msg] = BinaryParser().feed(wire)
-    assert msg.arith_extras() == (5, 100, 60)
+    cmd = Command("incr", ["n"], delta=5, initial=100, create_exptime=60)
+    [msg] = BinaryParser().feed(binp.encode_command(cmd))
+    out = binp.request_to_command(msg)
+    assert (out.delta, out.initial, out.create_exptime) == (5, 100, 60)
 
 
 def test_respond_echoes_opaque_and_opcode():
@@ -176,7 +197,7 @@ def test_binary_incr_autocreate_semantics(cluster):
         created = yield from client.incr("fresh-counter", 5)
         return created
 
-    # Our builder sends exptime=0xffffffff => no auto-create (spec).
+    # The client's incr carries exptime 0xffffffff => no auto-create (spec).
     assert run(cluster, scenario()) is None
 
 

@@ -58,8 +58,8 @@ MALFORMED = {
     # wire format -> (a set of key "a", a get of it, bytes no parser accepts)
     "text": (b"set a 0 0 1\r\nx\r\n", b"get a\r\n", b"bogus\r\n"),
     "binary": (
-        binp.build_set("a", b"x", opaque=1),
-        binp.build_get("a", opaque=2),
+        binp.encode_command(Command("set", ["a"], value=b"x"), opaque=1),
+        binp.encode_command(Command("get", ["a"]), opaque=2),
         b"\x42" * binp.HEADER_LEN,  # bad magic
     ),
 }
@@ -114,7 +114,8 @@ def test_binary_frame_that_does_not_decode_drops_the_connection_only(cluster):
 
     def scenario():
         yield from sock.connect("server", 11211)
-        yield from sock.send(binp.build_set("a", b"x", opaque=1) + bad_set)
+        good_set = binp.encode_command(Command("set", ["a"], value=b"x"), opaque=1)
+        yield from sock.send(good_set + bad_set)
         reply = yield from sock.recv(256)
         tail = yield from sock.recv(256)
         return reply, tail
