@@ -66,11 +66,12 @@ class McRequest:
 class McResponse:
     """Fixed-layout UCR response header."""
 
-    status: str  # 'stored' | 'not_stored' | 'exists' | 'not_found' |
-                 # 'deleted' | 'touched' | 'ok' | 'number' | 'values' | 'error'
+    #: The reply status, as is (``command.REPLY_STATUSES``).
+    status: str
     number: int = 0
     #: For get responses: (key, flags, length, cas) per hit, data follows
-    #: concatenated in the AM payload.
+    #: concatenated in the AM payload.  For stats: the sorted (name, value)
+    #: pairs.
     values_meta: list = None
     message: str = ""
     #: For status 'error': which side's fault ('client' | 'server'), so
@@ -123,11 +124,6 @@ def command_to_request(cmd: Command, trace=None) -> tuple[McRequest, bytes]:
 
 def response_to_reply(cmd: Command, header: McResponse, payload: bytes) -> Reply:
     """Decode one response struct against the command that produced it."""
-    if header.status == "error":
-        return Reply(
-            "error", message=header.message,
-            error_kind=getattr(header, "error_kind", "server"),
-        )
     if header.status == "values":
         entries = []
         offset = 0
@@ -141,11 +137,10 @@ def response_to_reply(cmd: Command, header: McResponse, payload: bytes) -> Reply
             lease_token=header.lease_token,
             stale=header.stale,
         )
-    if header.status == "ok" and cmd.op == "stats":
+    if header.status == "stats":
         return Reply("stats", stats=dict(header.values_meta or []))
-    if header.status == "number":
-        return Reply("number", number=header.number)
-    return Reply(header.status)
+    return Reply(header.status, number=header.number, message=header.message,
+                 error_kind=header.error_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +173,6 @@ def reply_to_response(cmd: Command, reply: Reply):
     zero-copy: the location names (mr, offset, length) and the payload
     stays empty.
     """
-    if reply.status == "error":
-        kind = "server" if reply.error_kind == "server" else "client"
-        return McResponse("error", message=reply.message, error_kind=kind), b"", None
     if reply.status == "values":
         lease_fields = dict(
             lease_state=reply.lease_state,
@@ -212,10 +204,12 @@ def reply_to_response(cmd: Command, reply: Reply):
             b"".join(blobs),
             None,
         )
-    if reply.status == "number":
-        return McResponse("number", number=reply.number), b"", None
     if reply.status == "stats":
-        return McResponse("ok", values_meta=sorted(reply.stats.items())), b"", None
-    if reply.status == "version":
-        return McResponse("ok", message=reply.message), b"", None
-    return McResponse(reply.status), b"", None
+        return McResponse("stats", values_meta=sorted((reply.stats or {}).items())), b"", None
+    kind = "server" if reply.error_kind == "server" else "client"
+    return (
+        McResponse(reply.status, number=reply.number, message=reply.message,
+                   error_kind=kind),
+        b"",
+        None,
+    )
