@@ -22,15 +22,14 @@ from repro.memcached.client import (
     FailoverPolicy,
     MemcachedClient,
     ShardedClient,
-    SocketsTransport,
-    UcrTransport,
-    UcrUdTransport,
 )
 from repro.memcached.items import reset_cas_ids
 from repro.memcached.onesided import OneSidedTransport
 from repro.memcached.server import MemcachedCosts, MemcachedServer, UcrServerPort
 from repro.memcached.serving import ProbabilisticHotCache
+from repro.memcached.sockets_transport import SocketsTransport
 from repro.memcached.store import StoreConfig
+from repro.memcached.ucr_transport import UcrTransport, UcrUdTransport
 from repro.sim import Simulator
 from repro.sim.rng import RngStream
 from repro.sockets.stack import SocketStack
@@ -192,28 +191,19 @@ class Cluster:
         node_name = f"client{client_node}"
         if node_name not in self.nodes:
             raise KeyError(f"no such client node {node_name!r}")
-        if transport == "UCR-IB":
-            context = self.runtimes[node_name].create_context(
-                f"mc-client-{len(self.runtimes[node_name]._counters)}"
-            )
-            t = UcrTransport(context, MEMCACHED_PORT, costs, timeout_us)
-            for name in self.server_names:
-                t.add_server(name, self.runtimes[name])
-        elif transport == "UCR-1S":
-            context = self.runtimes[node_name].create_context(
-                f"mc-1s-client-{len(self.runtimes[node_name]._counters)}"
-            )
-            t = OneSidedTransport(context, MEMCACHED_PORT, costs, timeout_us)
+        if transport in ("UCR-IB", "UCR-1S", "UCR-UD"):
+            context = self.runtimes[node_name].create_context(f"mc-client/{transport}")
+        if transport in ("UCR-IB", "UCR-1S"):
+            onesided = transport == "UCR-1S"
+            cls = OneSidedTransport if onesided else UcrTransport
+            t = cls(context, MEMCACHED_PORT, costs, timeout_us)
             for name in self.server_names:
                 t.add_server(name, self.runtimes[name])
                 index = self.servers[name].onesided_index
-                if index is not None:
+                if onesided and index is not None:
                     t.add_index(name, index.descriptor)
         elif transport == "UCR-UD":
             # The paper's §VII scaling direction: connection-less clients.
-            context = self.runtimes[node_name].create_context(
-                f"mc-ud-client-{len(self.runtimes[node_name]._counters)}"
-            )
             t = UcrUdTransport(context, MEMCACHED_PORT, costs)
             for name in self.server_names:
                 uds = self.ucr_ports[name].enable_ud()

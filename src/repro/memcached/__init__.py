@@ -14,18 +14,16 @@ This package reimplements the memcached 1.4-era engine the paper extends
   per the paper's §V-A dual-mode design -- the same server object accepts
   UCR endpoints through :class:`~repro.memcached.server.UcrServerPort`;
 - :class:`~repro.memcached.client.MemcachedClient`: a libmemcached-style
-  API (set/get/mget/incr/decr/delete/cas/stats) over pluggable
-  transports: text-protocol-over-sockets or UCR active messages, with
-  modula or ketama key distribution.
+  API (set/get/mget/incr/decr/delete/cas/stats) with modula or ketama
+  key distribution, over pluggable transports:
+  :class:`~repro.memcached.sockets_transport.SocketsTransport` (text or
+  binary protocol over sockets) and
+  :class:`~repro.memcached.ucr_transport.UcrTransport` /
+  :class:`~repro.memcached.ucr_transport.UcrUdTransport` (UCR active
+  messages over RC / UD).
 """
 
-from repro.memcached.client import (
-    ClientCosts,
-    MemcachedClient,
-    SocketsTransport,
-    UcrTransport,
-    UcrUdTransport,
-)
+from repro.memcached.client import ClientCosts, MemcachedClient
 from repro.memcached.errors import (
     ClientError,
     MemcachedError,
@@ -36,7 +34,9 @@ from repro.memcached.errors import (
 from repro.memcached.hashing import KetamaDistribution, ModulaDistribution
 from repro.memcached.items import Item
 from repro.memcached.server import MemcachedServer, UcrServerPort
+from repro.memcached.sockets_transport import SocketsTransport
 from repro.memcached.store import ItemStore, StoreConfig
+from repro.memcached.ucr_transport import UcrTransport, UcrUdTransport
 
 __all__ = [
     "ClientCosts",

@@ -1,4 +1,4 @@
-"""The client library: a libmemcached-workalike over two transports.
+"""The client library: a libmemcached-workalike over pluggable transports.
 
 API shape follows libmemcached 0.45 (the version the paper benchmarks):
 a client owns a server pool, distributes keys via modula or ketama
@@ -10,41 +10,27 @@ Every operation builds one transport-neutral
 :meth:`MemcachedClient.call` -- the single path that layers retry,
 history recording, the ``client.<op>`` span, the hot cache, ring/gutter
 routing and the one-sided ladder around the transport's ``execute``
-(stage diagram: docs/ARCHITECTURE.md).  Wire formats live exclusively
-in the codec modules (text/binary: :mod:`repro.memcached.protocol` /
-:mod:`repro.memcached.protocol_binary`, selected by the sockets
-transport; UCR struct: :mod:`repro.memcached.protocol_ucr`).
+(stage diagram: docs/ARCHITECTURE.md).
 
-Transports:
-
-- :class:`SocketsTransport` -- text or binary protocol over any
-  :class:`~repro.sockets.stack.SocketStack` (IPoIB / SDP / TOE / TCP);
-  the ``MEMCACHED_BEHAVIOR_TCP_NODELAY`` the paper sets is implicit (our
-  stacks never delay small segments).
-- :class:`UcrTransport` -- active messages over a
-  :class:`~repro.core.context.UcrContext`; each request names a client
-  counter, and the client blocks on it **with a timeout**, taking
-  corrective action (declaring the server dead) when it trips -- the
-  paper's §IV-A failure model.
-
-Both transports also implement ``execute_many``: a pipelined window of
-up to *depth* commands in flight per connection, with per-wire-format
-reply matching (in-order for text, opaque for binary, request-id/seq
-for UCR AMs).  :meth:`MemcachedClient.pipeline` is the batched client
-API on top.
+The transport contract: ``execute(server, cmd, trace)`` runs one command
+and returns its :class:`~repro.memcached.command.Reply`;
+``execute_many(server, commands, window, trace)`` runs a window of more
+than one command in flight and returns one ``Reply`` or exception per
+command; the class attribute ``supports_concurrency`` says whether
+per-server groups may run in parallel.  ``onesided_get`` is an optional
+capability the client probes for.  Each transport family has its own
+module: :mod:`repro.memcached.sockets_transport` (text and binary),
+:mod:`repro.memcached.ucr_transport` (UCR active messages, RC and UD)
+and :mod:`repro.memcached.onesided` (RDMA READ GETs).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.check.history import recorder
-from repro.core.errors import EndpointClosed, UcrTimeout
-from repro.memcached import protocol
-from repro.memcached import protocol_binary as binp
-from repro.memcached import protocol_ucr as ucrp
 from repro.memcached.command import Command, Reply
 from repro.memcached.errors import (
     ClientError,
@@ -53,21 +39,7 @@ from repro.memcached.errors import (
     ServerError,
 )
 from repro.memcached.hashing import KetamaDistribution, ModulaDistribution
-from repro.memcached.protocol_ucr import (
-    MC_REQUEST_HEADER_BYTES,
-    MSG_MC_REQUEST,
-    MSG_MC_RESPONSE,
-    McRequest,
-    McResponse,
-)
 from repro.telemetry import tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.context import UcrContext
-    from repro.core.runtime import UcrRuntime
-    from repro.fabric.topology import Node
-    from repro.sim import Simulator
-    from repro.sockets.stack import SocketStack
 
 
 @dataclass(frozen=True)
@@ -84,9 +56,6 @@ class ClientCosts:
 
 
 DEFAULT_TIMEOUT_US = 1_000_000.0
-
-#: Sentinel for pipeline slots whose reply has not landed yet.
-_PENDING = object()
 
 #: Exception class -> history-record failure kind.
 _ERROR_KIND = {
@@ -164,6 +133,13 @@ def interpret(cmd: Command, reply: Reply):
     return None  # flush_all / noop acknowledgements
 
 
+def _refuse_noreply(commands: list) -> None:
+    """A blocking client waits for every reply, and a ``noreply`` command
+    gets none: refuse it before anything is sent."""
+    if any(cmd.noreply for cmd in commands):
+        raise ClientError("noreply commands get no reply; the client waits for one")
+
+
 def _record_args(cmd: Command) -> tuple:
     """The history-record args of *cmd* (the checker reads
     value/delta/exptime positionally)."""
@@ -189,474 +165,6 @@ def _lease_notes(cmd: Command, result) -> tuple:
     if cmd.lease_token and result is False:
         return ("lease-denied",)
     return ()
-
-
-# ---------------------------------------------------------------------------
-# Sockets transport
-# ---------------------------------------------------------------------------
-
-
-class _SocketConn:
-    """One text- or binary-protocol connection to one server."""
-
-    def __init__(self, sock, parser, server: str, port: int) -> None:
-        self.sock = sock
-        self.parser = parser
-        self.server = server
-        self.port = port
-        self.tokens: list = []
-        self.connected = False
-
-    def connect(self):
-        yield from self.sock.connect(self.server, self.port)
-        self.connected = True
-
-    def next_token(self):
-        """Process helper: one reply token (recv-ing as needed)."""
-        while not self.tokens:
-            data = yield from self.sock.recv(65536)
-            if data == b"":
-                raise ServerDownError(f"{self.server}: connection closed")
-            self.tokens.extend(self.parser.feed(data))
-        return self.tokens.pop(0)
-
-
-class SocketsTransport:
-    """Client side of the text/binary protocols over a socket stack."""
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        node: "Node",
-        stack: "SocketStack",
-        port: int = 11211,
-        costs: ClientCosts = ClientCosts(),
-        binary: bool = False,
-    ) -> None:
-        self.sim = sim
-        self.node = node
-        self.stack = stack
-        self.port = port
-        self.costs = costs
-        #: The wire format's row -- codec, parser and cost fields all come
-        #: from it (*binary*: libmemcached's
-        #: MEMCACHED_BEHAVIOR_BINARY_PROTOCOL instead of ASCII).
-        self.wire = binp.WIRE if binary else protocol.WIRE
-        self._build_us = getattr(costs, self.wire.client_build_cost)
-        self._parse_us = getattr(costs, self.wire.client_parse_cost)
-        self._conns: dict[str, _SocketConn] = {}
-
-    #: One connection per server: parallel per-server fan-out is safe.
-    supports_concurrency = True
-
-    def conn(self, server: str):
-        """Process helper: the (lazily connected) connection to *server*."""
-        c = self._conns.get(server)
-        if c is None:
-            c = _SocketConn(
-                self.stack.socket(), self.wire.response_parser(), server, self.port
-            )
-            self._conns[server] = c
-        if not c.connected:
-            yield from c.connect()
-        return c
-
-    # -- the command path -------------------------------------------------------
-
-    def execute(self, server: str, cmd: Command, trace=None):
-        """Process helper: one command, one reply."""
-        yield from self.node.cpu_run(self.node.host.cpu_time(self._build_us))
-        span = (
-            tracer.begin("sockets.roundtrip", "sockets", self.sim.now,
-                         parent=trace, server=server, op=cmd.op)
-            if tracer.enabled and trace is not None
-            else None
-        )
-        try:
-            c = yield from self.conn(server)
-            yield from c.sock.send(self.wire.encode_command(cmd), trace=_ctx(span))
-            assembler = self.wire.reply_assembler(cmd)
-            while not assembler.feed((yield from c.next_token())):
-                pass
-        finally:
-            if tracer.enabled:
-                tracer.end(span, self.sim.now)
-        yield from self.node.cpu_run(self.node.host.cpu_time(self._parse_us))
-        return assembler.reply
-
-    def execute_many(self, server: str, commands: list, window: int = 1, trace=None):
-        """Process helper: issue *commands* with up to *window* in flight.
-
-        Returns one entry per command, in order: its :class:`Reply`, or
-        the exception that felled it (a dead connection reports
-        ``ServerDownError`` for every command still incomplete).  Reply
-        matching follows the wire format's declared policy: in submission
-        order for text, by opaque (the slot index) for binary.
-        """
-        if window <= 1:
-            results = []
-            for cmd in commands:
-                try:
-                    results.append((yield from self.execute(server, cmd, trace=trace)))
-                except (ServerDownError, ClientError, ServerError, ProtocolError) as exc:
-                    results.append(exc)
-            return results
-        wire = self.wire
-        results: list = [_PENDING] * len(commands)
-        pending: list[int] = []  # slots awaiting completion, oldest first
-        assemblers: dict = {}
-        span = (
-            tracer.begin("sockets.pipeline", "sockets", self.sim.now,
-                         parent=trace, server=server, depth=window)
-            if tracer.enabled and trace is not None
-            else None
-        )
-        try:
-            c = yield from self.conn(server)
-            sent = done = 0
-            while done < len(commands):
-                while sent < len(commands) and len(pending) < window:
-                    i = sent
-                    sent += 1
-                    yield from self.node.cpu_run(
-                        self.node.host.cpu_time(self._build_us)
-                    )
-                    assemblers[i] = wire.reply_assembler(commands[i])
-                    pending.append(i)
-                    yield from c.sock.send(
-                        wire.encode_command(commands[i], opaque=i), trace=_ctx(span)
-                    )
-                token = yield from c.next_token()
-                i = pending[0] if wire.in_order_replies else token.opaque
-                try:
-                    complete = assemblers[i].feed(token)
-                except ProtocolError as exc:
-                    # Stream desync: nothing past this token can be
-                    # matched to a command; fail everything unfinished.
-                    for j in range(len(commands)):
-                        if results[j] is _PENDING:
-                            results[j] = exc
-                    return results
-                if complete:
-                    pending.remove(i)
-                    done += 1
-                    results[i] = assemblers.pop(i).reply
-                    yield from self.node.cpu_run(
-                        self.node.host.cpu_time(self._parse_us)
-                    )
-        except ServerDownError as exc:
-            for j in range(len(commands)):
-                if results[j] is _PENDING:
-                    results[j] = exc
-        finally:
-            if tracer.enabled:
-                tracer.end(span, self.sim.now)
-        return results
-
-
-# ---------------------------------------------------------------------------
-# UCR transport
-# ---------------------------------------------------------------------------
-
-
-class UcrTransport:
-    """Client side of the active-message protocol."""
-
-    def __init__(
-        self,
-        context: "UcrContext",
-        service_id: int = 11211,
-        costs: ClientCosts = ClientCosts(),
-        timeout_us: float = DEFAULT_TIMEOUT_US,
-    ) -> None:
-        self.context = context
-        self.runtime = context.runtime
-        self.sim = context.sim
-        self.node = context.node
-        self.service_id = service_id
-        self.costs = costs
-        self.timeout_us = timeout_us
-        #: Per-client response counter ("counter C" of paper §V-B/C);
-        #: concurrent requests (parallel mget, pipelined windows) check
-        #: out extra counters from a small pool.
-        self.counter = self.runtime.create_counter("mc-client")
-        self._counter_pool: list = []
-        self._endpoints: dict[str, "object"] = {}
-        self._runtimes: dict[str, "UcrRuntime"] = {}
-        #: In-flight request table: request_id -> (header, payload).
-        self._pending: dict[int, tuple[McResponse, bytes]] = {}
-        self._next_request_id = 1
-        self._register_response_handler()
-
-    #: Parallel mget fan-out is safe: responses route by request id.
-    supports_concurrency = True
-
-    def _checkout_counter(self):
-        if self._counter_pool:
-            return self._counter_pool.pop()
-        return self.runtime.create_counter("mc-client-extra")
-
-    def _checkin_counter(self, counter) -> None:
-        self._counter_pool.append(counter)
-
-    def _server_down(self, server: str, ep, exc) -> ServerDownError:
-        """Corrective action when a wait on *ep* times out or finds it
-        dead (paper §V-B): fail it and forget it, so failover takes over.
-        Returns the error to raise."""
-        if not ep.failed:
-            ep.fail(str(exc))
-        self._endpoints.pop(server, None)
-        return ServerDownError(f"{server}: {exc}")
-
-    def add_server(self, name: str, runtime: "UcrRuntime") -> None:
-        """Declare how to reach *name* (its UCR runtime)."""
-        self._runtimes[name] = runtime
-
-    def _register_response_handler(self) -> None:
-        try:
-            self.runtime.register_handler(
-                MSG_MC_RESPONSE, None, _client_response_handler
-            )
-        except ValueError:
-            pass  # another client on this runtime already registered it
-
-    def endpoint(self, server: str):
-        """Process helper: the (lazily established) endpoint to *server*."""
-        ep = self._endpoints.get(server)
-        if ep is not None and not ep.failed:
-            return ep
-        runtime = self._runtimes.get(server)
-        if runtime is None:
-            raise ServerDownError(f"unknown UCR server {server!r}")
-        try:
-            ep = yield from self.context.connect(
-                runtime, self.service_id, timeout_us=self.timeout_us
-            )
-        except (UcrTimeout, ConnectionRefusedError) as exc:
-            # A crashed server stops listening: surface the refused (or
-            # hung) handshake the same way as a dead connection so the
-            # failover layer sees one error family.
-            raise ServerDownError(f"{server}: {exc}") from exc
-        ep._mc_response_sink = self._deliver_response
-        self._endpoints[server] = ep
-        return ep
-
-    def _deliver_response(self, header: McResponse, data: bytes) -> None:
-        self._pending[header.request_id] = (header, data)
-
-    # -- the command path -------------------------------------------------------
-
-    def execute(self, server: str, cmd: Command, trace=None):
-        """Process helper: one command, one reply."""
-        request, data = ucrp.command_to_request(cmd, trace)
-        header, payload = yield from self.roundtrip(server, request, data)
-        return ucrp.response_to_reply(cmd, header, payload)
-
-    def execute_many(self, server: str, commands: list, window: int = 1, trace=None):
-        """Process helper: issue *commands* with up to *window* in flight.
-
-        A pool of ``window`` worker processes pulls commands in order,
-        so up to ``window`` AMs are outstanding on the endpoint at once;
-        responses route back by echoed request id (the client face of
-        the AM layer's per-message seq matching).  Returns one entry per
-        command: its :class:`Reply` or the exception that felled it.
-        """
-        results: list = [_PENDING] * len(commands)
-        if window <= 1 or len(commands) == 1:
-            for i, cmd in enumerate(commands):
-                try:
-                    results[i] = yield from self.execute(server, cmd, trace=trace)
-                except (ServerDownError, ClientError, ServerError, ProtocolError) as exc:
-                    results[i] = exc
-            return results
-        try:
-            # Establish the endpoint once, before fanning out: concurrent
-            # first-contact connects would race and duplicate endpoints.
-            yield from self.endpoint(server)
-        except ServerDownError as exc:
-            return [exc] * len(commands)
-        cursor = {"next": 0}
-
-        def worker():
-            while True:
-                i = cursor["next"]
-                if i >= len(commands):
-                    return
-                cursor["next"] = i + 1
-                try:
-                    results[i] = yield from self.execute(
-                        server, commands[i], trace=trace
-                    )
-                except (ServerDownError, ClientError, ServerError, ProtocolError) as exc:
-                    results[i] = exc
-
-        procs = [
-            self.sim.process(worker(), label="mc-pipeline")
-            for _ in range(min(window, len(commands)))
-        ]
-        for proc in procs:
-            yield proc
-        return results
-
-    def roundtrip(self, server: str, request: McRequest, data: bytes = b""):
-        """Process helper: one request/response over active messages.
-
-        Re-entrant: the server echoes ``request_id`` so concurrent calls
-        (a parallel mget fan-out, a pipelined window) route their
-        responses independently.
-        """
-        yield from self.node.cpu_run(self.node.host.cpu_time(self.costs.build_ucr_us))
-        span = (
-            tracer.begin("am.roundtrip", "am", self.sim.now,
-                         parent=request.trace, server=server, op=request.op)
-            if tracer.enabled and request.trace is not None
-            else None
-        )
-        if span is not None:
-            # Downstream layers (WQE post, fabric, remote handler) parent
-            # their spans under the round-trip, not the client root.
-            request.trace = span.ctx
-        ep = yield from self.endpoint(server)
-        counter = self._checkout_counter()
-        request.counter_id = counter.counter_id
-        request.request_id = self._next_request_id
-        self._next_request_id += 1
-        rid = request.request_id
-        header_bytes = MC_REQUEST_HEADER_BYTES + sum(len(k) for k in request.keys)
-        try:
-            yield from ep.send_message(
-                MSG_MC_REQUEST,
-                header=request,
-                header_bytes=header_bytes,
-                data=data,
-                # Value buffers live in the library's registration cache
-                # (MVAPICH lineage), so large sets go zero-copy.
-                registered_hint=True,
-            )
-            # Block on counter C with a timeout (paper §V-B).
-            yield from counter.wait_increment(timeout_us=self.timeout_us)
-        except (UcrTimeout, EndpointClosed) as exc:
-            raise self._server_down(server, ep, exc) from exc
-        finally:
-            entry = self._pending.pop(rid, None)
-            self._checkin_counter(counter)
-            if tracer.enabled:
-                tracer.end(span, self.sim.now)
-        yield from self.node.cpu_run(self.node.host.cpu_time(self.costs.parse_ucr_us))
-        assert entry is not None, "counter fired before response landed"
-        return entry
-
-
-class UcrUdTransport(UcrTransport):
-    """Unreliable-datagram client transport (paper §VII future work).
-
-    No per-server RC connection: one local UD queue pair receives every
-    response, and requests address the server's UD QP directly.  Loss is
-    possible (UD drops when the receiver's window is exhausted), so each
-    operation retransmits up to *max_retries* with a short timeout; the
-    server's response cache makes retried operations exactly-once.
-
-    Restrictions inherited from UD: eager messages only, so values must
-    fit under the runtime's eager threshold.
-    """
-
-    def __init__(
-        self,
-        context: "UcrContext",
-        service_id: int = 11211,
-        costs: ClientCosts = ClientCosts(),
-        retry_timeout_us: float = 1_000.0,
-        max_retries: int = 5,
-    ) -> None:
-        super().__init__(context, service_id, costs, retry_timeout_us)
-        self.max_retries = max_retries
-        #: The local UD endpoint responses arrive on.
-        self.local_ud = context.create_ud_endpoint()
-        #: Retransmission bookkeeping is single-flight.
-        self.supports_concurrency = False
-        self._response = None
-        self.local_ud._mc_response_sink = self._deliver_response
-        self._server_uds: dict[str, object] = {}
-        self._next_request_id = 1
-        self._last_request_id = 0
-
-    def add_ud_server(self, name: str, server_ud_endpoint) -> None:
-        """Register the server's UD endpoint (out-of-band discovery)."""
-        self._server_uds[name] = server_ud_endpoint
-
-    def endpoint(self, server: str):
-        raise NotImplementedError("UD transport is connection-less")
-        yield  # pragma: no cover
-
-    def execute_many(self, server: str, commands: list, window: int = 1, trace=None):
-        """UD is single-flight (retransmission state): force window 1."""
-        return (yield from super().execute_many(server, commands, 1, trace=trace))
-
-    def _deliver_response(self, header: McResponse, data: bytes) -> None:
-        # Discard stale responses from earlier (timed-out) transmissions.
-        if header.request_id and header.request_id != self._last_request_id:
-            return
-        self._response = (header, data)
-
-    def roundtrip(self, server: str, request: McRequest, data: bytes = b""):
-        """One request/response over UD, retransmitting on loss."""
-        yield from self.node.cpu_run(self.node.host.cpu_time(self.costs.build_ucr_us))
-        server_ud = self._server_uds.get(server)
-        if server_ud is None:
-            raise ServerDownError(f"no UD address for server {server!r}")
-        request.counter_id = self.counter.counter_id
-        request.reply_qpn = self.local_ud.qp.qp_num
-        request.request_id = self._next_request_id
-        self._next_request_id += 1
-        self._last_request_id = request.request_id
-        header_bytes = MC_REQUEST_HEADER_BYTES + sum(len(k) for k in request.keys)
-        for attempt in range(self.max_retries + 1):
-            self._response = None
-            yield from self.local_ud.send_message(
-                MSG_MC_REQUEST,
-                header=request,
-                header_bytes=header_bytes,
-                data=data,
-                ud_destination=server_ud.qp,
-            )
-            try:
-                yield from self.counter.wait_increment(timeout_us=self.timeout_us)
-            except UcrTimeout:
-                continue  # lost request or lost response: retransmit
-            if self._response is None:
-                continue  # counter advanced for a stale datagram
-            header, payload = self._response
-            self._response = None
-            yield from self.node.cpu_run(
-                self.node.host.cpu_time(self.costs.parse_ucr_us)
-            )
-            return header, payload
-        raise ServerDownError(
-            f"{server}: no response after {self.max_retries + 1} attempts"
-        )
-
-    def fire(self, server: str, request: McRequest, data: bytes = b""):
-        """Fire-and-forget over UD (noreply; may be lost)."""
-        server_ud = self._server_uds.get(server)
-        if server_ud is None:
-            raise ServerDownError(f"no UD address for server {server!r}")
-        request.noreply = True
-        yield from self.local_ud.send_message(
-            MSG_MC_REQUEST,
-            header=request,
-            header_bytes=MC_REQUEST_HEADER_BYTES + sum(len(k) for k in request.keys),
-            data=data,
-            ud_destination=server_ud.qp,
-        )
-
-
-def _client_response_handler(ep, header: McResponse, data: bytes):
-    """Runtime-registered completion handler: route to the owning client."""
-    sink = getattr(ep, "_mc_response_sink", None)
-    if sink is not None:
-        sink(header, data)
-    if False:  # pragma: no cover - generator protocol
-        yield
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +265,7 @@ class MemcachedClient:
         **in parallel** when the transport allows it (libmemcached
         issues all requests before collecting); single-flight
         transports (UD with retransmission) go group by group."""
-        if getattr(self.transport, "supports_concurrency", False) and len(groups) > 1:
+        if self.transport.supports_concurrency and len(groups) > 1:
             procs = [
                 self.sim.process(work(server, members))
                 for server, members in groups.items()
@@ -819,6 +327,7 @@ class MemcachedClient:
         and the checker annotations are locals, so processes sharing one
         client never see each other's; *cmd* is never mutated.
         """
+        _refuse_noreply([cmd])
         op = cmd.op
         if op == "flush_all":  # pool-wide: nothing to route or retry
             return (yield from self.flush_all(cmd.exptime))
@@ -1044,10 +553,11 @@ class MemcachedClient:
         in the operation history with batch-granular invoke/complete
         instants.  The caller's commands are not mutated.
         """
+        _refuse_noreply(commands)
         if depth is None:
             depth = self.pipeline_depth
         depth = max(1, int(depth))
-        if not getattr(self.transport, "supports_concurrency", True):
+        if not self.transport.supports_concurrency:
             depth = 1  # single-flight transports (UD) serialize anyway
         span = (
             tracer.begin("client.pipeline", "client", self.sim.now,
@@ -1057,7 +567,7 @@ class MemcachedClient:
         )
         servers: list = []
         routed: list = []
-        replies: list = [_PENDING] * len(commands)
+        replies: list = [None] * len(commands)
         try:
             for cmd in commands:
                 server, cmd = yield from self._route(cmd)
@@ -1069,11 +579,20 @@ class MemcachedClient:
                 groups.setdefault(server, []).append(idx)
 
             def fetch(server, idxs):
-                group = yield from self.transport.execute_many(
-                    server, [routed[i] for i in idxs], depth, trace=_ctx(span)
-                )
-                for i, rep in zip(idxs, group):
-                    replies[i] = rep
+                if depth > 1:
+                    group = yield from self.transport.execute_many(
+                        server, [routed[i] for i in idxs], depth, trace=_ctx(span)
+                    )
+                    for i, rep in zip(idxs, group):
+                        replies[i] = rep
+                    return
+                for i in idxs:  # depth 1: the blocking loop, errors as entries
+                    try:
+                        replies[i] = yield from self.transport.execute(
+                            server, routed[i], trace=_ctx(span)
+                        )
+                    except _OP_ERRORS as exc:
+                        replies[i] = exc
 
             yield from self._fan_out(groups, fetch)
         finally:
@@ -1083,8 +602,6 @@ class MemcachedClient:
         for cmd, rec, server, rep in zip(routed, recs, servers, replies):
             if self.hot_cache is not None and cmd.op in _HOT_INVALIDATING_OPS:
                 self.hot_cache.invalidate(cmd.key)
-            if rep is _PENDING:  # fetch process died before this slot
-                rep = ServerDownError(f"{server}: pipelined reply never arrived")
             if not isinstance(rep, Exception):
                 try:
                     rep = interpret(cmd, rep)

@@ -1,7 +1,7 @@
 """The one-sided GET transport: RDMA READs against the exported index.
 
 :class:`OneSidedTransport` extends the active-message
-:class:`~repro.memcached.client.UcrTransport` with a zero-server-CPU
+:class:`~repro.memcached.ucr_transport.UcrTransport` with a zero-server-CPU
 read path: GET/gets probe the server's exported bucket index with an
 RDMA READ, fetch the value with a second READ straight out of the
 registered slab page, and confirm with a third READ of the same entry.
@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.endpoint import _SendCompletionCookie
 from repro.core.errors import EndpointClosed, UcrTimeout
-from repro.memcached.client import ClientCosts, DEFAULT_TIMEOUT_US, UcrTransport
+from repro.memcached.client import ClientCosts, DEFAULT_TIMEOUT_US
 from repro.memcached.command import Reply
 from repro.memcached.onesided.index import IndexDescriptor
 from repro.memcached.onesided.layout import (
@@ -50,6 +50,7 @@ from repro.memcached.onesided.layout import (
     unpack_entry,
 )
 from repro.memcached.slabs import PAGE_BYTES
+from repro.memcached.ucr_transport import UcrTransport
 from repro.verbs.enums import Opcode
 from repro.verbs.wr import SendWR, Sge
 

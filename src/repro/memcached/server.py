@@ -33,17 +33,6 @@ from repro.memcached import protocol_binary as binp
 from repro.memcached import protocol_ucr as ucrp
 from repro.memcached.command import Command, WireFormat, entry_data
 from repro.memcached.engine import CommandEngine
-
-# The UCR struct protocol lives in protocol_ucr; re-exported here for
-# callers that import the wire types from the server module.
-from repro.memcached.protocol_ucr import (  # noqa: F401
-    MC_REQUEST_HEADER_BYTES,
-    MC_RESPONSE_HEADER_BYTES,
-    MSG_MC_REQUEST,
-    MSG_MC_RESPONSE,
-    McRequest,
-    McResponse,
-)
 from repro.memcached.onesided.index import ExportedIndex
 from repro.memcached.store import ItemStore, StoreConfig
 from repro.sockets.api import Socket, WouldBlock
@@ -336,7 +325,7 @@ class UcrServerPort:
         self._response_cache: dict = {}
         self._cache_order: list = []
         runtime.register_handler(
-            MSG_MC_REQUEST, self._header_handler, self._completion_handler
+            ucrp.MSG_MC_REQUEST, self._header_handler, self._completion_handler
         )
         self._listen()
 
@@ -415,12 +404,12 @@ class UcrServerPort:
             self.ud_endpoints.append(ctx.create_ud_endpoint())
         return self.ud_endpoints
 
-    def _dedup_lookup(self, header: McRequest):
+    def _dedup_lookup(self, header: ucrp.McRequest):
         if not header.reply_qpn:
             return None
         return self._response_cache.get((header.reply_qpn, header.request_id))
 
-    def _dedup_store(self, header: McRequest, entry) -> None:
+    def _dedup_store(self, header: ucrp.McRequest, entry) -> None:
         if not header.reply_qpn:
             return
         key = (header.reply_qpn, header.request_id)
@@ -432,7 +421,7 @@ class UcrServerPort:
 
     # -- the active message handlers ----------------------------------------------------
 
-    def _header_handler(self, ep: "Endpoint", header: McRequest, data_length: int):
+    def _header_handler(self, ep: "Endpoint", header: ucrp.McRequest, data_length: int):
         """Identify the data's destination (paper Fig. 2, §V-B).
 
         For a Set, reserve the item now so the value (eager memcpy or
@@ -450,7 +439,7 @@ class UcrServerPort:
                 return item.chunk.rdma_location()
         return None
 
-    def _completion_handler(self, ep: "Endpoint", header: McRequest, data: bytes):
+    def _completion_handler(self, ep: "Endpoint", header: ucrp.McRequest, data: bytes):
         """Execute the operation and reply over the same endpoint."""
         server = self.server
         node = server.node
@@ -505,9 +494,9 @@ class UcrServerPort:
                 # attach under the handling operation.
                 response.trace = span.ctx
             yield from ep.send_message(
-                MSG_MC_RESPONSE,
+                ucrp.MSG_MC_RESPONSE,
                 header=response,
-                header_bytes=MC_RESPONSE_HEADER_BYTES
+                header_bytes=ucrp.MC_RESPONSE_HEADER_BYTES
                 + 8 * len(response.values_meta or []),
                 data=payload,
                 data_location=location,

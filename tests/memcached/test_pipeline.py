@@ -11,7 +11,7 @@ import pytest
 
 from repro.check.history import recorder
 from repro.cluster import CLUSTER_A, Cluster
-from repro.memcached.client import SocketsTransport
+from repro.memcached.sockets_transport import SocketsTransport
 from repro.memcached.command import Command
 from repro.memcached.errors import ClientError, ProtocolError, ServerDownError
 from repro.testing import SocketWorld
@@ -76,6 +76,14 @@ def test_pipeline_outcomes_in_order(transport, binary, depth):
     kwargs = {} if transport == "UCR-IB" else {"binary": binary}
     client = cluster.client(transport, **kwargs)
     tag = f"{transport}-{binary}-{depth}"
+    windows = []
+    execute_many = client.transport.execute_many
+
+    def spy(server, commands, window, trace=None):
+        windows.append(window)
+        return execute_many(server, commands, window, trace=trace)
+
+    client.transport.execute_many = spy
 
     def scenario():
         got = []
@@ -84,6 +92,8 @@ def test_pipeline_outcomes_in_order(transport, binary, depth):
         return got
 
     assert run(cluster, scenario()) == EXPECTED
+    # Depth 1 is the client's own loop over execute; windows start at 2.
+    assert windows == ([depth] * 3 if depth > 1 else [])
 
 
 @pytest.mark.parametrize("transport,binary", [("UCR-IB", False),
@@ -175,18 +185,33 @@ def test_pipeline_spreads_over_servers_in_submission_order():
 
 
 def test_ud_transport_serializes_the_window():
-    """UD retransmission matching is single-flight: depth collapses to 1
-    but outcomes are unchanged."""
-    cluster = fresh_cluster()
+    """UD retransmission matching is single-flight: depth collapses to 1,
+    server groups go one after the other, and outcomes are unchanged."""
+    cluster = fresh_cluster(n_servers=2)
     client = cluster.client("UCR-UD")
+    transport = client.transport
+    roundtrip = transport.roundtrip
+    in_flight, most = [], []
+
+    def counted(server, request, data=b""):
+        in_flight.append(server)
+        most.append(len(in_flight))
+        try:
+            return (yield from roundtrip(server, request, data))
+        finally:
+            in_flight.remove(server)
+
+    transport.roundtrip = counted
 
     def scenario():
         got = []
         for batch in mixed_batches("ud"):
-            got.append((yield from client.pipeline(batch, depth=8)))
+            got.append((yield from client.pipeline(batch, depth=4)))
         return got
 
     assert run(cluster, scenario()) == EXPECTED
+    assert max(most) == 1
+    assert len({client._server_for(k) for k in ("ud-a", "ud-b", "ud-n")}) == 2
 
 
 def test_pipeline_records_each_command():

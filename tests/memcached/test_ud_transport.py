@@ -153,7 +153,7 @@ def test_ud_fire_and_forget_noreply(cluster):
     """fire() sends with noreply: no response, no counter wait."""
     client = cluster.client("UCR-UD", client_node=1)
     transport = client.transport
-    from repro.memcached.server import McRequest
+    from repro.memcached.protocol_ucr import McRequest
 
     def scenario():
         yield from transport.fire(
