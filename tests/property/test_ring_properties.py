@@ -11,10 +11,13 @@ Three pinned invariants (the acceptance bar for the sharded client):
   identical mapping (pure MD5, no entropy).
 """
 
+import hashlib
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.cluster.router import DEFAULT_VNODES, HashRing, RingNode
+from repro.memcached import KetamaDistribution, ModulaDistribution
 
 N_KEYS = 10_000
 
@@ -148,6 +151,43 @@ def test_identical_membership_yields_identical_mapping(n_servers, key_seed):
     assert [a.preference_list(k) for k in keys[:50]] == [
         b.preference_list(k) for k in keys[:50]
     ]
+
+
+#: SHA-256 over ``placement_stream`` per distribution.  A key that moves
+#: to another server under any of these pools moves a digest.
+PLACEMENT_PINS = {
+    "modula": "5a57eedcd0acb9ec6a41df7116d6f34d30e53cf7b08b6611b07ceaeb8f381f98",
+    "ketama": "3e34dcc80a0e922b9f6b59cdfb102c84712d41ae56434592f18448363641a2c8",
+    "ring": "c53f9ebaa962d75710e17f12b117164218edb37a7a5625ab3a0b511c03556e2a",
+}
+
+
+def placement_stream(make) -> bytes:
+    """The owner of 2 000 keys on pools of 1-8 servers, and again after
+    the middle server of each pool of two or more leaves."""
+    keys = keys_for(6, n=2_000)
+    out = []
+    for n_servers in range(1, 9):
+        servers = [f"server{i}" for i in range(n_servers)]
+        dist = make(servers)
+        out.append(",".join(dist.server_for(k) for k in keys))
+        if n_servers > 1:
+            dist.remove_server(servers[n_servers // 2])
+            out.append(",".join(dist.server_for(k) for k in keys))
+    return "\n".join(out).encode()
+
+
+def test_key_placement_is_pinned():
+    makers = {
+        "modula": ModulaDistribution,
+        "ketama": KetamaDistribution,
+        "ring": HashRing,
+    }
+    digests = {
+        name: hashlib.sha256(placement_stream(make)).hexdigest()
+        for name, make in makers.items()
+    }
+    assert digests == PLACEMENT_PINS
 
 
 def test_membership_order_does_not_matter_for_routing():
