@@ -14,15 +14,10 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.cluster.configs import ClusterSpec
-from repro.cluster.router import HashRing
+from repro.cluster.router import HashRing, KetamaDistribution, ModulaDistribution
 from repro.core import UcrRuntime
 from repro.fabric.topology import Network, Node
-from repro.memcached.client import (
-    ClientCosts,
-    FailoverPolicy,
-    MemcachedClient,
-    ShardedClient,
-)
+from repro.memcached.client import ClientCosts, FailoverPolicy, MemcachedClient
 from repro.memcached.items import reset_cas_ids
 from repro.memcached.onesided import OneSidedTransport
 from repro.memcached.server import MemcachedCosts, MemcachedServer, UcrServerPort
@@ -37,6 +32,9 @@ from repro.verbs.device import Hca
 
 SERVER_NODE = "server"
 MEMCACHED_PORT = 11211
+
+#: :meth:`Cluster.client`'s libmemcached distribution behaviours.
+_DISTRIBUTIONS = {"modula": ModulaDistribution, "ketama": KetamaDistribution}
 
 
 class Cluster:
@@ -169,15 +167,19 @@ class Cluster:
         and "UCR-UD".  *binary* selects the binary wire protocol on
         sockets transports
         (libmemcached's BINARY_PROTOCOL behavior; ignored for UCR, whose
-        active messages are already structs).  *timeout_us* defaults to
-        the spec's ``client_timeout_us``.  *pipeline_depth* sets the
-        client's default in-flight window for batched operations.
+        active messages are already structs).  *distribution* is
+        ``"modula"`` or ``"ketama"`` over every server in the pool.
+        *timeout_us* defaults to the spec's ``client_timeout_us``.
+        *pipeline_depth* sets the client's default in-flight window for
+        batched operations.  The client has no failover policy: one
+        attempt per op.
         """
+        if distribution not in _DISTRIBUTIONS:
+            raise ValueError(f"unknown distribution {distribution!r}")
         t = self._transport(transport, client_node, costs, timeout_us, binary)
         return MemcachedClient(
             t,
-            list(self.server_names),
-            distribution=distribution,
+            _DISTRIBUTIONS[distribution](self.server_names),
             pipeline_depth=pipeline_depth,
         )
 
@@ -236,7 +238,7 @@ class Cluster:
         pipeline_depth: int = 1,
         hot_cache: Optional[ProbabilisticHotCache] = None,
         ring=None,
-    ) -> ShardedClient:
+    ) -> MemcachedClient:
         """A failure-aware client routing over the server pool.
 
         Same transports as :meth:`client`, but keys route through *ring*
@@ -251,7 +253,7 @@ class Cluster:
         :class:`~repro.memcached.serving.ProbabilisticHotCache`.
         """
         t = self._transport(transport, client_node, costs, timeout_us, binary)
-        return ShardedClient(
+        return MemcachedClient(
             t,
             ring if ring is not None else HashRing(self.server_names),
             policy=policy,

@@ -123,8 +123,8 @@ def run_sharded(fast: bool = False) -> ExperimentReport:
     Paper §II-C: "the architecture is inherently scalable as there is no
     central server to consult" -- clients hash keys across the pool.
     Here every client routes through a consistent-hash ring
-    (:class:`~repro.cluster.router.HashRing` via
-    :class:`~repro.memcached.client.ShardedClient`) over 1 vs 4 UCR
+    (:class:`~repro.cluster.router.HashRing`, from
+    :meth:`~repro.cluster.builder.Cluster.sharded_client`) over 1 vs 4 UCR
     servers on Cluster B, uniform keys, 8 closed-loop clients.
     """
     n_ops = 40 if fast else 150

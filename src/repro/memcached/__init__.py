@@ -14,8 +14,9 @@ This package reimplements the memcached 1.4-era engine the paper extends
   per the paper's §V-A dual-mode design -- the same server object accepts
   UCR endpoints through :class:`~repro.memcached.server.UcrServerPort`;
 - :class:`~repro.memcached.client.MemcachedClient`: a libmemcached-style
-  API (set/get/mget/incr/decr/delete/cas/stats) with modula or ketama
-  key distribution, over pluggable transports:
+  API (set/get/mget/incr/decr/delete/cas/stats) over any key
+  distribution of :mod:`repro.cluster.router` (modula, ketama, a hash
+  ring) and pluggable transports:
   :class:`~repro.memcached.sockets_transport.SocketsTransport` (text or
   binary protocol over sockets) and
   :class:`~repro.memcached.ucr_transport.UcrTransport` /
@@ -23,6 +24,7 @@ This package reimplements the memcached 1.4-era engine the paper extends
   messages over RC / UD).
 """
 
+from repro.cluster.router import KetamaDistribution, ModulaDistribution
 from repro.memcached.client import ClientCosts, MemcachedClient
 from repro.memcached.errors import (
     ClientError,
@@ -31,7 +33,6 @@ from repro.memcached.errors import (
     NotStoredError,
     ServerError,
 )
-from repro.memcached.hashing import KetamaDistribution, ModulaDistribution
 from repro.memcached.items import Item
 from repro.memcached.server import MemcachedServer, UcrServerPort
 from repro.memcached.sockets_transport import SocketsTransport

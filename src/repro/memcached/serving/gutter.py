@@ -12,9 +12,9 @@ primary ring's working set is untouched.
 :class:`GutterRouter` wraps two :class:`~repro.cluster.router.HashRing`
 instances and speaks the distribution protocol
 (``server_for`` / ``servers`` / ``remove_server``), so it drops into
-:class:`~repro.memcached.client.ShardedClient` unchanged: the *avoid*
-set the client passes (its ejected shards) is exactly the signal that
-redirects a key to the gutter ring.  Flow diagram: ``docs/SERVING.md``.
+:class:`~repro.memcached.client.MemcachedClient` unchanged: the *avoid*
+set a client under a failover policy passes (its ejected shards) is
+exactly the signal that redirects a key to the gutter ring.  Flow diagram: ``docs/SERVING.md``.
 """
 
 from __future__ import annotations

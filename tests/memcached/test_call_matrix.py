@@ -10,7 +10,7 @@ import pytest
 
 from repro.check.history import recorder
 from repro.cluster import CLUSTER_A, Cluster
-from repro.memcached.client import FailoverPolicy, MemcachedClient, ShardedClient
+from repro.memcached.client import FailoverPolicy, MemcachedClient
 from repro.memcached.command import Command
 from repro.memcached.serving import GutterRouter, ProbabilisticHotCache
 from repro.telemetry import tracer, tracing
@@ -68,10 +68,9 @@ def test_the_op_table_is_the_public_surface():
     keyed = {
         name for name, fn in vars(MemcachedClient).items()
         if callable(fn) and not name.startswith("_")
-    } - {"call", "get_multi", "pipeline", "flush_all", "stats"}
+    } - {"call", "get_multi", "pipeline", "flush_all", "stats",
+         "ejected_servers", "shard_health"}
     assert keyed == set(OPS)
-    # ShardedClient re-declares none of it: routing and health only.
-    assert not (set(OPS) | {"call", "pipeline"}) & set(vars(ShardedClient))
 
 
 @pytest.mark.parametrize("method", OPS)

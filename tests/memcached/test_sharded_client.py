@@ -1,4 +1,4 @@
-"""ShardedClient: ring routing, failover, ejection/rejoin, timeouts."""
+"""The sharded client: ring routing, failover, ejection/rejoin, timeouts."""
 
 import dataclasses
 
@@ -7,7 +7,7 @@ import pytest
 from repro.check.history import recorder
 from repro.cluster import CLUSTER_B, Cluster
 from repro.cluster.router import HashRing
-from repro.memcached.client import FailoverPolicy, ShardedClient
+from repro.memcached.client import FailoverPolicy
 from repro.memcached.errors import ServerDownError
 
 
@@ -30,16 +30,15 @@ def keys_owned_by(client, server, n=200, prefix="sk"):
     return [
         f"{prefix}-{i}"
         for i in range(n)
-        if client.ring.server_for(f"{prefix}-{i}") == server
+        if client.distribution.server_for(f"{prefix}-{i}") == server
     ]
 
 
 def test_sharded_client_basic_round_trip():
     cluster = pool()
     client = cluster.sharded_client("UCR-IB")
-    assert isinstance(client, ShardedClient)
-    assert client.distribution is client.ring
-    assert client.ring.servers == cluster.server_names
+    assert isinstance(client.distribution, HashRing)
+    assert client.distribution.servers == cluster.server_names
 
     def scenario():
         for i in range(30):
@@ -54,7 +53,7 @@ def test_sharded_client_basic_round_trip():
     assert client.failovers == 0
     # Keys landed on the shards the ring says they should.
     for i in range(30):
-        owner = client.ring.server_for(f"rt-{i}")
+        owner = client.distribution.server_for(f"rt-{i}")
         assert cluster.servers[owner].store.get(f"rt-{i}") is not None
 
 
@@ -278,9 +277,10 @@ def test_non_default_timeout_changes_failure_detection_latency():
     cluster.start_server()
     client = cluster.client("UCR-IB")
 
+    server = client.distribution.server_for("t")
+
     def scenario():
         yield from client.set("t", b"v")
-        server = client.distribution.server_for("t")
         cluster.ucr_ports[server].crash()
         t0 = cluster.sim.now
         with pytest.raises(ServerDownError):
@@ -291,6 +291,12 @@ def test_non_default_timeout_changes_failure_detection_latency():
     # Detection is governed by the spec timeout, not the old hardcoded
     # 1-second default.
     assert 1_500.0 <= elapsed < 10_000.0
+    # No policy: one attempt, and the loss feeds no shard-health ledger.
+    assert client.gave_up == 1
+    assert client.shard_health(server) == (0, None, 0)
+    assert client.ejected_servers() == frozenset()
+    with pytest.raises(ValueError, match="unknown distribution"):
+        cluster.client("UCR-IB", distribution="random")
 
 
 def test_sharded_client_vnodes_parameter():
@@ -298,10 +304,10 @@ def test_sharded_client_vnodes_parameter():
     client = cluster.sharded_client(
         "UCR-IB", ring=HashRing(cluster.server_names, vnodes=10)
     )
-    assert client.ring.vnodes == 10
-    assert len(client.ring) == 40  # 4 servers x 10 points
+    assert client.distribution.vnodes == 10
+    assert len(client.distribution) == 40  # 4 servers x 10 points
     default = cluster.sharded_client("UCR-IB", client_node=0)
-    assert len(default.ring) == 4 * 100
+    assert len(default.distribution) == 4 * 100
 
 
 def test_hash_ring_satisfies_distribution_protocol():

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.memcached.hashing import KetamaDistribution, ModulaDistribution
+from repro.cluster.router import KetamaDistribution, ModulaDistribution
 from repro.memcached.slabs import SlabAllocator, build_chunk_sizes
 from repro.sim import Simulator
 
