@@ -43,8 +43,9 @@ REGISTRY: dict[str, tuple[str, ...]] = {
     # Queue pairs and per-QP/per-endpoint caches (state transitions are
     # L010's job; QP-reachable queues race like any other shared state).
     "qp": ("qp", "_recv_queue", "_endpoints"),
-    # Consistent-hash ring membership and derived routing tables.
-    "ring": ("ring", "_ring", "_nodes", "_points"),
+    # Key distribution (a client's ``distribution``, a consistent-hash
+    # ring's membership and derived routing tables).
+    "ring": ("ring", "distribution", "_ring", "_nodes", "_points"),
     # Client-side failover health and in-flight request tables.
     "failover": ("_health", "_pending"),
     # Chaos controller arming latch (fault injection toggles mid-run).

@@ -242,6 +242,9 @@ def _chain(expr_src):
 
 def test_registry_classifies_known_chains():
     assert _chain("self.ring._nodes") == ("ring", "self.ring._nodes")
+    assert _chain("self.distribution.server_for") == (
+        "ring", "self.distribution.server_for"
+    )
     assert _chain("self.store.by_key")[0] == "store"
     assert _chain("self.by_key") == ("store", "self.by_key")
     assert _chain("self.lrus") == ("slabs", "self.lrus")
