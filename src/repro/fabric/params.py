@@ -68,10 +68,6 @@ class HostParams:
     #: Single-core memcpy bandwidth, bytes/µs.  Charged whenever a stack
     #: copies a buffer (sockets copies, UCR eager-path memcpy, slab writes).
     memcpy_bytes_per_us: float
-    #: Cost of crossing the user/kernel boundary once (send()/recv()/epoll).
-    syscall_us: float
-    #: Cost of taking a NIC interrupt + softirq dispatch.
-    interrupt_us: float
     #: Cost of waking and scheduling a blocked thread.
     context_switch_us: float
     #: Relative CPU speed factor (1.0 == Clovertown 2.33 GHz baseline);
@@ -145,8 +141,6 @@ HOST_CLOVERTOWN = HostParams(
     name="Clovertown",
     cores=8,
     memcpy_bytes_per_us=2200.0,
-    syscall_us=0.50,
-    interrupt_us=2.50,
     context_switch_us=1.50,
     speed_factor=1.0,
 )
@@ -156,8 +150,6 @@ HOST_WESTMERE = HostParams(
     name="Westmere",
     cores=8,
     memcpy_bytes_per_us=4000.0,
-    syscall_us=0.40,
-    interrupt_us=2.00,
     context_switch_us=1.20,
     speed_factor=1.35,
 )

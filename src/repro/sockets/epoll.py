@@ -22,14 +22,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 EPOLLIN = 0x1
 EPOLLOUT = 0x4
 
+#: CPU cost of one ``epoll_wait`` call.
+EPOLL_WAIT_US = 0.5
+
 
 class Epoll:
     """Level-triggered readiness multiplexer for simulated sockets."""
 
-    def __init__(self, sim: "Simulator", node: "Node", syscall_us: float = 0.5) -> None:
+    def __init__(self, sim: "Simulator", node: "Node") -> None:
         self.sim = sim
         self.node = node
-        self.syscall_us = syscall_us
         self._interest: dict["Socket", int] = {}
         self._wakeup = None  # armed while a wait() is blocked
 
@@ -64,7 +66,7 @@ class Epoll:
         Returns ``[(socket, ready_mask), ...]``; an empty list on timeout.
         Level-triggered: a socket stays ready until drained.
         """
-        yield from self.node.cpu_run(self.syscall_us)
+        yield from self.node.cpu_run(EPOLL_WAIT_US)
         while True:
             ready = self._poll_ready()
             if ready:

@@ -39,8 +39,6 @@ class StackParams:
     #: Which fabric network this stack drives ("10GigE", "IB-DDR", ...);
     #: resolved against the node's NICs at stack construction.
     network: str
-    #: True when the data path never enters the kernel (SDP).
-    os_bypass: bool
     #: Per-call user/kernel crossing for send()/recv()/epoll_wait().
     syscall_us: float
     #: Sender-side protocol work per segment (0 when offloaded to NIC).
@@ -100,7 +98,6 @@ class StackParams:
 STACK_TCP_1G = StackParams(
     name="1GigE-TCP",
     network="1GigE",
-    os_bypass=False,
     syscall_us=0.50,
     tx_per_segment_us=1.20,
     rx_per_segment_us=1.50,
@@ -117,7 +114,6 @@ STACK_TCP_1G = StackParams(
 STACK_TOE_10G = StackParams(
     name="10GigE-TOE",
     network="10GigE",
-    os_bypass=False,
     syscall_us=0.50,
     tx_per_segment_us=0.50,  # DMA descriptor per frame (protocol offloaded)
     rx_per_segment_us=1.50,  # per-frame buffer handling (no GRO in 2011)
@@ -133,7 +129,6 @@ STACK_TOE_10G = StackParams(
 STACK_IPOIB = StackParams(
     name="IPoIB",
     network="IB-DDR",        # re-targeted per cluster by the builder
-    os_bypass=False,
     syscall_us=0.50,
     tx_per_segment_us=2.20,
     rx_per_segment_us=2.80,
@@ -150,7 +145,6 @@ STACK_IPOIB = StackParams(
 SDP_BCOPY = StackParams(
     name="SDP",
     network="IB-DDR",        # re-targeted per cluster by the builder
-    os_bypass=True,
     syscall_us=0.40,         # library call, no kernel crossing
     tx_per_segment_us=2.00,  # SDP bcopy-buffer management per 8 KB chunk
     rx_per_segment_us=2.00,
