@@ -30,6 +30,13 @@ SIMPLE_COMMANDS = frozenset(
 )
 #: Commands that take a trailing ``noreply``.
 NOREPLY_COMMANDS = STORAGE_COMMANDS | {"delete", "incr", "decr", "touch", "flush_all"}
+#: The plain reply statuses and the one-word line each is sent as.
+_STATUSES = {
+    "stored": "STORED", "not_stored": "NOT_STORED", "exists": "EXISTS",
+    "not_found": "NOT_FOUND", "deleted": "DELETED", "touched": "TOUCHED",
+    "ok": "OK",
+}
+_MARKERS = {marker: status for status, marker in _STATUSES.items()}
 
 
 class RequestParser:
@@ -273,10 +280,7 @@ class ResponseParser:
             return ("LEASE", int(parts[1]))
         if line.isdigit():
             return int(line)
-        if line in (
-            "END", "STORED", "NOT_STORED", "EXISTS", "NOT_FOUND",
-            "DELETED", "TOUCHED", "OK", "ERROR", "LOST", "STALE",
-        ):
+        if line in _MARKERS or line in ("END", "ERROR", "LOST", "STALE"):
             return line
         raise ProtocolError(f"unrecognized response line {line!r}")
 
@@ -371,15 +375,7 @@ def encode_reply(cmd: Command, reply: Reply) -> bytes:
         return encode_stats(reply.stats or {})
     if status == "version":
         return f"VERSION {reply.message}\r\n".encode()
-    return {
-        "stored": b"STORED\r\n",
-        "not_stored": b"NOT_STORED\r\n",
-        "exists": b"EXISTS\r\n",
-        "not_found": b"NOT_FOUND\r\n",
-        "deleted": b"DELETED\r\n",
-        "touched": b"TOUCHED\r\n",
-        "ok": b"OK\r\n",
-    }[status]
+    return _STATUSES[status].encode() + CRLF
 
 
 class ReplyAssembler:
@@ -455,17 +451,8 @@ class ReplyAssembler:
             raise ProtocolError(f"unexpected token {token!r} in stats reply")
         if isinstance(token, int):
             return self._done(Reply("number", number=token))
-        marker_map = {
-            "STORED": "stored",
-            "NOT_STORED": "not_stored",
-            "EXISTS": "exists",
-            "NOT_FOUND": "not_found",
-            "DELETED": "deleted",
-            "TOUCHED": "touched",
-            "OK": "ok",
-        }
-        if isinstance(token, str) and token in marker_map:
-            return self._done(Reply(marker_map[token]))
+        if isinstance(token, str) and token in _MARKERS:
+            return self._done(Reply(_MARKERS[token]))
         raise ProtocolError(f"unexpected token {token!r} for {op}")
 
 
