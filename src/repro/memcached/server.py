@@ -24,6 +24,7 @@ values are served zero-copy straight out of registered slab pages.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -45,6 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fabric.topology import Node
     from repro.sim import Simulator
     from repro.sockets.stack import SocketStack
+
+#: UD responses the at-most-once cache keeps for replay (FIFO).
+_DEDUP_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -321,9 +325,8 @@ class UcrServerPort:
         self.ud_endpoints: list["Endpoint"] = []
         #: True while the port accepts connections (chaos flips this).
         self.listening = False
-        #: At-most-once cache for UD retransmissions.
-        self._response_cache: dict = {}
-        self._cache_order: list = []
+        #: At-most-once cache for UD retransmissions, oldest first.
+        self._response_cache: OrderedDict = OrderedDict()
         runtime.register_handler(
             ucrp.MSG_MC_REQUEST, self._header_handler, self._completion_handler
         )
@@ -412,12 +415,10 @@ class UcrServerPort:
     def _dedup_store(self, header: ucrp.McRequest, entry) -> None:
         if not header.reply_qpn:
             return
-        key = (header.reply_qpn, header.request_id)
-        self._response_cache[key] = entry
-        self._cache_order.append(key)
-        while len(self._cache_order) > 1024:
-            old = self._cache_order.pop(0)
-            self._response_cache.pop(old, None)
+        cache = self._response_cache
+        cache[(header.reply_qpn, header.request_id)] = entry
+        if len(cache) > _DEDUP_ENTRIES:
+            cache.popitem(last=False)
 
     # -- the active message handlers ----------------------------------------------------
 

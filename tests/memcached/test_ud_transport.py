@@ -116,6 +116,25 @@ def test_ud_duplicate_suppression_keeps_incr_exact():
     assert value == 107  # applied exactly once despite the retransmit
 
 
+def test_ud_dedup_cache_keeps_the_last_1024_responses():
+    """The at-most-once cache is FIFO-bounded at 1 024 entries: a retry
+    older than that would re-execute."""
+    from repro.memcached.protocol_ucr import McRequest
+
+    cluster = Cluster(CLUSTER_B, n_client_nodes=1)
+    cluster.start_server()
+    port = cluster.ucr_ports["server"]
+    headers = [
+        McRequest(op="incr", keys=["k"], reply_qpn=7, request_id=i)
+        for i in range(1025)
+    ]
+    for i, header in enumerate(headers):
+        port._dedup_store(header, ("response", i))
+    assert port._dedup_lookup(headers[0]) is None
+    assert port._dedup_lookup(headers[1]) == ("response", 1)
+    assert port._dedup_lookup(headers[-1]) == ("response", 1024)
+
+
 def test_ud_large_value_rejected(cluster):
     """UD is eager-only; values beyond the threshold cannot ride it."""
     client = cluster.client("UCR-UD")
