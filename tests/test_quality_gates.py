@@ -153,7 +153,7 @@ def test_no_wall_clock_leakage():
 #: only tightens: lower an entry when its module shrinks, and delete it
 #: once the module is back at 600 or fewer.
 OVERSIZE = {
-    "memcached/client.py": 811,
+    "memcached/client.py": 765,
     "memcached/store.py": 630,
     "lint/flow.py": 741,
     "lint/rules.py": 663,
