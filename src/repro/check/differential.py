@@ -242,18 +242,13 @@ def replay(
     if depth > 1 and store_config is not None:
         raise ValueError("eviction adoption needs depth 1: windows have no drain point")
     name, transport, binary = config
-    sc = store_config or StoreConfig()
     cluster = Cluster(CLUSTER_A, n_client_nodes=1, seed=seed)
-    cluster.start_server(store_config=sc)
+    cluster.start_server(store_config=store_config or StoreConfig())
     store = cluster.server.store
     if mutation is not None:
         MUTATIONS[mutation](store)
     client = cluster.client(transport, binary=binary)
-    oracle = ModelMemcached(
-        lambda: cluster.sim.now / 1e6,
-        lease_ttl_s=sc.lease_ttl_s,
-        stale_window_s=sc.stale_window_s,
-    )
+    oracle = ModelMemcached(lambda: cluster.sim.now / 1e6)
     result = ReplayResult(config=name if depth <= 1 else f"{name}/pipe{depth}")
     # Raw tokens differ per side (MODEL_DIVERGENCES 'cas-token-values'):
     # each resolves 'last' from its own memory and canonicalizes by its
@@ -412,14 +407,14 @@ def differential_run(
     """Replay *steps* through every configuration (*depth* in flight);
     compare each with the oracle and all of them with each other.
 
-    ``tolerant=True`` is the pressure-mode comparator: transports evict
-    different victims (the zero-copy UCR path allocates before the old
-    item is unlinked, and its add/replace existence probe touches the
-    LRU), so cross-config agreement is latched per key -- the first
-    difference on a key must be presence-flavored (see
-    :func:`_eviction_explains`); after that the key's divergence is an
-    accepted fact and later differences on it are excused.  Every
-    replay is still held to exact per-op agreement with its own oracle.
+    ``tolerant=True`` is the pressure-mode comparator: transports can
+    evict different victims (the zero-copy UCR set allocates before the
+    old item is unlinked, the byte path after), so cross-config agreement
+    is latched per key -- the first difference on a key must be
+    presence-flavored (see :func:`_eviction_explains`); after that the
+    key's divergence is an accepted fact and later differences on it are
+    excused.  Every replay is still held to exact per-op agreement with
+    its own oracle.
     """
     replays = [
         replay(cfg, steps, depth=depth, seed=seed, mutation=mutation,

@@ -341,13 +341,11 @@ class ModelMemcached:
             item.value = new
             item.cas = self._bump_cas()
         else:
-            # Chunk refit: the store does a full re-store with exptime=0,
-            # silently making the counter immortal.  Mirrored bug-for-bug.
-            flags = item.flags
+            # Chunk refit: a full re-store that keeps flags and deadline.
             self._items[key] = ModelItem(
                 value=new,
-                flags=flags,
-                exptime=0.0,
+                flags=item.flags,
+                exptime=item.exptime,
                 cas=self._bump_cas(),
                 created_at=self.now_seconds(),
                 chunk_capacity=self._chunk_capacity(key, new),

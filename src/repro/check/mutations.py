@@ -13,25 +13,24 @@ from typing import Callable
 
 
 def _mutate_incr_off_by_one(store) -> None:
-    orig = store.incr
-    store.incr = lambda key, delta: orig(key, delta + 1)
+    orig = store.arith
+    store.arith = lambda key, delta: orig(key, delta + 1 if delta >= 0 else delta)
 
 
 def _mutate_set_truncates(store) -> None:
-    # Two entry points: plain set (sockets, zero-length UCR values) and
-    # the reserve/commit zero-copy path (UCR with a payload).
-    orig_set = store.set
-    store.set = lambda key, value, flags=0, exptime=0: orig_set(
-        key, value[:-1] if len(value) > 1 else value, flags, exptime
-    )
-    orig_commit = store.commit
+    # The one storage path: every set, bytes (sockets, zero-length UCR
+    # values) or a reserved zero-copy item (UCR with a payload).
+    orig = store.store
 
-    def commit(item):
-        if item.value_length > 1:
-            item.value_length -= 1
-        return orig_commit(item)
+    def store_(op, key, value, flags=0, exptime=0, cas_token=0, reserved=None):
+        if op == "set":
+            if reserved is not None and reserved.value_length > 1:
+                reserved.value_length -= 1
+            elif len(value) > 1:
+                value = value[:-1]
+        return orig(op, key, value, flags, exptime, cas_token, reserved)
 
-    store.commit = commit
+    store.store = store_
 
 
 def _mutate_delete_lies(store) -> None:

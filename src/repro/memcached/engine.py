@@ -52,35 +52,13 @@ class CommandEngine:
             return Reply("values", values=entries)
         if op == "getl":
             state, item, token = store.getl(cmd.key, cmd.stale_ok)
+            values = [(item.key, item.flags, item, item.cas)] if item else []
             if state == "hit":
-                return Reply(
-                    "values", values=[(item.key, item.flags, item, item.cas)]
-                )
-            values = []
-            stale = False
-            if item is not None:
-                values = [(item.key, item.flags, item, item.cas)]
-                stale = True
+                return Reply("values", values=values)
             return Reply("values", values=values, lease_state=state,
-                         lease_token=token, stale=stale)
-        if op in ("set", "add", "replace"):
+                         lease_token=token, stale=item is not None)
+        if op in ("set", "add", "replace", "append", "prepend", "cas"):
             return self._storage(store, cmd, op)
-        if op == "cas":
-            outcome = store.cas(cmd.key, cmd.value, cmd.cas, cmd.flags, cmd.exptime)
-            reply = Reply(outcome)
-            if outcome == "stored" and cmd.want_cas_token:
-                item = store.get(cmd.key)
-                reply.cas = item.cas if item else 0
-            return reply
-        if op in ("append", "prepend"):
-            item = (
-                store.append(cmd.key, cmd.value)
-                if op == "append"
-                else store.prepend(cmd.key, cmd.value)
-            )
-            if item is None:
-                return Reply("not_stored")
-            return Reply("stored", cas=item.cas)
         if op == "delete":
             return Reply("deleted" if store.delete(cmd.key) else "not_found")
         if op in ("incr", "decr"):
@@ -107,60 +85,41 @@ class CommandEngine:
                      error_kind="client", detail="unknown")
 
     def _storage(self, store, cmd: Command, op: str) -> Reply:
-        item = cmd.reserved_item
-        if cmd.lease_token and not store.leases.validate(cmd.key, cmd.lease_token):
+        # A two-phase UCR set arrives with its slab chunk reserved by the
+        # header handler (the value already landed in it).
+        reserved, cmd.reserved_item = cmd.reserved_item, None
+        if (cmd.lease_token and op in ("set", "add", "replace")
+                and not store.leases.validate(cmd.key, cmd.lease_token)):
             # A lease-carrying fill whose token is no longer live (the
             # key was mutated, deleted or flushed since the lease was
             # won, or the lease TTL elapsed): refuse the stale fill.
-            if item is not None:
-                cmd.reserved_item = None
-                store.abandon(item)
+            if reserved is not None:
+                store.abandon(reserved)
             return Reply("not_stored")
-        if item is not None:
-            # Two-phase UCR path: the header handler already reserved the
-            # slab chunk (the RDMA READ landed the value in place).
-            cmd.reserved_item = None
-            if op != "set":
-                exists = store.get(cmd.key) is not None
-                if (op == "add" and exists) or (op == "replace" and not exists):
-                    store.abandon(item)
-                    return Reply("not_stored")
-            if item.chunk.page.mr is None:
-                # Store wasn't RDMA-registered: write through the item.
-                item.set_value(cmd.value)
-            store.commit(item)
-            return Reply("stored", cas=item.cas)
-        stored = getattr(store, op)(cmd.key, cmd.value, cmd.flags, cmd.exptime)
-        if stored is None:
-            return Reply("not_stored")
-        return Reply("stored", cas=stored.cas)
+        status, item = store.store(op, cmd.key, cmd.value, cmd.flags, cmd.exptime,
+                                   cmd.cas, reserved)
+        return Reply(status, cas=item.cas if item else 0)
 
     def _arith(self, store, cmd: Command, op: str) -> Reply:
-        if cmd.want_cas_token:
-            # Binary semantics: probe first (invalid keys fail here, as a
-            # plain client error -> INVALID_ARGUMENTS on that wire), then
-            # either auto-create on miss or apply and report the cas.
-            existing = store.get(cmd.key)
-            if existing is None:
-                if cmd.create_exptime is None:
-                    return Reply("not_found")
-                item = store.set(cmd.key, str(cmd.initial).encode(), 0,
-                                 cmd.create_exptime)
-                return Reply("number", number=cmd.initial, cas=item.cas)
-            try:
-                value = store.incr(cmd.key, cmd.delta) if op == "incr" \
-                    else store.decr(cmd.key, cmd.delta)
-            except ClientError as exc:
-                # Only arithmetic distinguishes NON_NUMERIC on the binary
-                # wire; the detail channel carries that through the IR.
-                return Reply("error", message=str(exc), error_kind="client",
-                             detail="non_numeric")
-            item = store.get(cmd.key)
-            return Reply("number", number=value, cas=item.cas if item else 0)
-        # Text/UCR semantics: no auto-create, a miss is not_found and a
-        # non-numeric value surfaces as a plain client error.
-        value = store.incr(cmd.key, cmd.delta) if op == "incr" \
-            else store.decr(cmd.key, cmd.delta)
+        binary = cmd.want_cas_token
+        if binary:
+            # An invalid key fails here, as a plain client error
+            # (INVALID_ARGUMENTS on the binary wire).
+            store.validate_key(cmd.key)
+        try:
+            value, item = store.arith(cmd.key, cmd.delta if op == "incr" else -cmd.delta)
+        except ClientError as exc:
+            if not binary:
+                raise
+            # Only arithmetic distinguishes NON_NUMERIC on the binary
+            # wire; the detail channel carries that through the IR.
+            return Reply("error", message=str(exc), error_kind="client",
+                         detail="non_numeric")
         if value is None:
-            return Reply("not_found")
-        return Reply("number", number=value)
+            # Text/UCR never auto-create (create_exptime is None): a miss
+            # is not_found.  Binary seeds the counter with *initial*.
+            if cmd.create_exptime is None:
+                return Reply("not_found")
+            item = store.set(cmd.key, str(cmd.initial).encode(), 0, cmd.create_exptime)
+            value = cmd.initial
+        return Reply("number", number=value, cas=item.cas)

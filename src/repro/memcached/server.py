@@ -426,18 +426,19 @@ class UcrServerPort:
         """Identify the data's destination (paper Fig. 2, §V-B).
 
         For a Set, reserve the item now so the value (eager memcpy or
-        RDMA READ alike) lands directly in its slab chunk.
+        RDMA READ alike) lands directly in its slab chunk.  A store whose
+        slab pages are not RDMA-registered has no chunk to name: its
+        values take the bounce buffer and the byte path.
         """
-        if header.op in ("set", "add", "replace") and data_length > 0:
+        store = self.server.store
+        if (header.op in ("set", "add", "replace") and data_length > 0
+                and store.slabs.pd is not None):
             try:
-                item = self.server.store.reserve(
-                    header.keys[0], data_length, header.flags, header.exptime
-                )
+                item = store.reserve(header.keys[0], data_length, header.flags, header.exptime)
             except (ClientError, ServerError):
                 return None  # fall back to bounce buffer; op will re-fail
             header.reserved_item = item
-            if item.chunk.page.mr is not None:
-                return item.chunk.rdma_location()
+            return item.chunk.rdma_location()
         return None
 
     def _completion_handler(self, ep: "Endpoint", header: ucrp.McRequest, data: bytes):

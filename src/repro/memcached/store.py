@@ -43,28 +43,30 @@ COUNTER_LIMIT = 2**64
 RECLAIM_SCAN = 50
 
 
+#: Minimum sim-seconds between slab page moves (memcached's automover is
+#: similarly rate-limited; this keeps the mover off the hot path).
+SLAB_AUTOMOVE_WINDOW_S = 1.0
+#: How long a won ``getl`` fill lease stays exclusive before the next
+#: miss may re-win it (holder presumed dead).  See docs/SERVING.md; the
+#: table itself lives at ``ItemStore.leases``.
+LEASE_TTL_S = 2.0
+#: How long past its exptime an expired value stays servable to
+#: ``getl ... stale`` callers that lost the lease race.
+STALE_WINDOW_S = 10.0
+
+
 @dataclass(frozen=True)
 class StoreConfig:
-    """Engine sizing knobs (memcached command-line equivalents)."""
+    """Engine sizing knobs (memcached command-line equivalents).  The
+    chunk ladder (-n, -f) is memcached's default, ``slabs.CHUNK_MIN`` /
+    ``slabs.GROWTH_FACTOR``."""
 
     max_bytes: int = 64 * PAGE_BYTES        # -m
     evictions_enabled: bool = True           # -M inverts this
-    chunk_min: int = CHUNK_MIN               # -n
-    growth_factor: float = GROWTH_FACTOR     # -f
     #: The slab mover: when an allocation fails, reassign an empty page
     #: from another class before evicting.  Off by default -- enabling it
     #: changes eviction victims, so default runs stay digest-identical.
     slab_automove: bool = False
-    #: Minimum sim-seconds between page moves (memcached's automover is
-    #: similarly rate-limited; this keeps the mover off the hot path).
-    slab_automove_window_s: float = 1.0
-    #: How long a won ``getl`` fill lease stays exclusive before the
-    #: next miss may re-win it (holder presumed dead).  See
-    #: docs/SERVING.md; the table itself lives at ``ItemStore.leases``.
-    lease_ttl_s: float = 2.0
-    #: How long past its exptime an expired value stays servable to
-    #: ``getl ... stale`` callers that lost the lease race.
-    stale_window_s: float = 10.0
 
 
 @dataclass
@@ -108,12 +110,7 @@ class ItemStore:
     ) -> None:
         self.sim = sim
         self.config = config
-        self.slabs = SlabAllocator(
-            max_bytes=config.max_bytes,
-            pd=pd,
-            chunk_min=config.chunk_min,
-            factor=config.growth_factor,
-        )
+        self.slabs = SlabAllocator(max_bytes=config.max_bytes, pd=pd)
         #: key -> linked item: the index every lookup goes through.
         self.by_key: dict[str, Item] = {}
         #: One LRU per slab class, indexed by class id: linked items,
@@ -135,7 +132,7 @@ class ItemStore:
         self.on_evict: Optional[Callable[[str, str], None]] = None
         self._last_automove_s = float("-inf")
         #: Anti-dogpile fill leases, keyed by key (docs/SERVING.md).
-        self.leases = LeaseTable(self.now_seconds, config.lease_ttl_s)
+        self.leases = LeaseTable(self.now_seconds, LEASE_TTL_S)
         #: The exported one-sided index, when this store backs an
         #: RDMA-capable server (set by ExportedIndex itself).  Every
         #: write-path hook below is pure Python: digest-neutral.
@@ -156,82 +153,93 @@ class ItemStore:
             return self.now_seconds() + exptime
         return float(exptime)
 
-    # -- storage commands -----------------------------------------------------------
+    # -- storage commands: one path ---------------------------------------------------
+
+    def store(self, op: str, key: str, value: bytes, flags: int = 0, exptime: float = 0,
+              cas_token: int = 0, reserved: Optional[Item] = None) -> tuple[str, Optional[Item]]:
+        """set / add / replace / append / prepend / cas, the one way in.
+
+        Returns ``("stored", linked item)`` or ``(status, None)`` with
+        status ``not_stored`` (add of a present key; replace, append or
+        prepend of an absent one) or, for cas, ``not_found`` / ``exists``.
+        Every call counts one ``cmd_set``, as memcached's
+        ``process_update_command`` does.  Replacement is unlink-first:
+        the old item is gone before the new one is allocated, so a
+        failed allocation reports the old value ``"lost"`` to
+        ``on_evict``.  append / prepend keep the old flags and deadline.
+
+        *reserved* is a two-phase UCR item (:meth:`reserve`): its chunk
+        already holds the value, and it keeps the flags and exptime it
+        was reserved with, so *value*, *flags* and *exptime* are unused.
+        A reserved item that is not stored is abandoned here.
+        """
+        self.validate_key(key)
+        self.stats.cmd_set += 1
+        old = self._live_item(key)
+        status = "stored"
+        if op == "cas":
+            if old is None:
+                self.stats.cas_misses += 1
+                status = "not_found"
+            elif old.cas != cas_token:
+                self.stats.cas_badval += 1
+                status = "exists"
+            else:
+                self.stats.cas_hits += 1
+        elif op != "set" and (old is None) != (op == "add"):
+            # add needs the key absent; replace / append / prepend present.
+            status = "not_stored"
+        if status != "stored":
+            if reserved is not None:
+                self.abandon(reserved)
+            return status, None
+        if op in ("append", "prepend"):
+            value = old.value() + value if op == "append" else value + old.value()
+            flags, deadline = old.flags, old.exptime
+        else:
+            deadline = self.absolute_exptime(exptime)
+        return "stored", self._replace(old, key, value, flags, deadline, reserved)
 
     def set(self, key: str, value: bytes, flags: int = 0, exptime: float = 0) -> Item:
-        """Unconditional store."""
-        self._validate_key(key)
-        self.stats.cmd_set += 1
-        old = self._live_item(key)
-        if old is not None:
-            self._unlink(old)
-        return self._store_new_replacing(key, value, flags, exptime, old)
+        return self.store("set", key, value, flags, exptime)[1]
 
     def add(self, key: str, value: bytes, flags: int = 0, exptime: float = 0) -> Optional[Item]:
-        """Store only if absent; None means NOT_STORED."""
-        self._validate_key(key)
-        self.stats.cmd_set += 1
-        if self._live_item(key) is not None:
-            return None
-        return self._store_new(key, value, flags, exptime)
+        return self.store("add", key, value, flags, exptime)[1]
 
     def replace(self, key: str, value: bytes, flags: int = 0, exptime: float = 0) -> Optional[Item]:
-        """Store only if present; None means NOT_STORED."""
-        self._validate_key(key)
-        self.stats.cmd_set += 1
-        old = self._live_item(key)
-        if old is None:
-            return None
-        self._unlink(old)
-        return self._store_new_replacing(key, value, flags, exptime, old)
+        return self.store("replace", key, value, flags, exptime)[1]
 
     def append(self, key: str, suffix: bytes) -> Optional[Item]:
-        return self._concat(key, suffix, append=True)
+        return self.store("append", key, suffix)[1]
 
     def prepend(self, key: str, prefix: bytes) -> Optional[Item]:
-        return self._concat(key, prefix, append=False)
+        return self.store("prepend", key, prefix)[1]
 
     def cas(self, key: str, value: bytes, cas_token: int, flags: int = 0, exptime: float = 0) -> str:
         """Compare-and-swap; returns 'stored' | 'exists' | 'not_found'."""
-        self._validate_key(key)
-        item = self._live_item(key)
-        if item is None:
-            self.stats.cas_misses += 1
-            return "not_found"
-        if item.cas != cas_token:
-            self.stats.cas_badval += 1
-            return "exists"
-        self.stats.cas_hits += 1
-        self._unlink(item)
-        self._store_new_replacing(key, value, flags, exptime, item)
-        return "stored"
+        return self.store("cas", key, value, flags, exptime, cas_token)[0]
 
     # -- retrieval ---------------------------------------------------------------------
 
     def get(self, key: str) -> Optional[Item]:
         """Retrieve a live item (lazy expiry; bumps LRU and stats)."""
-        self._validate_key(key)
+        self.validate_key(key)
         self.stats.cmd_get += 1
         item = self._live_item(key)
         if item is None:
             self.stats.get_misses += 1
             return None
+        return self._hit(item, self.now_seconds())
+
+    def _hit(self, item: Item, now: float) -> Item:
+        """A read hit (get and getl alike): count it and bump the LRU."""
         self.stats.get_hits += 1
-        item.last_access = self.now_seconds()
+        item.last_access = now
         self.lrus[item.chunk.slab_class.class_id].move_to_end(item)
         if self.onesided is not None:
             # Collision takeover / republish after a flush invalidation.
             self.onesided.ensure(item)
         return item
-
-    def get_multi(self, keys: list[str]) -> dict[str, Item]:
-        """The mget path: one pass, misses simply absent from the result."""
-        out: dict[str, Item] = {}
-        for key in keys:
-            item = self.get(key)
-            if item is not None:
-                out[key] = item
-        return out
 
     def getl(self, key: str, stale_ok: bool = False) -> tuple[str, Optional[Item], int]:
         """Get-with-lease (the anti-dogpile read, docs/SERVING.md).
@@ -243,24 +251,19 @@ class ItemStore:
           the fill lease: regenerate and ``set`` with *token*;
         - ``("lost", stale_or_None, 0)`` -- miss, someone else holds the
           lease; with *stale_ok* the expired ghost (if still within
-          ``stale_window_s`` of its exptime) rides along to serve.
+          ``STALE_WINDOW_S`` of its exptime) rides along to serve.
 
         Unlike :meth:`get`, an expired ghost is **not** unlinked here:
         the stale value must survive for lease losers to serve while
         the winner regenerates.  Lazy reaping stays with the ordinary
         read/write paths.  The stale peek is deliberately LRU-neutral.
         """
-        self._validate_key(key)
+        self.validate_key(key)
         self.stats.cmd_get += 1
         item = self.by_key.get(key)
         now = self.now_seconds()
         if item is not None and not (item.is_expired(now) or self._is_flushed(item)):
-            self.stats.get_hits += 1
-            item.last_access = now
-            self.lrus[item.chunk.slab_class.class_id].move_to_end(item)
-            if self.onesided is not None:
-                self.onesided.ensure(item)
-            return "hit", item, 0
+            return "hit", self._hit(item, now), 0
         self.stats.get_misses += 1
         stale: Optional[Item] = None
         if stale_ok and item is not None and self._stale_servable(item, now):
@@ -281,13 +284,13 @@ class ItemStore:
             return False
         if item.exptime <= 0:
             return False
-        return now < item.exptime + self.config.stale_window_s
+        return now < item.exptime + STALE_WINDOW_S
 
     # -- mutation ----------------------------------------------------------------------
 
     def delete(self, key: str) -> bool:
         """Unlink *key*; True if it was present and live."""
-        self._validate_key(key)
+        self.validate_key(key)
         item = self._live_item(key)
         if item is None:
             self.stats.delete_misses += 1
@@ -298,10 +301,46 @@ class ItemStore:
         return True
 
     def incr(self, key: str, delta: int) -> Optional[int]:
-        return self._arith(key, delta)
+        return self.arith(key, delta)[0]
 
     def decr(self, key: str, delta: int) -> Optional[int]:
-        return self._arith(key, -delta)
+        return self.arith(key, -delta)[0]
+
+    def arith(self, key: str, delta: int) -> tuple[Optional[int], Optional[Item]]:
+        """incr (*delta* >= 0, wraps at uint64) or decr (clamps at zero).
+
+        Returns ``(new value, item)``, or ``(None, None)`` on a miss.  A
+        result that outgrows its chunk is re-stored with the old flags and
+        deadline, as memcached's ``do_add_delta`` allocates it."""
+        self.validate_key(key)
+        item = self._live_item(key)
+        counter = "incr" if delta >= 0 else "decr"
+        if item is None:
+            setattr(self.stats, f"{counter}_misses", getattr(self.stats, f"{counter}_misses") + 1)
+            return None, None
+        raw = item.value()
+        if not raw.isdigit() or int(raw) >= COUNTER_LIMIT:
+            raise ClientError("cannot increment or decrement non-numeric value")
+        if delta >= 0:
+            value = (int(raw) + delta) % COUNTER_LIMIT  # incr wraps (uint64)
+        else:
+            value = max(0, int(raw) + delta)  # decr clamps at zero, per spec
+        new = str(value).encode()
+        setattr(self.stats, f"{counter}_hits", getattr(self.stats, f"{counter}_hits") + 1)
+        if len(new) > item.chunk.capacity - ITEM_HEADER_OVERHEAD - len(key):
+            return value, self._replace(item, key, new, item.flags, item.exptime)
+        old_len = item.value_length
+        if self.onesided is not None:
+            # In-place chunk mutation: open the seqlock window first
+            # (bump-to-odd) so no one-sided reader can accept bytes
+            # torn across this edit, republish (bump-to-even) after.
+            self.onesided.withdraw(item)
+        item.set_value(new)
+        item.bump_cas()
+        if self.onesided is not None:
+            self.onesided.publish(item)
+        self.stats.bytes += len(new) - old_len
+        return value, item
 
     def touch(self, key: str, exptime: float) -> bool:
         """Update expiry without touching the value; True on hit."""
@@ -325,27 +364,13 @@ class ItemStore:
     def reserve(self, key: str, value_length: int, flags: int = 0, exptime: float = 0) -> Item:
         """Phase 1: allocate an (unlinked) item so its slab chunk can be
         named as the RDMA READ destination before the value arrives."""
-        self._validate_key(key)
-        total = ITEM_HEADER_OVERHEAD + len(key) + value_length
-        if total > PAGE_BYTES:
-            raise ServerError("object too large for cache")
-        chunk = self.slabs.alloc(total)
-        if chunk is None:
-            chunk = self._evict_and_retry(total)
-        item = Item(key, flags, self.absolute_exptime(exptime), value_length, chunk)
-        item.created_at = self.now_seconds()
-        item.last_access = item.created_at
-        return item
+        self.validate_key(key)
+        return self._alloc(key, value_length, flags, self.absolute_exptime(exptime))
 
     def commit(self, item: Item) -> Item:
         """Phase 2: the value is in the chunk; link the item (replacing any
         existing entry for the key)."""
-        self.stats.cmd_set += 1
-        old = self._live_item(item.key)
-        if old is not None:
-            self._unlink(old)
-        self._link(item)
-        return item
+        return self.store("set", item.key, b"", reserved=item)[1]
 
     def abandon(self, item: Item) -> None:
         """Cancel a reservation (transfer failed): free the chunk."""
@@ -355,94 +380,36 @@ class ItemStore:
 
     # -- internals ------------------------------------------------------------------------
 
-    def _arith(self, key: str, delta: int) -> Optional[int]:
-        self._validate_key(key)
-        item = self._live_item(key)
-        counter = "incr" if delta >= 0 else "decr"
+    def _replace(self, old: Optional[Item], key: str, value: bytes, flags: int,
+                 deadline: float, reserved: Optional[Item] = None) -> Item:
+        """Unlink *old*, then link *reserved* or a new item holding
+        *value* (memcached's order: an allocation failure here has already
+        destroyed the old value, and the loss is reported so verification
+        can adopt it)."""
+        if old is not None:
+            self._unlink(old)
+        item = reserved
         if item is None:
-            setattr(self.stats, f"{counter}_misses", getattr(self.stats, f"{counter}_misses") + 1)
-            return None
-        raw = item.value()
-        if not raw.isdigit() or int(raw) >= COUNTER_LIMIT:
-            raise ClientError("cannot increment or decrement non-numeric value")
-        if delta >= 0:
-            value = (int(raw) + delta) % COUNTER_LIMIT  # incr wraps (uint64)
-        else:
-            value = max(0, int(raw) + delta)  # decr clamps at zero, per spec
-        new = str(value).encode()
-        setattr(self.stats, f"{counter}_hits", getattr(self.stats, f"{counter}_hits") + 1)
-        if len(new) <= item.chunk.capacity - ITEM_HEADER_OVERHEAD - len(key):
-            old_len = item.value_length
-            if self.onesided is not None:
-                # In-place chunk mutation: open the seqlock window first
-                # (bump-to-odd) so no one-sided reader can accept bytes
-                # torn across this edit, republish (bump-to-even) after.
-                self.onesided.withdraw(item)
-            item.set_value(new)
-            item.bump_cas()
-            if self.onesided is not None:
-                self.onesided.publish(item)
-            self.stats.bytes += len(new) - old_len
-        else:  # needs a bigger chunk: full re-store
-            flags, exptime = item.flags, item.exptime
-            self._unlink(item)
-            self._store_new_replacing(key, new, flags, 0, item)
-        return value
-
-    def _concat(self, key: str, data: bytes, append: bool) -> Optional[Item]:
-        self._validate_key(key)
-        self.stats.cmd_set += 1
-        item = self._live_item(key)
-        if item is None:
-            return None
-        combined = item.value() + data if append else data + item.value()
-        flags = item.flags
-        exptime = item.exptime
-        self._unlink(item)
-        # exptime already absolute: store directly.
-        try:
-            new_item = self._alloc_item(key, combined, flags)
-        except ServerError:
-            # Unlink-first order: the old value is already gone.
-            if self.on_evict is not None:
-                self.on_evict(key, "lost")
-            raise
-        new_item.exptime = exptime
-        self._link(new_item)
-        return new_item
-
-    def _store_new(self, key: str, value: bytes, flags: int, exptime: float) -> Item:
-        item = self._alloc_item(key, value, flags)
-        item.exptime = self.absolute_exptime(exptime)
+            try:
+                item = self._alloc(key, len(value), flags, deadline)
+            except ServerError:
+                if old is not None and self.on_evict is not None:
+                    self.on_evict(key, "lost")
+                raise
+            item.set_value(value)
         self._link(item)
         return item
 
-    def _store_new_replacing(
-        self, key: str, value: bytes, flags: int, exptime: float, old: Optional[Item]
-    ) -> Item:
-        """Store after an unlink-first replacement.
-
-        memcached unlinks the old item *before* allocating the new one,
-        so an allocation failure here (OOM, object too large) has
-        already destroyed the old value.  The loss is reported through
-        the eviction hook so verification can adopt it.
-        """
-        try:
-            return self._store_new(key, value, flags, exptime)
-        except ServerError:
-            if old is not None and self.on_evict is not None:
-                self.on_evict(key, "lost")
-            raise
-
-    def _alloc_item(self, key: str, value: bytes, flags: int) -> Item:
-        total = ITEM_HEADER_OVERHEAD + len(key) + len(value)
+    def _alloc(self, key: str, value_length: int, flags: int, deadline: float) -> Item:
+        """An unlinked item with a chunk for *value_length* bytes, evicting
+        from the class's LRU if the slab allocator is full."""
+        total = ITEM_HEADER_OVERHEAD + len(key) + value_length
         if total > PAGE_BYTES:
             raise ServerError("object too large for cache")
         chunk = self.slabs.alloc(total)
         if chunk is None:
             chunk = self._evict_and_retry(total)
-        item = Item(key, flags, 0.0, len(value), chunk)
-        item.set_value(value)
+        item = Item(key, flags, deadline, value_length, chunk)
         item.created_at = self.now_seconds()
         item.last_access = item.created_at
         return item
@@ -489,7 +456,7 @@ class ItemStore:
         if not self.config.slab_automove:
             return False
         now = self.now_seconds()
-        if now - self._last_automove_s < self.config.slab_automove_window_s:
+        if now - self._last_automove_s < SLAB_AUTOMOVE_WINDOW_S:
             return False
         for donor in self.slabs.classes:
             if donor is needy:
@@ -566,7 +533,7 @@ class ItemStore:
         self.slabs.free(item.chunk)
 
     @staticmethod
-    def _validate_key(key: str) -> None:
+    def validate_key(key: str) -> None:
         if not key or len(key) > MAX_KEY_LENGTH:
             raise ClientError(f"bad key length {len(key)}")
         if any(c in key for c in " \r\n\t\0"):
@@ -615,14 +582,15 @@ class ItemStore:
         return out
 
     def settings_dict(self) -> dict[str, int]:
-        """``stats settings``: the -m/-M/-n/-f view of :class:`StoreConfig`
-        (growth factor scaled by 100 to stay integral on the wire)."""
+        """``stats settings``: the -m/-M view of :class:`StoreConfig` and the
+        fixed -n/-f chunk ladder (growth factor scaled by 100 to stay
+        integral on the wire)."""
         cfg = self.config
         return {
             "maxbytes": cfg.max_bytes,
             "evictions": int(cfg.evictions_enabled),
-            "chunk_size": cfg.chunk_min,
-            "growth_factor_x100": int(round(cfg.growth_factor * 100)),
+            "chunk_size": CHUNK_MIN,
+            "growth_factor_x100": int(round(GROWTH_FACTOR * 100)),
             "slab_automove": int(cfg.slab_automove),
         }
 

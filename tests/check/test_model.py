@@ -99,9 +99,9 @@ def test_arith_rejects_non_numeric_and_overwide(model):
     assert model.incr("missing", 1) is None
 
 
-def test_incr_refit_resets_exptime(model, clock):
-    """Mirrors the store bug-for-bug: a counter that outgrows its chunk
-    is re-stored with exptime=0 (immortal), in-place rewrites keep it."""
+def test_incr_refit_keeps_exptime(model, clock):
+    """As the store does: a counter that outgrows its chunk is re-stored
+    with its old deadline, and an in-place rewrite keeps it too."""
     from repro.memcached.slabs import build_chunk_sizes
 
     # A key sized so the one-digit value exactly fills its chunk class:
@@ -109,11 +109,11 @@ def test_incr_refit_resets_exptime(model, clock):
     chunk = build_chunk_sizes()[4]
     tight = "n" * (chunk - ITEM_HEADER_OVERHEAD - 1)
     model.set(tight, b"9", exptime=10)
-    assert model.incr(tight, 1) == 10  # refit path: exptime silently reset
+    assert model.incr(tight, 1) == 10  # refit path
     model.set("roomy", b"9", exptime=10)
-    assert model.incr("roomy", 1) == 10  # in-place: exptime survives
+    assert model.incr("roomy", 1) == 10  # in place
     clock.now = 11.0
-    assert model.get(tight) is not None
+    assert model.get(tight) is None
     assert model.get("roomy") is None
 
 

@@ -53,10 +53,11 @@ def test_pressure_generator_builds_pressure():
 
 
 def test_pressure_differential_across_all_configs():
-    """Acceptance: the pressure run passes on all 7 configurations with
+    """Acceptance: the pressure run passes on all 8 configurations with
     evictions demonstrably occurring (store-reported counters), every
-    replay exact against its own eviction-adopting oracle, and no
-    unexcused cross-config disagreement."""
+    replay exact against its own eviction-adopting oracle, and the
+    configurations agreeing exactly: on this stream every wire format
+    evicts the same victims."""
     result = differential_run(
         PRESSURE_COMMANDS,
         seed=7,
@@ -74,7 +75,23 @@ def test_pressure_differential_across_all_configs():
         assert replay.oom_errors > 0, f"{replay.config}: no OOMs"
     assert any(r.slab_moves > 0 for r in result.replays)
     assert any(r.reclaimed > 0 for r in result.replays)
-    # Divergent victim choice across transports is expected and latched.
+    assert not result.tolerated and not result.disagreements
+
+
+def test_reserve_before_unlink_divergence_is_tolerated():
+    """The one remaining cause of cross-config divergence: a UCR set
+    reserves its chunk (possibly evicting) before the old item is
+    unlinked, where the byte path unlinks first.  On this stream that
+    makes UCR-IB evict other victims than the sockets configs; the
+    tolerant comparator excuses exactly those presence differences."""
+    result = differential_run(
+        generate_commands(25, 120, pressure=True),
+        seed=25,
+        configs=CONFIGS,
+        store_config=PRESSURE_STORE_CONFIG,
+        tolerant=True,
+    )
+    assert result.ok, result.disagreements
     assert result.tolerated and not result.disagreements
 
 

@@ -1,8 +1,13 @@
 """ItemStore behaviour: commands, expiry, eviction, CAS, flush."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.memcached.command import Command
+from repro.memcached.engine import CommandEngine
 from repro.memcached.errors import ClientError, ServerError
+from repro.memcached.items import ITEM_HEADER_OVERHEAD
 from repro.memcached.slabs import PAGE_BYTES
 from repro.memcached.store import ItemStore, StoreConfig
 from repro.sim import Simulator
@@ -79,6 +84,26 @@ def test_incr_growing_digits(store):
     store.set("n", b"9")
     assert store.incr("n", 1) == 10
     assert store.get("n").value() == b"10"
+
+
+def test_incr_refit_keeps_the_deadline():
+    """A counter that outgrows its chunk is re-stored with its old
+    deadline (memcached's do_add_delta), not made immortal."""
+    sim = Simulator()
+    store = ItemStore(sim)
+    key = "k" * (96 - ITEM_HEADER_OVERHEAD - 2)  # "99" fills a 96-byte chunk
+    old = store.set(key, b"99", exptime=100)
+    assert old.chunk.capacity == 96
+    assert store.incr(key, 1) == 100
+    item = store.get(key)
+    assert item is not old and item.chunk.capacity > 96
+    assert item.exptime == 100.0
+    # Control: an in-place incr (still fits) keeps its deadline too.
+    store.set("inplace", b"1", exptime=100)
+    store.incr("inplace", 1)
+    assert store.get("inplace").exptime == 100.0
+    sim._now = 200 * 1e6
+    assert store.get(key) is None
 
 
 def test_cas_lifecycle(store):
@@ -220,11 +245,15 @@ def test_object_too_large(store):
 
 
 def test_get_multi(store):
+    """The mget loop is the engine's: one store get per key, misses
+    simply absent from the reply."""
     store.set("a", b"1")
     store.set("c", b"3")
-    out = store.get_multi(["a", "b", "c"])
-    assert set(out) == {"a", "c"}
-    assert out["a"].value() == b"1"
+    engine = CommandEngine(SimpleNamespace(store=store))
+    reply = engine.apply(Command("get", keys=["a", "b", "c"]))
+    assert [key for key, _, _, _ in reply.values] == ["a", "c"]
+    assert reply.values[0][2].value() == b"1"
+    assert (store.stats.cmd_get, store.stats.get_misses) == (3, 1)
 
 
 def test_reserve_commit_two_phase(store):

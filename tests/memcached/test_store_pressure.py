@@ -114,25 +114,6 @@ def test_expired_item_beyond_scan_window_evicts_live_tail():
 # ---------------------------------------------------------------------------
 
 
-def test_chunk_refit_on_incr_drops_exptime():
-    """Pin: an incr that no longer fits its chunk re-stores the value
-    and silently resets the expiry to 'never' (the refit path passes
-    exptime=0).  A deliberate quirk -- verification must expect it."""
-    store = ItemStore(Simulator())
-    key = "refit-key-aaaaaaaaaaa"  # 21 chars: 19 bytes of value headroom
-    store.set(key, b"9" * 19, exptime=100)
-    assert store.get(key).exptime == pytest.approx(100.0)
-    assert store.incr(key, 1) == 10**19
-    refit = store.get(key)
-    assert refit.value() == b"1" + b"0" * 19
-    assert refit.exptime == 0.0  # the quirk: expiry lost on refit
-
-    # Control: an in-place incr (still fits) keeps the expiry.
-    store.set("inplace-key-aaaaaaaaa", b"1", exptime=100)
-    store.incr("inplace-key-aaaaaaaaa", 1)
-    assert store.get("inplace-key-aaaaaaaaa").exptime == pytest.approx(100.0)
-
-
 def test_too_large_overwrite_destroys_old_value():
     """Pin: memcached unlinks the old item before allocating the new
     one, so a failed overwrite leaves the key absent -- reported to the

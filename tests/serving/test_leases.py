@@ -81,7 +81,7 @@ def test_clear_and_clear_all():
 @pytest.fixture
 def rig():
     sim = Simulator()
-    return sim, ItemStore(sim, StoreConfig(lease_ttl_s=2.0, stale_window_s=10.0))
+    return sim, ItemStore(sim, StoreConfig())
 
 
 def test_getl_hit_on_live_key(rig):

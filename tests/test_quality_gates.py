@@ -154,7 +154,6 @@ def test_no_wall_clock_leakage():
 #: once the module is back at 600 or fewer.
 OVERSIZE = {
     "memcached/client.py": 765,
-    "memcached/store.py": 630,
     "lint/flow.py": 741,
     "lint/rules.py": 663,
 }
