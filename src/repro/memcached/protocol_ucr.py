@@ -138,7 +138,9 @@ def response_to_reply(cmd: Command, header: McResponse, payload: bytes) -> Reply
             stale=header.stale,
         )
     if header.status == "stats":
-        return Reply("stats", stats=dict(header.values_meta or []))
+        # Rendered as the text codec renders them, so ``stats`` reads
+        # the same (string values) on every wire.
+        return Reply("stats", stats={k: f"{v}" for k, v in header.values_meta or []})
     return Reply(header.status, number=header.number, message=header.message,
                  error_kind=header.error_kind)
 
