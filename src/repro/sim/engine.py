@@ -51,8 +51,8 @@ class Simulator:
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         #: Hook invoked as ``hook(sim, event)`` just before each event is
-        #: processed; used by :mod:`repro.sim.trace`.  Append and remove in
-        #: place (also mid-run); the loop holds on to this list object.
+        #: processed; used by :mod:`repro.sanitize.determinism`.  Append and
+        #: remove in place (also mid-run); the loop holds on to this list.
         self.pre_event_hooks: list[Callable[["Simulator", Event], None]] = []
         self._events_processed = 0
         for hook in Simulator.created_hooks:

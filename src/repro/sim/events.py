@@ -65,8 +65,8 @@ class Event:
     sim:
         Owning simulator.  Events are bound to exactly one engine.
     name:
-        Optional debugging label, shown in ``repr`` and by
-        :class:`repro.sim.trace.Tracer` (see :data:`EventName`).
+        Optional debugging label, shown in ``repr`` and read through
+        :attr:`name` (see :data:`EventName`).
     """
 
     __slots__ = ("sim", "_name", "_state", "_value", "_exception", "callbacks", "defused")
