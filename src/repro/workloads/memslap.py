@@ -100,9 +100,9 @@ class MemslapRunner:
         counts :class:`ServerDownError` as a failed op and get misses as
         misses instead of raising -- required when a chaos schedule kills
         shards mid-run and failover reroutes to servers without the key.
-        *pipeline_depth* > 1 switches each client from the classic
-        closed loop to windows of that many commands in flight at once
-        (``client.pipeline``); depth 1 is the unchanged blocking loop.
+        Each client runs windows of *pipeline_depth* commands in flight
+        at once (``client.pipeline``); depth 1 is the classic closed
+        loop of blocking calls.
         """
         if pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
@@ -170,51 +170,35 @@ class MemslapRunner:
                 transport=self.transport, n_clients=self.n_clients,
             )
 
-        def closed_loop(client):
-            """One client's timed loop: issue ops back to back."""
-            for op in self.pattern.ops(self.n_ops_per_client):
-                key = self.keys.next_key()
-                t0 = sim.now
-                try:
-                    if op == "set":
-                        yield from client.set(key, value)
-                    else:
-                        got = yield from client.get(key)
-                        if got is None:
-                            if not self.tolerate_failures:
-                                raise AssertionError(f"unexpected miss on {key}")
-                            result.get_misses += 1
-                except ServerDownError:
-                    if not self.tolerate_failures:
-                        raise
-                    result.ops_failed += 1
-                    if tracer.enabled:
-                        tracer.instant("memslap.op_failed", "client", sim.now, key=key)
-                    continue
-                dt = sim.now - t0
-                result.latency.record(dt)
-                (result.set_latency if op == "set" else result.get_latency).record(dt)
-            if tracer.enabled:
-                tracer.instant("memslap.client_done", "client", sim.now)
-            finish_times.append(sim.now)
+        def loop(client):
+            """One client's timed loop: windows of ``pipeline_depth`` ops.
 
-        def pipelined_loop(client):
-            """One client's timed loop: windows of *depth* ops in flight."""
+            At depth 1 each op is one blocking ``client.call`` (one-sided
+            ladder, retries and span attributes as ``client.set`` /
+            ``client.get`` have them); deeper windows go through
+            ``client.pipeline``.  Per-op latency is the window's wall
+            time: what a closed-loop caller would wait.
+            """
             depth = self.pipeline_depth
             ops = list(self.pattern.ops(self.n_ops_per_client))
-            cursor = 0
-            while cursor < len(ops):
+            for cursor in range(0, len(ops), depth):
                 window = ops[cursor : cursor + depth]
-                cursor += len(window)
-                cmds = []
-                for op in window:
-                    key = self.keys.next_key()
-                    if op == "set":
-                        cmds.append(Command(op="set", keys=[key], value=value))
-                    else:
-                        cmds.append(Command(op="get", keys=[key]))
+                cmds = [
+                    Command(op="set", keys=[self.keys.next_key()], value=value)
+                    if op == "set"
+                    else Command(op="get", keys=[self.keys.next_key()])
+                    for op in window
+                ]
                 t0 = sim.now
-                outcomes = yield from client.pipeline(cmds, depth)
+                if depth > 1:
+                    outcomes = yield from client.pipeline(cmds, depth)
+                else:
+                    cmd = cmds[0]
+                    attrs = {"nbytes": len(cmd.value)} if cmd.op == "set" else {}
+                    try:
+                        outcomes = [(yield from client.call(cmd, **attrs))]
+                    except ServerDownError as exc:
+                        outcomes = [exc]
                 dt = sim.now - t0
                 for op, cmd, outcome in zip(window, cmds, outcomes):
                     if isinstance(outcome, ServerDownError):
@@ -231,8 +215,6 @@ class MemslapRunner:
                         if not self.tolerate_failures:
                             raise AssertionError(f"unexpected miss on {cmd.key}")
                         result.get_misses += 1
-                    # Per-op latency under pipelining is the window's
-                    # wall time: what a closed-loop caller would wait.
                     result.latency.record(dt)
                     (result.set_latency if op == "set"
                      else result.get_latency).record(dt)
@@ -240,7 +222,6 @@ class MemslapRunner:
                 tracer.instant("memslap.client_done", "client", sim.now)
             finish_times.append(sim.now)
 
-        loop = closed_loop if self.pipeline_depth == 1 else pipelined_loop
         for client in clients:
             sim.process(loop(client))
         sim.run()
