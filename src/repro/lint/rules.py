@@ -28,7 +28,7 @@ from typing import Iterator, Optional
 from repro.lint.findings import Finding
 
 #: Path components that mark a module as hot-path for L003.
-HOT_PATH_DIRS = ("verbs", "core")
+HOT_PATH_DIRS = ("verbs", "core", "telemetry")
 #: Specific hot-path files outside the hot-path directories.
 HOT_PATH_FILES = ("sim/events.py",)
 
@@ -228,7 +228,8 @@ class SlotsRule(Rule):
     """L003: hot-path classes must declare ``__slots__``.
 
     Objects in ``verbs/`` and ``core/`` (work requests, completions,
-    packets, buffers) are created per message; per-instance ``__dict__``
+    packets, buffers) are created per message, and ``telemetry/`` spans
+    per instrumented event; per-instance ``__dict__``
     costs memory and hashing time in the busiest loops, and -- worse --
     permits silent attribute-name typos that slots turn into loud errors.
     Enum, exception and typing-protocol classes manage their own layout
@@ -535,9 +536,8 @@ class GuardScanner:
 class TelemetryGuardRule(Rule):
     """L006: tracing must stay zero-cost when disabled.
 
-    Two obligations.  Inside ``telemetry/`` itself, every class declares
-    ``__slots__`` -- spans are created per instrumented event, the same
-    argument as L003's hot-path surface.  Everywhere else, calls to the
+    Outside ``telemetry/`` itself (the tracer's own module records
+    unguarded; its classes' ``__slots__`` are L003's), calls to the
     tracer's recording methods (``begin``/``end``/``instant``) must be
     syntactically guarded by a check of ``tracer.enabled`` (an ``if``
     statement, conditional expression, or short-circuiting ``and``), so
@@ -546,7 +546,7 @@ class TelemetryGuardRule(Rule):
     """
 
     rule_id = "L006"
-    title = "telemetry classes slotted; tracer call sites guarded"
+    title = "tracer call sites guarded"
     scopes = ("src",)
 
     #: Recording methods that must be guarded (readers like
@@ -554,19 +554,8 @@ class TelemetryGuardRule(Rule):
     TRACER_METHODS = frozenset({"begin", "end", "instant"})
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        """Dispatch on which side of the telemetry boundary *ctx* is."""
+        """Flag unguarded tracer calls outside the telemetry package."""
         if "telemetry" in ctx.path.parts:
-            for node in ast.walk(ctx.tree):
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                if SlotsRule._exempt(node) or SlotsRule._has_slots(node):
-                    continue
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"telemetry class {node.name} lacks __slots__ "
-                    f"(spans are created per instrumented event)",
-                )
             return
         scanner = GuardScanner("tracer", self.TRACER_METHODS)
         for call in scanner.unguarded_calls(ctx.tree):
@@ -588,7 +577,8 @@ class HistoryGuardRule(Rule):
 
     - operation methods on ``*Client`` classes must thread through the
       recorder: delegating to the client's one recorded op path
-      (``call``), or touching the recorder directly;
+      (``call``), touching the recorder directly, or calling a same-class
+      method that does (resolved through the class, not by name);
     - outside ``check/`` itself, calls to the recorder's recording
       methods (``invoke``/``complete``/``fail``/``lost``) must be
       syntactically guarded on ``recorder.enabled`` -- same zero-cost
@@ -626,12 +616,12 @@ class HistoryGuardRule(Rule):
         for node in ast.walk(ctx.tree):
             if not (isinstance(node, ast.ClassDef) and node.name.endswith("Client")):
                 continue
-            for stmt in node.body:
-                if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if stmt.name not in self.OP_METHODS:
-                    continue
-                if self._records(stmt):
+            methods = {
+                stmt.name: stmt for stmt in node.body
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            for name, stmt in methods.items():
+                if name not in self.OP_METHODS or self._records(stmt, methods, set()):
                     continue
                 yield self.finding(
                     ctx,
@@ -640,13 +630,23 @@ class HistoryGuardRule(Rule):
                     f"delegate to call(cmd) or use the recorder directly",
                 )
 
-    @staticmethod
-    def _records(fn: ast.FunctionDef) -> bool:
-        """The body delegates to ``call`` or touches ``recorder``."""
+    @classmethod
+    def _records(cls, fn: ast.FunctionDef, methods: dict, seen: set) -> bool:
+        """The body delegates to ``call``, touches ``recorder``, or calls
+        ``self.<method>`` of a same-class method that records."""
+        seen.add(fn.name)
         for node in ast.walk(fn):
             if isinstance(node, ast.Attribute) and node.attr == "call":
                 return True
             if isinstance(node, ast.Name) and node.id == "recorder":
+                return True
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and getattr(node.func.value, "id", None) == "self"
+                and node.func.attr in methods.keys() - seen
+                and cls._records(methods[node.func.attr], methods, seen)
+            ):
                 return True
         return False
 

@@ -206,6 +206,37 @@ def test_l003_suppressed_inline(tmp_path):
     assert len(report.suppressed) == 1
 
 
+def test_l003_requires_slots_in_telemetry_package(tmp_path):
+    report = _lint(
+        tmp_path,
+        "src/repro/telemetry/mod.py",
+        """
+        class Loose:
+            def __init__(self):
+                self.a = 1
+                self.b = 2
+                self.c = 3
+        """,
+    )
+    assert _rule_ids(report) == ["L003"]
+    assert "__slots__" in report.findings[0].message
+
+
+def test_l003_telemetry_slotted_class_passes(tmp_path):
+    report = _lint(
+        tmp_path,
+        "src/repro/telemetry/mod.py",
+        """
+        class Tight:
+            __slots__ = ("a",)
+
+            def __init__(self):
+                self.a = 1
+        """,
+    )
+    assert report.findings == []
+
+
 # -- L004: mutable default arguments --------------------------------------------
 
 
@@ -390,37 +421,6 @@ def test_l006_guard_does_not_leak_into_nested_defs(tmp_path):
     assert _rule_ids(report) == ["L006"]
 
 
-def test_l006_requires_slots_in_telemetry_package(tmp_path):
-    report = _lint(
-        tmp_path,
-        "src/repro/telemetry/mod.py",
-        """
-        class Loose:
-            def __init__(self):
-                self.a = 1
-                self.b = 2
-                self.c = 3
-        """,
-    )
-    assert _rule_ids(report) == ["L006"]
-    assert "__slots__" in report.findings[0].message
-
-
-def test_l006_telemetry_slotted_class_passes(tmp_path):
-    report = _lint(
-        tmp_path,
-        "src/repro/telemetry/mod.py",
-        """
-        class Tight:
-            __slots__ = ("a",)
-
-            def __init__(self):
-                self.a = 1
-        """,
-    )
-    assert report.findings == []
-
-
 def test_l006_ignores_tests_and_non_recording_methods(tmp_path):
     report = _lint(
         tmp_path,
@@ -530,6 +530,54 @@ def test_l007_accepts_ops_that_call_or_touch_the_recorder(tmp_path):
         """,
     )
     assert report.findings == []
+
+
+def test_l007_follows_same_class_helpers_that_record(tmp_path):
+    """An op that reaches the recorder through its own class's helpers
+    (two hops here) records; the helper is resolved, not trusted."""
+    report = _lint(
+        tmp_path,
+        "src/repro/core/mod.py",
+        """
+        from repro.check.history import recorder
+
+        class FancyClient:
+            __slots__ = ()
+
+            def get_multi(self, keys):
+                return (yield from self._batch(keys))
+
+            def _batch(self, keys):
+                recs = [self._invoke(key) for key in keys]
+                yield from self._round_trip(keys)
+
+            def _invoke(self, key):
+                if not recorder.enabled:
+                    return None
+                return recorder.invoke(self, "get", key, (), 0.0)
+        """,
+    )
+    assert report.findings == []
+
+
+def test_l007_flags_same_class_helpers_that_do_not_record(tmp_path):
+    report = _lint(
+        tmp_path,
+        "src/repro/core/mod.py",
+        """
+        class FancyClient:
+            __slots__ = ()
+
+            def get_multi(self, keys):
+                return (yield from self._batch(keys))
+
+            def _batch(self, keys):
+                yield from self._batch(keys[1:])  # recursion terminates
+                yield from self._round_trip(keys)
+        """,
+    )
+    assert _rule_ids(report) == ["L007"]
+    assert "get_multi" in report.findings[0].message
 
 
 def test_l007_no_longer_trusts_wrapper_names(tmp_path):
