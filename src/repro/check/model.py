@@ -32,8 +32,10 @@ from repro.memcached.items import ITEM_HEADER_OVERHEAD
 from repro.memcached.slabs import PAGE_BYTES, build_chunk_sizes
 from repro.memcached.store import (
     COUNTER_LIMIT,
+    LEASE_TTL_S,
     MAX_KEY_LENGTH,
     RELATIVE_EXPTIME_LIMIT,
+    STALE_WINDOW_S,
 )
 
 #: Where the model knowingly differs from :class:`ItemStore`.  Each entry
@@ -88,12 +90,7 @@ class ModelMemcached:
     running cluster, or to a manual counter in unit tests.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        lease_ttl_s: float = 2.0,
-        stale_window_s: float = 10.0,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float]) -> None:
         self.clock = clock
         self._items: dict[str, ModelItem] = {}
         self._next_cas = 1
@@ -101,10 +98,8 @@ class ModelMemcached:
         #: Ascending chunk-size table, shared with the slab allocator, so
         #: the incr in-place-vs-restore distinction matches the store.
         self._chunk_sizes = build_chunk_sizes()
-        #: Lease mirror (defaults match StoreConfig): key -> (token,
+        #: Lease mirror (the store's LEASE_TTL_S): key -> (token,
         #: expires_at).  Tokens come from a model-local counter, like cas.
-        self.lease_ttl_s = lease_ttl_s
-        self.stale_window_s = stale_window_s
         self._leases: dict[str, tuple[int, float]] = {}
         self._next_lease_token = 1
 
@@ -271,7 +266,7 @@ class ModelMemcached:
             return False
         if item.exptime <= 0:
             return False
-        return now < item.exptime + self.stale_window_s
+        return now < item.exptime + STALE_WINDOW_S
 
     def getl(self, key: str, stale_ok: bool = False):
         """Get-with-lease: ``(state, ModelResult_or_None, token)``.
@@ -296,7 +291,7 @@ class ModelMemcached:
             return "lost", stale, 0
         token = self._next_lease_token
         self._next_lease_token += 1
-        self._leases[key] = (token, now + self.lease_ttl_s)
+        self._leases[key] = (token, now + LEASE_TTL_S)
         return "won", stale, token
 
     def _lease_live(self, key: str, token: int) -> bool:

@@ -91,7 +91,7 @@ def _mutate_lease_serve_stale_past_deadline(store) -> None:
     # hands lease losers (and winners) arbitrarily old ghosts -- a
     # value expired minutes ago still rides back as "stale" data.  The
     # oracle's window-respecting _stale_servable disagrees the first
-    # time a sequence sleeps past exptime + stale_window_s and reads
+    # time a sequence sleeps past exptime + STALE_WINDOW_S and reads
     # the key with a stale-tolerant getl.
     orig = store._stale_servable
 

@@ -184,7 +184,7 @@ class Socket:
         """Process helper: write *data* to the stream; returns len(data).
 
         The byte-stream tax is explicit here: a syscall, the software
-        overhead, and (stack permitting) a user-to-transmit-path copy, all
+        overhead, and a user-to-transmit-path copy (unless zero-copy), all
         before a single byte reaches the wire.  *trace* is a telemetry
         rider (a ``TraceContext``) carried with the bytes to the peer;
         it never changes byte counts or costs.
@@ -198,7 +198,7 @@ class Socket:
         yield from self.node.cpu_run(params.syscall_us + params.software_overhead_us)
         if zcopy:
             yield from self.node.cpu_run(params.zcopy_setup_us)
-        elif params.copy_on_tx and data:
+        elif data:
             yield from self.node.cpu_run(
                 self.node.host.memcpy_time(len(data)) / params.copy_bandwidth_factor
             )
@@ -223,7 +223,7 @@ class Socket:
         if not conn.rx_buffer and conn.eof_received:
             return b""
         chunk = conn.take(max_bytes)
-        if params.copy_on_rx and chunk:
+        if chunk:
             yield from self.node.cpu_run(
                 self.node.host.memcpy_time(len(chunk)) / params.copy_bandwidth_factor
             )

@@ -32,7 +32,13 @@ from typing import Optional
 
 @dataclass(frozen=True)
 class StackParams:
-    """Everything that distinguishes one socket stack from another."""
+    """Everything that distinguishes one socket stack from another.
+
+    Every stack copies user buffer -> transmit path on send and receive
+    path -> user buffer on recv (SDP's bcopy through private buffers
+    included); only SDP zcopy above ``zcopy_threshold`` skips the send
+    copy.
+    """
 
     #: Report name ("10GigE-TOE", "IPoIB", "SDP", "1GigE-TCP").
     name: str
@@ -50,10 +56,6 @@ class StackParams:
     #: segment, after ``rx_per_segment_us`` (``Connection._rx_pump``) --
     #: no interrupt coalescing is modeled, and Figs 3-4 are calibrated so.
     rx_notify_us: float
-    #: Copy user buffer -> transmit path?
-    copy_on_tx: bool
-    #: Copy receive path -> user buffer?
-    copy_on_rx: bool
     #: Segmentation size; None means "use the NIC MTU".
     segment_bytes: Optional[int]
     #: Catch-all end-host software cost per send/receive activation (see
@@ -102,8 +104,6 @@ STACK_TCP_1G = StackParams(
     tx_per_segment_us=1.20,
     rx_per_segment_us=1.50,
     rx_notify_us=2.50,
-    copy_on_tx=True,
-    copy_on_rx=True,
     segment_bytes=None,  # NIC MTU (1500)
     software_overhead_us=4.0,
     connect_setup_us=30.0,
@@ -118,8 +118,6 @@ STACK_TOE_10G = StackParams(
     tx_per_segment_us=0.50,  # DMA descriptor per frame (protocol offloaded)
     rx_per_segment_us=1.50,  # per-frame buffer handling (no GRO in 2011)
     rx_notify_us=2.00,
-    copy_on_tx=True,
-    copy_on_rx=True,
     segment_bytes=1500,      # the host still sees per-MTU frame events
     software_overhead_us=10.0,
     connect_setup_us=25.0,
@@ -133,8 +131,6 @@ STACK_IPOIB = StackParams(
     tx_per_segment_us=2.20,
     rx_per_segment_us=2.80,
     rx_notify_us=2.50,
-    copy_on_tx=True,
-    copy_on_rx=True,
     segment_bytes=2044,      # IB MTU minus IPoIB encapsulation
     software_overhead_us=17.0,
     connect_setup_us=35.0,
@@ -149,8 +145,6 @@ SDP_BCOPY = StackParams(
     tx_per_segment_us=2.00,  # SDP bcopy-buffer management per 8 KB chunk
     rx_per_segment_us=2.00,
     rx_notify_us=2.00,       # CQ event dispatch
-    copy_on_tx=True,         # bcopy: user -> private buffer
-    copy_on_rx=True,         # private buffer -> user
     segment_bytes=8192,      # SDP bcopy buffer size
     software_overhead_us=16.0,
     connect_setup_us=40.0,   # CM handshake under the hood

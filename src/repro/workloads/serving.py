@@ -13,8 +13,8 @@ The failure mode this exposes is the dogpile: when a hot key expires,
 *every* client that misses pays the backend cost concurrently.  With
 ``leases=True`` the loop switches to the anti-dogpile protocol
 (docs/SERVING.md): ``get_lease`` hands exactly one client a
-regeneration token per expired key; losers serve the stale value (if
-``stale_ok``) or briefly poll for the winner's refill.
+regeneration token per expired key; losers serve the stale value (the
+loop always asks for one) or briefly poll for the winner's refill.
 
 The key stream is shaped by a :class:`~repro.chaos.scenarios.ServingScenario`:
 ``scenario.hot_fraction`` of draws hit ``scenario.hot_keys``, the rest
@@ -36,6 +36,14 @@ from repro.workloads.keys import make_value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.builder import Cluster
+
+
+#: Bytes per cached value.
+VALUE_SIZE = 128
+#: A lease loser with nothing stale to serve polls this often ...
+LEASE_WAIT_US = 500.0
+#: ... this many times, then regenerates without a token.
+MAX_LEASE_WAITS = 8
 
 
 def _hot_hits(client) -> int:
@@ -93,13 +101,8 @@ class ServingRunner:
         n_clients: int = 4,
         n_ops_per_client: int = 200,
         key_space: int = 64,
-        value_size: int = 128,
         regen_cost_us: float = 20_000.0,
         leases: bool = False,
-        stale_ok: bool = True,
-        lease_wait_us: float = 500.0,
-        max_lease_waits: int = 8,
-        pacing_us: Optional[float] = None,
         client_factory: Optional[Callable[[int], object]] = None,
     ) -> None:
         """*client_factory* maps a client-node index to a client (default
@@ -110,10 +113,10 @@ class ServingRunner:
         ``get_lease``/``set_with_lease``; otherwise plain get/set -- the
         dogpile baseline.
 
-        *pacing_us* is each client's seeded-jittered think time between
-        serves; the default spreads the ops across the scenario horizon
-        (``horizon_us / n_ops_per_client``) so TTL expiries and fault
-        windows land *inside* the run.  Pass 0 for back-to-back ops.
+        Each client's seeded-jittered think time between serves spreads
+        the ops across the scenario horizon (``horizon_us /
+        n_ops_per_client``) so TTL expiries and fault windows land
+        *inside* the run.
         """
         if n_clients > len(cluster.client_nodes):
             raise ValueError(
@@ -132,15 +135,9 @@ class ServingRunner:
         self.n_clients = n_clients
         self.n_ops_per_client = n_ops_per_client
         self.key_space = key_space
-        self.value_size = value_size
         self.regen_cost_us = regen_cost_us
         self.leases = leases
-        self.stale_ok = stale_ok
-        self.lease_wait_us = lease_wait_us
-        self.max_lease_waits = max_lease_waits
-        if pacing_us is None:
-            pacing_us = scenario.horizon_us / max(1, n_ops_per_client)
-        self.pacing_us = pacing_us
+        self.pacing_us = scenario.horizon_us / max(1, n_ops_per_client)
         self.client_factory = client_factory
 
     def _next_key(self, stream: RngStream) -> str:
@@ -166,7 +163,7 @@ class ServingRunner:
             lambda i: cluster.sharded_client(client_node=i)
         )
         clients = [factory(i) for i in range(self.n_clients)]
-        value = make_value(self.value_size, tag=11)
+        value = make_value(VALUE_SIZE, tag=11)
 
         def prepopulate():
             """Seed the universe (hot keys with their scenario TTL)."""
@@ -203,14 +200,13 @@ class ServingRunner:
         def serve_leased(client, key, stream):
             """One cache-aside read under the anti-dogpile protocol."""
             hits = _hot_hits(client)
-            got = yield from client.get_lease(key, self.stale_ok)
+            got = yield from client.get_lease(key)
             if not isinstance(got, tuple):
                 if got is not None:
                     result.hot_cache_hits += _hot_hits(client) - hits
                     return got
-                # stale_ok=False servers answer a plain miss as ("lost",
-                # None, 0) -- a bare None only happens on protocol-level
-                # misses; regenerate without a token.
+                # A bare None only happens on protocol-level misses;
+                # regenerate without a token.
                 return (yield from regenerate(client, key, 0))
             state, stale, token = got
             if state == "won":
@@ -220,10 +216,10 @@ class ServingRunner:
                 return stale
             # Lost with nothing to serve: poll (with get_lease, so a
             # repeat miss stays lease-annotated) for the winner's refill.
-            for _ in range(self.max_lease_waits):
+            for _ in range(MAX_LEASE_WAITS):
                 result.lease_waits += 1
-                yield sim.timeout(self.lease_wait_us)
-                again = yield from client.get_lease(key, self.stale_ok)
+                yield sim.timeout(LEASE_WAIT_US)
+                again = yield from client.get_lease(key)
                 if not isinstance(again, tuple):
                     if again is not None:
                         return again
