@@ -73,7 +73,13 @@ class Fault:
 
 @dataclass(frozen=True, kw_only=True)
 class NodeCrash(Fault):
-    """The whole server process on *server* dies (and maybe restarts)."""
+    """*server*'s UCR port dies (and maybe restarts).
+
+    Only the UCR listener and its endpoints fail: the sockets listeners
+    and the store stay up, so sockets clients do not feel the crash (and
+    ``flap`` is UCR-only too).  Of the four kinds, only ``slow`` -- and
+    ``degrade`` with a ``network`` -- reaches a sockets config.
+    """
 
     server: str
 
@@ -146,7 +152,7 @@ class LinkDegrade(Fault):
 
 @dataclass(frozen=True, kw_only=True)
 class EndpointFlap(Fault):
-    """Fail *server*'s live endpoints; the listener stays up."""
+    """Fail *server*'s live UCR endpoints; the listener stays up."""
 
     server: str
 
