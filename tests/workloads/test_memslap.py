@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos import ChaosController, parse_schedule
 from repro.cluster import CLUSTER_A, Cluster
 from repro.workloads import (
     GET_ONLY,
@@ -89,3 +90,21 @@ def test_sockets_slower_than_ucr(cluster):
     ucr = MemslapRunner(cluster, "UCR-IB", 64, GET_ONLY, 1, 15).run()
     toe = MemslapRunner(cluster, "10GigE-TOE", 64, GET_ONLY, 1, 15).run()
     assert toe.median_latency() > ucr.median_latency() * 3
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+def test_lost_ops_are_counted_not_timed_at_every_depth(depth):
+    """A permanent crash mid-run: with *tolerate_failures* every op the
+    dead server swallows is one ``ops_failed``, and only completed ops
+    are timed -- the one accounting block serves both window sizes."""
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1)
+    cluster.start_server()
+    ChaosController(cluster, parse_schedule("at 1000 crash server")).arm()
+    result = MemslapRunner(
+        cluster, "UCR-IB", value_size=64, pattern=INTERLEAVED_50_50,
+        n_ops_per_client=200, pipeline_depth=depth, tolerate_failures=True,
+        client_factory=lambda i: cluster.client("UCR-IB", i, timeout_us=2000.0),
+    ).run()
+    assert 0 < result.ops_failed < result.total_ops
+    assert result.ops_failed + len(result.latency) == result.total_ops
+    assert len(result.set_latency) + len(result.get_latency) == len(result.latency)
