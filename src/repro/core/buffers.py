@@ -56,9 +56,9 @@ class PooledBuffer:
 class BufferPool:
     """Fixed-size registered buffers with O(1) checkout/return.
 
-    The pool grows on demand (registration is charged to the caller as a
-    one-time cost per growth step via the ``on_grow`` hook) but never
-    shrinks, mirroring MVAPICH-style registration caches.
+    The pool grows on demand but never shrinks, mirroring MVAPICH-style
+    registration caches.  Growth costs no simulated time: registering a
+    new buffer is free in the model, and ``grow_events`` only counts it.
     """
 
     __slots__ = (

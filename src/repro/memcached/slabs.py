@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.verbs.mr import zeroed
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.verbs.mr import MemoryRegion, ProtectionDomain
 
@@ -51,7 +53,11 @@ def build_chunk_sizes(
 
 
 class Page:
-    """One 1 MB arena; optionally backed by a registered memory region."""
+    """One 1 MB arena; optionally backed by a registered memory region.
+
+    Unregistered or not, the bytes are lazily zeroed (:func:`zeroed`): a
+    slab page costs host RAM only for the OS pages its chunks touch.
+    """
 
     __slots__ = ("page_id", "size", "mr", "_buffer")
 
@@ -60,7 +66,7 @@ class Page:
         self.size = size
         self.mr = mr
         #: Plain storage when not RDMA-registered.
-        self._buffer = None if mr is not None else bytearray(size)
+        self._buffer = None if mr is not None else zeroed(size)
 
     def write(self, offset: int, data: bytes) -> None:
         if self.mr is not None:

@@ -1,8 +1,12 @@
 """Protection domains and registered memory regions.
 
-A memory region wraps a real ``bytearray`` so that RDMA operations move
-actual bytes -- the memcached layer above stores values through these
-buffers and the test suite checks integrity end-to-end.  Keys (lkey/rkey)
+A memory region is a window onto real bytes so that RDMA operations move
+actual data -- the memcached layer above stores values through these
+buffers and the test suite checks integrity end-to-end.  The bytes are
+lazily zeroed anonymous memory (:func:`zeroed`): each protection domain
+bump-allocates its regions out of :data:`ARENA_BYTES` mappings, so a
+region costs host RAM only for the pages the model writes, and thousands
+of small registrations share a handful of mappings.  Keys (lkey/rkey)
 and access-flag enforcement follow the verbs contract: a remote operation
 with the wrong rkey or insufficient permissions fails with
 ``REM_ACCESS_ERR``, which is exactly the failure mode that makes the
@@ -13,6 +17,7 @@ with the wrong rkey or insufficient permissions fails with
 from __future__ import annotations
 
 import itertools
+import mmap
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -23,6 +28,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _pd_ids = itertools.count(1)
 _keys = itertools.count(0x1000)
+
+#: Size of one protection domain's arena mapping; a region at least this
+#: large gets a mapping of its own.
+ARENA_BYTES = 4 * 1024 * 1024
+
+
+def zeroed(size: int) -> memoryview:
+    """*size* bytes of private anonymous memory.
+
+    The OS supplies the zeros on first touch, so untouched pages cost no
+    resident memory -- unlike ``bytearray(size)``, which writes every byte.
+    """
+    return memoryview(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE))
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,20 +57,38 @@ class RegionDescriptor:
 
 
 class ProtectionDomain:
-    """Isolation domain: QPs may only touch MRs of their own PD."""
+    """Isolation domain: QPs may only touch MRs of their own PD.
 
-    __slots__ = ("hca", "pd_id", "_regions")
+    It also owns its regions' backing: a bump allocator over
+    :data:`ARENA_BYTES` mappings.  There is no free list -- pools never
+    shrink -- so a mapping lives exactly as long as the regions cut from it.
+    """
+
+    __slots__ = ("hca", "pd_id", "_regions", "_arena", "_arena_used")
 
     def __init__(self, hca: "Hca") -> None:
         self.hca = hca
         self.pd_id = next(_pd_ids)
         self._regions: dict[int, MemoryRegion] = {}
+        self._arena = zeroed(ARENA_BYTES)
+        self._arena_used = 0
 
     def reg_mr(self, size: int, access: Access = Access.local_only()) -> "MemoryRegion":
         """Register a fresh buffer of *size* bytes."""
         mr = MemoryRegion(self, size, access)
         self._regions[mr.rkey] = mr
         return mr
+
+    def _backing(self, size: int) -> memoryview:
+        """*size* fresh zero bytes cut from the arena."""
+        if size >= ARENA_BYTES:
+            return zeroed(size)
+        if self._arena_used + size > ARENA_BYTES:
+            self._arena = zeroed(ARENA_BYTES)
+            self._arena_used = 0
+        start = self._arena_used
+        self._arena_used += size
+        return self._arena[start : start + size]
 
     def dereg_mr(self, mr: "MemoryRegion") -> None:
         """Invalidate a region; later remote access fails."""
@@ -83,7 +119,7 @@ class MemoryRegion:
         self.access = access
         self.lkey = next(_keys)
         self.rkey = next(_keys)
-        self._buffer = bytearray(size)
+        self._buffer = pd._backing(size)
         self._valid = True
 
     def describe(self) -> RegionDescriptor:
