@@ -1,12 +1,9 @@
-"""Result aggregation and figure/table formatting."""
+"""Figure series and the tables that print them as the paper plots them."""
 
 from repro.analysis.report import FigureSeries, format_latency_table, format_tps_table
-from repro.analysis.stats import ratio, summarize_latencies
 
 __all__ = [
     "FigureSeries",
     "format_latency_table",
     "format_tps_table",
-    "ratio",
-    "summarize_latencies",
 ]

@@ -33,6 +33,14 @@ from repro.chaos.faults import Fault, NodeCrash, SlowServer
 from repro.chaos.schedule import FaultSchedule
 from repro.sim.rng import RngStream
 
+#: Hot keys are drawn out of ``key-0 .. key-<KEY_SPACE - 1>``.
+KEY_SPACE = 64
+#: Share of a storm's ops aimed at its hot keys, and their TTL (s).
+STORM_HOT_FRACTION = 0.9
+STORM_HOT_EXPTIME_S = 1
+#: Share of a stampede's ops aimed at its one keystone key.
+STAMPEDE_HOT_FRACTION = 0.85
+
 
 @dataclass(frozen=True)
 class ServingScenario:
@@ -78,17 +86,15 @@ def hot_key_storm(
     seed: int,
     servers: Sequence[str],
     n_hot: int = 3,
-    key_space: int = 64,
-    hot_fraction: float = 0.9,
-    hot_exptime_s: int = 1,
+    key_space: int = KEY_SPACE,
     horizon_us: float = 3_000_000.0,
 ) -> ServingScenario:
     """A skewed read storm: hot keys expire while their servers slow down.
 
-    The hot keys carry a short TTL (*hot_exptime_s*), so expiry waves
-    land *inside* the storm, and two seeded slow-server strikes (x3-x6
-    CPU) land inside the middle half of the horizon -- regeneration
-    dogpiles on top of slowed shards.  The combination that leases plus
+    The hot keys carry a short TTL (:data:`STORM_HOT_EXPTIME_S`), so
+    expiry waves land *inside* the storm, and two seeded slow-server
+    strikes (x3-x6 CPU) land inside the middle half of the horizon --
+    regeneration dogpiles on top of slowed shards.  The combination that leases plus
     a client-local hot cache exist to absorb.
     """
     if not servers:
@@ -112,8 +118,8 @@ def hot_key_storm(
         seed=seed,
         schedule=FaultSchedule(tuple(faults)),
         hot_keys=hot_keys,
-        hot_fraction=hot_fraction,
-        hot_exptime_s=hot_exptime_s,
+        hot_fraction=STORM_HOT_FRACTION,
+        hot_exptime_s=STORM_HOT_EXPTIME_S,
         horizon_us=horizon_us,
     )
 
@@ -121,9 +127,6 @@ def hot_key_storm(
 def expiry_stampede(
     seed: int,
     servers: Sequence[str],
-    n_hot: int = 1,
-    key_space: int = 64,
-    hot_fraction: float = 0.85,
     hot_exptime_s: int = 1,
     horizon_us: float = 3_000_000.0,
 ) -> ServingScenario:
@@ -131,22 +134,22 @@ def expiry_stampede(
 
     No faults at all: the "chaos" is the synchronized expiry itself.
     The canonical dogpile shape is a *single* hot key (a front-page
-    fragment, a session-wide config blob), so ``n_hot=1`` by default:
-    every client misses at the same instant, and without leases every
-    one of them regenerates concurrently.
+    fragment, a session-wide config blob): every client misses at the
+    same instant, and without leases every one of them regenerates
+    concurrently.
     """
     if not servers:
         raise ValueError("need at least one server")
     if hot_exptime_s <= 0:
         raise ValueError("a stampede needs an expiring TTL")
     stream = RngStream(seed, "expiry-stampede")
-    hot_keys = _draw_hot_keys(stream, n_hot, key_space)
+    hot_keys = _draw_hot_keys(stream, 1, KEY_SPACE)
     return ServingScenario(
         name="expiry_stampede",
         seed=seed,
         schedule=FaultSchedule(()),
         hot_keys=hot_keys,
-        hot_fraction=hot_fraction,
+        hot_fraction=STAMPEDE_HOT_FRACTION,
         hot_exptime_s=hot_exptime_s,
         horizon_us=horizon_us,
     )
@@ -155,7 +158,6 @@ def expiry_stampede(
 def shard_loss(
     seed: int,
     servers: Sequence[str],
-    key_space: int = 64,
     horizon_us: float = 2_000_000.0,
     down_fraction: float = 0.6,
 ) -> ServingScenario:

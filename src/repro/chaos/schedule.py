@@ -16,7 +16,7 @@ Schedules carry no behavior of their own; arm one with a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from repro.chaos.faults import (
     FAULT_KINDS,
@@ -196,20 +196,18 @@ def random_schedule(
     start_us: float = 1_000.0,
     horizon_us: float = 100_000.0,
     kinds: Sequence[str] = ("crash", "slow", "degrade", "flap"),
-    rng: Optional[RngStream] = None,
 ) -> FaultSchedule:
-    """Draw a schedule from a seeded stream (bit-for-bit reproducible).
+    """Draw a schedule from ``RngStream(seed, "chaos-schedule")``
+    (bit-for-bit reproducible).
 
     Crash/flap strikes pick a victim uniformly; slow/degrade draw a
     factor in [2, 8).  Every timed fault reverts before *horizon_us*.
-    Pass *rng* to draw from an existing stream tree instead of the
-    root ``RngStream(seed, "chaos-schedule")``.
     """
     if not servers:
         raise ValueError("need at least one server to schedule faults against")
     if not start_us < horizon_us:
         raise ValueError(f"empty window [{start_us}, {horizon_us})")
-    stream = rng if rng is not None else RngStream(seed, "chaos-schedule")
+    stream = RngStream(seed, "chaos-schedule")
     faults: list[Fault] = []
     for _ in range(n_faults):
         kind = stream.choice(list(kinds))

@@ -280,9 +280,6 @@ class CheckResult:
     #: Total operations examined.
     ops: int = 0
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.ok
-
 
 def _effect(op: str, args: tuple, state: Optional[bytes]) -> Optional[bytes]:
     """The state after *op* executes against *state* (outcome ignored);

@@ -31,7 +31,6 @@ from repro.sockets.stack import SocketStack
 from repro.verbs.device import Hca
 
 SERVER_NODE = "server"
-MEMCACHED_PORT = 11211
 
 #: :meth:`Cluster.client`'s libmemcached distribution behaviours.
 _DISTRIBUTIONS = {"modula": ModulaDistribution, "ketama": KetamaDistribution}
@@ -139,11 +138,9 @@ class Cluster:
                 pd=runtime.pd,  # slab pages RDMA-registered for the UCR port
             )
             for tname, per_node in self.stacks.items():
-                server.listen_sockets(per_node[name], MEMCACHED_PORT)
+                server.listen_sockets(per_node[name])
             self.servers[name] = server
-            self.ucr_ports[name] = UcrServerPort(
-                server, runtime, MEMCACHED_PORT, n_contexts=n_workers
-            )
+            self.ucr_ports[name] = UcrServerPort(server, runtime)
         return self.servers[self.server_names[0]]
 
     # -- clients -------------------------------------------------------------------
@@ -198,7 +195,7 @@ class Cluster:
         if transport in ("UCR-IB", "UCR-1S"):
             onesided = transport == "UCR-1S"
             cls = OneSidedTransport if onesided else UcrTransport
-            t = cls(context, MEMCACHED_PORT, costs, timeout_us)
+            t = cls(context, costs, timeout_us)
             for name in self.server_names:
                 t.add_server(name, self.runtimes[name])
                 index = self.servers[name].onesided_index
@@ -206,7 +203,7 @@ class Cluster:
                     t.add_index(name, index.descriptor)
         elif transport == "UCR-UD":
             # The paper's §VII scaling direction: connection-less clients.
-            t = UcrUdTransport(context, MEMCACHED_PORT, costs)
+            t = UcrUdTransport(context, costs)
             for name in self.server_names:
                 uds = self.ucr_ports[name].enable_ud()
                 # Spread clients across the server's per-context UD QPs.
@@ -216,7 +213,6 @@ class Cluster:
                 self.sim,
                 self.nodes[node_name],
                 self.stacks[transport][node_name],
-                MEMCACHED_PORT,
                 costs,
                 binary=binary,
             )

@@ -21,10 +21,9 @@ The ring has:
 - **weighted servers**: a weight-2 server owns twice the points and
   therefore ~twice the keys (heterogeneous hardware, paper §VI-A has two
   distinct testbeds);
-- **preference lists**: the ordered walk of distinct servers clockwise
-  from a key's point.  Entry 0 is the natural owner; entries 1..n-1 are
-  the failover targets, so a dead shard's keys spread across the whole
-  surviving pool instead of piling onto one neighbour.
+- **failover by walking on**: ``server_for(key, avoid)`` walks clockwise
+  from a key's point past avoided servers, so a dead shard's keys spread
+  across the whole surviving pool instead of piling onto one neighbour.
 
 Everything here is pure deterministic computation (MD5 over stable
 strings) -- no clock, no entropy -- so routing decisions replay
@@ -41,7 +40,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Sequence, Union
 
 #: Virtual nodes per unit of weight.  100 keeps the max/min key-share
 #: ratio of equal-weight pools under ~1.35 (measured over 10k keys for
@@ -200,29 +199,6 @@ class HashRing:
             if server not in avoid:
                 return server
         raise AssertionError("unreachable: avoid cannot cover the ring here")
-
-    def preference_list(
-        self, key: str, n: Optional[int] = None
-    ) -> list[str]:
-        """The first *n* distinct servers clockwise from *key*'s point.
-
-        Entry 0 is the natural owner; the rest are failover targets in
-        the order a :class:`~repro.memcached.client.MemcachedClient`
-        under a failover policy tries them.
-        """
-        want = len(self._nodes) if n is None else min(n, len(self._nodes))
-        start = self._owner_index(key)
-        out: list[str] = []
-        seen: set[str] = set()
-        size = len(self._ring)
-        for step in range(size):
-            server = self._ring[(start + step) % size][1]
-            if server not in seen:
-                seen.add(server)
-                out.append(server)
-                if len(out) == want:
-                    break
-        return out
 
     # -- introspection -----------------------------------------------------
 

@@ -19,6 +19,9 @@ from repro.core.errors import BufferLifecycleError
 from repro.verbs.enums import Access
 from repro.verbs.mr import MemoryRegion, ProtectionDomain
 
+#: Every pooled buffer is registered for local and remote access.
+ACCESS = Access.full()
+
 
 class PooledBuffer:
     """A slice-sized registered buffer checked out of a :class:`BufferPool`."""
@@ -64,7 +67,6 @@ class BufferPool:
     __slots__ = (
         "pd",
         "buffer_bytes",
-        "access",
         "name",
         "_free",
         "total_created",
@@ -81,14 +83,12 @@ class BufferPool:
         pd: ProtectionDomain,
         buffer_bytes: int,
         initial: int,
-        access: Access = Access.full(),
         name: str = "pool",
     ) -> None:
         if buffer_bytes <= 0 or initial < 0:
             raise ValueError("buffer_bytes must be > 0 and initial >= 0")
         self.pd = pd
         self.buffer_bytes = buffer_bytes
-        self.access = access
         self.name = name
         self._free: list[PooledBuffer] = []
         self.total_created = 0
@@ -98,7 +98,7 @@ class BufferPool:
 
     def _make(self) -> PooledBuffer:
         self.total_created += 1
-        return PooledBuffer(self, self.pd.reg_mr(self.buffer_bytes, self.access))
+        return PooledBuffer(self, self.pd.reg_mr(self.buffer_bytes, ACCESS))
 
     def get(self) -> PooledBuffer:
         """Check a buffer out, growing the pool when empty."""

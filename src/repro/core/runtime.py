@@ -71,13 +71,12 @@ class UcrRuntime:
         node: "Node",
         hca: "Hca",
         params: UcrParams = UCR_DEFAULT,
-        name: str = "",
     ) -> None:
         self.sim = sim
         self.node = node
         self.hca = hca
         self.params = params
-        self.name = name or f"ucr@{node.name}"
+        self.name = f"ucr@{node.name}"
         self.pd = hca.alloc_pd()
         self.cm = ConnectionManager(hca)
         self.recv_pool = BufferPool(
@@ -130,9 +129,6 @@ class UcrRuntime:
 
     def counter_by_id(self, cid: int) -> Optional[UcrCounter]:
         return self._counters.get(cid)
-
-    def destroy_counter(self, counter: UcrCounter) -> None:
-        self._counters.pop(counter.counter_id, None)
 
     # -- handlers --------------------------------------------------------------------
 

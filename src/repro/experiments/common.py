@@ -60,14 +60,12 @@ def build_cluster(
     spec: ClusterSpec,
     n_client_nodes: int = 1,
     n_workers: int = 4,
-    seed: int = 42,
     n_servers: int = 1,
 ) -> Cluster:
     """A started cluster ready for benchmarking (``n_servers > 1``: a
-    multi-server pool for ring-routed benchmarks)."""
-    cluster = Cluster(
-        spec, n_client_nodes=n_client_nodes, seed=seed, n_servers=n_servers
-    )
+    multi-server pool for ring-routed benchmarks), on the cluster's
+    default seed."""
+    cluster = Cluster(spec, n_client_nodes=n_client_nodes, n_servers=n_servers)
     cluster.start_server(n_workers=n_workers)
     return cluster
 

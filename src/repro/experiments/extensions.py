@@ -124,7 +124,6 @@ def run(fast: bool = False) -> ExperimentReport:
             "(E2) Get latency by wire codec [Cluster A, 10GigE-TOE vs UCR]",
             E2_SIZES,
             series,
-            baseline="UCR-IB",
         )
     )
     by = {s.label: s for s in series}

@@ -173,9 +173,9 @@ class Nic:
         #: the owner at bind time.  Stable even when probes wrap
         #: ``rx_handler`` for instrumentation.
         self.owner: Any = None
-        self.frames_sent = Counter(sim, f"{name}.frames_sent")
-        self.bytes_sent = Counter(sim, f"{name}.bytes_sent")
-        self.frames_received = Counter(sim, f"{name}.frames_received")
+        self.frames_sent = Counter()
+        self.bytes_sent = Counter()
+        self.frames_received = Counter()
 
     @property
     def slowdown(self) -> float:

@@ -26,11 +26,10 @@ This package reimplements the memcached 1.4-era engine the paper extends
 
 from repro.cluster.router import KetamaDistribution, ModulaDistribution
 from repro.memcached.client import ClientCosts, MemcachedClient
+from repro.memcached.command import MEMCACHED_PORT
 from repro.memcached.errors import (
     ClientError,
     MemcachedError,
-    NotFoundError,
-    NotStoredError,
     ServerError,
 )
 from repro.memcached.items import Item
@@ -45,12 +44,11 @@ __all__ = [
     "Item",
     "ItemStore",
     "KetamaDistribution",
+    "MEMCACHED_PORT",
     "MemcachedClient",
     "MemcachedError",
     "MemcachedServer",
     "ModulaDistribution",
-    "NotFoundError",
-    "NotStoredError",
     "ServerError",
     "SocketsTransport",
     "StoreConfig",

@@ -42,6 +42,11 @@ REPLY_STATUSES = frozenset(
     }
 )
 
+#: The one service id memcached answers on: the TCP port of every sockets
+#: listener and the UCR service of the port attached to the same server
+#: (paper §V: one server process, both personalities).
+MEMCACHED_PORT = 11211
+
 
 @dataclass
 class Command:

@@ -7,14 +7,6 @@ class MemcachedError(Exception):
     """Base class for memcached failures."""
 
 
-class NotStoredError(MemcachedError):
-    """NOT_STORED: an add/replace/append precondition failed."""
-
-
-class NotFoundError(MemcachedError):
-    """NOT_FOUND: the key does not exist (delete/incr/decr/cas/touch)."""
-
-
 class ClientError(MemcachedError):
     """CLIENT_ERROR: malformed request (bad key, bad data chunk...)."""
 

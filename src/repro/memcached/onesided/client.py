@@ -65,18 +65,18 @@ DEFAULT_MAX_ONESIDED_BYTES = PAGE_BYTES // 4
 class OneSidedTransport(UcrTransport):
     """Active messages plus the one-sided READ path (see module doc)."""
 
+    #: The one-sided read budget: larger values take the RPC path.
+    max_value_bytes = DEFAULT_MAX_ONESIDED_BYTES
+    #: Torn reads retried before the GET falls back to RPC.
+    max_read_retries = 3
+
     def __init__(
         self,
         context: "UcrContext",
-        service_id: int = 11211,
         costs: ClientCosts = ClientCosts(),
         timeout_us: float = DEFAULT_TIMEOUT_US,
-        max_value_bytes: int = DEFAULT_MAX_ONESIDED_BYTES,
-        max_read_retries: int = 3,
     ) -> None:
-        super().__init__(context, service_id, costs, timeout_us)
-        self.max_value_bytes = max_value_bytes
-        self.max_read_retries = max_read_retries
+        super().__init__(context, costs, timeout_us)
         self._descriptors: dict[str, IndexDescriptor] = {}
         #: Landing buffers for in-flight READs (checkout/checkin like the
         #: counter pool; concurrent GETs each pin their own).

@@ -62,25 +62,20 @@ class IndexDescriptor:
 class ExportedIndex:
     """See module docstring."""
 
-    def __init__(
-        self,
-        store: "ItemStore",
-        pd: "ProtectionDomain",
-        n_buckets: int = DEFAULT_BUCKETS,
-    ) -> None:
-        if n_buckets < 1:
-            raise ValueError("need at least one bucket")
+    #: Read by the descriptor and the export sanitizer.
+    n_buckets = DEFAULT_BUCKETS
+
+    def __init__(self, store: "ItemStore", pd: "ProtectionDomain") -> None:
         self.store = store
         self.pd = pd
-        self.n_buckets = n_buckets
         #: The pinned region remote clients probe with RDMA READ.
-        self.mr = pd.reg_mr(HEADER_BYTES + n_buckets * ENTRY_BYTES, Access.full())
-        self.mr.write(0, pack_header(n_buckets))
+        self.mr = pd.reg_mr(HEADER_BYTES + DEFAULT_BUCKETS * ENTRY_BYTES, Access.full())
+        self.mr.write(0, pack_header(DEFAULT_BUCKETS))
         #: Python-side mirror of every packed entry (authoritative for
         #: the server; re-packed into ``mr`` at each seq_end).
-        self._mirror = [IndexEntry() for _ in range(n_buckets)]
+        self._mirror = [IndexEntry() for _ in range(DEFAULT_BUCKETS)]
         #: The item currently published in each bucket (None = empty).
-        self._owner: list[Optional["Item"]] = [None] * n_buckets
+        self._owner: list[Optional["Item"]] = [None] * DEFAULT_BUCKETS
         self.publishes = 0
         self.unpublishes = 0
         store.onesided = self

@@ -20,6 +20,8 @@ from repro.memcached.command import Command, Reply, WireFormat, entry_data
 from repro.memcached.errors import ProtocolError
 
 CRLF = b"\r\n"
+#: Longest command line the server buffers while waiting for its CRLF.
+MAX_LINE = 2048
 
 #: Commands followed by a data block of <bytes> + CRLF.
 STORAGE_COMMANDS = frozenset({"set", "add", "replace", "append", "prepend", "cas"})
@@ -54,12 +56,11 @@ class RequestParser:
     split into reads.
     """
 
-    def __init__(self, max_line: int = 2048) -> None:
+    def __init__(self) -> None:
         self._buf = bytearray()
         self._pending: Optional[Command] = None  # awaiting data block
         self._need = 0  # declared byte count of the pending data block
         self._error: Optional[ProtocolError] = None
-        self.max_line = max_line
 
     def feed(self, data: bytes) -> list[Command]:
         """Append *data*; return every command completed by it."""
@@ -92,7 +93,7 @@ class RequestParser:
                 continue
             nl = self._buf.find(CRLF)
             if nl < 0:
-                if len(self._buf) > self.max_line:
+                if len(self._buf) > MAX_LINE:
                     raise ProtocolError("command line too long")
                 break
             line = bytes(self._buf[:nl]).decode("ascii", errors="replace")

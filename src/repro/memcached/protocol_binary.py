@@ -38,6 +38,8 @@ from repro.memcached.errors import ProtocolError
 MAGIC_REQUEST = 0x80
 MAGIC_RESPONSE = 0x81
 HEADER_LEN = 24
+#: Largest body a frame may declare.
+MAX_BODY = 2 * 1024 * 1024
 _HEADER = struct.Struct("!BBHBBHLLQ")
 
 
@@ -134,10 +136,9 @@ class BinaryParser:
     and the :class:`ProtocolError` is raised by every later call.
     """
 
-    def __init__(self, max_body: int = 2 * 1024 * 1024) -> None:
+    def __init__(self) -> None:
         self._buf = bytearray()
         self._error: "ProtocolError | None" = None
-        self.max_body = max_body
 
     def feed(self, data: bytes) -> list[BinMessage]:
         """Append *data*; return every message completed by it."""
@@ -163,7 +164,7 @@ class BinaryParser:
                 raise ProtocolError(f"bad magic byte {magic:#x}")
             if data_type != 0:
                 raise ProtocolError(f"unsupported data type {data_type}")
-            if body_len > self.max_body:
+            if body_len > MAX_BODY:
                 raise ProtocolError(f"body of {body_len} bytes exceeds limit")
             if extras_len + key_len > body_len:
                 raise ProtocolError("extras+key exceed body length")

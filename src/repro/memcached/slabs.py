@@ -32,23 +32,19 @@ CHUNK_MIN = 96
 GROWTH_FACTOR = 1.25
 
 
-def build_chunk_sizes(
-    chunk_min: int = CHUNK_MIN,
-    factor: float = GROWTH_FACTOR,
-    page_bytes: int = PAGE_BYTES,
-) -> list[int]:
+def build_chunk_sizes(chunk_min: int = CHUNK_MIN, factor: float = GROWTH_FACTOR) -> list[int]:
     """The ascending chunk-size table (last class == one full page)."""
     if chunk_min < 48 or factor <= 1.0:
         raise ValueError("chunk_min >= 48 and factor > 1.0 required")
     sizes = []
     size = chunk_min
-    while size < page_bytes // 2:
+    while size < PAGE_BYTES // 2:
         # 8-byte alignment, like memcached.
         aligned = (size + 7) & ~7
         if not sizes or aligned != sizes[-1]:
             sizes.append(aligned)
         size = int(size * factor) + 1
-    sizes.append(page_bytes)
+    sizes.append(PAGE_BYTES)
     return sizes
 
 
@@ -176,17 +172,12 @@ class SlabAllocator:
         self,
         max_bytes: int = 64 * PAGE_BYTES,
         pd: Optional["ProtectionDomain"] = None,
-        chunk_min: int = CHUNK_MIN,
-        factor: float = GROWTH_FACTOR,
     ) -> None:
         if max_bytes < PAGE_BYTES:
             raise ValueError("need at least one page of memory")
         self.max_bytes = max_bytes
         self.pd = pd  # set => pages are registered with the HCA
-        self.classes = [
-            SlabClass(i, size)
-            for i, size in enumerate(build_chunk_sizes(chunk_min, factor))
-        ]
+        self.classes = [SlabClass(i, size) for i, size in enumerate(build_chunk_sizes())]
         self.allocated_bytes = 0
         self._next_page_id = 0
 

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from repro.memcached import protocol
 from repro.memcached import protocol_binary as binp
 from repro.memcached.client import ClientCosts, _ctx
-from repro.memcached.command import Command
+from repro.memcached.command import MEMCACHED_PORT, Command
 from repro.memcached.errors import ProtocolError, ServerDownError
 from repro.telemetry import tracer
 
@@ -32,16 +32,15 @@ _PENDING = object()
 class _SocketConn:
     """One text- or binary-protocol connection to one server."""
 
-    def __init__(self, sock, parser, server: str, port: int) -> None:
+    def __init__(self, sock, parser, server: str) -> None:
         self.sock = sock
         self.parser = parser
         self.server = server
-        self.port = port
         self.tokens: list = []
         self.connected = False
 
     def connect(self):
-        yield from self.sock.connect(self.server, self.port)
+        yield from self.sock.connect(self.server, MEMCACHED_PORT)
         self.connected = True
 
     def next_token(self):
@@ -62,14 +61,12 @@ class SocketsTransport:
         sim: "Simulator",
         node: "Node",
         stack: "SocketStack",
-        port: int = 11211,
         costs: ClientCosts = ClientCosts(),
         binary: bool = False,
     ) -> None:
         self.sim = sim
         self.node = node
         self.stack = stack
-        self.port = port
         self.costs = costs
         #: The wire format's row -- codec, parser and cost fields all come
         #: from it (*binary*: libmemcached's
@@ -86,9 +83,7 @@ class SocketsTransport:
         """Process helper: the (lazily connected) connection to *server*."""
         c = self._conns.get(server)
         if c is None:
-            c = _SocketConn(
-                self.stack.socket(), self.wire.response_parser(), server, self.port
-            )
+            c = _SocketConn(self.stack.socket(), self.wire.response_parser(), server)
             self._conns[server] = c
         if not c.connected:
             yield from c.connect()

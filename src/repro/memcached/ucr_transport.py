@@ -15,13 +15,18 @@ from typing import TYPE_CHECKING
 from repro.core.errors import EndpointClosed, UcrTimeout
 from repro.memcached import protocol_ucr as ucrp
 from repro.memcached.client import _OP_ERRORS, DEFAULT_TIMEOUT_US, ClientCosts
-from repro.memcached.command import Command
+from repro.memcached.command import MEMCACHED_PORT, Command
 from repro.memcached.errors import ServerDownError
 from repro.telemetry import tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import UcrContext
     from repro.core.runtime import UcrRuntime
+
+#: How long a UD client waits for a reply before it retransmits, and how
+#: many times it retransmits before it declares the server down.
+UD_RETRY_TIMEOUT_US = 1_000.0
+UD_MAX_RETRIES = 5
 
 
 class UcrTransport:
@@ -30,7 +35,6 @@ class UcrTransport:
     def __init__(
         self,
         context: "UcrContext",
-        service_id: int = 11211,
         costs: ClientCosts = ClientCosts(),
         timeout_us: float = DEFAULT_TIMEOUT_US,
     ) -> None:
@@ -38,7 +42,6 @@ class UcrTransport:
         self.runtime = context.runtime
         self.sim = context.sim
         self.node = context.node
-        self.service_id = service_id
         self.costs = costs
         self.timeout_us = timeout_us
         #: Response counters ("counter C" of paper §V-B/C), one checked
@@ -93,7 +96,7 @@ class UcrTransport:
             raise ServerDownError(f"unknown UCR server {server!r}")
         try:
             ep = yield from self.context.connect(
-                runtime, self.service_id, timeout_us=self.timeout_us
+                runtime, MEMCACHED_PORT, timeout_us=self.timeout_us
             )
         except (UcrTimeout, ConnectionRefusedError) as exc:
             # A crashed server stops listening: surface the refused (or
@@ -214,8 +217,9 @@ class UcrUdTransport(UcrTransport):
     No per-server RC connection: one local UD queue pair receives every
     response, and requests address the server's UD QP directly.  Loss is
     possible (UD drops when the receiver's window is exhausted), so each
-    operation retransmits up to *max_retries* with a short timeout; the
-    server's response cache makes retried operations exactly-once.
+    operation retransmits up to :data:`UD_MAX_RETRIES` times, waiting
+    :data:`UD_RETRY_TIMEOUT_US` for each reply; the server's response
+    cache makes retried operations exactly-once.
 
     Restrictions inherited from UD: eager messages only, so values must
     fit under the runtime's eager threshold.
@@ -225,18 +229,10 @@ class UcrUdTransport(UcrTransport):
     #: command at a time and never reaches ``execute_many``.
     supports_concurrency = False
 
-    def __init__(
-        self,
-        context: "UcrContext",
-        service_id: int = 11211,
-        costs: ClientCosts = ClientCosts(),
-        retry_timeout_us: float = 1_000.0,
-        max_retries: int = 5,
-    ) -> None:
-        super().__init__(context, service_id, costs, retry_timeout_us)
+    def __init__(self, context: "UcrContext", costs: ClientCosts = ClientCosts()) -> None:
+        super().__init__(context, costs, UD_RETRY_TIMEOUT_US)
         #: The one response counter ("counter C" of paper §V-B/C).
         self.counter = self.runtime.create_counter("mc-client")
-        self.max_retries = max_retries
         #: The local UD endpoint responses arrive on.
         self.local_ud = context.create_ud_endpoint()
         self._response = None
@@ -266,7 +262,7 @@ class UcrUdTransport(UcrTransport):
         self._next_request_id += 1
         self._last_request_id = request.request_id
         header_bytes = ucrp.MC_REQUEST_HEADER_BYTES + sum(len(k) for k in request.keys)
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(UD_MAX_RETRIES + 1):
             self._response = None
             yield from self.local_ud.send_message(
                 ucrp.MSG_MC_REQUEST,
@@ -288,7 +284,7 @@ class UcrUdTransport(UcrTransport):
             )
             return header, payload
         raise ServerDownError(
-            f"{server}: no response after {self.max_retries + 1} attempts"
+            f"{server}: no response after {UD_MAX_RETRIES + 1} attempts"
         )
 
     def fire(self, server: str, request: ucrp.McRequest, data: bytes = b""):

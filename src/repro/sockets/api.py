@@ -82,11 +82,11 @@ class Socket:
         self.port = port
         self.state = _State.BOUND
 
-    def listen(self, backlog: int = 128) -> None:
+    def listen(self) -> None:
         """Enter the listening state.
 
-        *backlog* is the BSD argument and bounds nothing: no SYN is ever
-        refused, a handshake past it waits its turn in the same queue.
+        There is no BSD *backlog*: no SYN is ever refused, and every
+        handshake waits its turn in the one accept queue.
         """
         if self.state is not _State.BOUND:
             raise SocketError(f"listen() in state {self.state.value}")

@@ -11,7 +11,6 @@ zero-perturbation guarantees.
 """
 
 from repro.telemetry.breakdown import (
-    aggregate_breakdown,
     decompose_trace,
     format_breakdown_table,
     median_decomposition,
@@ -43,7 +42,6 @@ __all__ = [
     "Span",
     "TraceContext",
     "Tracer",
-    "aggregate_breakdown",
     "chrome_document",
     "decompose_trace",
     "format_breakdown_table",

@@ -16,6 +16,9 @@ from typing import Iterable, Optional, Sequence
 
 from repro.telemetry.spans import LAYERS, Span
 
+#: The label of the row that sums each column.
+TOTALS_LABEL = "total (= e2e)"
+
 
 def spans_by_trace(spans: Iterable[Span]) -> dict[int, list[Span]]:
     """Group spans into traces, preserving recording order."""
@@ -98,36 +101,7 @@ def median_decomposition(
     return decomposed[(len(decomposed) - 1) // 2]
 
 
-def aggregate_breakdown(
-    traces: Iterable[Sequence[Span]], how: str = "median"
-) -> dict[str, float]:
-    """Stacked µs by layer across many traces.
-
-    ``how="median"`` returns the decomposition of the median-latency
-    trace (the default: it sums to a real observed latency);
-    ``"mean"``/``"sum"`` aggregate each layer independently.
-    """
-    if how == "median":
-        return median_decomposition(traces)[1]
-    per_trace = [decompose_trace(tr)[1] for tr in traces]
-    if not per_trace:
-        raise ValueError("no traces to decompose")
-    if how not in ("mean", "sum"):
-        raise ValueError(f"unknown aggregate: {how!r}")
-    totals: dict[str, float] = {}
-    for layers in per_trace:
-        for layer, us in layers.items():
-            totals[layer] = totals.get(layer, 0.0) + us
-    if how == "mean":
-        return {layer: us / len(per_trace) for layer, us in totals.items()}
-    return totals
-
-
-def format_breakdown_table(
-    title: str,
-    columns: dict[str, dict[str, float]],
-    totals_label: str = "total (= e2e)",
-) -> str:
+def format_breakdown_table(title: str, columns: dict[str, dict[str, float]]) -> str:
     """Render ``{column: {layer: µs}}`` as an aligned text table with
     layers in stack order plus a totals row."""
     names = list(columns)
@@ -136,7 +110,7 @@ def format_breakdown_table(
         for layer in LAYERS
         if any(columns[c].get(layer, 0.0) > 0.0 for c in names)
     ]
-    width = max(len(totals_label), *(len(layer) for layer in used)) if used else 12
+    width = max(len(TOTALS_LABEL), *(len(layer) for layer in used)) if used else 12
     header = f"{'layer':<{width}}  " + "  ".join(f"{c:>12}" for c in names)
     lines = [title, "=" * len(header), header, "-" * len(header)]
     for layer in used:
@@ -144,5 +118,5 @@ def format_breakdown_table(
         lines.append(f"{layer:<{width}}  {cells}")
     lines.append("-" * len(header))
     sums = "  ".join(f"{sum(columns[c].values()):>12.2f}" for c in names)
-    lines.append(f"{totals_label:<{width}}  {sums}")
+    lines.append(f"{TOTALS_LABEL:<{width}}  {sums}")
     return "\n".join(lines)

@@ -18,9 +18,11 @@ from typing import Sequence
 from repro.telemetry.spans import Span
 
 BAR = "█"
+#: Width of the bar column in characters; the root span fills it.
+WIDTH = 48
 
 
-def render_flame(trace_spans: Sequence[Span], width: int = 48) -> str:
+def render_flame(trace_spans: Sequence[Span]) -> str:
     """Render one trace (as grouped by ``spans_by_trace``) to text."""
     finished = [s for s in trace_spans if s.end_us is not None]
     roots = [s for s in finished if s.parent_id is None]
@@ -50,13 +52,13 @@ def render_flame(trace_spans: Sequence[Span], width: int = 48) -> str:
     def _emit(span: Span, depth: int) -> None:
         start = max(span.start_us, root.start_us)
         end = min(span.end_us, root.end_us)
-        offset = round((start - root.start_us) / total * width)
-        length = max(1, round((end - start) / total * width))
-        offset = min(offset, width - 1)
-        length = min(length, width - offset)
+        offset = round((start - root.start_us) / total * WIDTH)
+        length = max(1, round((end - start) / total * WIDTH))
+        offset = min(offset, WIDTH - 1)
+        length = min(length, WIDTH - offset)
         gutter = " " * offset + BAR * length
         label = f"{'  ' * depth}{span.name} ({span.layer}) {span.end_us - span.start_us:.2f}µs"
-        lines.append(f"|{gutter:<{width}}| {label}")
+        lines.append(f"|{gutter:<{WIDTH}}| {label}")
         for child in children.get(span.span_id, ()):
             _emit(child, depth + 1)
 

@@ -150,11 +150,10 @@ class Tracer:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def enable(self, reset: bool = True) -> None:
-        """Turn recording on; by default also clears prior data and
-        resets the id counters so repeated runs trace identically."""
-        if reset:
-            self.clear()
+    def enable(self) -> None:
+        """Turn recording on, clearing prior data and resetting the id
+        counters so repeated runs trace identically."""
+        self.clear()
         self.enabled = True
 
     def disable(self) -> None:
@@ -240,7 +239,7 @@ tracer = Tracer()
 
 
 @contextmanager
-def tracing(reset: bool = True) -> Iterator[Tracer]:
+def tracing() -> Iterator[Tracer]:
     """Enable the global tracer for a block, restoring the previous
     enabled state afterwards (collected spans remain readable)::
 
@@ -249,7 +248,7 @@ def tracing(reset: bool = True) -> Iterator[Tracer]:
         tree = spans_by_trace(t.spans)
     """
     was_enabled = tracer.enabled
-    tracer.enable(reset=reset)
+    tracer.enable()
     try:
         yield tracer
     finally:

@@ -30,6 +30,9 @@ from repro.verbs.params import HCA_CONNECTX_DDR
 #: The memcached service id used by the UCR worlds.
 SERVICE = 11211
 
+#: The port :meth:`SocketWorld.connect_pair` listens on.
+PAIR_PORT = 5000
+
 #: Which physical link each socket stack rides in these harnesses.
 NETWORK_FOR_STACK = {
     "1GigE-TCP": ETH_1G,
@@ -84,9 +87,9 @@ class UcrWorld:
 
 
 class SocketWorld:
-    """N nodes, one network, one socket stack instance per node."""
+    """Two nodes, one network, one socket stack instance per node."""
 
-    def __init__(self, params=None, n_nodes: int = 2, seed: int = 1) -> None:
+    def __init__(self, params=None, seed: int = 1) -> None:
         from repro.sockets.params import STACK_TOE_10G
 
         if params is None:
@@ -96,7 +99,7 @@ class SocketWorld:
         self.net = Network(self.sim, link)
         self.nodes = []
         self.stacks = []
-        for i in range(n_nodes):
+        for i in range(2):
             node = Node(self.sim, f"n{i}", HOST_CLOVERTOWN)
             self.net.attach(node)
             self.nodes.append(node)
@@ -105,13 +108,14 @@ class SocketWorld:
             )
         SocketStack.interconnect(self.stacks)
 
-    def connect_pair(self, port: int = 5000):
-        """Handshake a client (stack 0) to a server (stack 1).
+    def connect_pair(self):
+        """Handshake a client (stack 0) to a server (stack 1) on
+        :data:`PAIR_PORT`.
 
         Returns ``(client_sock, server_sock)``.
         """
         listener = self.stacks[1].socket()
-        listener.bind(port)
+        listener.bind(PAIR_PORT)
         listener.listen()
         client = self.stacks[0].socket()
         result = {}
@@ -121,7 +125,7 @@ class SocketWorld:
             result["server"] = server
 
         def client_proc():
-            yield from client.connect("n1", port)
+            yield from client.connect("n1", PAIR_PORT)
             result["client"] = client
 
         self.sim.process(server_proc())
@@ -131,9 +135,9 @@ class SocketWorld:
         return result["client"], result["server"]
 
 
-def measure_echo_rtt(params, payload_size: int, n_ops: int = 5, seed: int = 3) -> float:
+def measure_echo_rtt(params, payload_size: int, n_ops: int = 5) -> float:
     """Median echo round-trip time over one socket stack (simulated µs)."""
-    world = SocketWorld(params=params, seed=seed)
+    world = SocketWorld(params=params, seed=3)
     client, server = world.connect_pair()
     samples = []
 

@@ -1,9 +1,8 @@
-"""Analysis helpers: series, tables, statistics."""
+"""Analysis helpers: series and tables."""
 
 import pytest
 
 from repro.analysis import FigureSeries, format_latency_table, format_tps_table
-from repro.analysis.stats import crossover_size, ratio, summarize_latencies
 
 
 def test_series_add_and_lookup():
@@ -37,55 +36,3 @@ def test_tps_table_formats_thousands():
     table = format_tps_table("TPS", [8, 16], [ucr, toe])
     assert "800K" in table
     assert "6.4x" in table  # 1.6M / 250K
-
-
-def test_summarize_latencies():
-    s = summarize_latencies([1.0, 2.0, 3.0])
-    assert s["mean"] == pytest.approx(2.0)
-    assert s["median"] == 2.0
-    assert s["jitter"] > 0
-    with pytest.raises(ValueError):
-        summarize_latencies([])
-
-
-def test_ratio():
-    assert ratio(10.0, 2.0) == 5.0
-    with pytest.raises(ZeroDivisionError):
-        ratio(1.0, 0.0)
-
-
-def test_crossover_size():
-    sizes = [1, 2, 4, 8]
-    a = [1.0, 2.0, 5.0, 9.0]
-    b = [2.0, 3.0, 4.0, 5.0]
-    assert crossover_size(sizes, a, b) == 4  # a overtakes b at 4
-    assert crossover_size(sizes, a, [10.0] * 4) is None
-    with pytest.raises(ValueError):
-        crossover_size([1], [1.0, 2.0], [1.0])
-
-
-def test_summarize_latencies_reports_p99():
-    samples = [1.0] * 99 + [100.0]
-    s = summarize_latencies(samples)
-    assert s["p95"] <= s["p99"] <= 100.0
-    assert s["p99"] > s["median"]
-
-
-def test_latency_histogram_export():
-    from repro.analysis.stats import latency_histogram
-
-    d = latency_histogram([1.0, 2.0, 400.0])
-    assert d["unit"] == "us"
-    assert sum(count for _, _, count in d["buckets"]) == 3
-    assert d == latency_histogram([1.0, 2.0, 400.0])  # deterministic
-
-
-def test_latency_recorder_histogram_bridge():
-    from repro.sim.trace import LatencyRecorder
-
-    rec = LatencyRecorder("t")
-    for v in (5.0, 7.0, 9.0):
-        rec.record(v)
-    hist = rec.histogram()
-    assert hist.total == 3
-    assert hist.percentile(50) == pytest.approx(7.0, rel=0.05)

@@ -10,7 +10,6 @@ from repro.telemetry import (
     Span,
     TraceContext,
     Tracer,
-    aggregate_breakdown,
     chrome_document,
     decompose_trace,
     format_breakdown_table,
@@ -189,17 +188,6 @@ def test_median_decomposition_picks_the_middle_trace():
     root, layers = median_decomposition(traces)
     assert root.duration_us == 20.0
     assert layers == {"client": 20.0}
-
-
-def test_aggregate_breakdown_modes():
-    t = Tracer()
-    t.enable()
-    for dur in (10.0, 30.0):
-        root = t.begin("client.get", "client", 0.0)
-        t.end(root, dur)
-    traces = list(spans_by_trace(t.finished_spans()).values())
-    assert aggregate_breakdown(traces, how="mean")["client"] == 20.0
-    assert aggregate_breakdown(traces, how="sum")["client"] == 40.0
 
 
 def test_breakdown_table_renders_used_layers_only():

@@ -101,6 +101,61 @@ def test_kernel_public_surface_is_pinned():
     ]
 
 
+def test_constructor_surface_is_pinned():
+    """An option exists only when two callers need different values: a
+    new constructor parameter is a reviewed decision that changes this
+    table, not a default nothing sets."""
+    import inspect
+
+    from repro.cluster import Cluster
+    from repro.core.buffers import BufferPool
+    from repro.core.runtime import UcrRuntime
+    from repro.memcached.client import MemcachedClient
+    from repro.memcached.onesided import OneSidedTransport
+    from repro.memcached.onesided.index import ExportedIndex
+    from repro.memcached.server import MemcachedServer, UcrServerPort
+    from repro.memcached.slabs import SlabAllocator
+    from repro.memcached.sockets_transport import SocketsTransport
+    from repro.memcached.store import ItemStore
+    from repro.memcached.ucr_transport import UcrTransport, UcrUdTransport
+
+    surface = {
+        f.__qualname__: tuple(inspect.signature(f).parameters)
+        for f in (
+            Cluster, Cluster.start_server, Cluster.client, Cluster.sharded_client,
+            MemcachedServer, UcrServerPort, MemcachedClient,
+            SocketsTransport, UcrTransport, UcrUdTransport, OneSidedTransport,
+            ItemStore, SlabAllocator, ExportedIndex, UcrRuntime, BufferPool,
+        )
+    }
+    assert surface == {
+        "Cluster": ("spec", "n_client_nodes", "seed", "n_servers", "ucr_params"),
+        "Cluster.start_server": ("self", "n_workers", "store_config", "costs"),
+        "Cluster.client": (
+            "self", "transport", "client_node", "costs", "distribution",
+            "timeout_us", "binary", "pipeline_depth",
+        ),
+        "Cluster.sharded_client": (
+            "self", "transport", "client_node", "costs", "timeout_us", "policy",
+            "binary", "pipeline_depth", "hot_cache", "ring",
+        ),
+        "MemcachedServer": ("sim", "node", "n_workers", "store_config", "costs", "pd"),
+        "UcrServerPort": ("server", "runtime"),
+        "MemcachedClient": (
+            "transport", "distribution", "policy", "pipeline_depth", "hot_cache",
+        ),
+        "SocketsTransport": ("sim", "node", "stack", "costs", "binary"),
+        "UcrTransport": ("context", "costs", "timeout_us"),
+        "UcrUdTransport": ("context", "costs"),
+        "OneSidedTransport": ("context", "costs", "timeout_us"),
+        "ItemStore": ("sim", "config", "pd"),
+        "SlabAllocator": ("max_bytes", "pd"),
+        "ExportedIndex": ("store", "pd"),
+        "UcrRuntime": ("sim", "node", "hca", "params"),
+        "BufferPool": ("pd", "buffer_bytes", "initial", "name"),
+    }
+
+
 def test_full_stack_determinism():
     """Two identical fast Figure-5 panels must agree to the bit."""
     from repro.cluster import CLUSTER_B, Cluster
