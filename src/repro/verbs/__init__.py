@@ -10,16 +10,21 @@ Fidelity notes
 - The data path is fully OS-bypassed: posting a work request costs one
   doorbell write of latency and zero kernel time, exactly the property the
   paper exploits.
-- Payload bytes really move: memory regions wrap ``bytearray`` objects and
+- Payload bytes really move: memory regions are slices of lazily zeroed
+  ``mmap`` arenas (one per protection domain, :mod:`repro.verbs.mr`) and
   RDMA operations copy between them, so data integrity is testable
   end-to-end (a memcached value survives the full verbs round trip).
-- Reliable Connection (RC) semantics: in-order delivery, send completions
-  after the (modeled) ACK, receiver-not-ready on RECV exhaustion surfaces
-  as an error completion -- which is what makes UCR's credit-based flow
-  control a load-bearing component rather than decoration.
+- Reliable Connection (RC) semantics: send completions after the (modeled)
+  ACK, receiver-not-ready on RECV exhaustion surfaces as an error
+  completion -- which is what makes UCR's credit-based flow control a
+  load-bearing component rather than decoration.  In-order delivery is
+  *not* yet kept: a small SEND can overtake a larger SEND, WRITE or READ
+  posted before it on the same QP (ROADMAP item 15;
+  ``tests/verbs/test_rc_order.py`` holds the probes as strict xfails).
 - Unreliable Datagram (UD) is provided for the paper's future-work
-  direction (scaling client counts); it completes sends locally and drops
-  messages that find no posted receive.
+  direction (scaling client counts); a send completes when its frame is
+  delivered (``qp.py:_ud_delivered``), with no ACK, and a message that
+  finds no posted receive is dropped.
 """
 
 from repro.verbs.cq import CompletionQueue, WorkCompletion

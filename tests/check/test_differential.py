@@ -195,6 +195,18 @@ def test_concurrent_under_chaos_stays_linearizable():
     assert (a.digest, a.chaos_log) == (b.digest, b.chaos_log)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_ucr_zero_copy_get_seed_3_is_linearizable():
+    """The red seed of the UCR zero-copy GET use-after-free: a GET on
+    key2/server0 returns the old item's length over the new item's bytes
+    after a concurrent prepend frees and refills its slab chunk (history
+    digest b41de36119737008).  The fix turns this green and must drop
+    the marker."""
+    result = replay_concurrent(UCR, seed=3, pipeline_depth=1)
+    failed = [(key, server) for key, server, _ in result.check.failures]
+    assert failed == [], (result.digest[:16], result.check.failures[:1])
+
+
 def test_fuzz_parsers_crash_free():
     assert fuzz_parsers(1, n_cases=150) == []
 

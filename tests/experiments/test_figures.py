@@ -82,6 +82,7 @@ def test_figure4_sdp_jitter_table_present(fig4):
 
 def test_figure5_shapes(fig5):
     _assert_all(fig5)
+    assert len(fig5.panels) == 4
 
 
 def test_figure5_mixes_follow_pure_trends(fig3, fig5):
@@ -117,6 +118,10 @@ def test_figure6_ucr_wins_everywhere(fig6):
                 continue
             for n in (8, 16):
                 assert ucr.value_at(n) > other.value_at(n), (title, other.label, n)
+    # Headline (paper: ~6x): over the best sockets option at A / 4 B / 16.
+    a4 = {s.label: s for s in fig6.panels["(a) 4 byte - Cluster A"]}
+    best_other = max(s.value_at(16) for label, s in a4.items() if label != "UCR-IB")
+    assert a4["UCR-IB"].value_at(16) / best_other >= 4.5
 
 
 def test_reports_render(fig3, fig4, fig5, fig6):
