@@ -12,7 +12,7 @@ invariants").
 
 from __future__ import annotations
 
-from heapq import heappop
+from heapq import heapify, heappop
 from typing import Any, Callable, Optional
 
 from repro.sim.events import PROCESSED, Event, EventName, Timeout
@@ -50,6 +50,11 @@ class Simulator:
         self._now = float(start_time)
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
+        #: Heap entries whose timer was cancelled (``Timeout._cancel``).
+        self._cancelled = 0
+        #: The latest deadline ever armed (``Event.expire_after``); a
+        #: drained ``run()`` leaves the clock no earlier than this.
+        self._horizon = self._now
         #: Hook invoked as ``hook(sim, event)`` just before each event is
         #: processed; used by :mod:`repro.sanitize.determinism`.  Append and
         #: remove in place (also mid-run); the loop holds on to this list.
@@ -71,8 +76,13 @@ class Simulator:
         return self._events_processed
 
     def peek(self) -> float:
-        """Timestamp of the next scheduled event, or ``inf`` if idle."""
-        return self._heap[0][0] if self._heap else _INF
+        """Timestamp of the next scheduled event, or ``inf`` if idle.
+        Cancelled timers are not scheduled events: they are dropped here."""
+        heap = self._heap
+        while heap and heap[0][2].callbacks is None:
+            heappop(heap)
+            self._cancelled -= 1
+        return heap[0][0] if heap else _INF
 
     # -- factories -----------------------------------------------------------
 
@@ -95,19 +105,24 @@ class Simulator:
 
         Returns when the schedule drains, when the next event lies beyond
         *until*, or when *stop* has been processed -- whichever is first.
-        Every way of running the simulator comes through here.
+        Every way of running the simulator comes through here.  A
+        cancelled timer is discarded unseen: no clock, no count, no hook.
         """
         heap = self._heap
         hooks = self.pre_event_hooks
         while heap and heap[0][0] <= until:
             if stop is not None and stop._state is PROCESSED:
                 return
-            self._now, _, event = heappop(heap)
+            when, _, event = heappop(heap)
+            callbacks = event.callbacks
+            if callbacks is None:
+                self._cancelled -= 1
+                continue
+            self._now = when
             self._events_processed += 1
             if hooks:
                 for hook in hooks:
                     hook(self, event)
-            callbacks = event.callbacks
             event.callbacks = None
             event._state = PROCESSED
             for callback in callbacks:
@@ -117,8 +132,17 @@ class Simulator:
                     f"event {event!r} failed with no waiter: {event._exception!r}"
                 ) from event._exception
 
+    def _compact(self) -> None:
+        """Drop every cancelled entry in place.  ``(when, seq)`` is unique,
+        so the pop order of what stays cannot change."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if entry[2].callbacks is not None]
+        heapify(heap)
+        self._cancelled = 0
+
     def step(self) -> None:
         """Process exactly one event, advancing the clock to its timestamp."""
+        self.peek()  # discards cancelled heads
         if not self._heap:
             raise RuntimeError("step() on an empty schedule")
         self._dispatch(_INF, self._heap[0][2])
@@ -127,10 +151,15 @@ class Simulator:
         """Run until the schedule drains or the clock would pass *until*.
 
         When *until* is given the clock is advanced exactly to it on return,
-        so back-to-back ``run(until=...)`` calls compose predictably.
+        so back-to-back ``run(until=...)`` calls compose predictably.  A
+        drained schedule leaves the clock at the last event or the latest
+        deadline ever armed, whichever is later -- where it would stand had
+        every met deadline's timer popped.
         """
         if until is None:
             self._dispatch(_INF, None)
+            if self._horizon > self._now:
+                self._now = self._horizon
             return
         if until < self._now:
             raise ValueError(f"until={until} is in the past (now={self._now})")

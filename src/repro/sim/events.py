@@ -15,6 +15,11 @@ uncontended ``Resource.request``) is *born* ``PROCESSED`` and never enters
 the heap; a process that yields it keeps running.  Anything that fails, or
 that somebody may already be waiting on, still goes through the heap.
 
+One cancellation rule: the timer a deadline arms (:meth:`Event.expire_after`)
+is cancelled when the event it guards is processed first.  Its heap entry
+stays, with no callback list, until the loop discards it unseen or the heap
+is compacted.
+
 Events carry either a *value* (on success) or an *exception* (on failure).
 A failed event re-raises its exception inside every waiting process, which
 is how error propagation works throughout the stack (e.g. an RDMA completion
@@ -45,6 +50,10 @@ class EventState(enum.Enum):
 PENDING = EventState.PENDING
 TRIGGERED = EventState.TRIGGERED
 PROCESSED = EventState.PROCESSED
+
+#: A heap no longer than this is never compacted: below it the cancelled
+#: entries cost less than rebuilding the heap would.
+COMPACT_FLOOR = 256
 
 #: An event name: a string, or ``(format, *args)`` rendered with ``%`` the
 #: first time somebody reads it.  Per-op call sites pass the tuple so that
@@ -166,12 +175,25 @@ class Event:
         :class:`Expired`, so ``yield ev.expire_after(t)`` either returns the
         event's value or raises ``Expired`` at the yield.  An event that was
         triggered first keeps its own outcome, failure included.  The timer
-        is never cancelled: it pops as a no-op when the event won.  Whoever
-        triggers the event and may do so after the deadline checks
-        :attr:`triggered` first.  Not for a :class:`Process` or a queued
-        resource request, which the kernel triggers without checking.
+        is cancelled when the event is processed first, by success or
+        failure, so a met deadline never pops; on an event already
+        processed no timer is armed at all.  Either way the deadline still
+        counts for where a drained ``run()`` leaves the clock
+        (:meth:`~repro.sim.engine.Simulator.run`).  Whoever triggers the
+        event and may do so after the deadline checks :attr:`triggered`
+        first.  Not for a :class:`Process` or a queued resource request,
+        which the kernel triggers without checking.
         """
-        Timeout(self.sim, delay).callbacks.append(self._expire)
+        sim = self.sim
+        when = sim._now + delay
+        if self._state is not PROCESSED:
+            timer = Timeout(sim, delay)
+            timer.callbacks.append(self._expire)
+            self.callbacks.append(timer._cancel)
+        elif delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        if when > sim._horizon:
+            sim._horizon = when
         return self
 
     def _expire(self, timer: "Timeout") -> None:
@@ -209,3 +231,16 @@ class Timeout(Event):
     @property
     def name(self) -> str:
         return f"timeout({self.delay})"
+
+    def _cancel(self, _won: Event) -> None:
+        """The event this timer guards was processed first.  Dropping the
+        callback list frees that event now and marks the heap entry
+        cancelled: the loop discards it unseen, and once cancelled entries
+        outnumber live ones the heap is compacted."""
+        if self.callbacks is None:  # the timer fired first
+            return
+        self.callbacks = None
+        sim = self.sim
+        sim._cancelled = cancelled = sim._cancelled + 1
+        if cancelled * 2 > len(sim._heap) > COMPACT_FLOOR:
+            sim._compact()

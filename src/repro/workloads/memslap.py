@@ -42,9 +42,11 @@ class MemslapResult:
     #: Gets answered with a miss (failover to a shard without the key).
     get_misses: int = 0
     #: Simulated time the timed region began (after prepopulate/warmup).
-    #: Note ``sim.now`` after a run overshoots the timed region: stale
-    #: operation-timeout timers drain as no-ops, so use
-    #: ``started_at_us + elapsed_us`` for the benchmark's end time.
+    #: Note ``sim.now`` after a run overshoots the timed region: a drained
+    #: run leaves the clock at the latest operation deadline ever armed,
+    #: met ones included (their timers are cancelled, the clock still
+    #: counts them), so use ``started_at_us + elapsed_us`` for the
+    #: benchmark's end time.
     started_at_us: float = 0.0
     #: In-flight window per client connection (1 = classic closed loop).
     pipeline_depth: int = 1

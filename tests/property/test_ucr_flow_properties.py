@@ -1,10 +1,11 @@
 """Property-based UCR flow control: random sizes, tiny windows, ordering."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.params import UcrParams
-from repro.testing import UcrWorld
+from repro.testing import SERVICE, UcrWorld
 
 MSG = 4
 
@@ -56,6 +57,47 @@ def test_any_credit_window_delivers_everything_in_order(credits, sizes):
     # Credit conservation: everything lent is back or owed.
     assert client_ep.send_credits + server_ep.credits_owed <= params.credits
     world.sim.run()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 15")
+def test_eager_am_stays_behind_an_earlier_larger_eager_am():
+    """The property above, one program, sent at 1 000 us instead of where
+    ``UcrWorld.establish()`` leaves the clock (its drained run stands at the
+    CM's 1 s deadline).  AM 8 (0 B) completes before AM 7 (1 164 B), both
+    eager on one RC QP: RC lets the smaller SEND overtake.  Which of two
+    nearly tied arrivals wins depends on how the clock's float rounds, so
+    the same program keeps its order sent at 4 096 us or at 1 s."""
+    params = UcrParams(credits=5, credit_return_threshold=2)
+    sizes = [0, 0, 0, 0, 0, 5532, 9595, 1164, 0]
+    world = UcrWorld(params=params)
+    sim = world.sim
+    server_ctx = world.server_rt.create_context("server")
+    client_ctx = world.client_rt.create_context("client")
+    world.server_rt.listen(
+        SERVICE, select_context=lambda: server_ctx, on_endpoint=lambda ep, pdata: None
+    )
+
+    def connector():
+        return (yield from client_ctx.connect(world.server_rt, SERVICE))
+
+    client_ep = sim.run_until_event(sim.process(connector()))
+    sim.run(until=1000.0)
+    received = []
+
+    def completion(ep, header, data):
+        received.append(header)
+        yield sim.timeout(0)
+
+    world.server_rt.register_handler(MSG, None, completion)
+
+    def sender():
+        for i, size in enumerate(sizes):
+            yield from client_ep.send_message(MSG, header=i, header_bytes=8, data=bytes(size))
+
+    sim.process(sender())
+    sim.run()
+    eager = [h for h in received if 8 + sizes[h] <= params.eager_threshold_bytes]
+    assert eager == sorted(eager), received
 
 
 @settings(max_examples=15, suppress_health_check=[HealthCheck.too_slow], deadline=None)

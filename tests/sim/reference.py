@@ -36,12 +36,17 @@ class Simulator:
         self.events_processed = 0
         self.schedule = []
         self.seq = 0
+        self.latest_deadline = 0.0
 
     def push(self, event, delay):
         """Schedule *event* at ``now + delay``.  ``seq`` is drawn here, so
         equal times run in the order they were scheduled."""
         self.seq += 1
         bisect.insort(self.schedule, (self.now + delay, self.seq, event))
+
+    def cancel(self, event):
+        """Take *event*'s entry off the schedule: it is never processed."""
+        self.schedule = [entry for entry in self.schedule if entry[2] is not event]
 
     def event(self):
         return Event(self)
@@ -53,9 +58,11 @@ class Simulator:
         return Process(self, generator)
 
     def run(self):
-        """Process entries until none is left.  A failure that no callback
-        defused is raised after all of its callbacks ran; the entries after
-        it stay scheduled, and the next ``run()`` picks up there."""
+        """Process entries until none is left, then move the clock on to
+        the latest deadline ever armed if that is later.  A failure that no
+        callback defused is raised after all of its callbacks ran; the
+        entries after it stay scheduled, and the next ``run()`` picks up
+        there."""
         while self.schedule:
             when, _seq, event = self.schedule.pop(0)
             self.now = when
@@ -66,6 +73,7 @@ class Simulator:
                 callback(event)
             if event.exception is not None and not event.defused:
                 raise UnhandledFailure(repr(event.exception)) from event.exception
+        self.now = max(self.now, self.latest_deadline)
 
 
 class Event:
@@ -121,14 +129,28 @@ class Event:
         return self
 
     def expire_after(self, delay):
-        """Arm the deadline's timer at the call; when it pops it fails this
-        event with ``Expired(delay)`` if nothing triggered it first."""
+        """Record the deadline, and unless this event is already processed
+        arm its timer at the call.  When the timer pops it fails this event
+        with ``Expired(delay)`` if nothing triggered it first; when this
+        event is processed first, the timer leaves the schedule."""
+        if delay < 0:
+            raise ValueError("negative timeout delay")
+        sim = self.sim
+        sim.latest_deadline = max(sim.latest_deadline, sim.now + delay)
+        if self.processed:
+            return self
 
         def expire(_timer):
             if self.state == PENDING:
                 self.fail(Expired(delay))
 
-        self.sim.timeout(delay).callbacks.append(expire)
+        def cancel(_event):
+            if not timer.processed:
+                sim.cancel(timer)
+
+        timer = sim.timeout(delay)
+        timer.callbacks.append(expire)
+        self.callbacks.append(cancel)
         return self
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Expired, Simulator, Timeout
+from repro.sim import Expired, Simulator
 from repro.sim.engine import UnhandledFailure
 
 
@@ -61,11 +61,13 @@ def test_already_processed_event_does_not_suspend():
         yield sim.timeout(5.0)
         before = sim.events_processed
         value = yield ev.expire_after(100.0)
-        return (sim.now, value, sim.events_processed - before)
+        return (sim.now, value, sim.events_processed - before, sim.peek())
 
     p = sim.process(proc())
     sim.run(until=20.0)
-    assert p.value == (5.0, "pre", 0)
+    assert p.value == (5.0, "pre", 0, float("inf"))  # no timer was armed
+    sim.run()
+    assert sim.now == 105.0  # yet the drained clock stands at the deadline
 
 
 def test_event_that_fails_first_raises_its_own_exception():
@@ -83,6 +85,7 @@ def test_event_that_fails_first_raises_its_own_exception():
     sim.run()  # the deadline passes at 100.0 and changes nothing
     assert p.value == "failed-branch"
     assert sim.now == 100.0
+    assert sim.events_processed == 3  # start, the failure, end: no timer
 
 
 def test_unguarded_late_producer_is_told():
@@ -102,21 +105,49 @@ def test_unguarded_late_producer_is_told():
         ev.fail(ValueError("late"))
 
 
-def test_stale_timer_pops_as_a_no_op():
+@pytest.mark.parametrize("outcome", ["succeed", "fail"])
+def test_met_deadline_never_pops(outcome):
+    """The event won, by succeeding or by failing: its timer is cancelled.
+    It never pops, never reaches a hook and is not counted, and yet the
+    drained clock stands at the deadline, as if it had popped."""
     sim = Simulator()
     ev = sim.event()
     popped = []
-    sim.pre_event_hooks.append(lambda s, e: popped.append((s.now, type(e))))
+    sim.pre_event_hooks.append(lambda s, e: popped.append((s.now, type(e).__name__)))
 
     def proc():
-        return (yield ev.expire_after(7.0))
+        try:
+            return (yield ev.expire_after(7.0))
+        except KeyError:
+            return "failed"
 
     p = sim.process(proc())
-    ev.succeed("won", delay=2.0)
+    if outcome == "succeed":
+        ev.succeed("won", delay=2.0)
+    else:
+        ev.fail(KeyError("won"), delay=2.0)
+    sim.run(until=3.0)
+    assert sim.peek() == float("inf")  # nothing left that can fire
     sim.run()
-    assert p.value == "won"
-    assert popped[-1] == (7.0, Timeout)  # after the process ended, unheard
-    assert ev.ok and ev.value == "won"
+    assert p.value == ("won" if outcome == "succeed" else "failed")
+    assert popped == [(0.0, "Event"), (2.0, "Event"), (2.0, "Process")]
+    assert (sim.now, sim.events_processed) == (7.0, 3)
+
+
+def test_step_runs_a_live_event_past_cancelled_heads():
+    sim = Simulator()
+    for deadline in (1.0, 2.0, 5.0):
+        sim.event().succeed().expire_after(deadline)
+    later, last = sim.timeout(3.0), sim.timeout(4.0)
+    for _ in range(3):
+        sim.step()  # each event wins: cancelled timers at 1.0, 2.0 and 5.0
+    sim.step()
+    assert later.processed and not last.processed
+    assert (sim.now, sim.events_processed) == (3.0, 4)
+    sim.step()
+    with pytest.raises(RuntimeError, match="empty schedule"):
+        sim.step()  # only the cancelled timer at 5.0 is left
+    assert (sim.now, sim.events_processed) == (4.0, 5)
 
 
 def test_expiry_nobody_waits_for_escalates_like_any_failure():

@@ -26,16 +26,26 @@ delivery -- the sockets pump's, which yields the tx hold itself -- is 3
 events and 19 calls.  The four-step idiom coming back at ``cpu_run`` costs
 3 calls per hold, a process or a helper event creeping back into the frame
 path costs an event, and either fails here.  A wait with a deadline that is
-met (``Event.expire_after``) is 2 events -- the wake and the stale timer --
-and 8 calls; as an ``AnyOf`` over ``[event, timer]`` it was 3 and 18.
+met (``Event.expire_after``) was 2 events -- the wake and the stale timer --
+and 8 calls; as an ``AnyOf`` over ``[event, timer]`` it was 3 and 18.  Since
+a met deadline cancels its timer it is 1 event and still 8 calls: the
+timer's ``_cancel`` runs where its no-op ``_expire`` did, and the cancelled
+entry is discarded without a call.
+
+The heap is budgeted too: 10 000 met waits, each a simulated second long,
+must never leave more than twice the live entries plus the compaction
+floor in the heap (257 entries; 10 000 when met timers stayed until they
+popped), take 20 002 events (30 002), and leave the collector nothing.
 """
 
+import gc
 import sys
 
 import pytest
 
 from repro.fabric import HOST_WESTMERE, IB_QDR, Network, Node
 from repro.sim import Simulator
+from repro.sim.events import COMPACT_FLOOR
 
 ITERATIONS = 200
 
@@ -95,7 +105,7 @@ def _frames_tx_done_only(sim: Simulator) -> None:
 
 
 def _deadline_wait_met(sim: Simulator) -> None:
-    """The wake and, a microsecond behind it, the timer nobody hears."""
+    """The wake, which cancels the timer a microsecond behind it."""
 
     def proc():
         for _ in range(ITERATIONS):
@@ -111,7 +121,7 @@ def _deadline_wait_met(sim: Simulator) -> None:
         (_cpu_run_loop, 1, 7 + 1),
         (_frames, 4, 22 + 1),
         (_frames_tx_done_only, 3, 19 + 1),
-        (_deadline_wait_met, 2, 8 + 1),
+        (_deadline_wait_met, 1, 8 + 1),
     ],
     ids=["timeout-ping-pong", "cpu_run", "send_frame", "send_frame-tx_done-only",
          "deadline-wait-met"],
@@ -130,3 +140,46 @@ def test_calls_per_event_stay_within_budget(
         f"{calls / sim.events_processed:.2f} calls/event, "
         f"{(calls - 10) / ITERATIONS:.2f} per iteration"
     )
+
+
+MET_WAITS = 10_000
+#: Live entries at any moment of the scenario below: the deadline's timer,
+#: and the producer's timeout or the event it triggered.
+LIVE = 2
+
+
+def test_met_deadlines_leave_the_heap():
+    """Each wait carries a deadline a simulated second out and is met a
+    microsecond later.  Kept until it popped, every met timer would stay in
+    the heap for the whole run (10 000 entries, 30 002 events); cancelled,
+    the heap never holds more than twice what is live plus the compaction
+    floor, and the collector finds nothing."""
+    sim = Simulator()
+    del sim.pre_event_hooks[:]
+    high_water = 0
+
+    def watch(s, _event):
+        nonlocal high_water
+        high_water = max(high_water, len(s._heap))
+
+    sim.pre_event_hooks.append(watch)
+
+    def proc():
+        for _ in range(MET_WAITS):
+            ev = sim.event()
+            sim.timeout(1.0).callbacks.append(lambda _t, ev=ev: ev.succeed())
+            yield ev.expire_after(1e6)
+
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim.process(proc())
+        sim.run()
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert high_water <= 2 * LIVE + COMPACT_FLOOR, high_water
+    assert sim.events_processed == 2 * MET_WAITS + 2
+    assert sim.now == MET_WAITS - 1 + 1e6  # the last deadline armed

@@ -10,10 +10,10 @@ Delays come from ``{0, 0.5, 1, 2}``, so same-timestamp ties are the rule.
 The program runs on :class:`repro.sim.Simulator` and on
 ``tests/sim/reference.py``, and the two must agree on the global log of
 ``(now, pid, what it saw)`` in order, every process's outcome, the
-``(now, exception type)`` of each ``UnhandledFailure``, and
-``events_processed``.  Three seeded kernel mutations show the property can
-tell: each is caught inside the search budget, and its shrunk program is
-pinned as an ``@example``.
+``(now, exception type)`` of each ``UnhandledFailure``,
+``events_processed`` and ``now`` once the schedule has drained.  Five
+seeded kernel mutations show the property can tell: each is caught inside
+the search budget, and its shrunk program is pinned as an ``@example``.
 """
 
 import heapq
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import repro.sim
 import repro.sim.engine
-from repro.sim import Resource
+from repro.sim import Resource, Simulator, Timeout
 from tests.sim import reference
 
 N_EVENTS = 3
@@ -124,7 +124,8 @@ def run_program(kernel, program):
             break
         except kernel["UnhandledFailure"] as failure:
             escalated.append((sim.now, type(failure.__cause__).__name__))
-    return log, [_outcome(p) for p in procs], escalated, sim.events_processed
+    outcomes = [_outcome(p) for p in procs]
+    return log, outcomes, escalated, sim.events_processed, sim.now
 
 
 def _outcome(proc):
@@ -188,10 +189,29 @@ def _request_through_the_heap(self):
     return req
 
 
+def _drain_forgetting_deadlines(self):
+    """``run()`` without the drained-clock rule: the clock stays at the
+    last live event although a later deadline was armed.  The programs
+    never pass ``until``."""
+    self._dispatch(float("inf"), None)
+
+
+_cancel = Timeout._cancel
+
+
+def _cancel_on_success_only(self, won):
+    if won._exception is None:
+        _cancel(self, won)
+
+
 MUTATIONS = {
     "ties-run-lifo": (repro.sim.engine, "heappop", _lifo_heappop),
     "release-grants-newest": (Resource, "release", _release_newest),
     "request-through-the-heap": (Resource, "request", _request_through_the_heap),
+    "drained-clock-forgets-cancelled-deadlines": (
+        Simulator, "run", _drain_forgetting_deadlines,
+    ),
+    "failed-target-leaves-its-timer-live": (Timeout, "_cancel", _cancel_on_success_only),
 }
 
 #: Each mutation's shrunk counterexample, as the search found it.
@@ -203,6 +223,14 @@ CAUGHT = {
         [("hold", 0, 0.0)],
     ],
     "request-through-the-heap": [[("timeout", 0.0)], [("request", 0, 0.0)]],
+    "drained-clock-forgets-cancelled-deadlines": [
+        [("wait", 1, 0.0, False)],
+        [("wait", 1, 0.5, False)],
+    ],
+    "failed-target-leaves-its-timer-live": [
+        [("wait", 0, 0.0, False)],
+        [("timeout", 0.0), ("wait", 0, 0.0, False)],
+    ],
 }
 
 
@@ -211,6 +239,8 @@ CAUGHT = {
 @example(CAUGHT["ties-run-lifo"])
 @example(CAUGHT["release-grants-newest"])
 @example(CAUGHT["request-through-the-heap"])
+@example(CAUGHT["drained-clock-forgets-cancelled-deadlines"])
+@example(CAUGHT["failed-target-leaves-its-timer-live"])
 def test_kernel_matches_the_reference(program):
     assert run_program(KERNEL, program) == run_program(REFERENCE, program)
 
