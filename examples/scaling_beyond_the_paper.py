@@ -1,16 +1,12 @@
 #!/usr/bin/env python3
-"""Scaling past the paper: UD clients, shared receive queues, server pools.
+"""Scaling past the paper: shared receive queues and server pools.
 
-The paper closes (§VII) with "we aim to leverage the Unreliable Datagram
-transport to scale up the total number of clients".  This example drives
-the three scaling levers this repository implements on top of the
-published design and prints what each one buys:
+This example drives the two scaling levers this repository implements on
+top of the published design and prints what each one buys:
 
-1. **UD client transport** -- server queue pairs stop growing with the
-   client count;
-2. **shared receive queues** (`UcrParams(use_srq=True)`) -- server
+1. **shared receive queues** (`UcrParams(use_srq=True)`) -- server
    receive-buffer memory stops growing with the client count;
-3. **multi-server pools with ketama** -- capacity grows by adding
+2. **multi-server pools with ketama** -- capacity grows by adding
    machines, and only ~1/n of keys move when one joins or dies.
 
 Run:  python examples/scaling_beyond_the_paper.py
@@ -24,24 +20,8 @@ from repro.workloads import GET_ONLY, MemslapRunner
 N_CLIENTS = 10
 
 
-def lever_1_ud_clients() -> None:
-    print("Lever 1: UD clients (paper §VII future work)")
-    for transport in ("UCR-IB", "UCR-UD"):
-        cluster = Cluster(CLUSTER_B, n_client_nodes=N_CLIENTS)
-        cluster.start_server(n_workers=4)
-        before = len(cluster.hcas["server"]._qps)
-        result = MemslapRunner(
-            cluster, transport, 4, GET_ONLY,
-            n_clients=N_CLIENTS, n_ops_per_client=60,
-        ).run()
-        qps = len(cluster.hcas["server"]._qps) - before
-        print(f"  {transport:8s}: {qps:3d} server QPs for {N_CLIENTS} clients, "
-              f"{result.tps / 1e3:6.0f}K TPS")
-    print()
-
-
-def lever_2_shared_receive_queues() -> None:
-    print("Lever 2: shared receive queues (UCR lineage, MVAPICH-SRQ)")
+def lever_1_shared_receive_queues() -> None:
+    print("Lever 1: shared receive queues (UCR lineage, MVAPICH-SRQ)")
     for label, params in (
         ("private windows", UcrParams()),
         ("shared SRQ     ", UcrParams(use_srq=True, srq_depth=128)),
@@ -59,8 +39,8 @@ def lever_2_shared_receive_queues() -> None:
     print()
 
 
-def lever_3_server_pools() -> None:
-    print("Lever 3: a ketama server pool (capacity by machines)")
+def lever_2_server_pools() -> None:
+    print("Lever 2: a ketama server pool (capacity by machines)")
     cluster = Cluster(CLUSTER_B, n_client_nodes=1, n_servers=4)
     cluster.start_server()
     client = cluster.client("UCR-IB", distribution="ketama")
@@ -93,12 +73,10 @@ def lever_3_server_pools() -> None:
 
 
 def main() -> None:
-    lever_1_ud_clients()
-    lever_2_shared_receive_queues()
-    lever_3_server_pools()
-    print("Together: bounded QPs (UD), bounded buffer memory (SRQ), and\n"
-          "horizontal capacity (ketama pools) -- the deployment story the\n"
-          "paper's future-work section sketches, runnable end to end.")
+    lever_1_shared_receive_queues()
+    lever_2_server_pools()
+    print("Together: bounded buffer memory (SRQ) and horizontal capacity\n"
+          "(ketama pools), runnable end to end.")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from repro.memcached.server import MemcachedCosts, MemcachedServer, UcrServerPor
 from repro.memcached.serving import ProbabilisticHotCache
 from repro.memcached.sockets_transport import SocketsTransport
 from repro.memcached.store import StoreConfig
-from repro.memcached.ucr_transport import UcrTransport, UcrUdTransport
+from repro.memcached.ucr_transport import UcrTransport
 from repro.sim import Simulator
 from repro.sim.rng import RngStream
 from repro.sockets.stack import SocketStack
@@ -160,9 +160,8 @@ class Cluster:
         Transport names come from :meth:`ClusterSpec.transports`
         ("UCR-IB", "SDP", "IPoIB", "10GigE-TOE", "1GigE-TCP"), plus the
         derived "UCR-1S" (one-sided GETs over the server-exported index,
-        docs/ONESIDED.md; every other op rides UCR-IB active messages)
-        and "UCR-UD".  *binary* selects the binary wire protocol on
-        sockets transports
+        docs/ONESIDED.md; every other op rides UCR-IB active messages).
+        *binary* selects the binary wire protocol on sockets transports
         (libmemcached's BINARY_PROTOCOL behavior; ignored for UCR, whose
         active messages are already structs).  *distribution* is
         ``"modula"`` or ``"ketama"`` over every server in the pool.
@@ -190,9 +189,8 @@ class Cluster:
         node_name = f"client{client_node}"
         if node_name not in self.nodes:
             raise KeyError(f"no such client node {node_name!r}")
-        if transport in ("UCR-IB", "UCR-1S", "UCR-UD"):
-            context = self.runtimes[node_name].create_context(f"mc-client/{transport}")
         if transport in ("UCR-IB", "UCR-1S"):
+            context = self.runtimes[node_name].create_context(f"mc-client/{transport}")
             onesided = transport == "UCR-1S"
             cls = OneSidedTransport if onesided else UcrTransport
             t = cls(context, costs, timeout_us)
@@ -201,13 +199,6 @@ class Cluster:
                 index = self.servers[name].onesided_index
                 if onesided and index is not None:
                     t.add_index(name, index.descriptor)
-        elif transport == "UCR-UD":
-            # The paper's §VII scaling direction: connection-less clients.
-            t = UcrUdTransport(context, costs)
-            for name in self.server_names:
-                uds = self.ucr_ports[name].enable_ud()
-                # Spread clients across the server's per-context UD QPs.
-                t.add_ud_server(name, uds[client_node % len(uds)])
         elif transport in self.stacks:
             t = SocketsTransport(
                 self.sim,

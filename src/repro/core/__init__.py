@@ -8,8 +8,8 @@ message and an end-point connection model designed for fault isolation:
   message handlers and counters.
 - :class:`~repro.core.context.UcrContext` -- one per thread (memcached
   worker); owns CQs and the progress engine.
-- :class:`~repro.core.endpoint.Endpoint` -- a bi-directional, reliable or
-  unreliable channel to one peer, with credit-based flow control.
+- :class:`~repro.core.endpoint.Endpoint` -- a bi-directional channel to
+  one peer over an RC queue pair, with credit-based flow control.
 - :func:`~repro.core.endpoint.Endpoint.send_message` -- the
   ``ucr_send_message`` of the paper: header + data + the three counters.
 - :class:`~repro.core.counters.UcrCounter` -- monotone counters with

@@ -21,7 +21,7 @@ from repro.core.errors import EndpointClosed, UcrTimeout
 from repro.core.messages import AmWire, InternalWire
 from repro.sim import Expired
 from repro.telemetry import tracer
-from repro.verbs.enums import Opcode, QpType, WcStatus
+from repro.verbs.enums import Opcode, WcStatus
 from repro.verbs.wr import SendWR, Sge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,7 +65,7 @@ class UcrContext:
         timeout_us: Optional[float] = None,
         private_data: Any = None,
     ):
-        """Process helper: establish a reliable endpoint to a listener.
+        """Process helper: establish an endpoint to a listener.
 
         Raises :class:`UcrTimeout` if the handshake exceeds *timeout_us*
         (the data-center requirement: connection attempts must not hang).
@@ -87,27 +87,7 @@ class UcrContext:
             raise UcrTimeout(
                 f"connect to service {service_id} exceeded {timeout_us} µs"
             ) from None
-        return Endpoint(self, qp, reliable=True, peer_label=remote_runtime.name)
-
-    def create_ud_endpoint(self, remote_ep: Optional[Endpoint] = None) -> Endpoint:
-        """Create an unreliable endpoint (paper §VII future work).
-
-        With *remote_ep* given, datagrams address that endpoint's UD QP;
-        a server-side UD endpoint is created without a remote and only
-        receives.
-        """
-        qp = self.runtime.hca.create_qp(
-            self.runtime.pd, self.cq, self.cq, QpType.UD
-        )
-        qp.ready_ud()
-        ep = Endpoint(
-            self,
-            qp,
-            reliable=False,
-            peer_label="ud",
-            remote_ud_qp=remote_ep.qp if remote_ep is not None else None,
-        )
-        return ep
+        return Endpoint(self, qp, peer_label=remote_runtime.name)
 
     # -- the progress engine ---------------------------------------------------------
 
@@ -172,10 +152,9 @@ class UcrContext:
             buf.release()
             ep.fail(f"malformed message {type(wire).__name__}")
             return
-        if ep.reliable:
-            ep.note_peer_consumed_credit()
-            if wire.credits_returned:
-                ep._grant_credits(wire.credits_returned)
+        ep.note_peer_consumed_credit()
+        if wire.credits_returned:
+            ep._grant_credits(wire.credits_returned)
         if wire.is_eager:
             yield from self._handle_eager(ep, wire, buf)
         else:

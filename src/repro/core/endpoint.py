@@ -2,9 +2,7 @@
 
 An endpoint is bi-directional and private to one peer relationship; its
 failure is contained (the runtime and all other endpoints keep working).
-Reliable endpoints ride an RC queue pair with credit-based flow control;
-unreliable ones ride UD and may drop messages, exactly like the TCP/UDP
-split the paper draws (§IV-A).
+It rides an RC queue pair with credit-based flow control.
 
 Transfer paths (paper Fig. 2):
 
@@ -17,7 +15,7 @@ Transfer paths (paper Fig. 2):
   origin's staging buffer and bumps the origin/completion counters.
 
 Ordering semantics (same contract as GASNet-class AM runtimes): headers
-arrive in send order on a reliable endpoint, and completion handlers of
+arrive in send order on an endpoint, and completion handlers of
 same-path messages (eager/eager, rendezvous/rendezvous) run in that
 order -- but an eager message may *complete* before an earlier
 rendezvous message whose data fetch is still in flight.  Applications
@@ -67,16 +65,13 @@ class Endpoint:  # repro-lint: disable=L003
         self,
         context: "UcrContext",
         qp: "QueuePair",
-        reliable: bool = True,
         peer_label: str = "",
-        remote_ud_qp: Optional["QueuePair"] = None,
     ) -> None:
         self.ep_id = next(_ep_ids)
         self.context = context
         self.runtime = context.runtime
         self.sim = context.sim
         self.qp = qp
-        self.reliable = reliable
         self.peer_label = peer_label
         self.failed = False
         self.failure_reason: Optional[str] = None
@@ -90,18 +85,14 @@ class Endpoint:  # repro-lint: disable=L003
         self._staged: dict[int, PooledBuffer] = {}
         #: User hook invoked on failure (memcached drops the client here).
         self.on_failure = None
-        #: UD only: the address handle of the peer's UD queue pair.
-        self.remote_ud_qp = remote_ud_qp
         context._register_endpoint(self)
-        if reliable and params.use_srq:
+        if params.use_srq:
             # SRQ mode: receives come from the runtime's shared pool; the
             # per-endpoint memory footprint is O(1) (paper lineage [11]).
             self.qp.srq = self.runtime.ensure_srq()
         else:
             # Pre-post one buffer per peer credit plus slack for internal
-            # (control) messages, which bypass the credit window.  UD
-            # endpoints post the same window; senders beyond it simply
-            # lose datagrams (unreliable semantics).
+            # (control) messages, which bypass the credit window.
             for _ in range(params.credits + 16):
                 self._post_recv_buffer()
 
@@ -118,7 +109,6 @@ class Endpoint:  # repro-lint: disable=L003
         completion_counter=None,
         data_location: Optional[tuple] = None,
         registered_hint: bool = False,
-        ud_destination: Optional["QueuePair"] = None,
     ):
         """Process helper: the paper's ``ucr_send_message``.
 
@@ -143,8 +133,7 @@ class Endpoint:  # repro-lint: disable=L003
 
         yield from node.cpu_run(params.am_post_cpu_us)
 
-        if self.reliable:
-            yield from self._acquire_credit()
+        yield from self._acquire_credit()
 
         if data_location is not None:
             # Zero-copy from registered application memory (e.g. a slab
@@ -158,10 +147,6 @@ class Endpoint:  # repro-lint: disable=L003
                 # the eager-path copy.
                 data = mr.read(offset, length)
             else:
-                if not self.reliable:
-                    raise EndpointClosed(
-                        "unreliable endpoints support eager messages only"
-                    )
                 self._send_rendezvous_registered(
                     msg_id, header, header_bytes, mr, offset, length,
                     oc_id, tc_id, cc_id,
@@ -172,13 +157,8 @@ class Endpoint:  # repro-lint: disable=L003
         if total <= params.eager_threshold_bytes:
             yield from self._send_eager(
                 msg_id, header, header_bytes, data, origin_counter, tc_id, cc_id,
-                ud_destination,
             )
         else:
-            if not self.reliable:
-                raise EndpointClosed(
-                    "unreliable endpoints support eager messages only"
-                )
             yield from self._send_rendezvous(
                 msg_id, header, header_bytes, data, oc_id, tc_id, cc_id,
                 registered_hint,
@@ -186,7 +166,6 @@ class Endpoint:  # repro-lint: disable=L003
 
     def _send_eager(
         self, msg_id, header, header_bytes, data, origin_counter, tc_id, cc_id,
-        ud_destination=None,
     ):
         params = self.runtime.params
         node = self.context.node
@@ -219,7 +198,7 @@ class Endpoint:  # repro-lint: disable=L003
             context=cookie,
             app_object=wire,
         )
-        self._post(wr, ud_destination)
+        self._post(wr)
 
     def _send_rendezvous(
         self, msg_id, header, header_bytes, data, oc_id, tc_id, cc_id,
@@ -346,19 +325,13 @@ class Endpoint:  # repro-lint: disable=L003
         buf = self.runtime.recv_pool.get()
         self.qp.post_recv(RecvWR(sge=Sge(buf.mr), context=buf))
 
-    def _post(self, wr: SendWR, ud_destination=None) -> None:
+    def _post(self, wr: SendWR) -> None:
         if tracer.enabled and wr.trace is None:
             # Inherit the trace rider from the AM the WR carries (RDMA
             # READs get theirs set explicitly by the progress engine).
             wr.trace = getattr(wr.app_object, "trace", None)
         try:
-            if self.reliable:
-                self.qp.post_send(wr)
-            else:
-                dest = ud_destination or self.remote_ud_qp
-                if dest is None:
-                    raise EndpointClosed("UD send needs an address handle")
-                self.qp.post_send(wr, remote_qp=dest)
+            self.qp.post_send(wr)
         except RuntimeError as exc:
             self.fail(str(exc))
             raise EndpointClosed(str(exc)) from exc
@@ -420,6 +393,5 @@ class Endpoint:  # repro-lint: disable=L003
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "RC" if self.reliable else "UD"
         state = "failed" if self.failed else "up"
-        return f"<Endpoint #{self.ep_id} {mode} {self.peer_label} {state}>"
+        return f"<Endpoint #{self.ep_id} {self.peer_label} {state}>"

@@ -195,7 +195,7 @@ class UcrRuntime:
         def on_prepare(qp, private_data):
             """Create the endpoint (pre-posting receives) before the REP."""
             ctx = pending.pop("ctx")
-            ep = Endpoint(ctx, qp, reliable=True, peer_label=str(private_data))
+            ep = Endpoint(ctx, qp, peer_label=str(private_data))
             qp._ucr_endpoint = ep
 
         def on_connected(qp, private_data):

@@ -1,11 +1,8 @@
 """Extension experiments: beyond the paper's published figures.
 
-Two panels the paper motivates but does not evaluate:
+Three panels the paper motivates but does not evaluate (E2-E4; the
+labels are kept stable across reports):
 
-- **(E1) UD client scaling** (§VII future work): server-side queue-pair
-  count and aggregate throughput for RC vs UD clients.  UD bounds the
-  server's connection state by worker count instead of client count at
-  equal throughput -- the quantitative case for the paper's plan.
 - **(E2) Wire-codec comparison**: text protocol vs binary protocol vs
   UCR active messages on the same hardware.  The binary codec removes
   most of the *parse* tax but none of the copies/kernel path, so the
@@ -40,55 +37,7 @@ def run(fast: bool = False) -> ExperimentReport:
     n_ops = 15 if fast else 40
     report = ExperimentReport(
         figure="Extensions",
-        description="UD client scaling (E1) and wire-codec comparison (E2)",
-    )
-
-    # ---- E1: UD vs RC connection scaling --------------------------------
-    client_counts = [4, 12]
-    qp_series = []
-    tps_series = []
-    for transport in ("UCR-IB", "UCR-UD"):
-        qps = FigureSeries(label=transport)
-        tps = FigureSeries(label=transport)
-        for n in client_counts:
-            cluster = Cluster(CLUSTER_B, n_client_nodes=n)
-            cluster.start_server(n_workers=4)
-            hca = cluster.hcas["server"]
-            before = len(hca._qps)
-            result = MemslapRunner(
-                cluster, transport, 4, GET_ONLY, n_clients=n,
-                n_ops_per_client=n_ops,
-            ).run()
-            qps.add(n, len(hca._qps) - before)
-            tps.add(n, result.tps)
-            report.raw.append(result)
-        qp_series.append(qps)
-        tps_series.append(tps)
-    report.panels["(E1) server QPs"] = qp_series
-    report.panels["(E1) aggregate TPS"] = tps_series
-
-    lines = ["(E1) UD client scaling [Cluster B, 4 workers]",
-             "=============================================",
-             f"{'clients':>8} {'RC QPs':>8} {'UD QPs':>8} {'RC TPS':>10} {'UD TPS':>10}"]
-    for n in client_counts:
-        lines.append(
-            f"{n:>8} {qp_series[0].value_at(n):>8} {qp_series[1].value_at(n):>8} "
-            f"{tps_series[0].value_at(n) / 1000:>9.0f}K {tps_series[1].value_at(n) / 1000:>9.0f}K"
-        )
-    report.tables.append("\n".join(lines))
-
-    rc_qps = qp_series[0].value_at(12)
-    ud_qps = qp_series[1].value_at(12)
-    report.check(
-        "E1: RC server state grows per client; UD is bounded by workers",
-        rc_qps >= 12 and ud_qps <= 4,
-        f"RC {rc_qps} QPs vs UD {ud_qps} QPs at 12 clients",
-    )
-    report.check(
-        "E1: UD sacrifices no throughput at these scales",
-        tps_series[1].value_at(12) >= tps_series[0].value_at(12) * 0.6,
-        f"UD {tps_series[1].value_at(12) / 1e3:.0f}K vs RC "
-        f"{tps_series[0].value_at(12) / 1e3:.0f}K",
+        description="wire codecs (E2), the multiget hole (E3) and client scaling (E4)",
     )
 
     # ---- E2: wire codec comparison ---------------------------------------

@@ -18,10 +18,10 @@ This package reimplements the memcached 1.4-era engine the paper extends
   distribution of :mod:`repro.cluster.router` (modula, ketama, a hash
   ring) and pluggable transports:
   :class:`~repro.memcached.sockets_transport.SocketsTransport` (text or
-  binary protocol over sockets) and
-  :class:`~repro.memcached.ucr_transport.UcrTransport` /
-  :class:`~repro.memcached.ucr_transport.UcrUdTransport` (UCR active
-  messages over RC / UD).
+  binary protocol over sockets),
+  :class:`~repro.memcached.ucr_transport.UcrTransport` (UCR active
+  messages over RC) and
+  :class:`~repro.memcached.onesided.OneSidedTransport` (RDMA READ GETs).
 """
 
 from repro.cluster.router import KetamaDistribution, ModulaDistribution
@@ -36,7 +36,7 @@ from repro.memcached.items import Item
 from repro.memcached.server import MemcachedServer, UcrServerPort
 from repro.memcached.sockets_transport import SocketsTransport
 from repro.memcached.store import ItemStore, StoreConfig
-from repro.memcached.ucr_transport import UcrTransport, UcrUdTransport
+from repro.memcached.ucr_transport import UcrTransport
 
 __all__ = [
     "ClientCosts",
@@ -54,5 +54,4 @@ __all__ = [
     "StoreConfig",
     "UcrServerPort",
     "UcrTransport",
-    "UcrUdTransport",
 ]

@@ -20,12 +20,11 @@ The transport contract: ``execute(server, cmd, trace)`` runs one command
 and returns its :class:`~repro.memcached.command.Reply`;
 ``execute_many(server, commands, window, trace)`` runs a window of more
 than one command in flight and returns one ``Reply`` or exception per
-command; the class attribute ``supports_concurrency`` says whether
-per-server groups may run in parallel.  ``onesided_get`` is an optional
-capability the client probes for.  Each transport family has its own
-module: :mod:`repro.memcached.sockets_transport` (text and binary),
-:mod:`repro.memcached.ucr_transport` (UCR active messages, RC and UD)
-and :mod:`repro.memcached.onesided` (RDMA READ GETs).
+command; per-server groups always run in parallel.  ``onesided_get`` is
+an optional capability the client probes for.  Each transport family has
+its own module: :mod:`repro.memcached.sockets_transport` (text and
+binary), :mod:`repro.memcached.ucr_transport` (UCR active messages) and
+:mod:`repro.memcached.onesided` (RDMA READ GETs).
 """
 
 from __future__ import annotations
@@ -617,8 +616,6 @@ class MemcachedClient:
         if depth is None:
             depth = self.pipeline_depth
         depth = max(1, int(depth))
-        if not self.transport.supports_concurrency:
-            depth = 1  # single-flight transports (UD) serialize anyway
 
         def send(server, cmds, trace):
             """Process helper: one server's window, errors as entries."""
@@ -645,10 +642,9 @@ class MemcachedClient:
         share; one result or exception per command, in order.
 
         Route every command like a blocking one, open its record, group
-        the commands by server and fan the groups out -- **in parallel**
-        when the transport allows it (libmemcached issues every request
-        before collecting); single-flight transports (UD with
-        retransmission) go group by group.  ``send(server, cmds, trace)``
+        the commands by server and fan the groups out **in parallel**
+        (libmemcached issues every request before collecting).
+        ``send(server, cmds, trace)``
         is a process helper returning one ``Reply`` or exception per
         command and never raising, so no group process can fail.  Once
         every group has settled, each command goes through
@@ -675,7 +671,7 @@ class MemcachedClient:
                 send(server, [routes[i][1] for i in idxs], _ctx(span))
                 for server, idxs in groups.items()
             ]
-            parallel = self.transport.supports_concurrency and len(sends) > 1
+            parallel = len(sends) > 1
             if parallel:
                 sends = [self.sim.process(work) for work in sends]
             outs = []

@@ -43,11 +43,7 @@ class McRequest:
     value_length: int = 0
     #: Client counter named as the response AM's target counter.
     counter_id: int = 0
-    noreply: bool = False
-    #: UD clients: the QP number responses should be addressed to
-    #: (0 = reply over the same reliable endpoint).
-    reply_qpn: int = 0
-    #: Retransmission id so duplicated UD requests can be detected.
+    #: Echoed in the response, so pipelined requests route back by id.
     request_id: int = 0
     #: Filled by the server's header handler for two-phase sets.
     reserved_item: Any = None
@@ -78,7 +74,7 @@ class McResponse:
     #: the UCR path preserves the text protocol's CLIENT_ERROR vs
     #: SERVER_ERROR distinction across the wire.
     error_kind: str = "server"
-    #: Echoed from the request (UD retransmission matching).
+    #: Echoed from the request (pipelined response matching).
     request_id: int = 0
     #: ``getl`` verdict ("" | "won" | "lost"); rides reserved header space.
     lease_state: str = ""
@@ -113,7 +109,6 @@ def command_to_request(cmd: Command, trace=None) -> tuple[McRequest, bytes]:
             cas=cmd.cas,
             delta=cmd.delta,
             value_length=len(data),
-            noreply=cmd.noreply,
             stale_ok=cmd.stale_ok,
             lease_token=cmd.lease_token,
             trace=trace,
@@ -161,7 +156,6 @@ def request_to_command(header: McRequest, data: bytes) -> Command:
         exptime=header.exptime,
         cas=header.cas,
         delta=header.delta,
-        noreply=header.noreply,
         reserved_item=header.reserved_item,
         stale_ok=header.stale_ok,
         lease_token=header.lease_token,

@@ -24,7 +24,6 @@ values are served zero-copy straight out of registered slab pages.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -46,9 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fabric.topology import Node
     from repro.sim import Simulator
     from repro.sockets.stack import SocketStack
-
-#: UD responses the at-most-once cache keeps for replay (FIFO).
-_DEDUP_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -316,11 +312,8 @@ class UcrServerPort:
         ]
         self._rr = itertools.cycle(self.contexts)
         self.endpoints: list["Endpoint"] = []
-        self.ud_endpoints: list["Endpoint"] = []
         #: True while the port accepts connections (chaos flips this).
         self.listening = False
-        #: At-most-once cache for UD retransmissions, oldest first.
-        self._response_cache: OrderedDict = OrderedDict()
         runtime.register_handler(
             ucrp.MSG_MC_REQUEST, self._header_handler, self._completion_handler
         )
@@ -358,10 +351,6 @@ class UcrServerPort:
             if not ep.failed:
                 ep.fail(reason)
         self.endpoints.clear()
-        for ep in self.ud_endpoints:
-            if not ep.failed:
-                ep.fail(reason)
-        self.ud_endpoints.clear()
 
     def recover(self) -> None:
         """Start accepting connections again after :meth:`crash`."""
@@ -384,36 +373,6 @@ class UcrServerPort:
         self.endpoints.clear()
         return flapped
 
-    # -- UD mode (paper §VII future work) ---------------------------------------
-
-    def enable_ud(self) -> list["Endpoint"]:
-        """Create one UD receive endpoint per context.
-
-        UD mode trades per-client QP state for unreliability: requests
-        and responses can be dropped, so clients retransmit and the
-        server keeps an at-most-once response cache keyed by
-        ``(reply_qpn, request_id)`` -- without it a retried ``incr``
-        would double-apply.
-        """
-        if self.ud_endpoints:
-            return self.ud_endpoints
-        for ctx in self.contexts:
-            self.ud_endpoints.append(ctx.create_ud_endpoint())
-        return self.ud_endpoints
-
-    def _dedup_lookup(self, header: ucrp.McRequest):
-        if not header.reply_qpn:
-            return None
-        return self._response_cache.get((header.reply_qpn, header.request_id))
-
-    def _dedup_store(self, header: ucrp.McRequest, entry) -> None:
-        if not header.reply_qpn:
-            return
-        cache = self._response_cache
-        cache[(header.reply_qpn, header.request_id)] = entry
-        if len(cache) > _DEDUP_ENTRIES:
-            cache.popitem(last=False)
-
     # -- the active message handlers ----------------------------------------------------
 
     def _header_handler(self, ep: "Endpoint", header: ucrp.McRequest, data_length: int):
@@ -430,9 +389,6 @@ class UcrServerPort:
             try:
                 item = store.reserve(header.keys[0], data_length, header.flags, header.exptime)
             except (ClientError, ServerError):
-                # A retransmitted header still names the first arrival's
-                # (stored) item: this arrival reserved nothing.
-                header.reserved_item = None
                 return None  # fall back to bounce buffer; op will re-fail
             header.reserved_item = item
             return item.chunk.rdma_location()
@@ -453,43 +409,21 @@ class UcrServerPort:
         )
         try:
             yield from node.cpu_run(node.host.cpu_time(costs.ucr_decode_us))
-            cached = self._dedup_lookup(header) if not ep.reliable else None
-            if cached is not None:
-                # Retransmitted UD request: replay, never re-execute, and
-                # give back the chunk this arrival's header handler reserved.
-                response, payload, location = cached
-                if header.reserved_item is not None:
-                    server.store.abandon(header.reserved_item)
-            else:
-                apply_span = (
-                    tracer.begin("store.apply", "store", self.sim.now,
-                                 parent=span, op=header.op)
-                    if tracer.enabled and span is not None
-                    else None
-                )
-                try:
-                    yield from node.cpu_run(node.host.cpu_time(costs.ucr_op_execute_us))
-                    cmd = ucrp.request_to_command(header, data)
-                    reply = server.engine.apply(cmd)
-                    response, payload, location = ucrp.reply_to_response(cmd, reply)
-                finally:
-                    if tracer.enabled:
-                        tracer.end(apply_span, self.sim.now)
-                if not ep.reliable:
-                    self._dedup_store(header, (response, payload, location))
-            if header.noreply:
-                return
+            apply_span = (
+                tracer.begin("store.apply", "store", self.sim.now,
+                             parent=span, op=header.op)
+                if tracer.enabled and span is not None
+                else None
+            )
+            try:
+                yield from node.cpu_run(node.host.cpu_time(costs.ucr_op_execute_us))
+                cmd = ucrp.request_to_command(header, data)
+                reply = server.engine.apply(cmd)
+                response, payload, location = ucrp.reply_to_response(cmd, reply)
+            finally:
+                if tracer.enabled:
+                    tracer.end(apply_span, self.sim.now)
             yield from node.cpu_run(node.host.cpu_time(costs.ucr_response_us))
-            send_kwargs = {}
-            if not ep.reliable and header.reply_qpn:
-                # UD mode: address the response at the client's UD QP
-                # (resolved fabric-wide, like a cached address handle).
-                from repro.verbs.device import lookup_qp
-
-                try:
-                    send_kwargs["ud_destination"] = lookup_qp(header.reply_qpn)
-                except KeyError:
-                    return  # client vanished: drop the reply (UD semantics)
             response.request_id = header.request_id
             if span is not None:
                 # Reply-path spans (WQE post, fabric, client delivery)
@@ -503,7 +437,6 @@ class UcrServerPort:
                 data=payload,
                 data_location=location,
                 target_counter=_CounterRef(header.counter_id) if header.counter_id else None,
-                **send_kwargs,
             )
         finally:
             if tracer.enabled:

@@ -76,9 +76,6 @@ class SocketsTransport:
         self._parse_us = getattr(costs, self.wire.client_parse_cost)
         self._conns: dict[str, _SocketConn] = {}
 
-    #: One connection per server: parallel per-server fan-out is safe.
-    supports_concurrency = True
-
     def conn(self, server: str):
         """Process helper: the (lazily connected) connection to *server*."""
         c = self._conns.get(server)

@@ -1,11 +1,10 @@
-"""The UCR client transports: active messages over RC, datagrams over UD.
+"""The UCR client transport: active messages over RC endpoints.
 
 :class:`UcrTransport` sends each command as one active message (the
 structs of :mod:`repro.memcached.protocol_ucr`) and blocks on a client
 counter **with a timeout**, declaring the server dead when it trips (the
-paper's §IV-A failure model); :class:`UcrUdTransport` is the
-connection-less variant (§VII future work).  Both offer the transport
-contract stated in :mod:`repro.memcached.client`.
+paper's §IV-A failure model).  It offers the transport contract stated
+in :mod:`repro.memcached.client`.
 """
 
 from __future__ import annotations
@@ -22,12 +21,6 @@ from repro.telemetry import tracer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import UcrContext
     from repro.core.runtime import UcrRuntime
-
-#: How long a UD client waits for a reply before it retransmits, and how
-#: many times it retransmits before it declares the server down.
-UD_RETRY_TIMEOUT_US = 1_000.0
-UD_MAX_RETRIES = 5
-
 
 class UcrTransport:
     """Client side of the active-message protocol."""
@@ -53,9 +46,6 @@ class UcrTransport:
         self._pending: dict[int, tuple[ucrp.McResponse, bytes]] = {}
         self._next_request_id = 1
         self._register_response_handler()
-
-    #: Parallel mget fan-out is safe: responses route by request id.
-    supports_concurrency = True
 
     def _checkout_counter(self):
         if self._counter_pool:
@@ -209,97 +199,6 @@ class UcrTransport:
         yield from self.node.cpu_run(self.node.host.cpu_time(self.costs.parse_ucr_us))
         assert entry is not None, "counter fired before response landed"
         return entry
-
-
-class UcrUdTransport(UcrTransport):
-    """Unreliable-datagram client transport (paper §VII future work).
-
-    No per-server RC connection: one local UD queue pair receives every
-    response, and requests address the server's UD QP directly.  Loss is
-    possible (UD drops when the receiver's window is exhausted), so each
-    operation retransmits up to :data:`UD_MAX_RETRIES` times, waiting
-    :data:`UD_RETRY_TIMEOUT_US` for each reply; the server's response
-    cache makes retried operations exactly-once.
-
-    Restrictions inherited from UD: eager messages only, so values must
-    fit under the runtime's eager threshold.
-    """
-
-    #: Retransmission bookkeeping is single-flight: the client runs one
-    #: command at a time and never reaches ``execute_many``.
-    supports_concurrency = False
-
-    def __init__(self, context: "UcrContext", costs: ClientCosts = ClientCosts()) -> None:
-        super().__init__(context, costs, UD_RETRY_TIMEOUT_US)
-        #: The one response counter ("counter C" of paper §V-B/C).
-        self.counter = self.runtime.create_counter("mc-client")
-        #: The local UD endpoint responses arrive on.
-        self.local_ud = context.create_ud_endpoint()
-        self._response = None
-        self.local_ud._mc_response_sink = self._deliver_response
-        self._server_uds: dict[str, object] = {}
-        self._last_request_id = 0
-
-    def add_ud_server(self, name: str, server_ud_endpoint) -> None:
-        """Register the server's UD endpoint (out-of-band discovery)."""
-        self._server_uds[name] = server_ud_endpoint
-
-    def _deliver_response(self, header: ucrp.McResponse, data: bytes) -> None:
-        # Discard stale responses from earlier (timed-out) transmissions.
-        if header.request_id and header.request_id != self._last_request_id:
-            return
-        self._response = (header, data)
-
-    def roundtrip(self, server: str, request: ucrp.McRequest, data: bytes = b""):
-        """One request/response over UD, retransmitting on loss."""
-        yield from self.node.cpu_run(self.node.host.cpu_time(self.costs.build_ucr_us))
-        server_ud = self._server_uds.get(server)
-        if server_ud is None:
-            raise ServerDownError(f"no UD address for server {server!r}")
-        request.counter_id = self.counter.counter_id
-        request.reply_qpn = self.local_ud.qp.qp_num
-        request.request_id = self._next_request_id
-        self._next_request_id += 1
-        self._last_request_id = request.request_id
-        header_bytes = ucrp.MC_REQUEST_HEADER_BYTES + sum(len(k) for k in request.keys)
-        for attempt in range(UD_MAX_RETRIES + 1):
-            self._response = None
-            yield from self.local_ud.send_message(
-                ucrp.MSG_MC_REQUEST,
-                header=request,
-                header_bytes=header_bytes,
-                data=data,
-                ud_destination=server_ud.qp,
-            )
-            try:
-                yield from self.counter.wait_increment(timeout_us=self.timeout_us)
-            except UcrTimeout:
-                continue  # lost request or lost response: retransmit
-            if self._response is None:
-                continue  # counter advanced for a stale datagram
-            header, payload = self._response
-            self._response = None
-            yield from self.node.cpu_run(
-                self.node.host.cpu_time(self.costs.parse_ucr_us)
-            )
-            return header, payload
-        raise ServerDownError(
-            f"{server}: no response after {UD_MAX_RETRIES + 1} attempts"
-        )
-
-    def fire(self, server: str, request: ucrp.McRequest, data: bytes = b""):
-        """Fire-and-forget over UD (noreply; may be lost)."""
-        server_ud = self._server_uds.get(server)
-        if server_ud is None:
-            raise ServerDownError(f"no UD address for server {server!r}")
-        request.noreply = True
-        yield from self.local_ud.send_message(
-            ucrp.MSG_MC_REQUEST,
-            header=request,
-            header_bytes=ucrp.MC_REQUEST_HEADER_BYTES + sum(len(k) for k in request.keys),
-            data=data,
-            ud_destination=server_ud.qp,
-        )
 
 
 def _client_response_handler(ep, header: ucrp.McResponse, data: bytes):

@@ -21,15 +21,12 @@ Fidelity notes
   *not* yet kept: a small SEND can overtake a larger SEND, WRITE or READ
   posted before it on the same QP (ROADMAP item 15;
   ``tests/verbs/test_rc_order.py`` holds the probes as strict xfails).
-- Unreliable Datagram (UD) is provided for the paper's future-work
-  direction (scaling client counts); a send completes when its frame is
-  delivered (``qp.py:_ud_delivered``), with no ACK, and a message that
-  finds no posted receive is dropped.
+- RC is the only queue-pair type.
 """
 
 from repro.verbs.cq import CompletionQueue, WorkCompletion
 from repro.verbs.device import Hca
-from repro.verbs.enums import Access, Opcode, QpState, QpType, WcStatus
+from repro.verbs.enums import Access, Opcode, QpState, WcStatus
 from repro.verbs.mr import MemoryRegion, ProtectionDomain
 from repro.verbs.params import HCA_CONNECTX_DDR, HCA_CONNECTX_QDR, HcaParams
 from repro.verbs.qp import QueuePair
@@ -46,7 +43,6 @@ __all__ = [
     "Opcode",
     "ProtectionDomain",
     "QpState",
-    "QpType",
     "QueuePair",
     "RecvWR",
     "SendWR",

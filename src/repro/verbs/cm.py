@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.sim import Event
 from repro.verbs.cq import CompletionQueue
-from repro.verbs.enums import QpType
 from repro.verbs.mr import ProtectionDomain
 from repro.verbs.packets import CM_MAD_BYTES, CmPacket
 from repro.verbs.qp import QueuePair
@@ -102,7 +101,7 @@ class ConnectionManager:
         Fails with ``ConnectionRefusedError`` if nothing listens on
         *service_id* at the remote adapter.
         """
-        qp = self.hca.create_qp(pd, send_cq, recv_cq, QpType.RC)
+        qp = self.hca.create_qp(pd, send_cq, recv_cq)
         conn_id = next(_conn_ids)
         done = self.sim.event(name=("cm-connect(%s)", conn_id))
         self._pending[conn_id] = _PendingConnect(qp, done)
@@ -153,7 +152,7 @@ class ConnectionManager:
             yield from self._send_mad(peer_hca, rej)
             return
         send_cq, recv_cq = listener.make_cqs()
-        server_qp = self.hca.create_qp(listener.pd, send_cq, recv_cq, QpType.RC)
+        server_qp = self.hca.create_qp(listener.pd, send_cq, recv_cq)
         client_qp_stub = peer_hca.qp(packet.src_qpn)
         server_qp.connect(client_qp_stub)
         if listener.on_prepare is not None:

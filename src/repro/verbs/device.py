@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.sim import Resource
 from repro.verbs.cq import CompletionQueue
-from repro.verbs.enums import QpType, WcStatus
+from repro.verbs.enums import WcStatus
 from repro.verbs.mr import ProtectionDomain
 from repro.verbs.packets import CmPacket, IbPacket
 from repro.verbs.params import HcaParams
@@ -32,14 +32,6 @@ _qp_nums = itertools.count(100)
 #: dropped cluster takes its entries with it, so nothing module-level keeps
 #: a ``Simulator`` and everything it reaches alive.
 _qpn_registry: "weakref.WeakValueDictionary[int, Hca]" = weakref.WeakValueDictionary()
-
-
-def lookup_qp(qpn: int) -> QueuePair:
-    """Resolve a QP number fabric-wide (UD address-handle resolution)."""
-    try:
-        return _qpn_registry[qpn].qp(qpn)
-    except KeyError:
-        raise KeyError(f"no adapter hosts QP number {qpn}") from None
 
 
 class Hca:
@@ -81,7 +73,6 @@ class Hca:
         pd: ProtectionDomain,
         send_cq: CompletionQueue,
         recv_cq: CompletionQueue,
-        qp_type: QpType = QpType.RC,
         max_send_wr: int = 1024,
         max_recv_wr: int = 1024,
         srq=None,
@@ -91,7 +82,6 @@ class Hca:
         qp = QueuePair(
             self,
             qpn,
-            qp_type,
             pd,
             send_cq,
             recv_cq,
@@ -136,7 +126,7 @@ class Hca:
             )
         qp = self._qps.get(packet.dst_qpn)
         if qp is None:
-            # Stale packet for a destroyed QP: NAK so an RC requester
+            # Stale packet for a destroyed QP: NAK so a requester
             # waiting on the responder outcome completes with an error
             # instead of hanging.
             if packet.wr is not None:

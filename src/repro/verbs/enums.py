@@ -5,13 +5,6 @@ from __future__ import annotations
 import enum
 
 
-class QpType(enum.Enum):
-    """Transport type of a queue pair."""
-
-    RC = "reliable-connection"
-    UD = "unreliable-datagram"
-
-
 class QpState(enum.Enum):
     """Queue pair state machine (the subset the data path needs)."""
 

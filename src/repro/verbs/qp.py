@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Deque, Optional
 
 from repro.sim import Event, Timeout
 from repro.verbs.cq import CompletionQueue, WorkCompletion
-from repro.verbs.enums import Opcode, QpState, QpType, WcStatus, legal_transition
+from repro.verbs.enums import Opcode, QpState, WcStatus, legal_transition
 from repro.verbs.packets import (
     IB_HEADER_BYTES,
     RDMA_READ_REQUEST_BYTES,
@@ -52,7 +52,6 @@ class QueuePair:
     __slots__ = (
         "hca",
         "qp_num",
-        "qp_type",
         "pd",
         "send_cq",
         "recv_cq",
@@ -74,7 +73,6 @@ class QueuePair:
         self,
         hca: "Hca",
         qp_num: int,
-        qp_type: QpType,
         pd: "ProtectionDomain",
         send_cq: CompletionQueue,
         recv_cq: CompletionQueue,
@@ -84,7 +82,6 @@ class QueuePair:
     ) -> None:
         self.hca = hca
         self.qp_num = qp_num
-        self.qp_type = qp_type
         self.pd = pd
         self.send_cq = send_cq
         self.recv_cq = recv_cq
@@ -93,7 +90,7 @@ class QueuePair:
         self.state = QpState.INIT
         self._recv_queue: Deque[RecvWR] = deque()
         self._outstanding_sends = 0
-        #: RC only: the connected peer.
+        #: The connected peer.
         self.remote: Optional["QueuePair"] = None
         #: When set, receives come from this shared pool instead of the
         #: private queue (and post_recv on the QP is an error).
@@ -118,24 +115,16 @@ class QueuePair:
         self.state = new
 
     def connect(self, remote: "QueuePair") -> None:
-        """RC: bind to *remote* and transition to RTS (one side of the pair).
+        """Bind to *remote* and transition to RTS (one side of the pair).
 
         Both sides must call ``connect`` (the CM does this during its
         REQ/REP/RTU exchange) before traffic flows.
         """
-        if self.qp_type is not QpType.RC:
-            raise RuntimeError("connect() only applies to RC queue pairs")
         if self.state is QpState.ERROR:
             raise RuntimeError("cannot connect a QP in ERROR state")
         if self.remote is not None:
             raise RuntimeError(f"QP {self.qp_num} already connected")
         self.remote = remote
-        self._modify(QpState.RTS)
-
-    def ready_ud(self) -> None:
-        """UD: transition straight to RTS (no peer binding)."""
-        if self.qp_type is not QpType.UD:
-            raise RuntimeError("ready_ud() only applies to UD queue pairs")
         self._modify(QpState.RTS)
 
     def to_error(self) -> None:
@@ -169,30 +158,18 @@ class QueuePair:
             raise RuntimeError(f"QP {self.qp_num}: receive queue full")
         self._recv_queue.append(wr)
 
-    def post_send(self, wr: SendWR, remote_qp: Optional["QueuePair"] = None) -> None:
-        """Post a SEND / RDMA WRITE / RDMA READ work request.
-
-        For UD queue pairs *remote_qp* plays the role of the address
-        handle; RC queue pairs use their connected peer.
-        """
+    def post_send(self, wr: SendWR) -> None:
+        """Post a SEND / RDMA WRITE / RDMA READ work request to the
+        connected peer."""
         for observer in QueuePair.observers:
             observer.on_post_send(self, wr)
         if self.state is not QpState.RTS:
             raise RuntimeError(f"QP {self.qp_num} not RTS (state={self.state})")
         if self._outstanding_sends >= self.max_send_wr:
             raise RuntimeError(f"QP {self.qp_num}: send queue full")
-        if self.qp_type is QpType.RC:
-            if remote_qp is not None:
-                raise ValueError("RC QPs send to their connected peer only")
-            target = self.remote
-            if target is None:
-                raise RuntimeError(f"QP {self.qp_num} is not connected")
-        else:
-            if remote_qp is None:
-                raise ValueError("UD post_send requires an address handle (remote_qp)")
-            if wr.opcode is not Opcode.SEND:
-                raise ValueError("UD transport supports SEND only")
-            target = remote_qp
+        target = self.remote
+        if target is None:
+            raise RuntimeError(f"QP {self.qp_num} is not connected")
         self._outstanding_sends += 1
         sim = self.hca.sim
         span = (
@@ -204,10 +181,6 @@ class QueuePair:
         # Doorbell + optional DMA payload fetch; the WQE moves on from there.
         doorbell = Timeout(sim, self.hca.params.post_overhead(wr.nbytes))
         doorbell.callbacks.append(_Wqe(self, wr, target, span)._rung)
-
-    @property
-    def recv_queue_depth(self) -> int:
-        return len(self._recv_queue)
 
     # -- responder actions (called by the owning HCA's receive path) -------------
 
@@ -235,18 +208,17 @@ class QueuePair:
                 rwr = self._recv_queue.popleft() if self._recv_queue else None
             else:
                 rwr = self.srq.pop()
-                if rwr is None and retries and self.qp_type is QpType.RC:
+                if rwr is None and retries:
                     # Shared pool transiently dry: RNR NAK + sender retransmits.
                     Timeout(sim, RNR_RETRY_DELAY_US).callbacks.append(
                         partial(self._claim_recv_wr, packet, span, retries - 1)
                     )
                     return
             if rwr is None:
-                # Receiver not ready.  RC: fail the sender (a private queue's
+                # Receiver not ready: fail the sender (a private queue's
                 # exhausted retries are modeled as immediate, so upper-layer
-                # flow control must be correct).  UD: the datagram is dropped.
-                rc = self.qp_type is QpType.RC
-                self._recv_done(packet, span, WcStatus.RNR_RETRY_EXC_ERR if rc else None)
+                # flow control must be correct).
+                self._recv_done(packet, span, WcStatus.RNR_RETRY_EXC_ERR)
                 return
             Timeout(sim, self.hca.params.cq_gen_us).callbacks.append(
                 partial(self._place_and_complete, packet, span, rwr)
@@ -288,7 +260,7 @@ class QueuePair:
     def _recv_done(self, packet: IbPacket, span: Any,
                    status: Optional[WcStatus] = None) -> None:
         """The SEND responder's one exit: the verdict goes to the requester
-        (whose ACK may now fly, if it is RC) and the span closes."""
+        (whose ACK may now fly) and the span closes."""
         if packet.wr is not None:
             packet.wr.responder_done(status)
         if tracer.enabled:
@@ -371,7 +343,7 @@ class QueuePair:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<QueuePair #{self.qp_num} {self.qp_type.name} {self.state.value}>"
+        return f"<QueuePair #{self.qp_num} {self.state.value}>"
 
 
 def _fail(qp: QueuePair, stage: str, wr: Optional[SendWR], exc: Exception) -> None:
@@ -387,7 +359,7 @@ class _Wqe:
 
     Each stage is the callback of the delay before it: the doorbell
     ``Timeout`` (started by :meth:`QueuePair.post_send`), the hold on the
-    adapter's WQE engine, and for RC SEND / WRITE the ACK ``Timeout`` that
+    adapter's WQE engine, and for SEND / WRITE the ACK ``Timeout`` that
     the responder starts through ``SendWR.responder_done``.  An RDMA READ
     leaves here with its request frame; its completion is the response's
     (:meth:`QueuePair.requester_read_response`).
@@ -442,36 +414,18 @@ class _Wqe:
                 length=len(payload),
                 wr=wr,
             )
-            if qp.qp_type is QpType.RC:
-                # The responder calls this once it has placed the data (or
-                # decided on an error), so the completion carries the true
-                # status even when SRQ RNR retries delayed the outcome.  Its
-                # signal is strictly later than delivery: nobody asks for
-                # ``delivered``.
-                wr._on_responder_done = self._responded
-            frame = hca.nic.send_frame(
-                target.hca.nic, len(payload) + IB_HEADER_BYTES, packet
-            )
-            if qp.qp_type is QpType.UD:
-                frame.delivered.callbacks.append(self._ud_delivered)
+            # The responder calls this once it has placed the data (or
+            # decided on an error), so the completion carries the true
+            # status even when SRQ RNR retries delayed the outcome.  Its
+            # signal is strictly later than delivery: nobody asks for
+            # ``delivered``.
+            wr._on_responder_done = self._responded
+            hca.nic.send_frame(target.hca.nic, len(payload) + IB_HEADER_BYTES, packet)
         except Exception as exc:
             _fail(qp, "verbs.post", wr, exc)
 
-    def _ud_delivered(self, delivered: Event) -> None:
-        # Unreliable: no ACK.  The local completion hangs on *delivery* --
-        # after the flight and the receiver's rx hold, later than an adapter
-        # that completes when the frame has left (ROADMAP item 5).  A failed
-        # delivery stays un-defused: the loop escalates it.
-        qp = self.qp
-        qp._outstanding_sends -= 1
-        try:
-            if delivered.ok and self.wr.signaled:
-                qp.send_cq.push(qp._wc(self.wr, self.nbytes, WcStatus.SUCCESS))
-        except Exception as exc:
-            _fail(qp, "verbs.post", self.wr, exc)
-
     def _responded(self) -> None:
-        """RC: the responder's outcome is in; the ACK flies back."""
+        """The responder's outcome is in; the ACK flies back."""
         hca = self.qp.hca
         ack_us = hca.nic.params.one_way_delay() + hca.params.ack_process_us
         Timeout(hca.sim, ack_us).callbacks.append(self._acked)

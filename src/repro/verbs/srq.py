@@ -9,7 +9,7 @@ buffers from one shared pool.
 Semantics modeled:
 
 - any QP attached to the SRQ consumes its WRs in FIFO order;
-- when the SRQ is empty the responder returns RNR and the (reliable)
+- when the SRQ is empty the responder returns RNR and the
   sender retries after a backoff, up to ``rnr_retries`` times -- unlike
   the private-queue model where an empty queue is an immediate error,
   because with a shared pool transient exhaustion is expected and

@@ -70,10 +70,10 @@ class SendWR:
     #: Telemetry rider: the trace context this WR works on behalf of.
     #: Pure annotation -- never enters ``nbytes`` or any cost model.
     trace: Any = None
-    #: RC responder outcome, written by the remote side before the ACK
+    #: Responder outcome, written by the remote side before the ACK
     #: flies back; SUCCESS until proven otherwise.
     _remote_status: WcStatus = field(default=WcStatus.SUCCESS, init=False, repr=False)
-    #: RC only: what the responder calls once it has decided the outcome
+    #: What the responder calls once it has decided the outcome
     #: (set by the requester pipeline, cleared when used).
     _on_responder_done: Any = field(default=None, init=False, repr=False)
 
@@ -92,7 +92,7 @@ class SendWR:
     def responder_done(self, status: Optional[WcStatus] = None) -> None:
         """The remote side's verdict: an error *status*, or none for success.
 
-        Starts the RC requester's ACK, once -- the link is cleared when
+        Starts the requester's ACK, once -- the link is cleared when
         used, so a second verdict for the same WR (a stale-QP NAK and a late
         responder) starts no second ACK, and the WR and its requester state
         do not keep each other alive.

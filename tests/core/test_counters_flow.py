@@ -337,51 +337,3 @@ def test_params_validation():
         UcrParams(credits=8, credit_return_threshold=8)
     with pytest.raises(ValueError):
         UcrParams(credits=1, credit_return_threshold=0)
-
-
-# ------------------------------------------------------------ UD endpoints
-
-
-def test_ud_endpoint_eager_roundtrip():
-    world = UcrWorld()
-    server_ctx = world.server_rt.create_context("s")
-    client_ctx = world.client_rt.create_context("c")
-    server_ud = server_ctx.create_ud_endpoint()
-    client_ud = client_ctx.create_ud_endpoint(remote_ep=server_ud)
-    got = []
-
-    def completion(ep, header, data):
-        got.append(data)
-        yield world.sim.timeout(0)
-
-    world.server_rt.register_handler(MSG_SINK, None, completion)
-
-    def sender():
-        yield from client_ud.send_message(
-            MSG_SINK, header=None, header_bytes=8, data=b"dgram"
-        )
-
-    world.sim.process(sender())
-    world.sim.run()
-    assert got == [b"dgram"]
-
-
-def test_ud_endpoint_rejects_rendezvous():
-    world = UcrWorld()
-    server_ctx = world.server_rt.create_context("s")
-    client_ctx = world.client_rt.create_context("c")
-    server_ud = server_ctx.create_ud_endpoint()
-    client_ud = client_ctx.create_ud_endpoint(remote_ep=server_ud)
-    world.server_rt.register_handler(MSG_SINK)
-
-    def sender():
-        try:
-            yield from client_ud.send_message(
-                MSG_SINK, header=None, header_bytes=8, data=bytes(64 * 1024)
-            )
-        except EndpointClosed:
-            return "rejected"
-
-    p = world.sim.process(sender())
-    world.sim.run()
-    assert p.value == "rejected"

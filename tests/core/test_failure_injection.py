@@ -70,11 +70,11 @@ def test_rendezvous_read_that_cannot_be_posted_returns_its_staging_buffer(monkey
     real_post = server_ep._post
     refused = []
 
-    def post(wr, ud_destination=None):
+    def post(wr):
         if wr.opcode is Opcode.RDMA_READ:
             refused.append(pool.free_count)
             raise EndpointClosed("injected: READ refused")
-        real_post(wr, ud_destination)
+        real_post(wr)
 
     monkeypatch.setattr(server_ep, "_post", post)
 

@@ -7,10 +7,8 @@ the paper's choice is the right one:
    too high: giant bounce buffers buy nothing);
 2. worker-thread count vs aggregate throughput (§V-A round-robin);
 3. SDP zero-copy (off in the paper -- helps large, hurts small);
-4. UD vs RC endpoints (§VII future work: UD scales connections but
-   gives up flow control), for latency and for server QPs and TPS;
-5. an SRQ bounds receive-buffer memory at unchanged latency;
-6. NULL counters suppress the internal message (§IV-C optimization).
+4. an SRQ bounds receive-buffer memory at unchanged latency;
+5. NULL counters suppress the internal message (§IV-C optimization).
 """
 
 import pytest
@@ -76,67 +74,9 @@ def test_sdp_zcopy_wins_large_and_loses_small():
     assert measure_echo_rtt(always, 64) > measure_echo_rtt(SDP_BCOPY, 64)
 
 
-def test_ud_am_latency_matches_rc():
-    """UD endpoints: comparable small-message latency, no credit stalls,
-    but messages can vanish (the §VII trade-off)."""
-    world = UcrWorld()
-    client_rc, _ = world.establish()
-    server_ud = world.server_ctx.create_ud_endpoint()
-    client_ud = world.client_ctx.create_ud_endpoint(remote_ep=server_ud)
-    counter = world.server_rt.create_counter()
-    world.server_rt.register_handler(6)
-    latency = {}
-
-    def ping(ep, tag):
-        before = counter.value
-        t0 = world.sim.now
-        yield from ep.send_message(
-            6, header=None, header_bytes=8, data=b"x", target_counter=counter
-        )
-        yield from counter.wait_for(before + 1, timeout_us=1e6)
-        latency[tag] = world.sim.now - t0
-
-    world.sim.run_until_event(world.sim.process(ping(client_rc, "rc")))
-    world.sim.run_until_event(world.sim.process(ping(client_ud, "ud")))
-    assert latency["ud"] <= latency["rc"] * 1.1  # no ACK wait on the UD send path
-
-
-def test_ud_bounds_server_qps_at_comparable_tps():
-    """§VII's motivation quantified.  RC needs one queue pair (plus a
-    pre-posted receive window) per client; UD amortizes one QP per worker
-    context across every client -- the paper's stated reason to 'leverage
-    the Unreliable Datagram transport to scale up the total number of
-    clients'."""
-    qps, tps = {}, {}
-    for transport in ("UCR-IB", "UCR-UD"):
-        cluster = Cluster(CLUSTER_B, n_client_nodes=12)
-        cluster.start_server(n_workers=4)
-        server_hca = cluster.hcas["server"]
-        before = len(server_hca._qps)
-        clients = [cluster.client(transport, i) for i in range(12)]
-
-        def touch_all(clients=clients):
-            for i, client in enumerate(clients):
-                yield from client.set(f"scale-{i}", b"v")
-
-        p = cluster.sim.process(touch_all())
-        cluster.sim.run()
-        assert p.processed
-        qps[transport] = len(server_hca._qps) - before
-
-        cluster = Cluster(CLUSTER_B, n_client_nodes=12)
-        cluster.start_server(n_workers=4)
-        tps[transport] = MemslapRunner(
-            cluster, transport, 4, GET_ONLY, n_clients=12, n_ops_per_client=80
-        ).run().tps
-    assert qps["UCR-IB"] >= 12  # one RC QP per client
-    assert qps["UCR-UD"] <= 4  # bounded by worker contexts
-    assert tps["UCR-UD"] >= tps["UCR-IB"] * 0.5  # same ballpark
-
-
 def test_srq_flattens_receive_memory_at_unchanged_latency():
-    """SRQ (UCR lineage [11]): the other half of the connection-scaling
-    story -- UD bounds QPs, SRQ bounds buffer memory."""
+    """SRQ (UCR lineage [11]): receive-buffer memory stops growing with
+    the client count."""
     out = {}
     for label, params in (
         ("private", UcrParams()),

@@ -134,8 +134,9 @@ def test_reports_render(fig3, fig4, fig5, fig6):
 def test_extensions_shapes(figure_runs):
     report = figure_runs["ext"][0]
     _assert_all(report)
-    assert "(E1) server QPs" in report.panels
-    assert "(E2) codecs" in report.panels
+    assert sorted(report.panels) == [
+        "(E2) codecs", "(E3) multiget hole", "(E4) client scaling",
+    ]
 
 
 def test_runner_cli_fast_single_figure(capsys):

@@ -433,16 +433,14 @@ class TestBinaryReplies:
 class TestUcrCodec:
     @SETTINGS
     @given(op=st.sampled_from(["set", "add", "replace", "append", "prepend"]),
-           key=keys, value=values, flags=flags32, exptime=exptimes,
-           noreply=st.booleans())
-    def test_storage_command(self, op, key, value, flags, exptime, noreply):
-        cmd = Command(op=op, keys=[key], value=value, flags=flags,
-                      exptime=exptime, noreply=noreply)
+           key=keys, value=values, flags=flags32, exptime=exptimes)
+    def test_storage_command(self, op, key, value, flags, exptime):
+        cmd = Command(op=op, keys=[key], value=value, flags=flags, exptime=exptime)
         header, payload = ucrp.command_to_request(cmd)
         assert header.value_length == len(value)
         out = ucrp.request_to_command(header, payload)
-        assert (out.op, out.keys, out.value, out.flags, int(out.exptime),
-                out.noreply) == (op, [key], value, flags, exptime, noreply)
+        assert (out.op, out.keys, out.value, out.flags, int(out.exptime)) == (
+            op, [key], value, flags, exptime)
 
     @SETTINGS
     @given(key=keys, value=values, cas=cas64)

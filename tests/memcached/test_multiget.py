@@ -96,22 +96,6 @@ def test_mget_sockets_transport_parallel(pool):
     assert got == {k: k.encode() for k in keys}
 
 
-def test_mget_ud_transport_sequential_fallback():
-    cluster = Cluster(CLUSTER_B, n_client_nodes=1, n_servers=2)
-    cluster.start_server()
-    client = cluster.client("UCR-UD")
-    assert client.transport.supports_concurrency is False
-    keys = [f"udmg-{i}" for i in range(10)]
-
-    def scenario():
-        for k in keys:
-            yield from client.set(k, k.encode())
-        return (yield from client.get_multi(keys))
-
-    got = run(cluster, scenario())
-    assert got == {k: k.encode() for k in keys}
-
-
 def test_concurrent_ucr_requests_route_by_request_id(pool):
     """Two processes share one UCR client without crosstalk."""
     client = pool.client("UCR-IB")

@@ -184,36 +184,6 @@ def test_pipeline_spreads_over_servers_in_submission_order():
     assert values == [str(i).encode() for i in range(12)]
 
 
-def test_ud_transport_serializes_the_window():
-    """UD retransmission matching is single-flight: depth collapses to 1,
-    server groups go one after the other, and outcomes are unchanged."""
-    cluster = fresh_cluster(n_servers=2)
-    client = cluster.client("UCR-UD")
-    transport = client.transport
-    roundtrip = transport.roundtrip
-    in_flight, most = [], []
-
-    def counted(server, request, data=b""):
-        in_flight.append(server)
-        most.append(len(in_flight))
-        try:
-            return (yield from roundtrip(server, request, data))
-        finally:
-            in_flight.remove(server)
-
-    transport.roundtrip = counted
-
-    def scenario():
-        got = []
-        for batch in mixed_batches("ud"):
-            got.append((yield from client.pipeline(batch, depth=4)))
-        return got
-
-    assert run(cluster, scenario()) == EXPECTED
-    assert max(most) == 1
-    assert len({client._server_for(k) for k in ("ud-a", "ud-b", "ud-n")}) == 2
-
-
 def test_pipeline_records_each_command():
     cluster = fresh_cluster()
     client = cluster.client("10GigE-TOE")

@@ -299,7 +299,10 @@ def _request_corpus():
 def test_request_wire_bytes_are_pinned():
     """Every request shape, as text and binary frames and as the UCR header
     plus payload.  Recorded before the codecs' per-op ``build_*`` functions became one
-    request table per format."""
+    request table per format; re-pinned when the UCR header dropped its
+    ``noreply`` and ``reply_qpn`` fields (the same corpus with those two
+    fields stripped from the UCR repr gives this digest; text and binary
+    bytes did not move)."""
     def ucr(cmd):
         header, payload = protocol_ucr.command_to_request(cmd)
         return repr(header).encode() + b"|" + payload
@@ -317,7 +320,7 @@ def test_request_wire_bytes_are_pinned():
                 out = b"refused"
             h.update(f"{name}|{cmd.op}|{len(out)}|".encode() + out)
     assert h.hexdigest() == (
-        "784efdce62fee6bc40786322e8eb9db00376675534b82c312da1da0f2ae28144"
+        "016499e95ce86a7f691c6789668ad88d6bee60f6422fb8a64a57162dae19bdd0"
     )
 
 

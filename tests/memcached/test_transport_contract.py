@@ -67,8 +67,7 @@ def test_noreply_is_refused_before_anything_is_sent(config, entry):
 
 @pytest.mark.parametrize("transport", ["UCR-IB", "UCR-1S"])
 def test_constructing_a_transport_creates_no_counter(transport):
-    """Response counters come out of the per-request pool; only the
-    single-flight UD transport keeps one of its own."""
+    """Response counters come out of the per-request pool."""
     cluster = Cluster(CLUSTER_A, n_client_nodes=1)
     cluster.start_server()
     runtime = cluster.runtimes["client0"]

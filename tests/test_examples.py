@@ -52,7 +52,6 @@ def test_transport_comparison(capsys):
 
 def test_scaling_beyond_the_paper(capsys):
     out = run_example("scaling_beyond_the_paper.py", capsys)
-    assert "UCR-UD" in out
     assert "shared SRQ" in out
     assert "orphaned" in out
     # The SRQ line must show fewer buffers than the private-window line.

@@ -117,14 +117,14 @@ def test_constructor_surface_is_pinned():
     from repro.memcached.slabs import SlabAllocator
     from repro.memcached.sockets_transport import SocketsTransport
     from repro.memcached.store import ItemStore
-    from repro.memcached.ucr_transport import UcrTransport, UcrUdTransport
+    from repro.memcached.ucr_transport import UcrTransport
 
     surface = {
         f.__qualname__: tuple(inspect.signature(f).parameters)
         for f in (
             Cluster, Cluster.start_server, Cluster.client, Cluster.sharded_client,
             MemcachedServer, UcrServerPort, MemcachedClient,
-            SocketsTransport, UcrTransport, UcrUdTransport, OneSidedTransport,
+            SocketsTransport, UcrTransport, OneSidedTransport,
             ItemStore, SlabAllocator, ExportedIndex, UcrRuntime, BufferPool,
         )
     }
@@ -146,7 +146,6 @@ def test_constructor_surface_is_pinned():
         ),
         "SocketsTransport": ("sim", "node", "stack", "costs", "binary"),
         "UcrTransport": ("context", "costs", "timeout_us"),
-        "UcrUdTransport": ("context", "costs"),
         "OneSidedTransport": ("context", "costs", "timeout_us"),
         "ItemStore": ("sim", "config", "pd"),
         "SlabAllocator": ("max_bytes", "pd"),
@@ -226,9 +225,8 @@ def test_no_module_over_600_lines():
 
 
 def test_the_client_probes_its_transport_for_onesided_get_only():
-    """The transport contract (``execute``, ``execute_many``,
-    ``supports_concurrency``) is read directly; ``onesided_get`` is the
-    one optional capability."""
+    """The transport contract (``execute``, ``execute_many``) is read
+    directly; ``onesided_get`` is the one optional capability."""
     probes = sorted(
         line.strip()
         for path in SRC.rglob("*.py")
@@ -236,6 +234,34 @@ def test_the_client_probes_its_transport_for_onesided_get_only():
         if "getattr(self.transport" in line
     )
     assert probes == ['getattr(self.transport, "onesided_get", None)']
+
+
+def test_every_client_transport_is_a_checked_config():
+    """Every class in ``repro.memcached`` that offers the transport
+    contract is the transport of some ``check.differential.CONFIGS`` row:
+    a new transport joins the differential replay against the oracle
+    before it can ship."""
+    import repro.memcached
+    from repro.check.differential import CONFIGS
+    from repro.cluster import Cluster
+    from repro.cluster.configs import CLUSTER_A
+
+    transports = set()
+    for info in pkgutil.walk_packages(repro.memcached.__path__, prefix="repro.memcached."):
+        mod = importlib.import_module(info.name)
+        for obj in vars(mod).values():
+            if (isinstance(obj, type) and obj.__module__ == info.name
+                    and callable(getattr(obj, "execute", None))
+                    and callable(getattr(obj, "execute_many", None))):
+                transports.add(obj)
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1)
+    cluster.start_server()
+    checked = {
+        type(cluster.client(transport, binary=binary).transport)
+        for _name, transport, binary in CONFIGS
+    }
+    assert transports, "no class offers the transport contract"
+    assert sorted(cls.__name__ for cls in transports - checked) == []
 
 
 def test_verbs_data_path_starts_no_process():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.fabric import HOST_CLOVERTOWN, IB_DDR, Network, Node
 from repro.sim import Simulator
-from repro.verbs import Access, Hca, QpType
+from repro.verbs import Access, Hca
 from repro.verbs.params import HCA_CONNECTX_DDR
 
 

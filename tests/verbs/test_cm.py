@@ -1,10 +1,10 @@
-"""Connection manager handshake and UD transport tests."""
+"""Connection manager handshake tests."""
 
 import re
 
 import pytest
 
-from repro.verbs import Access, Opcode, QpType, RecvWR, SendWR, Sge
+from repro.verbs import Access, Opcode, RecvWR, SendWR, Sge
 from repro.verbs.cm import ConnectionManager
 
 
@@ -76,60 +76,6 @@ def test_single_cm_per_hca(pair):
     ConnectionManager(pair.hca_a)
     with pytest.raises(RuntimeError):
         ConnectionManager(pair.hca_a)
-
-
-# --------------------------------------------------------------------- UD
-
-
-def make_ud_pair(pair):
-    ud_a = pair.hca_a.create_qp(pair.pd_a, pair.cq_a, pair.cq_a, QpType.UD)
-    ud_b = pair.hca_b.create_qp(pair.pd_b, pair.cq_b, pair.cq_b, QpType.UD)
-    ud_a.ready_ud()
-    ud_b.ready_ud()
-    return ud_a, ud_b
-
-
-def test_ud_send_delivers_with_posted_recv(pair):
-    ud_a, ud_b = make_ud_pair(pair)
-    mr = pair.pd_b.reg_mr(64, Access.local_only())
-    ud_b.post_recv(RecvWR(sge=Sge(mr)))
-    ud_a.post_send(SendWR(opcode=Opcode.SEND, inline_data=b"dgram"), remote_qp=ud_b)
-    pair.sim.run()
-    assert mr.read(0, 5) == b"dgram"
-
-
-def test_ud_send_completes_locally_even_if_dropped(pair):
-    ud_a, ud_b = make_ud_pair(pair)
-    # No recv posted: datagram is dropped silently, sender still completes OK.
-    ud_a.post_send(
-        SendWR(opcode=Opcode.SEND, inline_data=b"lost", signaled=True), remote_qp=ud_b
-    )
-    pair.sim.run()
-    wcs = pair.cq_a.poll(8)
-    assert len(wcs) == 1 and wcs[0].ok
-    assert pair.cq_b.poll(8) == []
-
-
-def test_ud_requires_address_handle(pair):
-    ud_a, _ = make_ud_pair(pair)
-    with pytest.raises(ValueError):
-        ud_a.post_send(SendWR(opcode=Opcode.SEND, inline_data=b"x"))
-
-
-def test_ud_rejects_rdma(pair):
-    ud_a, ud_b = make_ud_pair(pair)
-    mr = pair.mr("a", 16)
-    with pytest.raises(ValueError):
-        ud_a.post_send(
-            SendWR(opcode=Opcode.RDMA_WRITE, sge=Sge(mr), remote_rkey=1),
-            remote_qp=ud_b,
-        )
-
-
-def test_ud_connect_rejected(pair):
-    ud_a, ud_b = make_ud_pair(pair)
-    with pytest.raises(RuntimeError):
-        ud_a.connect(ud_b)
 
 
 def test_qp_error_flushes_recvs(pair):

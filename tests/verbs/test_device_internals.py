@@ -3,7 +3,6 @@
 import pytest
 
 from repro.verbs import Access, Opcode, RecvWR, SendWR, Sge
-from repro.verbs.device import lookup_qp
 
 
 def test_hca_engine_serializes_across_qps(pair):
@@ -32,12 +31,6 @@ def test_hca_engine_serializes_across_qps(pair):
     assert len(arrivals) == 4
     assert arrivals == sorted(arrivals)
     assert arrivals[-1] > arrivals[0]  # not all at one instant
-
-
-def test_lookup_qp_registry(pair):
-    assert lookup_qp(pair.qp_a.qp_num) is pair.qp_a
-    with pytest.raises(KeyError):
-        lookup_qp(999_999)
 
 
 def test_destroy_qp_drops_inbound(pair):

@@ -10,11 +10,9 @@ RC SEND       7     doorbell, WQE engine, the frame's three, ``cq_gen``, ACK
 RDMA WRITE    6     the same without ``cq_gen`` (no remote completion)
 RDMA READ    10     doorbell, engine, request frame (3), responder turnaround,
                     response frame (3), ``cq_gen``
-UD SEND       7     doorbell, engine, the frame's three, the ``delivered``
-                    event its local completion hangs on, ``cq_gen``
 ==========  ======  ===========================================================
 
--- chained by callbacks on those events.  It was 13 / 12 / 17 / 11 while
+-- chained by callbacks on those events.  It was 13 / 12 / 17 while
 ``post_send`` started a ``Process`` per WR and ``Hca._on_frame`` one per
 inbound packet (``process-init`` and an unheard process end each, a
 ``delivered`` event the RC requester did not need, a ``resp-done``
@@ -34,7 +32,6 @@ from repro.verbs.srq import RNR_RETRY_DELAY_US
 
 from tests.sim.test_kernel_budget import _python_calls
 from tests.verbs.conftest import VerbsPair
-from tests.verbs.test_cm_ud import make_ud_pair
 
 MESSAGES = 200
 #: Python functions entered per ping-pong RC SEND -- building and posting the
@@ -62,20 +59,12 @@ def _read(pair):
     )
 
 
-def _ud_send(pair):
-    pair.ud_b.post_recv(RecvWR(sge=Sge(pair.recv_mr)))
-    pair.ud_a.post_send(
-        SendWR(opcode=Opcode.SEND, inline_data=b"dgram"), remote_qp=pair.ud_b
-    )
-
-
 @pytest.fixture
 def pair():
     pair = VerbsPair()
     pair.recv_mr = pair.mr("b", 64, Access.local_only())
     pair.remote_mr = pair.mr("b", 64)
     pair.local_mr = pair.mr("a", 64)
-    pair.ud_a, pair.ud_b = make_ud_pair(pair)
     # Detach whatever the suite's fixtures hooked on: the budget is the bare model's.
     del pair.sim.pre_event_hooks[:]
     return pair
@@ -83,8 +72,8 @@ def pair():
 
 @pytest.mark.parametrize(
     "post, events",
-    [(_send, 7), (_write, 6), (_read, 10), (_ud_send, 7)],
-    ids=["rc-send", "rdma-write", "rdma-read", "ud-send"],
+    [(_send, 7), (_write, 6), (_read, 10)],
+    ids=["rc-send", "rdma-write", "rdma-read"],
 )
 def test_events_per_work_request(pair, post, events):
     sim = pair.sim
@@ -177,7 +166,6 @@ def test_no_process_is_started_on_the_data_path(pair, monkeypatch):
     for _ in range(5):
         _write(pair)
         _read(pair)
-        _ud_send(pair)
     pair.sim.run()
     assert started == []
 

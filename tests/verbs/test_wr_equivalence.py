@@ -19,7 +19,6 @@ from repro.workloads.memslap import MemslapRunner
 from repro.workloads.patterns import GET_ONLY
 
 from tests.verbs.conftest import VerbsPair
-from tests.verbs.test_cm_ud import make_ud_pair
 
 #: ``(name, start_us, end_us)`` of the verbs spans of the last timed GET of
 #: a one-client UCR-IB run (2 warm-up + 3 timed ops), by value size.  4 KB
@@ -94,12 +93,6 @@ def _rc_write(pair):
     return pair.qp_a, WcStatus.SUCCESS
 
 
-def _ud(pair):
-    ud_a, ud_b = make_ud_pair(pair)
-    ud_a.post_send(SendWR(opcode=Opcode.SEND, inline_data=b"dgram"), remote_qp=ud_b)
-    return ud_a, WcStatus.SUCCESS
-
-
 def _read_success(pair):
     pair.qp_a.post_send(_read(pair, pair.mr("b", 64)))
     return pair.qp_a, WcStatus.SUCCESS
@@ -135,7 +128,7 @@ def _srq_retries_exhausted(pair):
 @pytest.mark.parametrize(
     "arm",
     [
-        _rc_success, _rc_error_status, _rc_write, _ud, _read_success,
+        _rc_success, _rc_error_status, _rc_write, _read_success,
         _read_rem_access_err, _error_state_responder,
         _empty_private_receive_queue, _srq_retries_exhausted,
     ],
