@@ -2,16 +2,18 @@
 
 Not a figure from the paper: the paper's UCR design keeps the server
 CPU on every operation (active messages).  This experiment measures
-what the PR-8 one-sided path buys by taking the server out of the GET
+what the one-sided path buys by taking the server out of the GET
 loop entirely -- the client resolves a hit with three RDMA READs
-(index probe, value fetch, seqlock confirm) and no server cycles.
+(index probe, value fetch, seqlock confirm) and no server cycles; on
+a repeat read of a key the value fetch and a probe share one round
+trip, so a hit takes two.
 
 Two panels:
 
 - **(a)** Get latency vs value size, UCR-1S against the UCR-IB active
-  message baseline.  Three READ round-trips cost less than one RPC
-  round-trip plus the server-side dispatch/parse/reply work at every
-  swept size, so the one-sided line must sit below the baseline.
+  message baseline.  Two or three READ round trips cost less than one
+  RPC round trip plus the server-side dispatch/parse/reply work at
+  every swept size, so the one-sided line must sit below the baseline.
 - **(b)** aggregate TPS vs Get ratio (50/90/100 % reads).  Sets always
   ride RPC on both configs, so the one-sided advantage must grow with
   the read fraction.

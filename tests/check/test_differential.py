@@ -207,6 +207,18 @@ def test_ucr_zero_copy_get_seed_3_is_linearizable():
     assert failed == [], (result.digest[:16], result.check.failures[:1])
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_ucr_pipelined_seed_1_is_linearizable():
+    """A second red history, not yet triaged (item 1, item 15 or a third
+    bug): with windows of 4, no linearization explains the 60 ops on
+    one key of server1, whose first op is a touch (history digest
+    6da3b76847b9c107, the same for UCR-1S/pipe4).  The fix turns this
+    green and must drop the marker."""
+    result = replay_concurrent(UCR, seed=1, pipeline_depth=4)
+    failed = [(key, server) for key, server, _ in result.check.failures]
+    assert failed == [], (result.digest[:16], result.check.failures[:1])
+
+
 def test_fuzz_parsers_crash_free():
     assert fuzz_parsers(1, n_cases=150) == []
 
