@@ -115,6 +115,8 @@ class UcrContext:
             return
         ep = cookie.endpoint
         if wc.status is not WcStatus.SUCCESS:
+            if cookie.kind == "rendezvous-read" and cookie.dest[2] is not None:
+                cookie.dest[2].release()  # a failed READ scattered nothing
             if wc.status is not WcStatus.WR_FLUSH_ERR:
                 ep.fail(f"transport error: {wc.status.value}")
             return

@@ -81,8 +81,10 @@ class Endpoint:  # repro-lint: disable=L003
         #: Credits consumed by the peer that we owe back.
         self.credits_owed = 0
         self._credit_waiters: list[Event] = []
-        #: Staged rendezvous buffers awaiting the peer's release message.
-        self._staged: dict[int, PooledBuffer] = {}
+        #: Staged rendezvous buffers (``PooledBuffer``), or holds on
+        #: registered memory sent in place, awaiting the peer's release
+        #: message; either is released with ``release()``.
+        self._staged: dict[int, Any] = {}
         #: User hook invoked on failure (memcached drops the client here).
         self.on_failure = None
         context._register_endpoint(self)
@@ -109,6 +111,7 @@ class Endpoint:  # repro-lint: disable=L003
         completion_counter=None,
         data_location: Optional[tuple] = None,
         registered_hint: bool = False,
+        location_hold=None,
     ):
         """Process helper: the paper's ``ucr_send_message``.
 
@@ -121,19 +124,28 @@ class Endpoint:  # repro-lint: disable=L003
         Non-blocking in the UCR sense: returns once the message is handed
         to the HCA (possibly after waiting for send credits); progress is
         observed through the counters.
+
+        *location_hold* (with *data_location*) is the caller's hold on
+        that memory, an object with ``release()``.  The endpoint takes it
+        over and releases it once the bytes have left: at the eager copy,
+        on the peer's ``rendezvous_done``, or when the endpoint fails --
+        this call raising included.
         """
-        self._check_alive()
         params = self.runtime.params
         node = self.context.node
-        runtime = self.runtime
 
         tc_id = target_counter.counter_id if target_counter is not None else 0
         cc_id = completion_counter.counter_id if completion_counter is not None else 0
         oc_id = origin_counter.counter_id if origin_counter is not None else 0
 
-        yield from node.cpu_run(params.am_post_cpu_us)
-
-        yield from self._acquire_credit()
+        try:
+            self._check_alive()
+            yield from node.cpu_run(params.am_post_cpu_us)
+            yield from self._acquire_credit()
+        except EndpointClosed:
+            if location_hold is not None:
+                location_hold.release()
+            raise
 
         if data_location is not None:
             # Zero-copy from registered application memory (e.g. a slab
@@ -146,10 +158,12 @@ class Endpoint:  # repro-lint: disable=L003
                 # beats an RDMA round trip); the copy out of the region is
                 # the eager-path copy.
                 data = mr.read(offset, length)
+                if location_hold is not None:
+                    location_hold.release()
             else:
                 self._send_rendezvous_registered(
                     msg_id, header, header_bytes, mr, offset, length,
-                    oc_id, tc_id, cc_id,
+                    oc_id, tc_id, cc_id, location_hold,
                 )
                 return
 
@@ -221,19 +235,20 @@ class Endpoint:  # repro-lint: disable=L003
         )
 
     def _send_rendezvous_registered(
-        self, msg_id, header, header_bytes, mr, offset, length, oc_id, tc_id, cc_id
+        self, msg_id, header, header_bytes, mr, offset, length, oc_id, tc_id, cc_id,
+        hold=None,
     ):
         """Rendezvous straight out of registered app memory (no staging).
 
-        The rendezvous_done message still returns (for the counters) but
-        finds no staged buffer to release -- the application owns the
-        memory's lifetime, which is why the caller must keep the region
-        stable until the origin counter fires.
+        The application owns the memory's lifetime.  Its *hold* (if any)
+        is filed where a staging buffer would be, so the rendezvous_done
+        message (or a failure) releases it; without one the caller must
+        keep the region stable until the origin counter fires.
         """
         self._post_rendezvous_header(
             msg_id, header, header_bytes,
             RdmaDescriptor(rkey=mr.rkey, offset=offset, length=length),
-            oc_id, tc_id, cc_id,
+            oc_id, tc_id, cc_id, hold,
         )
 
     def _post_rendezvous_header(
@@ -357,8 +372,9 @@ class Endpoint:  # repro-lint: disable=L003
         )
         self._post(wr)
 
-    def release_staged(self, seq: int) -> Optional[PooledBuffer]:
-        """Origin side: peer finished its RDMA READ of staged buffer *seq*."""
+    def release_staged(self, seq: int) -> Any:
+        """Origin side: peer finished its RDMA READ of staged buffer (or
+        held region) *seq*."""
         buf = self._staged.pop(seq, None)
         if buf is not None:
             buf.release()

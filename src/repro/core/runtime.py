@@ -130,6 +130,11 @@ class UcrRuntime:
     def counter_by_id(self, cid: int) -> Optional[UcrCounter]:
         return self._counters.get(cid)
 
+    def destroy_counter(self, counter: UcrCounter) -> None:
+        """Unregister *counter*: its id stops resolving, so a late message
+        that names it bumps nothing."""
+        del self._counters[counter.counter_id]
+
     # -- handlers --------------------------------------------------------------------
 
     def register_handler(

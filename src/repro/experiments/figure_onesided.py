@@ -3,15 +3,15 @@
 Not a figure from the paper: the paper's UCR design keeps the server
 CPU on every operation (active messages).  This experiment measures
 what the one-sided path buys by taking the server out of the GET
-loop entirely -- the client resolves a hit with three RDMA READs
-(index probe, value fetch, seqlock confirm) and no server cycles; on
-a repeat read of a key the value fetch and a probe share one round
-trip, so a hit takes two.
+loop entirely -- the client resolves a hit with RDMA READs and no
+server cycles: an index probe, then the value fetch and the seqlock
+confirm back to back on one RC queue pair (two round trips); a repeat
+read of a key skips the probe, so a hit takes one round trip.
 
 Two panels:
 
 - **(a)** Get latency vs value size, UCR-1S against the UCR-IB active
-  message baseline.  Two or three READ round trips cost less than one
+  message baseline.  One or two READ round trips cost less than one
   RPC round trip plus the server-side dispatch/parse/reply work at
   every swept size, so the one-sided line must sit below the baseline.
 - **(b)** aggregate TPS vs Get ratio (50/90/100 % reads).  Sets always

@@ -3,25 +3,26 @@
 :class:`OneSidedTransport` extends the active-message
 :class:`~repro.memcached.ucr_transport.UcrTransport` with a zero-server-CPU
 read path: GET/gets probe the server's exported bucket index with an
-RDMA READ, fetch the value with a second READ straight out of the
-registered slab page, and confirm with a third READ of the same entry.
-The fetch is accepted only if the entry was stable (even version) and
-bit-identical across the probe and the confirm -- the client side of
-the server's seqlock discipline.  A mutation anywhere in that window
-changes the version, so a torn read can never be *served*, only
-retried.
+RDMA READ, then fetch the value with a second READ straight out of the
+registered slab page and confirm with a third READ of the same entry,
+posted right behind it on the same queue pair.  RC executes a QP's
+READs in post order, so the confirm reads the entry after the value
+READ read the value, and both land in one round trip.  The fetch is
+accepted only if the entry was stable (even version) and bit-identical
+across the probe and the confirm -- the client side of the server's
+seqlock discipline.  A mutation anywhere in that window changes the
+version, so a torn read can never be *served*, only retried.
 
 A repeat GET skips the probe.  The transport remembers, per server, the
 last entry it confirmed in each bucket; for a bucket that holds the
-key's hash it posts the value READ from the remembered location and a
-probe READ right behind it, waits for both (one round trip), then
-confirms.  Versions strictly increase for the index's lifetime, so a
-confirm bit-identical to the remembered entry proves no mutation
-between the earlier confirm and this one: the same bracket with a wider
-window.  The overlapped probe only finds a stale entry early -- when it
-differs it *is* the fresh entry, and the ladder restarts from it
-without another READ.  An own command through :meth:`execute` forgets
-its keys' entries, so an own write costs no wasted value READ.
+key's hash it posts the value READ from the remembered location and the
+confirm behind it: one round trip, two READs.  Versions strictly
+increase for the index's lifetime, so a confirm bit-identical to the
+remembered entry proves no mutation between the earlier confirm and
+this one: the same bracket with a wider window.  A confirm that differs
+*is* the fresh entry, and the ladder restarts from it without another
+READ.  An own command through :meth:`execute` forgets its keys' entries,
+so an own write costs no wasted value READ.
 
 Everything the index cannot prove falls down a ladder onto the RPC
 path, which is authoritative:
@@ -94,11 +95,11 @@ class OneSidedTransport(UcrTransport):
         #: counter pool; concurrent GETs each pin their own).
         self._landing_pool: list = []
         self.onesided_hits = 0
-        #: Hits fetched from a remembered entry (two round trips).
+        #: Hits fetched from a remembered entry (one round trip).
         self.remembered_hits = 0
         self.onesided_reads = 0
         self.torn_retries = 0
-        #: Remembered entries the probe READ behind a value READ found changed.
+        #: Remembered entries the confirm READ found changed.
         self.stale_entries = 0
         #: server -> bucket -> the 64-byte entry last confirmed there (at
         #: most ``n_buckets`` per server; no eviction).
@@ -130,7 +131,7 @@ class OneSidedTransport(UcrTransport):
         The completion cookie's counter fires when a response lands (data
         already scattered), mirroring the rendezvous machinery.  Each
         counter's target is taken at post time: a later READ may land
-        before an earlier one is waited on.  A failed wait drops its
+        before an earlier one is waited on.  A failed wait destroys its
         counters instead of pooling them: a READ still in flight completes
         late, and a pooled counter would wake the next GET early.
         """
@@ -159,6 +160,8 @@ class OneSidedTransport(UcrTransport):
             for counter, target in posted:
                 yield from counter.wait_for(target, timeout_us=self.timeout_us)
         except (UcrTimeout, EndpointClosed) as exc:
+            for counter, _ in posted:
+                self.runtime.destroy_counter(counter)
             raise self._server_down(server, ep, exc) from exc
         for counter, _ in posted:
             self._checkin_counter(counter)
@@ -184,10 +187,10 @@ class OneSidedTransport(UcrTransport):
     # -- test hook ---------------------------------------------------------
 
     def checkpoint(self, stage: str, server: str, key: str):
-        """Deterministic interleaving hook between the READ stages of a
-        one-sided GET ('entry' -> value READ -> 'value' -> confirm READ).
-        The default passes no simulated time; torn-read tests override it
-        to park the client while the server mutates."""
+        """Deterministic interleaving hook of a one-sided GET: 'entry' is
+        crossed once the entry is known, before the value and confirm
+        READs are posted.  The default passes no simulated time; torn-read
+        tests override it to park the client while the server mutates."""
         return
         yield  # pragma: no cover - makes this a generator for yield-from
 
@@ -208,14 +211,13 @@ class OneSidedTransport(UcrTransport):
         return None
 
     def onesided_get(self, server: str, key: str):
-        """Process helper: probe/fetch/confirm for *key* on *server*.
+        """Process helper: probe, then fetch + confirm, for *key* on *server*.
 
         A bucket whose entry this transport last confirmed for *key*
         skips the probe: the value READ from the remembered location and
-        a probe READ behind it share one round trip, then the confirm.
-        A probe that differs from the remembered entry is the fresh
-        entry, and the ladder restarts from it without another READ;
-        likewise a failed confirm is the next attempt's probe.
+        the confirm READ behind it share one round trip.  A confirm that
+        differs from the entry is the fresh entry, and the ladder
+        restarts from it without another READ.
 
         Returns the hit as the :class:`Reply` a get/gets RPC would have
         produced, or None after counting the fallback reason (the caller
@@ -260,29 +262,23 @@ class OneSidedTransport(UcrTransport):
             yield from self.checkpoint("entry", server, key)
             fetch = (entry.value_rkey, entry.value_offset,
                      entry.value_length, ENTRY_BYTES)
-            paired, remembered = remembered, False
-            if paired:
-                value, fresh = yield from self._reads(
-                    server, landing, fetch, probe
-                )
-                yield from self.node.cpu_run(check_us)
-                if fresh != raw:
-                    self.stale_entries += 1  # restart from the fresh entry
-                    raw = fresh
-                    continue
-            else:
-                (value,) = yield from self._reads(server, landing, fetch)
-            yield from self.checkpoint("value", server, key)
-            (confirm,) = yield from self._reads(server, landing, probe)
+            # RC executes the two in post order: the confirm reads the
+            # entry after the value READ read the value.
+            value, confirm = yield from self._reads(server, landing, fetch, probe)
             yield from self.node.cpu_run(check_us)
             if confirm != raw:
-                self.torn_retries += 1  # torn window: the confirm is the next probe
-                torn += 1
+                # The confirm is the next attempt's probe.
+                if remembered:
+                    self.stale_entries += 1
+                else:
+                    self.torn_retries += 1
+                    torn += 1
+                remembered = False
                 raw = confirm
                 continue
             confirmed[bucket] = raw
             self.onesided_hits += 1
-            self.remembered_hits += paired
+            self.remembered_hits += remembered
             return Reply(
                 status="values",
                 values=[(key, entry.flags, value, entry.cas)],

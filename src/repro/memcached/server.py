@@ -420,6 +420,12 @@ class UcrServerPort:
                 cmd = ucrp.request_to_command(header, data)
                 reply = server.engine.apply(cmd)
                 response, payload, location = ucrp.reply_to_response(cmd, reply)
+                # A zero-copy hit is read after this handler yields: pin its
+                # chunk now, at the linearization point, so an overwrite,
+                # delete or eviction meanwhile cannot free and refill it.
+                # The endpoint releases the pin once the bytes have left.
+                hold = (server.store.slabs.pin(reply.values[0][2].chunk)
+                        if location is not None else None)
             finally:
                 if tracer.enabled:
                     tracer.end(apply_span, self.sim.now)
@@ -436,6 +442,7 @@ class UcrServerPort:
                 + 8 * len(response.values_meta or []),
                 data=payload,
                 data_location=location,
+                location_hold=hold,
                 target_counter=_CounterRef(header.counter_id) if header.counter_id else None,
             )
         finally:

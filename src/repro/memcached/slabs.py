@@ -13,6 +13,12 @@ Two properties matter to the paper:
   server-private chunks that can be reassigned at any time.
 - registration: when built for UCR, pages are backed by verbs memory
   regions so values can be served by RDMA straight out of the slab.
+
+A value served that way is read by the NIC after the command that found
+it returns, so its chunk carries a reader pin (:meth:`SlabAllocator.pin`)
+until the bytes have left: a chunk freed while pinned goes back to its
+free list only on the last release, never under a read (memcached's item
+refcount plays this part).
 """
 
 from __future__ import annotations
@@ -103,6 +109,24 @@ class SlabChunk:
         return self.page.mr, self.offset
 
 
+class ChunkPin:
+    """One reader's hold on a slab chunk; :meth:`release` it exactly once."""
+
+    __slots__ = ("allocator", "chunk")
+
+    def __init__(self, allocator: "SlabAllocator", chunk: SlabChunk) -> None:
+        self.allocator = allocator
+        self.chunk = chunk
+
+    def release(self) -> None:
+        """The reader is done; a free the owner asked for meanwhile happens
+        on the chunk's last release."""
+        chunk, self.chunk = self.chunk, None
+        if chunk is None:
+            raise ValueError("slab chunk pin released twice")
+        self.allocator.unpin(chunk)
+
+
 class SlabClass:
     """All pages/chunks of one chunk size."""
 
@@ -180,6 +204,11 @@ class SlabAllocator:
         self.classes = [SlabClass(i, size) for i, size in enumerate(build_chunk_sizes())]
         self.allocated_bytes = 0
         self._next_page_id = 0
+        #: chunk -> its readers' pin count; only pinned chunks are keys.
+        self.pins: dict[SlabChunk, int] = {}
+        #: Pinned chunks their owner has freed: each returns to its free
+        #: list on its last unpin.
+        self.deferred_frees: set[SlabChunk] = set()
 
     def class_for(self, total_item_bytes: int) -> Optional[SlabClass]:
         """Smallest class whose chunks fit *total_item_bytes* (None: too big)."""
@@ -207,7 +236,26 @@ class SlabAllocator:
         return None
 
     def free(self, chunk: SlabChunk) -> None:
+        if chunk in self.pins:
+            if chunk in self.deferred_frees:
+                raise ValueError("double free of slab chunk")
+            self.deferred_frees.add(chunk)
+            return
         chunk.slab_class.release(chunk)
+
+    def pin(self, chunk: SlabChunk) -> ChunkPin:
+        """Hold *chunk* for a reader: freeing it meanwhile is deferred."""
+        self.pins[chunk] = self.pins.get(chunk, 0) + 1
+        return ChunkPin(self, chunk)
+
+    def unpin(self, chunk: SlabChunk) -> None:
+        """Drop one pin of *chunk* (:meth:`ChunkPin.release`)."""
+        left = self.pins.pop(chunk) - 1
+        if left:
+            self.pins[chunk] = left
+        elif chunk in self.deferred_frees:
+            self.deferred_frees.remove(chunk)
+            chunk.slab_class.release(chunk)
 
     def reassign_page(self, src: SlabClass, dst: SlabClass) -> bool:
         """Move one empty page from *src* to *dst* (the slab mover).

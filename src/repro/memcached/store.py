@@ -428,15 +428,17 @@ class ItemStore:
         now = self.now_seconds()
         lru = self.lrus[cls.class_id]
         # Pass 1: reap expired from the cold end; pass 2: evict the coldest.
+        pins = self.slabs.pins  # neither pass takes a chunk a reply still reads
         victim = None
         kind = "evicted"
         for candidate in islice(lru, RECLAIM_SCAN):
-            if candidate.is_expired(now) or self._is_flushed(candidate):
+            if candidate.chunk not in pins and (
+                    candidate.is_expired(now) or self._is_flushed(candidate)):
                 victim = candidate
                 kind = "reclaimed"
                 break
         if victim is None:
-            victim = next(iter(lru), None)
+            victim = next((item for item in lru if item.chunk not in pins), None)
         if victim is None:
             self._record_oom(cls)
             raise ServerError("out of memory storing object")

@@ -38,7 +38,8 @@ class UcrTransport:
         self.costs = costs
         self.timeout_us = timeout_us
         #: Response counters ("counter C" of paper §V-B/C), one checked
-        #: out per request in flight and returned after it.
+        #: out per request in flight, returned after it succeeds and
+        #: destroyed after it fails.
         self._counter_pool: list = []
         self._endpoints: dict[str, "object"] = {}
         self._runtimes: dict[str, "UcrRuntime"] = {}
@@ -190,12 +191,15 @@ class UcrTransport:
             # Block on counter C with a timeout (paper §V-B).
             yield from counter.wait_increment(timeout_us=self.timeout_us)
         except (UcrTimeout, EndpointClosed) as exc:
+            # The counter is destroyed, not pooled: a response whose
+            # handling already began would bump it and wake the next call.
+            self.runtime.destroy_counter(counter)
             raise self._server_down(server, ep, exc) from exc
         finally:
             entry = self._pending.pop(rid, None)
-            self._checkin_counter(counter)
             if tracer.enabled:
                 tracer.end(span, self.sim.now)
+        self._checkin_counter(counter)
         yield from self.node.cpu_run(self.node.host.cpu_time(self.costs.parse_ucr_us))
         assert entry is not None, "counter fired before response landed"
         return entry

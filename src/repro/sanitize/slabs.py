@@ -18,7 +18,10 @@ truth.  The linked items are the ones in the index.  Invariants:
 9. per class, ``total_chunks`` equals ``total_pages * chunks_per_page``
    -- page reassignment (the slab rebalancer) must move a page's worth
    of chunks atomically, so a mover that leaks the donor's chunks (a
-   double-free in the making) breaks conservation immediately.
+   double-free in the making) breaks conservation immediately;
+10. every chunk a reader has pinned (a zero-copy reply in flight) is
+    marked used, and every chunk whose free waits for its last unpin is
+    still pinned -- no chunk is freed or re-carved under a read.
 
 Drift in any of these is how a slab double-free, a missed
 ``stats.bytes`` update or an unlink that reached only one of the two
@@ -130,6 +133,17 @@ class SlabSanitizer:
                     f"class {cls.class_id}: {cls.total_chunks} chunks but "
                     f"{cls.total_pages} pages x {cls.chunks_per_page} "
                     f"per page = {expected} (page reassignment leak?)"
+                )
+
+        for chunk in allocator.pins:
+            if not chunk.used:
+                violations.append(
+                    f"class {chunk.slab_class.class_id}: a pinned chunk is marked free"
+                )
+        for chunk in allocator.deferred_frees:
+            if chunk not in allocator.pins:
+                violations.append(
+                    f"class {chunk.slab_class.class_id}: a deferred free outlived its pins"
                 )
 
         if self.counters is not None:

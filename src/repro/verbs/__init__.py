@@ -17,10 +17,13 @@ Fidelity notes
 - Reliable Connection (RC) semantics: send completions after the (modeled)
   ACK, receiver-not-ready on RECV exhaustion surfaces as an error
   completion -- which is what makes UCR's credit-based flow control a
-  load-bearing component rather than decoration.  In-order delivery is
-  *not* yet kept: a small SEND can overtake a larger SEND, WRITE or READ
-  posted before it on the same QP (ROADMAP item 15;
-  ``tests/verbs/test_rc_order.py`` holds the probes as strict xfails).
+  load-bearing component rather than decoration.  RC order kept: a QP's
+  work requests enter the adapter's engine, cross the wire and execute
+  at the responder in post order, and their send completions reach the
+  CQ in post order (unsignaled ones hold their place).  Moving a QP to
+  ERROR flushes every outstanding send WR in post order; a response
+  that lands after the flush scatters nothing
+  (``tests/verbs/test_rc_order.py``).
 - RC is the only queue-pair type.
 """
 

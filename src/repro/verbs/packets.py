@@ -29,6 +29,9 @@ class IbPacket:
     #: READ response (and error paths) can complete the right WR.  Real
     #: hardware matches via PSNs; the reference is the simulation shortcut.
     wr: Any = None
+    #: The requester's pipeline entry (``qp._Wqe``) of an RDMA READ, echoed
+    #: by the response so the requester retires it without a search.
+    wqe: Any = None
 
     @property
     def trace(self) -> Any:

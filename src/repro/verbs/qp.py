@@ -3,11 +3,20 @@
 The requester pipeline for every operation is::
 
     post (doorbell [+ DMA fetch for non-inline]) ->
-    HCA WQE engine (serialized per adapter) ->
+    HCA WQE engine (serialized per adapter, entered in post order per QP) ->
     wire frame ->
     responder action ->
     [ACK / response] ->
-    signaled completion on the send CQ
+    signaled completion on the send CQ (in post order per QP)
+
+RC keeps a queue pair's post order.  A WQE whose doorbell fired waits for
+the earlier WQEs of its QP before it enters the engine (WQEs of different
+QPs still interleave there), so its frames leave in post order, the wire
+and the responder keep that order, and a READ posted behind another reads
+remote memory after it.  A WQE whose outcome is in waits for the earlier
+WQEs of its QP before its completion reaches the send CQ, unsignaled ones
+included.  :meth:`QueuePair.to_error` flushes every outstanding send WR in
+post order; a response that lands after the flush completes nothing.
 
 The responder runs entirely in (simulated) hardware: SEND consumes a
 posted receive and raises a CQE, RDMA WRITE/READ touch registered memory
@@ -59,7 +68,8 @@ class QueuePair:
         "max_recv_wr",
         "state",
         "_recv_queue",
-        "_outstanding_sends",
+        "_send_queue",
+        "_fetching",
         "remote",
         "srq",
         "_ucr_endpoint",
@@ -89,7 +99,11 @@ class QueuePair:
         self.max_recv_wr = max_recv_wr
         self.state = QpState.INIT
         self._recv_queue: Deque[RecvWR] = deque()
-        self._outstanding_sends = 0
+        #: Posted send WQEs not yet retired, in post order; a WQE's
+        #: completion leaves only from the head (``max_send_wr`` bounds it).
+        self._send_queue: Deque["_Wqe"] = deque()
+        #: Posted send WQEs not yet in the adapter's engine, in post order.
+        self._fetching: Deque["_Wqe"] = deque()
         #: The connected peer.
         self.remote: Optional["QueuePair"] = None
         #: When set, receives come from this shared pool instead of the
@@ -128,8 +142,15 @@ class QueuePair:
         self._modify(QpState.RTS)
 
     def to_error(self) -> None:
-        """Flush the QP: pending receives complete with WR_FLUSH_ERR."""
+        """Flush the QP: every outstanding send WR, in post order, then
+        every pending receive completes with WR_FLUSH_ERR.  A flushed WQE
+        that has not left yet never does, and an ACK or READ response that
+        lands after the flush completes nothing and scatters nothing."""
         self._modify(QpState.ERROR)
+        self._fetching.clear()
+        while self._send_queue:
+            wr = self._send_queue.popleft().wr
+            self.send_cq.push(self._wc(wr, 0, WcStatus.WR_FLUSH_ERR))
         while self._recv_queue:
             rwr = self._recv_queue.popleft()
             self.recv_cq.push(
@@ -165,12 +186,11 @@ class QueuePair:
             observer.on_post_send(self, wr)
         if self.state is not QpState.RTS:
             raise RuntimeError(f"QP {self.qp_num} not RTS (state={self.state})")
-        if self._outstanding_sends >= self.max_send_wr:
+        if len(self._send_queue) >= self.max_send_wr:
             raise RuntimeError(f"QP {self.qp_num}: send queue full")
         target = self.remote
         if target is None:
             raise RuntimeError(f"QP {self.qp_num} is not connected")
-        self._outstanding_sends += 1
         sim = self.hca.sim
         span = (
             tracer.begin("verbs.post", "verbs", sim.now,
@@ -179,8 +199,11 @@ class QueuePair:
             else None
         )
         # Doorbell + optional DMA payload fetch; the WQE moves on from there.
+        wqe = _Wqe(self, wr, target, span)
+        self._send_queue.append(wqe)
+        self._fetching.append(wqe)
         doorbell = Timeout(sim, self.hca.params.post_overhead(wr.nbytes))
-        doorbell.callbacks.append(_Wqe(self, wr, target, span)._rung)
+        doorbell.callbacks.append(wqe._rung)
 
     # -- responder actions (called by the owning HCA's receive path) -------------
 
@@ -300,6 +323,7 @@ class QueuePair:
                 dst_qpn=packet.src_qpn,
                 payload=data,
                 wr=packet.wr,
+                wqe=packet.wqe,
             )
             self.hca.nic.send_frame(
                 self.hca.peer_nic(packet.src_qpn),
@@ -317,18 +341,35 @@ class QueuePair:
         )
 
     def _read_complete(self, packet: IbPacket, _cq_gen: Event) -> None:
-        # The WQE is retired where its completion is pushed, on either arm:
-        # ``max_send_wr`` bounds the READs in flight, not just the requests.
-        self._outstanding_sends -= 1
+        # The WQE is retired where its completion is pushed (in post order),
+        # on either arm: ``max_send_wr`` bounds the READs in flight, not
+        # just the requests.
+        if self.state is QpState.ERROR:
+            return  # flushed: the late response scatters nothing
         try:
             wr: SendWR = packet.wr
             status = wr._remote_status
             if status is WcStatus.SUCCESS:
                 wr.sge.scatter(packet.payload, require_remote=False)
+            wqe = packet.wqe
             # (An error response carries no payload: ``byte_len`` 0.)
-            self.send_cq.push(self._wc(wr, len(packet.payload), status))
+            wqe.nbytes = len(packet.payload)
+            self._retire(wqe)
         except Exception as exc:
             _fail(self, "verbs.read", packet.wr, exc)
+
+    def _retire(self, wqe: "_Wqe") -> None:
+        """*wqe*'s outcome is in.  Send completions leave in post order:
+        its CQE, and those of the finished WQEs behind it, go out once
+        every earlier WQE of this QP has retired."""
+        wqe.done = True
+        queue = self._send_queue
+        while queue and queue[0].done:
+            head = queue.popleft()
+            wr = head.wr
+            status = wr._remote_status
+            if wr.signaled or status is not WcStatus.SUCCESS:
+                self.send_cq.push(self._wc(wr, head.nbytes, status))
 
     # -- helpers -----------------------------------------------------------------
 
@@ -362,10 +403,12 @@ class _Wqe:
     adapter's WQE engine, and for SEND / WRITE the ACK ``Timeout`` that
     the responder starts through ``SendWR.responder_done``.  An RDMA READ
     leaves here with its request frame; its completion is the response's
-    (:meth:`QueuePair.requester_read_response`).
+    (:meth:`QueuePair.requester_read_response`).  Alone on its QP -- the
+    common case, inlined -- a WQE neither waits to enter the engine nor
+    to retire.
     """
 
-    __slots__ = ("qp", "wr", "target", "span", "nbytes")
+    __slots__ = ("qp", "wr", "target", "span", "nbytes", "fetched", "done")
 
     def __init__(self, qp: QueuePair, wr: SendWR, target: QueuePair, span: Any) -> None:
         self.qp = qp
@@ -373,14 +416,31 @@ class _Wqe:
         self.target = target
         self.span = span
         self.nbytes = 0
+        #: The doorbell fired while an earlier WQE of the QP was fetching.
+        self.fetched = False
+        #: The outcome is in; the CQE waits for the earlier WQEs.
+        self.done = False
 
     def _rung(self, _doorbell: Event) -> None:
-        """The adapter's WQE engine is shared across all QPs on this HCA."""
-        hca = self.qp.hca
+        """The adapter's WQE engine is shared across all QPs on this HCA;
+        a QP's WQEs enter it in post order.  One whose fetch finished
+        first waits, and the earlier WQE takes it along."""
+        qp = self.qp
+        fetching = qp._fetching
+        if not fetching or fetching[0] is not self:
+            self.fetched = True  # (or flushed: it never enters)
+            return
+        hca = qp.hca
+        wqe = self
         try:
-            hca.tx_engine.hold(hca.params.wqe_process_us).callbacks.append(self._launch)
+            engine, process_us = hca.tx_engine, hca.params.wqe_process_us
+            fetching.popleft()
+            engine.hold(process_us).callbacks.append(self._launch)
+            while fetching and fetching[0].fetched:
+                wqe = fetching.popleft()
+                engine.hold(process_us).callbacks.append(wqe._launch)
         except Exception as exc:
-            _fail(self.qp, "verbs.post", self.wr, exc)
+            _fail(qp, "verbs.post", wqe.wr, exc)
 
     def _launch(self, held: Event) -> None:
         """The engine hold fired: free it, put the message on the wire."""
@@ -390,6 +450,8 @@ class _Wqe:
         try:
             if tracer.enabled:
                 tracer.end(self.span, hca.sim.now)
+            if qp.state is QpState.ERROR:
+                return  # flushed before it left
             if wr.opcode is Opcode.RDMA_READ:
                 packet = IbPacket(
                     kind="read_req",
@@ -399,6 +461,7 @@ class _Wqe:
                     remote_offset=wr.remote_offset,
                     length=wr.sge.length or 0,
                     wr=wr,
+                    wqe=self,
                 )
                 hca.nic.send_frame(target.hca.nic, RDMA_READ_REQUEST_BYTES, packet)
                 return
@@ -432,10 +495,15 @@ class _Wqe:
 
     def _acked(self, _ack: Event) -> None:
         qp, wr = self.qp, self.wr
-        qp._outstanding_sends -= 1
         try:
-            status = wr._remote_status
-            if wr.signaled or status is not WcStatus.SUCCESS:
-                qp.send_cq.push(qp._wc(wr, self.nbytes, status))
+            queue = qp._send_queue
+            if len(queue) == 1 and queue[0] is self:
+                # Alone in flight (the common case, inlined): retire now.
+                queue.pop()
+                status = wr._remote_status
+                if wr.signaled or status is not WcStatus.SUCCESS:
+                    qp.send_cq.push(qp._wc(wr, self.nbytes, status))
+            else:
+                qp._retire(self)
         except Exception as exc:
             _fail(qp, "verbs.post", wr, exc)

@@ -195,26 +195,34 @@ def test_concurrent_under_chaos_stays_linearizable():
     assert (a.digest, a.chaos_log) == (b.digest, b.chaos_log)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
 def test_ucr_zero_copy_get_seed_3_is_linearizable():
-    """The red seed of the UCR zero-copy GET use-after-free: a GET on
-    key2/server0 returns the old item's length over the new item's bytes
-    after a concurrent prepend frees and refills its slab chunk (history
-    digest b41de36119737008).  The fix turns this green and must drop
-    the marker."""
+    """A UCR GET hit is served zero-copy out of its slab chunk after the
+    handler yields.  Unpinned, a concurrent prepend freed and refilled the
+    chunk in that window, and a GET on key2/server0 returned the old
+    item's length over the new item's bytes (history digest
+    b41de36119737008).  The reply's slab pin keeps the chunk until the
+    bytes have left."""
     result = replay_concurrent(UCR, seed=3, pipeline_depth=1)
     failed = [(key, server) for key, server, _ in result.check.failures]
     assert failed == [], (result.digest[:16], result.check.failures[:1])
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
 def test_ucr_pipelined_seed_1_is_linearizable():
-    """A second red history, not yet triaged (item 1, item 15 or a third
-    bug): with windows of 4, no linearization explains the 60 ops on
-    one key of server1, whose first op is a touch (history digest
-    6da3b76847b9c107, the same for UCR-1S/pipe4).  The fix turns this
-    green and must drop the marker."""
+    """The same window in a pipelined run: without the pin no
+    linearization explained the 60 ops on one key of server1, whose
+    first op is a touch (history digest 803ca10c0985cbb9, the same for
+    UCR-1S/pipe4, whose pipelined batches ride active messages)."""
     result = replay_concurrent(UCR, seed=1, pipeline_depth=4)
+    failed = [(key, server) for key, server, _ in result.check.failures]
+    assert failed == [], (result.digest[:16], result.check.failures[:1])
+
+
+def test_ucr_pipelined_seed_42_is_linearizable():
+    """CI's default seed, pipelined: once RC kept post order per QP the
+    timing moved into the same window, and without the pin no
+    linearization explained the 46 ops on key3 of server1 (history
+    digest 4a4e33cbccddddf3, the same for UCR-1S/pipe4)."""
+    result = replay_concurrent(UCR, seed=42, pipeline_depth=4)
     failed = [(key, server) for key, server, _ in result.check.failures]
     assert failed == [], (result.digest[:16], result.check.failures[:1])
 

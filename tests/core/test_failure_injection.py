@@ -90,6 +90,40 @@ def test_rendezvous_read_that_cannot_be_posted_returns_its_staging_buffer(monkey
     assert pool.grow_events == 0
 
 
+def test_rendezvous_read_flushed_by_a_failing_endpoint_returns_its_staging_buffer(
+    monkeypatch,
+):
+    """The target's endpoint fails right after it posted the READ of a
+    handler-less rendezvous: the READ is flushed (WR_FLUSH_ERR, nothing
+    scattered), so no success will release its staging buffer -- the
+    flushed completion does."""
+    world = UcrWorld()
+    client_ep, server_ep = world.establish()
+    world.server_rt.register_handler(MSG)  # no header handler: no destination
+    payload = bytes(64 * 1024)
+    pool = world.server_rt.rendezvous_pool_for(len(payload))
+    free_before = pool.free_count
+    real_post = server_ep._post
+
+    def post(wr):
+        real_post(wr)
+        if wr.opcode is Opcode.RDMA_READ:
+            server_ep.fail("injected: endpoint lost under the READ")
+
+    monkeypatch.setattr(server_ep, "_post", post)
+
+    def sender():
+        yield from client_ep.send_message(
+            MSG, header=None, header_bytes=8, data=payload
+        )
+
+    world.sim.process(sender())
+    world.sim.run()
+    assert server_ep.failed
+    assert pool.free_count == free_before
+    assert pool.grow_events == 0
+
+
 def test_staged_rendezvous_whose_header_cannot_be_posted_returns_its_buffer():
     """The origin's staging buffer is entered in ``_staged`` before the
     header is posted: a post on a QP that left RTS during the staging copy

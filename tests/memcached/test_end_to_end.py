@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster import CLUSTER_A, CLUSTER_B, Cluster
-from repro.memcached.errors import ServerError
+from repro.memcached.errors import ServerDownError, ServerError
+from repro.sanitize.slabs import SlabSanitizer
 
 
 @pytest.fixture(scope="module")
@@ -263,3 +264,77 @@ def test_command_counters_agree_across_wire_formats(transport, binary):
         # to an RPC get.
         gets = {"cmd_get": 1, "get_hits": 0, "get_misses": 1}
     assert counters == {**gets, "cmd_set": 4, "incr_hits": 1, "cas_hits": 1}
+
+
+def _overwrite_as_the_get_reply_is_sent(cluster, size, then=None):
+    """Wrap the server endpoint's ``send_message``: before it runs (the
+    GET has been applied, its reply not yet read out of the slab), the
+    key is overwritten and a same-class set may refill the freed chunk.
+    *then(ep, when)* runs with *when* "before" and "after" the send."""
+    store = cluster.server.store
+    (ep,) = cluster.ucr_ports["server"].endpoints
+    send = ep.send_message
+
+    def send_after_overwrite(*args, **kwargs):
+        ep.send_message = send
+        store.set("k", b"n" * size)
+        store.set("other", b"x" * size)
+        if then is not None:
+            then(ep, "before")
+        yield from send(*args, **kwargs)
+        if then is not None:
+            then(ep, "after")
+
+    ep.send_message = send_after_overwrite
+
+
+@pytest.mark.parametrize("size", [100, 16_384], ids=["eager", "rendezvous"])
+def test_zero_copy_get_keeps_its_chunk_until_the_bytes_leave(size):
+    """A UCR GET hit is sent out of its slab chunk after the handler
+    yields.  The reply pins the chunk when the GET is applied, so an
+    overwrite and a refill in that window cannot change the bytes: the
+    GET returns the value it found.  The chunk is freed once the bytes
+    have left (the eager copy, or the client's rendezvous_done)."""
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1)
+    cluster.start_server()
+    client = cluster.client("UCR-IB")
+    slabs = cluster.server.store.slabs
+
+    def scenario():
+        yield from client.set("k", b"o" * size)
+        found = cluster.server.store.by_key["k"].chunk
+        _overwrite_as_the_get_reply_is_sent(cluster, size)
+        got = yield from client.get("k")
+        return found, got
+
+    found, got = run(cluster, scenario())
+    assert got == b"o" * size
+    assert slabs.pins == {} and slabs.deferred_frees == set()
+    assert not found.used
+    SlabSanitizer().check(cluster.server.store)
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_a_failing_endpoint_releases_the_zero_copy_pin(when):
+    """The endpoint fails before the rendezvous GET reply is sent (the
+    send raises) or right after it is posted (the client's READ never
+    completes): either way the reply's pin is released."""
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1)
+    cluster.start_server()
+    client = cluster.client("UCR-IB", timeout_us=200.0)
+    slabs = cluster.server.store.slabs
+
+    def scenario():
+        yield from client.set("k", b"o" * 16_384)
+        found = cluster.server.store.by_key["k"].chunk
+        _overwrite_as_the_get_reply_is_sent(
+            cluster, 16_384,
+            then=lambda ep, at: ep.fail("flap") if at == when else None)
+        with pytest.raises(ServerDownError):
+            yield from client.get("k")
+        return found
+
+    found = run(cluster, scenario())
+    assert slabs.pins == {} and slabs.deferred_frees == set()
+    assert not found.used
+    SlabSanitizer().check(cluster.server.store)

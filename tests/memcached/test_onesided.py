@@ -11,9 +11,11 @@ The layers of the subsystem under test:
   *served*: the seqlock confirm detects the tear and the client either
   retries to the new value or falls back -- spliced bytes are
   impossible by construction;
-- a repeat GET of a remembered entry costs the same three READs in two
-  round trips, and the probe overlapped with its value READ restarts
-  the ladder from whatever changed (overwrite, displacement) at once.
+- RC executes a QP's READs in post order, so the confirm posted behind
+  the value READ brackets it: a first hit costs three READs in two round
+  trips, a repeat GET of a remembered entry two READs in one, and a
+  confirm that differs restarts the ladder from whatever changed
+  (overwrite, displacement) at once.
 """
 
 import hypothesis.strategies as st
@@ -37,6 +39,7 @@ from repro.memcached.onesided import (
     unpack_header,
 )
 from repro.sanitize import ExportIndexError, ExportSanitizer
+from repro.verbs import QueuePair
 
 
 # ---------------------------------------------------------------- layout
@@ -127,8 +130,9 @@ def test_hit_is_served_by_reads_without_rpc(cluster):
     assert value == b"payload"
     assert pair[0] == b"payload" and pair[1] > 0
     assert t.onesided_hits == 2
-    # probe + value + confirm per hit, nothing torn, nothing fallen back
-    assert t.onesided_reads == 6
+    # probe + (value, confirm), then the remembered entry's (value,
+    # confirm); nothing torn, nothing fallen back
+    assert t.onesided_reads == 5
     assert t.torn_retries == 0
     assert t.fallbacks == {}
 
@@ -254,7 +258,7 @@ def test_read_parked_across_overwrite_retries_to_new_value(cluster):
 
     def scenario():
         yield from client.set("k", b"old-value")
-        _fire_between_stages(t, "value", lambda: store.set("k", b"new-value"))
+        _fire_between_stages(t, "entry", lambda: store.set("k", b"new-value"))
         return (yield from client.get("k"))
 
     value = run(cluster, scenario())
@@ -293,7 +297,7 @@ def test_write_hot_key_exhausts_retries_and_falls_back(cluster):
 
     def scenario():
         yield from client.set("k", b"gen-0")
-        _fire_between_stages(t, "value", churn, times=100)
+        _fire_between_stages(t, "entry", churn, times=100)
         return (yield from client.get("k"))
 
     value = run(cluster, scenario())
@@ -301,6 +305,52 @@ def test_write_hot_key_exhausts_retries_and_falls_back(cluster):
     assert value == b"gen-%d" % counter["n"]
     assert t.fallbacks == {"torn": 1}
     assert t.torn_retries == t.max_read_retries + 1
+
+
+def test_mutation_between_the_two_responder_reads_is_retried_never_served(
+    cluster, monkeypatch
+):
+    """The server opens a mutation window (``seq_begin``) and rewrites half
+    the value in place after the responder read the value and before it
+    reads the confirm.  RC executes the two READs in post order, so the
+    confirm sees the odd version: the GET retries and serves the finished
+    new value -- never the half-written bytes a confirm read *before* the
+    value would have blessed."""
+    client = cluster.client("UCR-1S")
+    store = cluster.server.store
+    index = store.onesided
+    t = client.transport
+    sim = cluster.sim
+    responded = []
+    respond = QueuePair._read_respond
+
+    def rewrite_in_place():
+        bucket = index.bucket_for("k")
+        mr, offset = store.by_key["k"].chunk.rdma_location()
+        index.seq_begin(bucket)
+        mr.write(offset, b"NEW-")
+
+        def finish(_event):
+            mr.write(offset, b"NEW-VALUE")
+            index.seq_end(bucket)
+
+        sim.timeout(1.0).callbacks.append(finish)
+
+    def serving(qp, packet, turnaround):
+        respond(qp, packet, turnaround)
+        responded.append(packet.length)
+        if len(responded) == 2:  # the probe, then the first of the pair
+            rewrite_in_place()
+
+    def scenario():
+        yield from client.set("k", b"old-value")
+        monkeypatch.setattr(QueuePair, "_read_respond", serving)
+        return (yield from client.get("k"))
+
+    assert run(cluster, scenario()) == b"NEW-VALUE"
+    assert responded[:3] == [ENTRY_BYTES, len(b"old-value"), ENTRY_BYTES]
+    assert t.torn_retries >= 1
+    assert t.fallbacks == {}
 
 
 # ------------------------------------------------------ remembered entries
@@ -315,7 +365,7 @@ def _colliding_key(key):
     )
 
 
-def test_repeat_hit_costs_three_reads_in_two_round_trips(cluster):
+def test_repeat_hit_costs_two_reads_in_one_round_trip(cluster):
     client = cluster.client("UCR-1S")
     t = client.transport
     sim = cluster.sim
@@ -334,8 +384,10 @@ def test_repeat_hit_costs_three_reads_in_two_round_trips(cluster):
 
     (v1, first_us), (v2, repeat_us), repeat_reads = run(cluster, scenario())
     assert v1 == v2 == b"payload"
-    assert repeat_reads == 3  # value + probe behind it, then the confirm
-    assert repeat_us <= 0.8 * first_us
+    assert repeat_reads == 2  # the value READ and the confirm behind it
+    # One round trip to the first GET's two (3.54 vs 6.38 us on Cluster A).
+    assert repeat_us <= 0.6 * first_us
+    assert t.onesided_reads == 5
     assert (t.onesided_hits, t.remembered_hits, t.stale_entries) == (2, 1, 0)
 
 
@@ -356,7 +408,7 @@ def test_overwrite_by_another_client_is_found_by_the_overlapped_probe(cluster):
     assert value == b"new"
     assert t.stale_entries == 1
     assert t.fallbacks == {}
-    # value + probe, then the fresh entry's value + confirm: no re-probe
+    # value + confirm, then the fresh entry's value + confirm: no re-probe
     assert reads == 4
     assert t.remembered_hits == 0
 
@@ -399,7 +451,7 @@ def test_own_write_forgets_the_remembered_entry(cluster):
 
 
 def test_own_flush_is_found_by_the_overlapped_probe(cluster):
-    """A flush names no key, so nothing is forgotten: the probe behind
+    """A flush names no key, so nothing is forgotten: the confirm behind
     the wasted value READ finds the bucket changed."""
     client = cluster.client("UCR-1S")
     t = client.transport
@@ -415,7 +467,7 @@ def test_own_flush_is_found_by_the_overlapped_probe(cluster):
 
     value, reads = run(cluster, scenario())
     assert value == b"w"
-    assert reads == 4  # value + probe, then the fresh value + confirm
+    assert reads == 4  # value + confirm, then the fresh value + confirm
     assert (t.stale_entries, t.remembered_hits) == (1, 0)
 
 
@@ -427,12 +479,12 @@ def test_remembered_read_parked_across_delete_never_serves_dead_bytes(cluster):
     def scenario():
         yield from client.set("k", b"doomed")
         yield from client.get("k")
-        _fire_between_stages(t, "value", lambda: store.delete("k"))
+        _fire_between_stages(t, "entry", lambda: store.delete("k"))
         return (yield from client.get("k"))
 
     assert run(cluster, scenario()) is None
     assert t.fallbacks == {"absent": 1}
-    assert (t.stale_entries, t.torn_retries) == (0, 1)
+    assert (t.stale_entries, t.torn_retries) == (1, 0)
 
 
 def test_remembered_read_parked_across_overwrite_serves_new_value(cluster):
@@ -443,18 +495,18 @@ def test_remembered_read_parked_across_overwrite_serves_new_value(cluster):
     def scenario():
         yield from client.set("k", b"old-value")
         yield from client.get("k")
-        _fire_between_stages(t, "value", lambda: store.set("k", b"new-value"))
+        _fire_between_stages(t, "entry", lambda: store.set("k", b"new-value"))
         return (yield from client.get("k"))
 
     assert run(cluster, scenario()) == b"new-value"
     assert t.fallbacks == {}
-    assert (t.stale_entries, t.torn_retries) == (0, 1)
+    assert (t.stale_entries, t.torn_retries) == (1, 0)
 
 
 def test_probe_landing_before_a_large_value_is_not_missed(cluster):
-    """The 64-byte probe lands before a 4 KB value READ posted ahead of
-    it; its counter target was taken at post time, so the wait that
-    starts after the value landed still sees it."""
+    """The 64-byte confirm completes right behind a 4 KB value READ
+    posted ahead of it; its counter target was taken at post time, so the
+    wait that starts after the value landed still sees it."""
     client = cluster.sharded_client("UCR-1S")
     t = client.transport
     value = bytes(range(256)) * 16
@@ -472,12 +524,13 @@ def test_probe_landing_before_a_large_value_is_not_missed(cluster):
 def test_endpoint_failing_under_overlapped_reads_drops_their_buffers(cluster):
     """Both READs are in flight when the server's link stalls: the wait
     times out, and the endpoint is failed and forgotten.  The READs
-    still land late, so their counters and landing buffer are dropped,
-    not pooled: a later GET must not be woken or scattered into by them."""
+    still land late, so their counters are destroyed and their landing
+    buffer dropped, not pooled: a later GET must not be woken or
+    scattered into by them."""
     client = cluster.client("UCR-1S", timeout_us=2000.0)
     t = client.transport
     server_nic = cluster.verbs_net.nic_of("server")
-    stalled = []  # the value READ and the probe behind it
+    stalled = []  # the value READ and the confirm behind it
 
     def stall_after_the_pair(ep):
         post = ep._post
@@ -510,6 +563,7 @@ def test_endpoint_failing_under_overlapped_reads_drops_their_buffers(cluster):
     late_landing = {wr.sge.mr for wr in stalled}
     assert len(late_landing) == 1
     assert not any(c in t._counter_pool for c in late_counters)
+    assert [t.runtime.counter_by_id(c.counter_id) for c in late_counters] == [None, None]
     assert not late_landing & set(t._landing_pool)
     assert (len(t._counter_pool), len(t._landing_pool)) == (0, 0)
 

@@ -81,6 +81,32 @@ def test_double_free_rejected():
         alloc.free(chunk)
 
 
+def test_a_pinned_chunk_frees_on_its_last_release():
+    """A reader pin defers the owner's free: the chunk is reused only
+    after every reader has released it."""
+    alloc = SlabAllocator(max_bytes=PAGE_BYTES)
+    chunk = alloc.alloc(500)
+    first, second = alloc.pin(chunk), alloc.pin(chunk)
+    alloc.free(chunk)
+    assert chunk.used and alloc.alloc(500) is not chunk
+    with pytest.raises(ValueError, match="double free"):
+        alloc.free(chunk)
+    first.release()
+    assert chunk.used
+    second.release()
+    assert not chunk.used and alloc.pins == {} and alloc.deferred_frees == set()
+    assert alloc.alloc(500) is chunk
+    with pytest.raises(ValueError, match="released twice"):
+        second.release()
+
+
+def test_releasing_a_pin_of_a_live_chunk_frees_nothing():
+    alloc = SlabAllocator(max_bytes=PAGE_BYTES)
+    chunk = alloc.alloc(500)
+    alloc.pin(chunk).release()
+    assert chunk.used and alloc.pins == {}
+
+
 def test_too_large_object_rejected():
     alloc = SlabAllocator()
     with pytest.raises(ValueError):

@@ -176,6 +176,41 @@ def test_eviction_never_picks_a_reserved_chunk():
     SlabSanitizer().check(store)
 
 
+def test_eviction_skips_an_item_a_reply_still_reads():
+    """A pinned item (a zero-copy reply in flight) is passed over at the
+    cold end, and overwriting it leaves its bytes intact until the pin
+    is released."""
+    store = one_page_store()
+    old_value = b"A" * len(BIG)
+    store.set("a", old_value)
+    for name in ("b", "c"):
+        store.set(name, BIG)
+    cold = store.by_key["a"]
+    pin = store.slabs.pin(cold.chunk)
+    store.set("d", BIG)  # evicts 'b', not the pinned coldest 'a'
+    assert sorted(store.by_key) == ["a", "c", "d"]
+    store.set("a", BIG)  # unlinks 'a' and evicts 'c': the pinned chunk stays
+    assert sorted(store.by_key) == ["a", "d"]
+    assert cold.chunk.used and cold.value() == old_value
+    SlabSanitizer().check(store)
+    pin.release()
+    assert not cold.chunk.used
+    SlabSanitizer().check(store)
+
+
+def test_eviction_with_every_candidate_pinned_is_out_of_memory():
+    store = one_page_store()
+    for name in ("a", "b", "c"):
+        store.set(name, BIG)
+    pins = [store.slabs.pin(item.chunk) for item in store.by_key.values()]
+    with pytest.raises(ServerError, match="out of memory"):
+        store.set("d", BIG)
+    for pin in pins:
+        pin.release()
+    store.set("d", BIG)
+    assert store.stats.evictions == 1
+
+
 # ---------------------------------------------------------------------------
 # The slab rebalancer
 # ---------------------------------------------------------------------------

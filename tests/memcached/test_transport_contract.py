@@ -3,8 +3,9 @@
 import pytest
 
 from repro.cluster import CLUSTER_A, Cluster
+from repro.memcached import protocol_ucr as ucrp
 from repro.memcached.command import Command
-from repro.memcached.errors import ClientError
+from repro.memcached.errors import ClientError, ServerDownError
 
 #: config -> cluster.client() arguments
 CONFIGS = {
@@ -74,3 +75,44 @@ def test_constructing_a_transport_creates_no_counter(transport):
     before = dict(runtime._counters)
     cluster.client(transport)
     assert runtime._counters == before
+
+
+def test_a_late_response_does_not_wake_the_next_call():
+    """Each response's handling is held up 300 us on the client (its host
+    descheduled mid-handler), past the first call's 100 us deadline.  That
+    call fails; its response then bumps the counter it waited on.  The
+    next call, given time to finish, must be woken by its own response
+    only -- so the failed call's counter is destroyed, not pooled: its
+    id no longer resolves, and the late response bumps nothing."""
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1)
+    cluster.start_server()
+    client = cluster.client("UCR-IB", timeout_us=100.0)
+    transport = client.transport
+    sim = cluster.sim
+    entry = transport.runtime.handler_for(ucrp.MSG_MC_RESPONSE)
+    deliver = entry.completion_handler
+
+    def descheduled(ep, header, data):
+        yield sim.timeout(300.0)
+        yield from deliver(ep, header, data)
+
+    def scenario():
+        yield from client.set("k", b"v")
+        entry.completion_handler = descheduled
+        failing = transport._counter_pool[-1]
+        bumps = failing.value
+        with pytest.raises(ServerDownError, match="after 100.0"):
+            yield from client.get("k")
+        late = sim.now
+        transport.timeout_us = 1000.0
+        got = yield from client.get("k")
+        return failing, bumps, late, sim.now, got
+
+    p = cluster.sim.process(scenario())
+    cluster.sim.run()
+    failing, bumps, late, done, got = p.value
+    assert transport.runtime.counter_by_id(failing.counter_id) is None
+    assert failing not in transport._counter_pool
+    assert failing.value == bumps  # the late response found no counter to bump
+    assert got == b"v"
+    assert done - late > 300.0  # the second response's own handling

@@ -1,7 +1,6 @@
 """Property-based UCR flow control: random sizes, tiny windows, ordering."""
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.params import UcrParams
@@ -59,14 +58,14 @@ def test_any_credit_window_delivers_everything_in_order(credits, sizes):
     world.sim.run()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 15")
 def test_eager_am_stays_behind_an_earlier_larger_eager_am():
     """The property above, one program, sent at 1 000 us instead of where
     ``UcrWorld.establish()`` leaves the clock (its drained run stands at the
-    CM's 1 s deadline).  AM 8 (0 B) completes before AM 7 (1 164 B), both
-    eager on one RC QP: RC lets the smaller SEND overtake.  Which of two
-    nearly tied arrivals wins depends on how the clock's float rounds, so
-    the same program keeps its order sent at 4 096 us or at 1 s."""
+    CM's 1 s deadline).  AM 8 (0 B) must complete after AM 7 (1 164 B), both
+    eager on one RC QP.  When RC let the smaller SEND skip the larger one's
+    DMA fetch, which of the two nearly tied arrivals won followed how the
+    clock's float rounded: reordered at 1 000 us, in order at 4 096 us or
+    at 1 s.  Post order per QP makes the start time irrelevant."""
     params = UcrParams(credits=5, credit_return_threshold=2)
     sizes = [0, 0, 0, 0, 0, 5532, 9595, 1164, 0]
     world = UcrWorld(params=params)

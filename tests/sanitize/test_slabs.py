@@ -48,6 +48,17 @@ def test_chunk_double_free_detected():
         SlabSanitizer().check(store)
 
 
+def test_pinned_chunk_freed_under_its_reader_detected():
+    store = _populated_store()
+    item = store.get("key-1")
+    store.slabs.pin(item.chunk)
+    store.delete("key-1")
+    assert SlabSanitizer().check(store) == []  # the free waits for the pin
+    item.chunk.slab_class.release(item.chunk)  # injected: freed anyway
+    with pytest.raises(SlabAccountingError, match="pinned chunk is marked free"):
+        SlabSanitizer().check(store)
+
+
 def test_item_dropped_from_its_lru_only_detected():
     store = _populated_store()
     item = store.by_key["key-1"]

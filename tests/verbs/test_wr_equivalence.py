@@ -3,8 +3,8 @@
 Two things the verbs data path must keep to the float and to the count:
 the ``verbs.post`` / ``verbs.recv`` spans of a traced operation (recorded
 at the commit where every WR and every inbound packet was still a
-generator ``Process``), and ``_outstanding_sends`` -- the WQE a
-``post_send`` takes is given back exactly once on every terminal arm, so
+generator ``Process``), and the send queue -- the WQE a ``post_send``
+takes is given back exactly once on every terminal arm, so
 ``max_send_wr`` bounds what is in flight and nothing else.
 """
 
@@ -137,9 +137,9 @@ def _srq_retries_exhausted(pair):
 def test_outstanding_sends_returns_to_zero_on_every_terminal_arm(arm):
     pair = VerbsPair()
     qp, status = arm(pair)
-    assert qp._outstanding_sends == 1
+    assert len(qp._send_queue) == 1
     pair.sim.run()
-    assert qp._outstanding_sends == 0
+    assert len(qp._send_queue) == 0
     wcs = pair.cq_a.poll(8)
     assert [wc.status for wc in wcs] == [status]
 
@@ -169,7 +169,7 @@ def test_max_send_wr_bounds_outstanding_reads():
     qp_a.post_send(_read(pair, remote))
     sim.run()
     assert [wc.ok for wc in pair.cq_a.poll(8)] == [True]
-    assert qp_a._outstanding_sends == 0
+    assert len(qp_a._send_queue) == 0
 
 
 # --------------------------------------- failing as a failed process failed
@@ -228,4 +228,4 @@ def test_responder_verdict_is_idempotent():
     sim.run()
     assert sim.events_processed - before == 1  # the one ACK
     assert len(pair.cq_a.poll(8)) == 1
-    assert pair.qp_a._outstanding_sends == 0
+    assert len(pair.qp_a._send_queue) == 0
