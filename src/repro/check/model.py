@@ -3,11 +3,11 @@
 :class:`ModelMemcached` implements the observable semantics of
 :class:`repro.memcached.store.ItemStore` -- the full command surface,
 flags, CAS, and exptime on the sim clock -- as plain dictionaries, with
-*idealized* memory: no LRU, no eviction, no slab accounting.  Where the
-real store's behaviour depends on memory layout in a way clients can
-observe, the model mirrors it exactly (the ``incr`` chunk-refit rule);
-where it depends on memory *pressure*, the model intentionally diverges
-and :data:`MODEL_DIVERGENCES` documents how.
+*idealized* memory: no LRU, no eviction, no slab accounting.  Every
+value write re-stores, as the store's does, so nothing clients observe
+depends on slab geometry; where behaviour depends on memory *pressure*,
+the model intentionally diverges and :data:`MODEL_DIVERGENCES` documents
+how.
 
 The model raises the same error taxonomy as the store
 (:class:`~repro.memcached.errors.ClientError` /
@@ -22,14 +22,13 @@ the oracle never imports the engine it is compared with.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.memcached.command import Command, Reply
 from repro.memcached.errors import ClientError, ServerError
 from repro.memcached.items import ITEM_HEADER_OVERHEAD
-from repro.memcached.slabs import PAGE_BYTES, build_chunk_sizes
+from repro.memcached.slabs import PAGE_BYTES
 from repro.memcached.store import (
     COUNTER_LIMIT,
     LEASE_TTL_S,
@@ -70,7 +69,6 @@ class ModelItem:
     exptime: float  # absolute sim-seconds; 0.0 = never, -1.0 = immediate
     cas: int
     created_at: float
-    chunk_capacity: int = 0  # mirrors slab class, for the incr refit rule
 
 
 @dataclass
@@ -95,9 +93,6 @@ class ModelMemcached:
         self._items: dict[str, ModelItem] = {}
         self._next_cas = 1
         self._flush_before = -1.0
-        #: Ascending chunk-size table, shared with the slab allocator, so
-        #: the incr in-place-vs-restore distinction matches the store.
-        self._chunk_sizes = build_chunk_sizes()
         #: Lease mirror (the store's LEASE_TTL_S): key -> (token,
         #: expires_at).  Tokens come from a model-local counter, like cas.
         self._leases: dict[str, tuple[int, float]] = {}
@@ -129,11 +124,6 @@ class ModelMemcached:
     def _check_size(self, key: str, value: bytes) -> None:
         if ITEM_HEADER_OVERHEAD + len(key) + len(value) > PAGE_BYTES:
             raise ServerError("object too large for cache")
-
-    def _chunk_capacity(self, key: str, value: bytes) -> int:
-        total = ITEM_HEADER_OVERHEAD + len(key) + len(value)
-        idx = bisect.bisect_left(self._chunk_sizes, total)
-        return self._chunk_sizes[idx]
 
     def _bump_cas(self) -> int:
         cas = self._next_cas
@@ -167,15 +157,18 @@ class ModelMemcached:
 
     def _store(self, key: str, value: bytes, flags: int, exptime: float) -> None:
         self._check_size(key, value)
+        self._link(key, value, flags, self.absolute_exptime(exptime))
+
+    def _link(self, key: str, value: bytes, flags: int, deadline: float) -> None:
+        """Every value write links a fresh item with a new cas (the
+        store's ``_replace``), and settles the fill race (``_link``)."""
         self._items[key] = ModelItem(
             value=value,
             flags=flags,
-            exptime=self.absolute_exptime(exptime),
+            exptime=deadline,
             cas=self._bump_cas(),
             created_at=self.now_seconds(),
-            chunk_capacity=self._chunk_capacity(key, value),
         )
-        # Any successful store settles the fill race (store._link).
         self._leases.pop(key, None)
 
     # -- storage commands ---------------------------------------------------------
@@ -216,16 +209,7 @@ class ModelMemcached:
             self._items.pop(key, None)
             raise
         # The store re-allocates but keeps the (already absolute) exptime.
-        exptime, flags = item.exptime, item.flags
-        self._items[key] = ModelItem(
-            value=combined,
-            flags=flags,
-            exptime=exptime,
-            cas=self._bump_cas(),
-            created_at=self.now_seconds(),
-            chunk_capacity=self._chunk_capacity(key, combined),
-        )
-        self._leases.pop(key, None)
+        self._link(key, combined, item.flags, item.exptime)
         return "stored"
 
     def append(self, key: str, value: bytes) -> str:
@@ -324,30 +308,15 @@ class ModelMemcached:
         if item is None:
             return None
         raw = item.value
-        if not raw.isdigit() or int(raw) >= COUNTER_LIMIT:
+        digits = raw.lstrip(b"0") or b"0"  # int() refuses thousands of digits
+        if not raw.isdigit() or len(digits) > 20 or int(digits) >= COUNTER_LIMIT:
             raise ClientError("cannot increment or decrement non-numeric value")
         if delta >= 0:
-            value = (int(raw) + delta) % COUNTER_LIMIT  # incr wraps, per spec
+            value = (int(digits) + delta) % COUNTER_LIMIT  # incr wraps, per spec
         else:
-            value = max(0, int(raw) + delta)  # decr clamps at zero, per spec
-        new = str(value).encode()
-        if len(new) <= item.chunk_capacity - ITEM_HEADER_OVERHEAD - len(key):
-            # In-place rewrite: exptime and flags survive, cas bumps.
-            item.value = new
-            item.cas = self._bump_cas()
-        else:
-            # Chunk refit: a full re-store that keeps flags and deadline.
-            self._items[key] = ModelItem(
-                value=new,
-                flags=item.flags,
-                exptime=item.exptime,
-                cas=self._bump_cas(),
-                created_at=self.now_seconds(),
-                chunk_capacity=self._chunk_capacity(key, new),
-            )
-            # The refit is a full re-store (_link), which settles leases;
-            # the in-place branch above deliberately does not.
-            self._leases.pop(key, None)
+            value = max(0, int(digits) + delta)  # decr clamps at zero, per spec
+        # A re-store that keeps flags and deadline, as the store's arith.
+        self._link(key, str(value).encode(), item.flags, item.exptime)
         return value
 
     def touch(self, key: str, exptime: float) -> bool:

@@ -84,7 +84,14 @@ class Item:
         return self.chunk.read(self.value_length)
 
     def set_value(self, data: bytes) -> None:
-        """Write value bytes into the slab chunk."""
+        """Write value bytes into the slab chunk of a fresh item.
+
+        A linked item is immutable: a zero-copy reply or a one-sided
+        reader may still be reading its chunk, so a new value is always a
+        new item (``ItemStore._replace``).
+        """
+        if self.linked:
+            raise ValueError(f"{self!r} is linked: its value cannot change")
         if len(data) > self.chunk.capacity:
             raise ValueError(
                 f"value of {len(data)} bytes exceeds chunk of {self.chunk.capacity}"
@@ -94,9 +101,6 @@ class Item:
 
     def is_expired(self, now_seconds: float) -> bool:
         return self.exptime != 0.0 and now_seconds >= self.exptime
-
-    def bump_cas(self) -> None:
-        self.cas = next_cas_id()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Item {self.key!r} {self.value_length}B cas={self.cas}>"

@@ -3,8 +3,9 @@
 :class:`ExportedIndex` pins one RDMA-readable region (layout in
 :mod:`repro.memcached.onesided.layout`) and keeps it coherent with the
 :class:`~repro.memcached.store.ItemStore` write path: every link,
-unlink, in-place value edit, touch and flush calls back into the index,
-and every entry mutation follows the seqlock discipline -- bump the
+unlink, touch and flush calls back into the index (a value never changes
+in place: a new value is a new item, published afresh), and
+every entry mutation follows the seqlock discipline -- bump the
 version to odd (:meth:`seq_begin`) before touching any other field,
 bump back to even (:meth:`seq_end`) after.  The version strictly
 increases, so a remote reader that fetched the entry, then the value,
@@ -100,15 +101,12 @@ class ExportedIndex:
     # -- the seqlock -----------------------------------------------------------
 
     def seq_begin(self, bucket: int) -> None:
-        """Bump-to-odd: mark the exported entry mid-mutation.
-
-        Idempotent while already odd, so a withdraw/publish pair around
-        an in-place value edit forms one mutation window.
-        """
+        """Bump-to-odd: mark the exported entry mid-mutation."""
         slot = self._mirror[bucket]
-        if slot.version % 2 == 0:
-            slot.version += 1
-            self.mr.write(entry_offset(bucket), struct.pack("<Q", slot.version))
+        if slot.version % 2:
+            raise AssertionError(f"seq_begin on bucket {bucket} already mid-mutation")
+        slot.version += 1
+        self.mr.write(entry_offset(bucket), struct.pack("<Q", slot.version))
 
     def seq_end(self, bucket: int) -> None:
         """Bump-to-even and expose the mirror's fields atomically."""
@@ -144,13 +142,6 @@ class ExportedIndex:
             return  # displaced earlier: the bucket belongs to someone else
         self._clear(bucket)
         self.unpublishes += 1
-
-    def withdraw(self, item: "Item") -> None:
-        """Open a mutation window (odd version) before an in-place value
-        edit; the caller republishes via :meth:`publish` afterwards."""
-        bucket = self.bucket_for(item.key)
-        if self._owner[bucket] is item:
-            self.seq_begin(bucket)
 
     def ensure(self, item: "Item") -> None:
         """Re-expose *item* if its bucket is empty or held by another key

@@ -309,9 +309,15 @@ class ItemStore:
     def arith(self, key: str, delta: int) -> tuple[Optional[int], Optional[Item]]:
         """incr (*delta* >= 0, wraps at uint64) or decr (clamps at zero).
 
-        Returns ``(new value, item)``, or ``(None, None)`` on a miss.  A
-        result that outgrows its chunk is re-stored with the old flags and
-        deadline, as memcached's ``do_add_delta`` allocates it."""
+        Returns ``(new value, item)``, or ``(None, None)`` on a miss.  A hit
+        re-stores the result with the old flags and deadline through
+        :meth:`_replace`, like every value write: a linked chunk is never
+        rewritten, since a zero-copy reply may still be reading it.  So a
+        hit counts one ``total_items``, moves the key to its LRU head and
+        settles a fill lease on it, as memcached's ``do_add_delta`` does
+        when it allocates (and bumps the LRU when it edits in place).
+        Only the significant digits reach ``int()``, which refuses a
+        string of thousands: more than 20 of them is at least 2**64."""
         self.validate_key(key)
         item = self._live_item(key)
         counter = "incr" if delta >= 0 else "decr"
@@ -319,28 +325,15 @@ class ItemStore:
             setattr(self.stats, f"{counter}_misses", getattr(self.stats, f"{counter}_misses") + 1)
             return None, None
         raw = item.value()
-        if not raw.isdigit() or int(raw) >= COUNTER_LIMIT:
+        digits = raw.lstrip(b"0") or b"0"
+        if not raw.isdigit() or len(digits) > 20 or int(digits) >= COUNTER_LIMIT:
             raise ClientError("cannot increment or decrement non-numeric value")
         if delta >= 0:
-            value = (int(raw) + delta) % COUNTER_LIMIT  # incr wraps (uint64)
+            value = (int(digits) + delta) % COUNTER_LIMIT  # incr wraps (uint64)
         else:
-            value = max(0, int(raw) + delta)  # decr clamps at zero, per spec
-        new = str(value).encode()
+            value = max(0, int(digits) + delta)  # decr clamps at zero, per spec
         setattr(self.stats, f"{counter}_hits", getattr(self.stats, f"{counter}_hits") + 1)
-        if len(new) > item.chunk.capacity - ITEM_HEADER_OVERHEAD - len(key):
-            return value, self._replace(item, key, new, item.flags, item.exptime)
-        old_len = item.value_length
-        if self.onesided is not None:
-            # In-place chunk mutation: open the seqlock window first
-            # (bump-to-odd) so no one-sided reader can accept bytes
-            # torn across this edit, republish (bump-to-even) after.
-            self.onesided.withdraw(item)
-        item.set_value(new)
-        item.bump_cas()
-        if self.onesided is not None:
-            self.onesided.publish(item)
-        self.stats.bytes += len(new) - old_len
-        return value, item
+        return value, self._replace(item, key, str(value).encode(), item.flags, item.exptime)
 
     def touch(self, key: str, exptime: float) -> bool:
         """Update expiry without touching the value; True on hit."""

@@ -13,7 +13,6 @@ from repro.check.model import MODEL_DIVERGENCES, ModelMemcached
 from repro.memcached.command import Command, entry_data
 from repro.memcached.engine import CommandEngine
 from repro.memcached.errors import ClientError, ServerError
-from repro.memcached.items import ITEM_HEADER_OVERHEAD
 from repro.memcached.slabs import PAGE_BYTES
 from repro.memcached.store import COUNTER_LIMIT, ItemStore, StoreConfig
 from repro.sim import Simulator
@@ -99,22 +98,26 @@ def test_arith_rejects_non_numeric_and_overwide(model):
     assert model.incr("missing", 1) is None
 
 
-def test_incr_refit_keeps_exptime(model, clock):
-    """As the store does: a counter that outgrows its chunk is re-stored
-    with its old deadline, and an in-place rewrite keeps it too."""
-    from repro.memcached.slabs import build_chunk_sizes
-
-    # A key sized so the one-digit value exactly fills its chunk class:
-    # "9" -> "10" gains a digit and no longer fits in place.
-    chunk = build_chunk_sizes()[4]
-    tight = "n" * (chunk - ITEM_HEADER_OVERHEAD - 1)
-    model.set(tight, b"9", exptime=10)
-    assert model.incr(tight, 1) == 10  # refit path
-    model.set("roomy", b"9", exptime=10)
-    assert model.incr("roomy", 1) == 10  # in place
+def test_incr_keeps_deadline_and_flags(model, clock):
+    """As the store does: every incr re-stores the counter with its old
+    flags and deadline, and a new cas."""
+    model.set("n", b"9", flags=7, exptime=10)
+    cas = model.gets("n").cas
+    assert model.incr("n", 1) == 10
+    hit = model.gets("n")
+    assert (hit.value, hit.flags) == (b"10", 7) and hit.cas != cas
     clock.now = 11.0
-    assert model.get(tight) is None
-    assert model.get("roomy") is None
+    assert model.get("n") is None
+
+
+def test_arith_counts_only_significant_digits(model):
+    """``int()`` refuses a string of more than 4 300 digits; the model
+    must not crash where the store answers."""
+    model.set("padded", b"0" * 5000 + b"9")
+    assert model.incr("padded", 1) == 10
+    model.set("long", b"1" * 5001)
+    with pytest.raises(ClientError):
+        model.decr("long", 1)
 
 
 def test_key_validation(model):

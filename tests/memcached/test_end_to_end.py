@@ -266,19 +266,18 @@ def test_command_counters_agree_across_wire_formats(transport, binary):
     assert counters == {**gets, "cmd_set": 4, "incr_hits": 1, "cas_hits": 1}
 
 
-def _overwrite_as_the_get_reply_is_sent(cluster, size, then=None):
+def _overwrite_as_the_get_reply_is_sent(cluster, write, then=None):
     """Wrap the server endpoint's ``send_message``: before it runs (the
-    GET has been applied, its reply not yet read out of the slab), the
-    key is overwritten and a same-class set may refill the freed chunk.
-    *then(ep, when)* runs with *when* "before" and "after" the send."""
+    GET has been applied, its reply not yet read out of the slab),
+    *write(store)* changes the key.  *then(ep, when)* runs with *when*
+    "before" and "after" the send."""
     store = cluster.server.store
     (ep,) = cluster.ucr_ports["server"].endpoints
     send = ep.send_message
 
     def send_after_overwrite(*args, **kwargs):
         ep.send_message = send
-        store.set("k", b"n" * size)
-        store.set("other", b"x" * size)
+        write(store)
         if then is not None:
             then(ep, "before")
         yield from send(*args, **kwargs)
@@ -288,27 +287,46 @@ def _overwrite_as_the_get_reply_is_sent(cluster, size, then=None):
     ep.send_message = send_after_overwrite
 
 
-@pytest.mark.parametrize("size", [100, 16_384], ids=["eager", "rendezvous"])
-def test_zero_copy_get_keeps_its_chunk_until_the_bytes_leave(size):
+def _overwrite_and_refill(size):
+    """The key is overwritten and a same-class set may refill the freed
+    chunk."""
+    def write(store):
+        store.set("k", b"n" * size)
+        store.set("other", b"x" * size)
+    return b"o" * size, write
+
+
+def _decrement(size):
+    """A zero-padded counter is decremented: "...09" becomes 8."""
+    return b"0" * (size - 1) + b"9", lambda store: store.decr("k", 1)
+
+
+@pytest.mark.parametrize("writer,size", [
+    (_overwrite_and_refill, 100), (_overwrite_and_refill, 16_384),
+    (_decrement, 100), (_decrement, 16_384),
+], ids=["eager", "rendezvous", "decr-eager", "decr-rendezvous"])
+def test_zero_copy_get_keeps_its_chunk_until_the_bytes_leave(writer, size):
     """A UCR GET hit is sent out of its slab chunk after the handler
-    yields.  The reply pins the chunk when the GET is applied, so an
-    overwrite and a refill in that window cannot change the bytes: the
-    GET returns the value it found.  The chunk is freed once the bytes
-    have left (the eager copy, or the client's rendezvous_done)."""
+    yields.  The reply pins the chunk when the GET is applied, and no
+    write changes a linked chunk (a decr re-stores like a set), so a
+    write in that window cannot change the bytes: the GET returns the
+    value it found.  The chunk is freed once the bytes have left (the
+    eager copy, or the client's rendezvous_done)."""
     cluster = Cluster(CLUSTER_A, n_client_nodes=1)
     cluster.start_server()
     client = cluster.client("UCR-IB")
     slabs = cluster.server.store.slabs
+    value, write = writer(size)
 
     def scenario():
-        yield from client.set("k", b"o" * size)
+        yield from client.set("k", value)
         found = cluster.server.store.by_key["k"].chunk
-        _overwrite_as_the_get_reply_is_sent(cluster, size)
+        _overwrite_as_the_get_reply_is_sent(cluster, write)
         got = yield from client.get("k")
         return found, got
 
     found, got = run(cluster, scenario())
-    assert got == b"o" * size
+    assert got == value
     assert slabs.pins == {} and slabs.deferred_frees == set()
     assert not found.used
     SlabSanitizer().check(cluster.server.store)
@@ -328,7 +346,7 @@ def test_a_failing_endpoint_releases_the_zero_copy_pin(when):
         yield from client.set("k", b"o" * 16_384)
         found = cluster.server.store.by_key["k"].chunk
         _overwrite_as_the_get_reply_is_sent(
-            cluster, 16_384,
+            cluster, _overwrite_and_refill(16_384)[1],
             then=lambda ep, at: ep.fail("flap") if at == when else None)
         with pytest.raises(ServerDownError):
             yield from client.get("k")

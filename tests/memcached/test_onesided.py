@@ -138,8 +138,9 @@ def test_hit_is_served_by_reads_without_rpc(cluster):
 
 
 def test_hit_tracks_inplace_arithmetic(cluster):
-    """incr/decr edit the chunk in place; the republished entry (new
-    cas, same location) must serve the fresh bytes."""
+    """incr/decr re-store the counter as a new item: the entry is
+    republished with a new cas (in the old chunk, when nothing pins it)
+    and must serve the fresh bytes."""
     client = cluster.client("UCR-1S")
 
     def scenario():
@@ -305,6 +306,20 @@ def test_write_hot_key_exhausts_retries_and_falls_back(cluster):
     assert value == b"gen-%d" % counter["n"]
     assert t.fallbacks == {"torn": 1}
     assert t.torn_retries == t.max_read_retries + 1
+
+
+def test_the_seqlock_refuses_an_unbalanced_bracket(cluster):
+    """seq_begin refuses an odd version as seq_end refuses an even one:
+    no value is edited in place, so a mutation window never nests."""
+    index = cluster.server.store.onesided
+    bucket = index.bucket_for("k")
+    with pytest.raises(AssertionError, match="without seq_begin"):
+        index.seq_end(bucket)
+    index.seq_begin(bucket)
+    with pytest.raises(AssertionError, match="mid-mutation"):
+        index.seq_begin(bucket)
+    index.seq_end(bucket)
+    assert index.mirror_entry(bucket).version == 2
 
 
 def test_mutation_between_the_two_responder_reads_is_retried_never_served(

@@ -153,6 +153,35 @@ def test_arith_wrap_clamp_reject_parity(cluster):
         assert out[(name, "missing")] is None, name
 
 
+def test_arith_on_a_long_value_parity(cluster):
+    """A value of 5 001 digits used to reach ``int()``, which refuses
+    more than 4 300, and the ValueError killed the server's worker.  Only
+    significant digits count: a zero-padded counter is a number, and a
+    long one is at least 2**64, so non-numeric -- on every path, with the
+    server still answering afterwards."""
+
+    def scenario():
+        out = {}
+        for name, client in clients(cluster).items():
+            key = f"long-{name}"
+            yield from client.set(key, b"0" * 5000 + b"9")
+            out[(name, "padded")] = yield from client.incr(key, 1)
+            yield from client.set(key, b"1" * 5001)
+            try:
+                yield from client.decr(key, 1)
+                out[(name, "long")] = "ok"
+            except ClientError:
+                out[(name, "long")] = "client"
+            out[(name, "after")] = yield from client.get(key)
+        return out
+
+    out = run(cluster, scenario())
+    for name in ("ucr", "text", "bin"):
+        assert out[(name, "padded")] == 10, name
+        assert out[(name, "long")] == "client", name
+        assert out[(name, "after")] == b"1" * 5001, name
+
+
 def test_binary_flush_with_delay(cluster):
     """The FLUSH delay rides the optional extras; it used to be dropped."""
     client = cluster.client("SDP", binary=True)

@@ -86,6 +86,16 @@ def test_incr_growing_digits(store):
     assert store.get("n").value() == b"10"
 
 
+def test_a_linked_item_is_immutable(store):
+    """Every value write re-stores: set_value refuses a linked item, and
+    an incr hit links a new item in the old one's place."""
+    item = store.set("n", b"1")
+    with pytest.raises(ValueError):
+        item.set_value(b"2")
+    assert store.incr("n", 1) == 2
+    assert store.by_key["n"] is not item and not item.linked
+
+
 def test_incr_refit_keeps_the_deadline():
     """A counter that outgrows its chunk is re-stored with its old
     deadline (memcached's do_add_delta), not made immortal."""
@@ -98,10 +108,10 @@ def test_incr_refit_keeps_the_deadline():
     item = store.get(key)
     assert item is not old and item.chunk.capacity > 96
     assert item.exptime == 100.0
-    # Control: an in-place incr (still fits) keeps its deadline too.
-    store.set("inplace", b"1", exptime=100)
-    store.incr("inplace", 1)
-    assert store.get("inplace").exptime == 100.0
+    # Control: an incr that still fits the chunk class keeps it too.
+    store.set("fits", b"1", exptime=100)
+    store.incr("fits", 1)
+    assert store.get("fits").exptime == 100.0
     sim._now = 200 * 1e6
     assert store.get(key) is None
 

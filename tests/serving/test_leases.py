@@ -175,15 +175,15 @@ def test_flush_all_clears_every_lease(rig):
     assert len(store.leases) == 0
 
 
-def test_in_place_incr_keeps_the_lease(rig):
+def test_incr_settles_the_lease_like_every_value_write(rig):
     sim, store = rig
-    # incr patches the chunk in place (no relink through _link), so it
-    # deliberately does NOT settle the fill race -- the oracle mirrors
-    # this asymmetry exactly, and the differential fuzzer would catch a
-    # drift on either side.
+    # incr re-stores the counter through _link, like set, so it settles
+    # the fill race.  Only a direct acquire reaches this: getl issues a
+    # lease only while the key is absent, and arith then misses.
     store.set("n", b"10")
     store.leases.acquire("n")
     assert store.incr("n", 5) == 15
-    assert len(store.leases) == 1
+    assert len(store.leases) == 0
+    store.leases.acquire("n")
     assert store.decr("n", 1) == 14
-    assert len(store.leases) == 1
+    assert len(store.leases) == 0
