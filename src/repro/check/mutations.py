@@ -79,9 +79,9 @@ def _mutate_onesided_skip_version_bump(store) -> None:
         return
 
     def unpublish(item):
-        bucket = index.bucket_for(item.key)
-        if index._owner[bucket] is item:
-            index._owner[bucket] = None  # bookkeeping only: no seqlock bump
+        slot = index.slot_of(item)
+        if slot is not None:
+            index._owner[slot] = None  # bookkeeping only: no seqlock bump
 
     index.unpublish = unpublish
 

@@ -1,8 +1,8 @@
 """One-sided RDMA GET: exported versioned index + direct-READ client.
 
 The server half (:mod:`~repro.memcached.onesided.index`) pins a
-fixed-layout bucket index kept coherent with the store's write path
-under a seqlock version discipline; the client half
+fixed-layout, window-associative index kept coherent with the store's
+write path under a seqlock version discipline; the client half
 (:mod:`~repro.memcached.onesided.client`) is a transport whose
 ``onesided_get`` serves GET/gets with RDMA READs against it, the
 ordinary client falling back to the active-message RPC path whenever
@@ -20,6 +20,7 @@ from repro.memcached.onesided.layout import (
     ENTRY_FORMAT,
     HEADER_BYTES,
     INDEX_MAGIC,
+    WINDOW,
     IndexEntry,
     entry_offset,
     hash64,
@@ -40,6 +41,7 @@ __all__ = [
     "IndexDescriptor",
     "IndexEntry",
     "OneSidedTransport",
+    "WINDOW",
     "entry_offset",
     "hash64",
     "pack_entry",

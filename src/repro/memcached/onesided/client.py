@@ -2,9 +2,11 @@
 
 :class:`OneSidedTransport` extends the active-message
 :class:`~repro.memcached.ucr_transport.UcrTransport` with a zero-server-CPU
-read path: GET/gets probe the server's exported bucket index with an
-RDMA READ, then fetch the value with a second READ straight out of the
-registered slab page and confirm with a third READ of the same entry,
+read path: a first GET/gets READs the key's whole window of the
+server's exported index (``WINDOW`` slots from its home bucket, one
+contiguous READ) and finds its slot by the 8-byte ``key_hash`` field,
+then fetches the value with a second READ straight out of the
+registered slab page and confirms with a third READ of that one slot,
 posted right behind it on the same queue pair.  RC executes a QP's
 READs in post order, so the confirm reads the entry after the value
 READ read the value, and both land in one round trip.  The fetch is
@@ -13,23 +15,26 @@ across the probe and the confirm -- the client side of the server's
 seqlock discipline.  A mutation anywhere in that window changes the
 version, so a torn read can never be *served*, only retried.
 
-A repeat GET skips the probe.  The transport remembers, per server, the
-last entry it confirmed in each bucket; for a bucket that holds the
-key's hash it posts the value READ from the remembered location and the
-confirm behind it: one round trip, two READs.  Versions strictly
-increase for the index's lifetime, so a confirm bit-identical to the
-remembered entry proves no mutation between the earlier confirm and
-this one: the same bracket with a wider window.  A confirm that differs
-*is* the fresh entry, and the ladder restarts from it without another
-READ.  An own command through :meth:`execute` forgets its keys' entries,
-so an own write costs no wasted value READ.
+A repeat GET skips the window READ.  The transport remembers, per
+server, the slot each key was last confirmed in, with the entry it
+confirmed there; it posts the value READ from the remembered location
+and the confirm behind it: one round trip, two READs.  Versions
+strictly increase for the index's lifetime, so a confirm bit-identical
+to the remembered entry proves no mutation between the earlier confirm
+and this one: the same bracket with a wider window.  A confirm that
+differs *is* the fresh entry, and the ladder restarts from it without
+another READ.  An own command through :meth:`execute` keeps its keys'
+slots but forgets their entries, so the GET after an own write probes
+that one 64-byte slot instead of spending a value READ on the old
+location.  A slot that shows another key's hash was reused: the key
+may sit elsewhere in its window, so the GET READs the window again.
 
 Everything the index cannot prove falls down a ladder onto the RPC
 path, which is authoritative:
 
-1. **absent** -- the bucket is empty or holds a different key's hash.
-   Displacement means absence from the index never proves absence from
-   the cache, so this is a fallback, not a miss.
+1. **absent** -- no slot of the key's window holds its hash.
+   Displacement from a full window means absence from the index never
+   proves absence from the cache, so this is a fallback, not a miss.
 2. **expired** -- the entry's deadline (exptime/flush horizon) passed.
    Expiry is lazy server-side state; the RPC path applies it.
 3. **oversize** -- the value exceeds the client's one-sided read budget.
@@ -58,7 +63,10 @@ from repro.memcached.command import Command, Reply
 from repro.memcached.onesided.index import IndexDescriptor
 from repro.memcached.onesided.layout import (
     ENTRY_BYTES,
+    WINDOW,
+    WINDOW_BYTES,
     entry_offset,
+    find_slot,
     hash64,
     unpack_entry,
 )
@@ -101,9 +109,10 @@ class OneSidedTransport(UcrTransport):
         self.torn_retries = 0
         #: Remembered entries the confirm READ found changed.
         self.stale_entries = 0
-        #: server -> bucket -> the 64-byte entry last confirmed there (at
-        #: most ``n_buckets`` per server; no eviction).
-        self._confirmed: dict[str, dict[int, bytes]] = {}
+        #: server -> slot -> (key hash, the 64-byte entry last confirmed
+        #: there, or None after an own write): at most one per slot of
+        #: the server's index, no eviction.
+        self._confirmed: dict[str, dict[int, tuple[int, bytes | None]]] = {}
         #: Fallback reason -> count ('absent'/'expired'/'oversize'/'torn').
         self.fallbacks: dict[str, int] = {}
 
@@ -116,7 +125,9 @@ class OneSidedTransport(UcrTransport):
     def _checkout_landing(self):
         if self._landing_pool:
             return self._landing_pool.pop()
-        return self.runtime.pd.reg_mr(ENTRY_BYTES + self.max_value_bytes)
+        return self.runtime.pd.reg_mr(
+            max(WINDOW_BYTES, ENTRY_BYTES + self.max_value_bytes)
+        )
 
     def _checkin_landing(self, mr) -> None:
         self._landing_pool.append(mr)
@@ -172,8 +183,9 @@ class OneSidedTransport(UcrTransport):
 
     def execute(self, server: str, cmd: Command, trace=None):
         """Process helper: the inherited RPC; the entries remembered for
-        *cmd*'s keys are then forgotten.  After an own write the next GET
-        probes first instead of spending a value READ on the old location.
+        *cmd*'s keys are then forgotten, their slots kept.  After an own
+        write the next GET probes that slot instead of spending a value
+        READ on the old location.
         """
         try:
             return (yield from super().execute(server, cmd, trace=trace))
@@ -182,7 +194,10 @@ class OneSidedTransport(UcrTransport):
             if confirmed:
                 n_buckets = self._descriptors[server].n_buckets
                 for key in cmd.keys:
-                    confirmed.pop(hash64(key) % n_buckets, None)
+                    want = hash64(key)
+                    slot, _ = _recall(confirmed, want % n_buckets, want)
+                    if slot is not None:
+                        confirmed[slot] = (want, None)
 
     # -- test hook ---------------------------------------------------------
 
@@ -199,11 +214,9 @@ class OneSidedTransport(UcrTransport):
     def _fall(self, reason: str) -> None:
         self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
 
-    def _refusal(self, entry, want: int):
-        """The fallback reason *entry* gives for the key hashing to
-        *want*, or None when it can be fetched."""
-        if entry.key_hash != want:
-            return "absent"
+    def _refusal(self, entry):
+        """The fallback reason *entry*, which holds the key's hash, gives,
+        or None when it can be fetched."""
         if entry.deadline_us and self.sim.now >= entry.deadline_us:
             return "expired"
         if entry.value_length > self.max_value_bytes:
@@ -211,13 +224,13 @@ class OneSidedTransport(UcrTransport):
         return None
 
     def onesided_get(self, server: str, key: str):
-        """Process helper: probe, then fetch + confirm, for *key* on *server*.
+        """Process helper: find *key*'s slot, then fetch + confirm, on *server*.
 
-        A bucket whose entry this transport last confirmed for *key*
-        skips the probe: the value READ from the remembered location and
-        the confirm READ behind it share one round trip.  A confirm that
-        differs from the entry is the fresh entry, and the ladder
-        restarts from it without another READ.
+        A slot where this transport last confirmed *key* skips the window
+        READ: the value READ from the remembered location and the confirm
+        READ behind it share one round trip.  A confirm that differs from
+        the entry is the fresh entry, and the ladder restarts from it
+        without another READ.
 
         Returns the hit as the :class:`Reply` a get/gets RPC would have
         produced, or None after counting the fallback reason (the caller
@@ -237,16 +250,25 @@ class OneSidedTransport(UcrTransport):
     def _ladder(self, server: str, key: str, desc: IndexDescriptor, landing):
         """Process helper: :meth:`onesided_get`'s READs into *landing*."""
         want = hash64(key)
-        bucket = want % desc.n_buckets
-        probe = (desc.index_rkey, entry_offset(bucket), ENTRY_BYTES, 0)
+        home = want % desc.n_buckets
         check_us = self.node.host.cpu_time(self.costs.onesided_check_us)
         confirmed = self._confirmed.setdefault(server, {})
-        raw = confirmed.get(bucket)
-        if raw is not None and self._refusal(unpack_entry(raw), want) is not None:
+        slot, raw = _recall(confirmed, home, want)
+        if raw is not None and self._refusal(unpack_entry(raw)) is not None:
             raw = None
         remembered = raw is not None
         torn = 0
         while torn <= self.max_read_retries:
+            if slot is None:
+                window = (desc.index_rkey, entry_offset(home), WINDOW_BYTES, 0)
+                (seen,) = yield from self._reads(server, landing, window)
+                yield from self.node.cpu_run(check_us)
+                at = find_slot(seen, want)
+                if at is None:
+                    return self._fall("absent")
+                slot = home + at
+                raw = seen[at * ENTRY_BYTES:(at + 1) * ENTRY_BYTES]
+            probe = (desc.index_rkey, entry_offset(slot), ENTRY_BYTES, 0)
             if raw is None:
                 (raw,) = yield from self._reads(server, landing, probe)
                 yield from self.node.cpu_run(check_us)
@@ -256,7 +278,12 @@ class OneSidedTransport(UcrTransport):
                 torn += 1
                 raw = None
                 continue
-            reason = self._refusal(entry, want)
+            if entry.key_hash != want:
+                # The slot was reused; the key may sit elsewhere in its window.
+                confirmed.pop(slot, None)
+                slot = raw = None
+                continue
+            reason = self._refusal(entry)
             if reason is not None:
                 return self._fall(reason)
             yield from self.checkpoint("entry", server, key)
@@ -276,7 +303,7 @@ class OneSidedTransport(UcrTransport):
                 remembered = False
                 raw = confirm
                 continue
-            confirmed[bucket] = raw
+            confirmed[slot] = (want, raw)
             self.onesided_hits += 1
             self.remembered_hits += remembered
             return Reply(
@@ -284,3 +311,13 @@ class OneSidedTransport(UcrTransport):
                 values=[(key, entry.flags, value, entry.cas)],
             )
         return self._fall("torn")
+
+
+def _recall(confirmed: dict, home: int, want: int):
+    """``(slot, entry or None)`` remembered for the key hashing to *want*
+    in the window from *home*, or ``(None, None)``."""
+    for slot in range(home, home + WINDOW):
+        held = confirmed.get(slot)
+        if held is not None and held[0] == want:
+            return slot, held[1]
+    return None, None

@@ -11,11 +11,14 @@ bump back to even (:meth:`seq_end`) after.  The version strictly
 increases, so a remote reader that fetched the entry, then the value,
 then the entry again can detect any interleaved mutation.
 
-The index is direct-mapped and last-writer-wins: publishing a key whose
-bucket is held by a different key displaces it.  That is always safe --
-a client that finds a foreign (or empty) hash falls back to the RPC
-path, which is authoritative -- and it keeps the server-side cost of
-coherence O(1) per store mutation with no probing chains to maintain.
+The index is window-associative (hopscotch hashing without the moves):
+a key may sit in any of ``WINDOW`` slots from its home bucket on, and
+:meth:`publish` takes the slot that already holds the key's hash, else
+the first empty slot, else the home slot -- last-writer-wins when the
+window is full.  Displacement is always safe -- a client that finds no
+slot with its key's hash falls back to the RPC path, which is
+authoritative -- and nothing is ever moved, so the server-side cost of
+coherence stays one window scan per store mutation.
 
 Eviction and slab reuse safety: :meth:`unpublish` runs *before* the
 store frees the item's chunk, so no live entry ever references a free
@@ -32,12 +35,13 @@ from typing import TYPE_CHECKING, Optional
 from repro.memcached.onesided.layout import (
     DEFAULT_BUCKETS,
     ENTRY_BYTES,
-    HEADER_BYTES,
+    WINDOW,
     IndexEntry,
     entry_offset,
     hash64,
     pack_entry,
     pack_header,
+    region_bytes,
 )
 from repro.verbs.enums import Access
 from repro.verbs.mr import RegionDescriptor
@@ -69,14 +73,16 @@ class ExportedIndex:
     def __init__(self, store: "ItemStore", pd: "ProtectionDomain") -> None:
         self.store = store
         self.pd = pd
+        #: Every bucket's slot plus the spill slots behind the last window.
+        self.n_slots = self.n_buckets + WINDOW - 1
         #: The pinned region remote clients probe with RDMA READ.
-        self.mr = pd.reg_mr(HEADER_BYTES + DEFAULT_BUCKETS * ENTRY_BYTES, Access.full())
-        self.mr.write(0, pack_header(DEFAULT_BUCKETS))
+        self.mr = pd.reg_mr(region_bytes(self.n_buckets), Access.full())
+        self.mr.write(0, pack_header(self.n_buckets))
         #: Python-side mirror of every packed entry (authoritative for
         #: the server; re-packed into ``mr`` at each seq_end).
-        self._mirror = [IndexEntry() for _ in range(DEFAULT_BUCKETS)]
-        #: The item currently published in each bucket (None = empty).
-        self._owner: list[Optional["Item"]] = [None] * DEFAULT_BUCKETS
+        self._mirror = [IndexEntry() for _ in range(self.n_slots)]
+        #: The item currently published in each slot (None = empty).
+        self._owner: list[Optional["Item"]] = [None] * self.n_slots
         self.publishes = 0
         self.unpublishes = 0
         store.onesided = self
@@ -86,89 +92,113 @@ class ExportedIndex:
         return IndexDescriptor(region=self.mr.describe(), n_buckets=self.n_buckets)
 
     def bucket_for(self, key: str) -> int:
+        """*key*'s home bucket: the first slot of its window."""
         return hash64(key) % self.n_buckets
 
-    def owner(self, bucket: int) -> Optional["Item"]:
-        return self._owner[bucket]
+    def slot_of(self, item: "Item") -> Optional[int]:
+        """The slot *item* is published in, or None (never published,
+        displaced, or invalidated).  Identity checks over its window."""
+        home = self.bucket_for(item.key)
+        owners = self._owner
+        for slot in range(home, home + WINDOW):
+            if owners[slot] is item:
+                return slot
+        return None
 
-    def entry_bytes(self, bucket: int) -> bytes:
+    def owner(self, slot: int) -> Optional["Item"]:
+        return self._owner[slot]
+
+    def entry_bytes(self, slot: int) -> bytes:
         """The exported 64-byte slot as a remote reader would see it."""
-        return self.mr.read(entry_offset(bucket), ENTRY_BYTES)
+        return self.mr.read(entry_offset(slot), ENTRY_BYTES)
 
-    def mirror_entry(self, bucket: int) -> IndexEntry:
-        return self._mirror[bucket]
+    def mirror_entry(self, slot: int) -> IndexEntry:
+        return self._mirror[slot]
 
     # -- the seqlock -----------------------------------------------------------
 
-    def seq_begin(self, bucket: int) -> None:
+    def seq_begin(self, slot: int) -> None:
         """Bump-to-odd: mark the exported entry mid-mutation."""
-        slot = self._mirror[bucket]
-        if slot.version % 2:
-            raise AssertionError(f"seq_begin on bucket {bucket} already mid-mutation")
-        slot.version += 1
-        self.mr.write(entry_offset(bucket), struct.pack("<Q", slot.version))
+        entry = self._mirror[slot]
+        if entry.version % 2:
+            raise AssertionError(f"seq_begin on slot {slot} already mid-mutation")
+        entry.version += 1
+        self.mr.write(entry_offset(slot), struct.pack("<Q", entry.version))
 
-    def seq_end(self, bucket: int) -> None:
+    def seq_end(self, slot: int) -> None:
         """Bump-to-even and expose the mirror's fields atomically."""
-        slot = self._mirror[bucket]
-        if slot.version % 2 == 0:
-            raise AssertionError(f"seq_end on bucket {bucket} without seq_begin")
-        slot.version += 1
-        self.mr.write(entry_offset(bucket), pack_entry(slot))
+        entry = self._mirror[slot]
+        if entry.version % 2 == 0:
+            raise AssertionError(f"seq_end on slot {slot} without seq_begin")
+        entry.version += 1
+        self.mr.write(entry_offset(slot), pack_entry(entry))
 
     # -- store-facing coherence hooks ------------------------------------------
 
     def publish(self, item: "Item") -> None:
-        """Expose *item* in its bucket (displacing any current holder)."""
+        """Expose *item* in its window: the slot already holding its key's
+        hash, else the first empty slot, else the home slot (displacing
+        the holder)."""
         value_mr, value_offset = item.chunk.rdma_location()
-        bucket = self.bucket_for(item.key)
-        slot = self._mirror[bucket]
-        self.seq_begin(bucket)
-        slot.key_hash = hash64(item.key)
-        slot.value_rkey = value_mr.rkey
-        slot.value_offset = value_offset
-        slot.value_length = item.value_length
-        slot.flags = item.flags
-        slot.cas = item.cas
-        slot.deadline_us = self._deadline_us(item)
-        self.seq_end(bucket)
-        self._owner[bucket] = item
+        key_hash = hash64(item.key)
+        home = key_hash % self.n_buckets
+        slot = None
+        for at in range(home, home + WINDOW):
+            held = self._mirror[at].key_hash
+            if held == key_hash:
+                slot = at
+                break
+            if held == 0 and slot is None:
+                slot = at
+        if slot is None:
+            slot = home
+        entry = self._mirror[slot]
+        self.seq_begin(slot)
+        entry.key_hash = key_hash
+        entry.value_rkey = value_mr.rkey
+        entry.value_offset = value_offset
+        entry.value_length = item.value_length
+        entry.flags = item.flags
+        entry.cas = item.cas
+        entry.deadline_us = self._deadline_us(item)
+        self.seq_end(slot)
+        self._owner[slot] = item
         self.publishes += 1
 
     def unpublish(self, item: "Item") -> None:
         """Invalidate *item*'s entry; must run before its chunk is freed."""
-        bucket = self.bucket_for(item.key)
-        if self._owner[bucket] is not item:
-            return  # displaced earlier: the bucket belongs to someone else
-        self._clear(bucket)
+        slot = self.slot_of(item)
+        if slot is None:
+            return  # displaced earlier: no slot of its window is its own
+        self._clear(slot)
         self.unpublishes += 1
 
     def ensure(self, item: "Item") -> None:
-        """Re-expose *item* if its bucket is empty or held by another key
-        (collision takeover / republish after a flush invalidation)."""
-        if self._owner[self.bucket_for(item.key)] is not item:
+        """Re-expose *item* if no slot of its window holds it (collision
+        takeover / republish after a flush invalidation)."""
+        if self.slot_of(item) is None:
             self.publish(item)
 
     def invalidate_all(self) -> None:
         """Drop every entry (the ``flush_all`` hook).  Conservative for
         delayed flushes: still-servable items fall back to RPC until a
         later hit republishes them."""
-        for bucket, owner in enumerate(self._owner):
+        for slot, owner in enumerate(self._owner):
             if owner is not None:
-                self._clear(bucket)
+                self._clear(slot)
 
-    def _clear(self, bucket: int) -> None:
-        slot = self._mirror[bucket]
-        self.seq_begin(bucket)
-        slot.key_hash = 0
-        slot.value_rkey = 0
-        slot.value_offset = 0
-        slot.value_length = 0
-        slot.flags = 0
-        slot.cas = 0
-        slot.deadline_us = 0
-        self.seq_end(bucket)
-        self._owner[bucket] = None
+    def _clear(self, slot: int) -> None:
+        entry = self._mirror[slot]
+        self.seq_begin(slot)
+        entry.key_hash = 0
+        entry.value_rkey = 0
+        entry.value_offset = 0
+        entry.value_length = 0
+        entry.flags = 0
+        entry.cas = 0
+        entry.deadline_us = 0
+        self.seq_end(slot)
+        self._owner[slot] = None
 
     def _deadline_us(self, item: "Item") -> int:
         """Fold exptime and any pending flush horizon into one absolute
@@ -184,4 +214,7 @@ class ExportedIndex:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         held = sum(1 for o in self._owner if o is not None)
-        return f"<ExportedIndex {held}/{self.n_buckets} buckets live>"
+        return (
+            f"<ExportedIndex {held}/{self.n_slots} slots live, "
+            f"{self.n_buckets} buckets, window {WINDOW}>"
+        )

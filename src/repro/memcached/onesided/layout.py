@@ -8,18 +8,22 @@ unpack pair is property-tested for round-trip fidelity.
 Region layout::
 
     offset 0                 HEADER_BYTES          HEADER_BYTES + i*ENTRY_BYTES
-    +------------------------+---------------------+----
-    | magic u64 | buckets u32| entry 0 (64 bytes)  | entry 1 ...
-    +------------------------+---------------------+----
+    +------------------------+---------------------+----+--------------------+
+    | magic u64 | buckets u32| slot 0 (64 bytes)   | .. | slot n+WINDOW-2    |
+    +------------------------+---------------------+----+--------------------+
 
-Each bucket holds at most one entry (direct-mapped: colliding keys
-displace each other and the loser falls back to RPC, which is always
-correct -- absence from the index never proves absence from the cache).
+The index is window-associative: a key may sit in any of the ``WINDOW``
+slots starting at its home bucket ``hash64(key) % n_buckets``.  The
+region has ``WINDOW - 1`` spill slots past the last bucket, so a window
+never wraps and one READ of ``WINDOW_BYTES`` fetches all of it.  A key
+whose window is full displaces its home slot's holder, and the loser
+falls back to RPC, which is always correct -- absence from the index
+never proves absence from the cache.
 
 Entry layout (64 bytes, little-endian, 16 trailing pad bytes)::
 
     version      u64   seqlock counter: even = stable, odd = mutating
-    key_hash     u64   hash64(key); 0 marks an empty bucket
+    key_hash     u64   hash64(key); 0 marks an empty slot
     value_rkey   u32   rkey of the slab page holding the value
     value_offset u32   byte offset of the value within that page
     value_length u32   exact value length in bytes
@@ -43,14 +47,21 @@ import hashlib
 import struct
 from dataclasses import dataclass
 
-#: Identifies the region layout; bumped if the struct format changes.
-INDEX_MAGIC = 0x1D5EC0DE_0001
+#: Identifies the region layout; bumped if the struct format or the
+#: placement rule changes.
+INDEX_MAGIC = 0x1D5EC0DE_0002
 #: Header: magic u64 + bucket count u32, padded to one entry slot.
 HEADER_FORMAT = "<QI52x"
 HEADER_BYTES = struct.calcsize(HEADER_FORMAT)
-#: One bucket entry (48 significant bytes padded to a 64-byte slot).
+#: One entry (48 significant bytes padded to a 64-byte slot).
 ENTRY_FORMAT = "<QQIIIIQQ16x"
 ENTRY_BYTES = struct.calcsize(ENTRY_FORMAT)
+#: Slots a key may occupy, from its home bucket on.
+WINDOW = 8
+#: One window: what a first GET READs to find its key's slot.
+WINDOW_BYTES = WINDOW * ENTRY_BYTES
+#: Where ``key_hash`` sits within an entry (after the u64 version).
+KEY_HASH_OFFSET = 8
 #: Default bucket count: power of two, sized well above the working sets
 #: the experiments drive so displacement stays rare.
 DEFAULT_BUCKETS = 4096
@@ -62,7 +73,7 @@ def hash64(key: str) -> int:
     """The 64-bit key fingerprint stored in ``key_hash``.
 
     blake2b is stable across processes (unlike ``hash()``), and the zero
-    digest -- the empty-bucket marker -- is remapped to 1.
+    digest -- the empty-slot marker -- is remapped to 1.
     """
     digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
     value = int.from_bytes(digest, "little")
@@ -71,7 +82,7 @@ def hash64(key: str) -> int:
 
 @dataclass(slots=True)
 class IndexEntry:
-    """One unpacked bucket entry (see module docstring for semantics)."""
+    """One unpacked slot entry (see module docstring for semantics)."""
 
     version: int = 0
     key_hash: int = 0
@@ -89,7 +100,7 @@ class IndexEntry:
 
     @property
     def live(self) -> bool:
-        """True for a stable, occupied bucket."""
+        """True for a stable, occupied slot."""
         return self.stable and self.key_hash != 0
 
 
@@ -135,6 +146,24 @@ def unpack_header(raw: bytes) -> tuple[int, int]:
     return magic, n_buckets
 
 
-def entry_offset(bucket: int) -> int:
-    """Byte offset of *bucket*'s entry within the exported region."""
-    return HEADER_BYTES + bucket * ENTRY_BYTES
+def region_bytes(n_buckets: int) -> int:
+    """Size of the exported region: the header, then one slot per bucket
+    and the ``WINDOW - 1`` spill slots behind the last one."""
+    return HEADER_BYTES + (n_buckets + WINDOW - 1) * ENTRY_BYTES
+
+
+def entry_offset(slot: int) -> int:
+    """Byte offset of *slot*'s entry within the exported region (a
+    window starts at its home bucket's slot)."""
+    return HEADER_BYTES + slot * ENTRY_BYTES
+
+
+def find_slot(window: bytes, key_hash: int) -> int | None:
+    """Position within *window* (the bytes of ``WINDOW`` slots) of the
+    entry holding *key_hash*, or None.  Compares the 8-byte hash field
+    of each slot without unpacking the entries."""
+    want = key_hash.to_bytes(8, "little")
+    for at in range(KEY_HASH_OFFSET, len(window), ENTRY_BYTES):
+        if window[at:at + 8] == want:
+            return at // ENTRY_BYTES
+    return None

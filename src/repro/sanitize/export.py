@@ -16,10 +16,15 @@ actually read.  Invariants:
    owner item's chunk and metadata exactly;
 4. an owner without a live entry (or vice versa) is bookkeeping drift;
 5. the exported region's bytes equal the re-packed Python mirror for
-   every bucket -- a mirror mutation that skipped the seqlock write
-   path diverges here immediately.
+   every slot -- a mirror mutation that skipped the seqlock write
+   path diverges here immediately;
+6. a live entry lies inside its owner's window (the ``WINDOW`` slots
+   from its home bucket): a client only ever READs that window, so an
+   entry outside it is unreachable;
+7. a key hash is live in at most one slot: two would leave a client's
+   window scan free to serve either one.
 
-Any of these firing *before* a client reads the bucket is the point:
+Any of these firing *before* a client reads the slot is the point:
 the sanitizer sees the corruption at the mutation checkpoint, not two
 hundred operations later when a differential replay finally mismatches.
 """
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.memcached.onesided.layout import hash64, pack_entry
+from repro.memcached.onesided.layout import WINDOW, hash64, pack_entry
 from repro.sanitize.errors import ExportIndexError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,30 +63,43 @@ class ExportSanitizer:
         if index is None:
             return violations
 
-        for bucket in range(index.n_buckets):
-            slot = index.mirror_entry(bucket)
-            owner = index.owner(bucket)
-            if not slot.stable:
+        live_in: dict[int, int] = {}  # key hash -> first slot holding it
+        for slot in range(index.n_slots):
+            entry = index.mirror_entry(slot)
+            owner = index.owner(slot)
+            if not entry.stable:
                 violations.append(
-                    f"bucket {bucket}: odd version {slot.version} at rest "
+                    f"slot {slot}: odd version {entry.version} at rest "
                     f"(unclosed seqlock bracket)"
                 )
-            if slot.live:
+            if entry.live:
+                first = live_in.setdefault(entry.key_hash, slot)
+                if first != slot:
+                    violations.append(
+                        f"slot {slot}: key hash {entry.key_hash:#x} is also "
+                        f"live in slot {first}"
+                    )
                 if owner is None:
                     violations.append(
-                        f"bucket {bucket}: live entry with no owner "
+                        f"slot {slot}: live entry with no owner "
                         f"(invalidation skipped?)"
                     )
                 else:
-                    violations.extend(self._check_owned(bucket, slot, owner))
+                    home = index.bucket_for(owner.key)
+                    if not home <= slot < home + WINDOW:
+                        violations.append(
+                            f"slot {slot}: owner {owner.key!r} is outside "
+                            f"its window [{home}, {home + WINDOW})"
+                        )
+                    violations.extend(self._check_owned(slot, entry, owner))
             elif owner is not None:
                 violations.append(
-                    f"bucket {bucket}: owner {owner.key!r} but entry is dead"
+                    f"slot {slot}: owner {owner.key!r} but entry is dead"
                 )
-            exported = index.entry_bytes(bucket)
-            if exported != pack_entry(slot):
+            exported = index.entry_bytes(slot)
+            if exported != pack_entry(entry):
                 violations.append(
-                    f"bucket {bucket}: exported bytes diverge from the mirror "
+                    f"slot {slot}: exported bytes diverge from the mirror "
                     f"(a write bypassed the seqlock helpers)"
                 )
 
@@ -93,41 +111,41 @@ class ExportSanitizer:
         return violations
 
     @staticmethod
-    def _check_owned(bucket: int, slot, owner) -> list[str]:
+    def _check_owned(slot: int, entry, owner) -> list[str]:
         """Invariants 2-3 for one (live entry, owner item) pair."""
         violations: list[str] = []
         if not owner.linked:
             violations.append(
-                f"bucket {bucket}: owner {owner.key!r} is unlinked but "
+                f"slot {slot}: owner {owner.key!r} is unlinked but "
                 f"still exported"
             )
-        if hash64(owner.key) != slot.key_hash:
+        if hash64(owner.key) != entry.key_hash:
             violations.append(
-                f"bucket {bucket}: entry hash {slot.key_hash:#x} is not "
+                f"slot {slot}: entry hash {entry.key_hash:#x} is not "
                 f"owner {owner.key!r}'s"
             )
         chunk = owner.chunk
         if chunk is None or not chunk.used:
             violations.append(
-                f"bucket {bucket}: live entry over a freed chunk "
+                f"slot {slot}: live entry over a freed chunk "
                 f"(one-sided use-after-free)"
             )
             return violations
         value_mr, value_offset = chunk.rdma_location()
-        if slot.value_rkey != value_mr.rkey or slot.value_offset != value_offset:
+        if entry.value_rkey != value_mr.rkey or entry.value_offset != value_offset:
             violations.append(
-                f"bucket {bucket}: entry points at rkey={slot.value_rkey} "
-                f"off={slot.value_offset} but owner {owner.key!r} lives at "
+                f"slot {slot}: entry points at rkey={entry.value_rkey} "
+                f"off={entry.value_offset} but owner {owner.key!r} lives at "
                 f"rkey={value_mr.rkey} off={value_offset}"
             )
-        if slot.value_length != owner.value_length:
+        if entry.value_length != owner.value_length:
             violations.append(
-                f"bucket {bucket}: entry length {slot.value_length} != "
+                f"slot {slot}: entry length {entry.value_length} != "
                 f"owner {owner.key!r} length {owner.value_length}"
             )
-        if slot.cas != owner.cas:
+        if entry.cas != owner.cas:
             violations.append(
-                f"bucket {bucket}: entry cas {slot.cas} != owner "
+                f"slot {slot}: entry cas {entry.cas} != owner "
                 f"{owner.key!r} cas {owner.cas}"
             )
         return violations

@@ -13,9 +13,12 @@ The layers of the subsystem under test:
   impossible by construction;
 - RC executes a QP's READs in post order, so the confirm posted behind
   the value READ brackets it: a first hit costs three READs in two round
-  trips, a repeat GET of a remembered entry two READs in one, and a
-  confirm that differs restarts the ladder from whatever changed
-  (overwrite, displacement) at once.
+  trips (the key's window, then value + confirm), a repeat GET of a
+  remembered entry two READs in one, and a confirm that differs restarts
+  the ladder from whatever changed (overwrite, displacement) at once;
+- the index is window-associative: a key whose slot was reused by a
+  window neighbour is found again by one window READ, and only a key
+  with no slot in its window falls back ``absent``.
 """
 
 import hypothesis.strategies as st
@@ -30,6 +33,7 @@ from repro.memcached.onesided import (
     ENTRY_BYTES,
     HEADER_BYTES,
     INDEX_MAGIC,
+    WINDOW,
     IndexEntry,
     entry_offset,
     hash64,
@@ -38,7 +42,9 @@ from repro.memcached.onesided import (
     unpack_entry,
     unpack_header,
 )
+from repro.memcached.onesided.index import ExportedIndex
 from repro.sanitize import ExportIndexError, ExportSanitizer
+from repro.sim import RngStream
 from repro.verbs import QueuePair
 
 
@@ -340,21 +346,21 @@ def test_mutation_between_the_two_responder_reads_is_retried_never_served(
     respond = QueuePair._read_respond
 
     def rewrite_in_place():
-        bucket = index.bucket_for("k")
+        slot = index.slot_of(store.by_key["k"])
         mr, offset = store.by_key["k"].chunk.rdma_location()
-        index.seq_begin(bucket)
+        index.seq_begin(slot)
         mr.write(offset, b"NEW-")
 
         def finish(_event):
             mr.write(offset, b"NEW-VALUE")
-            index.seq_end(bucket)
+            index.seq_end(slot)
 
         sim.timeout(1.0).callbacks.append(finish)
 
     def serving(qp, packet, turnaround):
         respond(qp, packet, turnaround)
         responded.append(packet.length)
-        if len(responded) == 2:  # the probe, then the first of the pair
+        if len(responded) == 2:  # the window, then the first of the pair
             rewrite_in_place()
 
     def scenario():
@@ -363,7 +369,7 @@ def test_mutation_between_the_two_responder_reads_is_retried_never_served(
         return (yield from client.get("k"))
 
     assert run(cluster, scenario()) == b"NEW-VALUE"
-    assert responded[:3] == [ENTRY_BYTES, len(b"old-value"), ENTRY_BYTES]
+    assert responded[:3] == [WINDOW * ENTRY_BYTES, len(b"old-value"), ENTRY_BYTES]
     assert t.torn_retries >= 1
     assert t.fallbacks == {}
 
@@ -371,13 +377,27 @@ def test_mutation_between_the_two_responder_reads_is_retried_never_served(
 # ------------------------------------------------------ remembered entries
 
 
-def _colliding_key(key):
-    """Another key that maps to *key*'s bucket."""
-    bucket = hash64(key) % DEFAULT_BUCKETS
-    return next(
-        other for i in range(1_000_000)
-        if hash64(other := f"other{i}") % DEFAULT_BUCKETS == bucket
+def _window_mates(key, n):
+    """*n* other keys whose home bucket is *key*'s."""
+    home = hash64(key) % DEFAULT_BUCKETS
+    mates = (
+        other for i in range(10_000_000)
+        if hash64(other := f"other{i}") % DEFAULT_BUCKETS == home
     )
+    return [next(mates) for _ in range(n)]
+
+
+def _read_lengths(monkeypatch):
+    """Record the length of every READ the server's adapter serves."""
+    lengths = []
+    respond = QueuePair._read_respond
+
+    def serving(qp, packet, turnaround):
+        respond(qp, packet, turnaround)
+        lengths.append(packet.length)
+
+    monkeypatch.setattr(QueuePair, "_read_respond", serving)
+    return lengths
 
 
 def test_repeat_hit_costs_two_reads_in_one_round_trip(cluster):
@@ -429,24 +449,100 @@ def test_overwrite_by_another_client_is_found_by_the_overlapped_probe(cluster):
 
 
 def test_displaced_entry_falls_back_after_one_round_trip(cluster):
+    """WINDOW keys sharing "k"'s home fill its window and the last one
+    takes the home slot: the remembered pair's confirm shows a foreign
+    hash, one window READ finds no slot for "k", and the GET falls back."""
     client = cluster.client("UCR-1S")
     t = client.transport
-    other = _colliding_key("k")
+    mates = _window_mates("k", WINDOW)
 
     def scenario():
         yield from client.set("k", b"mine")
         yield from client.get("k")
-        # Displace "k" behind this client's back, as another client would.
-        cluster.server.store.set(other, b"theirs")
+        # Displace "k" behind this client's back, as other clients would.
+        for other in mates:
+            cluster.server.store.set(other, b"theirs")
         reads = t.onesided_reads
         value = yield from client.get("k")
         return value, t.onesided_reads - reads
 
     value, reads = run(cluster, scenario())
     assert value == b"mine"  # the RPC answer
-    assert reads == 2
+    assert reads == 3  # value + confirm, then the window
     assert t.fallbacks == {"absent": 1}
     assert t.stale_entries == 1
+
+
+def test_slot_taken_by_a_window_neighbour_reprobes_and_hits(cluster):
+    """"k" is deleted, a window mate takes its slot and "k" comes back in
+    the next one: the remembered slot's confirm shows the mate's hash, and
+    the window READ finds "k" one slot on -- a hit, not a false absent."""
+    client = cluster.client("UCR-1S")
+    t = client.transport
+    store = cluster.server.store
+    (mate,) = _window_mates("k", 1)
+
+    def remember():
+        yield from client.set("k", b"old")
+        yield from client.get("k")
+
+    run(cluster, remember())
+    first = store.onesided.slot_of(store.by_key["k"])
+    store.delete("k")  # as other clients would
+    store.set(mate, b"theirs")
+    store.set("k", b"new")
+    assert store.onesided.slot_of(store.by_key["k"]) == first + 1
+    reads = t.onesided_reads
+    assert run(cluster, client.get("k")) == b"new"
+    assert t.fallbacks == {}
+    # value + confirm, the window, value + confirm
+    assert t.onesided_reads - reads == 5
+    assert (t.stale_entries, t.torn_retries) == (1, 0)
+
+
+def test_own_set_keeps_the_slot_and_probes_only_it(cluster, monkeypatch):
+    client = cluster.client("UCR-1S")
+    lengths = _read_lengths(monkeypatch)
+
+    def scenario():
+        yield from client.set("k", b"v1")
+        yield from client.get("k")
+        yield from client.set("k", b"value-2")
+        del lengths[:]
+        return (yield from client.get("k"))
+
+    assert run(cluster, scenario()) == b"value-2"
+    assert lengths == [ENTRY_BYTES, len(b"value-2"), ENTRY_BYTES]
+
+
+def test_remembered_map_never_exceeds_the_slot_count(monkeypatch):
+    """Forty keys over four buckets: windows overflow, RPC hits republish
+    and displace, and every GET leaves at most one remembered entry per
+    slot of the index."""
+    monkeypatch.setattr(ExportedIndex, "n_buckets", 4)
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1)
+    cluster.start_server()
+    index = cluster.server.store.onesided
+    client = cluster.client("UCR-1S")
+    t = client.transport
+    keys = [f"key{i}" for i in range(40)]
+    sizes = []
+
+    def scenario():
+        for key in keys:
+            yield from client.set(key, key.encode())
+        for _ in range(2):
+            for key in keys:
+                assert (yield from client.get(key)) == key.encode()
+                sizes.append(len(t._confirmed["server"]))
+
+    run(cluster, scenario())
+    assert index.n_slots == 4 + WINDOW - 1
+    # Keyed by slot, not by bucket: more entries than buckets, never more
+    # than slots.
+    assert index.n_buckets < max(sizes) <= index.n_slots
+    assert set(t._confirmed["server"]) <= set(range(index.n_slots))
+    assert t.fallbacks["absent"] > 0 and t.onesided_hits > 0
 
 
 def test_own_write_forgets_the_remembered_entry(cluster):
@@ -611,6 +707,51 @@ def test_concurrent_onesided_history_is_linearizable(cluster):
     assert sum(c.transport.onesided_hits for c in clients) > 0
     assert sum(c.transport.remembered_hits for c in clients) > 0
     assert sum(c.transport.stale_entries for c in clients) > 0
+
+
+def test_concurrent_history_over_a_full_window_is_linearizable():
+    """2 x WINDOW keys share one home bucket, so their window is always
+    full: two one-sided readers and a writer interleave set, get and
+    delete over them.  Entries are displaced, re-placed into freed slots,
+    remembered slots are taken by window mates -- and the recorded history
+    still linearizes."""
+    cluster = Cluster(CLUSTER_A, n_client_nodes=3)
+    cluster.start_server()
+    keys = ["k"] + _window_mates("k", 2 * WINDOW - 1)
+    readers = [cluster.client("UCR-1S", client_node=i) for i in range(2)]
+    writer = cluster.client("UCR-1S", client_node=2)
+
+    def reading(client, rng):
+        for step in range(120):
+            key = rng.choice(keys)
+            if rng.uniform() < 0.2:
+                yield from client.set(key, b"%s/r%d" % (key.encode(), step))
+            else:
+                yield from client.get(key)
+
+    def writing(rng):
+        for step in range(120):
+            key = rng.choice(keys)
+            if rng.uniform() < 0.3:
+                yield from writer.delete(key)
+            else:
+                yield from writer.set(key, b"%s/w%d" % (key.encode(), step))
+
+    with recorder.recording():
+        for i, client in enumerate(readers):
+            cluster.sim.process(reading(client, RngStream(7, f"reader{i}")))
+        cluster.sim.process(writing(RngStream(7, "writer")))
+        cluster.sim.run()
+        records = list(recorder.records)
+
+    result = check_history(records, by_server=True)
+    assert result.ok, result.failures
+    transports = [c.transport for c in readers]
+    assert sum(t.onesided_hits for t in transports) > 0
+    assert sum(t.remembered_hits for t in transports) > 0
+    assert sum(t.stale_entries for t in transports) > 0
+    assert sum(t.fallbacks.get("absent", 0) for t in transports) > 0
+    assert ExportSanitizer().check(cluster.server.store) == []
 
 
 def test_export_sanitizer_accepts_a_live_workload(cluster):
