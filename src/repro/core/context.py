@@ -115,8 +115,8 @@ class UcrContext:
             return
         ep = cookie.endpoint
         if wc.status is not WcStatus.SUCCESS:
-            if cookie.kind == "rendezvous-read" and cookie.dest[2] is not None:
-                cookie.dest[2].release()  # a failed READ scattered nothing
+            if cookie.kind == "rendezvous-read":
+                self._drop_landing(cookie.dest)  # a failed READ scattered nothing
             if wc.status is not WcStatus.WR_FLUSH_ERR:
                 ep.fail(f"transport error: {wc.status.value}")
             return
@@ -200,7 +200,7 @@ class UcrContext:
             if data:
                 yield from self.node.memcpy(len(data))
             if dest is not None:
-                mr, offset = self._resolve_dest(dest)
+                mr, offset, _abandon = self._resolve_dest(dest)
                 mr.write(offset, data)
             ep.repost_recv_buffer(buf)
             yield from self._complete_delivery(ep, wire, data, entry)
@@ -233,20 +233,19 @@ class UcrContext:
     def _post_rendezvous_read(self, ep: Endpoint, wire: AmWire, dest) -> None:
         """Post the RDMA READ that pulls *wire*'s data into *dest*, or into
         a staging buffer that the completion cookie then owns."""
+        staging = None
         if dest is None:
-            temp = self.runtime.rendezvous_pool_for(wire.data_length).get()
-            mr, offset = temp.mr, 0
-        else:
-            temp = None
-            mr, offset = self._resolve_dest(dest)
+            staging = self.runtime.rendezvous_pool_for(wire.data_length).get()
+            dest = (staging.mr, 0)
+        landing = (*self._resolve_dest(dest), staging)
         try:
             assert wire.rdma is not None
             cookie = _SendCompletionCookie(
-                kind="rendezvous-read", endpoint=ep, wire=wire, dest=(mr, offset, temp)
+                kind="rendezvous-read", endpoint=ep, wire=wire, dest=landing
             )
             read_wr = SendWR(
                 opcode=Opcode.RDMA_READ,
-                sge=Sge(mr, offset, wire.rdma.length),
+                sge=Sge(landing[0], landing[1], wire.rdma.length),
                 remote_rkey=wire.rdma.rkey,
                 remote_offset=wire.rdma.offset,
                 context=cookie,
@@ -255,15 +254,24 @@ class UcrContext:
             ep._post(read_wr)
         except BaseException:
             # The READ never went out, so no completion will reach
-            # _finish_rendezvous to release the staging buffer.
-            if temp is not None:
-                temp.release()
+            # _finish_rendezvous or the completion handler.
+            self._drop_landing(landing)
             raise
+
+    @staticmethod
+    def _drop_landing(landing) -> None:
+        """A READ that failed or was never posted gives back its landing
+        place, whoever named it: staging buffer or handler reservation."""
+        _mr, _offset, abandon, staging = landing
+        if abandon is not None:
+            abandon()
+        if staging is not None:
+            staging.release()
 
     def _finish_rendezvous(self, ep: Endpoint, cookie: _SendCompletionCookie):
         wire = cookie.wire
         assert wire is not None and wire.rdma is not None
-        mr, offset, temp = cookie.dest
+        mr, offset, _abandon, staging = cookie.dest
         data = mr.read(offset, wire.rdma.length)
         entry = self.runtime.handler_for(wire.msg_id)
         span = (
@@ -275,8 +283,8 @@ class UcrContext:
         try:
             yield from self._complete_delivery(ep, wire, data, entry)
         finally:
-            if temp is not None:
-                temp.release()
+            if staging is not None:
+                staging.release()
             if tracer.enabled:
                 tracer.end(span, self.sim.now)
         # Tell the origin its staging buffer is free (+ any counters).
@@ -317,11 +325,9 @@ class UcrContext:
             )
 
     @staticmethod
-    def _resolve_dest(dest) -> tuple[Any, int]:
-        """Accept (mr, offset) tuples or PooledBuffer-like objects."""
-        if isinstance(dest, tuple):
-            return dest
-        return dest.mr, 0
+    def _resolve_dest(dest) -> tuple[Any, int, Any]:
+        """A header handler's destination as ``(mr, offset, abandon)``."""
+        return dest if len(dest) == 3 else (*dest, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<UcrContext {self.runtime.name}/{self.name} eps={len(self._endpoints)}>"

@@ -5,9 +5,9 @@ progress.  Three roles exist per message, all optional:
 
 ``origin_counter``
     Incremented at the origin when the message's buffers may be reused.
-``target_counter``
+``target_counter_id``
     Incremented at the target when data has arrived and the completion
-    handler has run.  Named across the wire by a small integer id.
+    handler has run.  Named across the wire by its small integer id.
 ``completion_counter``
     Incremented at the origin when the *target's* completion handler has
     finished (requires an internal message unless suppressed by passing

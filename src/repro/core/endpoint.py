@@ -107,7 +107,7 @@ class Endpoint:  # repro-lint: disable=L003
         header_bytes: int,
         data: bytes = b"",
         origin_counter=None,
-        target_counter=None,
+        target_counter_id: int = 0,
         completion_counter=None,
         data_location: Optional[tuple] = None,
         registered_hint: bool = False,
@@ -116,10 +116,11 @@ class Endpoint:  # repro-lint: disable=L003
         """Process helper: the paper's ``ucr_send_message``.
 
         ``header`` is any application object (its wire footprint is
-        *header_bytes*); ``data`` is the payload.  The three counters are
+        *header_bytes*); ``data`` is the payload.  The counters are
         optional :class:`~repro.core.counters.UcrCounter` objects -- pass
         ``None`` to suppress the associated tracking (and, for the
-        completion counter, the internal message that would carry it).
+        completion counter, the internal message that would carry it);
+        the target's is named by id (0: none), the only part that crosses.
 
         Non-blocking in the UCR sense: returns once the message is handed
         to the HCA (possibly after waiting for send credits); progress is
@@ -134,7 +135,6 @@ class Endpoint:  # repro-lint: disable=L003
         params = self.runtime.params
         node = self.context.node
 
-        tc_id = target_counter.counter_id if target_counter is not None else 0
         cc_id = completion_counter.counter_id if completion_counter is not None else 0
         oc_id = origin_counter.counter_id if origin_counter is not None else 0
 
@@ -163,18 +163,18 @@ class Endpoint:  # repro-lint: disable=L003
             else:
                 self._send_rendezvous_registered(
                     msg_id, header, header_bytes, mr, offset, length,
-                    oc_id, tc_id, cc_id, location_hold,
+                    oc_id, target_counter_id, cc_id, location_hold,
                 )
                 return
 
         total = header_bytes + len(data)
         if total <= params.eager_threshold_bytes:
             yield from self._send_eager(
-                msg_id, header, header_bytes, data, origin_counter, tc_id, cc_id,
+                msg_id, header, header_bytes, data, origin_counter, target_counter_id, cc_id,
             )
         else:
             yield from self._send_rendezvous(
-                msg_id, header, header_bytes, data, oc_id, tc_id, cc_id,
+                msg_id, header, header_bytes, data, oc_id, target_counter_id, cc_id,
                 registered_hint,
             )
 

@@ -26,7 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.verbs.device import Hca
 
 #: Header handler: ``(endpoint, header, data_length) -> dest | None`` where
-#: dest is ``(mr, offset)`` or a PooledBuffer-like object.
+#: dest is ``(mr, offset)`` or ``(mr, offset, abandon)``: ``abandon()``
+#: gives the place back when a failed transfer means no completion handler.
 HeaderHandler = Callable[[Endpoint, Any, int], Any]
 #: Completion handler: a generator (process helper) run by the progress
 #: engine once data is in place.

@@ -16,8 +16,9 @@ pipelining are implemented once, beneath every transport.
 
 ``Command`` and ``Reply`` are plain state carriers -- no wire knowledge,
 no store knowledge -- so codecs and the engine stay the only places where
-a format or a semantic lives.  :class:`WireFormat` is the shape of the
-row each sockets codec publishes about itself.
+a format or a semantic lives.  :class:`ServerWire` is the shape of the
+row each codec publishes about its server half; :class:`WireFormat`
+extends it with a sockets codec's byte-stream framing and client half.
 """
 
 from __future__ import annotations
@@ -144,31 +145,43 @@ def entry_length(data) -> int:
 
 
 @dataclass(frozen=True)
-class WireFormat:
-    """One sockets wire format as one row: every answer to "text or
-    binary?" that the server's request path and the client's sockets
-    transport need.  Each codec module fills in its own (``protocol.WIRE``,
-    ``protocol_binary.WIRE``); the server picks one per connection from
-    the first byte, the client one per transport, and nothing else
-    branches on the format.  The ``*_cost`` columns name fields of
-    ``MemcachedCosts`` / ``ClientCosts``: the per-format cost table.
+class ServerWire:
+    """One wire format's server half as one row: every answer to "which
+    format?" that the request path needs (``protocol.WIRE``,
+    ``protocol_binary.WIRE``, ``protocol_ucr.WIRE``).  The ``*_cost``
+    columns name fields of ``MemcachedCosts`` / ``ClientCosts``.
     """
 
-    # -- server side ------------------------------------------------------
-    #: Makes the incremental parser whose ``feed(bytes)`` -> wire requests.
-    request_parser: Callable[[], Any]
     #: Wire request -> :class:`Command`; may raise ``ProtocolError``.
     decode: Callable[[Any], Command]
-    #: ``(wire request, cmd, reply)`` -> response bytes (``b""``: say nothing).
-    encode_reply: Callable[[Any, Command, Reply], bytes]
+    #: ``(wire request, cmd, reply)`` -> the encoded reply (sockets: bytes,
+    #: ``b""``: say nothing), made in the step that applies the command.
+    encode_reply: Callable[[Any, Command, Reply], Any]
+    #: ``(encoded, reply)`` -> the slab chunk an encoding names instead of
+    #: carrying its bytes, else None (None: encodings carry their bytes).
+    served_chunk: Optional[Callable[[Any, Reply], Any]]
+    #: Charged per request before execution / around the engine.
+    server_parse_cost: str
+    server_execute_cost: str
+    #: Response assembly copies each served value (one memcpy apiece).
+    server_copies_values: bool
+    #: Charged per non-error reply, after execution (None: filled in place).
+    server_build_cost: Optional[str]
+
+
+@dataclass(frozen=True)
+class WireFormat(ServerWire):
+    """One sockets wire format: its server half, its byte stream's
+    framing and its client half -- every answer to "text or binary?".
+    The server picks one per connection from the first byte, the client
+    one per transport."""
+
+    #: Makes the incremental parser whose ``feed(bytes)`` -> wire requests.
+    request_parser: Callable[[], Any]
     #: In-band answer to unparseable bytes before the drop (``b""``: none).
     parse_error_reply: bytes
     #: Wire request -> the acknowledgement of a ``quit`` (None: just close).
     farewell: Optional[Callable[[Any], bytes]]
-    #: Charged per request, before execution.
-    server_parse_cost: str
-    #: Charged per non-error reply, after execution (None: filled in place).
-    server_build_cost: Optional[str]
     # -- client side ------------------------------------------------------
     #: Makes the incremental parser whose ``feed(bytes)`` -> reply tokens.
     response_parser: Callable[[], Any]

@@ -1,13 +1,13 @@
 """The single command execution engine behind every wire frontend.
 
 All three server frontends (text, binary, UCR AM handlers) decode their
-wire format into a :class:`~repro.memcached.command.Command` and hand it
-here; the engine runs it against the
-:class:`~repro.memcached.store.ItemStore` and returns one
+wire format into a :class:`~repro.memcached.command.Command` and run
+``MemcachedServer.execute``, this engine's one caller, which runs it
+against the :class:`~repro.memcached.store.ItemStore` here and gets one
 :class:`~repro.memcached.command.Reply`.  ``apply`` is pure Python -- it
-never yields -- so frontends keep full control of where simulated CPU
-time and memcpys are charged (their per-protocol cost structure is the
-point of the paper's comparison and must not be homogenized here).
+never yields -- so each format's row decides where simulated CPU time
+and memcpys are charged (the per-protocol cost structure is the point
+of the paper's comparison and must not be homogenized here).
 
 Errors never escape: ``apply`` is total, catching the store's
 ``ClientError``/``ServerError`` and reporting them as error replies so

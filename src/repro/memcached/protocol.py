@@ -460,13 +460,16 @@ class ReplyAssembler:
 #: Text: ``quit`` closes without a word, a malformed line is answered
 #: ``ERROR``, formatting the reply lines is charged on top of dispatch.
 WIRE = WireFormat(
-    request_parser=RequestParser,
     decode=lambda cmd: cmd,
     encode_reply=lambda _request, cmd, reply: encode_reply(cmd, reply),
+    served_chunk=None,
+    server_parse_cost="parse_dispatch_us",
+    server_execute_cost="op_execute_us",
+    server_copies_values=True,
+    server_build_cost="response_build_us",
+    request_parser=RequestParser,
     parse_error_reply=b"ERROR\r\n",
     farewell=None,
-    server_parse_cost="parse_dispatch_us",
-    server_build_cost="response_build_us",
     response_parser=ResponseParser,
     encode_command=encode_command,
     reply_assembler=ReplyAssembler,

@@ -494,13 +494,16 @@ def build_get(key: str) -> bytes:
 #: connection, the fixed-layout response is filled in place (no build
 #: charge); the client's fixed-offset codec costs what the UCR struct's does.
 WIRE = WireFormat(
-    request_parser=BinaryParser,
     decode=request_to_command,
     encode_reply=encode_reply,
+    served_chunk=None,
+    server_parse_cost="parse_binary_us",
+    server_execute_cost="op_execute_us",
+    server_copies_values=True,
+    server_build_cost=None,
+    request_parser=BinaryParser,
     parse_error_reply=b"",
     farewell=respond,
-    server_parse_cost="parse_binary_us",
-    server_build_cost=None,
     response_parser=BinaryParser,
     encode_command=encode_command,
     reply_assembler=ReplyAssembler,

@@ -7,6 +7,10 @@ part of UCR's latency win.  This module owns the struct definitions
 between the structs and the transport-neutral command IR
 (:mod:`repro.memcached.command`).
 
+The server half is the :data:`WIRE` row: a request is the AM layer's
+``(McRequest, data)``, its encoding ``(McResponse, payload, location)``.
+Structs need no byte framing, so the row has no sockets or client half.
+
 Matching semantics under pipelining: every request carries a
 ``request_id`` echoed by the server, so any number of AMs can be in
 flight per endpoint and responses route back by id (the client side of
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.memcached.command import Command, Reply, entry_data, entry_length
+from repro.memcached.command import Command, Reply, ServerWire, entry_data, entry_length
 
 #: Active-message ids of the memcached-over-UCR protocol.
 MSG_MC_REQUEST = 0x11
@@ -170,36 +174,21 @@ def reply_to_response(cmd: Command, reply: Reply):
     stays empty.
     """
     if reply.status == "values":
-        lease_fields = dict(
+        response = McResponse(
+            "values",
+            values_meta=[(key, flags, entry_length(data), cas)
+                         for key, flags, data, cas in reply.values],
             lease_state=reply.lease_state,
             lease_token=reply.lease_token,
             stale=reply.stale,
         )
-        if len(cmd.keys) == 1 and reply.values:
-            key, flags, data, cas = reply.values[0]
-            meta = [(key, flags, entry_length(data), cas)]
-            chunk = getattr(data, "chunk", None)
-            if chunk is not None and chunk.page.mr is not None:
-                return (
-                    McResponse("values", values_meta=meta, **lease_fields),
-                    b"",
-                    (chunk.page.mr, chunk.offset, entry_length(data)),
-                )
-            return (
-                McResponse("values", values_meta=meta, **lease_fields),
-                entry_data(data),
-                None,
-            )
-        # mget: concatenate hits (always copied -- multiple extents).
-        metas, blobs = [], []
-        for key, flags, data, cas in reply.values:
-            metas.append((key, flags, entry_length(data), cas))
-            blobs.append(entry_data(data))
-        return (
-            McResponse("values", values_meta=metas, **lease_fields),
-            b"".join(blobs),
-            None,
-        )
+        data = reply.values[0][2] if len(cmd.keys) == 1 and reply.values else None
+        chunk = getattr(data, "chunk", None)
+        if chunk is not None and chunk.page.mr is not None:
+            return response, b"", (chunk.page.mr, chunk.offset, entry_length(data))
+        # Otherwise the hits are copied into one payload (an mget's are
+        # several extents).
+        return response, b"".join(entry_data(d) for _k, _f, d, _c in reply.values), None
     if reply.status == "stats":
         return McResponse("stats", values_meta=sorted((reply.stats or {}).items())), b"", None
     kind = "server" if reply.error_kind == "server" else "client"
@@ -209,3 +198,16 @@ def reply_to_response(cmd: Command, reply: Reply):
         b"",
         None,
     )
+
+
+#: No per-value copy in the request path (the endpoint sends from the
+#: pinned chunk or copies the payload); the front end charges the fill.
+WIRE = ServerWire(
+    decode=lambda request: request_to_command(*request),
+    encode_reply=lambda _request, cmd, reply: reply_to_response(cmd, reply),
+    served_chunk=lambda encoded, reply: reply.values[0][2].chunk if encoded[2] else None,
+    server_parse_cost="ucr_decode_us",
+    server_execute_cost="ucr_op_execute_us",
+    server_copies_values=False,
+    server_build_cost=None,
+)

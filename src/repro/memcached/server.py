@@ -5,10 +5,7 @@ listen socket(s), accepts connections and assigns them round-robin to
 worker threads; each worker epoll-waits over its connections, parses the
 text or binary protocol incrementally (sniffed on the connection's first
 byte), executes against the shared
-:class:`~repro.memcached.store.ItemStore` and writes responses.  Both
-wire formats run the one request path (``_Worker._service`` ->
-``MemcachedServer.execute``) over their
-:class:`~repro.memcached.command.WireFormat` row.
+:class:`~repro.memcached.store.ItemStore` and writes responses.
 
 UCR path (the paper's §V design): :class:`UcrServerPort` attaches a
 :class:`~repro.core.runtime.UcrRuntime` to the *same* server object.  New
@@ -19,19 +16,26 @@ whose value exceeds the eager threshold is two-phase: the header handler
 completion handler links it.  A Get replies over the same endpoint with
 the client's counter named as the response's target counter; large
 values are served zero-copy straight out of registered slab pages.
+
+Every front end runs one request path, ``MemcachedServer.execute`` (the
+only caller of ``CommandEngine.apply``), over its codec's
+:class:`~repro.memcached.command.ServerWire` row.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.memcached.errors import ClientError, ProtocolError, ServerError
 from repro.memcached import protocol
 from repro.memcached import protocol_binary as binp
 from repro.memcached import protocol_ucr as ucrp
-from repro.memcached.command import MEMCACHED_PORT, Command, WireFormat, entry_data
+from repro.memcached.command import (
+    MEMCACHED_PORT, Command, ServerWire, WireFormat, entry_length,
+)
 from repro.memcached.engine import CommandEngine
 from repro.memcached.onesided.index import ExportedIndex
 from repro.memcached.store import ItemStore, StoreConfig
@@ -143,13 +147,7 @@ class _Worker:
                 for request in requests:
                     cmd = wire.decode(request)
                     self.requests_handled += 1
-                    server.stats_requests += 1
-                    span = (
-                        tracer.begin("server.op", "server", server.sim.now,
-                                     parent=state.last_trace, op=cmd.op)
-                        if tracer.enabled and state.last_trace is not None
-                        else None
-                    )
+                    span = server.begin_request(state.last_trace, cmd.op)
                     ctx = span.ctx if span is not None else None
                     try:
                         yield from server.node.cpu_run(server.node.host.cpu_time(parse_us))
@@ -158,7 +156,8 @@ class _Worker:
                                 yield from self._send(sock, wire.farewell(request))
                             self._drop(sock)
                             return
-                        response = yield from server.execute(wire, request, cmd, trace=ctx)
+                        # Sockets encodings carry their bytes: no hold.
+                        response, _ = yield from server.execute(wire, request, cmd, trace=ctx)
                         if response and not cmd.noreply:
                             yield from self._send(sock, response, trace=ctx)
                     finally:
@@ -240,20 +239,30 @@ class MemcachedServer:
             yield from self.node.cpu_run(self.node.host.context_switch_us)
             self.workers[next(self._rr)].assign(sock)
 
-    # -- command execution (both sockets wire formats) ----------------------------
+    # -- the request path (every front end) ------------------------------------
 
-    def execute(self, wire: WireFormat, request, cmd: Command, trace=None):
-        """Process helper: run one decoded command, return response bytes.
+    def begin_request(self, rider, op: str):
+        """Count one request; its ``server.op`` span when the client's
+        telemetry *rider* came along (None otherwise)."""
+        self.stats_requests += 1
+        if tracer.enabled and rider is not None:
+            return tracer.begin("server.op", "server", self.sim.now, parent=rider, op=op)
+        return None
 
-        Decode (codec) -> execute (engine) -> encode (codec); this method
-        charges the sockets frontend's cost structure around the engine:
-        the parse was charged by the worker, the engine's store work is
-        op_execute, and response assembly copies each hit's value.  The
-        text row then pays response_build -- except on error replies,
-        which are formatted on the bail-out path (stock memcached's error
-        path is the cheap one); the binary row has no build charge (the
-        fixed-layout response is filled in place), and its quiet-get
-        misses encode to b"" so the worker sends nothing.
+    def execute(self, wire: ServerWire, request, cmd: Command, trace=None):
+        """Process helper: run one decoded command; returns ``(encoded
+        reply, hold)``.
+
+        The front end charged the parse; this charges the row's execute
+        cost around the engine and encodes the reply in the step that
+        applies the command, the linearization point.  A sockets encoding
+        is then the value bytes (stock memcached holds an item refcount
+        until the reply is written out); an encoding that names a slab
+        chunk instead (a UCR zero-copy hit) gets the chunk pinned in that
+        step, returned as *hold* for the endpoint to release.  Rows that
+        assemble the response copy each served value into it; text then
+        pays response_build, except on error replies (stock memcached's
+        error path is the cheap one).
         """
         node = self.node
         span = (
@@ -263,28 +272,22 @@ class MemcachedServer:
             else None
         )
         try:
-            yield from node.cpu_run(node.host.cpu_time(self.costs.op_execute_us))
+            yield from node.cpu_run(
+                node.host.cpu_time(getattr(self.costs, wire.server_execute_cost))
+            )
             reply = self.engine.apply(cmd)
-            if reply.status == "values":
-                # Real memcached pins each served item (refcount) until
-                # the response is written out; the simulator snapshots
-                # the value bytes at the linearization point instead, so
-                # the copy/build window below cannot observe a
-                # concurrent free of the item's chunk.
-                reply.values = [
-                    (key, flags, entry_data(data), cas)
-                    for key, flags, data, cas in reply.values
-                ]
-                for _key, _flags, data, _cas in reply.values:
-                    # Response assembly copies the value into the
-                    # outgoing stream.
-                    if data:
-                        yield from node.memcpy(len(data))
+            encoded = wire.encode_reply(request, cmd, reply)
+            chunk = wire.served_chunk(encoded, reply) if wire.served_chunk else None
+            hold = self.store.slabs.pin(chunk) if chunk is not None else None
+            copies = ([entry_length(data) for _key, _flags, data, _cas in reply.values]
+                      if wire.server_copies_values else ())
+            for nbytes in filter(None, copies):
+                yield from node.memcpy(nbytes)
             if wire.server_build_cost and reply.status != "error":
                 yield from node.cpu_run(
                     node.host.cpu_time(getattr(self.costs, wire.server_build_cost))
                 )
-            return wire.encode_reply(request, cmd, reply)
+            return encoded, hold
         finally:
             if tracer.enabled:
                 tracer.end(span, self.sim.now)
@@ -323,12 +326,9 @@ class UcrServerPort:
         self.runtime.listen(
             MEMCACHED_PORT,
             select_context=lambda: next(self._rr),
-            on_endpoint=self._on_endpoint,
+            on_endpoint=lambda ep, _private_data: self.endpoints.append(ep),
         )
         self.listening = True
-
-    def _on_endpoint(self, ep: "Endpoint", private_data: Any) -> None:
-        self.endpoints.append(ep)
 
     # -- failure injection (repro.chaos) ---------------------------------------
 
@@ -347,10 +347,7 @@ class UcrServerPort:
             return
         self.runtime.cm.stop_listening(MEMCACHED_PORT)
         self.listening = False
-        for ep in self.endpoints:
-            if not ep.failed:
-                ep.fail(reason)
-        self.endpoints.clear()
+        self.flap_endpoints(reason)
 
     def recover(self) -> None:
         """Start accepting connections again after :meth:`crash`."""
@@ -379,9 +376,10 @@ class UcrServerPort:
         """Identify the data's destination (paper Fig. 2, §V-B).
 
         For a Set, reserve the item now so the value (eager memcpy or
-        RDMA READ alike) lands directly in its slab chunk.  A store whose
-        slab pages are not RDMA-registered has no chunk to name: its
-        values take the bounce buffer and the byte path.
+        RDMA READ alike) lands directly in its slab chunk -- or, if the
+        transfer fails, is abandoned.  A store whose slab pages are not
+        RDMA-registered has no chunk to name: its values take the bounce
+        buffer and the byte path.
         """
         store = self.server.store
         if (header.op in ("set", "add", "replace") and data_length > 0
@@ -391,50 +389,31 @@ class UcrServerPort:
             except (ClientError, ServerError):
                 return None  # fall back to bounce buffer; op will re-fail
             header.reserved_item = item
-            return item.chunk.rdma_location()
+            return (*item.chunk.rdma_location(), functools.partial(store.abandon, item))
         return None
 
     def _completion_handler(self, ep: "Endpoint", header: ucrp.McRequest, data: bytes):
-        """Execute the operation and reply over the same endpoint."""
+        """Serve the request (``MemcachedServer.execute``) and reply over
+        the same endpoint, handing a zero-copy hit's pin to the send."""
         server = self.server
         node = server.node
-        costs = server.costs
-        server.stats_requests += 1
-        rider = getattr(header, "trace", None)
-        span = (
-            tracer.begin("server.op", "server", self.sim.now,
-                         parent=rider, op=header.op)
-            if tracer.enabled and rider is not None
-            else None
-        )
+        wire = ucrp.WIRE
+        span = server.begin_request(header.trace, header.op)
+        ctx = span.ctx if span is not None else None
         try:
-            yield from node.cpu_run(node.host.cpu_time(costs.ucr_decode_us))
-            apply_span = (
-                tracer.begin("store.apply", "store", self.sim.now,
-                             parent=span, op=header.op)
-                if tracer.enabled and span is not None
-                else None
+            request = (header, data)
+            cmd = wire.decode(request)
+            yield from node.cpu_run(
+                node.host.cpu_time(getattr(server.costs, wire.server_parse_cost))
             )
-            try:
-                yield from node.cpu_run(node.host.cpu_time(costs.ucr_op_execute_us))
-                cmd = ucrp.request_to_command(header, data)
-                reply = server.engine.apply(cmd)
-                response, payload, location = ucrp.reply_to_response(cmd, reply)
-                # A zero-copy hit is read after this handler yields: pin its
-                # chunk now, at the linearization point, so an overwrite,
-                # delete or eviction meanwhile cannot free and refill it.
-                # The endpoint releases the pin once the bytes have left.
-                hold = (server.store.slabs.pin(reply.values[0][2].chunk)
-                        if location is not None else None)
-            finally:
-                if tracer.enabled:
-                    tracer.end(apply_span, self.sim.now)
-            yield from node.cpu_run(node.host.cpu_time(costs.ucr_response_us))
+            (response, payload, location), hold = yield from server.execute(
+                wire, request, cmd, trace=ctx
+            )
+            yield from node.cpu_run(node.host.cpu_time(server.costs.ucr_response_us))
             response.request_id = header.request_id
-            if span is not None:
-                # Reply-path spans (WQE post, fabric, client delivery)
-                # attach under the handling operation.
-                response.trace = span.ctx
+            # Reply-path spans (WQE post, fabric, client delivery) attach
+            # under the handling operation.
+            response.trace = ctx
             yield from ep.send_message(
                 ucrp.MSG_MC_RESPONSE,
                 header=response,
@@ -443,17 +422,9 @@ class UcrServerPort:
                 data=payload,
                 data_location=location,
                 location_hold=hold,
-                target_counter=_CounterRef(header.counter_id) if header.counter_id else None,
+                target_counter_id=header.counter_id,
             )
         finally:
             if tracer.enabled:
                 tracer.end(span, self.sim.now)
 
-class _CounterRef:
-    """Names a remote counter by id in an outbound AM (only the id is
-    meaningful across the wire)."""
-
-    __slots__ = ("counter_id",)
-
-    def __init__(self, counter_id: int) -> None:
-        self.counter_id = counter_id

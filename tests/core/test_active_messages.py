@@ -47,7 +47,7 @@ def test_target_counter_increments_at_target(connected):
             header=None,
             header_bytes=8,
             data=b"x",
-            target_counter=server_counter,
+            target_counter_id=server_counter.counter_id,
         )
 
     world.sim.process(sender())
@@ -117,7 +117,8 @@ def test_rendezvous_large_message_delivers_intact(connected):
 
     def sender():
         yield from client_ep.send_message(
-            MSG_SINK, header=None, header_bytes=8, data=payload, target_counter=target
+            MSG_SINK, header=None, header_bytes=8, data=payload,
+            target_counter_id=target.counter_id,
         )
 
     world.sim.process(sender())
@@ -173,7 +174,8 @@ def test_header_handler_dest_receives_data_eager(connected):
 
     def sender():
         yield from client_ep.send_message(
-            MSG_SINK, header=None, header_bytes=8, data=b"landed", target_counter=target
+            MSG_SINK, header=None, header_bytes=8, data=b"landed",
+            target_counter_id=target.counter_id,
         )
 
     world.sim.process(sender())
@@ -197,7 +199,8 @@ def test_header_handler_dest_receives_data_rendezvous(connected):
 
     def sender():
         yield from client_ep.send_message(
-            MSG_SINK, header=None, header_bytes=8, data=payload, target_counter=target
+            MSG_SINK, header=None, header_bytes=8, data=payload,
+            target_counter_id=target.counter_id,
         )
 
     world.sim.process(sender())
@@ -219,7 +222,6 @@ def test_bidirectional_request_response(connected):
             header={"status": "ok"},
             header_bytes=8,
             data=data.upper(),
-            target_counter=None,
         )
 
     def client_completion(ep, header, data):
@@ -258,17 +260,11 @@ def test_wire_response_target_counter_by_id(connected):
             header=None,
             header_bytes=8,
             data=b"reply",
-            target_counter=_CounterRef(header["counter_id"]),
+            target_counter_id=header["counter_id"],
         )
 
     world.server_rt.register_handler(MSG_SINK, None, server_completion)
     world.client_rt.register_handler(MSG_ECHO)
-
-    class _CounterRef:
-        """Duck-typed counter stand-in: only the id crosses the wire."""
-
-        def __init__(self, cid):
-            self.counter_id = cid
 
     def client():
         yield from client_ep.send_message(
@@ -295,7 +291,8 @@ def test_small_am_one_way_latency_in_envelope(connected):
     def sender():
         t["start"] = world.sim.now
         yield from client_ep.send_message(
-            MSG_SINK, header=None, header_bytes=8, data=b"tiny", target_counter=target
+            MSG_SINK, header=None, header_bytes=8, data=b"tiny",
+            target_counter_id=target.counter_id,
         )
 
     def watcher():

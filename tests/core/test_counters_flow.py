@@ -221,7 +221,8 @@ def test_endpoint_failure_is_contained(connected_pair_of_two=None):
 
     def sender():
         yield from eps["b"].send_message(
-            MSG_SINK, header=None, header_bytes=8, data=b"alive", target_counter=target
+            MSG_SINK, header=None, header_bytes=8, data=b"alive",
+            target_counter_id=target.counter_id,
         )
 
     world.sim.process(sender())

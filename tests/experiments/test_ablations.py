@@ -39,7 +39,7 @@ def test_eager_threshold_crossing_costs_a_rendezvous():
             t0 = world.sim.now
             yield from client_ep.send_message(
                 5, header=None, header_bytes=8, data=bytes(2048),
-                target_counter=target,
+                target_counter_id=target.counter_id,
             )
             yield from target.wait_increment(timeout_us=1e6)
             latency[threshold] = world.sim.now - t0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import CLUSTER_A, CLUSTER_B, Cluster
+from repro.memcached import protocol_ucr as ucrp
 from repro.memcached.errors import ServerDownError, ServerError
 from repro.sanitize.slabs import SlabSanitizer
 
@@ -356,3 +357,46 @@ def test_a_failing_endpoint_releases_the_zero_copy_pin(when):
     assert slabs.pins == {} and slabs.deferred_frees == set()
     assert not found.used
     SlabSanitizer().check(cluster.server.store)
+
+
+@pytest.mark.parametrize("fail_after_us", [0.5, None],
+                         ids=["flushed-in-flight", "failed-before-the-post"])
+def test_failed_rendezvous_set_returns_its_reserved_chunk(fail_after_us):
+    """A 16 KB UCR set is two-phase: the header handler reserves the
+    item's chunk as the RDMA READ destination.  When the server endpoint
+    fails with the READ in flight (it completes flushed) or before the
+    READ is posted, the completion handler never runs, so the transfer
+    failure must release the reservation.  Once the client has
+    reconnected and stored another key, every used chunk holds a linked
+    item."""
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1)
+    cluster.start_server()
+    client = cluster.client("UCR-IB")
+    store = cluster.server.store
+    entry = cluster.runtimes["server"].handler_for(ucrp.MSG_MC_REQUEST)
+    reserve = entry.header_handler
+
+    def reserve_then_fail(ep, header, data_length):
+        entry.header_handler = reserve
+        dest = reserve(ep, header, data_length)
+        assert header.reserved_item is not None
+        if fail_after_us is None:
+            ep.fail("endpoint failed before the READ was posted")
+        else:
+            fail = cluster.sim.timeout(fail_after_us)
+            fail.callbacks.append(lambda _ev: ep.fail("endpoint failed mid-READ"))
+        return dest
+
+    entry.header_handler = reserve_then_fail
+
+    def scenario():
+        try:
+            yield from client.set("lost", b"x" * 16_384)
+        except ServerDownError:
+            pass
+        assert (yield from client.set("kept", b"y" * 16_384)) is True
+
+    run(cluster, scenario())
+    used = sum(c.total_chunks - len(c.free_chunks) for c in store.slabs.classes)
+    assert used == len(store.by_key) == 1
+    assert SlabSanitizer(strict=False).check(store) == []

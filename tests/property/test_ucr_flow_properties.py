@@ -158,7 +158,8 @@ def test_counter_combinations_all_fire(size, use_origin, use_target, use_complet
     def sender():
         yield from client_ep.send_message(
             MSG, header=None, header_bytes=8, data=bytes(size),
-            origin_counter=origin, target_counter=target,
+            origin_counter=origin,
+            target_counter_id=target.counter_id if target is not None else 0,
             completion_counter=completion,
         )
         waits = [c for c in (origin, target, completion) if c is not None]

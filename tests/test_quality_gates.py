@@ -273,3 +273,26 @@ def test_verbs_data_path_starts_no_process():
         if "sim.process(" in path.read_text()
     )
     assert starters == ["cm.py"]
+
+
+def test_the_engine_has_one_caller():
+    """Every front end (sockets text and binary, UCR active messages)
+    reaches the store through ``MemcachedServer.execute``: it is the one
+    place that calls ``CommandEngine.apply``, so the request path's cost
+    model and linearization point are written once."""
+    callers = []
+    for path in SRC.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        for scope in ast.walk(tree):
+            if not isinstance(scope, ast.ClassDef):
+                continue
+            for fn in scope.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(fn):
+                    func = getattr(node, "func", None)
+                    if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                            and func.attr == "apply"
+                            and ast.unparse(func.value).split(".")[-1] == "engine"):
+                        callers.append(f"{path.relative_to(SRC)}:{scope.name}.{fn.name}")
+    assert callers == ["memcached/server.py:MemcachedServer.execute"]
