@@ -118,6 +118,8 @@ class ItemStore:
         self.lrus: list[OrderedDict[Item, None]] = [
             OrderedDict() for _ in self.slabs.classes
         ]
+        #: Per class: chunks reserved (:meth:`reserve`) but not yet stored or abandoned.
+        self.reservations = [0] * len(self.slabs.classes)
         self.stats = StoreStats()
         #: Items created strictly before this instant are flushed.
         self._flush_before = -1.0
@@ -358,7 +360,9 @@ class ItemStore:
         """Phase 1: allocate an (unlinked) item so its slab chunk can be
         named as the RDMA READ destination before the value arrives."""
         self.validate_key(key)
-        return self._alloc(key, value_length, flags, self.absolute_exptime(exptime))
+        item = self._alloc(key, value_length, flags, self.absolute_exptime(exptime))
+        self.reservations[item.chunk.slab_class.class_id] += 1
+        return item
 
     def commit(self, item: Item) -> Item:
         """Phase 2: the value is in the chunk; link the item (replacing any
@@ -369,6 +373,7 @@ class ItemStore:
         """Cancel a reservation (transfer failed): free the chunk."""
         if item.linked:
             raise ValueError("cannot abandon a linked item")
+        self.reservations[item.chunk.slab_class.class_id] -= 1
         self.slabs.free(item.chunk)
 
     # -- internals ------------------------------------------------------------------------
@@ -390,6 +395,8 @@ class ItemStore:
                     self.on_evict(key, "lost")
                 raise
             item.set_value(value)
+        else:
+            self.reservations[item.chunk.slab_class.class_id] -= 1
         self._link(item)
         return item
 

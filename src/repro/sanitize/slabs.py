@@ -13,8 +13,10 @@ truth.  The linked items are the ones in the index.  Invariants:
 5. every linked item's chunk is marked used, and no two items share one;
 6. no chunk on a free list is marked used;
 7. ``allocated_bytes`` equals pages handed out times the page size;
-8. per class, used chunks (total - free) cover at least the linked items
-   stored there (reserved-but-uncommitted items may hold extras);
+8. per class, used chunks (total - free) are exactly the linked items
+   stored there, plus the reservations not yet stored or abandoned
+   (``ItemStore.reservations``), plus the frees waiting for a reader's
+   unpin -- a reservation nobody stores or abandons is a leaked chunk;
 9. per class, ``total_chunks`` equals ``total_pages * chunks_per_page``
    -- page reassignment (the slab rebalancer) must move a page's worth
    of chunks atomically, so a mover that leaks the donor's chunks (a
@@ -109,10 +111,9 @@ class SlabSanitizer:
                 f"{pages} pages were carved ({pages * PAGE_BYTES} bytes)"
             )
 
-        linked_per_class: dict[int, int] = {}
-        for item in live:
-            cid = item.chunk.slab_class.class_id
-            linked_per_class[cid] = linked_per_class.get(cid, 0) + 1
+        held_per_class = list(store.reservations)
+        for chunk in [item.chunk for item in live] + list(allocator.deferred_frees):
+            held_per_class[chunk.slab_class.class_id] += 1
         for cls in allocator.classes:
             for chunk in cls.free_chunks:
                 if chunk.used:
@@ -121,11 +122,11 @@ class SlabSanitizer:
                     )
                     break
             used = cls.total_chunks - len(cls.free_chunks)
-            linked = linked_per_class.get(cls.class_id, 0)
-            if used < linked:
+            held = held_per_class[cls.class_id]
+            if used != held:
                 violations.append(
-                    f"class {cls.class_id}: {linked} linked items but only "
-                    f"{used} chunks in use"
+                    f"class {cls.class_id}: {used} chunks in use but {held} held "
+                    f"(linked + {store.reservations[cls.class_id]} reserved + deferred frees)"
                 )
             expected = cls.total_pages * cls.chunks_per_page
             if cls.total_chunks != expected:

@@ -8,8 +8,6 @@ retransmits).
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class Counter:
     """A monotonically increasing tally."""
@@ -30,7 +28,8 @@ class LatencyRecorder:
 
     Jitter is reported as the coefficient of variation (std/mean), the
     statistic we use to demonstrate the paper's "SDP on QDR is noisy"
-    observation.
+    observation.  The summaries import numpy when called, so a run that
+    records but never summarises does not load it.
     """
 
     def __init__(self, name: str = "latency") -> None:
@@ -50,18 +49,30 @@ class LatencyRecorder:
         return list(self._samples)
 
     def mean(self) -> float:
+        """Arithmetic mean of the samples."""
+        import numpy as np
+
         self._require_samples()
         return float(np.mean(self._samples))
 
     def median(self) -> float:
+        """Median of the samples."""
+        import numpy as np
+
         self._require_samples()
         return float(np.median(self._samples))
 
     def percentile(self, q: float) -> float:
+        """The *q*-th percentile (0-100) of the samples, numpy's linear rule."""
+        import numpy as np
+
         self._require_samples()
         return float(np.percentile(self._samples, q))
 
     def std(self) -> float:
+        """Population standard deviation of the samples."""
+        import numpy as np
+
         self._require_samples()
         return float(np.std(self._samples))
 

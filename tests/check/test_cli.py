@@ -210,3 +210,86 @@ def test_shrink_reports_a_dump_that_no_longer_fails(tmp_path, capsys):
     }))
     assert main(["shrink", str(dump)]) == 0
     assert "no longer fails" in capsys.readouterr().out
+
+
+def test_run_under_pressure_prints_the_store_pressure(capsys):
+    """``run --pressure`` reports each replay's evictions, skips the
+    pipelined differential pass (eviction adoption needs one drain
+    point) and adds the store's pressure to each concurrent verdict."""
+    code = main(
+        ["run", "--pressure", "--seed", "7", "--sequential-ops", "20",
+         "--ops", "40", "--config", "UCR-IB"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "pressure sequential: 20 commands x 1 configs (seed 7): ok" in out
+    assert "  UCR-IB                 evictions " in out
+    assert "  cross-config divergences tolerated: 0" in out
+    assert "pipelined: skipped under --pressure" in out
+    assert out.count(" evictable ") == 2  # depth 1 and depth 4
+
+
+def test_run_names_why_a_concurrent_history_is_not_linearizable(capsys, monkeypatch):
+    """With a ``MUTATIONS`` row armed on every server a ``run`` boots, the
+    concurrent verdict turns red and prints the checker's reasons."""
+    from repro.check import differential
+    from repro.check.mutations import MUTATIONS
+
+    start = differential.Cluster.start_server
+
+    def start_mutated(cluster, *args, **kwargs):
+        first = start(cluster, *args, **kwargs)
+        for server in cluster.servers.values():
+            MUTATIONS["incr-off-by-one"](server.store)
+        return first
+
+    monkeypatch.setattr(differential.Cluster, "start_server", start_mutated)
+    code = main(
+        ["run", "--sequential-ops", "10", "--ops", "80", "--pipeline-depth", "1",
+         "--config", "UCR-IB"]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    verdict = next(line for line in out.splitlines() if "NOT LINEARIZABLE" in line)
+    reasons = out.splitlines()[out.splitlines().index(verdict) + 1:]
+    assert reasons and all(line.startswith("    ") for line in reasons)
+
+
+def test_fuzz_under_pressure_reports_the_store_pressure(tmp_path, capsys):
+    code = main(
+        ["fuzz", "--pressure", "--seed", "1", "--seeds", "1", "--ops", "30",
+         "--parser-cases", "0", "--config", "UCR-IB", "--out", str(tmp_path)]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("seed 1: ok (30 commands, evictions ")
+    assert ", oom " in out
+
+
+def test_fuzz_reports_parser_crashes(tmp_path, capsys, monkeypatch):
+    from repro.memcached import protocol_binary
+
+    def crash(parser, data):
+        raise RuntimeError("injected parser crash")
+
+    monkeypatch.setattr(protocol_binary.BinaryParser, "feed", crash)
+    code = main(
+        ["fuzz", "--seed", "1", "--seeds", "0", "--parser-cases", "12",
+         "--out", str(tmp_path)]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "parser fuzz: 12 failures" in out
+    listed = [line for line in out.splitlines() if line.startswith("  BinaryParser")]
+    assert len(listed) == 10  # the first ten are printed
+    assert all("CRASH RuntimeError: injected parser crash" in line for line in listed)
+
+
+def test_shrink_rejects_a_dump_naming_an_unknown_config(tmp_path, capsys):
+    dump = tmp_path / "foreign.json"
+    dump.write_text(json.dumps({
+        "seed": 1, "config": "carrier-pigeon", "mutation": None,
+        "commands": [{"op": "get", "key": "k"}],
+    }))
+    assert main(["shrink", str(dump)]) == 1
+    assert "unknown config 'carrier-pigeon'" in capsys.readouterr().err

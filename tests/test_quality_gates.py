@@ -2,8 +2,11 @@
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -296,3 +299,40 @@ def test_the_engine_has_one_caller():
                             and ast.unparse(func.value).split(".")[-1] == "engine"):
                         callers.append(f"{path.relative_to(SRC)}:{scope.name}.{fn.name}")
     assert callers == ["memcached/server.py:MemcachedServer.execute"]
+
+
+_NUMPY_FREE_RUN = """
+import sys
+from repro.cluster import CLUSTER_B, Cluster
+
+cluster = Cluster(CLUSTER_B, n_client_nodes=2, seed=1)
+cluster.start_server()
+clients = [cluster.client("UCR-1S"), cluster.client("IPoIB")]
+
+def scenario():
+    for n, client in enumerate(clients):
+        for i in range(4):
+            key, value = f"k{n}-{i}", bytes(100 * i + 1)
+            assert (yield from client.set(key, value))
+            assert (yield from client.get(key)) == value
+    return "served"
+
+run = cluster.sim.process(scenario())
+cluster.sim.run()
+assert run.value == "served", run.value
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+assert not loaded, loaded
+"""
+
+
+def test_a_run_that_draws_no_lognormal_never_imports_numpy():
+    """numpy is 13.6 MB of resident memory: ``RngStream`` is a pure-Python
+    PCG64 and ``LatencyRecorder`` imports numpy only to summarise, so a
+    cluster serving one-sided and IPoIB sets and gets never loads it.  A
+    fresh interpreter, because this one has long since imported it."""
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_RUN],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert done.returncode == 0, done.stderr
