@@ -6,7 +6,9 @@ what the one-sided path buys by taking the server out of the GET
 loop entirely -- the client resolves a hit with RDMA READs and no
 server cycles: an index probe, then the value fetch and the seqlock
 confirm back to back on one RC queue pair (two round trips); a repeat
-read of a key skips the probe, so a hit takes one round trip.
+read of a key skips the probe, and so does the first read after the
+client's own Set (its reply carried the key's entry), so such a hit
+takes one round trip.
 
 Two panels:
 

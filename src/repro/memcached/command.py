@@ -92,6 +92,9 @@ class Command:
     stale_ok: bool = False
     #: Storage ops: the lease token authorising this fill (0 = plain op).
     lease_token: int = 0
+    #: Report the key's published one-sided index entry in the reply
+    #: (UCR requests from a one-sided client).
+    want_entry: bool = False
 
     @property
     def key(self) -> str:
@@ -128,6 +131,9 @@ class Reply:
     lease_token: int = 0
     #: The entry in ``values`` is an expired-but-servable stale value.
     stale: bool = False
+    #: ``want_entry``: the key's published index entry after the command,
+    #: ``(position of its slot in the key's window, 64 bytes)``, or None.
+    entry: Optional[tuple] = None
 
 
 def entry_data(data) -> bytes:

@@ -24,6 +24,10 @@ from repro.memcached.errors import ClientError, ServerError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memcached.server import MemcachedServer
 
+#: Reply statuses after which the key's index entry is the one its own
+#: command published (a delete leaves none; a refused command, another's).
+_PUBLISHING = frozenset({"stored", "touched", "number"})
+
 
 class CommandEngine:
     """Executes IR commands against one server's store."""
@@ -32,13 +36,23 @@ class CommandEngine:
         self.server = server
 
     def apply(self, cmd: Command) -> Reply:
-        """Run one command; always returns a Reply (never raises)."""
+        """Run one command; always returns a Reply (never raises).
+
+        A command that stored, touched or re-stored its key reports the
+        key's published one-sided index entry when it asks for it
+        (``want_entry``): read here, so it is the entry as of the
+        linearization point.
+        """
         try:
-            return self._dispatch(cmd)
+            reply = self._dispatch(cmd)
         except ClientError as exc:
             return Reply("error", message=str(exc), error_kind="client")
         except ServerError as exc:
             return Reply("error", message=str(exc), error_kind="server")
+        if cmd.want_entry and reply.status in _PUBLISHING:
+            index = self.server.store.onesided
+            reply.entry = index.published(cmd.key) if index is not None else None
+        return reply
 
     def _dispatch(self, cmd: Command) -> Reply:
         store = self.server.store

@@ -23,11 +23,12 @@ strictly increase for the index's lifetime, so a confirm bit-identical
 to the remembered entry proves no mutation between the earlier confirm
 and this one: the same bracket with a wider window.  A confirm that
 differs *is* the fresh entry, and the ladder restarts from it without
-another READ.  An own command through :meth:`execute` keeps its keys'
-slots but forgets their entries, so the GET after an own write probes
-that one 64-byte slot instead of spending a value READ on the old
-location.  A slot that shows another key's hash was reused: the key
-may sit elsewhere in its window, so the GET READs the window again.
+another READ.  An own command through :meth:`execute` that can change
+its key's entry asks the server for the entry it published
+(``want_entry``) and remembers exactly what the reply carried, so the
+GET after an own write is a remembered hit too.  A slot that shows
+another key's hash was reused: the key may sit elsewhere in its window,
+so the GET READs the window again.
 
 Everything the index cannot prove falls down a ladder onto the RPC
 path, which is authoritative:
@@ -58,6 +59,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.endpoint import _SendCompletionCookie
 from repro.core.errors import EndpointClosed, UcrTimeout
+from repro.memcached import protocol_ucr as ucrp
 from repro.memcached.client import ClientCosts, DEFAULT_TIMEOUT_US
 from repro.memcached.command import Command, Reply
 from repro.memcached.onesided.index import IndexDescriptor
@@ -77,6 +79,13 @@ from repro.verbs.wr import SendWR, Sge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import UcrContext
+
+#: Commands that can change their key's index entry: each asks for the
+#: entry it published (``McRequest.want_entry``).
+_ENTRY_OPS = frozenset({
+    "set", "add", "replace", "cas", "append", "prepend",
+    "incr", "decr", "touch", "delete",
+})
 
 #: Values above this are fetched over RPC instead (one landing buffer
 #: per in-flight one-sided GET is pinned at this size).
@@ -110,9 +119,9 @@ class OneSidedTransport(UcrTransport):
         #: Remembered entries the confirm READ found changed.
         self.stale_entries = 0
         #: server -> slot -> (key hash, the 64-byte entry last confirmed
-        #: there, or None after an own write): at most one per slot of
-        #: the server's index, no eviction.
-        self._confirmed: dict[str, dict[int, tuple[int, bytes | None]]] = {}
+        #: there or carried by an own command's reply): at most one per
+        #: slot of the server's index, no eviction.
+        self._confirmed: dict[str, dict[int, tuple[int, bytes]]] = {}
         #: Fallback reason -> count ('absent'/'expired'/'oversize'/'torn').
         self.fallbacks: dict[str, int] = {}
 
@@ -182,22 +191,41 @@ class OneSidedTransport(UcrTransport):
     # -- own writes --------------------------------------------------------
 
     def execute(self, server: str, cmd: Command, trace=None):
-        """Process helper: the inherited RPC; the entries remembered for
-        *cmd*'s keys are then forgotten, their slots kept.  After an own
-        write the next GET probes that slot instead of spending a value
-        READ on the old location.
+        """Process helper: the inherited RPC.  A command that can change
+        its key's index entry asks for the entry it published, and the
+        key's remembered slot becomes exactly what the reply carried:
+        the GET after an own write is a remembered hit.  A reply with no
+        entry, a ``noreply`` command or a failed round trip forgets the
+        key's slot.  Reads and keyless commands leave every remembered
+        entry alone.
         """
-        try:
+        if cmd.op not in _ENTRY_OPS:
             return (yield from super().execute(server, cmd, trace=trace))
+        request, data = ucrp.command_to_request(cmd, trace)
+        request.want_entry = not cmd.noreply
+        entry = None
+        try:
+            header, payload = yield from self.roundtrip(server, request, data)
+            entry = header.entry
         finally:
-            confirmed = self._confirmed.get(server)
-            if confirmed:
-                n_buckets = self._descriptors[server].n_buckets
-                for key in cmd.keys:
-                    want = hash64(key)
-                    slot, _ = _recall(confirmed, want % n_buckets, want)
-                    if slot is not None:
-                        confirmed[slot] = (want, None)
+            self._remember(server, cmd.key, entry)
+        return ucrp.response_to_reply(cmd, header, payload)
+
+    def _remember(self, server: str, key: str, entry) -> None:
+        """Remember *entry* -- ``(position in the window, 64 bytes)`` --
+        as *key*'s, or forget *key*'s slot when it is None."""
+        desc = self._descriptors.get(server)
+        if desc is None:
+            return
+        confirmed = self._confirmed.setdefault(server, {})
+        want = hash64(key)
+        home = want % desc.n_buckets
+        slot, _ = _recall(confirmed, home, want)
+        if slot is not None:
+            del confirmed[slot]
+        if entry is not None:
+            at, raw = entry
+            confirmed[home + at] = (want, raw)
 
     # -- test hook ---------------------------------------------------------
 
@@ -314,8 +342,8 @@ class OneSidedTransport(UcrTransport):
 
 
 def _recall(confirmed: dict, home: int, want: int):
-    """``(slot, entry or None)`` remembered for the key hashing to *want*
-    in the window from *home*, or ``(None, None)``."""
+    """``(slot, entry)`` remembered for the key hashing to *want* in the
+    window from *home*, or ``(None, None)``."""
     for slot in range(home, home + WINDOW):
         held = confirmed.get(slot)
         if held is not None and held[0] == want:

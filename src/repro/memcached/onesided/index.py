@@ -105,6 +105,15 @@ class ExportedIndex:
                 return slot
         return None
 
+    def published(self, key: str) -> Optional[tuple[int, bytes]]:
+        """``(position in its window, exported 64 bytes)`` of the slot
+        *key*'s linked item is published in, or None."""
+        item = self.store.by_key.get(key)
+        slot = self.slot_of(item) if item is not None else None
+        if slot is None:
+            return None
+        return slot - self.bucket_for(key), self.entry_bytes(slot)
+
     def owner(self, slot: int) -> Optional["Item"]:
         return self._owner[slot]
 

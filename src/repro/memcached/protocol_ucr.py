@@ -34,6 +34,16 @@ MC_REQUEST_HEADER_BYTES = 24
 MC_RESPONSE_HEADER_BYTES = 16
 
 
+def response_header_bytes(response: "McResponse") -> int:
+    """Wire size of *response*'s header: the fixed struct, 8 bytes of
+    meta per value, and a carried index entry with its slot's position
+    in the window (one byte)."""
+    size = MC_RESPONSE_HEADER_BYTES + 8 * len(response.values_meta or [])
+    if response.entry is not None:
+        size += len(response.entry[1]) + 1
+    return size
+
+
 @dataclass
 class McRequest:
     """Fixed-layout UCR request header (the no-parse representation)."""
@@ -57,6 +67,10 @@ class McRequest:
     #: Storage ops: the fill-authorising lease token (0 = plain store);
     #: also rides reserved header space.
     lease_token: int = 0
+    #: One-sided clients: ask for the key's published index entry in the
+    #: reply (:attr:`McResponse.entry`).  Rides reserved header space;
+    #: only ``OneSidedTransport`` sets it.
+    want_entry: bool = False
     #: Telemetry rider (a TraceContext); rides the fixed header's padding
     #: in the real protocol, so it is never counted in wire bytes.
     trace: Any = None
@@ -86,6 +100,11 @@ class McResponse:
     lease_token: int = 0
     #: The values payload is an expired-but-servable stale value.
     stale: bool = False
+    #: ``want_entry`` replies to a command that stored, touched or
+    #: re-stored its key: ``(position of the key's slot in its window,
+    #: the slot's published 64 bytes)`` as of the linearization point;
+    #: None when the key has no live slot.  Counted in wire bytes.
+    entry: Any = None
     #: Telemetry rider: the server-side span context, so reply-path spans
     #: attach under the handling operation.  Never counted in wire bytes.
     trace: Any = None
@@ -163,6 +182,7 @@ def request_to_command(header: McRequest, data: bytes) -> Command:
         reserved_item=header.reserved_item,
         stale_ok=header.stale_ok,
         lease_token=header.lease_token,
+        want_entry=header.want_entry,
     )
 
 
@@ -194,7 +214,7 @@ def reply_to_response(cmd: Command, reply: Reply):
     kind = "server" if reply.error_kind == "server" else "client"
     return (
         McResponse(reply.status, number=reply.number, message=reply.message,
-                   error_kind=kind),
+                   error_kind=kind, entry=reply.entry),
         b"",
         None,
     )

@@ -417,8 +417,7 @@ class UcrServerPort:
             yield from ep.send_message(
                 ucrp.MSG_MC_RESPONSE,
                 header=response,
-                header_bytes=ucrp.MC_RESPONSE_HEADER_BYTES
-                + 8 * len(response.values_meta or []),
+                header_bytes=ucrp.response_header_bytes(response),
                 data=payload,
                 data_location=location,
                 location_hold=hold,

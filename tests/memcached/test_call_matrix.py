@@ -137,7 +137,7 @@ def test_batches_ride_active_messages_on_the_onesided_transport(flavour):
         return before, multi, piped
 
     (before, multi, piped), records, roots = observe(cluster, scenario())
-    assert before == 3  # the blocking get: probe + value + confirm
+    assert before == 2  # the blocking get: the set's entry's value + confirm
     assert multi == {"a": b"v", "b": b"v", "c": b"v"} and piped == [b"v"] * 3
     assert t.onesided_reads == before
     assert len(records) == 3 + 1 + 3 + 3

@@ -16,6 +16,9 @@ The layers of the subsystem under test:
   trips (the key's window, then value + confirm), a repeat GET of a
   remembered entry two READs in one, and a confirm that differs restarts
   the ladder from whatever changed (overwrite, displacement) at once;
+- an own write's reply carries the entry the server published for it,
+  so the GET after it is a remembered hit; reads change nothing
+  remembered;
 - the index is window-associative: a key whose slot was reused by a
   window neighbour is found again by one window READ, and only a key
   with no slot in its window falls back ``absent``.
@@ -27,6 +30,7 @@ from hypothesis import given, settings
 
 from repro.check.history import check_history, recorder
 from repro.cluster import CLUSTER_A, Cluster
+from repro.memcached.command import Command
 from repro.memcached.errors import ServerDownError
 from repro.memcached.onesided import (
     DEFAULT_BUCKETS,
@@ -136,9 +140,10 @@ def test_hit_is_served_by_reads_without_rpc(cluster):
     assert value == b"payload"
     assert pair[0] == b"payload" and pair[1] > 0
     assert t.onesided_hits == 2
-    # probe + (value, confirm), then the remembered entry's (value,
-    # confirm); nothing torn, nothing fallen back
-    assert t.onesided_reads == 5
+    # The set's reply carried the published entry: each GET is its
+    # (value, confirm); nothing torn, nothing fallen back
+    assert t.onesided_reads == 4
+    assert t.remembered_hits == 2
     assert t.torn_retries == 0
     assert t.fallbacks == {}
 
@@ -264,7 +269,7 @@ def test_read_parked_across_overwrite_retries_to_new_value(cluster):
     t = client.transport
 
     def scenario():
-        yield from client.set("k", b"old-value")
+        store.set("k", b"old-value")  # another client's write: the GET probes
         _fire_between_stages(t, "entry", lambda: store.set("k", b"new-value"))
         return (yield from client.get("k"))
 
@@ -364,7 +369,7 @@ def test_mutation_between_the_two_responder_reads_is_retried_never_served(
             rewrite_in_place()
 
     def scenario():
-        yield from client.set("k", b"old-value")
+        store.set("k", b"old-value")  # another client's write: the GET probes
         monkeypatch.setattr(QueuePair, "_read_respond", serving)
         return (yield from client.get("k"))
 
@@ -411,7 +416,7 @@ def test_repeat_hit_costs_two_reads_in_one_round_trip(cluster):
         return value, sim.now - start
 
     def scenario():
-        yield from client.set("k", b"payload")
+        cluster.server.store.set("k", b"payload")  # not this client's write
         first = yield from timed_get()
         reads = t.onesided_reads
         repeat = yield from timed_get()
@@ -500,7 +505,7 @@ def test_slot_taken_by_a_window_neighbour_reprobes_and_hits(cluster):
     assert (t.stale_entries, t.torn_retries) == (1, 0)
 
 
-def test_own_set_keeps_the_slot_and_probes_only_it(cluster, monkeypatch):
+def test_own_set_reads_only_the_new_value_and_its_confirm(cluster, monkeypatch):
     client = cluster.client("UCR-1S")
     lengths = _read_lengths(monkeypatch)
 
@@ -512,7 +517,8 @@ def test_own_set_keeps_the_slot_and_probes_only_it(cluster, monkeypatch):
         return (yield from client.get("k"))
 
     assert run(cluster, scenario()) == b"value-2"
-    assert lengths == [ENTRY_BYTES, len(b"value-2"), ENTRY_BYTES]
+    # The set's reply carried its entry: no window, no slot probe.
+    assert lengths == [len(b"value-2"), ENTRY_BYTES]
 
 
 def test_remembered_map_never_exceeds_the_slot_count(monkeypatch):
@@ -545,20 +551,181 @@ def test_remembered_map_never_exceeds_the_slot_count(monkeypatch):
     assert t.fallbacks["absent"] > 0 and t.onesided_hits > 0
 
 
-def test_own_write_forgets_the_remembered_entry(cluster):
+def _round_trips(transport):
+    """Record the READs of each round trip (one entry per ``_reads``)."""
+    trips = []
+    reads = transport._reads
+
+    def counting(server, landing, *posted):
+        trips.append(len(posted))
+        return (yield from reads(server, landing, *posted))
+
+    transport._reads = counting
+    return trips
+
+
+def test_own_write_is_read_back_in_one_round_trip(cluster):
+    """Read-your-own-write: each set's reply carries the entry the server
+    published for it, so both GETs are remembered hits -- two READs in
+    one round trip apiece, and no confirm finds a stale entry."""
     client = cluster.client("UCR-1S")
     t = client.transport
+    trips = _round_trips(t)
 
     def scenario():
         yield from client.set("k", b"v1")
-        yield from client.get("k")
+        first = yield from client.get("k")
         yield from client.set("k", b"v2")
+        return first, (yield from client.get("k"))
+
+    assert run(cluster, scenario()) == (b"v1", b"v2")
+    assert trips == [2, 2]
+    assert (t.remembered_hits, t.stale_entries, t.onesided_reads) == (2, 0, 4)
+
+
+OWN_WRITES = {
+    "set": (lambda c: c.set("k", b"fresh"), b"fresh"),
+    "incr": (lambda c: c.incr("k", 5), b"15"),
+    "append": (lambda c: c.append("k", b"+more"), b"10+more"),
+    "touch": (lambda c: c.touch("k", 30), b"10"),
+}
+
+
+@pytest.mark.parametrize("op", OWN_WRITES)
+def test_the_get_after_an_own_write_is_a_remembered_hit(cluster, op):
+    """Another client wrote "k", so nothing is remembered for it; the own
+    command's reply then carries the entry it published."""
+    client = cluster.client("UCR-1S")
+    t = client.transport
+    write, expected = OWN_WRITES[op]
+    cluster.server.store.set("k", b"10")
+    trips = _round_trips(t)
+
+    def scenario():
+        yield from write(client)
         return (yield from client.get("k"))
 
-    assert run(cluster, scenario()) == b"v2"
-    assert t.stale_entries == 0
+    assert run(cluster, scenario()) == expected
+    assert trips == [2]  # value READ + confirm, one round trip
+    assert t.remembered_hits == 1
+    assert (t.stale_entries, t.torn_retries, t.fallbacks) == (0, 0, {})
+
+
+def _noreply_set(client):
+    """A ``noreply`` set straight through the transport (the client
+    refuses to send one)."""
+    return client.transport.execute(
+        "server", Command("set", ["k"], value=b"quiet", noreply=True)
+    )
+
+
+FORGETTING = {
+    "delete": (lambda c: c.delete("k"), None),
+    "failed add": (lambda c: c.add("k", b"lost"), b"mine"),
+    "noreply set": (_noreply_set, b"quiet"),
+}
+
+
+@pytest.mark.parametrize("op", FORGETTING)
+def test_nothing_is_remembered_after_a_write_whose_reply_has_no_entry(
+    cluster, monkeypatch, op
+):
+    client = cluster.client("UCR-1S")
+    t = client.transport
+    write, expected = FORGETTING[op]
+    lengths = _read_lengths(monkeypatch)
+
+    def scenario():
+        yield from client.set("k", b"mine")
+        yield from write(client)
+        del lengths[:]
+        return (yield from client.get("k"))
+
+    assert run(cluster, scenario()) == expected
+    assert lengths[0] == WINDOW * ENTRY_BYTES
     assert t.remembered_hits == 0
-    assert t.onesided_reads == 6  # both GETs probe first
+
+
+def test_an_overwrite_after_our_sets_reply_is_found_stale(cluster):
+    """Another client overwrites "k" between our set's reply and our GET:
+    the confirm behind the value READ shows the new entry, which is
+    fetched and served -- the remembered entry never is."""
+    reader = cluster.client("UCR-1S", client_node=0)
+    writer = cluster.client("UCR-1S", client_node=1)
+    t = reader.transport
+
+    def scenario():
+        yield from reader.set("k", b"ours")
+        yield from writer.set("k", b"theirs")
+        return (yield from reader.get("k"))
+
+    assert run(cluster, scenario()) == b"theirs"
+    assert (t.stale_entries, t.remembered_hits, t.onesided_reads) == (1, 0, 4)
+
+
+def test_a_get_multi_leaves_remembered_entries_alone(cluster):
+    """A get_multi rides the RPC path and changes no entry: the next GET
+    of a key it read is still a one-round-trip remembered hit."""
+    client = cluster.client("UCR-1S")
+    t = client.transport
+    trips = _round_trips(t)
+
+    def scenario():
+        yield from client.set("k", b"v")
+        assert (yield from client.get_multi(["k", "other"])) == {"k": b"v"}
+        return (yield from client.get("k"))
+
+    assert run(cluster, scenario()) == b"v"
+    assert trips == [2]
+    assert t.remembered_hits == 1
+
+
+def test_published_names_a_linked_keys_slot_and_nothing_else(cluster):
+    store = cluster.server.store
+    index = store.onesided
+    (mate,) = _window_mates("k", 1)
+    store.set(mate, b"first")  # takes the home slot: "k" lands one on
+    store.set("k", b"v")
+    at, raw = index.published("k")
+    assert at == 1
+    assert raw == index.entry_bytes(index.slot_of(store.by_key["k"]))
+    assert unpack_entry(raw).live
+    store.delete("k")
+    assert index.published("k") is None
+    assert index.published("never-set") is None
+
+
+def test_a_server_without_a_descriptor_falls_back_absent(cluster):
+    client = cluster.client("UCR-1S")
+    t = client.transport
+    t._descriptors.clear()
+
+    def scenario():
+        yield from client.set("k", b"v")
+        return (yield from client.get("k"))
+
+    assert run(cluster, scenario()) == b"v"
+    assert t.fallbacks == {"absent": 1}
+    assert (t.onesided_reads, t._confirmed) == (0, {})
+
+
+def test_an_expired_remembered_entry_probes_its_slot(cluster, monkeypatch):
+    """The remembered entry's deadline passed, but another client touched
+    the key: the GET probes that one slot, finds the fresh deadline, and
+    hits."""
+    client = cluster.client("UCR-1S")
+    t = client.transport
+    lengths = _read_lengths(monkeypatch)
+
+    def scenario():
+        yield from client.set("k", b"v", exptime=1)
+        cluster.server.store.touch("k", 30)  # as another client would
+        yield cluster.sim.timeout(2_000_000)  # past the remembered deadline
+        return (yield from client.get("k"))
+
+    assert run(cluster, scenario()) == b"v"
+    assert lengths == [ENTRY_BYTES, 1, ENTRY_BYTES]
+    assert (t.remembered_hits, t.fallbacks) == (0, {})
 
 
 def test_own_flush_is_found_by_the_overlapped_probe(cluster):
@@ -579,7 +746,8 @@ def test_own_flush_is_found_by_the_overlapped_probe(cluster):
     value, reads = run(cluster, scenario())
     assert value == b"w"
     assert reads == 4  # value + confirm, then the fresh value + confirm
-    assert (t.stale_entries, t.remembered_hits) == (1, 0)
+    # The first GET read back the set's own entry; the second found it stale.
+    assert (t.stale_entries, t.remembered_hits) == (1, 1)
 
 
 def test_remembered_read_parked_across_delete_never_serves_dead_bytes(cluster):
@@ -629,7 +797,7 @@ def test_probe_landing_before_a_large_value_is_not_missed(cluster):
 
     assert run(cluster, scenario()) == value
     assert client.failovers == 0
-    assert t.remembered_hits == 1
+    assert t.remembered_hits == 2  # the set's reply carried the entry
 
 
 def test_endpoint_failing_under_overlapped_reads_drops_their_buffers(cluster):
@@ -656,7 +824,6 @@ def test_endpoint_failing_under_overlapped_reads_drops_their_buffers(cluster):
 
     def scenario():
         yield from client.set("k", b"v")
-        yield from client.get("k")
         yield from client.get("k")  # a remembered hit: two counters out
         pools = len(t._counter_pool), len(t._landing_pool)
         stall_after_the_pair(t._endpoints["server"])

@@ -173,6 +173,41 @@ def test_ucr_window_against_a_server_that_refuses_the_first_connect():
     assert isinstance(outcomes[0], ServerDownError)
 
 
+def test_ucr_one_command_window_against_a_dead_server():
+    cluster = fresh_cluster()
+    cluster.ucr_ports["server"].crash()
+    transport = cluster.client("UCR-IB").transport
+    outcomes = run(cluster, transport.execute_many(
+        "server", [Command(op="get", keys=["k"])], window=4
+    ))
+    assert len(outcomes) == 1 and isinstance(outcomes[0], ServerDownError)
+
+
+def test_ucr_window_whose_server_crashes_mid_window_fails_every_command():
+    """Four commands are in flight when the server dies: each slot gets
+    its own exception, and the window's process finishes."""
+    cluster = fresh_cluster()
+    client = cluster.client("UCR-IB", timeout_us=500.0)
+    transport = client.transport
+    sim = cluster.sim
+    batch = [Command(op="set", keys=[f"k{i}"], value=b"v") for i in range(4)]
+
+    def scenario():
+        yield from client.get("warm")  # the endpoint exists before the window
+        first_id = transport._next_request_id
+        window = sim.process(transport.execute_many("server", batch, window=4))
+        yield sim.timeout(2.0)
+        # Every request is on its way and none is answered.
+        assert transport._next_request_id == first_id + 4
+        assert transport._pending == {} and not window.triggered
+        cluster.ucr_ports["server"].crash()
+        return (yield window)
+
+    outcomes = run(cluster, scenario())
+    assert len(outcomes) == 4
+    assert all(isinstance(o, ServerDownError) for o in outcomes)
+
+
 def test_pipeline_spreads_over_servers_in_submission_order():
     cluster = fresh_cluster(n_servers=3)
     client = cluster.client("UCR-IB")

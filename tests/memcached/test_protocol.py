@@ -233,7 +233,9 @@ def test_ucr_reply_fields_are_pinned():
     Re-pinned when ``McResponse.status`` began to mirror the reply status:
     only the two ``stats`` rows (``"ok"`` -> ``"stats"``; a reply without a
     dict no longer raises) and the ``version`` row (``"ok"`` -> ``"version"``)
-    moved."""
+    moved; re-pinned when ``McResponse`` gained ``entry`` (the same corpus
+    with ``, entry=None`` stripped from the repr gives the previous
+    digest, ``8677242a...``)."""
     registered = SimpleNamespace(
         chunk=SimpleNamespace(page=SimpleNamespace(mr="mr"), offset=64),
         value_length=4, value=lambda: b"data",
@@ -247,7 +249,7 @@ def test_ucr_reply_fields_are_pinned():
         h.update(f"{cmd.op}|{header!r}|{location is not None}|{len(payload)}|".encode()
                  + payload)
     assert h.hexdigest() == (
-        "8677242a06de646b10bd28fc692935dade5000ec59256bbbe167f0e100b30a65"
+        "d261e1cef7df8afb2a948577a4ae9652c6d88f833bf8d331ce2b44d7e8b719ed"
     )
 
 
@@ -302,7 +304,9 @@ def test_request_wire_bytes_are_pinned():
     request table per format; re-pinned when the UCR header dropped its
     ``noreply`` and ``reply_qpn`` fields (the same corpus with those two
     fields stripped from the UCR repr gives this digest; text and binary
-    bytes did not move)."""
+    bytes did not move), and again when ``McRequest`` gained ``want_entry``
+    (stripping ``, want_entry=False`` from the repr gives the previous
+    digest, ``016499e9...``)."""
     def ucr(cmd):
         header, payload = protocol_ucr.command_to_request(cmd)
         return repr(header).encode() + b"|" + payload
@@ -320,7 +324,7 @@ def test_request_wire_bytes_are_pinned():
                 out = b"refused"
             h.update(f"{name}|{cmd.op}|{len(out)}|".encode() + out)
     assert h.hexdigest() == (
-        "016499e95ce86a7f691c6789668ad88d6bee60f6422fb8a64a57162dae19bdd0"
+        "73c78c6cd2c6d468932ed0e961e4daeddf217eecf829fe55f7f50402c9742414"
     )
 
 
