@@ -245,9 +245,10 @@ def replay(
     cluster = Cluster(CLUSTER_A, n_client_nodes=1, seed=seed)
     cluster.start_server(store_config=store_config or StoreConfig())
     store = cluster.server.store
+    # Wired first: a one-sided client exports the index a mutation patches.
+    client = cluster.client(transport, binary=binary)
     if mutation is not None:
         MUTATIONS[mutation](store)
-    client = cluster.client(transport, binary=binary)
     oracle = ModelMemcached(lambda: cluster.sim.now / 1e6)
     result = ReplayResult(config=name if depth <= 1 else f"{name}/pipe{depth}")
     # Raw tokens differ per side (MODEL_DIVERGENCES 'cas-token-values'):

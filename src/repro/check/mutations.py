@@ -71,11 +71,11 @@ def _mutate_onesided_skip_version_bump(store) -> None:
     # never brackets the entry with a version bump, so a stale *live*
     # entry keeps naming the chunk after delete/eviction frees it.  A
     # one-sided GET then reads a stable, matching-hash entry and serves
-    # the dead value (only the UCR-1S config can see this; the index is
-    # bystander state for every RPC transport).  ExportSanitizer flags
-    # it immediately as an ownerless live entry.
+    # the dead value.  Only UCR-1S can see it: no other config wires a
+    # reader, so no server exports an index to break.  ExportSanitizer
+    # flags it immediately as an ownerless live entry.
     index = store.onesided
-    if index is None:  # pragma: no cover - servers always export here
+    if index is None:
         return
 
     def unpublish(item):

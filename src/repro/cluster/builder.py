@@ -196,9 +196,8 @@ class Cluster:
             t = cls(context, costs, timeout_us)
             for name in self.server_names:
                 t.add_server(name, self.runtimes[name])
-                index = self.servers[name].onesided_index
-                if onesided and index is not None:
-                    t.add_index(name, index.descriptor)
+                if onesided:
+                    t.add_index(name, self.servers[name].export_index())
         elif transport in self.stacks:
             t = SocketsTransport(
                 self.sim,

@@ -227,16 +227,6 @@ class OneSidedTransport(UcrTransport):
             at, raw = entry
             confirmed[home + at] = (want, raw)
 
-    # -- test hook ---------------------------------------------------------
-
-    def checkpoint(self, stage: str, server: str, key: str):
-        """Deterministic interleaving hook of a one-sided GET: 'entry' is
-        crossed once the entry is known, before the value and confirm
-        READs are posted.  The default passes no simulated time; torn-read
-        tests override it to park the client while the server mutates."""
-        return
-        yield  # pragma: no cover - makes this a generator for yield-from
-
     # -- the one-sided GET protocol ----------------------------------------
 
     def _fall(self, reason: str) -> None:
@@ -314,7 +304,6 @@ class OneSidedTransport(UcrTransport):
             reason = self._refusal(entry)
             if reason is not None:
                 return self._fall(reason)
-            yield from self.checkpoint("entry", server, key)
             fetch = (entry.value_rkey, entry.value_offset,
                      entry.value_length, ENTRY_BYTES)
             # RC executes the two in post order: the confirm reads the

@@ -1,7 +1,8 @@
 """The server-side exported bucket index.
 
 :class:`ExportedIndex` pins one RDMA-readable region (layout in
-:mod:`repro.memcached.onesided.layout`) and keeps it coherent with the
+:mod:`repro.memcached.onesided.layout`), publishes the store's linked
+items into it, and from then on keeps it coherent with the
 :class:`~repro.memcached.store.ItemStore` write path: every link,
 unlink, touch and flush calls back into the index (a value never changes
 in place: a new value is a new item, published afresh), and
@@ -49,7 +50,6 @@ from repro.verbs.mr import RegionDescriptor
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memcached.items import Item
     from repro.memcached.store import ItemStore
-    from repro.verbs.mr import ProtectionDomain
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,12 @@ class ExportedIndex:
     #: Read by the descriptor and the export sanitizer.
     n_buckets = DEFAULT_BUCKETS
 
-    def __init__(self, store: "ItemStore", pd: "ProtectionDomain") -> None:
+    def __init__(self, store: "ItemStore") -> None:
         self.store = store
-        self.pd = pd
         #: Every bucket's slot plus the spill slots behind the last window.
         self.n_slots = self.n_buckets + WINDOW - 1
         #: The pinned region remote clients probe with RDMA READ.
-        self.mr = pd.reg_mr(region_bytes(self.n_buckets), Access.full())
+        self.mr = store.slabs.pd.reg_mr(region_bytes(self.n_buckets), Access.full())
         self.mr.write(0, pack_header(self.n_buckets))
         #: Python-side mirror of every packed entry (authoritative for
         #: the server; re-packed into ``mr`` at each seq_end).
@@ -86,6 +85,10 @@ class ExportedIndex:
         self.publishes = 0
         self.unpublishes = 0
         store.onesided = self
+        # In link order, as the write path would have; a flush cleared the rest.
+        for item in store.by_key.values():
+            if item.created_at >= store._flush_before:
+                self.publish(item)
 
     @property
     def descriptor(self) -> IndexDescriptor:

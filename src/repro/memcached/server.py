@@ -37,7 +37,7 @@ from repro.memcached.command import (
     MEMCACHED_PORT, Command, ServerWire, WireFormat, entry_length,
 )
 from repro.memcached.engine import CommandEngine
-from repro.memcached.onesided.index import ExportedIndex
+from repro.memcached.onesided.index import ExportedIndex, IndexDescriptor
 from repro.memcached.store import ItemStore, StoreConfig
 from repro.sockets.api import Socket, WouldBlock
 from repro.sockets.epoll import EPOLLIN, Epoll
@@ -204,20 +204,22 @@ class MemcachedServer:
         self.node = node
         self.costs = costs
         self.store = ItemStore(sim, store_config, pd=pd)
-        #: The exported one-sided GET index (docs/ONESIDED.md): pinned
-        #: alongside the RDMA-registered slab arena whenever the server
-        #: has a protection domain, and kept coherent by the store's
-        #: write path.  Pure-Python bookkeeping -- servers that never see
-        #: a one-sided transport pay no simulated time for it.
-        self.onesided_index = None
-        if pd is not None:
-            self.onesided_index = ExportedIndex(self.store, pd)
+        #: The exported one-sided GET index (docs/ONESIDED.md): None until
+        #: a one-sided client, its only reader, is wired (:meth:`export_index`).
+        self.onesided_index: Optional[ExportedIndex] = None
         #: The single execution engine every wire frontend dispatches to.
         self.engine = CommandEngine(self)
         self.workers = [_Worker(self, i) for i in range(n_workers)]
         self._rr = itertools.cycle(range(n_workers))
         self.stats_requests = 0
         self._listeners: list[Socket] = []
+
+    def export_index(self) -> IndexDescriptor:
+        """The one-sided GET index's advertisement; the first call builds
+        the index from the store's linked items."""
+        if self.onesided_index is None:
+            self.onesided_index = ExportedIndex(self.store)
+        return self.onesided_index.descriptor
 
     # -- sockets front end ------------------------------------------------------
 

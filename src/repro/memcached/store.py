@@ -135,8 +135,8 @@ class ItemStore:
         self._last_automove_s = float("-inf")
         #: Anti-dogpile fill leases, keyed by key (docs/SERVING.md).
         self.leases = LeaseTable(self.now_seconds, LEASE_TTL_S)
-        #: The exported one-sided index, when this store backs an
-        #: RDMA-capable server (set by ExportedIndex itself).  Every
+        #: The exported one-sided index, once a one-sided client is wired
+        #: to the server (set by ExportedIndex itself).  Every
         #: write-path hook below is pure Python: digest-neutral.
         self.onesided = None
 

@@ -55,8 +55,8 @@ class ExportSanitizer:
     def check(self, store: "ItemStore") -> list[str]:
         """Validate *store*'s index; returns violations (raises when strict).
 
-        A store without an exported index (sockets-only deployments)
-        passes vacuously.
+        A store without an exported index (no one-sided client was ever
+        wired to its server) passes vacuously.
         """
         violations: list[str] = []
         index = getattr(store, "onesided", None)

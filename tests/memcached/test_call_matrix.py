@@ -131,16 +131,18 @@ def test_batches_ride_active_messages_on_the_onesided_transport(flavour):
         yield from client.get("a")
         before = t.onesided_reads
         multi = yield from client.get_multi(["a", "b", "c"])
-        piped = yield from client.pipeline(
-            [Command(op="get", keys=[k]) for k in ("a", "b", "c")]
-        )
-        return before, multi, piped
+        gets = [Command(op="get", keys=[k]) for k in ("a", "b", "c")]
+        piped = yield from client.pipeline(gets)
+        # A window (``execute_many``): what UCR-1S/pipe4 checks is RPC.
+        windowed = yield from client.pipeline(gets, depth=4)
+        return before, multi, piped, windowed
 
-    (before, multi, piped), records, roots = observe(cluster, scenario())
+    (before, multi, piped, windowed), records, roots = observe(cluster, scenario())
     assert before == 2  # the blocking get: the set's entry's value + confirm
-    assert multi == {"a": b"v", "b": b"v", "c": b"v"} and piped == [b"v"] * 3
+    assert multi == {"a": b"v", "b": b"v", "c": b"v"}
+    assert piped == windowed == [b"v"] * 3
     assert t.onesided_reads == before
-    assert len(records) == 3 + 1 + 3 + 3
+    assert len(records) == 3 + 1 + 3 + 3 + 3
     assert roots == ["client.set"] * 3 + [
-        "client.get", "client.get_multi", "client.pipeline"
+        "client.get", "client.get_multi", "client.pipeline", "client.pipeline"
     ]

@@ -1,22 +1,34 @@
-"""Counted occupancy budget of the exported one-sided index.
+"""Counted budgets of the exported one-sided index.
 
-2 000 keys -- the ``onesided_small`` benchmark's key names, four clients
-of 500 -- are published into a fresh index of ``DEFAULT_BUCKETS``
-buckets.  A key left without a live entry is a GET that can only fall
-back to RPC, so the count is pinned exactly: a placement regression is
-named here, by count, before the full suite runs.  Direct-mapped, the
-same keys leave 425 without a slot; a window of ``WINDOW`` slots leaves 6.
+Occupancy: 2 000 keys -- the ``onesided_small`` benchmark's key names,
+four clients of 500 -- are published into a fresh index of
+``DEFAULT_BUCKETS`` buckets.  A key left without a live entry is a GET
+that can only fall back to RPC, so the count is pinned exactly: a
+placement regression is named here, by count, before the full suite
+runs.  Direct-mapped, the same keys leave 425 without a slot; a window
+of ``WINDOW`` slots leaves 6.
+
+Upkeep: a server exports its index only once a one-sided client is wired
+to it, so a deployment without one makes no Python call into
+``repro/memcached/onesided/`` at all -- counted with a profile hook over
+a fixed burst of sets and gets.
 """
+
+import os
+import sys
+
+import pytest
 
 from repro.cluster import CLUSTER_A, Cluster
 from repro.memcached.onesided import DEFAULT_BUCKETS, WINDOW, hash64
+from repro.memcached.serving import ProbabilisticHotCache
 
 KEYS = [f"bench-{client}-{i}" for client in range(4) for i in range(500)]
 
 
 def test_window_placement_leaves_six_keys_without_a_slot():
     cluster = Cluster(CLUSTER_A, n_client_nodes=1)
-    cluster.start_server()
+    cluster.start_server().export_index()
     store = cluster.server.store
     for key in KEYS:
         store.set(key, b"v")
@@ -33,3 +45,52 @@ def test_direct_mapped_placement_would_leave_425():
     """The yardstick: one slot per bucket keeps one key per distinct home."""
     homes = {hash64(key) % DEFAULT_BUCKETS for key in KEYS}
     assert len(KEYS) - len(homes) == 425
+
+
+ONESIDED_DIR = os.path.join("repro", "memcached", "onesided", "")
+
+#: Clients that read no index: their servers must export none.
+RPC_CLIENTS = {
+    "UCR-IB": lambda cluster: cluster.client("UCR-IB"),
+    "IPoIB text": lambda cluster: cluster.client("IPoIB"),
+    "sharded UCR-IB, hot cache": lambda cluster: cluster.sharded_client(
+        "UCR-IB", hot_cache=ProbabilisticHotCache(seed=1)
+    ),
+}
+
+
+def _onesided_calls(make_client) -> int:
+    """Python calls into ``repro/memcached/onesided/`` while *make_client*
+    wires a client to two servers and it sets, then gets, 16 keys twice."""
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1, n_servers=2)
+    cluster.start_server()
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and ONESIDED_DIR in frame.f_code.co_filename:
+            calls += 1
+
+    def burst(client):
+        for key in (f"key{i}" for i in range(16)):
+            yield from client.set(key, b"v" * 64)
+        for _ in range(2):
+            for key in (f"key{i}" for i in range(16)):
+                assert (yield from client.get(key)) == b"v" * 64
+
+    sys.setprofile(profile)
+    try:
+        cluster.sim.process(burst(make_client(cluster)))
+        cluster.sim.run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("name", RPC_CLIENTS)
+def test_a_server_no_onesided_client_reads_makes_no_onesided_call(name):
+    assert _onesided_calls(RPC_CLIENTS[name]) == 0
+
+
+def test_a_onesided_client_pays_for_the_index_it_reads():
+    assert _onesided_calls(lambda cluster: cluster.client("UCR-1S")) > 0

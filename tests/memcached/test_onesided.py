@@ -21,7 +21,10 @@ The layers of the subsystem under test:
   remembered;
 - the index is window-associative: a key whose slot was reused by a
   window neighbour is found again by one window READ, and only a key
-  with no slot in its window falls back ``absent``.
+  with no slot in its window falls back ``absent``;
+- a server exports the index only when a one-sided client is wired to
+  it, publishing what its store holds: a late reader hits every live
+  key stored before it, and RPC traffic alone exports nothing.
 """
 
 import hypothesis.strategies as st
@@ -177,6 +180,82 @@ def test_touch_refreshes_the_exported_deadline(cluster):
     assert client.transport.fallbacks.get("expired", 0) == 0
 
 
+# ---------------------------------------------------------- late readers
+
+
+def test_rpc_and_sockets_traffic_exports_no_index(cluster):
+    """Only a one-sided client makes its server export: keys stored by
+    UCR-IB and IPoIB clients leave the store without an index."""
+    for transport in ("UCR-IB", "IPoIB"):
+        client = cluster.client(transport)
+        run(cluster, client.set(transport, b"v"))
+        assert run(cluster, client.get(transport)) == b"v"
+    assert cluster.server.onesided_index is None
+    assert cluster.server.store.onesided is None
+
+
+def test_a_late_reader_hits_every_key_stored_before_it(cluster):
+    """The export publishes the store's linked items, so a one-sided
+    client wired after an RPC client's sets serves each one by READs."""
+    keys = [f"key{i}" for i in range(50)]
+    writer = cluster.client("UCR-IB")
+
+    def store_all():
+        for key in keys:
+            yield from writer.set(key, key.encode())
+
+    run(cluster, store_all())
+    reader = cluster.client("UCR-1S", client_node=1)
+    t = reader.transport
+
+    def read_all():
+        got = []
+        for key in keys:
+            got.append((yield from reader.get(key)))
+        return got
+
+    assert run(cluster, read_all()) == [key.encode() for key in keys]
+    assert (t.onesided_hits, t.fallbacks) == (len(keys), {})
+    assert ExportSanitizer().check(cluster.server.store) == []
+
+
+def test_a_second_onesided_client_reads_the_same_index(cluster):
+    first = cluster.client("UCR-1S")
+    index = cluster.server.onesided_index
+    second = cluster.client("UCR-1S", client_node=1)
+    assert cluster.server.onesided_index is index
+    assert first.transport._descriptors == second.transport._descriptors
+
+
+def test_values_flushed_or_expired_before_the_export_are_never_served(cluster):
+    """A flushed value is not published and an expired one is published
+    past its deadline: neither GET is served by READs, both miss."""
+    writer = cluster.client("UCR-IB")
+
+    def before_the_export():
+        yield from writer.set("flushed", b"v")
+        yield from writer.flush_all()
+        yield from writer.set("expired", b"v", exptime=1)
+        yield from writer.set("live", b"v")
+        yield cluster.sim.timeout(2_000_000)
+
+    run(cluster, before_the_export())
+    assert len(cluster.server.store.by_key) == 3  # expiry and flush are lazy
+    reader = cluster.client("UCR-1S", client_node=1)
+    t = reader.transport
+
+    def read_all():
+        got = []
+        for key in ("flushed", "expired", "live"):
+            got.append((yield from reader.get(key)))
+        return got
+
+    assert run(cluster, read_all()) == [None, None, b"v"]
+    assert t.fallbacks == {"absent": 1, "expired": 1}
+    assert t.onesided_hits == 1
+    assert ExportSanitizer().check(cluster.server.store) == []
+
+
 # ------------------------------------------------------------- fallbacks
 
 
@@ -244,19 +323,20 @@ def test_oversized_value_rides_rpc(cluster):
 # ------------------------------------------------------------ torn reads
 
 
-def _fire_between_stages(transport, stage, action, times=1):
-    """Arm the transport's checkpoint hook: run *action* (a synchronous
-    server-side mutation) the first *times* the named stage is crossed."""
+def _fire_between_stages(transport, action, times=1):
+    """Run *action* (a synchronous server-side mutation) the first *times*
+    a GET, its entry known, is about to post the value READ and the
+    confirm behind it: the only ``_reads`` call that posts two READs."""
     state = {"left": times}
+    reads = transport._reads
 
-    def checkpoint(at, server, key):
-        if at == stage and state["left"] > 0:
+    def firing(server, landing, *posted):
+        if len(posted) == 2 and state["left"] > 0:
             state["left"] -= 1
             action()
-        return
-        yield  # pragma: no cover - generator shape for yield-from
+        return (yield from reads(server, landing, *posted))
 
-    transport.checkpoint = checkpoint
+    transport._reads = firing
     return state
 
 
@@ -270,7 +350,7 @@ def test_read_parked_across_overwrite_retries_to_new_value(cluster):
 
     def scenario():
         store.set("k", b"old-value")  # another client's write: the GET probes
-        _fire_between_stages(t, "entry", lambda: store.set("k", b"new-value"))
+        _fire_between_stages(t, lambda: store.set("k", b"new-value"))
         return (yield from client.get("k"))
 
     value = run(cluster, scenario())
@@ -288,7 +368,7 @@ def test_read_parked_across_delete_never_serves_dead_bytes(cluster):
 
     def scenario():
         yield from client.set("k", b"doomed")
-        _fire_between_stages(t, "entry", lambda: store.delete("k"))
+        _fire_between_stages(t, lambda: store.delete("k"))
         return (yield from client.get("k"))
 
     assert run(cluster, scenario()) is None
@@ -309,7 +389,7 @@ def test_write_hot_key_exhausts_retries_and_falls_back(cluster):
 
     def scenario():
         yield from client.set("k", b"gen-0")
-        _fire_between_stages(t, "entry", churn, times=100)
+        _fire_between_stages(t, churn, times=100)
         return (yield from client.get("k"))
 
     value = run(cluster, scenario())
@@ -322,6 +402,7 @@ def test_write_hot_key_exhausts_retries_and_falls_back(cluster):
 def test_the_seqlock_refuses_an_unbalanced_bracket(cluster):
     """seq_begin refuses an odd version as seq_end refuses an even one:
     no value is edited in place, so a mutation window never nests."""
+    cluster.server.export_index()
     index = cluster.server.store.onesided
     bucket = index.bucket_for("k")
     with pytest.raises(AssertionError, match="without seq_begin"):
@@ -528,8 +609,8 @@ def test_remembered_map_never_exceeds_the_slot_count(monkeypatch):
     monkeypatch.setattr(ExportedIndex, "n_buckets", 4)
     cluster = Cluster(CLUSTER_A, n_client_nodes=1)
     cluster.start_server()
-    index = cluster.server.store.onesided
     client = cluster.client("UCR-1S")
+    index = cluster.server.store.onesided
     t = client.transport
     keys = [f"key{i}" for i in range(40)]
     sizes = []
@@ -681,6 +762,7 @@ def test_a_get_multi_leaves_remembered_entries_alone(cluster):
 
 
 def test_published_names_a_linked_keys_slot_and_nothing_else(cluster):
+    cluster.server.export_index()
     store = cluster.server.store
     index = store.onesided
     (mate,) = _window_mates("k", 1)
@@ -758,7 +840,7 @@ def test_remembered_read_parked_across_delete_never_serves_dead_bytes(cluster):
     def scenario():
         yield from client.set("k", b"doomed")
         yield from client.get("k")
-        _fire_between_stages(t, "entry", lambda: store.delete("k"))
+        _fire_between_stages(t, lambda: store.delete("k"))
         return (yield from client.get("k"))
 
     assert run(cluster, scenario()) is None
@@ -774,7 +856,7 @@ def test_remembered_read_parked_across_overwrite_serves_new_value(cluster):
     def scenario():
         yield from client.set("k", b"old-value")
         yield from client.get("k")
-        _fire_between_stages(t, "entry", lambda: store.set("k", b"new-value"))
+        _fire_between_stages(t, lambda: store.set("k", b"new-value"))
         return (yield from client.get("k"))
 
     assert run(cluster, scenario()) == b"new-value"

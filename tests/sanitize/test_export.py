@@ -16,7 +16,7 @@ from repro.sanitize import ExportIndexError, ExportSanitizer, SanitizerCounters
 @pytest.fixture()
 def store():
     cluster = Cluster(CLUSTER_A, n_client_nodes=1)
-    cluster.start_server()
+    cluster.start_server().export_index()
     store = cluster.server.store
     for key in ("a", "b", "c"):
         store.set(key, key.encode() * 8, flags=1)

@@ -130,3 +130,59 @@ def test_reservation_freed_but_still_counted_detected():
     store.slabs.free(item.chunk)  # injected: freed behind the ledger's back
     violations = SlabSanitizer(strict=False).check(store)
     assert any("1 reserved" in v for v in violations)
+
+
+def _filed_under_another_key(store):
+    store.by_key["key-1"].key = "yek-1"  # same length: stats.bytes holds
+
+
+def _in_another_class_lru(store):
+    item = store.by_key["key-1"]
+    cid = item.chunk.slab_class.class_id
+    del store.lrus[cid][item]
+    store.lrus[cid + 1][item] = None
+
+
+def _two_items_share_a_chunk(store):
+    store.by_key["key-2"].chunk = store.by_key["key-1"].chunk  # same class
+
+
+def _used_chunk_on_a_free_list(store):
+    chunk = store.by_key["key-1"].chunk
+    chunk.slab_class.free_chunks[0] = chunk  # the free count holds
+
+
+def _chunk_count_off_its_pages(store):
+    cls = store.by_key["key-1"].chunk.slab_class
+    cls.free_chunks.append(cls.free_chunks[0])  # listed free twice ...
+    cls.total_chunks += 1  # ... and counted twice: used chunks hold
+
+
+def _deferred_free_without_a_pin(store):
+    chunk = store.by_key["key-1"].chunk
+    store.slabs.pin(chunk)
+    store.delete("key-1")  # the free waits for the pin
+    del store.slabs.pins[chunk]  # injected: the pin vanished, the free did not
+
+
+SEEDED = {
+    "filed-under-another-key": (
+        _filed_under_another_key, "index files item 'yek-1' under 'key-1'"),
+    "another-class-lru": (_in_another_class_lru, "LRU holds 'key-1' of class"),
+    "shared-chunk": (_two_items_share_a_chunk, "share one slab chunk"),
+    "used-chunk-on-free-list": (_used_chunk_on_a_free_list, "used chunk on the free list"),
+    "chunks-off-pages": (_chunk_count_off_its_pages, "(page reassignment leak?)"),
+    "deferred-free-unpinned": (
+        _deferred_free_without_a_pin, "a deferred free outlived its pins"),
+}
+
+
+@pytest.mark.parametrize("case", SEEDED)
+def test_seeded_violation_is_reported(case):
+    seed, message = SEEDED[case]
+    store = _populated_store()
+    seed(store)
+    violations = SlabSanitizer(strict=False).check(store)
+    assert any(message in v for v in violations), violations
+    with pytest.raises(SlabAccountingError):
+        SlabSanitizer().check(store)

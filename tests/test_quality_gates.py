@@ -152,7 +152,7 @@ def test_constructor_surface_is_pinned():
         "OneSidedTransport": ("context", "costs", "timeout_us"),
         "ItemStore": ("sim", "config", "pd"),
         "SlabAllocator": ("max_bytes", "pd"),
-        "ExportedIndex": ("store", "pd"),
+        "ExportedIndex": ("store",),
         "UcrRuntime": ("sim", "node", "hca", "params"),
         "BufferPool": ("pd", "buffer_bytes", "initial", "name"),
     }
