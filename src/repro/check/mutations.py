@@ -2,8 +2,9 @@
 
 :data:`MUTATIONS` patches a live store with a named semantic bug
 (off-by-one incr, truncating set, lying delete, a silent eviction, a
-leaky slab mover, a skipped index invalidation, an unenforced stale
-window) so that detection and shrinking can be exercised end to end:
+leaky slab mover, a skipped index invalidation, a stamp left valid, an
+unenforced stale window) so that detection and shrinking can be
+exercised end to end:
 ``replay(mutation=...)``, ``repro-check fuzz --mutation``.
 """
 
@@ -86,6 +87,27 @@ def _mutate_onesided_skip_version_bump(store) -> None:
     index.unpublish = unpublish
 
 
+def _mutate_onesided_stale_stamp(store) -> None:
+    # Stamp invalidation bug: unpublish clears the entry under the
+    # seqlock but leaves the item's stamp valid behind its value, so a
+    # client that remembers the old entry finds that stamp and serves the
+    # dead value.  An own delete forgets the remembered entry, so the
+    # sequential replay cannot see it: another client's GET must, which
+    # is the concurrent UCR-1S replay.
+    index = store.onesided
+    if index is None:
+        return
+    clear = index._clear
+
+    def unpublish(item):
+        slot = index.slot_of(item)
+        if slot is not None:
+            index._owner[slot] = None  # the clear then zeroes no stamp
+            clear(slot)
+
+    index.unpublish = unpublish
+
+
 def _mutate_lease_serve_stale_past_deadline(store) -> None:
     # Anti-dogpile bug: the stale window stops being enforced, so getl
     # hands lease losers (and winners) arbitrarily old ghosts -- a
@@ -113,5 +135,6 @@ MUTATIONS: dict[str, Callable] = {
     "skip-eviction-counter": _mutate_skip_eviction_counter,
     "double-free-on-rebalance": _mutate_double_free_on_rebalance,
     "onesided-skip-version-bump": _mutate_onesided_skip_version_bump,
+    "onesided-stale-stamp": _mutate_onesided_stale_stamp,
     "lease-serve-stale-past-deadline": _mutate_lease_serve_stale_past_deadline,
 }

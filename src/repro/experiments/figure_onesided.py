@@ -4,11 +4,11 @@ Not a figure from the paper: the paper's UCR design keeps the server
 CPU on every operation (active messages).  This experiment measures
 what the one-sided path buys by taking the server out of the GET
 loop entirely -- the client resolves a hit with RDMA READs and no
-server cycles: an index probe, then the value fetch and the seqlock
-confirm back to back on one RC queue pair (two round trips); a repeat
-read of a key skips the probe, and so does the first read after the
-client's own Set (its reply carried the key's entry), so such a hit
-takes one round trip.
+server cycles: a READ of the key's index window, then one READ of the
+value and the stamp the server keeps behind it (two round trips); a
+repeat read of a key skips the window, and so does the first read after
+the client's own Set (its reply carried the key's entry), so such a hit
+is one READ in one round trip.
 
 Two panels:
 

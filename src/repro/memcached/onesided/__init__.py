@@ -2,9 +2,11 @@
 
 The server half (:mod:`~repro.memcached.onesided.index`) pins a
 fixed-layout, window-associative index kept coherent with the store's
-write path under a seqlock version discipline; the client half
+write path under a seqlock version discipline, and stamps each
+published value with its entry's version; the client half
 (:mod:`~repro.memcached.onesided.client`) is a transport whose
-``onesided_get`` serves GET/gets with RDMA READs against it, the
+``onesided_get`` serves GET/gets with RDMA READs against it (a hit of a
+remembered entry is one READ of the value and its stamp), the
 ordinary client falling back to the active-message RPC path whenever
 the index cannot prove the answer.  See ``docs/ONESIDED.md``.
 """
@@ -20,6 +22,8 @@ from repro.memcached.onesided.layout import (
     ENTRY_FORMAT,
     HEADER_BYTES,
     INDEX_MAGIC,
+    STAMP_BYTES,
+    STAMP_FORMAT,
     WINDOW,
     IndexEntry,
     entry_offset,
@@ -41,6 +45,8 @@ __all__ = [
     "IndexDescriptor",
     "IndexEntry",
     "OneSidedTransport",
+    "STAMP_BYTES",
+    "STAMP_FORMAT",
     "WINDOW",
     "entry_offset",
     "hash64",

@@ -6,29 +6,31 @@ read path: a first GET/gets READs the key's whole window of the
 server's exported index (``WINDOW`` slots from its home bucket, one
 contiguous READ) and finds its slot by the 8-byte ``key_hash`` field,
 then fetches the value with a second READ straight out of the
-registered slab page and confirms with a third READ of that one slot,
-posted right behind it on the same queue pair.  RC executes a QP's
-READs in post order, so the confirm reads the entry after the value
-READ read the value, and both land in one round trip.  The fetch is
-accepted only if the entry was stable (even version) and bit-identical
-across the probe and the confirm -- the client side of the server's
-seqlock discipline.  A mutation anywhere in that window changes the
-version, so a torn read can never be *served*, only retried.
+registered slab page: ``value_length + STAMP_BYTES`` bytes, the value
+and the stamp the server keeps behind it.  The fetch is accepted only
+if the entry was stable (even version) and the stamp equals the entry's
+``(version, key_hash, cas)`` -- the client side of the server's
+discipline: a stamp is valid only while its item is published under
+exactly that version, and the READ reads it after the value, so a
+mutation of the entry can never be *served*, only retried.  A first hit
+is two READs in two round trips.
 
 A repeat GET skips the window READ.  The transport remembers, per
-server, the slot each key was last confirmed in, with the entry it
-confirmed there; it posts the value READ from the remembered location
-and the confirm behind it: one round trip, two READs.  Versions
-strictly increase for the index's lifetime, so a confirm bit-identical
-to the remembered entry proves no mutation between the earlier confirm
-and this one: the same bracket with a wider window.  A confirm that
-differs *is* the fresh entry, and the ladder restarts from it without
-another READ.  An own command through :meth:`execute` that can change
-its key's entry asks the server for the entry it published
-(``want_entry``) and remembers exactly what the reply carried, so the
-GET after an own write is a remembered hit too.  A slot that shows
-another key's hash was reused: the key may sit elsewhere in its window,
-so the GET READs the window again.
+server, the slot each key was last served from, with the entry it was
+served under; it posts the stamped fetch from the remembered location:
+one READ in one round trip.  A stamp that still equals the remembered
+entry proves that entry still publishes the value.  An own command
+through :meth:`execute` that can change its key's entry asks the server
+for the entry it published (``want_entry``) and remembers exactly what
+the reply carried, so the GET after an own write is a remembered hit
+too.  A stale stamp names no fresh entry, so the GET probes the slot and
+fetches again; a slot whose remembered fetch once found its stamp stale
+posts the 64-byte slot probe behind each later fetch (RC executes a QP's
+READs in post order, so the probe reads the entry after the fetch read
+the stamp), and a stale stamp then restarts the ladder from the probe
+without another round trip.  A slot that shows another key's hash was
+reused: the key may sit elsewhere in its window, so the GET READs the
+window again.
 
 Everything the index cannot prove falls down a ladder onto the RPC
 path, which is authoritative:
@@ -39,7 +41,7 @@ path, which is authoritative:
 2. **expired** -- the entry's deadline (exptime/flush horizon) passed.
    Expiry is lazy server-side state; the RPC path applies it.
 3. **oversize** -- the value exceeds the client's one-sided read budget.
-4. **torn** -- the version kept moving for ``max_read_retries``
+4. **torn** -- the entry kept moving for ``max_read_retries``
    attempts (a write-hot key); stop burning READs and ask the server.
 
 There is no one-sided client class: :meth:`MemcachedClient.call
@@ -49,8 +51,8 @@ ordinary :class:`~repro.memcached.command.Reply` -- to the same
 interpreter as an RPC reply.  Every other operation (``get_multi`` and
 pipelined batches included) uses the inherited active-message path
 untouched, so linearizability semantics are preserved: a one-sided hit
-linearizes at the confirm READ, and every fallback is an ordinary
-recorded RPC.
+linearizes at the instant its fetch reads the stamp, and every fallback
+is an ordinary recorded RPC.
 """
 
 from __future__ import annotations
@@ -65,11 +67,13 @@ from repro.memcached.command import Command, Reply
 from repro.memcached.onesided.index import IndexDescriptor
 from repro.memcached.onesided.layout import (
     ENTRY_BYTES,
+    STAMP_BYTES,
     WINDOW,
     WINDOW_BYTES,
     entry_offset,
     find_slot,
     hash64,
+    stamp_of,
     unpack_entry,
 )
 from repro.memcached.slabs import PAGE_BYTES
@@ -116,12 +120,13 @@ class OneSidedTransport(UcrTransport):
         self.remembered_hits = 0
         self.onesided_reads = 0
         self.torn_retries = 0
-        #: Remembered entries the confirm READ found changed.
+        #: Remembered entries whose fetch found the stamp stale.
         self.stale_entries = 0
-        #: server -> slot -> (key hash, the 64-byte entry last confirmed
-        #: there or carried by an own command's reply): at most one per
-        #: slot of the server's index, no eviction.
-        self._confirmed: dict[str, dict[int, tuple[int, bytes]]] = {}
+        #: server -> slot -> (key hash, the 64-byte entry last served
+        #: there or carried by an own command's reply, whether the slot's
+        #: fetches post the slot probe behind them): at most one per slot
+        #: of the server's index, no eviction.
+        self._confirmed: dict[str, dict[int, tuple[int, bytes, bool]]] = {}
         #: Fallback reason -> count ('absent'/'expired'/'oversize'/'torn').
         self.fallbacks: dict[str, int] = {}
 
@@ -135,7 +140,7 @@ class OneSidedTransport(UcrTransport):
         if self._landing_pool:
             return self._landing_pool.pop()
         return self.runtime.pd.reg_mr(
-            max(WINDOW_BYTES, ENTRY_BYTES + self.max_value_bytes)
+            max(WINDOW_BYTES, ENTRY_BYTES + self.max_value_bytes + STAMP_BYTES)
         )
 
     def _checkin_landing(self, mr) -> None:
@@ -213,19 +218,20 @@ class OneSidedTransport(UcrTransport):
 
     def _remember(self, server: str, key: str, entry) -> None:
         """Remember *entry* -- ``(position in the window, 64 bytes)`` --
-        as *key*'s, or forget *key*'s slot when it is None."""
+        as *key*'s, or forget *key*'s slot when it is None.  A slot that
+        stays remembered keeps its READ plan."""
         desc = self._descriptors.get(server)
         if desc is None:
             return
         confirmed = self._confirmed.setdefault(server, {})
         want = hash64(key)
         home = want % desc.n_buckets
-        slot, _ = _recall(confirmed, home, want)
+        slot, _, paired = _recall(confirmed, home, want)
         if slot is not None:
             del confirmed[slot]
         if entry is not None:
             at, raw = entry
-            confirmed[home + at] = (want, raw)
+            confirmed[home + at] = (want, raw, paired and slot == home + at)
 
     # -- the one-sided GET protocol ----------------------------------------
 
@@ -242,13 +248,15 @@ class OneSidedTransport(UcrTransport):
         return None
 
     def onesided_get(self, server: str, key: str):
-        """Process helper: find *key*'s slot, then fetch + confirm, on *server*.
+        """Process helper: find *key*'s slot, then fetch value + stamp, on
+        *server*.
 
-        A slot where this transport last confirmed *key* skips the window
-        READ: the value READ from the remembered location and the confirm
-        READ behind it share one round trip.  A confirm that differs from
-        the entry is the fresh entry, and the ladder restarts from it
-        without another READ.
+        A slot where this transport last served *key* skips the window
+        READ: the stamped fetch from the remembered location is the whole
+        GET.  A stale stamp sends the GET to the slot's entry, and marks
+        the slot: its later fetches post the slot probe behind them, so a
+        stale stamp there restarts the ladder from the probe without
+        another round trip.
 
         Returns the hit as the :class:`Reply` a get/gets RPC would have
         produced, or None after counting the fallback reason (the caller
@@ -271,7 +279,7 @@ class OneSidedTransport(UcrTransport):
         home = want % desc.n_buckets
         check_us = self.node.host.cpu_time(self.costs.onesided_check_us)
         confirmed = self._confirmed.setdefault(server, {})
-        slot, raw = _recall(confirmed, home, want)
+        slot, raw, paired = _recall(confirmed, home, want)
         if raw is not None and self._refusal(unpack_entry(raw)) is not None:
             raw = None
         remembered = raw is not None
@@ -300,41 +308,48 @@ class OneSidedTransport(UcrTransport):
                 # The slot was reused; the key may sit elsewhere in its window.
                 confirmed.pop(slot, None)
                 slot = raw = None
+                paired = False
                 continue
             reason = self._refusal(entry)
             if reason is not None:
                 return self._fall(reason)
+            length = entry.value_length
             fetch = (entry.value_rkey, entry.value_offset,
-                     entry.value_length, ENTRY_BYTES)
-            # RC executes the two in post order: the confirm reads the
-            # entry after the value READ read the value.
-            value, confirm = yield from self._reads(server, landing, fetch, probe)
+                     length + STAMP_BYTES, ENTRY_BYTES)
+            if paired:
+                # RC executes the two in post order: the probe reads the
+                # entry after the fetch read the stamp.
+                fetched, probed = yield from self._reads(server, landing, fetch, probe)
+            else:
+                (fetched,) = yield from self._reads(server, landing, fetch)
+                probed = None
             yield from self.node.cpu_run(check_us)
-            if confirm != raw:
-                # The confirm is the next attempt's probe.
+            if fetched[length:] != stamp_of(raw):
+                # Stale: the entry changed before the fetch read its stamp.
                 if remembered:
                     self.stale_entries += 1
+                    paired = True
                 else:
                     self.torn_retries += 1
                     torn += 1
                 remembered = False
-                raw = confirm
+                raw = probed  # the next attempt's entry, or probe it
                 continue
-            confirmed[slot] = (want, raw)
+            confirmed[slot] = (want, raw, paired)
             self.onesided_hits += 1
             self.remembered_hits += remembered
             return Reply(
                 status="values",
-                values=[(key, entry.flags, value, entry.cas)],
+                values=[(key, entry.flags, fetched[:length], entry.cas)],
             )
         return self._fall("torn")
 
 
 def _recall(confirmed: dict, home: int, want: int):
-    """``(slot, entry)`` remembered for the key hashing to *want* in the
-    window from *home*, or ``(None, None)``."""
+    """``(slot, entry, paired)`` remembered for the key hashing to *want*
+    in the window from *home*, or ``(None, None, False)``."""
     for slot in range(home, home + WINDOW):
         held = confirmed.get(slot)
         if held is not None and held[0] == want:
-            return slot, held[1]
-    return None, None
+            return slot, held[1], held[2]
+    return None, None, False

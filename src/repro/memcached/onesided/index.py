@@ -9,8 +9,16 @@ in place: a new value is a new item, published afresh), and
 every entry mutation follows the seqlock discipline -- bump the
 version to odd (:meth:`seq_begin`) before touching any other field,
 bump back to even (:meth:`seq_end`) after.  The version strictly
-increases, so a remote reader that fetched the entry, then the value,
-then the entry again can detect any interleaved mutation.
+increases, so a changed version names any interleaved mutation.
+
+:meth:`seq_begin` and :meth:`seq_end` also write the slot owner's
+*stamp* -- the entry's ``(version, key_hash, cas)`` -- into the owner's
+chunk right behind its value (odd while the bracket is open), and
+:meth:`seq_end` zeroes it when the entry was cleared; :meth:`publish`
+zeroes the stamp of a holder it displaces.  So a stamp is valid only
+while its item is published under exactly that version, and a remote
+reader that fetched the value and the stamp behind it in one READ, and
+found the stamp equal to the entry it used, read that entry's value.
 
 The index is window-associative (hopscotch hashing without the moves):
 a key may sit in any of ``WINDOW`` slots from its home bucket on, and
@@ -23,8 +31,9 @@ coherence stays one window scan per store mutation.
 
 Eviction and slab reuse safety: :meth:`unpublish` runs *before* the
 store frees the item's chunk, so no live entry ever references a free
-(or re-carved) chunk.  ``repro.sanitize.export.ExportSanitizer`` checks
-exactly that invariant, plus mirror/region coherence, at checkpoints.
+(or re-carved) chunk, and no freed chunk carries a valid stamp.
+``repro.sanitize.export.ExportSanitizer`` checks exactly that
+invariant, plus mirror/region/stamp coherence, at checkpoints.
 """
 
 from __future__ import annotations
@@ -36,12 +45,14 @@ from typing import TYPE_CHECKING, Optional
 from repro.memcached.onesided.layout import (
     DEFAULT_BUCKETS,
     ENTRY_BYTES,
+    STAMP_BYTES,
     WINDOW,
     IndexEntry,
     entry_offset,
     hash64,
     pack_entry,
     pack_header,
+    pack_stamp,
     region_bytes,
 )
 from repro.verbs.enums import Access
@@ -62,6 +73,16 @@ class IndexDescriptor:
     @property
     def index_rkey(self) -> int:
         return self.region.rkey
+
+
+#: A cleared stamp: its zero key hash matches no entry a client holds.
+_NO_STAMP = bytes(STAMP_BYTES)
+
+
+def _stamp(item: "Item", raw: bytes) -> None:
+    """Write *raw* right behind *item*'s value in its chunk."""
+    mr, offset = item.chunk.rdma_location()
+    mr.write(offset + item.value_length, raw)
 
 
 class ExportedIndex:
@@ -130,20 +151,28 @@ class ExportedIndex:
     # -- the seqlock -----------------------------------------------------------
 
     def seq_begin(self, slot: int) -> None:
-        """Bump-to-odd: mark the exported entry mid-mutation."""
+        """Bump-to-odd: mark the exported entry, and the slot owner's
+        stamp, mid-mutation (an odd stamp matches no stable entry)."""
         entry = self._mirror[slot]
         if entry.version % 2:
             raise AssertionError(f"seq_begin on slot {slot} already mid-mutation")
         entry.version += 1
         self.mr.write(entry_offset(slot), struct.pack("<Q", entry.version))
+        owner = self._owner[slot]
+        if owner is not None:
+            _stamp(owner, pack_stamp(entry))
 
     def seq_end(self, slot: int) -> None:
-        """Bump-to-even and expose the mirror's fields atomically."""
+        """Bump-to-even and expose the mirror's fields atomically, with
+        the slot owner's stamp (zeroed when the entry is empty)."""
         entry = self._mirror[slot]
         if entry.version % 2 == 0:
             raise AssertionError(f"seq_end on slot {slot} without seq_begin")
         entry.version += 1
         self.mr.write(entry_offset(slot), pack_entry(entry))
+        owner = self._owner[slot]
+        if owner is not None:
+            _stamp(owner, pack_stamp(entry) if entry.key_hash else _NO_STAMP)
 
     # -- store-facing coherence hooks ------------------------------------------
 
@@ -166,6 +195,9 @@ class ExportedIndex:
             slot = home
         entry = self._mirror[slot]
         self.seq_begin(slot)
+        holder = self._owner[slot]
+        if holder is not None and holder is not item:
+            _stamp(holder, _NO_STAMP)  # displaced: its stamp dies with its slot
         entry.key_hash = key_hash
         entry.value_rkey = value_mr.rkey
         entry.value_offset = value_offset
@@ -173,8 +205,8 @@ class ExportedIndex:
         entry.flags = item.flags
         entry.cas = item.cas
         entry.deadline_us = self._deadline_us(item)
-        self.seq_end(slot)
         self._owner[slot] = item
+        self.seq_end(slot)
         self.publishes += 1
 
     def unpublish(self, item: "Item") -> None:
@@ -200,6 +232,7 @@ class ExportedIndex:
                 self._clear(slot)
 
     def _clear(self, slot: int) -> None:
+        """Empty *slot*; its :meth:`seq_end` zeroes the owner's stamp."""
         entry = self._mirror[slot]
         self.seq_begin(slot)
         entry.key_hash = 0
@@ -211,6 +244,11 @@ class ExportedIndex:
         entry.deadline_us = 0
         self.seq_end(slot)
         self._owner[slot] = None
+
+    def stamp(self, item: "Item") -> bytes:
+        """The 24 bytes behind *item*'s value, as a remote reader sees them."""
+        mr, offset = item.chunk.rdma_location()
+        return mr.read(offset + item.value_length, STAMP_BYTES)
 
     def _deadline_us(self, item: "Item") -> int:
         """Fold exptime and any pending flush horizon into one absolute

@@ -32,13 +32,28 @@ Entry layout (64 bytes, little-endian, 16 trailing pad bytes)::
     deadline_us  u64   absolute expiry on the sim clock in µs; 0 = never
 
 ``version`` is the seqlock: the server bumps it to odd before touching
-any other field and back to even after, and it strictly increases, so a
-client that re-reads the entry after fetching the value detects any
-concurrent mutation (torn read) as a version change.  ``deadline_us``
+any other field and back to even after, and it strictly increases, so
+a changed version names any concurrent mutation.  ``deadline_us``
 folds both the item's exptime and any pending ``flush_all`` horizon into
 one client-checkable instant -- it is rounded *down* so the client never
 serves a value the server would already consider expired (expiring early
 merely causes an RPC fallback, which is authoritative).
+
+Stamp layout (24 bytes, little-endian), in the value's own slab chunk
+right behind its last byte::
+
+    version u64 | key_hash u64 | cas u64
+
+The server rewrites a published item's stamp in the steps that open
+(odd version) and close (even version) each mutation of its entry, and
+zeroes it in the step that clears or takes the slot, so a stamp equal to
+a stable entry's ``(version, key_hash, cas)`` proves that entry still
+publishes that item.  A client fetches ``value_length +
+STAMP_BYTES`` in one READ and checks the tail: the stamp is the last
+thing the READ reads, and a linked chunk's value is never rewritten, so
+the value bytes before a valid stamp are that item's.  Every slab class
+reserves ``ITEM_HEADER_OVERHEAD`` plus the key behind the value, so the
+stamp always fits in the chunk.
 """
 
 from __future__ import annotations
@@ -49,13 +64,16 @@ from dataclasses import dataclass
 
 #: Identifies the region layout; bumped if the struct format or the
 #: placement rule changes.
-INDEX_MAGIC = 0x1D5EC0DE_0002
+INDEX_MAGIC = 0x1D5EC0DE_0003
 #: Header: magic u64 + bucket count u32, padded to one entry slot.
 HEADER_FORMAT = "<QI52x"
 HEADER_BYTES = struct.calcsize(HEADER_FORMAT)
 #: One entry (48 significant bytes padded to a 64-byte slot).
 ENTRY_FORMAT = "<QQIIIIQQ16x"
 ENTRY_BYTES = struct.calcsize(ENTRY_FORMAT)
+#: The stamp behind a published value: the entry's version, key_hash, cas.
+STAMP_FORMAT = "<QQQ"
+STAMP_BYTES = struct.calcsize(STAMP_FORMAT)
 #: Slots a key may occupy, from its home bucket on.
 WINDOW = 8
 #: One window: what a first GET READs to find its key's slot.
@@ -66,7 +84,10 @@ KEY_HASH_OFFSET = 8
 #: the experiments drive so displacement stays rare.
 DEFAULT_BUCKETS = 4096
 
-assert HEADER_BYTES == 64 and ENTRY_BYTES == 64
+#: Where ``cas`` sits within an entry.
+CAS_OFFSET = 32
+
+assert HEADER_BYTES == 64 and ENTRY_BYTES == 64 and STAMP_BYTES == 24
 
 
 def hash64(key: str) -> int:
@@ -133,6 +154,17 @@ def unpack_entry(raw: bytes) -> IndexEntry:
         cas=cas,
         deadline_us=deadline_us,
     )
+
+
+def pack_stamp(entry: IndexEntry) -> bytes:
+    """The 24-byte stamp a value carries while *entry* publishes it."""
+    return struct.pack(STAMP_FORMAT, entry.version, entry.key_hash, entry.cas)
+
+
+def stamp_of(raw: bytes) -> bytes:
+    """The stamp of the packed 64-byte entry *raw*, cut from its bytes:
+    :func:`pack_stamp` of :func:`unpack_entry` of *raw*."""
+    return raw[:KEY_HASH_OFFSET + 8] + raw[CAS_OFFSET:CAS_OFFSET + 8]
 
 
 def pack_header(n_buckets: int) -> bytes:

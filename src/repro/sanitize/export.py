@@ -22,7 +22,15 @@ actually read.  Invariants:
    from its home bucket): a client only ever READs that window, so an
    entry outside it is unreachable;
 7. a key hash is live in at most one slot: two would leave a client's
-   window scan free to serve either one.
+   window scan free to serve either one;
+8. the owner of a sound live entry carries that entry's stamp
+   (``version``, ``key_hash``, ``cas``) right behind its value -- a
+   client accepts a fetch by exactly that comparison, so a missing or
+   outdated stamp turns every hit into a retry;
+9. no linked item that is not published carries a stamp naming it
+   (its ``key_hash`` and ``cas``) unless a live entry carries that very
+   stamp -- a valid stamp left on an unpublished or displaced item
+   would let a client that remembers the old entry serve it.
 
 Any of these firing *before* a client reads the slot is the point:
 the sanitizer sees the corruption at the mutation checkpoint, not two
@@ -33,7 +41,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.memcached.onesided.layout import WINDOW, hash64, pack_entry
+import struct
+
+from repro.memcached.onesided.layout import (
+    STAMP_FORMAT,
+    WINDOW,
+    hash64,
+    pack_entry,
+    pack_stamp,
+)
 from repro.sanitize.errors import ExportIndexError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,15 +80,21 @@ class ExportSanitizer:
             return violations
 
         live_in: dict[int, int] = {}  # key hash -> first slot holding it
+        owners = set()
+        live_stamps = set()
         for slot in range(index.n_slots):
             entry = index.mirror_entry(slot)
             owner = index.owner(slot)
+            sound = len(violations)
+            if owner is not None:
+                owners.add(owner)
             if not entry.stable:
                 violations.append(
                     f"slot {slot}: odd version {entry.version} at rest "
                     f"(unclosed seqlock bracket)"
                 )
             if entry.live:
+                live_stamps.add(pack_stamp(entry))
                 first = live_in.setdefault(entry.key_hash, slot)
                 if first != slot:
                     violations.append(
@@ -92,6 +114,14 @@ class ExportSanitizer:
                             f"its window [{home}, {home + WINDOW})"
                         )
                     violations.extend(self._check_owned(slot, entry, owner))
+                    # The stamp is derived state: judged on a sound entry.
+                    if len(violations) == sound and (
+                        index.stamp(owner) != pack_stamp(entry)
+                    ):
+                        violations.append(
+                            f"slot {slot}: owner {owner.key!r} does not carry "
+                            f"its entry's stamp"
+                        )
             elif owner is not None:
                 violations.append(
                     f"slot {slot}: owner {owner.key!r} but entry is dead"
@@ -101,6 +131,18 @@ class ExportSanitizer:
                 violations.append(
                     f"slot {slot}: exported bytes diverge from the mirror "
                     f"(a write bypassed the seqlock helpers)"
+                )
+
+        for item in store.by_key.values():
+            if item in owners:
+                continue
+            raw = index.stamp(item)
+            _version, key_hash, cas = struct.unpack(STAMP_FORMAT, raw)
+            if (key_hash == hash64(item.key) and cas == item.cas
+                    and raw not in live_stamps):
+                violations.append(
+                    f"item {item.key!r} is not published but carries a "
+                    f"valid stamp"
                 )
 
         if self.counters is not None:

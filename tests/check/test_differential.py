@@ -107,6 +107,7 @@ def test_pressure_mutations_are_registered():
         "skip-eviction-counter",
         "double-free-on-rebalance",
         "onesided-skip-version-bump",
+        "onesided-stale-stamp",
         "lease-serve-stale-past-deadline",
     } == set(MUTATIONS)
 
@@ -155,6 +156,28 @@ def test_onesided_mutation_is_invisible_to_rpc_transports():
     commands = generate_commands(8, 80)
     result = replay(UCR, commands, mutation="onesided-skip-version-bump")
     assert result.ok
+
+
+def test_a_stale_stamp_is_caught_by_the_concurrent_onesided_replay(monkeypatch):
+    """Unpublish leaving the stamp valid serves a deleted value to a
+    client that remembers the old entry.  An own delete forgets that
+    entry, so the sequential replay cannot see it; with the row armed on
+    every server a one-sided client exports, another client's GET does,
+    and the concurrent history does not linearize."""
+    from repro.memcached.server import MemcachedServer
+
+    mutation = "onesided-stale-stamp"
+    onesided = CONFIGS[-1]
+    export = MemcachedServer.export_index
+
+    def export_mutated(server):
+        descriptor = export(server)
+        MUTATIONS[mutation](server.store)
+        return descriptor
+
+    monkeypatch.setattr(MemcachedServer, "export_index", export_mutated)
+    assert replay(onesided, generate_commands(1, 80), mutation=mutation).ok
+    assert not replay_concurrent(onesided, seed=1).ok
 
 
 def test_dump_and_load_roundtrip(tmp_path):

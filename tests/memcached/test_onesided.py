@@ -8,14 +8,16 @@ The layers of the subsystem under test:
 - every rung of the fallback ladder (absent / expired / oversize /
   torn) lands on the authoritative RPC path;
 - a READ parked across the server's mutation window can never be
-  *served*: the seqlock confirm detects the tear and the client either
-  retries to the new value or falls back -- spliced bytes are
-  impossible by construction;
-- RC executes a QP's READs in post order, so the confirm posted behind
-  the value READ brackets it: a first hit costs three READs in two round
-  trips (the key's window, then value + confirm), a repeat GET of a
-  remembered entry two READs in one, and a confirm that differs restarts
-  the ladder from whatever changed (overwrite, displacement) at once;
+  *served*: the stamp behind the value no longer matches the entry, and
+  the client either retries to the new value or falls back -- spliced
+  bytes are impossible by construction;
+- the fetch reads the value and its stamp in one READ: a first hit
+  costs two READs in two round trips (the key's window, then the
+  stamped fetch), a repeat GET of a remembered entry one READ in one;
+  a stale stamp sends the GET to the slot's entry, and from then on the
+  slot's fetches carry the slot probe behind them (RC executes a QP's
+  READs in post order), so a stale stamp there restarts the ladder from
+  whatever changed (overwrite, displacement) at once;
 - an own write's reply carries the entry the server published for it,
   so the GET after it is a remembered hit; reads change nothing
   remembered;
@@ -40,6 +42,7 @@ from repro.memcached.onesided import (
     ENTRY_BYTES,
     HEADER_BYTES,
     INDEX_MAGIC,
+    STAMP_BYTES,
     WINDOW,
     IndexEntry,
     entry_offset,
@@ -143,9 +146,9 @@ def test_hit_is_served_by_reads_without_rpc(cluster):
     assert value == b"payload"
     assert pair[0] == b"payload" and pair[1] > 0
     assert t.onesided_hits == 2
-    # The set's reply carried the published entry: each GET is its
-    # (value, confirm); nothing torn, nothing fallen back
-    assert t.onesided_reads == 4
+    # The set's reply carried the published entry: each GET is one
+    # stamped fetch; nothing torn, nothing fallen back
+    assert t.onesided_reads == 2
     assert t.remembered_hits == 2
     assert t.torn_retries == 0
     assert t.fallbacks == {}
@@ -325,13 +328,14 @@ def test_oversized_value_rides_rpc(cluster):
 
 def _fire_between_stages(transport, action, times=1):
     """Run *action* (a synchronous server-side mutation) the first *times*
-    a GET, its entry known, is about to post the value READ and the
-    confirm behind it: the only ``_reads`` call that posts two READs."""
+    a GET, its entry known, is about to post the stamped fetch: the only
+    READ that names a slab page rather than the index."""
     state = {"left": times}
     reads = transport._reads
 
     def firing(server, landing, *posted):
-        if len(posted) == 2 and state["left"] > 0:
+        index_rkey = transport._descriptors[server].index_rkey
+        if posted[0][0] != index_rkey and state["left"] > 0:
             state["left"] -= 1
             action()
         return (yield from reads(server, landing, *posted))
@@ -341,9 +345,9 @@ def _fire_between_stages(transport, action, times=1):
 
 
 def test_read_parked_across_overwrite_retries_to_new_value(cluster):
-    """The server rewrites the key after the client's value READ; the
-    confirm READ must reject the fetch and the retry must serve the
-    *new* value -- never a splice of old and new bytes."""
+    """The server rewrites the key before the client's fetch; the stamp
+    behind the value must reject it and the retry must serve the *new*
+    value -- never a splice of old and new bytes."""
     client = cluster.client("UCR-1S")
     store = cluster.server.store
     t = client.transport
@@ -360,8 +364,9 @@ def test_read_parked_across_overwrite_retries_to_new_value(cluster):
 
 
 def test_read_parked_across_delete_never_serves_dead_bytes(cluster):
-    """Delete lands between the entry probe and the confirm: the retry
-    finds a cleared bucket and the RPC fallback reports the miss."""
+    """Delete lands between the entry and the fetch: the zeroed stamp
+    sends the GET to a cleared bucket and the RPC fallback reports the
+    miss."""
     client = cluster.client("UCR-1S")
     store = cluster.server.store
     t = client.transport
@@ -418,11 +423,11 @@ def test_mutation_between_the_two_responder_reads_is_retried_never_served(
     cluster, monkeypatch
 ):
     """The server opens a mutation window (``seq_begin``) and rewrites half
-    the value in place after the responder read the value and before it
-    reads the confirm.  RC executes the two READs in post order, so the
-    confirm sees the odd version: the GET retries and serves the finished
-    new value -- never the half-written bytes a confirm read *before* the
-    value would have blessed."""
+    the value in place after the responder read the window and before it
+    reads the value.  ``seq_begin`` made the stamp behind the value odd,
+    so the fetch is refused: the GET retries and serves the finished new
+    value -- never the half-written bytes a stamp left valid until
+    ``seq_end`` would have blessed."""
     client = cluster.client("UCR-1S")
     store = cluster.server.store
     index = store.onesided
@@ -444,10 +449,10 @@ def test_mutation_between_the_two_responder_reads_is_retried_never_served(
         sim.timeout(1.0).callbacks.append(finish)
 
     def serving(qp, packet, turnaround):
-        respond(qp, packet, turnaround)
         responded.append(packet.length)
-        if len(responded) == 2:  # the window, then the first of the pair
+        if len(responded) == 2:  # the fetch, before the responder reads it
             rewrite_in_place()
+        respond(qp, packet, turnaround)
 
     def scenario():
         store.set("k", b"old-value")  # another client's write: the GET probes
@@ -455,7 +460,7 @@ def test_mutation_between_the_two_responder_reads_is_retried_never_served(
         return (yield from client.get("k"))
 
     assert run(cluster, scenario()) == b"NEW-VALUE"
-    assert responded[:3] == [WINDOW * ENTRY_BYTES, len(b"old-value"), ENTRY_BYTES]
+    assert responded[:2] == [WINDOW * ENTRY_BYTES, len(b"old-value") + STAMP_BYTES]
     assert t.torn_retries >= 1
     assert t.fallbacks == {}
 
@@ -486,7 +491,7 @@ def _read_lengths(monkeypatch):
     return lengths
 
 
-def test_repeat_hit_costs_two_reads_in_one_round_trip(cluster):
+def test_repeat_hit_costs_one_read_in_one_round_trip(cluster):
     client = cluster.client("UCR-1S")
     t = client.transport
     sim = cluster.sim
@@ -505,10 +510,11 @@ def test_repeat_hit_costs_two_reads_in_one_round_trip(cluster):
 
     (v1, first_us), (v2, repeat_us), repeat_reads = run(cluster, scenario())
     assert v1 == v2 == b"payload"
-    assert repeat_reads == 2  # the value READ and the confirm behind it
-    # One round trip to the first GET's two (3.54 vs 6.38 us on Cluster A).
+    assert repeat_reads == 1  # the value and the stamp behind it
+    # One round trip to the first GET's two, which also connect (3.21 vs
+    # 24.01 us on Cluster A).
     assert repeat_us <= 0.6 * first_us
-    assert t.onesided_reads == 5
+    assert t.onesided_reads == 3
     assert (t.onesided_hits, t.remembered_hits, t.stale_entries) == (2, 1, 0)
 
 
@@ -529,15 +535,17 @@ def test_overwrite_by_another_client_is_found_by_the_overlapped_probe(cluster):
     assert value == b"new"
     assert t.stale_entries == 1
     assert t.fallbacks == {}
-    # value + confirm, then the fresh entry's value + confirm: no re-probe
+    # the stale fetch, the slot probe, then the fresh entry's fetch with
+    # the probe behind it (the slot found a stale stamp): no window READ
     assert reads == 4
     assert t.remembered_hits == 0
 
 
 def test_displaced_entry_falls_back_after_one_round_trip(cluster):
     """WINDOW keys sharing "k"'s home fill its window and the last one
-    takes the home slot: the remembered pair's confirm shows a foreign
-    hash, one window READ finds no slot for "k", and the GET falls back."""
+    takes the home slot: the remembered fetch's stamp is stale, the slot
+    probe shows a foreign hash, one window READ finds no slot for "k", and
+    the GET falls back."""
     client = cluster.client("UCR-1S")
     t = client.transport
     mates = _window_mates("k", WINDOW)
@@ -554,15 +562,16 @@ def test_displaced_entry_falls_back_after_one_round_trip(cluster):
 
     value, reads = run(cluster, scenario())
     assert value == b"mine"  # the RPC answer
-    assert reads == 3  # value + confirm, then the window
+    assert reads == 3  # the stale fetch, the slot probe, then the window
     assert t.fallbacks == {"absent": 1}
     assert t.stale_entries == 1
 
 
 def test_slot_taken_by_a_window_neighbour_reprobes_and_hits(cluster):
     """"k" is deleted, a window mate takes its slot and "k" comes back in
-    the next one: the remembered slot's confirm shows the mate's hash, and
-    the window READ finds "k" one slot on -- a hit, not a false absent."""
+    the next one: the remembered slot's stamp is stale, its probe shows the
+    mate's hash, and the window READ finds "k" one slot on -- a hit, not a
+    false absent."""
     client = cluster.client("UCR-1S")
     t = client.transport
     store = cluster.server.store
@@ -581,12 +590,12 @@ def test_slot_taken_by_a_window_neighbour_reprobes_and_hits(cluster):
     reads = t.onesided_reads
     assert run(cluster, client.get("k")) == b"new"
     assert t.fallbacks == {}
-    # value + confirm, the window, value + confirm
-    assert t.onesided_reads - reads == 5
+    # the stale fetch, the slot probe, the window, the fetch
+    assert t.onesided_reads - reads == 4
     assert (t.stale_entries, t.torn_retries) == (1, 0)
 
 
-def test_own_set_reads_only_the_new_value_and_its_confirm(cluster, monkeypatch):
+def test_own_set_reads_only_the_new_stamped_value(cluster, monkeypatch):
     client = cluster.client("UCR-1S")
     lengths = _read_lengths(monkeypatch)
 
@@ -599,7 +608,7 @@ def test_own_set_reads_only_the_new_value_and_its_confirm(cluster, monkeypatch):
 
     assert run(cluster, scenario()) == b"value-2"
     # The set's reply carried its entry: no window, no slot probe.
-    assert lengths == [len(b"value-2"), ENTRY_BYTES]
+    assert lengths == [len(b"value-2") + STAMP_BYTES]
 
 
 def test_remembered_map_never_exceeds_the_slot_count(monkeypatch):
@@ -647,8 +656,8 @@ def _round_trips(transport):
 
 def test_own_write_is_read_back_in_one_round_trip(cluster):
     """Read-your-own-write: each set's reply carries the entry the server
-    published for it, so both GETs are remembered hits -- two READs in
-    one round trip apiece, and no confirm finds a stale entry."""
+    published for it, so both GETs are remembered hits -- one READ in
+    one round trip apiece, and no stamp is stale."""
     client = cluster.client("UCR-1S")
     t = client.transport
     trips = _round_trips(t)
@@ -660,8 +669,34 @@ def test_own_write_is_read_back_in_one_round_trip(cluster):
         return first, (yield from client.get("k"))
 
     assert run(cluster, scenario()) == (b"v1", b"v2")
-    assert trips == [2, 2]
-    assert (t.remembered_hits, t.stale_entries, t.onesided_reads) == (2, 0, 4)
+    assert trips == [1, 1]
+    assert (t.remembered_hits, t.stale_entries, t.onesided_reads) == (2, 0, 2)
+
+
+def test_a_key_another_client_overwrites_costs_one_extra_round_trip_once(cluster):
+    """Another client overwrites "k" before each of our GETs.  A stale
+    stamp names no fresh entry, so the first stale GET takes three round
+    trips (the fetch, the slot probe, the fetch); from then on the slot
+    posts the probe behind its fetch, and a stale stamp restarts from the
+    probe: two round trips, a value + confirm ladder's count."""
+    reader = cluster.client("UCR-1S", client_node=0)
+    writer = cluster.client("UCR-1S", client_node=1)
+    t = reader.transport
+    trips = _round_trips(t)
+    per_get = []
+
+    def scenario():
+        yield from writer.set("k", b"v0")
+        assert (yield from reader.get("k")) == b"v0"
+        for i in range(1, 6):
+            yield from writer.set("k", b"v%d" % i)
+            del trips[:]
+            assert (yield from reader.get("k")) == b"v%d" % i
+            per_get.append(trips[:])
+
+    run(cluster, scenario())
+    assert per_get == [[1, 1, 2]] + [[2, 2]] * 4
+    assert (t.stale_entries, t.torn_retries, t.remembered_hits) == (5, 0, 0)
 
 
 OWN_WRITES = {
@@ -687,7 +722,7 @@ def test_the_get_after_an_own_write_is_a_remembered_hit(cluster, op):
         return (yield from client.get("k"))
 
     assert run(cluster, scenario()) == expected
-    assert trips == [2]  # value READ + confirm, one round trip
+    assert trips == [1]  # the stamped fetch, one round trip
     assert t.remembered_hits == 1
     assert (t.stale_entries, t.torn_retries, t.fallbacks) == (0, 0, {})
 
@@ -729,8 +764,8 @@ def test_nothing_is_remembered_after_a_write_whose_reply_has_no_entry(
 
 def test_an_overwrite_after_our_sets_reply_is_found_stale(cluster):
     """Another client overwrites "k" between our set's reply and our GET:
-    the confirm behind the value READ shows the new entry, which is
-    fetched and served -- the remembered entry never is."""
+    the stamp behind the value is stale, the slot probe shows the new
+    entry, which is fetched and served -- the remembered entry never is."""
     reader = cluster.client("UCR-1S", client_node=0)
     writer = cluster.client("UCR-1S", client_node=1)
     t = reader.transport
@@ -757,7 +792,7 @@ def test_a_get_multi_leaves_remembered_entries_alone(cluster):
         return (yield from client.get("k"))
 
     assert run(cluster, scenario()) == b"v"
-    assert trips == [2]
+    assert trips == [1]
     assert t.remembered_hits == 1
 
 
@@ -806,13 +841,13 @@ def test_an_expired_remembered_entry_probes_its_slot(cluster, monkeypatch):
         return (yield from client.get("k"))
 
     assert run(cluster, scenario()) == b"v"
-    assert lengths == [ENTRY_BYTES, 1, ENTRY_BYTES]
+    assert lengths == [ENTRY_BYTES, 1 + STAMP_BYTES]
     assert (t.remembered_hits, t.fallbacks) == (0, {})
 
 
 def test_own_flush_is_found_by_the_overlapped_probe(cluster):
-    """A flush names no key, so nothing is forgotten: the confirm behind
-    the wasted value READ finds the bucket changed."""
+    """A flush names no key, so nothing is forgotten: the wasted fetch
+    finds its stamp stale, and the slot probe finds the bucket changed."""
     client = cluster.client("UCR-1S")
     t = client.transport
 
@@ -827,7 +862,9 @@ def test_own_flush_is_found_by_the_overlapped_probe(cluster):
 
     value, reads = run(cluster, scenario())
     assert value == b"w"
-    assert reads == 4  # value + confirm, then the fresh value + confirm
+    # the stale fetch, the slot probe, then the fresh fetch with the probe
+    # behind it
+    assert reads == 4
     # The first GET read back the set's own entry; the second found it stale.
     assert (t.stale_entries, t.remembered_hits) == (1, 1)
 
@@ -865,33 +902,37 @@ def test_remembered_read_parked_across_overwrite_serves_new_value(cluster):
 
 
 def test_probe_landing_before_a_large_value_is_not_missed(cluster):
-    """The 64-byte confirm completes right behind a 4 KB value READ
-    posted ahead of it; its counter target was taken at post time, so the
-    wait that starts after the value landed still sees it."""
+    """The 64-byte slot probe completes right behind a 4 KB fetch posted
+    ahead of it; its counter target was taken at post time, so the wait
+    that starts after the value landed still sees it."""
     client = cluster.sharded_client("UCR-1S")
     t = client.transport
     value = bytes(range(256)) * 16
+    trips = _round_trips(t)
 
     def scenario():
         yield from client.set("k", value)
-        yield from client.get("k")
+        cluster.server.store.set("k", value)  # as another client would
+        yield from client.get("k")  # stale: the slot now pairs its fetches
+        del trips[:]
         return (yield from client.get("k"))
 
     assert run(cluster, scenario()) == value
     assert client.failovers == 0
-    assert t.remembered_hits == 2  # the set's reply carried the entry
+    assert trips == [2]  # the fetch and the probe behind it
+    assert (t.stale_entries, t.remembered_hits) == (1, 1)
 
 
 def test_endpoint_failing_under_overlapped_reads_drops_their_buffers(cluster):
-    """Both READs are in flight when the server's link stalls: the wait
-    times out, and the endpoint is failed and forgotten.  The READs
-    still land late, so their counters are destroyed and their landing
-    buffer dropped, not pooled: a later GET must not be woken or
-    scattered into by them."""
+    """Both READs of a paired slot (the fetch and the probe behind it) are
+    in flight when the server's link stalls: the wait times out, and the
+    endpoint is failed and forgotten.  The READs still land late, so
+    their counters are destroyed and their landing buffer dropped, not
+    pooled: a later GET must not be woken or scattered into by them."""
     client = cluster.client("UCR-1S", timeout_us=2000.0)
     t = client.transport
     server_nic = cluster.verbs_net.nic_of("server")
-    stalled = []  # the value READ and the confirm behind it
+    stalled = []  # the fetch and the probe behind it
 
     def stall_after_the_pair(ep):
         post = ep._post
@@ -906,7 +947,8 @@ def test_endpoint_failing_under_overlapped_reads_drops_their_buffers(cluster):
 
     def scenario():
         yield from client.set("k", b"v")
-        yield from client.get("k")  # a remembered hit: two counters out
+        cluster.server.store.set("k", b"w")  # as another client would
+        yield from client.get("k")  # stale: the slot now pairs its fetches
         pools = len(t._counter_pool), len(t._landing_pool)
         stall_after_the_pair(t._endpoints["server"])
         with pytest.raises(ServerDownError, match="after 2000.0"):
@@ -918,7 +960,7 @@ def test_endpoint_failing_under_overlapped_reads_drops_their_buffers(cluster):
     assert run(cluster, scenario()) == (2, 1)
     assert [wr.context.endpoint.failed for wr in stalled] == [True, True]
     assert "server" not in t._endpoints
-    assert t.remembered_hits == 1
+    assert (t.stale_entries, t.remembered_hits) == (1, 0)
     late_counters = [wr.context.origin_counter for wr in stalled]
     late_landing = {wr.sge.mr for wr in stalled}
     assert len(late_landing) == 1

@@ -6,7 +6,9 @@ stream of 100 ops (a fifth of them sets) over its own keys, Zipf-drawn
 at one seed.  Each one-sided GET is filed by its first round trip:
 
 - ``window`` -- the 512-byte window READ (nothing remembered for the key);
-- ``remembered`` -- the value READ and its confirm (one round trip);
+- ``remembered`` -- the value READ with its stamp behind it (one READ,
+  and the slot probe behind it on a slot that once found its stamp
+  stale);
 - ``slot probe`` -- a 64-byte READ of the remembered slot (its entry
   was refused);
 - ``fallback`` -- the index could not prove the answer; RPC served it.
@@ -17,7 +19,9 @@ reply carries the entry its command published, so a GET after an own
 write, and a first GET of one of client 0's keys, is ``remembered``:
 170 of the 311 GETs, where 110 were when a store reply carried no entry
 (then 189 READ the window and 10 probed the slot their own set had
-kept; now 139 READ the window and none probes).
+kept; now 139 READ the window and none probes).  The stamp behind the
+value replaced the 64-byte confirm READ: a remembered GET is one READ
+(was two), a window GET two (was three).
 """
 
 from collections import Counter
@@ -40,7 +44,11 @@ def _observe(transport, gets: list) -> None:
     trips: list = []
 
     def counting(server, landing, *posted):
-        trips.append([length for _rkey, _offset, length, _at in posted])
+        index_rkey = transport._descriptors[server].index_rkey
+        trips.append([
+            length if rkey == index_rkey else "fetch"
+            for rkey, _offset, length, _at in posted
+        ])
         return (yield from reads(server, landing, *posted))
 
     def getting(server, key):
@@ -49,7 +57,7 @@ def _observe(transport, gets: list) -> None:
         first = trips[0] if trips else []
         if reply is None:
             path = "fallback"
-        elif len(first) == 2:
+        elif first[0] == "fetch":
             path = "remembered"
         elif first == [WINDOW * ENTRY_BYTES]:
             path = "window"
@@ -98,9 +106,9 @@ def test_gets_per_path_and_reads_per_get_are_pinned():
     reads = Counter(gets)
     assert len(gets) == 311
     assert paths == {"remembered": 170, "window": 139, "fallback": 2}
-    # Two READs in one round trip; the window, then value + confirm; the
+    # One READ in one round trip; the window, then the stamped fetch; the
     # window of a key displaced from it (``absent``), then RPC.
-    assert reads == {("remembered", 2): 170, ("window", 3): 139, ("fallback", 1): 2}
+    assert reads == {("remembered", 1): 170, ("window", 2): 139, ("fallback", 1): 2}
     transports = [c.transport for c in clients]
     assert sum(t.remembered_hits for t in transports) == paths["remembered"]
     assert sum(t.onesided_reads for t in transports) == sum(n for _p, n in gets)

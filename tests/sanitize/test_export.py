@@ -9,7 +9,7 @@ so that the seeded arm is the only one that fires.
 import pytest
 
 from repro.cluster import CLUSTER_A, Cluster
-from repro.memcached.onesided import WINDOW, hash64
+from repro.memcached.onesided import STAMP_BYTES, WINDOW, hash64
 from repro.sanitize import ExportIndexError, ExportSanitizer, SanitizerCounters
 
 
@@ -119,6 +119,18 @@ def _duplicate_hash(store):
     _copy_into(index, index.slot_of(item), spare, item)
 
 
+def _stamp_missing(store):
+    item = store.by_key["a"]
+    mr, offset = item.chunk.rdma_location()
+    mr.write(offset + item.value_length, bytes(STAMP_BYTES))
+
+
+def _stamp_outlives_its_entry(store):
+    index, slot = store.onesided, _slot(store, "a")
+    index._owner[slot] = None  # the clear then zeroes no stamp
+    index._clear(slot)
+
+
 SEEDED = {
     "odd-version": (_odd_version, "at rest (unclosed seqlock bracket)"),
     "live-without-owner": (_live_without_owner, "live entry with no owner"),
@@ -132,6 +144,10 @@ SEEDED = {
     "mirror-drift": (_mirror_drift, "exported bytes diverge from the mirror"),
     "out-of-window": (_out_of_window, "is outside its window"),
     "duplicate-hash": (_duplicate_hash, "is also live in slot"),
+    "stamp-missing": (_stamp_missing, "does not carry its entry's stamp"),
+    "stamp-outlives-entry": (
+        _stamp_outlives_its_entry, "is not published but carries a valid stamp"
+    ),
 }
 
 

@@ -92,8 +92,8 @@ def test_small_send_after_1m_read_completes_in_post_order(pair):
 def test_small_read_after_a_fetched_read_executes_and_completes_in_post_order(
     pair, monkeypatch
 ):
-    """The one-sided GET's value READ and the confirm READ behind it: the
-    responder must read remote memory for them in post order."""
+    """A paired one-sided GET's stamped fetch and the slot probe behind
+    it: the responder must read remote memory for them in post order."""
     assert 256 > pair.hca_a.params.max_inline_bytes >= 64  # only the first fetches
     remote = pair.mr("b", 512, Access.full())
     local = pair.mr("a", 512)
