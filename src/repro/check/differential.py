@@ -48,6 +48,7 @@ from repro.memcached.errors import (
 )
 from repro.memcached.slabs import PAGE_BYTES
 from repro.memcached.store import StoreConfig
+from repro.sanitize.export import ExportSanitizer
 from repro.telemetry.chrome import chrome_document, write_chrome
 from repro.telemetry.spans import tracing
 
@@ -318,6 +319,12 @@ def replay(
     if trace_path is not None:
         write_chrome(trace_path, chrome_document([(name, t.spans, t.instants)]))
         result.trace_file = trace_path
+    # An index the oracle cannot see into may still be unsound at the
+    # end (a stale entry no later read hit): that fails the replay too.
+    for violation in ExportSanitizer(strict=False).check(store):
+        result.mismatches.append(
+            (len(result.outcomes), ["export", violation], ["export", "sound"])
+        )
     result.evictions = store.stats.evictions
     result.reclaimed = store.stats.reclaimed
     result.oom_errors = store.stats.oom_errors

@@ -68,23 +68,16 @@ def _mutate_double_free_on_rebalance(store) -> None:
 
 
 def _mutate_onesided_skip_version_bump(store) -> None:
-    # Exported-index invalidation bug: unpublish forgets the owner but
-    # never brackets the entry with a version bump, so a stale *live*
-    # entry keeps naming the chunk after delete/eviction frees it.  A
-    # one-sided GET then reads a stable, matching-hash entry and serves
-    # the dead value.  Only UCR-1S can see it: no other config wires a
-    # reader, so no server exports an index to break.  ExportSanitizer
-    # flags it immediately as an ownerless live entry.
+    # Exported-index invalidation bug: unpublish never brackets the
+    # entry, so a stale *live* entry keeps naming the chunk after
+    # delete/eviction frees it.  A one-sided GET then reads a stable,
+    # matching-hash entry and serves the dead value.  Only UCR-1S can
+    # see it: no other config wires a reader, so no server exports an
+    # index to break.  ExportSanitizer flags it immediately as a live
+    # entry no linked item owns.
     index = store.onesided
-    if index is None:
-        return
-
-    def unpublish(item):
-        slot = index.slot_of(item)
-        if slot is not None:
-            index._owner[slot] = None  # bookkeeping only: no seqlock bump
-
-    index.unpublish = unpublish
+    if index is not None:
+        index.unpublish = lambda item: None
 
 
 def _mutate_onesided_stale_stamp(store) -> None:
@@ -97,15 +90,16 @@ def _mutate_onesided_stale_stamp(store) -> None:
     index = store.onesided
     if index is None:
         return
-    clear = index._clear
+    unpublish = index.unpublish
 
-    def unpublish(item):
-        slot = index.slot_of(item)
-        if slot is not None:
-            index._owner[slot] = None  # the clear then zeroes no stamp
-            clear(slot)
+    def unpublish_(item):
+        """The real unpublish, then the item's stamp put back."""
+        stamp = index.stamp(item)
+        unpublish(item)
+        mr, offset = item.chunk.rdma_location()
+        mr.write(offset + item.value_length, stamp)
 
-    index.unpublish = unpublish
+    index.unpublish = unpublish_
 
 
 def _mutate_lease_serve_stale_past_deadline(store) -> None:

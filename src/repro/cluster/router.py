@@ -174,7 +174,7 @@ class HashRing:
 
     # -- routing -----------------------------------------------------------
 
-    def _owner_index(self, key: str) -> int:
+    def _first_point(self, key: str) -> int:
         idx = bisect.bisect(self._points, ring_point(key))
         return 0 if idx == len(self._ring) else idx
 
@@ -190,7 +190,7 @@ class HashRing:
         """
         if avoid and not (set(self._nodes) - avoid):
             avoid = frozenset()
-        start = self._owner_index(key)
+        start = self._first_point(key)
         if not avoid:
             return self._ring[start][1]
         n = len(self._ring)

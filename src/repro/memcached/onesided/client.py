@@ -59,6 +59,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.buffers import BufferPool
 from repro.core.endpoint import _SendCompletionCookie
 from repro.core.errors import EndpointClosed, UcrTimeout
 from repro.memcached import protocol_ucr as ucrp
@@ -112,9 +113,14 @@ class OneSidedTransport(UcrTransport):
     ) -> None:
         super().__init__(context, costs, timeout_us)
         self._descriptors: dict[str, IndexDescriptor] = {}
-        #: Landing buffers for in-flight READs (checkout/checkin like the
-        #: counter pool; concurrent GETs each pin their own).
-        self._landing_pool: list = []
+        #: Landing buffers for in-flight READs (concurrent GETs each
+        #: check out their own).
+        self.landings = BufferPool(
+            self.runtime.pd,
+            max(WINDOW_BYTES, ENTRY_BYTES + self.max_value_bytes + STAMP_BYTES),
+            initial=0,
+            name=f"{self.runtime.name}.onesided",
+        )
         self.onesided_hits = 0
         #: Hits fetched from a remembered entry (one round trip).
         self.remembered_hits = 0
@@ -133,18 +139,6 @@ class OneSidedTransport(UcrTransport):
     def add_index(self, server: str, descriptor: IndexDescriptor) -> None:
         """Register *server*'s exported-index advertisement."""
         self._descriptors[server] = descriptor
-
-    # -- landing buffers ---------------------------------------------------
-
-    def _checkout_landing(self):
-        if self._landing_pool:
-            return self._landing_pool.pop()
-        return self.runtime.pd.reg_mr(
-            max(WINDOW_BYTES, ENTRY_BYTES + self.max_value_bytes + STAMP_BYTES)
-        )
-
-    def _checkin_landing(self, mr) -> None:
-        self._landing_pool.append(mr)
 
     # -- the raw READs -----------------------------------------------------
 
@@ -268,9 +262,9 @@ class OneSidedTransport(UcrTransport):
             return self._fall("absent")
         # A READ that failed may still land: its buffer is dropped, not
         # pooled, so the late scatter cannot reach another GET's bytes.
-        landing = self._checkout_landing()
-        reply = yield from self._ladder(server, key, desc, landing)
-        self._checkin_landing(landing)
+        landing = self.landings.get()
+        reply = yield from self._ladder(server, key, desc, landing.mr)
+        landing.release()
         return reply
 
     def _ladder(self, server: str, key: str, desc: IndexDescriptor, landing):

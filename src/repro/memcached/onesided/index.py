@@ -11,14 +11,17 @@ version to odd (:meth:`seq_begin`) before touching any other field,
 bump back to even (:meth:`seq_end`) after.  The version strictly
 increases, so a changed version names any interleaved mutation.
 
-:meth:`seq_begin` and :meth:`seq_end` also write the slot owner's
-*stamp* -- the entry's ``(version, key_hash, cas)`` -- into the owner's
-chunk right behind its value (odd while the bracket is open), and
-:meth:`seq_end` zeroes it when the entry was cleared; :meth:`publish`
-zeroes the stamp of a holder it displaces.  So a stamp is valid only
-while its item is published under exactly that version, and a remote
-reader that fetched the value and the stamp behind it in one READ, and
-found the stamp equal to the entry it used, read that entry's value.
+:meth:`seq_end` is the one writer of entry fields: it writes the whole
+entry from the item it publishes, or empties it.  Both helpers also
+write the *stamp* -- the entry's ``(version, key_hash, cas)`` -- right
+behind the value the entry names (odd while the bracket is open), and
+:meth:`seq_end` zeroes the stamp of a value the entry stops naming.  So
+a stamp is valid only while its item is published under exactly that
+version, and a remote reader that fetched the value and the stamp
+behind it in one READ, and found the stamp equal to the entry it used,
+read that entry's value.  No side table names an entry's item: its
+value location ``(value_rkey, value_offset)`` does, because a chunk a
+live entry names is never freed (below).
 
 The index is window-associative (hopscotch hashing without the moves):
 a key may sit in any of ``WINDOW`` slots from its home bucket on, and
@@ -79,12 +82,6 @@ class IndexDescriptor:
 _NO_STAMP = bytes(STAMP_BYTES)
 
 
-def _stamp(item: "Item", raw: bytes) -> None:
-    """Write *raw* right behind *item*'s value in its chunk."""
-    mr, offset = item.chunk.rdma_location()
-    mr.write(offset + item.value_length, raw)
-
-
 class ExportedIndex:
     """See module docstring."""
 
@@ -93,16 +90,16 @@ class ExportedIndex:
 
     def __init__(self, store: "ItemStore") -> None:
         self.store = store
+        #: Resolves the value location an entry names (its stamp's home).
+        self.pd = store.slabs.pd
         #: Every bucket's slot plus the spill slots behind the last window.
         self.n_slots = self.n_buckets + WINDOW - 1
         #: The pinned region remote clients probe with RDMA READ.
-        self.mr = store.slabs.pd.reg_mr(region_bytes(self.n_buckets), Access.full())
+        self.mr = self.pd.reg_mr(region_bytes(self.n_buckets), Access.full())
         self.mr.write(0, pack_header(self.n_buckets))
         #: Python-side mirror of every packed entry (authoritative for
         #: the server; re-packed into ``mr`` at each seq_end).
         self._mirror = [IndexEntry() for _ in range(self.n_slots)]
-        #: The item currently published in each slot (None = empty).
-        self._owner: list[Optional["Item"]] = [None] * self.n_slots
         self.publishes = 0
         self.unpublishes = 0
         store.onesided = self
@@ -121,11 +118,15 @@ class ExportedIndex:
 
     def slot_of(self, item: "Item") -> Optional[int]:
         """The slot *item* is published in, or None (never published,
-        displaced, or invalidated).  Identity checks over its window."""
-        home = self.bucket_for(item.key)
-        owners = self._owner
+        displaced, or invalidated): the slot of its window whose entry
+        carries its key hash and its chunk's location."""
+        key_hash = hash64(item.key)
+        home = key_hash % self.n_buckets
+        mr, offset = item.chunk.rdma_location()
         for slot in range(home, home + WINDOW):
-            if owners[slot] is item:
+            entry = self._mirror[slot]
+            if (entry.key_hash == key_hash and entry.value_offset == offset
+                    and entry.value_rkey == mr.rkey):
                 return slot
         return None
 
@@ -138,9 +139,6 @@ class ExportedIndex:
             return None
         return slot - self.bucket_for(key), self.entry_bytes(slot)
 
-    def owner(self, slot: int) -> Optional["Item"]:
-        return self._owner[slot]
-
     def entry_bytes(self, slot: int) -> bytes:
         """The exported 64-byte slot as a remote reader would see it."""
         return self.mr.read(entry_offset(slot), ENTRY_BYTES)
@@ -151,28 +149,44 @@ class ExportedIndex:
     # -- the seqlock -----------------------------------------------------------
 
     def seq_begin(self, slot: int) -> None:
-        """Bump-to-odd: mark the exported entry, and the slot owner's
-        stamp, mid-mutation (an odd stamp matches no stable entry)."""
+        """Bump-to-odd: mark the exported entry, and the stamp of the
+        value it names, mid-mutation (an odd stamp matches no stable
+        entry)."""
         entry = self._mirror[slot]
         if entry.version % 2:
             raise AssertionError(f"seq_begin on slot {slot} already mid-mutation")
         entry.version += 1
         self.mr.write(entry_offset(slot), struct.pack("<Q", entry.version))
-        owner = self._owner[slot]
-        if owner is not None:
-            _stamp(owner, pack_stamp(entry))
+        if entry.key_hash:
+            self._stamp_at(entry, pack_stamp(entry))
 
-    def seq_end(self, slot: int) -> None:
-        """Bump-to-even and expose the mirror's fields atomically, with
-        the slot owner's stamp (zeroed when the entry is empty)."""
+    def seq_end(self, slot: int, item: Optional["Item"]) -> None:
+        """Write the entry from *item* (None empties the slot), bump to
+        even and expose it atomically, and stamp *item*'s value.  A value
+        the entry stops naming gets its stamp zeroed."""
         entry = self._mirror[slot]
         if entry.version % 2 == 0:
             raise AssertionError(f"seq_end on slot {slot} without seq_begin")
+        if item is None:
+            fields = (0,) * 7
+        else:
+            mr, offset = item.chunk.rdma_location()
+            fields = (hash64(item.key), mr.rkey, offset, item.value_length,
+                      item.flags, item.cas, self._deadline_us(item))
+        if entry.key_hash and (entry.value_rkey, entry.value_offset) != fields[1:3]:
+            self._stamp_at(entry, _NO_STAMP)
+        (entry.key_hash, entry.value_rkey, entry.value_offset, entry.value_length,
+         entry.flags, entry.cas, entry.deadline_us) = fields
         entry.version += 1
         self.mr.write(entry_offset(slot), pack_entry(entry))
-        owner = self._owner[slot]
-        if owner is not None:
-            _stamp(owner, pack_stamp(entry) if entry.key_hash else _NO_STAMP)
+        if entry.key_hash:
+            self._stamp_at(entry, pack_stamp(entry))
+
+    def _stamp_at(self, entry: IndexEntry, raw: bytes) -> None:
+        """Write *raw* right behind the value *entry* names."""
+        self.pd.lookup_rkey(entry.value_rkey).write(
+            entry.value_offset + entry.value_length, raw
+        )
 
     # -- store-facing coherence hooks ------------------------------------------
 
@@ -180,7 +194,6 @@ class ExportedIndex:
         """Expose *item* in its window: the slot already holding its key's
         hash, else the first empty slot, else the home slot (displacing
         the holder)."""
-        value_mr, value_offset = item.chunk.rdma_location()
         key_hash = hash64(item.key)
         home = key_hash % self.n_buckets
         slot = None
@@ -193,20 +206,8 @@ class ExportedIndex:
                 slot = at
         if slot is None:
             slot = home
-        entry = self._mirror[slot]
         self.seq_begin(slot)
-        holder = self._owner[slot]
-        if holder is not None and holder is not item:
-            _stamp(holder, _NO_STAMP)  # displaced: its stamp dies with its slot
-        entry.key_hash = key_hash
-        entry.value_rkey = value_mr.rkey
-        entry.value_offset = value_offset
-        entry.value_length = item.value_length
-        entry.flags = item.flags
-        entry.cas = item.cas
-        entry.deadline_us = self._deadline_us(item)
-        self._owner[slot] = item
-        self.seq_end(slot)
+        self.seq_end(slot, item)
         self.publishes += 1
 
     def unpublish(self, item: "Item") -> None:
@@ -224,26 +225,17 @@ class ExportedIndex:
             self.publish(item)
 
     def invalidate_all(self) -> None:
-        """Drop every entry (the ``flush_all`` hook).  Conservative for
-        delayed flushes: still-servable items fall back to RPC until a
-        later hit republishes them."""
-        for slot, owner in enumerate(self._owner):
-            if owner is not None:
+        """Drop every live entry (the ``flush_all`` hook).  Conservative
+        for delayed flushes: still-servable items fall back to RPC until
+        a later hit republishes them."""
+        for slot, entry in enumerate(self._mirror):
+            if entry.key_hash:
                 self._clear(slot)
 
     def _clear(self, slot: int) -> None:
-        """Empty *slot*; its :meth:`seq_end` zeroes the owner's stamp."""
-        entry = self._mirror[slot]
+        """Empty *slot*; its :meth:`seq_end` zeroes the value's stamp."""
         self.seq_begin(slot)
-        entry.key_hash = 0
-        entry.value_rkey = 0
-        entry.value_offset = 0
-        entry.value_length = 0
-        entry.flags = 0
-        entry.cas = 0
-        entry.deadline_us = 0
-        self.seq_end(slot)
-        self._owner[slot] = None
+        self.seq_end(slot, None)
 
     def stamp(self, item: "Item") -> bytes:
         """The 24 bytes behind *item*'s value, as a remote reader sees them."""
@@ -263,7 +255,7 @@ class ExportedIndex:
         return deadline
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        held = sum(1 for o in self._owner if o is not None)
+        held = sum(1 for entry in self._mirror if entry.key_hash)
         return (
             f"<ExportedIndex {held}/{self.n_slots} slots live, "
             f"{self.n_buckets} buckets, window {WINDOW}>"

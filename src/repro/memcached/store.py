@@ -358,16 +358,12 @@ class ItemStore:
 
     def reserve(self, key: str, value_length: int, flags: int = 0, exptime: float = 0) -> Item:
         """Phase 1: allocate an (unlinked) item so its slab chunk can be
-        named as the RDMA READ destination before the value arrives."""
+        named as the RDMA READ destination before the value arrives.
+        Phase 2 is :meth:`store` with ``reserved=item``, or :meth:`abandon`."""
         self.validate_key(key)
         item = self._alloc(key, value_length, flags, self.absolute_exptime(exptime))
         self.reservations[item.chunk.slab_class.class_id] += 1
         return item
-
-    def commit(self, item: Item) -> Item:
-        """Phase 2: the value is in the chunk; link the item (replacing any
-        existing entry for the key)."""
-        return self.store("set", item.key, b"", reserved=item)[1]
 
     def abandon(self, item: Item) -> None:
         """Cancel a reservation (transfer failed): free the chunk."""

@@ -7,27 +7,27 @@ actually read.  Invariants:
 1. at rest (between store operations) no entry is mid-mutation: every
    version is even -- an odd version here means a seqlock bracket was
    opened and never closed;
-2. every *live* entry (stable, non-zero hash) has an owner item that is
-   still linked, hashes to that entry's ``key_hash``, and whose chunk is
-   marked used -- a live entry over a freed chunk is the one-sided
-   use-after-free in the making (the remote reader would serve dead or
-   re-carved bytes with a perfectly even version);
-3. a live entry's value location (rkey/offset/length) and cas match the
-   owner item's chunk and metadata exactly;
-4. an owner without a live entry (or vice versa) is bookkeeping drift;
-5. the exported region's bytes equal the re-packed Python mirror for
+2. every *live* entry (stable, non-zero hash) names the value location
+   of a linked item -- its owner -- that hashes to that entry's
+   ``key_hash`` and whose chunk is marked used: a live entry over a
+   freed chunk is the one-sided use-after-free in the making (the
+   remote reader would serve dead or re-carved bytes with a perfectly
+   even version), and a location no linked item holds is an
+   invalidation that was skipped;
+3. a live entry's length and cas match its owner's exactly;
+4. the exported region's bytes equal the re-packed Python mirror for
    every slot -- a mirror mutation that skipped the seqlock write
    path diverges here immediately;
-6. a live entry lies inside its owner's window (the ``WINDOW`` slots
+5. a live entry lies inside its owner's window (the ``WINDOW`` slots
    from its home bucket): a client only ever READs that window, so an
    entry outside it is unreachable;
-7. a key hash is live in at most one slot: two would leave a client's
+6. a key hash is live in at most one slot: two would leave a client's
    window scan free to serve either one;
-8. the owner of a sound live entry carries that entry's stamp
+7. the owner of a sound live entry carries that entry's stamp
    (``version``, ``key_hash``, ``cas``) right behind its value -- a
    client accepts a fetch by exactly that comparison, so a missing or
    outdated stamp turns every hit into a retry;
-9. no linked item that is not published carries a stamp naming it
+8. no linked item that is not published carries a stamp naming it
    (its ``key_hash`` and ``cas``) unless a live entry carries that very
    stamp -- a valid stamp left on an unpublished or displaced item
    would let a client that remembers the old entry serve it.
@@ -79,15 +79,17 @@ class ExportSanitizer:
         if index is None:
             return violations
 
+        # The owner of an entry is the linked item stored where it points.
+        located = {}
+        for item in store.by_key.values():
+            mr, offset = item.chunk.rdma_location()
+            located[mr.rkey, offset] = item
         live_in: dict[int, int] = {}  # key hash -> first slot holding it
         owners = set()
         live_stamps = set()
         for slot in range(index.n_slots):
             entry = index.mirror_entry(slot)
-            owner = index.owner(slot)
             sound = len(violations)
-            if owner is not None:
-                owners.add(owner)
             if not entry.stable:
                 violations.append(
                     f"slot {slot}: odd version {entry.version} at rest "
@@ -101,12 +103,14 @@ class ExportSanitizer:
                         f"slot {slot}: key hash {entry.key_hash:#x} is also "
                         f"live in slot {first}"
                     )
+                owner = located.get((entry.value_rkey, entry.value_offset))
                 if owner is None:
                     violations.append(
                         f"slot {slot}: live entry with no owner "
                         f"(invalidation skipped?)"
                     )
                 else:
+                    owners.add(owner)
                     home = index.bucket_for(owner.key)
                     if not home <= slot < home + WINDOW:
                         violations.append(
@@ -122,10 +126,6 @@ class ExportSanitizer:
                             f"slot {slot}: owner {owner.key!r} does not carry "
                             f"its entry's stamp"
                         )
-            elif owner is not None:
-                violations.append(
-                    f"slot {slot}: owner {owner.key!r} but entry is dead"
-                )
             exported = index.entry_bytes(slot)
             if exported != pack_entry(entry):
                 violations.append(
@@ -166,19 +166,10 @@ class ExportSanitizer:
                 f"slot {slot}: entry hash {entry.key_hash:#x} is not "
                 f"owner {owner.key!r}'s"
             )
-        chunk = owner.chunk
-        if chunk is None or not chunk.used:
+        if not owner.chunk.used:
             violations.append(
                 f"slot {slot}: live entry over a freed chunk "
                 f"(one-sided use-after-free)"
-            )
-            return violations
-        value_mr, value_offset = chunk.rdma_location()
-        if entry.value_rkey != value_mr.rkey or entry.value_offset != value_offset:
-            violations.append(
-                f"slot {slot}: entry points at rkey={entry.value_rkey} "
-                f"off={entry.value_offset} but owner {owner.key!r} lives at "
-                f"rkey={value_mr.rkey} off={value_offset}"
             )
         if entry.value_length != owner.value_length:
             violations.append(

@@ -130,8 +130,9 @@ def test_injected_mutations_are_caught_and_shrink_small(mutation):
 
 def test_onesided_mutation_is_caught_and_shrinks_small():
     """Skipping the index invalidation's version bump is invisible to
-    RPC transports but serves a dead value on the one-sided config; the
-    counterexample shrinks to a set/delete/get triangle."""
+    RPC transports but serves a dead value on the one-sided config, and
+    leaves an entry the end-of-replay sanitizer refuses; the
+    counterexample shrinks to set/delete/get commands."""
     onesided = CONFIGS[-1]
     assert onesided[0] == "UCR-1S"
     mutation = "onesided-skip-version-bump"
@@ -156,6 +157,20 @@ def test_onesided_mutation_is_invisible_to_rpc_transports():
     commands = generate_commands(8, 80)
     result = replay(UCR, commands, mutation="onesided-skip-version-bump")
     assert result.ok
+
+
+def test_a_replay_fails_on_an_unsound_exported_index():
+    """Seed 1 orphans an entry (its delete skips the invalidation) that
+    no later read, flush or re-set of the key touches: every response
+    matches the oracle, and the export sanitizer run at the end of the
+    replay fails it, reported like a mismatch after the last step."""
+    commands = generate_commands(1, 80)
+    result = replay(CONFIGS[-1], commands, mutation="onesided-skip-version-bump")
+    assert result.mismatches == [(
+        len(commands),
+        ["export", "slot 960: live entry with no owner (invalidation skipped?)"],
+        ["export", "sound"],
+    )]
 
 
 def test_a_stale_stamp_is_caught_by_the_concurrent_onesided_replay(monkeypatch):

@@ -149,6 +149,18 @@ def test_digest_canonicalizes_cas_tokens():
     assert history_digest(different) != history_digest(history(17))
 
 
+def test_digest_covers_annotations():
+    """An annotated record digests with its annotations; the same record
+    bare digests as it did before annotations existed."""
+    bare = rec(0, "get", "k", (), 1.0, 2.0, None)
+    noted = rec(0, "get", "k", (), 1.0, 2.0, None)
+    noted.annotations = ("lease-won",)
+    assert history_digest([noted]) != history_digest([bare])
+    other = rec(0, "get", "k", (), 1.0, 2.0, None)
+    other.annotations = ("lease-denied",)
+    assert history_digest([noted]) != history_digest([other])
+
+
 # -- checker: sequential histories --------------------------------------------
 
 
@@ -229,18 +241,39 @@ def test_realtime_order_is_respected():
     assert not check_history(records).ok
 
 
-def test_lost_op_may_or_may_not_have_executed():
-    lost_set = rec(
-        0, "set", "k", (b"v",), 1.0, None, None, status="lost", client=0
-    )
-    for observed in (None, b"v"):
-        records = [
-            lost_set,
+#: id -> (op, args, the value before it, the value after it) for each
+#: op a lost record can carry.
+LOST_OPS = {
+    "set": ("set", (b"v",), None, b"v"),
+    "add": ("add", (b"v",), None, b"v"),
+    "replace": ("replace", (b"v",), b"1", b"v"),
+    "append": ("append", (b"v",), b"1", b"1v"),
+    "prepend": ("prepend", (b"v",), b"1", b"v1"),
+    "delete": ("delete", (), b"1", None),
+    "incr": ("incr", (2,), b"5", b"7"),
+    "decr": ("decr", (2,), b"5", b"3"),
+    "incr-not-a-number": ("incr", (2,), b"x", b"x"),
+}
+
+
+@pytest.mark.parametrize(
+    "op, args, before, after", list(LOST_OPS.values()), ids=list(LOST_OPS)
+)
+def test_lost_op_may_or_may_not_have_executed(op, args, before, after):
+    """A lost op's effect may or may not have happened: a later read may
+    see the value before it or after it, and nothing else."""
+    setup = []
+    if before is not None:
+        setup = [rec(9, "set", "k", (before,), 0.1, 0.2, True, client=0)]
+    lost = rec(0, op, "k", args, 1.0, None, None, status="lost", client=0)
+    for observed in (before, after):
+        records = setup + [
+            lost,
             rec(1, "get", "k", (), 100.0, 101.0, observed, client=1),
         ]
         assert check_history(records).ok, observed
-    records = [
-        lost_set,
+    records = setup + [
+        lost,
         rec(1, "get", "k", (), 100.0, 101.0, b"phantom", client=1),
     ]
     assert not check_history(records).ok

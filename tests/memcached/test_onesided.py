@@ -411,11 +411,11 @@ def test_the_seqlock_refuses_an_unbalanced_bracket(cluster):
     index = cluster.server.store.onesided
     bucket = index.bucket_for("k")
     with pytest.raises(AssertionError, match="without seq_begin"):
-        index.seq_end(bucket)
+        index.seq_end(bucket, None)
     index.seq_begin(bucket)
     with pytest.raises(AssertionError, match="mid-mutation"):
         index.seq_begin(bucket)
-    index.seq_end(bucket)
+    index.seq_end(bucket, None)
     assert index.mirror_entry(bucket).version == 2
 
 
@@ -444,7 +444,7 @@ def test_mutation_between_the_two_responder_reads_is_retried_never_served(
 
         def finish(_event):
             mr.write(offset, b"NEW-VALUE")
-            index.seq_end(slot)
+            index.seq_end(slot, store.by_key["k"])
 
         sim.timeout(1.0).callbacks.append(finish)
 
@@ -949,7 +949,7 @@ def test_endpoint_failing_under_overlapped_reads_drops_their_buffers(cluster):
         yield from client.set("k", b"v")
         cluster.server.store.set("k", b"w")  # as another client would
         yield from client.get("k")  # stale: the slot now pairs its fetches
-        pools = len(t._counter_pool), len(t._landing_pool)
+        pools = len(t._counter_pool), t.landings.free_count
         stall_after_the_pair(t._endpoints["server"])
         with pytest.raises(ServerDownError, match="after 2000.0"):
             yield from client.get("k")
@@ -966,8 +966,8 @@ def test_endpoint_failing_under_overlapped_reads_drops_their_buffers(cluster):
     assert len(late_landing) == 1
     assert not any(c in t._counter_pool for c in late_counters)
     assert [t.runtime.counter_by_id(c.counter_id) for c in late_counters] == [None, None]
-    assert not late_landing & set(t._landing_pool)
-    assert (len(t._counter_pool), len(t._landing_pool)) == (0, 0)
+    assert not late_landing & {buf.mr for buf in t.landings._free}
+    assert (len(t._counter_pool), t.landings.free_count) == (0, 0)
 
 
 # ------------------------------------------------- histories + sanitizer

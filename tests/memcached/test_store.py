@@ -270,7 +270,7 @@ def test_reserve_commit_two_phase(store):
     item = store.reserve("k", 5, flags=3)
     assert store.get("k") is None  # not linked yet
     item.chunk.write(b"hello")
-    store.commit(item)
+    store.store("set", item.key, b"", reserved=item)
     got = store.get("k")
     assert got is item
     assert got.value() == b"hello"
@@ -280,7 +280,7 @@ def test_reserve_commit_replaces_existing(store):
     store.set("k", b"old")
     item = store.reserve("k", 3)
     item.chunk.write(b"new")
-    store.commit(item)
+    store.store("set", item.key, b"", reserved=item)
     assert store.get("k").value() == b"new"
     assert store.stats.curr_items == 1
 

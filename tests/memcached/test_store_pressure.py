@@ -141,7 +141,7 @@ def test_reserve_evicts_to_make_room():
     assert store.stats.evictions == 1
     assert events == [("a", "evicted")]
     item.chunk.write(BIG)
-    store.commit(item)
+    store.store("set", item.key, b"", reserved=item)
     assert store.get("r").value() == BIG
     SlabSanitizer().check(store)
 
@@ -170,7 +170,7 @@ def test_eviction_never_picks_a_reserved_chunk():
     store.set("d", BIG)  # evicts 'b' -- must not touch the reservation
     assert store.stats.evictions == 2
     assert reserved.chunk.used
-    store.commit(reserved)
+    store.store("set", reserved.key, b"", reserved=reserved)
     assert store.get("r").value() == BIG
     assert store.get("d") is not None
     SlabSanitizer().check(store)

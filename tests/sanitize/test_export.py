@@ -3,13 +3,17 @@ arm fires on exactly the corruption it names.
 
 Each case seeds one violation into a freshly populated index -- through
 the seqlock helpers where the region must stay coherent with the mirror,
-so that the seeded arm is the only one that fires.
+so that the seeded arm is the only one that fires.  No case reaches into
+a private table: a lying entry is one ``seq_end`` wrote from a doctored
+copy of its item.
 """
+
+import copy
 
 import pytest
 
 from repro.cluster import CLUSTER_A, Cluster
-from repro.memcached.onesided import STAMP_BYTES, WINDOW, hash64
+from repro.memcached.onesided import STAMP_BYTES, WINDOW
 from repro.sanitize import ExportIndexError, ExportSanitizer, SanitizerCounters
 
 
@@ -27,50 +31,41 @@ def _slot(store, key):
     return store.onesided.slot_of(store.by_key[key])
 
 
-def _rewrite(index, slot, **fields):
-    """Change entry fields the way the server does: under the seqlock."""
-    index.seq_begin(slot)
-    entry = index.mirror_entry(slot)
+def _rewrite(index, slot, item, **fields):
+    """Write *slot* the way the server does, under the seqlock, from
+    *item* -- or from a copy of it with *fields* changed: an entry that
+    lies about its item."""
+    liar = copy.copy(item)
     for name, value in fields.items():
-        setattr(entry, name, value)
-    index.seq_end(slot)
+        setattr(liar, name, value)
+    index.seq_begin(slot)
+    index.seq_end(slot, liar)
 
 
-def _copy_into(index, src, dst, owner):
-    """Publish *src*'s entry fields in empty slot *dst* for *owner*."""
-    entry = index.mirror_entry(src)
-    _rewrite(index, dst, **{
-        name: getattr(entry, name)
-        for name in ("key_hash", "value_rkey", "value_offset", "value_length",
-                     "flags", "cas", "deadline_us")
-    })
-    index._owner[dst] = owner
+def _write_stamp(item, raw):
+    mr, offset = item.chunk.rdma_location()
+    mr.write(offset + item.value_length, raw)
 
 
 def _empty_slot(index, inside, home):
     """The first empty slot inside (or outside) the window from *home*."""
     return next(
         slot for slot in range(index.n_slots)
-        if index.owner(slot) is None
-        and not index.mirror_entry(slot).live
+        if not index.mirror_entry(slot).live
         and (home <= slot < home + WINDOW) == inside
     )
 
 
 def _odd_version(store):
-    # An empty slot: over an owned one the entry also reads as dead.
+    # An empty slot: over a live one the odd stamp it writes would also
+    # read as a stamp left on an unpublished item.
     index = store.onesided
     index.seq_begin(_empty_slot(index, inside=True, home=index.bucket_for("a")))
 
 
 def _live_without_owner(store):
-    store.onesided._owner[_slot(store, "a")] = None
-
-
-def _owner_over_dead_entry(store):
-    index, slot = store.onesided, _slot(store, "a")
-    index._clear(slot)
-    index._owner[slot] = store.by_key["a"]
+    store.onesided.unpublish = lambda item: None  # the invalidation skipped
+    store.delete("a")
 
 
 def _unlinked_owner(store):
@@ -78,7 +73,7 @@ def _unlinked_owner(store):
 
 
 def _foreign_hash(store):
-    _rewrite(store.onesided, _slot(store, "a"), key_hash=hash64("not-a"))
+    _rewrite(store.onesided, _slot(store, "a"), store.by_key["a"], key="not-a")
 
 
 def _freed_chunk(store):
@@ -86,19 +81,15 @@ def _freed_chunk(store):
     chunk.slab_class.release(chunk)
 
 
-def _location_mismatch(store):
-    index, slot = store.onesided, _slot(store, "a")
-    _rewrite(index, slot, value_offset=index.mirror_entry(slot).value_offset + 8)
-
-
 def _length_mismatch(store):
-    index, slot = store.onesided, _slot(store, "a")
-    _rewrite(index, slot, value_length=index.mirror_entry(slot).value_length + 1)
+    item = store.by_key["a"]
+    _rewrite(store.onesided, _slot(store, "a"), item,
+             value_length=item.value_length + 1)
 
 
 def _cas_mismatch(store):
-    index, slot = store.onesided, _slot(store, "a")
-    _rewrite(index, slot, cas=index.mirror_entry(slot).cas + 1)
+    item = store.by_key["a"]
+    _rewrite(store.onesided, _slot(store, "a"), item, cas=item.cas + 1)
 
 
 def _mirror_drift(store):
@@ -107,38 +98,36 @@ def _mirror_drift(store):
 
 def _out_of_window(store):
     index, item = store.onesided, store.by_key["a"]
-    slot = index.slot_of(item)
     away = _empty_slot(index, inside=False, home=index.bucket_for("a"))
-    _copy_into(index, slot, away, item)
-    index._clear(slot)
+    index.unpublish(item)
+    _rewrite(index, away, item)
 
 
 def _duplicate_hash(store):
     index, item = store.onesided, store.by_key["a"]
+    slot = _slot(store, "a")
     spare = _empty_slot(index, inside=True, home=index.bucket_for("a"))
-    _copy_into(index, index.slot_of(item), spare, item)
+    _rewrite(index, spare, item)
+    _rewrite(index, slot, item)  # the first copy carries the item's stamp
 
 
 def _stamp_missing(store):
-    item = store.by_key["a"]
-    mr, offset = item.chunk.rdma_location()
-    mr.write(offset + item.value_length, bytes(STAMP_BYTES))
+    _write_stamp(store.by_key["a"], bytes(STAMP_BYTES))
 
 
 def _stamp_outlives_its_entry(store):
-    index, slot = store.onesided, _slot(store, "a")
-    index._owner[slot] = None  # the clear then zeroes no stamp
-    index._clear(slot)
+    index, item = store.onesided, store.by_key["a"]
+    stamp = index.stamp(item)
+    index.unpublish(item)
+    _write_stamp(item, stamp)  # the clear's zeroing undone
 
 
 SEEDED = {
     "odd-version": (_odd_version, "at rest (unclosed seqlock bracket)"),
     "live-without-owner": (_live_without_owner, "live entry with no owner"),
-    "owner-over-dead-entry": (_owner_over_dead_entry, "but entry is dead"),
     "unlinked-owner": (_unlinked_owner, "is unlinked but still exported"),
     "foreign-hash": (_foreign_hash, "is not owner 'a''s"),
     "freed-chunk": (_freed_chunk, "live entry over a freed chunk"),
-    "location": (_location_mismatch, "entry points at"),
     "length": (_length_mismatch, "entry length"),
     "cas": (_cas_mismatch, "entry cas"),
     "mirror-drift": (_mirror_drift, "exported bytes diverge from the mirror"),

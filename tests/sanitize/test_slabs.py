@@ -107,7 +107,7 @@ def test_check_between_reserve_and_commit_is_clean():
     store = _populated_store()
     item = store.reserve("pending", 10)  # a UCR set's chunk, value in flight
     assert SlabSanitizer().check(store) == []
-    store.commit(item)
+    store.store("set", item.key, b"", reserved=item)
     assert SlabSanitizer().check(store) == []
     store.abandon(store.reserve("dropped", 10))
     assert SlabSanitizer().check(store) == []

@@ -301,6 +301,31 @@ def test_the_engine_has_one_caller():
     assert callers == ["memcached/server.py:MemcachedServer.execute"]
 
 
+def test_seq_end_is_the_one_writer_of_exported_entry_fields():
+    """Within the one-sided package, only ``ExportedIndex.seq_end``
+    stores an exported entry's fields: a bracket is ``seq_begin`` then
+    ``seq_end(slot, item_or_None)``, with no field write between them."""
+    import dataclasses
+
+    from repro.memcached.onesided.layout import IndexEntry
+
+    fields = {f.name for f in dataclasses.fields(IndexEntry)} - {"version"}
+    writers = set()
+    for path in (SRC / "memcached" / "onesided").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for scope in ast.walk(tree):
+            if not isinstance(scope, ast.ClassDef):
+                continue
+            for fn in scope.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                            and node.attr in fields):
+                        writers.add(f"{path.name}:{scope.name}.{fn.name}")
+    assert sorted(writers) == ["index.py:ExportedIndex.seq_end"]
+
+
 _NUMPY_FREE_RUN = """
 import sys
 from repro.cluster import CLUSTER_B, Cluster
