@@ -50,10 +50,11 @@ REGISTRY: dict[str, tuple[str, ...]] = {
     "failover": ("_health", "_pending"),
     # Chaos controller arming latch (fault injection toggles mid-run).
     "chaos": ("_armed",),
-    # The one-sided GET index: the store's exported-entry mirror and the
-    # attributes that reach it (store.onesided / server.onesided_index).
-    # Remote clients read these buckets with RDMA READs, so L012 holds
-    # every entry-field write to the seqlock discipline.
+    # The one-sided GET index (store.onesided / server.onesided_index)
+    # and ``_mirror``, the slot table the L012 fixtures bind entries
+    # from: in src/ the index keeps no mutable entry objects.  Remote
+    # clients READ these buckets, so L012 holds any entry-field write
+    # to the seqlock discipline.
     "onesided": ("onesided", "onesided_index", "_mirror"),
 }
 

@@ -11,10 +11,14 @@ version to odd (:meth:`seq_begin`) before touching any other field,
 bump back to even (:meth:`seq_end`) after.  The version strictly
 increases, so a changed version names any interleaved mutation.
 
-:meth:`seq_end` is the one writer of entry fields: it writes the whole
-entry from the item it publishes, or empties it.  Both helpers also
-write the *stamp* -- the entry's ``(version, key_hash, cas)`` -- right
-behind the value the entry names (odd while the bracket is open), and
+The region is the index: the server keeps no other copy of an entry
+and decides from the bytes a remote reader fetches.  :meth:`seq_end` is
+the one writer of entry fields: it writes the whole entry from the item
+it publishes, or empties it.  Both helpers read the slot's version from
+the region and write it back bumped, and both also write the *stamp* --
+the entry's ``(version, key_hash, cas)``, cut from the packed entry by
+:func:`~repro.memcached.onesided.layout.stamp_of` as a client cuts it --
+right behind the value the entry names (odd while the bracket is open);
 :meth:`seq_end` zeroes the stamp of a value the entry stops naming.  So
 a stamp is valid only while its item is published under exactly that
 version, and a remote reader that fetched the value and the stamp
@@ -27,22 +31,24 @@ The index is window-associative (hopscotch hashing without the moves):
 a key may sit in any of ``WINDOW`` slots from its home bucket on, and
 :meth:`publish` takes the slot that already holds the key's hash, else
 the first empty slot, else the home slot -- last-writer-wins when the
-window is full.  Displacement is always safe -- a client that finds no
-slot with its key's hash falls back to the RPC path, which is
-authoritative -- and nothing is ever moved, so the server-side cost of
-coherence stays one window scan per store mutation.
+window is full.  It scans the window's bytes with the client's own
+:func:`~repro.memcached.onesided.layout.find_slot`.  Displacement is
+always safe -- a client that finds no slot with its key's hash falls
+back to the RPC path, which is authoritative -- and nothing is ever
+moved, so the server-side cost of coherence stays one window scan per
+store mutation.
 
 Eviction and slab reuse safety: :meth:`unpublish` runs *before* the
 store frees the item's chunk, so no live entry ever references a free
 (or re-carved) chunk, and no freed chunk carries a valid stamp.
 ``repro.sanitize.export.ExportSanitizer`` checks exactly that
-invariant, plus mirror/region/stamp coherence, at checkpoints.
+invariant, plus entry/stamp coherence, at checkpoints.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 from repro.memcached.onesided.layout import (
@@ -50,13 +56,17 @@ from repro.memcached.onesided.layout import (
     ENTRY_BYTES,
     STAMP_BYTES,
     WINDOW,
+    WINDOW_BYTES,
     IndexEntry,
     entry_offset,
+    find_slot,
+    find_value,
     hash64,
     pack_entry,
     pack_header,
-    pack_stamp,
     region_bytes,
+    stamp_of,
+    unpack_entry,
 )
 from repro.verbs.enums import Access
 from repro.verbs.mr import RegionDescriptor
@@ -80,6 +90,9 @@ class IndexDescriptor:
 
 #: A cleared stamp: its zero key hash matches no entry a client holds.
 _NO_STAMP = bytes(STAMP_BYTES)
+#: :func:`hash64` remembering the key it hashed last, so a publish's
+#: window scan and its :meth:`ExportedIndex.seq_end` hash the key once.
+_key_hash = lru_cache(maxsize=1)(hash64)
 
 
 class ExportedIndex:
@@ -97,9 +110,6 @@ class ExportedIndex:
         #: The pinned region remote clients probe with RDMA READ.
         self.mr = self.pd.reg_mr(region_bytes(self.n_buckets), Access.full())
         self.mr.write(0, pack_header(self.n_buckets))
-        #: Python-side mirror of every packed entry (authoritative for
-        #: the server; re-packed into ``mr`` at each seq_end).
-        self._mirror = [IndexEntry() for _ in range(self.n_slots)]
         self.publishes = 0
         self.unpublishes = 0
         store.onesided = self
@@ -114,21 +124,17 @@ class ExportedIndex:
 
     def bucket_for(self, key: str) -> int:
         """*key*'s home bucket: the first slot of its window."""
-        return hash64(key) % self.n_buckets
+        return _key_hash(key) % self.n_buckets
 
     def slot_of(self, item: "Item") -> Optional[int]:
         """The slot *item* is published in, or None (never published,
         displaced, or invalidated): the slot of its window whose entry
         carries its key hash and its chunk's location."""
-        key_hash = hash64(item.key)
+        key_hash = _key_hash(item.key)
         home = key_hash % self.n_buckets
         mr, offset = item.chunk.rdma_location()
-        for slot in range(home, home + WINDOW):
-            entry = self._mirror[slot]
-            if (entry.key_hash == key_hash and entry.value_offset == offset
-                    and entry.value_rkey == mr.rkey):
-                return slot
-        return None
+        at = find_value(self._window(home), key_hash, mr.rkey, offset)
+        return None if at is None else home + at
 
     def published(self, key: str) -> Optional[tuple[int, bytes]]:
         """``(position in its window, exported 64 bytes)`` of the slot
@@ -143,8 +149,12 @@ class ExportedIndex:
         """The exported 64-byte slot as a remote reader would see it."""
         return self.mr.read(entry_offset(slot), ENTRY_BYTES)
 
-    def mirror_entry(self, slot: int) -> IndexEntry:
-        return self._mirror[slot]
+    def _entry(self, slot: int) -> IndexEntry:
+        return unpack_entry(self.entry_bytes(slot))
+
+    def _window(self, home: int) -> bytes:
+        """The ``WINDOW`` slots from *home*, as a first GET READs them."""
+        return self.mr.read(entry_offset(home), WINDOW_BYTES)
 
     # -- the seqlock -----------------------------------------------------------
 
@@ -152,35 +162,36 @@ class ExportedIndex:
         """Bump-to-odd: mark the exported entry, and the stamp of the
         value it names, mid-mutation (an odd stamp matches no stable
         entry)."""
-        entry = self._mirror[slot]
-        if entry.version % 2:
+        entry = self._entry(slot)
+        if not entry.stable:
             raise AssertionError(f"seq_begin on slot {slot} already mid-mutation")
         entry.version += 1
-        self.mr.write(entry_offset(slot), struct.pack("<Q", entry.version))
+        raw = pack_entry(entry)
+        self.mr.write(entry_offset(slot), raw)
         if entry.key_hash:
-            self._stamp_at(entry, pack_stamp(entry))
+            self._stamp_at(entry, stamp_of(raw))
 
     def seq_end(self, slot: int, item: Optional["Item"]) -> None:
         """Write the entry from *item* (None empties the slot), bump to
         even and expose it atomically, and stamp *item*'s value.  A value
         the entry stops naming gets its stamp zeroed."""
-        entry = self._mirror[slot]
-        if entry.version % 2 == 0:
+        held = self._entry(slot)
+        if held.stable:
             raise AssertionError(f"seq_end on slot {slot} without seq_begin")
         if item is None:
-            fields = (0,) * 7
+            entry = IndexEntry(held.version + 1)
         else:
             mr, offset = item.chunk.rdma_location()
-            fields = (hash64(item.key), mr.rkey, offset, item.value_length,
-                      item.flags, item.cas, self._deadline_us(item))
-        if entry.key_hash and (entry.value_rkey, entry.value_offset) != fields[1:3]:
-            self._stamp_at(entry, _NO_STAMP)
-        (entry.key_hash, entry.value_rkey, entry.value_offset, entry.value_length,
-         entry.flags, entry.cas, entry.deadline_us) = fields
-        entry.version += 1
-        self.mr.write(entry_offset(slot), pack_entry(entry))
+            entry = IndexEntry(held.version + 1, _key_hash(item.key), mr.rkey, offset,
+                               item.value_length, item.flags, item.cas,
+                               self._deadline_us(item))
+        if held.key_hash and (held.value_rkey, held.value_offset) != (
+                entry.value_rkey, entry.value_offset):
+            self._stamp_at(held, _NO_STAMP)
+        raw = pack_entry(entry)
+        self.mr.write(entry_offset(slot), raw)
         if entry.key_hash:
-            self._stamp_at(entry, pack_stamp(entry))
+            self._stamp_at(entry, stamp_of(raw))
 
     def _stamp_at(self, entry: IndexEntry, raw: bytes) -> None:
         """Write *raw* right behind the value *entry* names."""
@@ -194,18 +205,13 @@ class ExportedIndex:
         """Expose *item* in its window: the slot already holding its key's
         hash, else the first empty slot, else the home slot (displacing
         the holder)."""
-        key_hash = hash64(item.key)
+        key_hash = _key_hash(item.key)
         home = key_hash % self.n_buckets
-        slot = None
-        for at in range(home, home + WINDOW):
-            held = self._mirror[at].key_hash
-            if held == key_hash:
-                slot = at
-                break
-            if held == 0 and slot is None:
-                slot = at
-        if slot is None:
-            slot = home
+        window = self._window(home)
+        at = find_slot(window, key_hash)
+        if at is None:
+            at = find_slot(window, 0) or 0  # no empty slot: the home slot
+        slot = home + at
         self.seq_begin(slot)
         self.seq_end(slot, item)
         self.publishes += 1
@@ -228,8 +234,8 @@ class ExportedIndex:
         """Drop every live entry (the ``flush_all`` hook).  Conservative
         for delayed flushes: still-servable items fall back to RPC until
         a later hit republishes them."""
-        for slot, entry in enumerate(self._mirror):
-            if entry.key_hash:
+        for slot in range(self.n_slots):
+            if self._entry(slot).key_hash:
                 self._clear(slot)
 
     def _clear(self, slot: int) -> None:
@@ -255,7 +261,7 @@ class ExportedIndex:
         return deadline
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        held = sum(1 for entry in self._mirror if entry.key_hash)
+        held = sum(1 for slot in range(self.n_slots) if self._entry(slot).key_hash)
         return (
             f"<ExportedIndex {held}/{self.n_slots} slots live, "
             f"{self.n_buckets} buckets, window {WINDOW}>"

@@ -80,6 +80,9 @@ WINDOW = 8
 WINDOW_BYTES = WINDOW * ENTRY_BYTES
 #: Where ``key_hash`` sits within an entry (after the u64 version).
 KEY_HASH_OFFSET = 8
+#: What names an entry's item: ``key_hash``, ``value_rkey`` and
+#: ``value_offset``, contiguous from ``KEY_HASH_OFFSET``.
+IDENTITY_FORMAT = "<QII"
 #: Default bucket count: power of two, sized well above the working sets
 #: the experiments drive so displacement stays rare.
 DEFAULT_BUCKETS = 4096
@@ -142,28 +145,12 @@ def pack_entry(entry: IndexEntry) -> bytes:
 
 def unpack_entry(raw: bytes) -> IndexEntry:
     """Deserialize a 64-byte slot back into an :class:`IndexEntry`."""
-    (version, key_hash, value_rkey, value_offset, value_length,
-     flags, cas, deadline_us) = struct.unpack(ENTRY_FORMAT, raw)
-    return IndexEntry(
-        version=version,
-        key_hash=key_hash,
-        value_rkey=value_rkey,
-        value_offset=value_offset,
-        value_length=value_length,
-        flags=flags,
-        cas=cas,
-        deadline_us=deadline_us,
-    )
-
-
-def pack_stamp(entry: IndexEntry) -> bytes:
-    """The 24-byte stamp a value carries while *entry* publishes it."""
-    return struct.pack(STAMP_FORMAT, entry.version, entry.key_hash, entry.cas)
+    return IndexEntry(*struct.unpack(ENTRY_FORMAT, raw))
 
 
 def stamp_of(raw: bytes) -> bytes:
-    """The stamp of the packed 64-byte entry *raw*, cut from its bytes:
-    :func:`pack_stamp` of :func:`unpack_entry` of *raw*."""
+    """The 24-byte stamp a value carries while the packed 64-byte entry
+    *raw* publishes it, cut from its bytes: its version, key_hash, cas."""
     return raw[:KEY_HASH_OFFSET + 8] + raw[CAS_OFFSET:CAS_OFFSET + 8]
 
 
@@ -192,10 +179,22 @@ def entry_offset(slot: int) -> int:
 
 def find_slot(window: bytes, key_hash: int) -> int | None:
     """Position within *window* (the bytes of ``WINDOW`` slots) of the
-    entry holding *key_hash*, or None.  Compares the 8-byte hash field
-    of each slot without unpacking the entries."""
-    want = key_hash.to_bytes(8, "little")
+    first entry holding *key_hash* (0: the first empty one), or None.
+    Compares the 8-byte hash field of each slot without unpacking the
+    entries."""
+    return _find(window, key_hash.to_bytes(8, "little"))
+
+
+def find_value(window: bytes, key_hash: int, rkey: int, offset: int) -> int | None:
+    """Position within *window* of the first entry holding *key_hash*
+    and naming the value at (*rkey*, *offset*), or None."""
+    return _find(window, struct.pack(IDENTITY_FORMAT, key_hash, rkey, offset))
+
+
+def _find(window: bytes, want: bytes) -> int | None:
+    """The first slot of *window* whose bytes from ``key_hash`` on
+    start with *want*."""
     for at in range(KEY_HASH_OFFSET, len(window), ENTRY_BYTES):
-        if window[at:at + 8] == want:
+        if window[at:at + len(want)] == want:
             return at // ENTRY_BYTES
     return None

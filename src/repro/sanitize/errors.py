@@ -32,4 +32,4 @@ class SlabAccountingError(SanitizerError):
 
 class ExportIndexError(SanitizerError):
     """The exported one-sided index diverged from the live store (stale
-    or torn entry, live entry over a freed chunk, mirror/region drift)."""
+    or torn entry, live entry over a freed chunk, missing or stale stamp)."""

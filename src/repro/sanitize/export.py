@@ -1,8 +1,9 @@
 """Exported-index sanitizer (the one-sided GET path's ground truth).
 
-Cross-checks a store's :class:`~repro.memcached.onesided.index.ExportedIndex`
-against the live item population and the pinned region remote clients
-actually read.  Invariants:
+Cross-checks the pinned region remote clients actually read -- a
+store's :class:`~repro.memcached.onesided.index.ExportedIndex` keeps no
+other copy of its entries -- against the live item population.
+Invariants:
 
 1. at rest (between store operations) no entry is mid-mutation: every
    version is even -- an odd version here means a seqlock bracket was
@@ -15,19 +16,16 @@ actually read.  Invariants:
    even version), and a location no linked item holds is an
    invalidation that was skipped;
 3. a live entry's length and cas match its owner's exactly;
-4. the exported region's bytes equal the re-packed Python mirror for
-   every slot -- a mirror mutation that skipped the seqlock write
-   path diverges here immediately;
-5. a live entry lies inside its owner's window (the ``WINDOW`` slots
+4. a live entry lies inside its owner's window (the ``WINDOW`` slots
    from its home bucket): a client only ever READs that window, so an
    entry outside it is unreachable;
-6. a key hash is live in at most one slot: two would leave a client's
+5. a key hash is live in at most one slot: two would leave a client's
    window scan free to serve either one;
-7. the owner of a sound live entry carries that entry's stamp
+6. the owner of a sound live entry carries that entry's stamp
    (``version``, ``key_hash``, ``cas``) right behind its value -- a
    client accepts a fetch by exactly that comparison, so a missing or
    outdated stamp turns every hit into a retry;
-8. no linked item that is not published carries a stamp naming it
+7. no linked item that is not published carries a stamp naming it
    (its ``key_hash`` and ``cas``) unless a live entry carries that very
    stamp -- a valid stamp left on an unpublished or displaced item
    would let a client that remembers the old entry serve it.
@@ -47,8 +45,8 @@ from repro.memcached.onesided.layout import (
     STAMP_FORMAT,
     WINDOW,
     hash64,
-    pack_entry,
-    pack_stamp,
+    stamp_of,
+    unpack_entry,
 )
 from repro.sanitize.errors import ExportIndexError
 
@@ -88,7 +86,8 @@ class ExportSanitizer:
         owners = set()
         live_stamps = set()
         for slot in range(index.n_slots):
-            entry = index.mirror_entry(slot)
+            raw = index.entry_bytes(slot)
+            entry = unpack_entry(raw)
             sound = len(violations)
             if not entry.stable:
                 violations.append(
@@ -96,7 +95,7 @@ class ExportSanitizer:
                     f"(unclosed seqlock bracket)"
                 )
             if entry.live:
-                live_stamps.add(pack_stamp(entry))
+                live_stamps.add(stamp_of(raw))
                 first = live_in.setdefault(entry.key_hash, slot)
                 if first != slot:
                     violations.append(
@@ -120,18 +119,12 @@ class ExportSanitizer:
                     violations.extend(self._check_owned(slot, entry, owner))
                     # The stamp is derived state: judged on a sound entry.
                     if len(violations) == sound and (
-                        index.stamp(owner) != pack_stamp(entry)
+                        index.stamp(owner) != stamp_of(raw)
                     ):
                         violations.append(
                             f"slot {slot}: owner {owner.key!r} does not carry "
                             f"its entry's stamp"
                         )
-            exported = index.entry_bytes(slot)
-            if exported != pack_entry(entry):
-                violations.append(
-                    f"slot {slot}: exported bytes diverge from the mirror "
-                    f"(a write bypassed the seqlock helpers)"
-                )
 
         for item in store.by_key.values():
             if item in owners:

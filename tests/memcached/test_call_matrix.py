@@ -8,10 +8,11 @@ failover policy, one-sided ladder, hot cache, gutter).
 
 import pytest
 
-from repro.check.history import recorder
+from repro.check.history import CHECKABLE_OPS, check_history, recorder
 from repro.cluster import CLUSTER_A, Cluster
 from repro.memcached.client import FailoverPolicy, MemcachedClient
 from repro.memcached.command import Command
+from repro.memcached.errors import ServerDownError
 from repro.memcached.serving import GutterRouter, ProbabilisticHotCache
 from repro.telemetry import tracer, tracing
 
@@ -118,6 +119,43 @@ def test_hot_cache_hit_is_one_annotated_record_and_no_span():
     assert [(r.op, r.server, r.annotations) for r in records] == [
         ("get", "hot-cache", ("cached",))
     ]
+
+
+@pytest.mark.parametrize("lost", [False, True], ids=["served", "second-server-lost"])
+def test_flush_all_empties_the_hot_cache_and_settles_one_record(lost):
+    """``flush_all`` drops the hot cache before it reaches a server, then
+    flushes the pool in order under one record and one root span: the
+    record completes, or -- the pool's second server down -- is lost
+    against that server and ``ServerDownError`` is re-raised.  The flush
+    is outside the checker's surface; the keyed history around it checks."""
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1, n_servers=2)
+    cluster.start_server()
+    client = cluster.sharded_client(
+        "UCR-IB", timeout_us=2000.0,
+        hot_cache=ProbabilisticHotCache(seed=1, admission_rate=1.0),
+    )
+    second = client.distribution.servers[1]
+
+    def scenario():
+        yield from client.set("k", b"1")
+        yield from client.get("k")  # wire read, admitted
+        assert len(client.hot_cache) == 1
+        if lost:
+            cluster.ucr_ports[second].crash()
+        try:
+            yield from client.flush_all()
+        except ServerDownError as exc:
+            return exc
+
+    raised, records, roots = observe(cluster, scenario())
+    assert len(client.hot_cache) == 0
+    assert isinstance(raised, ServerDownError) == lost
+    flush = records[-1]
+    assert (flush.op, flush.status, flush.server) == (
+        ("flush_all", "lost", second) if lost else ("flush_all", "complete", None)
+    )
+    assert roots == ["client.set", "client.get", "client.flush_all"]
+    assert check_history(r for r in records if r.op in CHECKABLE_OPS).ok
 
 
 @pytest.mark.parametrize("flavour", ["UCR-1S", "UCR-1S sharded"])

@@ -11,7 +11,9 @@ of ``WINDOW`` slots leaves 6.
 Upkeep: a server exports its index only once a one-sided client is wired
 to it, so a deployment without one makes no Python call into
 ``repro/memcached/onesided/`` at all -- counted with a profile hook over
-a fixed burst of sets and gets.
+a fixed burst of sets and gets.  Where an index is exported, a publish
+hashes its key once: its window scan and the entry it writes share the
+fingerprint.
 """
 
 import os
@@ -20,7 +22,7 @@ import sys
 import pytest
 
 from repro.cluster import CLUSTER_A, Cluster
-from repro.memcached.onesided import DEFAULT_BUCKETS, WINDOW, hash64
+from repro.memcached.onesided import DEFAULT_BUCKETS, WINDOW, hash64, unpack_entry
 from repro.memcached.serving import ProbabilisticHotCache
 
 KEYS = [f"bench-{client}-{i}" for client in range(4) for i in range(500)]
@@ -36,7 +38,7 @@ def test_window_placement_leaves_six_keys_without_a_slot():
     assert (index.n_buckets, index.n_slots) == (DEFAULT_BUCKETS, DEFAULT_BUCKETS + WINDOW - 1)
 
     unplaced = [key for key in KEYS if index.slot_of(store.by_key[key]) is None]
-    live = sum(index.mirror_entry(slot).live for slot in range(index.n_slots))
+    live = sum(unpack_entry(index.entry_bytes(slot)).live for slot in range(index.n_slots))
     assert len(unplaced) == 6
     assert live == len(KEYS) - len(unplaced)
 
@@ -45,6 +47,29 @@ def test_direct_mapped_placement_would_leave_425():
     """The yardstick: one slot per bucket keeps one key per distinct home."""
     homes = {hash64(key) % DEFAULT_BUCKETS for key in KEYS}
     assert len(KEYS) - len(homes) == 425
+
+
+def test_a_publish_hashes_its_key_once():
+    """16 fresh keys stored into an exported index: each set publishes
+    once, and each publish calls ``hash64`` once."""
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1)
+    cluster.start_server().export_index()
+    store = cluster.server.store
+    index = store.onesided
+    hashes = 0
+
+    def profile(frame, event, arg):
+        nonlocal hashes
+        if event == "call" and frame.f_code is hash64.__code__:
+            hashes += 1
+
+    sys.setprofile(profile)
+    try:
+        for i in range(16):
+            store.set(f"fresh-{i}", b"v")
+    finally:
+        sys.setprofile(None)
+    assert (index.publishes, hashes) == (16, 16)
 
 
 ONESIDED_DIR = os.path.join("repro", "memcached", "onesided", "")

@@ -183,6 +183,16 @@ def test_ucr_one_command_window_against_a_dead_server():
     assert len(outcomes) == 1 and isinstance(outcomes[0], ServerDownError)
 
 
+def test_depth_1_pipeline_against_a_dead_server_returns_the_error_as_an_entry():
+    """At depth 1 the pipeline is the blocking loop over ``execute``: the
+    error that fells a command is its entry, not a raise."""
+    cluster = fresh_cluster()
+    cluster.ucr_ports["server"].crash()
+    client = cluster.client("UCR-IB")
+    outcomes = run(cluster, client.pipeline([Command(op="get", keys=["k"])], depth=1))
+    assert len(outcomes) == 1 and isinstance(outcomes[0], ServerDownError)
+
+
 def test_ucr_window_whose_server_crashes_mid_window_fails_every_command():
     """Four commands are in flight when the server dies: each slot gets
     its own exception, and the window's process finishes."""

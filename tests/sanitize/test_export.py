@@ -2,10 +2,9 @@
 arm fires on exactly the corruption it names.
 
 Each case seeds one violation into a freshly populated index -- through
-the seqlock helpers where the region must stay coherent with the mirror,
-so that the seeded arm is the only one that fires.  No case reaches into
-a private table: a lying entry is one ``seq_end`` wrote from a doctored
-copy of its item.
+the seqlock helpers where an entry changes, so that the seeded arm is
+the only one that fires.  No case reaches into a private table: a lying
+entry is one ``seq_end`` wrote from a doctored copy of its item.
 """
 
 import copy
@@ -13,7 +12,7 @@ import copy
 import pytest
 
 from repro.cluster import CLUSTER_A, Cluster
-from repro.memcached.onesided import STAMP_BYTES, WINDOW
+from repro.memcached.onesided import STAMP_BYTES, WINDOW, unpack_entry
 from repro.sanitize import ExportIndexError, ExportSanitizer, SanitizerCounters
 
 
@@ -51,7 +50,7 @@ def _empty_slot(index, inside, home):
     """The first empty slot inside (or outside) the window from *home*."""
     return next(
         slot for slot in range(index.n_slots)
-        if not index.mirror_entry(slot).live
+        if not unpack_entry(index.entry_bytes(slot)).live
         and (home <= slot < home + WINDOW) == inside
     )
 
@@ -92,10 +91,6 @@ def _cas_mismatch(store):
     _rewrite(store.onesided, _slot(store, "a"), item, cas=item.cas + 1)
 
 
-def _mirror_drift(store):
-    store.onesided.mirror_entry(_slot(store, "a")).flags += 1  # no seqlock
-
-
 def _out_of_window(store):
     index, item = store.onesided, store.by_key["a"]
     away = _empty_slot(index, inside=False, home=index.bucket_for("a"))
@@ -130,7 +125,6 @@ SEEDED = {
     "freed-chunk": (_freed_chunk, "live entry over a freed chunk"),
     "length": (_length_mismatch, "entry length"),
     "cas": (_cas_mismatch, "entry cas"),
-    "mirror-drift": (_mirror_drift, "exported bytes diverge from the mirror"),
     "out-of-window": (_out_of_window, "is outside its window"),
     "duplicate-hash": (_duplicate_hash, "is also live in slot"),
     "stamp-missing": (_stamp_missing, "does not carry its entry's stamp"),

@@ -302,28 +302,45 @@ def test_the_engine_has_one_caller():
 
 
 def test_seq_end_is_the_one_writer_of_exported_entry_fields():
-    """Within the one-sided package, only ``ExportedIndex.seq_end``
-    stores an exported entry's fields: a bracket is ``seq_begin`` then
-    ``seq_end(slot, item_or_None)``, with no field write between them."""
-    import dataclasses
-
-    from repro.memcached.onesided.layout import IndexEntry
-
-    fields = {f.name for f in dataclasses.fields(IndexEntry)} - {"version"}
-    writers = set()
+    """Within the one-sided package, only ``ExportedIndex.seq_begin``
+    (the version) and ``seq_end`` (every other field) write the exported
+    region, and ``__init__`` its header: the region is the index's one
+    copy of every entry, so a write anywhere else is an entry mutation
+    outside the seqlock.  The stamps behind the values are the helpers'
+    too: ``_stamp_at`` writes them, and only the helpers call it."""
+    writers, header, stampers = set(), [], set()
     for path in (SRC / "memcached" / "onesided").glob("*.py"):
         tree = ast.parse(path.read_text())
-        for scope in ast.walk(tree):
-            if not isinstance(scope, ast.ClassDef):
+        scopes = {fn: f"{cls.name}.{fn.name}" for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
                 continue
-            for fn in scope.body:
-                if not isinstance(fn, ast.FunctionDef):
+            where = f"{path.name}:{scopes.get(fn, fn.name)}"
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                    if ast.unparse(node.value).endswith("_buffer"):
+                        writers.add(where)
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                     continue
-                for node in ast.walk(fn):
-                    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-                            and node.attr in fields):
-                        writers.add(f"{path.name}:{scope.name}.{fn.name}")
-    assert sorted(writers) == ["index.py:ExportedIndex.seq_end"]
+                if node.func.attr in ("write", "remote_write"):
+                    writers.add(where)
+                    if fn.name == "__init__":
+                        header.append(ast.unparse(node.args[1]).split("(")[0])
+                elif node.func.attr == "_stamp_at":
+                    stampers.add(where)
+    assert sorted(writers) == [
+        "index.py:ExportedIndex.__init__",
+        "index.py:ExportedIndex._stamp_at",
+        "index.py:ExportedIndex.seq_begin",
+        "index.py:ExportedIndex.seq_end",
+    ]
+    assert header == ["pack_header"]
+    assert sorted(stampers) == [
+        "index.py:ExportedIndex.seq_begin",
+        "index.py:ExportedIndex.seq_end",
+    ]
 
 
 _NUMPY_FREE_RUN = """
