@@ -7,16 +7,17 @@ replays bit-for-bit under the event-digest sanitizer
 
 Quick start::
 
-    from repro.chaos import ChaosController, parse_schedule
+    from repro.chaos import ChaosController, FaultSchedule, NodeCrash
 
-    schedule = parse_schedule("at 5000 crash server1 for 20000")
+    schedule = FaultSchedule(
+        (NodeCrash(at_us=5_000.0, server="server1", duration_us=20_000.0),)
+    )
     ChaosController(cluster, schedule).arm()
     # ... drive a workload; the crash strikes at t=5000 µs ...
 """
 
 from repro.chaos.controller import ChaosController
 from repro.chaos.faults import (
-    FAULT_KINDS,
     EndpointFlap,
     Fault,
     LinkDegrade,
@@ -29,27 +30,19 @@ from repro.chaos.scenarios import (
     hot_key_storm,
     shard_loss,
 )
-from repro.chaos.schedule import (
-    FaultSchedule,
-    ScheduleSyntaxError,
-    parse_schedule,
-    random_schedule,
-)
+from repro.chaos.schedule import FaultSchedule, random_schedule
 
 __all__ = [
-    "FAULT_KINDS",
     "ChaosController",
     "EndpointFlap",
     "Fault",
     "FaultSchedule",
     "LinkDegrade",
     "NodeCrash",
-    "ScheduleSyntaxError",
     "ServingScenario",
     "SlowServer",
     "expiry_stampede",
     "hot_key_storm",
-    "parse_schedule",
     "random_schedule",
     "shard_loss",
 ]

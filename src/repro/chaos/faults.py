@@ -164,11 +164,3 @@ class EndpointFlap(Fault):
     def describe(self) -> str:
         return f"flap {self.server}"
 
-
-#: Keyword -> fault class, shared by the schedule parser and docs.
-FAULT_KINDS: dict[str, type] = {
-    "crash": NodeCrash,
-    "slow": SlowServer,
-    "degrade": LinkDegrade,
-    "flap": EndpointFlap,
-}

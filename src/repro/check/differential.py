@@ -354,21 +354,27 @@ _CAS_STATES = frozenset({"stored", "exists", "not_found"})
 
 
 def _strip_cas_tokens(outcome):
-    """Erase canonical cas token *numbers* from a normalized outcome.
+    """Erase canonical cas and lease token *numbers* from a normalized
+    outcome.
 
-    Token indices count distinct tokens across the whole replay, so one
-    excess re-store on an already-diverged key shifts the numbering of
-    every later token -- including on keys whose values agree exactly.
+    Token indices count distinct tokens (cas and lease alike, one map)
+    across the whole replay, so one excess re-store or lease on an
+    already-diverged key shifts the numbering of every later token --
+    including on keys whose values agree exactly.
     """
     if isinstance(outcome, list):
         return [_strip_cas_tokens(x) for x in outcome]
-    if isinstance(outcome, str) and outcome.startswith("cas#"):
-        return "cas#"
+    if isinstance(outcome, str) and outcome.startswith(("cas#", "lease#")):
+        return outcome[:outcome.index("#") + 1]
     return outcome
 
 
 def _absentish(payload) -> bool:
-    """Does this ok-payload read as 'the key was not there'?"""
+    """Does this ok-payload read as 'the key was not there'?  A getl
+    miss verdict (``[state, stale value, lease label]``) does when it
+    carries no stale value."""
+    if isinstance(payload, list):
+        return len(payload) == 3 and payload[1] is None
     return payload is None or payload is False or payload == "not_found"
 
 
@@ -386,6 +392,11 @@ def _eviction_explains(a, b, op: str = "") -> bool:
     (and, like any present value, is never excused against a number).
     An invalid key errors identically on every side and is not a
     difference to begin with.
+
+    A ``getl`` miss verdict with no stale value (a lease won or lost on
+    a key that was not there) reads as absent, so against a hit where
+    the key survived it is a presence flip; a verdict carrying a stale
+    value reads as present.
     """
     for outcome in (a, b):
         if outcome[0] == "error" and outcome[1] == "server":
@@ -398,7 +409,7 @@ def _eviction_explains(a, b, op: str = "") -> bool:
     if a[0] != "ok" or b[0] != "ok":
         return False
     va, vb = a[1], b[1]
-    if va in _CAS_STATES and vb in _CAS_STATES:
+    if isinstance(va, str) and isinstance(vb, str) and {va, vb} <= _CAS_STATES:
         return True
     return _absentish(va) != _absentish(vb)
 

@@ -48,10 +48,6 @@ class Network:
         except KeyError:
             raise KeyError(f"node {node_name!r} is not on network {self.name}") from None
 
-    @property
-    def nodes(self) -> list[str]:
-        return list(self._nics)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Network {self.name} nodes={len(self._nics)}>"
 

@@ -62,6 +62,7 @@ from repro.memcached.onesided.layout import (
     find_slot,
     find_value,
     hash64,
+    occupied,
     pack_entry,
     pack_header,
     region_bytes,
@@ -152,6 +153,10 @@ class ExportedIndex:
     def _entry(self, slot: int) -> IndexEntry:
         return unpack_entry(self.entry_bytes(slot))
 
+    def _slots(self) -> bytes:
+        """Every slot, in one read of the region."""
+        return self.mr.read(entry_offset(0), self.n_slots * ENTRY_BYTES)
+
     def _window(self, home: int) -> bytes:
         """The ``WINDOW`` slots from *home*, as a first GET READs them."""
         return self.mr.read(entry_offset(home), WINDOW_BYTES)
@@ -234,9 +239,8 @@ class ExportedIndex:
         """Drop every live entry (the ``flush_all`` hook).  Conservative
         for delayed flushes: still-servable items fall back to RPC until
         a later hit republishes them."""
-        for slot in range(self.n_slots):
-            if self._entry(slot).key_hash:
-                self._clear(slot)
+        for slot in occupied(self._slots()):
+            self._clear(slot)
 
     def _clear(self, slot: int) -> None:
         """Empty *slot*; its :meth:`seq_end` zeroes the value's stamp."""
@@ -261,7 +265,7 @@ class ExportedIndex:
         return deadline
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        held = sum(1 for slot in range(self.n_slots) if self._entry(slot).key_hash)
+        held = len(occupied(self._slots()))
         return (
             f"<ExportedIndex {held}/{self.n_slots} slots live, "
             f"{self.n_buckets} buckets, window {WINDOW}>"

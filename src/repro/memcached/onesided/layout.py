@@ -89,6 +89,8 @@ DEFAULT_BUCKETS = 4096
 
 #: Where ``cas`` sits within an entry.
 CAS_OFFSET = 32
+#: One slot's ``key_hash``, the rest of the slot skipped: walks a run of slots.
+_SLOT_KEY_HASH = struct.Struct(f"<{KEY_HASH_OFFSET}xQ{ENTRY_BYTES - KEY_HASH_OFFSET - 8}x")
 
 assert HEADER_BYTES == 64 and ENTRY_BYTES == 64 and STAMP_BYTES == 24
 
@@ -189,6 +191,12 @@ def find_value(window: bytes, key_hash: int, rkey: int, offset: int) -> int | No
     """Position within *window* of the first entry holding *key_hash*
     and naming the value at (*rkey*, *offset*), or None."""
     return _find(window, struct.pack(IDENTITY_FORMAT, key_hash, rkey, offset))
+
+
+def occupied(slots: bytes) -> list[int]:
+    """Positions within *slots* (the bytes of consecutive slots) of the
+    entries whose ``key_hash`` is not 0, without unpacking the entries."""
+    return [at for at, (key_hash,) in enumerate(_SLOT_KEY_HASH.iter_unpack(slots)) if key_hash]
 
 
 def _find(window: bytes, want: bytes) -> int | None:

@@ -205,22 +205,6 @@ class ItemStore:
     def set(self, key: str, value: bytes, flags: int = 0, exptime: float = 0) -> Item:
         return self.store("set", key, value, flags, exptime)[1]
 
-    def add(self, key: str, value: bytes, flags: int = 0, exptime: float = 0) -> Optional[Item]:
-        return self.store("add", key, value, flags, exptime)[1]
-
-    def replace(self, key: str, value: bytes, flags: int = 0, exptime: float = 0) -> Optional[Item]:
-        return self.store("replace", key, value, flags, exptime)[1]
-
-    def append(self, key: str, suffix: bytes) -> Optional[Item]:
-        return self.store("append", key, suffix)[1]
-
-    def prepend(self, key: str, prefix: bytes) -> Optional[Item]:
-        return self.store("prepend", key, prefix)[1]
-
-    def cas(self, key: str, value: bytes, cas_token: int, flags: int = 0, exptime: float = 0) -> str:
-        """Compare-and-swap; returns 'stored' | 'exists' | 'not_found'."""
-        return self.store("cas", key, value, flags, exptime, cas_token)[0]
-
     # -- retrieval ---------------------------------------------------------------------
 
     def get(self, key: str) -> Optional[Item]:
@@ -301,12 +285,6 @@ class ItemStore:
         self.leases.clear(key)
         self._unlink(item)
         return True
-
-    def incr(self, key: str, delta: int) -> Optional[int]:
-        return self.arith(key, delta)[0]
-
-    def decr(self, key: str, delta: int) -> Optional[int]:
-        return self.arith(key, -delta)[0]
 
     def arith(self, key: str, delta: int) -> tuple[Optional[int], Optional[Item]]:
         """incr (*delta* >= 0, wraps at uint64) or decr (clamps at zero).

@@ -17,11 +17,6 @@ class Counter:
     def __init__(self) -> None:
         self.value = 0
 
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters are monotone; use a separate counter")
-        self.value += amount
-
 
 class LatencyRecorder:
     """Collects latency samples (µs) and summarizes them.

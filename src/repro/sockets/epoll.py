@@ -42,14 +42,9 @@ class Epoll:
         if events == 0:
             raise ValueError("empty event mask")
         if sock in self._interest:
-            raise ValueError(f"{sock!r} already registered; use modify()")
+            raise ValueError(f"{sock!r} already registered")
         self._interest[sock] = events
         sock.watch_readiness(self._on_readiness)
-
-    def modify(self, sock: "Socket", events: int) -> None:
-        if sock not in self._interest:
-            raise KeyError(f"{sock!r} not registered")
-        self._interest[sock] = events
 
     def unregister(self, sock: "Socket") -> None:
         if self._interest.pop(sock, None) is not None:

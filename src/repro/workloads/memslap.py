@@ -74,9 +74,6 @@ class MemslapResult:
             return 0.0
         return self.total_ops / (self.elapsed_us / 1e6)
 
-    def median_latency(self) -> float:
-        return self.latency.median()
-
 
 class MemslapRunner:
     """Drives one (cluster, transport, pattern, size) benchmark point."""

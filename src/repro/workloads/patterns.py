@@ -28,10 +28,6 @@ class OpPattern:
         if bad:
             raise ValueError(f"unknown ops {bad}")
 
-    @property
-    def set_fraction(self) -> float:
-        return self.block.count("set") / len(self.block)
-
     def ops(self, n: int) -> Iterator[str]:
         """The first *n* operations of the repeating pattern."""
         for i in range(n):

@@ -10,7 +10,6 @@ from repro.chaos import (
     LinkDegrade,
     NodeCrash,
     SlowServer,
-    parse_schedule,
 )
 from repro.cluster import CLUSTER_B, Cluster
 from repro.memcached.client import FailoverPolicy
@@ -26,7 +25,9 @@ def small_pool(n_servers=2, n_clients=1):
 
 def test_slow_server_applies_and_reverts_on_schedule():
     cluster = small_pool()
-    schedule = parse_schedule("at 1000 slow server0 x4 for 2000")
+    schedule = FaultSchedule(
+        (SlowServer(at_us=1000.0, server="server0", factor=4.0, duration_us=2000.0),)
+    )
     controller = ChaosController(cluster, schedule).arm()
     sim = cluster.sim
     node = cluster.nodes["server0"]
@@ -96,7 +97,9 @@ def test_slow_server_actually_slows_operations():
 def test_node_crash_refuses_ops_until_recovery():
     cluster = small_pool(n_servers=1)
     client = cluster.client("UCR-IB", timeout_us=3000.0)
-    schedule = parse_schedule("at 10000 crash server for 50000")
+    schedule = FaultSchedule(
+        (NodeCrash(at_us=10000.0, server="server", duration_us=50000.0),)
+    )
     ChaosController(cluster, schedule).arm()
     sim = cluster.sim
     outcome = {}
@@ -183,13 +186,11 @@ def test_chaos_run_is_digest_deterministic():
         )
         ChaosController(
             cluster,
-            parse_schedule(
-                """
-                at 4000 slow server1 x3 for 2000
-                at 6000 crash server1 for 10000
-                at 9000 degrade server0 x2 for 1500
-                """
-            ),
+            FaultSchedule((
+                SlowServer(at_us=4000.0, server="server1", factor=3.0, duration_us=2000.0),
+                NodeCrash(at_us=6000.0, server="server1", duration_us=10000.0),
+                LinkDegrade(at_us=9000.0, server="server0", factor=2.0, duration_us=1500.0),
+            )),
         ).arm()
         sim = cluster.sim
 

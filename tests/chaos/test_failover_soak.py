@@ -11,7 +11,7 @@ middle of the timed region.  The bar:
   scenario produce identical event-stream digests.
 """
 
-from repro.chaos import ChaosController, parse_schedule
+from repro.chaos import ChaosController, FaultSchedule, NodeCrash
 from repro.cluster import CLUSTER_B, Cluster
 from repro.memcached.client import FailoverPolicy
 from repro.sanitize import capture
@@ -35,7 +35,7 @@ def soak_scenario():
     cluster = Cluster(CLUSTER_B, n_client_nodes=N_CLIENTS, n_servers=N_SERVERS)
     cluster.start_server()
     controller = ChaosController(
-        cluster, parse_schedule(f"at {CRASH_AT_US:g} crash {VICTIM}")
+        cluster, FaultSchedule((NodeCrash(at_us=CRASH_AT_US, server=VICTIM),))
     ).arm()
     clients = []
 

@@ -10,7 +10,6 @@ from repro.chaos import (
     SlowServer,
     expiry_stampede,
     hot_key_storm,
-    parse_schedule,
     shard_loss,
 )
 from repro.cluster import CLUSTER_B, Cluster
@@ -63,12 +62,6 @@ def test_shard_loss_shape():
     assert crash.server in SERVERS
     assert crash.at_us == pytest.approx(200_000.0)
     assert crash.duration_us == pytest.approx(1_200_000.0)
-
-
-def test_schedules_round_trip_through_the_schedule_language():
-    for sc in (hot_key_storm(7, SERVERS), shard_loss(7, SERVERS)):
-        text = sc.schedule.render()
-        assert parse_schedule(text).render() == text
 
 
 # -- validation --------------------------------------------------------------

@@ -1,57 +1,15 @@
-"""Fault-schedule tests: parsing, rendering, seeded generation."""
+"""Fault-schedule tests: ordering, fault validation, seeded generation."""
 
 import pytest
 
 from repro.chaos import (
-    EndpointFlap,
     Fault,
     FaultSchedule,
     LinkDegrade,
     NodeCrash,
-    ScheduleSyntaxError,
     SlowServer,
-    parse_schedule,
     random_schedule,
 )
-
-EXAMPLE = """
-# warm-up is quiet; then a rolling disaster
-at 5000 crash server1 for 20000
-at 8000 slow server2 x4 for 1000
-at 9000 degrade server3 x2.5 for 500 on ib/SDP
-at 9500 degrade server0 x2 for 400
-at 10000 flap server0 x3 every 100
-at 12000 flap server2
-at 30000 crash server0      # permanent
-"""
-
-
-def test_parse_example_schedule():
-    schedule = parse_schedule(EXAMPLE)
-    assert len(schedule) == 7
-    crash = schedule.faults[0]
-    assert isinstance(crash, NodeCrash)
-    assert (crash.at_us, crash.server, crash.duration_us) == (5000, "server1", 20000)
-    slow = schedule.faults[1]
-    assert isinstance(slow, SlowServer)
-    assert (slow.factor, slow.duration_us) == (4.0, 1000)
-    degrade = schedule.faults[2]
-    assert isinstance(degrade, LinkDegrade)
-    assert (degrade.factor, degrade.network) == (2.5, "ib/SDP")
-    assert schedule.faults[3].network is None
-    flap = schedule.faults[4]
-    assert isinstance(flap, EndpointFlap)
-    assert (flap.repeat, flap.interval_us) == (3, 100)
-    assert schedule.faults[5].repeat == 1
-    assert schedule.faults[6].duration_us is None  # permanent crash
-    assert schedule.horizon_us == 30000
-
-
-def test_render_parse_round_trip():
-    schedule = parse_schedule(EXAMPLE)
-    again = parse_schedule(schedule.render())
-    assert again.faults == schedule.faults
-    assert again.render() == schedule.render()
 
 
 def test_schedule_sorts_by_strike_time():
@@ -66,34 +24,9 @@ def test_schedule_sorts_by_strike_time():
     assert FaultSchedule(()).horizon_us == 0.0
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "crash server0",  # missing 'at <time>'
-        "at 100 explode server0",  # unknown kind
-        "at 100 crash server0 for",  # option without value
-        "at 100 crash server0 x3",  # 'x' not valid for crash
-        "at 100 slow server0 for 50",  # slow needs a factor
-        "at 100 slow server0 x2",  # slow needs a duration
-        "at 100 degrade server0 x2 for 50 onwards",  # stray token
-        "at 100 flap server0 x2",  # repeated flap needs 'every'
-        "at 100 slow server0 x2 x3 for 50",  # duplicate option
-        "at nope crash server0",  # bad timestamp
-        "at 100 slow server0 x1 for 50",  # factor must exceed 1
-        "at -5 crash server0",  # negative strike time
-    ],
-)
-def test_syntax_errors(line):
-    with pytest.raises(ScheduleSyntaxError):
-        parse_schedule(line)
-
-
-def test_syntax_error_carries_line_number():
-    with pytest.raises(ScheduleSyntaxError, match="line 2"):
-        parse_schedule("at 100 crash server0\nat -1 crash server1")
-
-
 def test_fault_validation():
+    with pytest.raises(ValueError):
+        NodeCrash(at_us=-5, server="s")
     with pytest.raises(ValueError):
         NodeCrash(at_us=100, server="s", duration_us=0)
     with pytest.raises(ValueError):
@@ -102,6 +35,8 @@ def test_fault_validation():
         NodeCrash(at_us=100, server="s", repeat=2)  # no interval
     with pytest.raises(ValueError):
         SlowServer(at_us=100, server="s", factor=0.5, duration_us=10)
+    with pytest.raises(ValueError):
+        SlowServer(at_us=100, server="s", factor=1.0, duration_us=10)
     with pytest.raises(ValueError):
         LinkDegrade(at_us=100, server="s", factor=1.0, duration_us=10)
     with pytest.raises(NotImplementedError):
@@ -113,9 +48,8 @@ def test_random_schedule_is_seed_deterministic():
     a = random_schedule(7, servers, n_faults=6)
     b = random_schedule(7, servers, n_faults=6)
     assert a.faults == b.faults
-    assert a.render() == b.render()
     other = random_schedule(8, servers, n_faults=6)
-    assert other.render() != a.render()
+    assert other.faults != a.faults
 
 
 def test_random_schedule_respects_window_and_targets():
@@ -126,11 +60,6 @@ def test_random_schedule_respects_window_and_targets():
         assert fault.server in servers
         if fault.duration_us is not None:
             assert fault.at_us + fault.duration_us <= 9000 + 1e-9
-
-
-def test_random_schedule_round_trips_through_parser():
-    schedule = random_schedule(11, ["server0", "server1"], n_faults=8)
-    assert parse_schedule(schedule.render()).render() == schedule.render()
 
 
 def test_random_schedule_validation():

@@ -98,6 +98,9 @@ def test_reserve_before_unlink_divergence_is_tolerated():
 def test_tolerant_comparator_only_excuses_presence_differences():
     # Token numbering skew is stripped before comparing.
     assert _strip_cas_tokens(["ok", ["v", "cas#3"]]) == ["ok", ["v", "cas#"]]
+    # Lease labels share the numbering (fuzz --lease --zipf --pressure
+    # --seed 108: a lease won on an evicted key shifts the next label).
+    assert _strip_cas_tokens(["ok", ["won", None, "lease#1"]]) == ["ok", ["won", None, "lease#"]]
     # Presence-flavored pairs: excusable as divergent eviction history.
     assert _eviction_explains(("ok", None), ("ok", "x"))
     assert _eviction_explains(("error", "server"), ("ok", True))
@@ -107,6 +110,16 @@ def test_tolerant_comparator_only_excuses_presence_differences():
     assert not _eviction_explains(("ok", 41), ("ok", 42))
     # 0 is a legitimate decr result, not an absence marker.
     assert _eviction_explains(("ok", 0), ("ok", None))
+    # A getl miss verdict with nothing stale reads as absent (fuzz --lease
+    # --zipf --pressure --seed 10: a lease won against a hit).
+    assert _eviction_explains(("ok", ["won", None, "lease#4"]), ("ok", "x"))
+    assert _eviction_explains(("ok", "x"), ("ok", ["lost", None, None]))
+    # With a stale value it reads as present: against a hit, value-vs-value.
+    assert not _eviction_explains(("ok", ["lost", "old", None]), ("ok", "x"))
+    assert _eviction_explains(("ok", ["lost", "old", None]), ("ok", None))
+    # A gets hit is a list too, and present.
+    assert not _eviction_explains(("ok", ["v", "cas#"]), ("ok", ["w", "cas#"]))
+    assert _eviction_explains(("ok", ["v", "cas#"]), ("ok", None))
 
 
 def test_arithmetic_client_error_reads_as_presence():
@@ -160,6 +173,35 @@ def test_seed_202_witness_is_a_divergent_eviction_not_a_disagreement():
     )
     assert result.ok, result.disagreements
     assert ("UCR-IB", "SDP/text", len(witness) - 1) in result.tolerated
+
+
+def test_seed_108_witness_is_a_lease_won_on_an_evicted_key():
+    """The shrunk repro of ``fuzz --lease --zipf --pressure --seed 108``:
+    after the slab-edge append, UCR-IB's set of key0 runs out of memory
+    and loses the key, so its getl wins a lease where SDP/text hits, and
+    the next lease label is numbered one higher on UCR-IB.  Presence skew
+    and numbering skew, not disagreements."""
+    witness = [
+        Step("add", ["key0"], b"y" * 124511, 58297),
+        Step("setl", ["key15"], b"hello world", 42360),
+        Step("append", ["key0"], b"y" * 124513),
+        Step("set", ["key0"], b"18446744073709551615", 54756),
+        Step("getl", ["key0"], stale_ok=False),
+        Step("getl", ["key3"], stale_ok=True),
+    ]
+    result = differential_run(
+        witness,
+        seed=108,
+        configs=[CONFIGS[0], CONFIGS[1]],
+        store_config=PRESSURE_STORE_CONFIG,
+        tolerant=True,
+    )
+    ucr, sdp_text = result.replays
+    assert ucr.ok and sdp_text.ok
+    assert ucr.outcomes[4] == ["ok", ["won", None, "lease#0"]]
+    assert sdp_text.outcomes[4] == ["ok", "18446744073709551615"]
+    assert result.ok, result.disagreements
+    assert result.tolerated == [("UCR-IB", "SDP/text", i) for i in (3, 4, 5)]
 
 
 def test_concurrent_pressure_is_linearizable_with_eviction_budgets():

@@ -299,7 +299,7 @@ def _overwrite_and_refill(size):
 
 def _decrement(size):
     """A zero-padded counter is decremented: "...09" becomes 8."""
-    return b"0" * (size - 1) + b"9", lambda store: store.decr("k", 1)
+    return b"0" * (size - 1) + b"9", lambda store: store.arith("k", -1)[0]
 
 
 @pytest.mark.parametrize("writer,size", [

@@ -8,6 +8,10 @@ placement regression is named here, by count, before the full suite
 runs.  Direct-mapped, the same keys leave 425 without a slot; a window
 of ``WINDOW`` slots leaves 6.
 
+A flush reads the region once: ``invalidate_all`` walks the ``key_hash``
+fields of one read of every slot and brackets only the live ones, whose
+``seq_begin`` and ``seq_end`` each read their own entry.
+
 Upkeep: a server exports its index only once a one-sided client is wired
 to it, so a deployment without one makes no Python call into
 ``repro/memcached/onesided/`` at all -- counted with a profile hook over
@@ -23,7 +27,9 @@ import pytest
 
 from repro.cluster import CLUSTER_A, Cluster
 from repro.memcached.onesided import DEFAULT_BUCKETS, WINDOW, hash64, unpack_entry
+from repro.memcached.onesided.layout import ENTRY_BYTES
 from repro.memcached.serving import ProbabilisticHotCache
+from repro.verbs.mr import MemoryRegion
 
 KEYS = [f"bench-{client}-{i}" for client in range(4) for i in range(500)]
 
@@ -70,6 +76,29 @@ def test_a_publish_hashes_its_key_once():
     finally:
         sys.setprofile(None)
     assert (index.publishes, hashes) == (16, 16)
+
+
+@pytest.mark.parametrize("live", [0, 1, 16])
+def test_a_flush_reads_the_region_once_then_each_live_slot(live, monkeypatch):
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1)
+    cluster.start_server().export_index()
+    store = cluster.server.store
+    for i in range(live):
+        store.set(f"live-{i}", b"v")
+    index = store.onesided
+    reads = []
+    plain = MemoryRegion.read
+
+    def counted(mr, offset, length):
+        if mr is index.mr:
+            reads.append(length)
+        return plain(mr, offset, length)
+
+    monkeypatch.setattr(MemoryRegion, "read", counted)
+    index.invalidate_all()
+    monkeypatch.undo()
+    assert reads == [index.n_slots * ENTRY_BYTES] + [ENTRY_BYTES] * (2 * live)
+    assert not any(unpack_entry(index.entry_bytes(s)).key_hash for s in range(index.n_slots))
 
 
 ONESIDED_DIR = os.path.join("repro", "memcached", "onesided", "")

@@ -39,24 +39,24 @@ def test_set_overwrites(store):
 
 
 def test_add_only_if_absent(store):
-    assert store.add("k", b"v") is not None
-    assert store.add("k", b"w") is None
+    assert store.store("add", "k", b"v")[0] == "stored"
+    assert store.store("add", "k", b"w")[0] == "not_stored"
     assert store.get("k").value() == b"v"
 
 
 def test_replace_only_if_present(store):
-    assert store.replace("k", b"v") is None
+    assert store.store("replace", "k", b"v")[0] == "not_stored"
     store.set("k", b"v")
-    assert store.replace("k", b"w") is not None
+    assert store.store("replace", "k", b"w")[0] == "stored"
     assert store.get("k").value() == b"w"
 
 
 def test_append_prepend(store):
     store.set("k", b"middle")
-    assert store.append("k", b"-end") is not None
-    assert store.prepend("k", b"start-") is not None
+    assert store.store("append", "k", b"-end")[0] == "stored"
+    assert store.store("prepend", "k", b"start-")[0] == "stored"
     assert store.get("k").value() == b"start-middle-end"
-    assert store.append("ghost", b"x") is None
+    assert store.store("append", "ghost", b"x")[0] == "not_stored"
 
 
 def test_delete(store):
@@ -68,21 +68,21 @@ def test_delete(store):
 
 def test_incr_decr(store):
     store.set("n", b"10")
-    assert store.incr("n", 5) == 15
-    assert store.decr("n", 3) == 12
-    assert store.decr("n", 100) == 0  # clamps at zero
-    assert store.incr("ghost", 1) is None
+    assert store.arith("n", 5)[0] == 15
+    assert store.arith("n", -3)[0] == 12
+    assert store.arith("n", -100)[0] == 0  # clamps at zero
+    assert store.arith("ghost", 1)[0] is None
 
 
 def test_incr_non_numeric_raises(store):
     store.set("s", b"abc")
     with pytest.raises(ClientError):
-        store.incr("s", 1)
+        store.arith("s", 1)
 
 
 def test_incr_growing_digits(store):
     store.set("n", b"9")
-    assert store.incr("n", 1) == 10
+    assert store.arith("n", 1)[0] == 10
     assert store.get("n").value() == b"10"
 
 
@@ -92,7 +92,7 @@ def test_a_linked_item_is_immutable(store):
     item = store.set("n", b"1")
     with pytest.raises(ValueError):
         item.set_value(b"2")
-    assert store.incr("n", 1) == 2
+    assert store.arith("n", 1)[0] == 2
     assert store.by_key["n"] is not item and not item.linked
 
 
@@ -104,13 +104,13 @@ def test_incr_refit_keeps_the_deadline():
     key = "k" * (96 - ITEM_HEADER_OVERHEAD - 2)  # "99" fills a 96-byte chunk
     old = store.set(key, b"99", exptime=100)
     assert old.chunk.capacity == 96
-    assert store.incr(key, 1) == 100
+    assert store.arith(key, 1)[0] == 100
     item = store.get(key)
     assert item is not old and item.chunk.capacity > 96
     assert item.exptime == 100.0
     # Control: an incr that still fits the chunk class keeps it too.
     store.set("fits", b"1", exptime=100)
-    store.incr("fits", 1)
+    store.arith("fits", 1)
     assert store.get("fits").exptime == 100.0
     sim._now = 200 * 1e6
     assert store.get(key) is None
@@ -119,9 +119,9 @@ def test_incr_refit_keeps_the_deadline():
 def test_cas_lifecycle(store):
     item = store.set("k", b"v1")
     token = item.cas
-    assert store.cas("k", b"v2", token) == "stored"
-    assert store.cas("k", b"v3", token) == "exists"  # stale token
-    assert store.cas("ghost", b"x", 1) == "not_found"
+    assert store.store("cas", "k", b"v2", cas_token=token)[0] == "stored"
+    assert store.store("cas", "k", b"v3", cas_token=token)[0] == "exists"  # stale token
+    assert store.store("cas", "ghost", b"x", cas_token=1)[0] == "not_found"
     assert store.get("k").value() == b"v2"
 
 

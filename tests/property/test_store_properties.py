@@ -44,12 +44,12 @@ def test_store_matches_dict_model(commands):
             store.set(key, value)
             model[key] = value
         elif cmd == "add":
-            ok = store.add(key, value) is not None
+            ok = store.store("add", key, value)[0] == "stored"
             assert ok == (key not in model)
             if ok:
                 model[key] = value
         elif cmd == "replace":
-            ok = store.replace(key, value) is not None
+            ok = store.store("replace", key, value)[0] == "stored"
             assert ok == (key in model)
             if ok:
                 model[key] = value
@@ -99,10 +99,10 @@ def test_overwrites_never_leak_chunks(values):
 def test_append_prepend_equivalence(a, b):
     store = big_store()
     store.set("k", a)
-    store.append("k", b)
+    store.store("append", "k", b)
     assert store.get("k").value() == a + b
     store.set("k2", b)
-    store.prepend("k2", a)
+    store.store("prepend", "k2", a)
     assert store.get("k2").value() == a + b
 
 
@@ -111,6 +111,6 @@ def test_append_prepend_equivalence(a, b):
 def test_incr_matches_arithmetic(start, delta):
     store = big_store()
     store.set("n", str(start).encode())
-    assert store.incr("n", delta) == start + delta
-    assert store.decr("n", delta) == start
-    assert store.decr("n", start + delta + 1) == 0  # clamps
+    assert store.arith("n", delta)[0] == start + delta
+    assert store.arith("n", -delta)[0] == start
+    assert store.arith("n", -(start + delta + 1))[0] == 0  # clamps

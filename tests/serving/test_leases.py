@@ -182,8 +182,8 @@ def test_incr_settles_the_lease_like_every_value_write(rig):
     # lease only while the key is absent, and arith then misses.
     store.set("n", b"10")
     store.leases.acquire("n")
-    assert store.incr("n", 5) == 15
+    assert store.arith("n", 5)[0] == 15
     assert len(store.leases) == 0
     store.leases.acquire("n")
-    assert store.decr("n", 1) == 14
+    assert store.arith("n", -1)[0] == 14
     assert len(store.leases) == 0

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.sim import Counter, LatencyRecorder, RngStream
+from repro.sim import LatencyRecorder, RngStream
 from repro.sim.rng import _derive_seed
 
 
@@ -155,15 +155,6 @@ def test_stream_values_are_pinned():
     assert child.name == "bench/c0/x"
     assert [child.randint(0, 7) for _ in range(4)] == [2, 3, 5, 5]
     assert child.uniform(2.0, 3.0) == 2.386585726066727
-
-
-# --------------------------------------------------------------- Counter
-
-
-def test_counter_monotone():
-    c = Counter()
-    with pytest.raises(ValueError):
-        c.add(-1)
 
 
 # ------------------------------------------------------- LatencyRecorder

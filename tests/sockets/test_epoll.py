@@ -166,15 +166,6 @@ def test_unregister_stops_notifications(world):
     assert got["ready"] == []
 
 
-def test_modify_mask(world):
-    _, server = world.connect_pair()
-    ep = make_epoll(world)
-    ep.register(server, EPOLLIN)
-    ep.modify(server, EPOLLIN | EPOLLOUT)
-    with pytest.raises(KeyError):
-        ep.modify(world.stacks[1].socket(), EPOLLIN)
-
-
 def test_empty_mask_rejected(world):
     _, server = world.connect_pair()
     ep = make_epoll(world)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos import ChaosController, parse_schedule
+from repro.chaos import ChaosController, FaultSchedule, NodeCrash
 from repro.cluster import CLUSTER_A, Cluster
 from repro.workloads import (
     GET_ONLY,
@@ -29,7 +29,7 @@ def test_single_client_latency_run(cluster):
     assert len(result.latency) == 20
     assert len(result.get_latency) == 20
     assert len(result.set_latency) == 0
-    assert result.median_latency() > 0
+    assert result.latency.median() > 0
     assert result.tps > 0
 
 
@@ -89,7 +89,7 @@ def test_uniform_keys_prepopulated(cluster):
 def test_sockets_slower_than_ucr(cluster):
     ucr = MemslapRunner(cluster, "UCR-IB", 64, GET_ONLY, 1, 15).run()
     toe = MemslapRunner(cluster, "10GigE-TOE", 64, GET_ONLY, 1, 15).run()
-    assert toe.median_latency() > ucr.median_latency() * 3
+    assert toe.latency.median() > ucr.latency.median() * 3
 
 
 @pytest.mark.parametrize("depth", [1, 4])
@@ -99,7 +99,7 @@ def test_lost_ops_are_counted_not_timed_at_every_depth(depth):
     are timed -- the one accounting block serves both window sizes."""
     cluster = Cluster(CLUSTER_A, n_client_nodes=1)
     cluster.start_server()
-    ChaosController(cluster, parse_schedule("at 1000 crash server")).arm()
+    ChaosController(cluster, FaultSchedule((NodeCrash(at_us=1000.0, server="server"),))).arm()
     result = MemslapRunner(
         cluster, "UCR-IB", value_size=64, pattern=INTERLEAVED_50_50,
         n_ops_per_client=200, pipeline_depth=depth, tolerate_failures=True,

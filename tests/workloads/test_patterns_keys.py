@@ -15,15 +15,12 @@ from repro.workloads.keys import make_value
 
 
 def test_pure_patterns():
-    assert SET_ONLY.set_fraction == 1.0
-    assert GET_ONLY.set_fraction == 0.0
     assert list(SET_ONLY.ops(3)) == ["set"] * 3
     assert list(GET_ONLY.ops(2)) == ["get"] * 2
 
 
 def test_non_interleaved_pattern_matches_paper():
     """'1 Sets followed by 9 Gets', 10% set fraction."""
-    assert NON_INTERLEAVED_10_90.set_fraction == pytest.approx(0.1)
     ops = list(NON_INTERLEAVED_10_90.ops(20))
     assert ops[0] == "set"
     assert ops[1:10] == ["get"] * 9
@@ -32,7 +29,6 @@ def test_non_interleaved_pattern_matches_paper():
 
 def test_interleaved_pattern_matches_paper():
     """'1 Set is followed by 1 Get', 50% mix."""
-    assert INTERLEAVED_50_50.set_fraction == 0.5
     assert list(INTERLEAVED_50_50.ops(4)) == ["set", "get", "set", "get"]
 
 
