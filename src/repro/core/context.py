@@ -10,6 +10,15 @@ All handler CPU time is charged inside the progress process, so a worker
 saturates exactly like a real thread: its endpoints' messages queue up
 behind each other while other contexts on the same node keep running on
 other cores.
+
+A handler never waits for send credits: a reply sent from inside the
+engine queues on its endpoint when the window is shut
+(:meth:`~repro.core.endpoint.Endpoint.send_message`), and the engine
+goes on to process the credit return that reopens it.  The engine owes
+a credited AM's credit once the AM's bounce buffer is reposted -- or,
+for an AM answered by ``counters`` or ``rendezvous_done``, on that
+reply -- which is what bounds the control messages an endpoint's
+receive queue must hold (:attr:`~repro.core.params.UcrParams.control_slack`).
 """
 
 from __future__ import annotations
@@ -154,7 +163,6 @@ class UcrContext:
             buf.release()
             ep.fail(f"malformed message {type(wire).__name__}")
             return
-        ep.note_peer_consumed_credit()
         if wire.credits_returned:
             ep._grant_credits(wire.credits_returned)
         if wire.is_eager:
@@ -203,6 +211,8 @@ class UcrContext:
                 mr, offset, _abandon = self._resolve_dest(dest)
                 mr.write(offset, data)
             ep.repost_recv_buffer(buf)
+            if not wire.completion_counter_id:
+                ep.note_peer_consumed_credit()  # else its `counters` reply carries it
             yield from self._complete_delivery(ep, wire, data, entry)
         finally:
             if tracer.enabled:
@@ -224,7 +234,9 @@ class UcrContext:
             dest = None
             if entry.header_handler is not None:
                 dest = entry.header_handler(ep, wire.header, wire.data_length)
-            ep.repost_recv_buffer(buf)  # header consumed; free the bounce slot
+            # Header consumed: free the bounce slot.  The AM's credit rides
+            # its rendezvous_done.
+            ep.repost_recv_buffer(buf)
             self._post_rendezvous_read(ep, wire, dest)
         finally:
             if tracer.enabled:
@@ -293,14 +305,7 @@ class UcrContext:
             counter_ids.append(wire.origin_counter_id)
         if wire.completion_counter_id:
             counter_ids.append(wire.completion_counter_id)
-        ep._send_internal(
-            InternalWire(
-                kind="rendezvous_done",
-                counter_ids=tuple(counter_ids),
-                credits_returned=ep._take_owed_credits(),
-                seq=wire.seq,
-            )
-        )
+        ep.send_control_reply("rendezvous_done", tuple(counter_ids), seq=wire.seq)
 
     # -- shared tail --------------------------------------------------------------------
 
@@ -316,13 +321,7 @@ class UcrContext:
         # Eager messages with a completion counter need the extra internal
         # message (rendezvous folds it into rendezvous_done).
         if wire.is_eager and wire.completion_counter_id:
-            ep._send_internal(
-                InternalWire(
-                    kind="counters",
-                    counter_ids=(wire.completion_counter_id,),
-                    credits_returned=ep._take_owed_credits(),
-                )
-            )
+            ep.send_control_reply("counters", (wire.completion_counter_id,))
 
     @staticmethod
     def _resolve_dest(dest) -> tuple[Any, int, Any]:

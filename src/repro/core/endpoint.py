@@ -4,6 +4,23 @@ An endpoint is bi-directional and private to one peer relationship; its
 failure is contained (the runtime and all other endpoints keep working).
 It rides an RC queue pair with credit-based flow control.
 
+Flow control.  Each endpoint pre-posts ``params.posted_receives``
+buffers: one per credit, plus ``params.control_slack`` (= ``credits``)
+for the uncredited control messages -- explicit ``credits`` returns,
+``counters`` and ``rendezvous_done``.  The bound holds because every
+control message carries at least one credit home: an explicit return
+fires at ``credits // 2`` owed, and the AM that a ``counters`` or
+``rendezvous_done`` answers returns its credit on that reply, not
+before.  A credit is owed only once its buffer is back on the queue, so
+credited AMs hold at most ``credits`` buffers and control messages at
+most ``credits`` more; a private receive queue never runs dry.
+
+A send never waits for a credit.  One that finds none queues its work
+request on the endpoint, and the grant that returns a credit posts it
+(piggybacked credits are taken at that post).  So a handler that replies
+from inside the progress engine never parks it, and the credit return
+the engine would have had to process next is never stuck behind it.
+
 Transfer paths (paper Fig. 2):
 
 - eager: header and data combined into one SEND; the target copies data
@@ -26,13 +43,13 @@ needing cross-message ordering sequence via counters or request ids
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.buffers import PooledBuffer
 from repro.core.errors import EndpointClosed, FlowControlError
 from repro.core.messages import AmWire, InternalWire, RdmaDescriptor
-from repro.sim import Event
 from repro.telemetry import tracer
 from repro.verbs.enums import Opcode
 from repro.verbs.wr import RecvWR, SendWR, Sge
@@ -80,7 +97,9 @@ class Endpoint:  # repro-lint: disable=L003
         self.send_credits = params.credits
         #: Credits consumed by the peer that we owe back.
         self.credits_owed = 0
-        self._credit_waiters: list[Event] = []
+        #: Credited AMs built while no credit was free, in send order;
+        #: :meth:`_grant_credits` posts them.
+        self._backlog: deque[SendWR] = deque()
         #: Staged rendezvous buffers (``PooledBuffer``), or holds on
         #: registered memory sent in place, awaiting the peer's release
         #: message; either is released with ``release()``.
@@ -93,9 +112,9 @@ class Endpoint:  # repro-lint: disable=L003
             # per-endpoint memory footprint is O(1) (paper lineage [11]).
             self.qp.srq = self.runtime.ensure_srq()
         else:
-            # Pre-post one buffer per peer credit plus slack for internal
-            # (control) messages, which bypass the credit window.
-            for _ in range(params.credits + 16):
+            # One buffer per peer credit plus the control slack (module
+            # docstring).
+            for _ in range(params.posted_receives):
                 self._post_recv_buffer()
 
     # -- public sending API ------------------------------------------------------
@@ -123,8 +142,10 @@ class Endpoint:  # repro-lint: disable=L003
         the target's is named by id (0: none), the only part that crosses.
 
         Non-blocking in the UCR sense: returns once the message is handed
-        to the HCA (possibly after waiting for send credits); progress is
-        observed through the counters.
+        to the HCA, or queued on the endpoint when no send credit is free
+        (the grant that frees one posts it); progress is observed through
+        the counters.  It never waits for a credit, so a handler may call
+        it from inside the progress engine.
 
         *location_hold* (with *data_location*) is the caller's hold on
         that memory, an object with ``release()``.  The endpoint takes it
@@ -141,7 +162,6 @@ class Endpoint:  # repro-lint: disable=L003
         try:
             self._check_alive()
             yield from node.cpu_run(params.am_post_cpu_us)
-            yield from self._acquire_credit()
         except EndpointClosed:
             if location_hold is not None:
                 location_hold.release()
@@ -195,7 +215,6 @@ class Endpoint:  # repro-lint: disable=L003
             data_length=len(data),
             target_counter_id=tc_id,
             completion_counter_id=cc_id,
-            credits_returned=self._take_owed_credits(),
             trace=getattr(header, "trace", None) if tracer.enabled else None,
         )
         payload = bytes(wire.wire_bytes())
@@ -212,7 +231,7 @@ class Endpoint:  # repro-lint: disable=L003
             context=cookie,
             app_object=wire,
         )
-        self._post(wr)
+        self._post_credited(wr)
 
     def _send_rendezvous(
         self, msg_id, header, header_bytes, data, oc_id, tc_id, cc_id,
@@ -265,11 +284,11 @@ class Endpoint:  # repro-lint: disable=L003
             origin_counter_id=oc_id,
             target_counter_id=tc_id,
             completion_counter_id=cc_id,
-            credits_returned=self._take_owed_credits(),
             trace=getattr(header, "trace", None) if tracer.enabled else None,
         )
         if staging is not None:
-            # Before the post: one that fails releases it through fail().
+            # Before the post (or the backlog): one that fails releases
+            # it through fail().
             self._staged[wire.seq] = staging
         wr = SendWR(
             opcode=Opcode.SEND,
@@ -278,24 +297,25 @@ class Endpoint:  # repro-lint: disable=L003
             context=_SendCompletionCookie(kind="header", endpoint=self),
             app_object=wire,
         )
-        self._post(wr)
+        self._post_credited(wr)
 
     # -- credits -------------------------------------------------------------------
 
-    def _acquire_credit(self):
-        while self.send_credits <= 0:
-            # Re-check on every pass: the endpoint may have failed while
-            # this process was charging CPU between the entry check and
-            # here -- enqueueing then would hang forever (fail() already
-            # flushed its waiter list).
+    def _post_credited(self, wr: SendWR) -> None:
+        """Post a credited AM now, or queue it until a credit is granted."""
+        if self.send_credits > 0:
+            self.send_credits -= 1
+            wr.app_object.credits_returned = self._take_owed_credits()
+            self._post(wr)
+            return
+        if self.failed:
+            # It failed while the sender charged CPU: fail() already ran,
+            # so a queued AM would strand its staging buffer.
+            self.release_staged(wr.app_object.seq)
             self._check_alive()
-            if tracer.enabled:
-                tracer.instant("am.credit_stall", "am", self.sim.now, ep=self.ep_id)
-            ev = self.sim.event(("ep%s.credit", self.ep_id))
-            self._credit_waiters.append(ev)
-            yield ev
-            self._check_alive()
-        self.send_credits -= 1
+        if tracer.enabled:
+            tracer.instant("am.credit_stall", "am", self.sim.now, ep=self.ep_id)
+        self._backlog.append(wr)
 
     def _grant_credits(self, n: int) -> None:
         if n < 0:
@@ -307,20 +327,34 @@ class Endpoint:  # repro-lint: disable=L003
             raise FlowControlError(
                 f"credit overflow: {self.send_credits} > {self.runtime.params.credits}"
             )
-        while self._credit_waiters and self.send_credits > 0:
-            self._credit_waiters.pop(0).succeed()
+        try:
+            while self._backlog and self.send_credits > 0:
+                self._post_credited(self._backlog.popleft())
+        except EndpointClosed:
+            pass  # the post failed the endpoint; fail() dropped the rest
 
     def _take_owed_credits(self) -> int:
         owed, self.credits_owed = self.credits_owed, 0
         return owed
 
     def note_peer_consumed_credit(self) -> None:
-        """Receive path: a credited (data) message consumed a buffer."""
+        """Receive path: a credited AM's buffer is back on the queue, so
+        its credit is owed; return the lot at half a window."""
         self.credits_owed += 1
-        if self.credits_owed >= self.runtime.params.credit_return_threshold:
+        if self.credits_owed >= self.runtime.params.credits // 2:
             self._send_internal(
                 InternalWire(kind="credits", credits_returned=self._take_owed_credits())
             )
+
+    def send_control_reply(self, kind: str, counter_ids: tuple, seq: int = 0) -> None:
+        """Receive path: the ``counters`` or ``rendezvous_done`` message
+        that ends a credited AM's handling.  It carries that AM's credit
+        home with whatever else is owed (module docstring: the bound)."""
+        self.credits_owed += 1
+        self._send_internal(
+            InternalWire(kind=kind, counter_ids=counter_ids,
+                         credits_returned=self._take_owed_credits(), seq=seq)
+        )
 
     def repost_recv_buffer(self, buf: PooledBuffer) -> None:
         """Receive path: return a drained bounce buffer to the QP/SRQ."""
@@ -354,11 +388,11 @@ class Endpoint:  # repro-lint: disable=L003
     def _send_internal(self, wire: InternalWire) -> None:
         """Fire an internal message (no credit needed: control channel).
 
-        Internal messages consume peer receives too; we reserve headroom
-        by keeping them small and reposting immediately on the peer.  The
-        accounting trick of real runtimes (separate control credits) is
-        folded into the main window for simplicity.  Best-effort: on a
-        failed endpoint the message is silently dropped (the peer's
+        Internal messages consume peer receives too, from the peer's
+        control slack: each carries at least one credit home, so no more
+        than a window of them is ever in flight (module docstring), and
+        the peer reposts their buffers as it processes them.  Best-effort:
+        on a failed endpoint the message is silently dropped (the peer's
         timeouts own the recovery), so progress engines never die here.
         """
         if self.failed:
@@ -396,9 +430,7 @@ class Endpoint:  # repro-lint: disable=L003
         for buf in self._staged.values():
             buf.release()
         self._staged.clear()
-        waiters, self._credit_waiters = self._credit_waiters, []
-        for ev in waiters:
-            ev.succeed()  # wake them; _check_alive will raise in their frame
+        self._backlog.clear()  # queued AMs never leave; their senders time out
         if self.on_failure is not None:
             self.on_failure(self)
 

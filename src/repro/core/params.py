@@ -21,11 +21,12 @@ class UcrParams:
     #: Size of each pre-posted receive (bounce) buffer; must be >= the
     #: eager threshold plus header room.
     recv_buffer_bytes: int = 8448
-    #: Receive credits granted to each peer endpoint (pre-posted recvs).
-    credits: int = 64
-    #: The target returns credits explicitly once this many accumulate
-    #: without piggybacking opportunities.
-    credit_return_threshold: int = 32
+    #: Receive credits granted to each peer endpoint: the credited AMs it
+    #: may have in flight.  Sixteen is the deepest window any entry point
+    #: keeps (``figure_pipeline.DEPTHS``); a deeper pipeline queues its
+    #: sends on the endpoint.  A target returns credits explicitly once
+    #: ``credits // 2`` accumulate without a message to piggyback them on.
+    credits: int = 16
     #: CPU to marshal and post one active message (descriptor build).
     am_post_cpu_us: float = 0.30
     #: CPU to run the progress engine per completion (poll + dispatch).
@@ -50,10 +51,25 @@ class UcrParams:
     def __post_init__(self) -> None:
         if self.recv_buffer_bytes < self.eager_threshold_bytes:
             raise ValueError("recv buffers must hold a full eager message")
-        if self.credit_return_threshold >= self.credits:
-            raise ValueError("credit return threshold must be below the window")
         if self.credits < 2:
             raise ValueError("at least 2 credits required (1 data + 1 control)")
+
+    @property
+    def control_slack(self) -> int:
+        """Receives an endpoint posts beyond its credit window, for the
+        uncredited control messages (``credits`` returns, ``counters``,
+        ``rendezvous_done``).  Each of them carries at least one credit
+        home -- a ``counters`` or ``rendezvous_done`` carries the credit
+        of the AM it answers -- and a peer's messages carry at most
+        ``credits`` credits between them, so at most ``credits`` control
+        messages can wait in a receive queue at once."""
+        return self.credits
+
+    @property
+    def posted_receives(self) -> int:
+        """Receives each private-window endpoint pre-posts: the credit
+        window plus :attr:`control_slack`."""
+        return self.credits + self.control_slack
 
 
 #: The configuration used by all experiments unless stated otherwise.

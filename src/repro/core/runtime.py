@@ -83,7 +83,7 @@ class UcrRuntime:
         self.recv_pool = BufferPool(
             self.pd,
             params.recv_buffer_bytes,
-            initial=4 * (params.credits + 16),
+            initial=4 * params.posted_receives,
             name=f"{self.name}.recv",
         )
         self._rdv_pools: dict[int, BufferPool] = {}

@@ -14,8 +14,9 @@ increases, so a changed version names any interleaved mutation.
 The region is the index: the server keeps no other copy of an entry
 and decides from the bytes a remote reader fetches.  :meth:`seq_end` is
 the one writer of entry fields: it writes the whole entry from the item
-it publishes, or empties it.  Both helpers read the slot's version from
-the region and write it back bumped, and both also write the *stamp* --
+it publishes, or empties it.  Both helpers read the slot's entry from
+the region once; :meth:`seq_begin` writes back only the bumped version
+word, in the entry and in the stamp, and both also write the *stamp* --
 the entry's ``(version, key_hash, cas)``, cut from the packed entry by
 :func:`~repro.memcached.onesided.layout.stamp_of` as a client cuts it --
 right behind the value the entry names (odd while the bracket is open);
@@ -31,8 +32,8 @@ The index is window-associative (hopscotch hashing without the moves):
 a key may sit in any of ``WINDOW`` slots from its home bucket on, and
 :meth:`publish` takes the slot that already holds the key's hash, else
 the first empty slot, else the home slot -- last-writer-wins when the
-window is full.  It scans the window's bytes with the client's own
-:func:`~repro.memcached.onesided.layout.find_slot`.  Displacement is
+window is full.  It picks the slot in one pass over the window's
+``key_hash`` fields (:func:`~repro.memcached.onesided.layout.place_slot`).  Displacement is
 always safe -- a client that finds no slot with its key's hash falls
 back to the RPC path, which is authoritative -- and nothing is ever
 moved, so the server-side cost of coherence stays one window scan per
@@ -53,21 +54,21 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.memcached.onesided.layout import (
     DEFAULT_BUCKETS,
+    ENTRY,
     ENTRY_BYTES,
+    HELD,
     STAMP_BYTES,
+    VERSION,
     WINDOW,
     WINDOW_BYTES,
-    IndexEntry,
     entry_offset,
-    find_slot,
     find_value,
     hash64,
     occupied,
-    pack_entry,
     pack_header,
+    place_slot,
     region_bytes,
     stamp_of,
-    unpack_entry,
 )
 from repro.verbs.enums import Access
 from repro.verbs.mr import RegionDescriptor
@@ -91,6 +92,8 @@ class IndexDescriptor:
 
 #: A cleared stamp: its zero key hash matches no entry a client holds.
 _NO_STAMP = bytes(STAMP_BYTES)
+#: An empty entry's bytes behind its version word.
+_EMPTY_FIELDS = bytes(ENTRY_BYTES - VERSION.size)
 #: :func:`hash64` remembering the key it hashed last, so a publish's
 #: window scan and its :meth:`ExportedIndex.seq_end` hash the key once.
 _key_hash = lru_cache(maxsize=1)(hash64)
@@ -150,9 +153,6 @@ class ExportedIndex:
         """The exported 64-byte slot as a remote reader would see it."""
         return self.mr.read(entry_offset(slot), ENTRY_BYTES)
 
-    def _entry(self, slot: int) -> IndexEntry:
-        return unpack_entry(self.entry_bytes(slot))
-
     def _slots(self) -> bytes:
         """Every slot, in one read of the region."""
         return self.mr.read(entry_offset(0), self.n_slots * ENTRY_BYTES)
@@ -166,43 +166,44 @@ class ExportedIndex:
     def seq_begin(self, slot: int) -> None:
         """Bump-to-odd: mark the exported entry, and the stamp of the
         value it names, mid-mutation (an odd stamp matches no stable
-        entry)."""
-        entry = self._entry(slot)
-        if not entry.stable:
+        entry).  Only the version word changes, in both: the stamp's
+        key_hash and cas are already the entry's."""
+        at = entry_offset(slot)
+        version, key_hash, rkey, offset, length = HELD.unpack_from(
+            self.mr.read(at, ENTRY_BYTES))
+        if version % 2:
             raise AssertionError(f"seq_begin on slot {slot} already mid-mutation")
-        entry.version += 1
-        raw = pack_entry(entry)
-        self.mr.write(entry_offset(slot), raw)
-        if entry.key_hash:
-            self._stamp_at(entry, stamp_of(raw))
+        odd = VERSION.pack(version + 1)
+        self.mr.write(at, odd)
+        if key_hash:
+            self._stamp_at(rkey, offset + length, odd)
 
     def seq_end(self, slot: int, item: Optional["Item"]) -> None:
         """Write the entry from *item* (None empties the slot), bump to
         even and expose it atomically, and stamp *item*'s value.  A value
         the entry stops naming gets its stamp zeroed."""
-        held = self._entry(slot)
-        if held.stable:
+        at = entry_offset(slot)
+        version, key_hash, rkey, offset, length = HELD.unpack_from(
+            self.mr.read(at, ENTRY_BYTES))
+        if not version % 2:
             raise AssertionError(f"seq_end on slot {slot} without seq_begin")
         if item is None:
-            entry = IndexEntry(held.version + 1)
-        else:
-            mr, offset = item.chunk.rdma_location()
-            entry = IndexEntry(held.version + 1, _key_hash(item.key), mr.rkey, offset,
-                               item.value_length, item.flags, item.cas,
-                               self._deadline_us(item))
-        if held.key_hash and (held.value_rkey, held.value_offset) != (
-                entry.value_rkey, entry.value_offset):
-            self._stamp_at(held, _NO_STAMP)
-        raw = pack_entry(entry)
-        self.mr.write(entry_offset(slot), raw)
-        if entry.key_hash:
-            self._stamp_at(entry, stamp_of(raw))
+            if key_hash:
+                self._stamp_at(rkey, offset + length, _NO_STAMP)
+            self.mr.write(at, VERSION.pack(version + 1) + _EMPTY_FIELDS)
+            return
+        mr, value_offset = item.chunk.rdma_location()
+        if key_hash and (rkey, offset) != (mr.rkey, value_offset):
+            self._stamp_at(rkey, offset + length, _NO_STAMP)
+        raw = ENTRY.pack(version + 1, _key_hash(item.key), mr.rkey, value_offset,
+                         item.value_length, item.flags, item.cas, self._deadline_us(item))
+        self.mr.write(at, raw)
+        self._stamp_at(mr.rkey, value_offset + item.value_length, stamp_of(raw))
 
-    def _stamp_at(self, entry: IndexEntry, raw: bytes) -> None:
-        """Write *raw* right behind the value *entry* names."""
-        self.pd.lookup_rkey(entry.value_rkey).write(
-            entry.value_offset + entry.value_length, raw
-        )
+    def _stamp_at(self, rkey: int, at: int, raw: bytes) -> None:
+        """Write *raw* at byte *at* of region *rkey*: into the stamp
+        behind a value an entry names."""
+        self.pd.lookup_rkey(rkey).write(at, raw)
 
     # -- store-facing coherence hooks ------------------------------------------
 
@@ -212,11 +213,7 @@ class ExportedIndex:
         the holder)."""
         key_hash = _key_hash(item.key)
         home = key_hash % self.n_buckets
-        window = self._window(home)
-        at = find_slot(window, key_hash)
-        if at is None:
-            at = find_slot(window, 0) or 0  # no empty slot: the home slot
-        slot = home + at
+        slot = home + place_slot(self._window(home), key_hash)
         self.seq_begin(slot)
         self.seq_end(slot, item)
         self.publishes += 1

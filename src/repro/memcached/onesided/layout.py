@@ -70,7 +70,8 @@ HEADER_FORMAT = "<QI52x"
 HEADER_BYTES = struct.calcsize(HEADER_FORMAT)
 #: One entry (48 significant bytes padded to a 64-byte slot).
 ENTRY_FORMAT = "<QQIIIIQQ16x"
-ENTRY_BYTES = struct.calcsize(ENTRY_FORMAT)
+ENTRY = struct.Struct(ENTRY_FORMAT)
+ENTRY_BYTES = ENTRY.size
 #: The stamp behind a published value: the entry's version, key_hash, cas.
 STAMP_FORMAT = "<QQQ"
 STAMP_BYTES = struct.calcsize(STAMP_FORMAT)
@@ -89,6 +90,13 @@ DEFAULT_BUCKETS = 4096
 
 #: Where ``cas`` sits within an entry.
 CAS_OFFSET = 32
+#: The ``version`` word that leads both an entry and a stamp: a seqlock
+#: bracket's opening step rewrites only this word, in both.
+VERSION = struct.Struct("<Q")
+#: What a bracket reads of an entry, from offset 0: ``version``,
+#: ``key_hash``, and the value it names (``value_rkey``,
+#: ``value_offset``, ``value_length``: its stamp sits right behind it).
+HELD = struct.Struct("<QQIII")
 #: One slot's ``key_hash``, the rest of the slot skipped: walks a run of slots.
 _SLOT_KEY_HASH = struct.Struct(f"<{KEY_HASH_OFFSET}xQ{ENTRY_BYTES - KEY_HASH_OFFSET - 8}x")
 
@@ -132,8 +140,7 @@ class IndexEntry:
 
 def pack_entry(entry: IndexEntry) -> bytes:
     """Serialize *entry* into its 64-byte slot representation."""
-    return struct.pack(
-        ENTRY_FORMAT,
+    return ENTRY.pack(
         entry.version,
         entry.key_hash,
         entry.value_rkey,
@@ -147,7 +154,7 @@ def pack_entry(entry: IndexEntry) -> bytes:
 
 def unpack_entry(raw: bytes) -> IndexEntry:
     """Deserialize a 64-byte slot back into an :class:`IndexEntry`."""
-    return IndexEntry(*struct.unpack(ENTRY_FORMAT, raw))
+    return IndexEntry(*ENTRY.unpack(raw))
 
 
 def stamp_of(raw: bytes) -> bytes:
@@ -191,6 +198,19 @@ def find_value(window: bytes, key_hash: int, rkey: int, offset: int) -> int | No
     """Position within *window* of the first entry holding *key_hash*
     and naming the value at (*rkey*, *offset*), or None."""
     return _find(window, struct.pack(IDENTITY_FORMAT, key_hash, rkey, offset))
+
+
+def place_slot(window: bytes, key_hash: int) -> int:
+    """Where a publish of *key_hash* goes in *window*: the first slot
+    already holding it, else the first empty one, else the home slot (0).
+    One pass over the slots' ``key_hash`` fields."""
+    empty = None
+    for at, (held,) in enumerate(_SLOT_KEY_HASH.iter_unpack(window)):
+        if held == key_hash:
+            return at
+        if not held and empty is None:
+            empty = at
+    return empty or 0
 
 
 def occupied(slots: bytes) -> list[int]:

@@ -396,7 +396,12 @@ class UcrServerPort:
 
     def _completion_handler(self, ep: "Endpoint", header: ucrp.McRequest, data: bytes):
         """Serve the request (``MemcachedServer.execute``) and reply over
-        the same endpoint, handing a zero-copy hit's pin to the send."""
+        the same endpoint, handing a zero-copy hit's pin to the send.
+
+        This runs inside the worker's progress engine, so the reply must
+        never wait for a send credit: with the window shut it queues on
+        the endpoint, and the engine goes on to process the credit return
+        that posts it."""
         server = self.server
         node = server.node
         wire = ucrp.WIRE

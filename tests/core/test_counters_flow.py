@@ -126,7 +126,7 @@ def test_wait_increment(world):
 
 
 def test_send_credits_deplete_and_recover():
-    params = UcrParams(credits=4, credit_return_threshold=2)
+    params = UcrParams(credits=4)
     world = UcrWorld(params=params)
     client_ep, server_ep = world.establish()
     world.server_rt.register_handler(MSG_SINK)
@@ -147,7 +147,7 @@ def test_send_credits_deplete_and_recover():
 
 def test_credit_window_never_overruns_receiver():
     """With correct flow control the RC queue never sees RNR."""
-    params = UcrParams(credits=2, credit_return_threshold=1)
+    params = UcrParams(credits=2)
     world = UcrWorld(params=params)
     client_ep, server_ep = world.establish()
     world.server_rt.register_handler(MSG_SINK)
@@ -165,7 +165,7 @@ def test_credit_window_never_overruns_receiver():
 
 
 def test_rendezvous_flow_with_tiny_credits():
-    params = UcrParams(credits=2, credit_return_threshold=1)
+    params = UcrParams(credits=2)
     world = UcrWorld(params=params)
     client_ep, server_ep = world.establish()
     got = []
@@ -186,6 +186,60 @@ def test_rendezvous_flow_with_tiny_credits():
     world.sim.run()
     assert got == [16 * 1024] * 6
     assert client_ep.staged_count == 0
+
+
+def test_control_messages_fill_the_control_slack_exactly(monkeypatch):
+    """Every ``rendezvous_done`` / ``counters`` / ``credits`` message is
+    uncredited; the control slack holds them because each carries a
+    credit home.  At the smallest window the client's handler of the
+    server's first AM holds the client's engine for 200 us.  That AM's
+    credit went home at once (an explicit return at ``credits // 2`` =
+    1), so the server sends two more AMs, and it answers the client's two
+    rendezvous AMs with two ``rendezvous_done``: the client's receive
+    queue holds a full window plus a full slack, ``posted_receives``.
+    One buffer fewer and the fourth SEND would find the queue empty."""
+    from repro.verbs.qp import QueuePair
+
+    params = UcrParams(credits=2)
+    world = UcrWorld(params=params)
+    client_ep, server_ep = world.establish()
+    held = {client_ep.qp: [0], server_ep.qp: [0]}
+    claim = QueuePair._claim_recv_wr
+
+    def counting_claim(qp, packet, span, retries, _backoff=None):
+        if qp in held:  # buffers held once this SEND takes one
+            held[qp].append(params.posted_receives - len(qp._recv_queue) + 1)
+        return claim(qp, packet, span, retries, _backoff)
+
+    monkeypatch.setattr(QueuePair, "_claim_recv_wr", counting_claim)
+    got = []
+
+    def handler(ep, header, data):
+        got.append(header)
+        yield world.sim.timeout(200.0 if header == "s0" else 0.0)
+
+    world.server_rt.register_handler(MSG_SINK, None, handler)
+    world.client_rt.register_handler(MSG_SINK, None, handler)
+    done = world.client_rt.create_counter()
+
+    def server():
+        for i in range(3):
+            yield from server_ep.send_message(MSG_SINK, header=f"s{i}", header_bytes=8,
+                                              data=b"x")
+
+    def client():
+        yield world.sim.timeout(5.0)  # s0 is in its handler by now
+        for i in range(2):
+            yield from client_ep.send_message(MSG_SINK, header=f"c{i}", header_bytes=8,
+                                              data=bytes(12_000), completion_counter=done)
+
+    world.sim.process(server())
+    world.sim.process(client())
+    world.sim.run()
+    assert not client_ep.failed and not server_ep.failed
+    assert sorted(got) == ["c0", "c1", "s0", "s1", "s2"] and done.value == 2
+    assert max(held[client_ep.qp]) == params.posted_receives == 2 * params.credits
+    assert max(held[server_ep.qp]) <= params.posted_receives
 
 
 # ------------------------------------------------------------ fault model
@@ -335,6 +389,4 @@ def test_params_validation():
     with pytest.raises(ValueError):
         UcrParams(recv_buffer_bytes=100, eager_threshold_bytes=8192)
     with pytest.raises(ValueError):
-        UcrParams(credits=8, credit_return_threshold=8)
-    with pytest.raises(ValueError):
-        UcrParams(credits=1, credit_return_threshold=0)
+        UcrParams(credits=1)

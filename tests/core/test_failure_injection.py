@@ -156,7 +156,10 @@ def test_staged_rendezvous_whose_header_cannot_be_posted_returns_its_buffer():
 
 
 def test_failed_endpoint_wakes_credit_waiters_with_error():
-    params = UcrParams(credits=2, credit_return_threshold=1)
+    """A sender never waits for credits: its AMs queue on the endpoint
+    behind the shut window.  When the endpoint fails, the queue is
+    dropped and the sender's next send raises -- no hang."""
+    params = UcrParams(credits=2)
     world = UcrWorld(params=params)
     client_ep, server_ep = world.establish()
     world.server_rt.register_handler(MSG)
@@ -179,7 +182,8 @@ def test_failed_endpoint_wakes_credit_waiters_with_error():
     world.sim.process(flood())
     world.sim.process(assassin())
     world.sim.run()
-    assert "closed_at" in outcome  # blocked sender saw the failure, no hang
+    assert "closed_at" in outcome  # the sender saw the failure, no hang
+    assert not client_ep._backlog
 
 
 def test_cq_overflow_sets_flag_and_drops():

@@ -207,7 +207,8 @@ def test_ucr_srq_memory_footprint_scales_flat():
     private_12 = server_buffers(False, 12)
     shared_4 = server_buffers(True, 4)
     shared_12 = server_buffers(True, 12)
-    # Private windows grow with the client count; the SRQ does not.
-    assert private_12 > private_4 + 8 * 50
+    # Private windows grow with the client count, by exactly one posted
+    # window per client; the SRQ does not.
+    assert private_12 - private_4 == 8 * UcrParams().posted_receives
     assert shared_12 <= shared_4 * 1.5
     assert shared_12 < private_12 / 2

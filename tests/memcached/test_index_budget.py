@@ -10,7 +10,10 @@ of ``WINDOW`` slots leaves 6.
 
 A flush reads the region once: ``invalidate_all`` walks the ``key_hash``
 fields of one read of every slot and brackets only the live ones, whose
-``seq_begin`` and ``seq_end`` each read their own entry.
+``seq_begin`` and ``seq_end`` each read their own entry.  A bracket's
+reads and writes are pinned per publish and per unpublish:
+``seq_begin`` rewrites only the version word, in the entry and in the
+stamp.
 
 Upkeep: a server exports its index only once a one-sided client is wired
 to it, so a deployment without one makes no Python call into
@@ -27,7 +30,7 @@ import pytest
 
 from repro.cluster import CLUSTER_A, Cluster
 from repro.memcached.onesided import DEFAULT_BUCKETS, WINDOW, hash64, unpack_entry
-from repro.memcached.onesided.layout import ENTRY_BYTES
+from repro.memcached.onesided.layout import ENTRY_BYTES, STAMP_BYTES
 from repro.memcached.serving import ProbabilisticHotCache
 from repro.verbs.mr import MemoryRegion
 
@@ -99,6 +102,56 @@ def test_a_flush_reads_the_region_once_then_each_live_slot(live, monkeypatch):
     monkeypatch.undo()
     assert reads == [index.n_slots * ENTRY_BYTES] + [ENTRY_BYTES] * (2 * live)
     assert not any(unpack_entry(index.entry_bytes(s)).key_hash for s in range(index.n_slots))
+
+
+def _region_traffic(index, monkeypatch, action) -> list:
+    """``(call, region, bytes)`` of every local read and write *action*
+    makes: ``index`` is the exported region, ``value`` a slab page."""
+    seen = []
+    plain_read, plain_write = MemoryRegion.read, MemoryRegion.write
+
+    def read(mr, offset, length):
+        seen.append(("read", "index" if mr is index.mr else "value", length))
+        return plain_read(mr, offset, length)
+
+    def write(mr, offset, data):
+        seen.append(("write", "index" if mr is index.mr else "value", len(data)))
+        return plain_write(mr, offset, data)
+
+    monkeypatch.setattr(MemoryRegion, "read", read)
+    monkeypatch.setattr(MemoryRegion, "write", write)
+    action()
+    monkeypatch.undo()
+    return seen
+
+
+def test_a_bracket_rewrites_the_version_word_and_the_stamp(monkeypatch):
+    """One publish into an empty slot and one unpublish, counted.  Each
+    bracket helper reads its entry once; ``seq_begin`` writes back only
+    the 8-byte version word, into the entry and into the stamp behind a
+    value the entry names; ``seq_end`` writes the whole entry, zeroes
+    the stamp of a value it stops naming and stamps the one it names."""
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1)
+    cluster.start_server().export_index()
+    store = cluster.server.store
+    store.set("counted", b"v" * 100)
+    index = store.onesided
+    item = store.by_key["counted"]
+    index.unpublish(item)
+    entry = ("read", "index", ENTRY_BYTES)
+    window = ("read", "index", WINDOW * ENTRY_BYTES)
+    assert _region_traffic(index, monkeypatch, lambda: index.publish(item)) == [
+        window,                                   # place_slot's one pass
+        entry, ("write", "index", 8),             # seq_begin: empty slot, no stamp
+        entry, ("write", "index", ENTRY_BYTES),   # seq_end: the entry...
+        ("write", "value", STAMP_BYTES),          # ...and the value's stamp
+    ]
+    assert _region_traffic(index, monkeypatch, lambda: index.unpublish(item)) == [
+        window,                                   # slot_of
+        entry, ("write", "index", 8), ("write", "value", 8),
+        entry, ("write", "value", STAMP_BYTES), ("write", "index", ENTRY_BYTES),
+    ]
+    assert index.slot_of(item) is None and index.stamp(item) == bytes(STAMP_BYTES)
 
 
 ONESIDED_DIR = os.path.join("repro", "memcached", "onesided", "")

@@ -1,10 +1,15 @@
 """Property-based UCR flow control: random sizes, tiny windows, ordering."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.cluster import CLUSTER_A, Cluster
 from repro.core.params import UcrParams
+from repro.memcached.command import Command
 from repro.testing import SERVICE, UcrWorld
+from repro.verbs.enums import WcStatus
+from repro.verbs.qp import QueuePair
 
 MSG = 4
 
@@ -19,10 +24,7 @@ MSG = 4
     ),
 )
 def test_any_credit_window_delivers_everything_in_order(credits, sizes):
-    params = UcrParams(
-        credits=credits,
-        credit_return_threshold=max(1, credits // 2),
-    )
+    params = UcrParams(credits=credits)
     world = UcrWorld(params=params)
     client_ep, server_ep = world.establish()
     received = []
@@ -66,7 +68,7 @@ def test_eager_am_stays_behind_an_earlier_larger_eager_am():
     DMA fetch, which of the two nearly tied arrivals won followed how the
     clock's float rounded: reordered at 1 000 us, in order at 4 096 us or
     at 1 s.  Post order per QP makes the start time irrelevant."""
-    params = UcrParams(credits=5, credit_return_threshold=2)
+    params = UcrParams(credits=5)
     sizes = [0, 0, 0, 0, 0, 5532, 9595, 1164, 0]
     world = UcrWorld(params=params)
     sim = world.sim
@@ -173,3 +175,59 @@ def test_counter_combinations_all_fire(size, use_origin, use_target, use_complet
     for c, used in ((origin, use_origin), (target, use_target), (completion, use_completion)):
         if used:
             assert c.value == 1
+
+
+@settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+@given(st.data())
+def test_a_pipeline_deeper_than_the_window_never_overruns_a_receive_queue(data):
+    """Memcached over UCR with a small window and a pipeline 1 to 4
+    windows deeper: sets carry values to the server and gets bring them
+    back, eager and rendezvous alike, while replies queue behind shut
+    windows on both endpoints.  No endpoint fails, no SEND finds an empty
+    receive queue, and every get returns the bytes its set stored."""
+    credits = data.draw(st.integers(min_value=2, max_value=8), label="credits")
+    depth = data.draw(st.integers(min_value=credits + 1, max_value=4 * credits),
+                      label="depth")
+    sizes = data.draw(st.lists(st.integers(min_value=0, max_value=20_000),
+                               min_size=2 * depth, max_size=4 * depth), label="sizes")
+    values = [bytes([i % 251]) * n for i, n in enumerate(sizes)]
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1, ucr_params=UcrParams(credits=credits))
+    cluster.start_server()
+    client = cluster.client("UCR-IB")
+    half = len(values) // 2
+
+    def set_(i):
+        return Command(op="set", keys=[f"p{i}"], value=values[i])
+
+    def get(i):
+        return Command(op="get", keys=[f"p{i}"])
+
+    # The middle window mixes gets of the first half with sets of the
+    # second, so values cross both ways at once.
+    mixed = [c for i in range(half) for c in (get(i), set_(half + i))]
+    mixed += [set_(i) for i in range(2 * half, len(values))]
+    statuses = []
+    recv_done = QueuePair._recv_done
+
+    def watching(qp, packet, span, status=None):
+        statuses.append(status)
+        return recv_done(qp, packet, span, status)
+
+    def scenario():
+        first = yield from client.pipeline([set_(i) for i in range(half)], depth=depth)
+        middle = yield from client.pipeline(mixed, depth=depth)
+        last = yield from client.pipeline([get(i) for i in range(half, len(values))],
+                                          depth=depth)
+        return first + middle + last
+
+    expected = [True] * half
+    expected += [x for i in range(half) for x in (values[i], True)]
+    expected += [True] * (len(values) - 2 * half) + values[half:]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QueuePair, "_recv_done", watching)
+        p = cluster.sim.process(scenario())
+        cluster.sim.run()
+    assert p.value == expected
+    assert WcStatus.RNR_RETRY_EXC_ERR not in statuses
+    eps = [*client.transport._endpoints.values(), *cluster.ucr_ports["server"].endpoints]
+    assert len(eps) == 2 and not any(ep.failed for ep in eps)
