@@ -59,9 +59,10 @@ class PooledBuffer:
 class BufferPool:
     """Fixed-size registered buffers with O(1) checkout/return.
 
-    The pool grows on demand but never shrinks, mirroring MVAPICH-style
-    registration caches.  Growth costs no simulated time: registering a
-    new buffer is free in the model, and ``grow_events`` only counts it.
+    The pool starts empty, grows on demand and never shrinks, mirroring
+    MVAPICH-style registration caches.  Growth costs no simulated time:
+    registering a new buffer is free in the model, and ``total_created``
+    only counts it.
     """
 
     __slots__ = (
@@ -70,7 +71,6 @@ class BufferPool:
         "name",
         "_free",
         "total_created",
-        "grow_events",
     )
 
     #: Sanitizer observers notified as ``on_get(pool, buf)`` /
@@ -82,31 +82,23 @@ class BufferPool:
         self,
         pd: ProtectionDomain,
         buffer_bytes: int,
-        initial: int,
         name: str = "pool",
     ) -> None:
-        if buffer_bytes <= 0 or initial < 0:
-            raise ValueError("buffer_bytes must be > 0 and initial >= 0")
+        if buffer_bytes <= 0:
+            raise ValueError("buffer_bytes must be > 0")
         self.pd = pd
         self.buffer_bytes = buffer_bytes
         self.name = name
         self._free: list[PooledBuffer] = []
         self.total_created = 0
-        self.grow_events = 0
-        for _ in range(initial):
-            self._free.append(self._make())
-
-    def _make(self) -> PooledBuffer:
-        self.total_created += 1
-        return PooledBuffer(self, self.pd.reg_mr(self.buffer_bytes, ACCESS))
 
     def get(self) -> PooledBuffer:
-        """Check a buffer out, growing the pool when empty."""
-        if not self._free:
-            self.grow_events += 1
-            buf = self._make()
-        else:
+        """Check a buffer out, registering a new one when none is free."""
+        if self._free:
             buf = self._free.pop()
+        else:
+            self.total_created += 1
+            buf = PooledBuffer(self, self.pd.reg_mr(self.buffer_bytes, ACCESS))
         buf.in_use = True
         buf.generation += 1
         for observer in BufferPool.observers:

@@ -81,10 +81,7 @@ class UcrRuntime:
         self.pd = hca.alloc_pd()
         self.cm = ConnectionManager(hca)
         self.recv_pool = BufferPool(
-            self.pd,
-            params.recv_buffer_bytes,
-            initial=4 * params.posted_receives,
-            name=f"{self.name}.recv",
+            self.pd, params.recv_buffer_bytes, name=f"{self.name}.recv"
         )
         self._rdv_pools: dict[int, BufferPool] = {}
         self._handlers: dict[int, HandlerEntry] = {}
@@ -163,9 +160,7 @@ class UcrRuntime:
             if nbytes <= cls:
                 pool = self._rdv_pools.get(cls)
                 if pool is None:
-                    pool = BufferPool(
-                        self.pd, cls, initial=4, name=f"{self.name}.rdv{cls}"
-                    )
+                    pool = BufferPool(self.pd, cls, name=f"{self.name}.rdv{cls}")
                     self._rdv_pools[cls] = pool
                 return pool
         raise ValueError(

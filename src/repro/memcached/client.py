@@ -9,22 +9,22 @@ operations are process helpers (``yield from client.get(...)``).
 Every operation builds one transport-neutral
 :class:`~repro.memcached.command.Command` and runs it through
 :meth:`MemcachedClient.call` -- the single path that layers retry,
-history recording, the ``client.<op>`` span, the hot cache, ring/gutter
-routing and the one-sided ladder around the transport's ``execute``
-(stage diagram: docs/ARCHITECTURE.md).  ``pipeline`` and ``get_multi``
-share one batch path (route, record, group by server, fan out), and
-every command of either ends in the same per-command finish as
-``call``'s attempt.
+history recording, the ``client.<op>`` span, the hot cache and
+ring/gutter routing around the transport's ``execute`` (stage diagram:
+docs/ARCHITECTURE.md).  ``pipeline`` and ``get_multi`` share one batch
+path (route, record, group by server, fan out), and every command of
+either ends in the same per-command finish as ``call``'s attempt.
 
-The transport contract: ``execute(server, cmd, trace)`` runs one command
-and returns its :class:`~repro.memcached.command.Reply`;
-``execute_many(server, commands, window, trace)`` runs a window of more
-than one command in flight and returns one ``Reply`` or exception per
-command; per-server groups always run in parallel.  ``onesided_get`` is
-an optional capability the client probes for.  Each transport family has
-its own module: :mod:`repro.memcached.sockets_transport` (text and
-binary), :mod:`repro.memcached.ucr_transport` (UCR active messages) and
-:mod:`repro.memcached.onesided` (RDMA READ GETs).
+The transport contract is ``execute(server, cmd, trace)``, which runs
+one command and returns its :class:`~repro.memcached.command.Reply`,
+and ``execute_many(server, commands, window, trace)``, which runs a
+window of more than one command in flight and returns one ``Reply`` or
+exception per command; per-server groups always run in parallel.  Each
+transport family has its own module:
+:mod:`repro.memcached.sockets_transport` (text and binary),
+:mod:`repro.memcached.ucr_transport` (UCR active messages) and
+:mod:`repro.memcached.onesided` (RDMA READ GETs, tried inside its
+``execute``).
 """
 
 from __future__ import annotations
@@ -220,10 +220,6 @@ class _ShardHealth:
 #: Reads the client-local hot cache may answer / admit.
 _HOT_LOOKUP_OPS = frozenset({"get", "getl"})
 
-#: Reads the one-sided ladder may serve when the transport offers it (a
-#: fresh ``getl`` hit needs no lease machinery).
-_ONESIDED_OPS = frozenset({"get", "gets", "getl"})
-
 #: Everything one command can die of; ``ServerDownError`` alone means
 #: *lost* (effect unknown), the rest mean the server answered.
 _OP_ERRORS = (ServerDownError, ClientError, ServerError, ProtocolError)
@@ -416,8 +412,7 @@ class MemcachedClient:
 
         Stages, outermost first: attempt loop (budget from
         :attr:`policy`) -> history record -> hot-cache lookup ->
-        ``client.<op>`` span -> route -> one-sided ladder (when the
-        transport offers ``onesided_get``) -> ``transport.execute`` ->
+        ``client.<op>`` span -> route -> ``transport.execute`` ->
         :meth:`_finish` (hot-cache invalidate, :func:`interpret`, shard
         health, record completion) -> hot-cache admit.  Each attempt is its own
         record and span against the shard it re-routed to.  The target
@@ -431,13 +426,6 @@ class MemcachedClient:
         key = cmd.key
         hc = self.hot_cache
         cacheable = hc is not None and op in _HOT_LOOKUP_OPS
-        onesided = (
-            getattr(self.transport, "onesided_get", None)
-            if op in _ONESIDED_OPS
-            else None
-        )
-        if onesided is not None:
-            span_attrs["onesided"] = True
         policy = self.policy
         retries = policy.max_retries if policy is not None else 0
         for attempt in range(retries + 1):
@@ -459,15 +447,9 @@ class MemcachedClient:
             )
             try:
                 server, routed = yield from self._route(cmd)
-                reply = None
-                if onesided is not None:
-                    # None = the index could not prove the answer: fall
-                    # down the ladder onto the RPC path.
-                    reply = yield from onesided(server, key)
-                if reply is None:
-                    reply = yield from self.transport.execute(
-                        server, routed, trace=_ctx(span)
-                    )
+                reply = yield from self.transport.execute(
+                    server, routed, trace=_ctx(span)
+                )
             except _OP_ERRORS as exc:
                 reply = exc
             finally:

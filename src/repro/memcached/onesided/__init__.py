@@ -5,10 +5,10 @@ fixed-layout, window-associative index kept coherent with the store's
 write path under a seqlock version discipline, and stamps each
 published value with its entry's version; the client half
 (:mod:`~repro.memcached.onesided.client`) is a transport whose
-``onesided_get`` serves GET/gets with RDMA READs against it (a hit of a
-remembered entry is one READ of the value and its stamp), the
-ordinary client falling back to the active-message RPC path whenever
-the index cannot prove the answer.  See ``docs/ONESIDED.md``.
+``execute`` serves single-key GET/gets with RDMA READs against it (a
+hit of a remembered entry is one READ of the value and its stamp),
+falling back to the active-message RPC path whenever the index cannot
+prove the answer.  See ``docs/ONESIDED.md``.
 """
 
 from repro.memcached.onesided.client import (

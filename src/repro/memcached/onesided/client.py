@@ -44,15 +44,15 @@ path, which is authoritative:
 4. **torn** -- the entry kept moving for ``max_read_retries``
    attempts (a write-hot key); stop burning READs and ask the server.
 
-There is no one-sided client class: :meth:`MemcachedClient.call
-<repro.memcached.client.MemcachedClient.call>` tries ``onesided_get``
-for get/gets/getl on any transport that offers it and hands a hit -- an
-ordinary :class:`~repro.memcached.command.Reply` -- to the same
-interpreter as an RPC reply.  Every other operation (``get_multi`` and
-pipelined batches included) uses the inherited active-message path
-untouched, so linearizability semantics are preserved: a one-sided hit
-linearizes at the instant its fetch reads the stamp, and every fallback
-is an ordinary recorded RPC.
+There is no one-sided client class: :meth:`OneSidedTransport.execute`
+tries the ladder for every single-key get/gets/getl it is handed -- a
+blocking op, each command of a pipelined window or a depth-1 pipeline,
+a one-key mget group -- and returns a hit as an ordinary
+:class:`~repro.memcached.command.Reply`, which the client interprets
+like an RPC reply.  Every other command (a multi-key get included) uses
+the inherited active-message path, so linearizability semantics are
+preserved: a one-sided hit linearizes at the instant its fetch reads
+the stamp, and every fallback is an ordinary RPC.
 """
 
 from __future__ import annotations
@@ -92,6 +92,10 @@ _ENTRY_OPS = frozenset({
     "incr", "decr", "touch", "delete",
 })
 
+#: Single-key reads the one-sided ladder may serve (a fresh ``getl``
+#: hit needs no lease machinery).
+_LADDER_OPS = frozenset({"get", "gets", "getl"})
+
 #: Values above this are fetched over RPC instead (one landing buffer
 #: per in-flight one-sided GET is pinned at this size).
 DEFAULT_MAX_ONESIDED_BYTES = PAGE_BYTES // 4
@@ -118,7 +122,6 @@ class OneSidedTransport(UcrTransport):
         self.landings = BufferPool(
             self.runtime.pd,
             max(WINDOW_BYTES, ENTRY_BYTES + self.max_value_bytes + STAMP_BYTES),
-            initial=0,
             name=f"{self.runtime.name}.onesided",
         )
         self.onesided_hits = 0
@@ -187,17 +190,25 @@ class OneSidedTransport(UcrTransport):
         self.onesided_reads += len(reads)
         return [landing.read(at, length) for _, _, length, at in reads]
 
-    # -- own writes --------------------------------------------------------
+    # -- the command path --------------------------------------------------
 
     def execute(self, server: str, cmd: Command, trace=None):
-        """Process helper: the inherited RPC.  A command that can change
+        """Process helper: one command, one reply.
+
+        A single-key get/gets/getl first runs the one-sided ladder
+        (:meth:`onesided_get`); a fallback -- the index could not prove
+        the answer -- takes the inherited RPC.  A command that can change
         its key's index entry asks for the entry it published, and the
         key's remembered slot becomes exactly what the reply carried:
         the GET after an own write is a remembered hit.  A reply with no
         entry, a ``noreply`` command or a failed round trip forgets the
-        key's slot.  Reads and keyless commands leave every remembered
-        entry alone.
+        key's slot.  An RPC read or a keyless command leaves every
+        remembered entry alone.
         """
+        if cmd.op in _LADDER_OPS and len(cmd.keys) == 1:
+            reply = yield from self.onesided_get(server, cmd.key)
+            if reply is not None:
+                return reply
         if cmd.op not in _ENTRY_OPS:
             return (yield from super().execute(server, cmd, trace=trace))
         request, data = ucrp.command_to_request(cmd, trace)

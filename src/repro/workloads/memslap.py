@@ -172,11 +172,12 @@ class MemslapRunner:
         def loop(client):
             """One client's timed loop: windows of ``pipeline_depth`` ops.
 
-            At depth 1 each op is one blocking ``client.call`` (one-sided
-            ladder, retries and span attributes as ``client.set`` /
-            ``client.get`` have them); deeper windows go through
-            ``client.pipeline``.  Per-op latency is the window's wall
-            time: what a closed-loop caller would wait.
+            At depth 1 each op is one blocking ``client.call`` (retries
+            and span attributes as ``client.set`` / ``client.get`` have
+            them); deeper windows go through ``client.pipeline``.  Either
+            way a GET on UCR-1S tries the one-sided ladder first.  Per-op
+            latency is the window's wall time: what a closed-loop caller
+            would wait.
             """
             depth = self.pipeline_depth
             ops = list(self.pattern.ops(self.n_ops_per_client))

@@ -128,9 +128,11 @@ def test_injected_mutations_are_caught_and_shrink_small(mutation):
     assert failing(small)
 
 
-def test_onesided_mutation_is_caught_and_shrinks_small():
+@pytest.mark.parametrize("depth", [1, 4])
+def test_onesided_mutation_is_caught_and_shrinks_small(depth):
     """Skipping the index invalidation's version bump is invisible to
-    RPC transports but serves a dead value on the one-sided config, and
+    RPC transports but serves a dead value on the one-sided config --
+    blocking or in windows, whose GETs take the ladder too -- and
     leaves an entry the end-of-replay sanitizer refuses; the
     counterexample shrinks to set/delete/get commands."""
     onesided = CONFIGS[-1]
@@ -139,11 +141,13 @@ def test_onesided_mutation_is_caught_and_shrinks_small():
     # Seed 8 produces a set -> delete -> read window with no intervening
     # flush or republish of the bucket, which the bug needs to show.
     commands = generate_commands(8, 80)
-    result = replay(onesided, commands, mutation=mutation)
+    result = replay(onesided, commands, depth=depth, mutation=mutation)
     assert not result.ok, f"{mutation} not detected"
+    # A served value differs, not only the end-of-replay export check.
+    assert result.mismatches[0][0] < len(commands)
 
     def failing(sub):
-        return not replay(onesided, sub, mutation=mutation).ok
+        return not replay(onesided, sub, depth=depth, mutation=mutation).ok
 
     small = shrink_commands(commands, failing)
     assert 1 <= len(small) <= 10
@@ -173,12 +177,14 @@ def test_a_replay_fails_on_an_unsound_exported_index():
     )]
 
 
-def test_a_stale_stamp_is_caught_by_the_concurrent_onesided_replay(monkeypatch):
+@pytest.mark.parametrize("depth", [1, 4])
+def test_a_stale_stamp_is_caught_by_the_concurrent_onesided_replay(monkeypatch, depth):
     """Unpublish leaving the stamp valid serves a deleted value to a
     client that remembers the old entry.  An own delete forgets that
     entry, so the sequential replay cannot see it; with the row armed on
-    every server a one-sided client exports, another client's GET does,
-    and the concurrent history does not linearize."""
+    every server a one-sided client exports, another client's GET does
+    -- blocking or in a pipelined window -- and the concurrent history
+    does not linearize."""
     from repro.memcached.server import MemcachedServer
 
     mutation = "onesided-stale-stamp"
@@ -192,7 +198,7 @@ def test_a_stale_stamp_is_caught_by_the_concurrent_onesided_replay(monkeypatch):
 
     monkeypatch.setattr(MemcachedServer, "export_index", export_mutated)
     assert replay(onesided, generate_commands(1, 80), mutation=mutation).ok
-    assert not replay_concurrent(onesided, seed=1).ok
+    assert not replay_concurrent(onesided, seed=1, pipeline_depth=depth).ok
 
 
 def test_dump_and_load_roundtrip(tmp_path):

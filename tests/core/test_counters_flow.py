@@ -350,7 +350,6 @@ def test_connect_timeout_against_live_listener_is_torn_down(timeout_us, accepted
         select_context=lambda: server_ctx,
         on_endpoint=lambda ep, pdata: endpoints.append(ep),
     )
-    recv_free = world.server_rt.recv_pool.free_count
 
     def connector():
         with pytest.raises(UcrTimeout):
@@ -362,8 +361,9 @@ def test_connect_timeout_against_live_listener_is_torn_down(timeout_us, accepted
     assert len(world.client_rt.hca._qps) == 0
     assert len(world.server_rt.hca._qps) == accepted
     assert not world.client_rt.cm._pending and not world.server_rt.cm._pending
-    if not accepted:
-        assert world.server_rt.recv_pool.free_count == recv_free
+    if not accepted:  # every receive the torn-down endpoint posted came back
+        pool = world.server_rt.recv_pool
+        assert pool.free_count == pool.total_created == world.server_rt.params.posted_receives
 
 
 def test_connect_refused_when_no_listener():

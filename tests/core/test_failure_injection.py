@@ -66,13 +66,12 @@ def test_rendezvous_read_that_cannot_be_posted_returns_its_staging_buffer(monkey
     world.server_rt.register_handler(MSG)  # no header handler: no destination
     payload = bytes(64 * 1024)
     pool = world.server_rt.rendezvous_pool_for(len(payload))
-    free_before = pool.free_count
     real_post = server_ep._post
     refused = []
 
     def post(wr):
         if wr.opcode is Opcode.RDMA_READ:
-            refused.append(pool.free_count)
+            refused.append((pool.free_count, pool.total_created))
             raise EndpointClosed("injected: READ refused")
         real_post(wr)
 
@@ -85,9 +84,8 @@ def test_rendezvous_read_that_cannot_be_posted_returns_its_staging_buffer(monkey
 
     world.sim.process(sender())
     world.sim.run()
-    assert refused == [free_before - 1]  # checked out when the post failed...
-    assert pool.free_count == free_before  # ...and returned, not leaked
-    assert pool.grow_events == 0
+    assert refused == [(0, 1)]  # checked out when the post failed...
+    assert pool.free_count == pool.total_created == 1  # ...and returned, not leaked
 
 
 def test_rendezvous_read_flushed_by_a_failing_endpoint_returns_its_staging_buffer(
@@ -102,7 +100,6 @@ def test_rendezvous_read_flushed_by_a_failing_endpoint_returns_its_staging_buffe
     world.server_rt.register_handler(MSG)  # no header handler: no destination
     payload = bytes(64 * 1024)
     pool = world.server_rt.rendezvous_pool_for(len(payload))
-    free_before = pool.free_count
     real_post = server_ep._post
 
     def post(wr):
@@ -120,8 +117,7 @@ def test_rendezvous_read_flushed_by_a_failing_endpoint_returns_its_staging_buffe
     world.sim.process(sender())
     world.sim.run()
     assert server_ep.failed
-    assert pool.free_count == free_before
-    assert pool.grow_events == 0
+    assert pool.free_count == pool.total_created == 1
 
 
 def test_staged_rendezvous_whose_header_cannot_be_posted_returns_its_buffer():
@@ -133,7 +129,6 @@ def test_staged_rendezvous_whose_header_cannot_be_posted_returns_its_buffer():
     world.server_rt.register_handler(MSG)
     payload = bytes(64 * 1024)
     pool = world.client_rt.rendezvous_pool_for(len(payload))
-    free_before = pool.free_count
     seen = []
 
     def sender():
@@ -141,17 +136,17 @@ def test_staged_rendezvous_whose_header_cannot_be_posted_returns_its_buffer():
             yield from client_ep.send_message(
                 MSG, header=None, header_bytes=8, data=payload
             )
-        seen.append(pool.free_count)
+        seen.append((pool.free_count, pool.total_created))
 
     def breaker():
         yield world.sim.timeout(10.0)  # the 64 KB staging copy is under way
-        seen.append(pool.free_count)
+        seen.append((pool.free_count, pool.total_created))
         client_ep.qp.to_error()
 
     world.sim.process(sender())
     world.sim.process(breaker())
     world.sim.run()
-    assert seen == [free_before - 1, free_before]
+    assert seen == [(0, 1), (1, 1)]  # checked out, then returned
     assert client_ep.failed and client_ep.staged_count == 0
 
 
@@ -202,12 +197,12 @@ def test_recv_buffers_returned_to_pool_on_endpoint_failure():
     world = UcrWorld()
     client_ep, server_ep = world.establish()
     pool = world.server_rt.recv_pool
-    free_before = pool.free_count
+    assert pool.free_count == 0  # every buffer is posted
     server_ep.fail("injected")
     # The flushed recv completions flow through the progress engine and
     # release their bounce buffers.
     world.sim.run()
-    assert pool.free_count >= free_before  # nothing leaked to the QP
+    assert pool.free_count == pool.total_created > 0  # nothing leaked to the QP
 
 
 def test_buffer_pool_double_release_rejected():

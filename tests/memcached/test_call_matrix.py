@@ -160,26 +160,36 @@ def test_flush_all_empties_the_hot_cache_and_settles_one_record(lost):
 
 @pytest.mark.parametrize("flavour", ["UCR-1S", "UCR-1S sharded"])
 def test_batches_ride_active_messages_on_the_onesided_transport(flavour):
+    """A multi-key get is one active message per server group; every
+    single-key read the transport is handed -- a blocking get, each
+    command of a depth-1 pipeline or of a window, a one-key mget group
+    -- takes the one-sided ladder: one READ, as the own set's entry is
+    remembered."""
     cluster, client = deploy(flavour)
     t = client.transport
+    keys = ("a", "b", "c")
+    a, b, c = (client.distribution.server_for(key) for key in keys)
+    assert a != b == c  # the mget: a one-key group and a two-key AM
 
     def scenario():
-        for key in ("a", "b", "c"):
+        for key in keys:
             yield from client.set(key, b"v")
         yield from client.get("a")
-        before = t.onesided_reads
-        multi = yield from client.get_multi(["a", "b", "c"])
-        gets = [Command(op="get", keys=[k]) for k in ("a", "b", "c")]
+        reads = [t.onesided_reads]
+        multi = yield from client.get_multi(list(keys))
+        reads.append(t.onesided_reads)
+        gets = [Command(op="get", keys=[k]) for k in keys]
         piped = yield from client.pipeline(gets)
-        # A window (``execute_many``): what UCR-1S/pipe4 checks is RPC.
-        windowed = yield from client.pipeline(gets, depth=4)
-        return before, multi, piped, windowed
+        reads.append(t.onesided_reads)
+        windowed = yield from client.pipeline(gets, depth=4)  # ``execute_many``
+        reads.append(t.onesided_reads)
+        return reads, multi, piped, windowed
 
-    (before, multi, piped, windowed), records, roots = observe(cluster, scenario())
-    assert before == 1  # the blocking get: the set's entry's stamped value
+    (reads, multi, piped, windowed), records, roots = observe(cluster, scenario())
     assert multi == {"a": b"v", "b": b"v", "c": b"v"}
     assert piped == windowed == [b"v"] * 3
-    assert t.onesided_reads == before
+    assert reads == [1, 2, 5, 8]
+    assert t.remembered_hits == 8
     assert len(records) == 3 + 1 + 3 + 3 + 3
     assert roots == ["client.set"] * 3 + [
         "client.get", "client.get_multi", "client.pipeline", "client.pipeline"

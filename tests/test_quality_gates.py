@@ -154,7 +154,7 @@ def test_constructor_surface_is_pinned():
         "SlabAllocator": ("max_bytes", "pd"),
         "ExportedIndex": ("store",),
         "UcrRuntime": ("sim", "node", "hca", "params"),
-        "BufferPool": ("pd", "buffer_bytes", "initial", "name"),
+        "BufferPool": ("pd", "buffer_bytes", "name"),
     }
 
 
@@ -227,16 +227,17 @@ def test_no_module_over_600_lines():
     assert stale == set(), "delete the entry: the module is under the gate"
 
 
-def test_the_client_probes_its_transport_for_onesided_get_only():
+def test_the_client_never_probes_its_transport():
     """The transport contract (``execute``, ``execute_many``) is read
-    directly; ``onesided_get`` is the one optional capability."""
+    directly, with no optional capability: the one-sided ladder is a
+    stage of its transport's ``execute``."""
     probes = sorted(
-        line.strip()
+        f"{path.relative_to(SRC)}: {line.strip()}"
         for path in SRC.rglob("*.py")
         for line in path.read_text().splitlines()
         if "getattr(self.transport" in line
     )
-    assert probes == ['getattr(self.transport, "onesided_get", None)']
+    assert probes == []
 
 
 def test_every_client_transport_is_a_checked_config():
