@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster import CLUSTER_A, Cluster
 from repro.memcached import protocol, protocol_binary, protocol_ucr
 from repro.memcached.command import REPLY_STATUSES, Command, Reply
 from repro.memcached.errors import ProtocolError
@@ -227,29 +228,27 @@ def test_reply_wire_bytes_are_pinned():
     )
 
 
-def test_ucr_reply_fields_are_pinned():
-    """The same corpus through the UCR codec: the response struct's fields,
-    the payload, and whether the value left zero-copy from slab memory.
-    Re-pinned when ``McResponse.status`` began to mirror the reply status:
-    only the two ``stats`` rows (``"ok"`` -> ``"stats"``; a reply without a
-    dict no longer raises) and the ``version`` row (``"ok"`` -> ``"version"``)
-    moved; re-pinned when ``McResponse`` gained ``entry`` (the same corpus
-    with ``, entry=None`` stripped from the repr gives the previous
-    digest, ``8677242a...``)."""
+def _registered_hit():
+    """A get hit whose slab page is RDMA-registered: served zero-copy."""
     registered = SimpleNamespace(
         chunk=SimpleNamespace(page=SimpleNamespace(mr="mr"), offset=64),
         value_length=4, value=lambda: b"data",
     )
-    corpus = _reply_corpus() + [
-        (Command("get", ["k"]), Reply("values", values=[("k", 7, registered, 42)])),
-    ]
+    return Command("get", ["k"]), Reply("values", values=[("k", 7, registered, 42)])
+
+
+def test_ucr_reply_fields_are_pinned():
+    """The same corpus through the UCR codec: the payload bytes, and
+    whether the value left zero-copy from slab memory (the header's size
+    is ``test_ucr_wire_sizes_are_pinned``'s).  Recorded when the header
+    repr left the digest: the response struct's fields are whatever
+    carries the reply, and only what crosses is pinned."""
     h = hashlib.sha256()
-    for cmd, reply in corpus:
-        header, payload, location = protocol_ucr.reply_to_response(cmd, reply)
-        h.update(f"{cmd.op}|{header!r}|{location is not None}|{len(payload)}|".encode()
-                 + payload)
+    for cmd, reply in _reply_corpus() + [_registered_hit()]:
+        _header, payload, location = protocol_ucr.reply_to_response(cmd, reply)
+        h.update(f"{cmd.op}|{location is not None}|{len(payload)}|".encode() + payload)
     assert h.hexdigest() == (
-        "d261e1cef7df8afb2a948577a4ae9652c6d88f833bf8d331ce2b44d7e8b719ed"
+        "554188f01006a3e3846559f3696c5d922c36d7ce62eae6394358078dcdd5cec5"
     )
 
 
@@ -299,24 +298,16 @@ def _request_corpus():
 
 
 def test_request_wire_bytes_are_pinned():
-    """Every request shape, as text and binary frames and as the UCR header
-    plus payload.  Recorded before the codecs' per-op ``build_*`` functions became one
-    request table per format; re-pinned when the UCR header dropped its
-    ``noreply`` and ``reply_qpn`` fields (the same corpus with those two
-    fields stripped from the UCR repr gives this digest; text and binary
-    bytes did not move), and again when ``McRequest`` gained ``want_entry``
-    (stripping ``, want_entry=False`` from the repr gives the previous
-    digest, ``016499e9...``)."""
-    def ucr(cmd):
-        header, payload = protocol_ucr.command_to_request(cmd)
-        return repr(header).encode() + b"|" + payload
-
+    """Every request shape as text and binary frames.  Recorded before the
+    codecs' per-op ``build_*`` functions became one request table per
+    format; re-recorded when the UCR header's repr left the digest (what
+    a UCR request puts on the wire is ``test_ucr_wire_sizes_are_pinned``'s)
+    -- the text and binary bytes did not move."""
     h = hashlib.sha256()
     for cmd in _request_corpus():
         for name, encode in (
             ("text", lambda c: protocol.encode_command(c, 9)),
             ("binary", lambda c: protocol_binary.encode_command(c, 9)),
-            ("ucr", ucr),
         ):
             try:
                 out = encode(cmd)
@@ -324,8 +315,79 @@ def test_request_wire_bytes_are_pinned():
                 out = b"refused"
             h.update(f"{name}|{cmd.op}|{len(out)}|".encode() + out)
     assert h.hexdigest() == (
-        "73c78c6cd2c6d468932ed0e961e4daeddf217eecf829fe55f7f50402c9742414"
+        "cf65c3d5ec11200d8523e105beb779a797c4c13033a6de3b98cd6a36470a7e04"
     )
+
+
+class _Sent(Exception):
+    """Raised by :class:`_WireTap` with what one send put on the wire."""
+
+
+class _WireTap:
+    """An endpoint that records the AM a send would post -- header,
+    ``header_bytes``, payload, zero-copy location -- and stops the sender
+    there."""
+
+    failed = False
+
+    def send_message(self, msg_id, header, header_bytes, data=b"",
+                     data_location=None, **_counters):
+        raise _Sent(header, header_bytes, data, data_location)
+        yield  # pragma: no cover - generator protocol
+
+
+def _tapped(cluster, sender):
+    """Run *sender* (a process helper ending in a tapped send) and return
+    the send's ``(header, header_bytes, payload, location)``."""
+    def run():
+        try:
+            yield from sender
+        except _Sent as sent:
+            return sent.args
+        raise AssertionError("nothing was sent")
+
+    proc = cluster.sim.process(run())
+    cluster.sim.run()
+    return proc.value
+
+
+def test_ucr_wire_sizes_are_pinned():
+    """What crosses the UCR wire, through the real client and server
+    paths: per request, its op, header bytes and payload length; per
+    response (the reply corpus, a zero-copy hit and a stored reply that
+    carries its key's index entry), the same plus whether the value
+    leaves from slab memory.  The AM's fixed header and
+    the payload are charged from these, so a change to the UCR wire's
+    sizes shows here by name.  Independent of how the header structs are
+    spelled: they are only handed from the client's send to the server's
+    handler."""
+    cluster = Cluster(CLUSTER_A, n_client_nodes=1)
+    cluster.start_server()
+    transport = cluster.client("UCR-IB").transport
+    port = cluster.ucr_ports["server"]
+    transport._endpoints["server"] = tap = _WireTap()
+
+    def request(cmd):
+        return _tapped(cluster, transport.execute("server", cmd))
+
+    rows = []
+    for cmd in _request_corpus():
+        _header, size, data, location = request(cmd)
+        rows.append(f"{cmd.op}|request|{size}|{len(data)}|{location is not None}")
+    published = (Command("set", ["k"], value=b"v"), Reply("stored", entry=(3, bytes(64))))
+    for cmd, reply in _reply_corpus() + [_registered_hit(), published]:
+        header, _size, data, _location = request(cmd)
+
+        def canned(wire, request, cmd, trace=None, reply=reply):
+            return wire.encode_reply(request, cmd, reply), None
+            yield  # pragma: no cover - generator protocol
+
+        port.server.execute = canned
+        _header, size, payload, location = _tapped(
+            cluster, port._completion_handler(tap, header, data))
+        rows.append(f"{cmd.op}|response|{size}|{len(payload)}|{location is not None}")
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "d4e1b5a64e9c9300e89506ab62d719da476da90aec38564c72eb611e90c91761", "\n".join(rows)
 
 
 def test_encode_stats_roundtrip():
