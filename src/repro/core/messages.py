@@ -61,11 +61,11 @@ class AmWire:
     #: fixed header's padding, and keeping it out of the cost model is
     #: what makes tracing digest-neutral.
     trace: Any = None
-    #: Process-unique message sequence number.  This is what lets any
-    #: number of AMs be in flight per endpoint: pipelined memcached
-    #: requests each carry their own seq (echoed via the response's
-    #: ``request_id``), so replies route back by id rather than by
-    #: arrival order.
+    #: Process-unique message sequence number: a rendezvous message's
+    #: ``rendezvous_done`` names it to release the staged buffer.  A
+    #: memcached reply needs no id of its own: it targets the client
+    #: counter its request named (``target_counter_id``), so any number
+    #: of AMs can be in flight per endpoint.
     seq: int = field(default_factory=lambda: next(_am_seq))
 
     @property

@@ -21,16 +21,16 @@ served under; it posts the stamped fetch from the remembered location:
 one READ in one round trip.  A stamp that still equals the remembered
 entry proves that entry still publishes the value.  An own command
 through :meth:`execute` that can change its key's entry asks the server
-for the entry it published (``want_entry``) and remembers exactly what
-the reply carried, so the GET after an own write is a remembered hit
-too.  A stale stamp names no fresh entry, so the GET probes the slot and
-fetches again; a slot whose remembered fetch once found its stamp stale
-posts the 64-byte slot probe behind each later fetch (RC executes a QP's
-READs in post order, so the probe reads the entry after the fetch read
-the stamp), and a stale stamp then restarts the ladder from the probe
-without another round trip.  A slot that shows another key's hash was
-reused: the key may sit elsewhere in its window, so the GET READs the
-window again.
+for the entry it published (``want_entry`` on the command its request
+carries) and remembers exactly the ``entry`` its reply carried, so the
+GET after an own write is a remembered hit too.  A stale stamp names no
+fresh entry, so the GET probes the slot and fetches again; a slot whose
+remembered fetch once found its stamp stale posts the 64-byte slot probe
+behind each later fetch (RC executes a QP's READs in post order, so the
+probe reads the entry after the fetch read the stamp), and a stale stamp
+then restarts the ladder from the probe without another round trip.  A
+slot that shows another key's hash was reused: the key may sit elsewhere
+in its window, so the GET READs the window again.
 
 Everything the index cannot prove falls down a ladder onto the RPC
 path, which is authoritative:
@@ -86,7 +86,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import UcrContext
 
 #: Commands that can change their key's index entry: each asks for the
-#: entry it published (``McRequest.want_entry``).
+#: entry it published (``Command.want_entry``, carried in its request).
 _ENTRY_OPS = frozenset({
     "set", "add", "replace", "cas", "append", "prepend",
     "incr", "decr", "touch", "delete",
@@ -211,15 +211,16 @@ class OneSidedTransport(UcrTransport):
                 return reply
         if cmd.op not in _ENTRY_OPS:
             return (yield from super().execute(server, cmd, trace=trace))
-        request, data = ucrp.command_to_request(cmd, trace)
-        request.want_entry = not cmd.noreply
+        request = ucrp.McRequest(ucrp.carried(cmd), trace=trace)
+        request.cmd.want_entry = not cmd.noreply
         entry = None
         try:
-            header, payload = yield from self.roundtrip(server, request, data)
-            entry = header.entry
+            reply = ucrp.response_to_reply(
+                *(yield from self.roundtrip(server, request, cmd.value)))
+            entry = reply.entry
         finally:
             self._remember(server, cmd.key, entry)
-        return ucrp.response_to_reply(cmd, header, payload)
+        return reply
 
     def _remember(self, server: str, key: str, entry) -> None:
         """Remember *entry* -- ``(position in the window, 64 bytes)`` --

@@ -288,7 +288,7 @@ _COUNTER = struct.Struct("!Q")
 _LEASE_STATES = ("", "won", "lost")
 
 
-def request_to_command(msg: BinMessage) -> Command:
+def decode_command(msg: BinMessage) -> Command:
     """Decode one request frame into the IR."""
     row = _REQUESTS.get(msg.opcode)
     if row is None:
@@ -494,7 +494,7 @@ def build_get(key: str) -> bytes:
 #: connection, the fixed-layout response is filled in place (no build
 #: charge); the client's fixed-offset codec costs what the UCR struct's does.
 WIRE = WireFormat(
-    decode=request_to_command,
+    decode=decode_command,
     encode_reply=encode_reply,
     served_chunk=None,
     server_parse_cost="parse_binary_us",

@@ -2,20 +2,18 @@
 
 Requests and responses are fixed-layout structs carried as active
 message headers -- the "no parse" representation the paper credits for
-part of UCR's latency win.  This module owns the struct definitions
-(:class:`McRequest` / :class:`McResponse`), the AM ids, and the codec
-between the structs and the transport-neutral command IR
-(:mod:`repro.memcached.command`).
+part of UCR's latency win.  A request header carries the IR
+:class:`~repro.memcached.command.Command`, cut to the fields that cross
+(:func:`carried`); a response header carries the
+:class:`~repro.memcached.command.Reply`, each hit's data cut to its
+length (the bytes ride the AM payload).  Beside them a header holds only
+the client counter the response bumps -- every request in flight waits
+on its own, so responses route back by it -- and the telemetry rider.
+Each header owns its wire size (``header_bytes``).
 
 The server half is the :data:`WIRE` row: a request is the AM layer's
 ``(McRequest, data)``, its encoding ``(McResponse, payload, location)``.
 Structs need no byte framing, so the row has no sockets or client half.
-
-Matching semantics under pipelining: every request carries a
-``request_id`` echoed by the server, so any number of AMs can be in
-flight per endpoint and responses route back by id (the client side of
-the seq-matching the AM layer's per-message ``seq`` provides on the
-wire).
 """
 
 from __future__ import annotations
@@ -33,157 +31,98 @@ MSG_MC_RESPONSE = 0x12
 MC_REQUEST_HEADER_BYTES = 24
 MC_RESPONSE_HEADER_BYTES = 16
 
-
-def response_header_bytes(response: "McResponse") -> int:
-    """Wire size of *response*'s header: the fixed struct, 8 bytes of
-    meta per value, and a carried index entry with its slot's position
-    in the window (one byte)."""
-    size = MC_RESPONSE_HEADER_BYTES + 8 * len(response.values_meta or [])
-    if response.entry is not None:
-        size += len(response.entry[1]) + 1
-    return size
+#: Ops whose request header charges a one-byte placeholder key (the
+#: struct always has a key slot; these target a server, not a key).
+_KEYLESS_OPS = frozenset({"flush_all", "stats"})
 
 
 @dataclass
 class McRequest:
     """Fixed-layout UCR request header (the no-parse representation)."""
 
-    op: str
-    keys: list[str]
-    flags: int = 0
-    exptime: float = 0
-    cas: int = 0
-    delta: int = 0
-    value_length: int = 0
-    #: Client counter named as the response AM's target counter.
+    #: This request's own copy (:func:`carried`); the server's header
+    #: handler writes ``reserved_item`` into it.
+    cmd: Command
+    #: The client counter the response AM targets.
     counter_id: int = 0
-    #: Echoed in the response, so pipelined requests route back by id.
-    request_id: int = 0
-    #: Filled by the server's header handler for two-phase sets.
-    reserved_item: Any = None
-    #: ``getl``: accept a stale value on a lost lease.  Rides reserved
-    #: header space, so the fixed wire size above is unchanged.
-    stale_ok: bool = False
-    #: Storage ops: the fill-authorising lease token (0 = plain store);
-    #: also rides reserved header space.
-    lease_token: int = 0
-    #: One-sided clients: ask for the key's published index entry in the
-    #: reply (:attr:`McResponse.entry`).  Rides reserved header space;
-    #: only ``OneSidedTransport`` sets it.
-    want_entry: bool = False
     #: Telemetry rider (a TraceContext); rides the fixed header's padding
     #: in the real protocol, so it is never counted in wire bytes.
     trace: Any = None
+
+    @property
+    def header_bytes(self) -> int:
+        """The fixed struct plus the key bytes; ``stale_ok``,
+        ``lease_token`` and ``want_entry`` ride reserved header space."""
+        keys = self.cmd.keys
+        if not keys:
+            return MC_REQUEST_HEADER_BYTES + (1 if self.cmd.op in _KEYLESS_OPS else 0)
+        return MC_REQUEST_HEADER_BYTES + sum(len(k) for k in keys)
 
 
 @dataclass
 class McResponse:
     """Fixed-layout UCR response header."""
 
-    #: The reply status, as is (``command.REPLY_STATUSES``).
-    status: str
-    number: int = 0
-    #: For get responses: (key, flags, length, cas) per hit, data follows
-    #: concatenated in the AM payload.  For stats: the sorted (name, value)
-    #: pairs.
-    values_meta: list = None
-    message: str = ""
-    #: For status 'error': which side's fault ('client' | 'server'), so
-    #: the UCR path preserves the text protocol's CLIENT_ERROR vs
-    #: SERVER_ERROR distinction across the wire.
-    error_kind: str = "server"
-    #: Echoed from the request (pipelined response matching).
-    request_id: int = 0
-    #: ``getl`` verdict ("" | "won" | "lost"); rides reserved header space.
-    lease_state: str = ""
-    #: The fill token when ``lease_state == "won"``.
-    lease_token: int = 0
-    #: The values payload is an expired-but-servable stale value.
-    stale: bool = False
-    #: ``want_entry`` replies to a command that stored, touched or
-    #: re-stored its key: ``(position of the key's slot in its window,
-    #: the slot's published 64 bytes)`` as of the linearization point;
-    #: None when the key has no live slot.  Counted in wire bytes.
-    entry: Any = None
+    #: Each hit's data is its length (the bytes follow concatenated in
+    #: the AM payload); ``error_kind`` is ``client`` or ``server``.
+    reply: Reply
+    #: The client counter this response bumps (echoed from the request).
+    counter_id: int = 0
     #: Telemetry rider: the server-side span context, so reply-path spans
     #: attach under the handling operation.  Never counted in wire bytes.
     trace: Any = None
 
-
-# ---------------------------------------------------------------------------
-# Client side: Command -> McRequest, McResponse -> Reply
-# ---------------------------------------------------------------------------
-
-#: Ops whose request header uses the "-" placeholder key (the fixed
-#: struct always carries a key slot; these ops target a server, not a key).
-_KEYLESS_OPS = frozenset({"flush_all", "stats"})
-
-
-def command_to_request(cmd: Command, trace=None) -> tuple[McRequest, bytes]:
-    """Fill one request struct; returns (header, data payload)."""
-    data = cmd.value
-    keys = list(cmd.keys) if cmd.keys else (["-"] if cmd.op in _KEYLESS_OPS else [])
-    return (
-        McRequest(
-            op=cmd.op,
-            keys=keys,
-            flags=cmd.flags,
-            exptime=int(cmd.exptime),
-            cas=cmd.cas,
-            delta=cmd.delta,
-            value_length=len(data),
-            stale_ok=cmd.stale_ok,
-            lease_token=cmd.lease_token,
-            trace=trace,
-        ),
-        data,
-    )
+    @property
+    def header_bytes(self) -> int:
+        """The fixed struct, 8 bytes of meta per hit or stat, and a carried
+        index entry with its slot's position in the window (one byte)."""
+        reply = self.reply
+        size = MC_RESPONSE_HEADER_BYTES + 8 * (len(reply.values) + len(reply.stats or ()))
+        if reply.entry is not None:
+            size += len(reply.entry[1]) + 1
+        return size
 
 
-def response_to_reply(cmd: Command, header: McResponse, payload: bytes) -> Reply:
-    """Decode one response struct against the command that produced it."""
-    if header.status == "values":
-        entries = []
-        offset = 0
-        for key, flags, length, cas in header.values_meta or []:
-            entries.append((key, flags, payload[offset : offset + length], cas))
-            offset += length
-        return Reply(
-            "values",
-            values=entries,
-            lease_state=header.lease_state,
-            lease_token=header.lease_token,
-            stale=header.stale,
-        )
-    if header.status == "stats":
-        # Rendered as the text codec renders them, so ``stats`` reads
-        # the same (string values) on every wire.
-        return Reply("stats", stats={k: f"{v}" for k, v in header.values_meta or []})
-    return Reply(header.status, number=header.number, message=header.message,
-                 error_kind=header.error_kind)
-
-
-# ---------------------------------------------------------------------------
-# Server side: McRequest -> Command, Reply -> McResponse
-# ---------------------------------------------------------------------------
-
-
-def request_to_command(header: McRequest, data: bytes) -> Command:
-    """Decode one request struct into the IR."""
-    keys = [] if header.keys == ["-"] else list(header.keys)
+def carried(cmd: Command) -> Command:
+    """The part of *cmd* a request header carries, as a fresh copy.  The
+    value rides the AM payload; ``noreply``, ``quiet``, ``want_cas_token``
+    and the binary auto-create fields do not cross, and the expiry
+    crosses as an integer."""
     return Command(
-        op=header.op,
-        keys=keys,
-        value=data,
-        flags=header.flags,
-        exptime=header.exptime,
-        cas=header.cas,
-        delta=header.delta,
-        reserved_item=header.reserved_item,
-        stale_ok=header.stale_ok,
-        lease_token=header.lease_token,
-        want_entry=header.want_entry,
+        op=cmd.op,
+        keys=list(cmd.keys),
+        flags=cmd.flags,
+        exptime=int(cmd.exptime),
+        cas=cmd.cas,
+        delta=cmd.delta,
+        stale_ok=cmd.stale_ok,
+        lease_token=cmd.lease_token,
+        want_entry=cmd.want_entry,
     )
+
+
+def response_to_reply(header: McResponse, payload: bytes) -> Reply:
+    """Decode one response: the carried reply, with each hit's bytes cut
+    from *payload* and the stats rendered as the text codec renders them
+    (sorted, string values), so ``stats`` reads the same on every wire."""
+    reply = header.reply
+    if reply.values:
+        hits = []
+        offset = 0
+        for key, flags, length, cas in reply.values:
+            hits.append((key, flags, payload[offset : offset + length], cas))
+            offset += length
+        reply.values = hits
+    elif reply.status == "stats":
+        reply.stats = {k: f"{v}" for k, v in sorted((reply.stats or {}).items())}
+    return reply
+
+
+def _request_command(request) -> Command:
+    """The request's carried command, with the payload as its value."""
+    header, data = request
+    header.cmd.value = data
+    return header.cmd
 
 
 def reply_to_response(cmd: Command, reply: Reply):
@@ -191,39 +130,35 @@ def reply_to_response(cmd: Command, reply: Reply):
 
     Single-key hits whose slab page is RDMA-registered are served
     zero-copy: the location names (mr, offset, length) and the payload
-    stays empty.
+    stays empty.  ``detail`` and ``cas`` do not cross; ``protocol``
+    errors cross as ``client`` ones.
     """
-    if reply.status == "values":
-        response = McResponse(
-            "values",
-            values_meta=[(key, flags, entry_length(data), cas)
-                         for key, flags, data, cas in reply.values],
-            lease_state=reply.lease_state,
-            lease_token=reply.lease_token,
-            stale=reply.stale,
-        )
-        data = reply.values[0][2] if len(cmd.keys) == 1 and reply.values else None
-        chunk = getattr(data, "chunk", None)
-        if chunk is not None and chunk.page.mr is not None:
-            return response, b"", (chunk.page.mr, chunk.offset, entry_length(data))
-        # Otherwise the hits are copied into one payload (an mget's are
-        # several extents).
-        return response, b"".join(entry_data(d) for _k, _f, d, _c in reply.values), None
-    if reply.status == "stats":
-        return McResponse("stats", values_meta=sorted((reply.stats or {}).items())), b"", None
-    kind = "server" if reply.error_kind == "server" else "client"
-    return (
-        McResponse(reply.status, number=reply.number, message=reply.message,
-                   error_kind=kind, entry=reply.entry),
-        b"",
-        None,
-    )
+    hits = reply.values
+    response = McResponse(Reply(
+        reply.status,
+        number=reply.number,
+        values=[(key, flags, entry_length(data), cas) for key, flags, data, cas in hits],
+        message=reply.message,
+        error_kind="server" if reply.error_kind == "server" else "client",
+        stats=reply.stats,
+        lease_state=reply.lease_state,
+        lease_token=reply.lease_token,
+        stale=reply.stale,
+        entry=reply.entry,
+    ))
+    data = hits[0][2] if len(cmd.keys) == 1 and hits else None
+    chunk = getattr(data, "chunk", None)
+    if chunk is not None and chunk.page.mr is not None:
+        return response, b"", (chunk.page.mr, chunk.offset, entry_length(data))
+    # Otherwise the hits are copied into one payload (an mget's are
+    # several extents).
+    return response, b"".join(entry_data(d) for _k, _f, d, _c in hits), None
 
 
 #: No per-value copy in the request path (the endpoint sends from the
 #: pinned chunk or copies the payload); the front end charges the fill.
 WIRE = ServerWire(
-    decode=lambda request: request_to_command(*request),
+    decode=_request_command,
     encode_reply=lambda _request, cmd, reply: reply_to_response(cmd, reply),
     served_chunk=lambda encoded, reply: reply.values[0][2].chunk if encoded[2] else None,
     server_parse_cost="ucr_decode_us",

@@ -384,13 +384,14 @@ class UcrServerPort:
         buffer and the byte path.
         """
         store = self.server.store
-        if (header.op in ("set", "add", "replace") and data_length > 0
+        cmd = header.cmd
+        if (cmd.op in ("set", "add", "replace") and data_length > 0
                 and store.slabs.pd is not None):
             try:
-                item = store.reserve(header.keys[0], data_length, header.flags, header.exptime)
+                item = store.reserve(cmd.key, data_length, cmd.flags, cmd.exptime)
             except (ClientError, ServerError):
                 return None  # fall back to bounce buffer; op will re-fail
-            header.reserved_item = item
+            cmd.reserved_item = item
             return (*item.chunk.rdma_location(), functools.partial(store.abandon, item))
         return None
 
@@ -405,7 +406,7 @@ class UcrServerPort:
         server = self.server
         node = server.node
         wire = ucrp.WIRE
-        span = server.begin_request(header.trace, header.op)
+        span = server.begin_request(header.trace, header.cmd.op)
         ctx = span.ctx if span is not None else None
         try:
             request = (header, data)
@@ -417,14 +418,14 @@ class UcrServerPort:
                 wire, request, cmd, trace=ctx
             )
             yield from node.cpu_run(node.host.cpu_time(server.costs.ucr_response_us))
-            response.request_id = header.request_id
+            response.counter_id = header.counter_id
             # Reply-path spans (WQE post, fabric, client delivery) attach
             # under the handling operation.
             response.trace = ctx
             yield from ep.send_message(
                 ucrp.MSG_MC_RESPONSE,
                 header=response,
-                header_bytes=ucrp.response_header_bytes(response),
+                header_bytes=response.header_bytes,
                 data=payload,
                 data_location=location,
                 location_hold=hold,

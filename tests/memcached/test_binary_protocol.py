@@ -88,7 +88,7 @@ def test_inconsistent_lengths_rejected():
 
 
 def _decode_request(opcode, extras):
-    binp.request_to_command(BinMessage(MAGIC_REQUEST, opcode, key=b"k", extras=extras))
+    binp.decode_command(BinMessage(MAGIC_REQUEST, opcode, key=b"k", extras=extras))
 
 
 def _assemble_response(op, opcode, extras):
@@ -98,7 +98,7 @@ def _assemble_response(op, opcode, extras):
 
 
 def _extras_layouts():
-    """Every request row with an extras layout, through ``request_to_command``,
+    """Every request row with an extras layout, through ``decode_command``,
     and the two response layouts, through ``ReplyAssembler.feed``."""
     names = {code: name.lower() for name, code in vars(Opcode).items() if name.isupper()}
     for opcode, (_op, _fields, layout, _keyed) in binp._REQUESTS.items():
@@ -115,14 +115,14 @@ def test_extras_of_the_wrong_length_are_a_protocol_error(decode, right_length):
     for length in (right_length - 1, right_length + 1):
         with pytest.raises(ProtocolError, match=f"must be {right_length} bytes, got {length}"):
             decode(bytes(length))
-    flush = binp.request_to_command(BinMessage(MAGIC_REQUEST, Opcode.FLUSH))
+    flush = binp.decode_command(BinMessage(MAGIC_REQUEST, Opcode.FLUSH))
     assert (flush.op, flush.exptime) == ("flush_all", 0)  # FLUSH's extras are optional
 
 
 def test_arith_extras_roundtrip():
     cmd = Command("incr", ["n"], delta=5, initial=100, create_exptime=60)
     [msg] = BinaryParser().feed(binp.encode_command(cmd))
-    out = binp.request_to_command(msg)
+    out = binp.decode_command(msg)
     assert (out.delta, out.initial, out.create_exptime) == (5, 100, 60)
 
 

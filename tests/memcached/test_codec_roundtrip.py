@@ -4,8 +4,9 @@ For each wire format (text, binary, UCR struct) we check both
 directions of the codec against randomly generated IR objects:
 
 - command direction: ``encode_command`` (client) through the wire
-  parser (text: it emits the IR directly; binary and UCR: into
-  ``request_to_command``) reproduces the command on the server;
+  parser (text: it emits the IR directly; binary: into
+  ``decode_command``; UCR: the header's carried command, decoded by
+  ``WIRE.decode``) reproduces the command on the server;
 - reply direction: ``encode_reply`` (server) through the wire parser
   into the client ``ReplyAssembler`` reproduces the reply.
 
@@ -65,7 +66,7 @@ def _parse_binary_one(cmd: Command) -> Command:
     messages_ = binp.BinaryParser().feed(wire)
     assert len(messages_) == 1
     assert messages_[0].opaque == 7
-    return binp.request_to_command(messages_[0])
+    return binp.decode_command(messages_[0])
 
 
 def _assemble_text(cmd: Command, wire: bytes) -> Reply:
@@ -276,9 +277,9 @@ class TestBinaryCommands:
         assert len(frames) == len(ks) + 1
         for key, frame in zip(ks, frames):
             assert frame.opaque == 9
-            out = binp.request_to_command(frame)
+            out = binp.decode_command(frame)
             assert (out.op, out.keys, out.quiet) == ("get", [key], True)
-        assert binp.request_to_command(frames[-1]).op == "noop"
+        assert binp.decode_command(frames[-1]).op == "noop"
 
     @SETTINGS
     @given(op=st.sampled_from(["incr", "decr"]), key=keys, delta=deltas,
@@ -353,11 +354,11 @@ class TestBinaryReplies:
                 data = key.encode()
                 hits.append((key, flags, data, cas))
                 wire += binp.encode_reply(
-                    request, binp.request_to_command(request),
+                    request, binp.decode_command(request),
                     Reply("values", values=[(key, flags, data, cas)]))
             else:
                 assert binp.encode_reply(
-                    request, binp.request_to_command(request),
+                    request, binp.decode_command(request),
                     Reply("values", values=[])) == b""
         wire += binp.encode_reply(frames[-1], Command(op="noop"), Reply("ok"))
         out = _assemble_binary(cmd, wire)
@@ -430,49 +431,55 @@ class TestBinaryReplies:
 # ---------------------------------------------------------------------------
 
 
+def _ucr_request(cmd):
+    """*cmd* through the UCR request path: the header the client sends
+    (its carried command) and the command the server decodes from it."""
+    header = ucrp.McRequest(ucrp.carried(cmd))
+    return header, ucrp.WIRE.decode((header, cmd.value))
+
+
+def _ucr_reply(cmd, reply):
+    """*reply* through the UCR response path: encoded by the server,
+    decoded by the client; returns (zero-copy location, client reply)."""
+    header, payload, location = ucrp.reply_to_response(cmd, reply)
+    return location, ucrp.response_to_reply(header, payload)
+
+
 class TestUcrCodec:
     @SETTINGS
     @given(op=st.sampled_from(["set", "add", "replace", "append", "prepend"]),
            key=keys, value=values, flags=flags32, exptime=exptimes)
     def test_storage_command(self, op, key, value, flags, exptime):
         cmd = Command(op=op, keys=[key], value=value, flags=flags, exptime=exptime)
-        header, payload = ucrp.command_to_request(cmd)
-        assert header.value_length == len(value)
-        out = ucrp.request_to_command(header, payload)
+        _header, out = _ucr_request(cmd)
         assert (out.op, out.keys, out.value, out.flags, int(out.exptime)) == (
             op, [key], value, flags, exptime)
 
     @SETTINGS
     @given(key=keys, value=values, cas=cas64)
     def test_cas_command(self, key, value, cas):
-        cmd = Command(op="cas", keys=[key], value=value, cas=cas)
-        header, payload = ucrp.command_to_request(cmd)
-        out = ucrp.request_to_command(header, payload)
+        _header, out = _ucr_request(Command(op="cas", keys=[key], value=value, cas=cas))
         assert (out.op, out.keys, out.value, out.cas) == ("cas", [key], value, cas)
 
     @SETTINGS
     @given(op=st.sampled_from(["get", "gets"]), ks=key_lists)
     def test_retrieval_command(self, op, ks):
-        header, payload = ucrp.command_to_request(Command(op=op, keys=ks))
-        out = ucrp.request_to_command(header, payload)
+        _header, out = _ucr_request(Command(op=op, keys=ks))
         assert (out.op, out.keys) == (op, ks)
 
     @SETTINGS
     @given(op=st.sampled_from(["incr", "decr"]), key=keys, delta=deltas)
     def test_arith_command(self, op, key, delta):
-        header, payload = ucrp.command_to_request(Command(op=op, keys=[key],
-                                                          delta=delta))
-        out = ucrp.request_to_command(header, payload)
+        _header, out = _ucr_request(Command(op=op, keys=[key], delta=delta))
         assert (out.op, out.keys, out.delta) == (op, [key], delta)
 
     @SETTINGS
     @given(op=st.sampled_from(["flush_all", "stats"]))
     def test_keyless_placeholder(self, op):
-        # The fixed struct always carries a key slot: keyless ops ride
-        # the "-" placeholder and decode back to an empty key list.
-        header, payload = ucrp.command_to_request(Command(op=op))
-        assert header.keys == ["-"]
-        out = ucrp.request_to_command(header, payload)
+        # The fixed struct always carries a key slot: keyless ops are
+        # charged a one-byte placeholder and decode to an empty key list.
+        header, out = _ucr_request(Command(op=op))
+        assert header.header_bytes == ucrp.MC_REQUEST_HEADER_BYTES + 1
         assert (out.op, out.keys) == (op, [])
 
     @SETTINGS
@@ -481,19 +488,15 @@ class TestUcrCodec:
     def test_values_reply(self, hits):
         assume(len({k for k, *_ in hits}) == len(hits))
         cmd = Command(op="gets", keys=[k for k, *_ in hits] or ["miss"])
-        header, payload, location = ucrp.reply_to_response(
-            cmd, Reply("values", values=list(hits)))
+        location, out = _ucr_reply(cmd, Reply("values", values=list(hits)))
         assert location is None  # bytes payloads are never zero-copy
-        out = ucrp.response_to_reply(cmd, header, payload)
         assert (out.status, out.values) == ("values", list(hits))
 
     @SETTINGS
     @given(number=st.integers(min_value=0, max_value=2**64 - 1))
     def test_number_reply(self, number):
         cmd = Command(op="incr", keys=["k"], delta=1)
-        header, payload, _ = ucrp.reply_to_response(cmd, Reply("number",
-                                                               number=number))
-        out = ucrp.response_to_reply(cmd, header, payload)
+        _location, out = _ucr_reply(cmd, Reply("number", number=number))
         assert (out.status, out.number) == ("number", number)
 
     @SETTINGS
@@ -501,32 +504,27 @@ class TestUcrCodec:
         ["stored", "not_stored", "exists", "not_found", "deleted", "touched"]))
     def test_plain_statuses(self, status):
         cmd = Command(op="set", keys=["k"], value=b"v")
-        header, payload, _ = ucrp.reply_to_response(cmd, Reply(status))
-        assert ucrp.response_to_reply(cmd, header, payload).status == status
+        assert _ucr_reply(cmd, Reply(status))[1].status == status
 
     @SETTINGS
     @given(kind=st.sampled_from(["client", "server"]), message=messages)
     def test_error_reply(self, kind, message):
         # UCR is the only wire that carries both the kind and the exact
-        # message (the struct has a field for each).
+        # message (the struct carries the reply's fields).
         cmd = Command(op="delete", keys=["k"])
-        header, payload, _ = ucrp.reply_to_response(
+        _location, out = _ucr_reply(
             cmd, Reply("error", message=message, error_kind=kind))
-        out = ucrp.response_to_reply(cmd, header, payload)
         assert (out.status, out.error_kind, out.message) == ("error", kind, message)
 
     @SETTINGS
     @given(stats=stats_dicts)
     def test_stats_reply(self, stats):
-        cmd = Command(op="stats")
-        header, payload, _ = ucrp.reply_to_response(cmd, Reply("stats", stats=stats))
-        out = ucrp.response_to_reply(cmd, header, payload)
+        _location, out = _ucr_reply(Command(op="stats"), Reply("stats", stats=stats))
         assert (out.status, out.stats) == ("stats", stats)
 
     @SETTINGS
     @given(version=messages)
     def test_version_reply(self, version):
-        cmd = Command(op="version")
-        header, payload, _ = ucrp.reply_to_response(cmd, Reply("version", message=version))
-        out = ucrp.response_to_reply(cmd, header, payload)
+        _location, out = _ucr_reply(Command(op="version"),
+                                    Reply("version", message=version))
         assert (out.status, out.message) == ("version", version)

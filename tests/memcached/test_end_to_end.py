@@ -379,7 +379,7 @@ def test_failed_rendezvous_set_returns_its_reserved_chunk(fail_after_us):
     def reserve_then_fail(ep, header, data_length):
         entry.header_handler = reserve
         dest = reserve(ep, header, data_length)
-        assert header.reserved_item is not None
+        assert header.cmd.reserved_item is not None
         if fail_after_us is None:
             ep.fail("endpoint failed before the READ was posted")
         else:

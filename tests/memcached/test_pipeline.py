@@ -202,13 +202,25 @@ def test_ucr_window_whose_server_crashes_mid_window_fails_every_command():
     sim = cluster.sim
     batch = [Command(op="set", keys=[f"k{i}"], value=b"v") for i in range(4)]
 
+    checked_out = []
+    checkout = transport._checkout_counter
+
+    def recording_checkout():
+        counter = checkout()
+        checked_out.append((counter, counter.value))
+        return counter
+
+    transport._checkout_counter = recording_checkout
+
     def scenario():
         yield from client.get("warm")  # the endpoint exists before the window
-        first_id = transport._next_request_id
+        del checked_out[:]
         window = sim.process(transport.execute_many("server", batch, window=4))
         yield sim.timeout(2.0)
-        # Every request is on its way and none is answered.
-        assert transport._next_request_id == first_id + 4
+        # Every request is on its way, each waiting on its own counter,
+        # and none is answered.
+        assert len({counter.counter_id for counter, _ in checked_out}) == 4
+        assert all(counter.value == value for counter, value in checked_out)
         assert transport._pending == {} and not window.triggered
         cluster.ucr_ports["server"].crash()
         return (yield window)

@@ -83,7 +83,8 @@ def test_a_late_response_does_not_wake_the_next_call():
     call fails; its response then bumps the counter it waited on.  The
     next call, given time to finish, must be woken by its own response
     only -- so the failed call's counter is destroyed, not pooled: its
-    id no longer resolves, and the late response bumps nothing."""
+    id no longer resolves, and the late response bumps nothing and is
+    not kept for a call that will never take it."""
     cluster = Cluster(CLUSTER_A, n_client_nodes=1)
     cluster.start_server()
     client = cluster.client("UCR-IB", timeout_us=100.0)
@@ -114,5 +115,6 @@ def test_a_late_response_does_not_wake_the_next_call():
     assert transport.runtime.counter_by_id(failing.counter_id) is None
     assert failing not in transport._counter_pool
     assert failing.value == bumps  # the late response found no counter to bump
+    assert transport._pending == {}  # nor a call to take it: it was dropped
     assert got == b"v"
     assert done - late > 300.0  # the second response's own handling
